@@ -403,6 +403,20 @@ pub trait Session: Clone + Send + 'static {
 
     /// Executes a strictly serializable read-only transaction locally on
     /// this node's replicas (§5.3) — no network traffic either way.
+    ///
+    /// On the threaded runtimes the transaction runs on the *calling* thread
+    /// when this session (and its clones) has nothing in flight: one
+    /// optimistic pass over the node's shared store, validated, and counted
+    /// only while the node's read lease — published by its loop, checked
+    /// against the caller's own clock — is running. Otherwise, and whenever
+    /// that one attempt does not commit, it queues to the node loop behind
+    /// the session's earlier submissions; retries, the wait for in-flight
+    /// reliable commits and every error ([`TxError::Fenced`],
+    /// [`TxError::NotReplicated`], [`TxError::NodeUnavailable`], …) come
+    /// from there. Either way a read issued after
+    /// [`submit_write`](Session::submit_write) on the same session is
+    /// ordered after that write. `f` may therefore run more than once and
+    /// on either thread, as its `FnMut + Send` bound says.
     fn read_txn<T, F>(&self, f: F) -> Result<T, TxError>
     where
         T: TxPayload,

@@ -21,9 +21,6 @@ pub struct ZeusConfig {
     pub replication_degree: usize,
     /// Number of store shards per node.
     pub store_shards: usize,
-    /// Worker threads per node in the threaded runtime (each worker owns a
-    /// commit pipeline, §5.2/§7).
-    pub worker_threads: usize,
     /// Lease duration (in ticks) for the membership failure detector.
     pub lease_ticks: u64,
     /// Maximum times a transaction retries ownership acquisition before
@@ -70,7 +67,6 @@ impl Default for ZeusConfig {
             view_replicas: 3,
             replication_degree: 3,
             store_shards: 64,
-            worker_threads: 1,
             // 1 tick = 1 us in the threaded runtime. The failure detector
             // must tolerate OS scheduling hiccups on loaded machines: with a
             // 10 ms lease a busy node loop missed the window and got falsely
@@ -109,13 +105,6 @@ impl ZeusConfig {
     #[must_use]
     pub fn replication(mut self, degree: usize) -> Self {
         self.replication_degree = degree.clamp(1, self.nodes);
-        self
-    }
-
-    /// Sets the number of worker threads per node.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.worker_threads = workers.max(1);
         self
     }
 

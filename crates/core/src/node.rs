@@ -1,6 +1,7 @@
 //! A single Zeus server: store + protocols + transaction layer.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use zeus_commit::{CommitAction, CommitEngine};
@@ -18,7 +19,7 @@ use zeus_view::{ViewEvent, ViewReplica};
 use crate::config::ZeusConfig;
 use crate::message::Message;
 use crate::stats::{LatencyHistogram, NodeStats};
-use crate::txn::{ReadOutcome, TxCtx, TxError, WriteOutcome};
+use crate::txn::{execute_read_only, ReadOutcome, TxCtx, TxError, WriteOutcome};
 
 /// View of node-local state handed to the ownership engine.
 struct HostView<'a> {
@@ -61,7 +62,9 @@ pub enum RequestState {
 pub struct ZeusNode {
     id: NodeId,
     config: ZeusConfig,
-    store: Store,
+    /// Shared with the sessions of the threaded runtimes, whose read-only
+    /// transactions read it from their own threads; only this node mutates.
+    store: Arc<Store>,
     locks: LockManager,
     ownership: OwnershipEngine,
     commit: CommitEngine,
@@ -148,7 +151,7 @@ impl ZeusNode {
         );
         ZeusNode {
             id,
-            store: Store::new(config.store_shards),
+            store: Arc::new(Store::new(config.store_shards)),
             locks: LockManager::new(),
             ownership: OwnershipEngine::new(id, directory, config.nodes),
             commit: CommitEngine::new(id, config.nodes),
@@ -201,6 +204,12 @@ impl ZeusNode {
         &self.store
     }
 
+    /// The store handle a runtime gives its sessions so read-only
+    /// transactions can run on the caller's thread.
+    pub(crate) fn shared_store(&self) -> Arc<Store> {
+        Arc::clone(&self.store)
+    }
+
     /// Current membership epoch.
     pub fn epoch(&self) -> Epoch {
         self.membership.epoch()
@@ -243,6 +252,12 @@ impl ZeusNode {
             .unwrap_or_default()
     }
 
+    /// Whether a locality engine is configured, i.e. whether transactional
+    /// accesses are worth reporting to this node at all.
+    pub(crate) fn tracks_locality(&self) -> bool {
+        self.locality.is_some()
+    }
+
     /// Latency histogram of completed ownership requests (ticks).
     pub fn ownership_latency(&self) -> &LatencyHistogram {
         &self.ownership_latency
@@ -267,6 +282,13 @@ impl ZeusNode {
     /// could expose values the rest of the cluster has already superseded.
     pub fn is_fenced(&self) -> bool {
         self.membership.is_isolated(self.now)
+    }
+
+    /// The tick at which [`ZeusNode::is_fenced`] turns true unless a
+    /// heartbeat arrives first — the read lease a runtime publishes to
+    /// threads that serve reads without going through this node.
+    pub(crate) fn read_lease_deadline(&self) -> u64 {
+        self.membership.isolation_deadline()
     }
 
     /// Whether this node currently owns `object`.
@@ -513,14 +535,13 @@ impl ZeusNode {
                 error: TxError::Fenced,
             };
         }
-        let (result, ws) = {
-            let mut ctx = TxCtx::read_tx(&self.store);
-            let result = f(&mut ctx);
-            let (ws, _) = ctx.into_parts();
-            (result, ws)
-        };
-        let value = match result {
-            Ok(v) => v,
+        let (result, ws) = execute_read_only(&self.store, f);
+        match result {
+            Ok(value) => {
+                self.note_local_reads(ws.read_set().map(|(object, _)| object));
+                self.stats.read_txs_committed += 1;
+                ReadOutcome::Committed { value }
+            }
             Err(error) => {
                 // A read this node cannot serve is exactly the signal the
                 // locality engine widens replication on.
@@ -528,29 +549,18 @@ impl ZeusNode {
                     self.record_access(*object, AccessKind::Read, false);
                 }
                 self.stats.txs_aborted += 1;
-                return ReadOutcome::Aborted { error };
+                ReadOutcome::Aborted { error }
             }
-        };
-        // Local commit of a read-only transaction: every object read must
-        // still be Valid at an unchanged version.
-        let consistent = ws.read_set().all(|(object, ts)| {
-            self.store
-                .with(object, |e| e.t_state == TState::Valid && e.ts == ts)
-                .unwrap_or(false)
-        });
-        if consistent {
-            if self.locality.is_some() {
-                let objects: Vec<ObjectId> = ws.read_set().map(|(o, _)| o).collect();
-                for object in objects {
-                    self.record_access(object, AccessKind::Read, true);
-                }
-            }
-            self.stats.read_txs_committed += 1;
-            ReadOutcome::Committed { value }
-        } else {
-            self.stats.txs_aborted += 1;
-            ReadOutcome::Aborted {
-                error: TxError::ReadConflict,
+        }
+    }
+
+    /// Feeds locally served reads to the locality engine (no-op under the
+    /// reactive policy): the read set of a committed read-only transaction,
+    /// whether it ran here or on a session's thread.
+    pub(crate) fn note_local_reads(&mut self, objects: impl IntoIterator<Item = ObjectId>) {
+        if self.locality.is_some() {
+            for object in objects {
+                self.record_access(object, AccessKind::Read, true);
             }
         }
     }
@@ -1395,6 +1405,27 @@ mod tests {
         // the same widen but does not issue a duplicate.
         node.tick(200);
         assert_eq!(node.policy_stats().widens, 1);
+    }
+
+    #[test]
+    fn reads_noted_from_another_thread_reach_the_tracker_like_local_ones() {
+        let mut config = ZeusConfig::with_nodes(3);
+        config.policy = PolicyKind::Predictive;
+        let mut node = ZeusNode::new(NodeId(1), config.clone());
+        for object in [ObjectId(1), ObjectId(2)] {
+            node.create_object(object, Bytes::new(), config.default_replicas(NodeId(0)));
+        }
+        // One read executed here, one reported by a session that ran it on
+        // its own thread: the tracker must not tell them apart.
+        assert!(node.execute_read(|tx| tx.read(ObjectId(1))).is_committed());
+        node.note_local_reads([ObjectId(2)]);
+        let tracker = node.locality.as_ref().expect("predictive").tracker();
+        for object in [ObjectId(1), ObjectId(2)] {
+            let stats = tracker.get(object).expect("tracked");
+            assert_eq!(stats.level, zeus_locality::TrackedLevel::Reader);
+            assert_eq!(stats.remote_streak, 0);
+        }
+        assert_eq!(tracker.len(), 2);
     }
 
     #[test]

@@ -30,14 +30,13 @@ use std::process::{Child, Command as ProcCommand, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use zeus_net::{RttConfig, UdpConfig, UdpTransport};
 use zeus_proto::NodeId;
 
 use crate::client::{RetryPolicy, Session};
 use crate::cluster_config::NodeAddr;
 use crate::config::ZeusConfig;
-use crate::runtime::{node_loop, Command, ThreadedSession};
+use crate::runtime::{start_node, Command, ThreadedSession};
 use crate::txn::TxError;
 use crate::{ObjectId, ZeusNode};
 
@@ -201,17 +200,13 @@ pub fn run_node(opts: NodeOpts) -> Result<(u64, u64), String> {
     })
     .map_err(|e| format!("bind {}: {e}", opts.addrs[opts.id.index()]))?;
 
-    let (cmd_tx, cmd_rx) = unbounded();
-    let node_config = config.clone();
-    let id = opts.id;
-    let node_thread =
-        std::thread::spawn(move || node_loop(ZeusNode::new(id, node_config), transport, cmd_rx));
+    let (link, node_thread) = start_node(ZeusNode::new(opts.id, config.clone()), transport);
 
     // Every process creates every object locally with the same deterministic
     // placement, so the cluster-wide directory agrees without coordination.
     for i in 0..opts.accounts {
         let owner = NodeId((i % nodes as u64) as u16);
-        let _ = cmd_tx.send(Command::CreateObject {
+        let _ = link.commands.send(Command::CreateObject {
             object: ObjectId(i),
             data: vec![0u8; 8].into(),
             replicas: config.default_replicas(owner),
@@ -240,7 +235,7 @@ pub fn run_node(opts: NodeOpts) -> Result<(u64, u64), String> {
     if released {
         let session = ThreadedSession::new(
             opts.id,
-            cmd_tx.clone(),
+            link.clone(),
             RetryPolicy::with_budget(config.max_ownership_retries),
         );
         let mut rng = opts.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(opts.id.0 as u64 + 1));
@@ -266,7 +261,7 @@ pub fn run_node(opts: NodeOpts) -> Result<(u64, u64), String> {
         }
     }
 
-    let _ = cmd_tx.send(Command::Shutdown);
+    let _ = link.commands.send(Command::Shutdown);
     let _ = node_thread.join();
     Ok((committed, aborted))
 }

@@ -10,8 +10,14 @@
 //! pipeline, ownership requests stall — and its non-blocking
 //! [`submit_write`](Session::submit_write) keeps N transactions in flight
 //! from a single client thread, batched into the node's command path.
+//!
+//! Read-only transactions do not enter the loop at all when they need not:
+//! a session with nothing in flight runs [`read_txn`](Session::read_txn) on
+//! the calling thread against the node's shared store (`ReadPort` below),
+//! and queues only when that single optimistic attempt does not commit.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -20,6 +26,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use zeus_net::{Envelope, LinkMsg, ProbedMailbox, RttConfig, ThreadedNet, Transport};
 use zeus_proto::{NodeId, ObjectId, OwnershipRequestKind, ReplicaSet, RequestId};
+use zeus_store::Store;
 
 use crate::client::{
     AdminError, ClusterDriver, RetryPolicy, Session, TicketReply, TxPayload, TxTicket,
@@ -28,7 +35,7 @@ use crate::config::ZeusConfig;
 use crate::message::Message;
 use crate::node::{RequestState, ZeusNode};
 use crate::stats::{LatencyHistogram, NodeStats};
-use crate::txn::{ReadOutcome, TxCtx, TxError, WriteOutcome};
+use crate::txn::{execute_read_only, ReadOutcome, TxCtx, TxError, WriteOutcome};
 
 /// A transaction closure executed on the node thread. The result payload is
 /// an opaque byte vector so the command channel stays object-safe; the
@@ -39,22 +46,35 @@ type TxFn = Box<dyn FnMut(&mut TxCtx<'_>) -> Result<Vec<u8>, TxError> + Send>;
 // In-flight accounting (the Session::drain barrier)
 // ---------------------------------------------------------------------------
 
-/// Counts submissions that have not resolved yet; `drain` blocks on zero.
+/// Counts submissions that have not resolved yet. `drain` blocks on zero
+/// (the condvar), and `read_txn` asks [`Inflight::is_idle`] on every call, so
+/// the count itself is an atomic: the read gate costs one load, not a mutex
+/// round-trip.
 #[derive(Debug, Default)]
 struct Inflight {
-    count: Mutex<usize>,
+    count: AtomicUsize,
+    /// Guards nothing but the sleep/wake handshake of `wait_zero`.
+    zero: Mutex<()>,
     done: Condvar,
 }
 
 impl Inflight {
     fn increment(&self) {
-        *self.count.lock().unwrap() += 1;
+        self.count.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Whether every submission so far has resolved. Acquire, pairing with
+    /// the release half of the guard's decrement: a caller that sees zero
+    /// also sees everything the node thread did before resolving the last
+    /// submission.
+    fn is_idle(&self) -> bool {
+        self.count.load(Ordering::Acquire) == 0
     }
 
     fn wait_zero(&self) {
-        let mut count = self.count.lock().unwrap();
-        while *count > 0 {
-            count = self.done.wait(count).unwrap();
+        let mut guard = self.zero.lock().expect("no panic while held");
+        while !self.is_idle() {
+            guard = self.done.wait(guard).expect("no panic while held");
         }
     }
 }
@@ -67,10 +87,12 @@ struct InflightGuard(Arc<Inflight>);
 
 impl Drop for InflightGuard {
     fn drop(&mut self) {
-        let mut count = self.0.count.lock().unwrap();
-        *count = count.saturating_sub(1);
-        drop(count);
-        self.0.done.notify_all();
+        if self.0.count.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Taking the lock orders this wake-up after a waiter's check of
+            // the count: it is either not yet checking or already asleep.
+            drop(self.0.zero.lock());
+            self.0.done.notify_all();
+        }
     }
 }
 
@@ -93,6 +115,156 @@ impl ReplySlot {
         });
         // `_guard` drops here: the submission has resolved.
     }
+}
+
+// ---------------------------------------------------------------------------
+// Caller-thread reads
+// ---------------------------------------------------------------------------
+
+/// Most object ids [`ReadPort`] holds for the loop's locality engine. The
+/// tracker estimates rates, so when the loop falls this far behind the
+/// readers, further read sets are dropped instead of queued.
+const READ_NOTES_CAP: usize = 4_096;
+
+/// What a node loop shares with its sessions so a read-only transaction can
+/// run on the caller's thread (§5.3, §7): the store, and the three things
+/// [`ZeusNode::execute_read`] would otherwise have consulted on the loop —
+/// whether the node may serve at all, and the counters and locality notes
+/// a committed read leaves behind.
+///
+/// The loop is the only writer of `lease_deadline` and `closed`; session
+/// threads are the only writers of the counters.
+#[derive(Debug)]
+pub(crate) struct ReadPort {
+    store: Arc<Store>,
+    /// Origin of the loop's clock: `node.tick` is fed the microseconds
+    /// elapsed since this instant, and readers measure the same way.
+    started: Instant,
+    /// The loop-clock microsecond from which the node counts as fenced
+    /// ([`ZeusNode::read_lease_deadline`]), republished every loop
+    /// iteration. A reader compares it with *its own* reading of the clock:
+    /// a loop that stalls or is partitioned stops being trusted when the
+    /// lease lapses, not when it next gets to run.
+    lease_deadline: AtomicU64,
+    /// Set when the loop exits; nothing maintains the store after that.
+    closed: AtomicBool,
+    /// Read-only transactions committed on caller threads.
+    committed: AtomicU64,
+    /// Caller-thread attempts that hit a [`TxError::ReadConflict`]. The
+    /// queued retry is a new attempt, counted by the node as usual.
+    conflicts: AtomicU64,
+    /// Read sets of committed caller-thread reads, until the loop hands
+    /// them to its locality engine; `None` under the reactive policy,
+    /// which tracks nothing.
+    read_notes: Option<Mutex<Vec<ObjectId>>>,
+}
+
+impl ReadPort {
+    /// A port onto `node`'s store whose clock starts now.
+    fn new(node: &ZeusNode) -> Self {
+        ReadPort {
+            store: node.shared_store(),
+            started: Instant::now(),
+            lease_deadline: AtomicU64::new(node.read_lease_deadline()),
+            closed: AtomicBool::new(false),
+            committed: AtomicU64::new(0),
+            conflicts: AtomicU64::new(0),
+            read_notes: node.tracks_locality().then(Mutex::default),
+        }
+    }
+
+    /// The loop clock: microseconds since the port was created.
+    fn now(&self) -> u64 {
+        self.started.elapsed().as_micros() as u64
+    }
+
+    /// One optimistic attempt at a read-only transaction on the calling
+    /// thread. `Some` is a commit: validated, and finished while the node's
+    /// read lease was still running. Everything else — any abort, a lapsed
+    /// lease, a closed loop — is `None`, and the caller queues the
+    /// transaction: the loop owns retries, waiting and error reporting.
+    fn try_read<R>(&self, f: impl FnOnce(&mut TxCtx<'_>) -> Result<R, TxError>) -> Option<R> {
+        // Acquire pairs with the release store of the loop's exit.
+        if self.closed.load(Ordering::Acquire) {
+            return None;
+        }
+        let (result, ws) = execute_read_only(&self.store, f);
+        let value = match result {
+            Ok(value) => value,
+            Err(error) => {
+                if matches!(error, TxError::ReadConflict) {
+                    self.conflicts.fetch_add(1, Ordering::Relaxed);
+                }
+                return None;
+            }
+        };
+        // Checked after the reads, so all of them happened under the lease.
+        // Acquire pairs with the loop's release store in `publish_lease`.
+        if self.now() >= self.lease_deadline.load(Ordering::Acquire) {
+            return None;
+        }
+        self.committed.fetch_add(1, Ordering::Relaxed);
+        if let Some(notes) = &self.read_notes {
+            let mut notes = notes.lock().expect("no panic while held");
+            if notes.len() < READ_NOTES_CAP {
+                notes.extend(ws.read_set().map(|(object, _)| object));
+            }
+        }
+        Some(value)
+    }
+
+    /// Loop side: publishes the node's current fencing deadline. It moves
+    /// only when a heartbeat or a view change does, and the loop is its only
+    /// writer, so the cache line the readers' counters share is written
+    /// just then, not on every loop iteration.
+    fn publish_lease(&self, deadline: u64) {
+        if self.lease_deadline.load(Ordering::Relaxed) != deadline {
+            self.lease_deadline.store(deadline, Ordering::Release);
+        }
+    }
+
+    /// Loop side: moves the pending locality notes into `into` (left empty
+    /// otherwise), swapping buffers so neither side reallocates.
+    fn take_read_notes(&self, into: &mut Vec<ObjectId>) {
+        if let Some(notes) = &self.read_notes {
+            std::mem::swap(&mut *notes.lock().expect("no panic while held"), into);
+        }
+    }
+
+    /// Adds the caller-thread reads to the node's own counters.
+    fn add_to(&self, stats: &mut NodeStats) {
+        stats.read_txs_committed += self.committed.load(Ordering::Relaxed);
+        stats.txs_aborted += self.conflicts.load(Ordering::Relaxed);
+    }
+}
+
+/// Marks the port closed when the node loop ends, however it ends.
+struct CloseOnExit<'a>(&'a ReadPort);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.closed.store(true, Ordering::Release);
+    }
+}
+
+/// A running node as its cluster and its sessions hold it: the command
+/// queue into the loop and the port for caller-thread reads.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeLink {
+    pub(crate) commands: Sender<Command>,
+    reads: Arc<ReadPort>,
+}
+
+/// Starts `node`'s event loop on a thread of its own.
+pub(crate) fn start_node<T>(node: ZeusNode, transport: T) -> (NodeLink, JoinHandle<()>)
+where
+    T: Transport<Message> + Send + 'static,
+{
+    let (commands, inbox) = unbounded();
+    let reads = Arc::new(ReadPort::new(&node));
+    let port = Arc::clone(&reads);
+    let thread = std::thread::spawn(move || node_loop(node, transport, inbox, &port));
+    (NodeLink { commands, reads }, thread)
 }
 
 // ---------------------------------------------------------------------------
@@ -164,18 +336,18 @@ struct AcquireWait {
 #[derive(Debug, Clone)]
 pub struct ThreadedSession {
     node: NodeId,
-    commands: Sender<Command>,
+    link: NodeLink,
     inflight: Arc<Inflight>,
     policy: RetryPolicy,
 }
 
 impl ThreadedSession {
-    /// Session on `node` talking to a node loop through `commands` (shared
-    /// by the threaded and UDP cluster runtimes).
-    pub(crate) fn new(node: NodeId, commands: Sender<Command>, policy: RetryPolicy) -> Self {
+    /// Session on `node`, reached through `link` (shared by the threaded
+    /// and UDP cluster runtimes).
+    pub(crate) fn new(node: NodeId, link: NodeLink, policy: RetryPolicy) -> Self {
         ThreadedSession {
             node,
-            commands,
+            link,
             inflight: Arc::new(Inflight::default()),
             policy,
         }
@@ -212,6 +384,7 @@ impl ThreadedSession {
             _guard: InflightGuard(Arc::clone(&self.inflight)),
         };
         let _ = self
+            .link
             .commands
             .send(make(Self::erase(f), self.policy.clone(), slot));
         TxTicket::pending(rx)
@@ -240,11 +413,19 @@ impl Session for ThreadedSession {
         self.submit_write(f).wait()
     }
 
-    fn read_txn<T, F>(&self, f: F) -> Result<T, TxError>
+    fn read_txn<T, F>(&self, mut f: F) -> Result<T, TxError>
     where
         T: TxPayload,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
+        // With nothing of this session in flight there is no earlier
+        // submission the read could overtake: try it right here. Otherwise
+        // it queues behind the session's own pipelined writes, as ever.
+        if self.inflight.is_idle() {
+            if let Some(value) = self.link.reads.try_read(&mut f) {
+                return Ok(value);
+            }
+        }
         self.submit(f, |tx, policy, reply| Command::Read { tx, policy, reply })
             .wait()
     }
@@ -264,7 +445,8 @@ impl Session for ThreadedSession {
 
     fn acquire(&self, object: ObjectId, kind: OwnershipRequestKind) -> Result<(), TxError> {
         let (reply, rx) = bounded(1);
-        self.commands
+        self.link
+            .commands
             .send(Command::Acquire {
                 object,
                 kind,
@@ -276,7 +458,8 @@ impl Session for ThreadedSession {
 
     fn stats(&self) -> Result<(NodeStats, LatencyHistogram), TxError> {
         let (reply, rx) = bounded(1);
-        self.commands
+        self.link
+            .commands
             .send(Command::Stats { reply })
             .map_err(|_| TxError::NodeUnavailable)?;
         rx.recv().map_err(|_| TxError::NodeUnavailable)
@@ -290,7 +473,7 @@ impl Session for ThreadedSession {
 /// A Zeus cluster where every node runs on its own OS thread.
 pub struct ThreadedCluster {
     config: ZeusConfig,
-    commands: Vec<Sender<Command>>,
+    links: Vec<NodeLink>,
     threads: Vec<JoinHandle<()>>,
     net: ThreadedNet<LinkMsg<Message>>,
 }
@@ -316,7 +499,7 @@ impl ThreadedCluster {
     pub fn start(config: ZeusConfig) -> Self {
         let adaptive = config.retransmit_ticks == ZeusConfig::default().retransmit_ticks;
         let net: ThreadedNet<LinkMsg<Message>> = ThreadedNet::new(config.nodes);
-        let mut commands = Vec::new();
+        let mut links = Vec::new();
         let mut threads = Vec::new();
         for i in 0..config.nodes as u16 {
             let id = NodeId(i);
@@ -329,16 +512,13 @@ impl ThreadedCluster {
             } else {
                 ProbedMailbox::passthrough(net.mailbox(id))
             };
-            let (cmd_tx, cmd_rx) = unbounded();
-            commands.push(cmd_tx);
-            let node_config = config.clone();
-            threads.push(std::thread::spawn(move || {
-                node_loop(ZeusNode::new(id, node_config), transport, cmd_rx);
-            }));
+            let (link, thread) = start_node(ZeusNode::new(id, config.clone()), transport);
+            links.push(link);
+            threads.push(thread);
         }
         ThreadedCluster {
             config,
-            commands,
+            links,
             threads,
             net,
         }
@@ -353,7 +533,7 @@ impl ThreadedCluster {
     pub fn handle(&self, id: NodeId) -> ThreadedSession {
         ThreadedSession::new(
             id,
-            self.commands[id.index()].clone(),
+            self.links[id.index()].clone(),
             RetryPolicy::with_budget(self.config.max_ownership_retries),
         )
     }
@@ -362,8 +542,8 @@ impl ThreadedCluster {
     pub fn create_object(&self, object: ObjectId, data: impl Into<Bytes>, owner: NodeId) {
         let data = data.into();
         let replicas = self.config.default_replicas(owner);
-        for commands in &self.commands {
-            let _ = commands.send(Command::CreateObject {
+        for link in &self.links {
+            let _ = link.commands.send(Command::CreateObject {
                 object,
                 data: data.clone(),
                 replicas: replicas.clone(),
@@ -384,7 +564,7 @@ impl ThreadedCluster {
     fn send_admin(&self, make: impl Fn() -> Command, target: NodeId) {
         for vr in self.config.view_replica_set() {
             if vr != target {
-                let _ = self.commands[vr.index()].send(make());
+                let _ = self.links[vr.index()].commands.send(make());
             }
         }
     }
@@ -406,8 +586,8 @@ impl ThreadedCluster {
     }
 
     fn shutdown_inner(&mut self) {
-        for tx in &self.commands {
-            let _ = tx.send(Command::Shutdown);
+        for link in &self.links {
+            let _ = link.commands.send(Command::Shutdown);
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -536,12 +716,13 @@ const DRAIN_CAP_MAX: usize = 256;
 /// The per-node event loop, generic over how bytes move ([`Transport`]):
 /// in-process channels for [`ThreadedCluster`], UDP sockets for the
 /// process-per-node deployments.
-pub(crate) fn node_loop<T: Transport<Message>>(
+fn node_loop<T: Transport<Message>>(
     mut node: ZeusNode,
     transport: T,
     commands: Receiver<Command>,
+    reads: &ReadPort,
 ) {
-    let started = Instant::now();
+    let _close = CloseOnExit(reads);
     // Cross-session batching (`ZeusConfig::batch_commands`): execute the
     // drained command batch as one unit — writes back to back into the
     // commit pipeline, same-object ownership acquisitions shared, one
@@ -562,6 +743,7 @@ pub(crate) fn node_loop<T: Transport<Message>>(
     let mut cmd_buf: Vec<Command> = Vec::new();
     let mut scratch_buf: Vec<Command> = Vec::new();
     let mut hold_buf: Vec<Command> = Vec::new();
+    let mut read_notes: Vec<ObjectId> = Vec::new();
     // Decaying high-water mark of recent batch occupancy, driving the
     // adaptive drain cap (see DRAIN_CAP_MIN/MAX).
     let mut drain_hwm: usize = 0;
@@ -718,7 +900,8 @@ pub(crate) fn node_loop<T: Transport<Message>>(
                                         break;
                                     }
                                 }
-                                node.tick(started.elapsed().as_micros() as u64);
+                                node.tick(reads.now());
+                                reads.publish_lease(node.read_lease_deadline());
                                 flush_outbox(&mut node, &transport, batched);
                             }
                             ReadOutcome::Aborted { error } => {
@@ -747,7 +930,9 @@ pub(crate) fn node_loop<T: Transport<Message>>(
                     node.create_object(object, data, replicas);
                 }
                 Command::Stats { reply } => {
-                    let _ = reply.send((node.stats(), node.ownership_latency().clone()));
+                    let mut stats = node.stats();
+                    reads.add_to(&mut stats);
+                    let _ = reply.send((stats, node.ownership_latency().clone()));
                 }
                 Command::AdminExpel { node: dead } => {
                     did_work = true;
@@ -885,13 +1070,19 @@ pub(crate) fn node_loop<T: Transport<Message>>(
         //    interval, and a backlogged link counts as congestion exactly
         //    like a backlogged inbox.
         flush_outbox(&mut node, &transport, batched);
-        let now = started.elapsed().as_micros() as u64;
+        let now = reads.now();
         transport.maintain(now);
         if let Some(rto) = transport.rto_micros() {
             node.set_retransmit_interval(rto);
         }
         node.set_congested(inbox_backlog || !inbox_buf.is_empty() || transport.congested());
+        // What the caller-thread reads of this iteration touched reaches the
+        // locality engine before it plans; then the lease they run under is
+        // renewed from the membership state this iteration left.
+        reads.take_read_notes(&mut read_notes);
+        node.note_local_reads(read_notes.drain(..));
         node.tick(now);
+        reads.publish_lease(node.read_lease_deadline());
 
         if !did_work {
             // Nothing to do right now: block on the channel the next event
@@ -1008,6 +1199,291 @@ fn requests_state(node: &ZeusNode, requests: &[RequestId]) -> Option<Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
+    /// `[u64 write counter][i64 balance]`, the shape the read-path tests
+    /// check invariants on.
+    fn account(counter: u64, balance: i64) -> Vec<u8> {
+        let mut v = counter.to_le_bytes().to_vec();
+        v.extend_from_slice(&balance.to_le_bytes());
+        v
+    }
+
+    fn parse_account(bytes: &[u8]) -> (u64, i64) {
+        (
+            u64::from_le_bytes(bytes[..8].try_into().unwrap()),
+            i64::from_le_bytes(bytes[8..16].try_into().unwrap()),
+        )
+    }
+
+    /// A node that replicates `objects` and a read port onto it, with no
+    /// loop running: whatever the port decides, it decides on its own.
+    fn port_without_a_loop(config: ZeusConfig, objects: &[ObjectId]) -> (ZeusNode, ReadPort) {
+        let mut node = ZeusNode::new(NodeId(1), config.clone());
+        for &object in objects {
+            node.create_object(
+                object,
+                Bytes::from_static(b"v"),
+                config.default_replicas(NodeId(0)),
+            );
+        }
+        let port = ReadPort::new(&node);
+        (node, port)
+    }
+
+    #[test]
+    fn expired_read_lease_refuses_the_fast_path_without_the_loop() {
+        // The gate must hold when the loop is stalled or dead, so it cannot
+        // be a flag the loop flips: here no loop ever runs, and the port
+        // must stop serving by the caller's clock alone.
+        let mut config = ZeusConfig::with_nodes(3);
+        config.lease_ticks = 30_000; // 30 ms: the lease the node starts with
+        let object = ObjectId(1);
+        let (_node, port) = port_without_a_loop(config, &[object]);
+        let read = |tx: &mut TxCtx<'_>| tx.read(object);
+
+        assert_eq!(port.try_read(read), Some(Bytes::from_static(b"v")));
+        while port.now() < 30_000 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(port.try_read(read), None, "the published lease lapsed");
+        // A renewed lease serves again; an exited loop does not.
+        port.publish_lease(u64::MAX);
+        assert_eq!(port.try_read(read), Some(Bytes::from_static(b"v")));
+        drop(CloseOnExit(&port));
+        assert_eq!(port.try_read(read), None, "closed");
+
+        let mut stats = NodeStats::default();
+        port.add_to(&mut stats);
+        assert_eq!(stats.read_txs_committed, 2, "only commits are counted");
+        assert_eq!(stats.txs_aborted, 0, "a refusal is not an abort");
+    }
+
+    #[test]
+    fn caller_thread_reads_leave_notes_for_a_configured_locality_engine() {
+        let objects = [ObjectId(1), ObjectId(2)];
+        let read_both = |tx: &mut TxCtx<'_>| {
+            tx.read(ObjectId(1))?;
+            tx.read(ObjectId(2))
+        };
+        let predictive = ZeusConfig::with_nodes(3).with_policy(zeus_proto::PolicyKind::Predictive);
+        let (mut node, port) = port_without_a_loop(predictive, &objects);
+        assert!(port.try_read(read_both).is_some());
+        // An uncommitted attempt leaves nothing (the loop records the miss
+        // itself when the fallback reaches it).
+        assert!(port.try_read(|tx| tx.read(ObjectId(99))).is_none());
+        let mut notes = Vec::new();
+        port.take_read_notes(&mut notes);
+        notes.sort_unstable();
+        assert_eq!(notes, objects);
+        node.note_local_reads(notes.drain(..));
+        port.take_read_notes(&mut notes);
+        assert!(notes.is_empty(), "taken once");
+
+        // The reactive default tracks nothing, so nothing is collected.
+        let (_node, port) = port_without_a_loop(ZeusConfig::with_nodes(3), &objects);
+        assert!(port.try_read(read_both).is_some());
+        port.take_read_notes(&mut notes);
+        assert!(notes.is_empty());
+    }
+
+    #[test]
+    fn idle_session_reads_run_on_the_caller_and_show_in_stats() {
+        let cluster = ThreadedCluster::start(ZeusConfig::with_nodes(3));
+        let object = ObjectId(4);
+        cluster.create_object(object, Bytes::from_static(b"v"), NodeId(0));
+        let session = cluster.handle(NodeId(1));
+        // The first read doubles as the load barrier (it queues if the
+        // object has not been created on node 1 yet).
+        let read = move |tx: &mut TxCtx<'_>| Ok(tx.read(object)?.to_vec());
+        assert_eq!(session.read_txn(read).unwrap(), b"v");
+
+        const N: u64 = 100;
+        let node_before = session.stats().unwrap().0;
+        let cluster_before = cluster.aggregate_stats();
+        let on_caller_before = session.link.reads.committed.load(Ordering::Relaxed);
+        for _ in 0..N {
+            assert_eq!(session.read_txn(read).unwrap(), b"v");
+        }
+        // All N on a quiet replica, short of a host stall that lapses the
+        // lease; the counters below must add up either way, which they only
+        // do if the reads that never reached the loop are counted too.
+        let on_caller = session.link.reads.committed.load(Ordering::Relaxed) - on_caller_before;
+        assert!(on_caller > 0, "an idle session reads on its own thread");
+        let node_after = session.stats().unwrap().0;
+        assert_eq!(
+            node_after.read_txs_committed - node_before.read_txs_committed,
+            N
+        );
+        assert_eq!(node_after.txs_aborted, node_before.txs_aborted);
+        assert_eq!(
+            cluster.aggregate_stats().read_txs_committed - cluster_before.read_txs_committed,
+            N
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn read_after_submit_write_on_one_session_observes_the_write() {
+        let cluster = ThreadedCluster::start(ZeusConfig::with_nodes(3));
+        let object = ObjectId(6);
+        cluster.create_object(object, account(0, 0), NodeId(0));
+        let session = cluster.handle(NodeId(0));
+        for round in 1..=200u64 {
+            // The ticket is deliberately not awaited: the read must queue
+            // behind the write it could otherwise overtake.
+            let _ticket: TxTicket<()> = session.submit_write(move |tx| {
+                tx.update(object, |old| {
+                    let (counter, balance) = parse_account(old);
+                    account(counter + 1, balance + 1)
+                })?;
+                Ok(())
+            });
+            let seen: u64 = session
+                .read_txn(move |tx| Ok(parse_account(&tx.read(object)?).0))
+                .unwrap();
+            assert_eq!(seen, round, "per-session order");
+        }
+        cluster.shutdown();
+    }
+
+    /// The concurrency stress of the caller-thread read path (CI repeats it
+    /// in `--release`, since a race shows up probabilistically): writers
+    /// move money inside object pairs from all three nodes, so ownership
+    /// keeps changing hands, while a reader per node reads whole pairs on a
+    /// session that never writes.
+    #[test]
+    fn concurrent_readers_see_consistent_pairs_while_writers_move_ownership() {
+        const PAIRS: u64 = 4;
+        const TRANSFERS: u64 = 300;
+        const OPENING: i64 = 1_000;
+        let cluster = ThreadedCluster::start(ZeusConfig::with_nodes(3));
+        for object in 0..2 * PAIRS {
+            cluster.create_object(
+                ObjectId(object),
+                account(0, OPENING),
+                NodeId((object % 3) as u16),
+            );
+        }
+        // Load barrier: commands are served in order on every node.
+        for node in 0..3 {
+            cluster
+                .handle(NodeId(node))
+                .read_txn(|tx| Ok(tx.read(ObjectId(2 * PAIRS - 1))?.to_vec()))
+                .unwrap();
+        }
+
+        // Readers run until every writer has finished, however it finished:
+        // a writer that panics must not leave them spinning.
+        struct Finished<'a>(&'a AtomicUsize);
+        impl Drop for Finished<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::Release);
+            }
+        }
+        let writers_left = AtomicUsize::new(2);
+        let start = Barrier::new(2 + 3);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2u64)
+                .map(|w| {
+                    let (cluster, start, writers_left) = (&cluster, &start, &writers_left);
+                    scope.spawn(move || {
+                        let _finished = Finished(writers_left);
+                        let sessions: Vec<_> = (0..3).map(|n| cluster.handle(NodeId(n))).collect();
+                        start.wait();
+                        for i in 0..TRANSFERS {
+                            // Rotating the node makes most writes remote:
+                            // each needs the pair handed over first.
+                            let session = &sessions[((i + w) % 3) as usize];
+                            let pair = (i * 2 + w) % PAIRS;
+                            let (from, to) = (ObjectId(2 * pair), ObjectId(2 * pair + 1));
+                            let moved = (i % 7) as i64 + 1;
+                            let transfer = move |tx: &mut TxCtx<'_>| {
+                                for (object, delta) in [(from, -moved), (to, moved)] {
+                                    tx.update(object, |old| {
+                                        let (counter, balance) = parse_account(old);
+                                        account(counter + 1, balance + delta)
+                                    })?;
+                                }
+                                Ok(())
+                            };
+                            // Eight busy threads on a small host can starve a
+                            // node loop into fencing itself for a moment; an
+                            // aborted transfer applied nothing, so try again.
+                            let deadline = Instant::now() + Duration::from_secs(30);
+                            while let Err(error) = session.write_txn(transfer) {
+                                assert!(Instant::now() < deadline, "transfer {i}: {error:?}");
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let readers: Vec<_> = (0..3u16)
+                .map(|node| {
+                    let (cluster, start, writers_left) = (&cluster, &start, &writers_left);
+                    scope.spawn(move || {
+                        let session = cluster.handle(NodeId(node));
+                        let mut newest = vec![0u64; 2 * PAIRS as usize];
+                        let mut pairs_read = 0u64;
+                        start.wait();
+                        while writers_left.load(Ordering::Acquire) > 0 {
+                            for pair in 0..PAIRS {
+                                let (a, b) = (ObjectId(2 * pair), ObjectId(2 * pair + 1));
+                                let read = session.read_txn(move |tx| {
+                                    let (a, b) = (tx.read(a)?, tx.read(b)?);
+                                    Ok((a.to_vec(), b.to_vec()))
+                                });
+                                // A read may lose to the writers for its whole
+                                // retry budget; what it returns must be right.
+                                let Ok((a_bytes, b_bytes)) = read else {
+                                    continue;
+                                };
+                                let (a_count, a_balance) = parse_account(&a_bytes);
+                                let (b_count, b_balance) = parse_account(&b_bytes);
+                                assert_eq!(
+                                    a_balance + b_balance,
+                                    2 * OPENING,
+                                    "node {node} read a torn pair {pair}"
+                                );
+                                assert_eq!(a_count, b_count, "both halves of one transfer");
+                                for (object, count) in [(a, a_count), (b, b_count)] {
+                                    let seen = &mut newest[object.0 as usize];
+                                    assert!(count >= *seen, "node {node}: {object:?} went back");
+                                    *seen = count;
+                                }
+                                pairs_read += 1;
+                            }
+                        }
+                        (
+                            pairs_read,
+                            session.link.reads.committed.load(Ordering::Relaxed),
+                        )
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().expect("writer");
+            }
+            for reader in readers {
+                let (pairs_read, on_caller) = reader.join().expect("reader");
+                assert!(pairs_read > 0, "readers must make progress");
+                assert!(on_caller > 0, "and some of it on their own thread");
+            }
+        });
+
+        // Every transfer landed exactly once.
+        let session = cluster.handle(NodeId(0));
+        let total: u64 = (0..2 * PAIRS)
+            .map(|object| {
+                session
+                    .write_txn(move |tx| Ok(parse_account(&tx.read(ObjectId(object))?).0))
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(total, 2 * 2 * TRANSFERS);
+        cluster.shutdown();
+    }
 
     #[test]
     fn threaded_cluster_commits_local_and_remote_writes() {
@@ -1094,6 +1570,8 @@ mod tests {
             }),
             Err(TxError::NodeUnavailable)
         );
+        // The session is idle and the store still holds the object, but the
+        // exited loop closed the read port: no caller-thread read either.
         assert_eq!(
             session.read_txn(move |tx| Ok(tx.read(object)?.to_vec())),
             Err(TxError::NodeUnavailable)
@@ -1170,7 +1648,11 @@ mod tests {
             Ok(())
         });
         assert_eq!(write.unwrap_err(), TxError::Fenced);
-        let read = s2.read_txn(move |tx| Ok(tx.read(object)?.to_vec()));
+        // An idle session would serve this read on the caller's thread, and
+        // node 2 still stores a Valid copy: only the lapsed read lease stops
+        // it. The refusal then comes from the loop, as the typed error.
+        let idle = cluster.handle(NodeId(2));
+        let read = idle.read_txn(move |tx| Ok(tx.read(object)?.to_vec()));
         assert_eq!(read.unwrap_err(), TxError::Fenced);
         assert!(s2.stats().unwrap().0.txs_fenced >= 2);
 

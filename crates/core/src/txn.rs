@@ -187,6 +187,36 @@ impl<R> ReadOutcome<R> {
     }
 }
 
+/// Runs one attempt of a read-only transaction against `store` (§5.3): an
+/// optimistic execution of `f`, then the local commit — every object read
+/// must still be `Valid` at the timestamp it was read at. Each access takes
+/// its shard lock on its own, so the routine is safe on any thread while the
+/// node loop mutates the store: all reads precede all re-checks and a value
+/// never changes without its timestamp moving, so a successful re-check
+/// proves the values read were all current, and reliably committed, at one
+/// instant between the two passes. A failed re-check is a
+/// [`TxError::ReadConflict`]. The workspace is returned for its read set.
+///
+/// This is the only implementation of read-only execution: the node (loop
+/// and simulator) and the sessions' caller-thread fast path both call it.
+pub(crate) fn execute_read_only<R>(
+    store: &Store,
+    f: impl FnOnce(&mut TxCtx<'_>) -> Result<R, TxError>,
+) -> (Result<R, TxError>, TxWorkspace) {
+    let mut ctx = TxCtx::read_tx(store);
+    let result = f(&mut ctx);
+    let ws = ctx.ws;
+    let result = result.and_then(|value| {
+        let consistent = ws.read_set().all(|(object, ts)| {
+            store
+                .with(object, |e| e.t_state.readable() && e.ts == ts)
+                .unwrap_or(false)
+        });
+        consistent.then_some(value).ok_or(TxError::ReadConflict)
+    });
+    (result, ws)
+}
+
 /// Execution context handed to transaction closures.
 ///
 /// The context records the read and write sets, serves reads from the
@@ -227,17 +257,24 @@ impl<'a> TxCtx<'a> {
         if let Some(private) = self.ws.written(object) {
             return Ok(private.clone());
         }
-        match self.store.get(object) {
-            Some(entry) if entry.level.can_read() => {
-                if self.read_only && !entry.t_state.readable() {
+        // Copy out only what a read needs, under the shard lock: cloning the
+        // whole entry would heap-allocate its replica list on every read.
+        let seen = self.store.with(object, |e| {
+            e.level
+                .can_read()
+                .then(|| (e.data.clone(), e.ts, e.t_state))
+        });
+        match seen {
+            Some(Some((data, ts, t_state))) => {
+                if self.read_only && !t_state.readable() {
                     // A reliable commit is in flight: the replica may return
                     // neither the old nor the new value (§5.3).
                     return Err(TxError::ReadConflict);
                 }
-                self.ws.record_read(object, entry.ts);
-                Ok(entry.data)
+                self.ws.record_read(object, ts);
+                Ok(data)
             }
-            Some(_) | None if self.read_only => Err(TxError::NotReplicated { object }),
+            _ if self.read_only => Err(TxError::NotReplicated { object }),
             _ => {
                 let kind = OwnershipRequestKind::AcquireReader;
                 self.missing.push((object, kind));
@@ -252,9 +289,12 @@ impl<'a> TxCtx<'a> {
         if self.read_only {
             return Err(TxError::WriteInReadOnly);
         }
-        match self.store.get(object) {
-            Some(entry) if entry.level.can_write() => {
-                self.ws.record_read(object, entry.ts);
+        match self
+            .store
+            .with(object, |e| e.level.can_write().then_some(e.ts))
+        {
+            Some(Some(ts)) => {
+                self.ws.record_read(object, ts);
                 self.ws.record_write(object, data.into());
                 Ok(())
             }
@@ -275,15 +315,10 @@ impl<'a> TxCtx<'a> {
     ) -> Result<(), TxError> {
         // A write will be needed: make sure we have (or request) write access
         // before reading, so a single ownership round-trip suffices.
-        if !self.read_only {
-            match self.store.get(object) {
-                Some(entry) if entry.level.can_write() => {}
-                _ => {
-                    let kind = OwnershipRequestKind::AcquireOwner;
-                    self.missing.push((object, kind));
-                    return Err(TxError::NeedsOwnership { object, kind });
-                }
-            }
+        if !self.read_only && self.store.with(object, |e| e.level.can_write()) != Some(true) {
+            let kind = OwnershipRequestKind::AcquireOwner;
+            self.missing.push((object, kind));
+            return Err(TxError::NeedsOwnership { object, kind });
         }
         let current = self.read(object)?;
         let new = f(&current);

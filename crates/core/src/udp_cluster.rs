@@ -24,14 +24,13 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
 use zeus_net::threaded::{LinkFaults, SharedCounters};
 use zeus_net::{LossyConfig, RttConfig, UdpConfig, UdpTransport};
 use zeus_proto::{NodeId, ObjectId, OwnershipRequestKind};
 
 use crate::client::{AdminError, ClusterDriver, RetryPolicy};
 use crate::config::ZeusConfig;
-use crate::runtime::{node_loop, Command, ThreadedSession};
+use crate::runtime::{start_node, Command, NodeLink, ThreadedSession};
 use crate::stats::NodeStats;
 use crate::txn::TxError;
 use crate::{Session, ZeusNode};
@@ -39,7 +38,7 @@ use crate::{Session, ZeusNode};
 /// A Zeus cluster whose nodes talk over loopback UDP sockets.
 pub struct UdpCluster {
     config: ZeusConfig,
-    commands: Vec<Sender<Command>>,
+    links: Vec<NodeLink>,
     threads: Vec<JoinHandle<()>>,
     counters: Arc<SharedCounters>,
     faults: Arc<LinkFaults>,
@@ -67,7 +66,7 @@ impl UdpCluster {
         let counters = Arc::new(SharedCounters::default());
         let faults = Arc::new(LinkFaults::default());
 
-        let mut commands = Vec::new();
+        let mut links = Vec::new();
         let mut threads = Vec::new();
         for (i, socket) in sockets.into_iter().enumerate() {
             let id = NodeId(i as u16);
@@ -83,16 +82,13 @@ impl UdpCluster {
             };
             let transport =
                 UdpTransport::from_socket(socket, udp_config, counters.clone(), faults.clone())?;
-            let (cmd_tx, cmd_rx) = unbounded();
-            commands.push(cmd_tx);
-            let node_config = config.clone();
-            threads.push(std::thread::spawn(move || {
-                node_loop(ZeusNode::new(id, node_config), transport, cmd_rx);
-            }));
+            let (link, thread) = start_node(ZeusNode::new(id, config.clone()), transport);
+            links.push(link);
+            threads.push(thread);
         }
         Ok(UdpCluster {
             config,
-            commands,
+            links,
             threads,
             counters,
             faults,
@@ -108,7 +104,7 @@ impl UdpCluster {
     pub fn handle(&self, id: NodeId) -> ThreadedSession {
         ThreadedSession::new(
             id,
-            self.commands[id.index()].clone(),
+            self.links[id.index()].clone(),
             RetryPolicy::with_budget(self.config.max_ownership_retries),
         )
     }
@@ -117,8 +113,8 @@ impl UdpCluster {
     pub fn create_object(&self, object: ObjectId, data: impl Into<Bytes>, owner: NodeId) {
         let data = data.into();
         let replicas = self.config.default_replicas(owner);
-        for commands in &self.commands {
-            let _ = commands.send(Command::CreateObject {
+        for link in &self.links {
+            let _ = link.commands.send(Command::CreateObject {
                 object,
                 data: data.clone(),
                 replicas: replicas.clone(),
@@ -133,8 +129,8 @@ impl UdpCluster {
     }
 
     fn shutdown_inner(&mut self) {
-        for tx in &self.commands {
-            let _ = tx.send(Command::Shutdown);
+        for link in &self.links {
+            let _ = link.commands.send(Command::Shutdown);
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -193,7 +189,9 @@ impl ClusterDriver for UdpCluster {
     fn admin_expel(&self, node: NodeId) -> Result<(), AdminError> {
         for vr in self.config.view_replica_set() {
             if vr != node {
-                let _ = self.commands[vr.index()].send(Command::AdminExpel { node });
+                let _ = self.links[vr.index()]
+                    .commands
+                    .send(Command::AdminExpel { node });
             }
         }
         Ok(())
@@ -202,7 +200,9 @@ impl ClusterDriver for UdpCluster {
     fn admin_readmit(&self, node: NodeId) -> Result<(), AdminError> {
         for vr in self.config.view_replica_set() {
             if vr != node {
-                let _ = self.commands[vr.index()].send(Command::AdminReadmit { node });
+                let _ = self.links[vr.index()]
+                    .commands
+                    .send(Command::AdminReadmit { node });
             }
         }
         Ok(())

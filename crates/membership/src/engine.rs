@@ -134,19 +134,26 @@ impl MembershipEngine {
     /// so a node fences itself a full lease period *before* the manager can
     /// expel it.
     pub fn is_isolated(&self, now: u64) -> bool {
+        now >= self.isolation_deadline()
+    }
+
+    /// The tick from which [`MembershipEngine::is_isolated`] holds unless a
+    /// heartbeat renews a lease first: the latest lease expiry among the
+    /// live peers. `0` once the installed view excludes this node (operator
+    /// scale-in: stop serving immediately), `u64::MAX` for a node with no
+    /// peers, which is never isolated. A runtime publishes it so threads
+    /// other than the node's can honour the lease against their own clock.
+    pub fn isolation_deadline(&self) -> u64 {
         if !self.view.is_live(self.local) {
-            // We installed a view that excludes us (operator scale-in): stop
-            // serving immediately.
-            return true;
+            return 0;
         }
-        let mut has_peer = false;
-        for &peer in self.view.live.iter().filter(|&&p| p != self.local) {
-            has_peer = true;
-            if self.leases.is_fresh(peer, now) {
-                return false;
-            }
-        }
-        has_peer
+        self.view
+            .live
+            .iter()
+            .filter(|&&p| p != self.local)
+            .map(|&peer| self.leases.expires_at(peer))
+            .max()
+            .unwrap_or(u64::MAX)
     }
 
     /// The node this engine belongs to.
@@ -819,6 +826,7 @@ mod tests {
         let mut m = MembershipEngine::new(NodeId(2), 3, 100);
         // Fresh leases at time 0: not isolated.
         assert!(!m.is_isolated(50));
+        assert_eq!(m.isolation_deadline(), 100);
         // Silence past one lease (but before lease + grace): isolated.
         assert!(m.is_isolated(100));
         // One peer heartbeating is enough to stay unfenced.
@@ -830,6 +838,7 @@ mod tests {
             150,
         );
         assert!(!m.is_isolated(200));
+        assert_eq!(m.isolation_deadline(), 250, "the freshest lease decides");
         assert!(m.is_isolated(250));
     }
 
@@ -838,6 +847,7 @@ mod tests {
         let mut m = MembershipEngine::new(NodeId(0), 2, 100);
         commit_view(&mut m, &[NodeId(0)], 0);
         assert!(!m.is_isolated(1_000_000));
+        assert_eq!(m.isolation_deadline(), u64::MAX);
     }
 
     #[test]

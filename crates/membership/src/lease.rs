@@ -62,11 +62,17 @@ impl LeaseTable {
         out
     }
 
-    /// Whether `peer` currently holds an unexpired lease.
-    pub fn is_fresh(&self, peer: NodeId, now: u64) -> bool {
+    /// The first tick at which `peer`'s lease is no longer fresh; `0` for an
+    /// untracked peer.
+    pub fn expires_at(&self, peer: NodeId) -> u64 {
         self.last_renewal
             .get(&peer)
-            .is_some_and(|&last| now.saturating_sub(last) < self.lease_ticks)
+            .map_or(0, |&last| last.saturating_add(self.lease_ticks))
+    }
+
+    /// Whether `peer` currently holds an unexpired lease.
+    pub fn is_fresh(&self, peer: NodeId, now: u64) -> bool {
+        now < self.expires_at(peer)
     }
 }
 

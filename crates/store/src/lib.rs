@@ -9,11 +9,12 @@
 //! * the count of pending reliable commits per object (the owner NACKs
 //!   ownership requests for objects with in-flight commits, §4.1).
 //!
-//! The store is sharded and internally synchronised so that multiple
-//! application/worker threads of the same node can use it concurrently; the
-//! per-thread *local* ownership of the paper's multi-threaded local commit is
-//! provided by [`locks::LockManager`], and per-transaction private copies
-//! (opacity, §6.2) by [`workspace::TxWorkspace`].
+//! The store is sharded and internally synchronised: the node's loop thread
+//! mutates it while application threads read it concurrently (see
+//! [`Store`]). The per-thread *local* ownership of the paper's
+//! multi-threaded local commit is modelled by [`locks::LockManager`], and
+//! per-transaction private copies (opacity, §6.2) by
+//! [`workspace::TxWorkspace`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

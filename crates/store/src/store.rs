@@ -26,9 +26,15 @@ pub struct StoreStats {
 /// The per-node object store.
 ///
 /// Objects are partitioned across a fixed number of shards, each protected by
-/// its own `RwLock`, so the datastore worker threads and application threads
-/// of one node can operate concurrently (as in the paper's implementation,
-/// which uses up to 10 worker threads per node, §7).
+/// its own `RwLock`. The threading this serves: one thread — the node's event
+/// loop — makes every mutation, and any number of application (session)
+/// threads read concurrently, executing read-only transactions against an
+/// `Arc<Store>` the node shares with them (§5.3, §7). Every method locks one
+/// shard for one entry access, so a reader sees each entry's fields
+/// (`data`, `ts`, `t_state`, `level`) as one write left them; consistency
+/// *across* entries is the reader's job (optimistic read, then re-validate
+/// every timestamp). Sharding keeps a reader and the loop from meeting on
+/// one lock unless they touch the same shard.
 #[derive(Debug)]
 pub struct Store {
     shards: Vec<RwLock<HashMap<ObjectId, ObjectEntry>>>,
