@@ -1,13 +1,17 @@
 //! The sans-io reliable-commit state machine.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use zeus_proto::{
+    CommitMsg, DataTs, Epoch, IdHashMap, NodeId, ObjectId, ObjectUpdate, PipelineId, TxId,
+};
 
-use zeus_proto::{CommitMsg, DataTs, Epoch, NodeId, ObjectId, ObjectUpdate, PipelineId, TxId};
-
-use crate::pipeline::ClearedTracker;
+use crate::pipeline::{ClearedTracker, SlotRing};
 use crate::stats::CommitStats;
 
-/// Outputs of the commit engine, applied by the hosting runtime.
+/// Outputs of the commit engine as values: what the `Vec`-returning entry
+/// points ([`CommitEngine::begin_commit`], [`CommitEngine::handle_message`],
+/// …) hand back. A runtime on the transaction path implements
+/// [`CommitSink`] instead and receives the same outputs, in the same order,
+/// without the intermediate vector.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CommitAction {
     /// Send a protocol message.
@@ -52,26 +56,95 @@ pub enum CommitAction {
     },
 }
 
+/// Where the engine writes its output: one call per effect, in protocol
+/// order, made while the engine still holds the data — so a host can put a
+/// message straight into its outbox and apply a store effect in place,
+/// borrowing the updates instead of receiving a copy of them.
+///
+/// The methods mirror [`CommitAction`] one to one; `Vec<CommitAction>`
+/// implements the trait by pushing the corresponding value.
+pub trait CommitSink {
+    /// Send a protocol message.
+    fn send(&mut self, to: NodeId, msg: CommitMsg);
+    /// Coordinator side: `tx_id` is reliably committed; validate `updates`'
+    /// objects at their timestamps (see [`CommitAction::ReliablyCommitted`]).
+    fn reliably_committed(&mut self, tx_id: TxId, updates: &[ObjectUpdate]);
+    /// Follower side: install `updates` (see [`CommitAction::ApplyUpdates`]).
+    fn apply_updates(&mut self, tx_id: TxId, updates: &[ObjectUpdate]);
+    /// Follower side: validate `updates`' objects at their timestamps (see
+    /// [`CommitAction::ValidateUpdates`]).
+    fn validate_updates(&mut self, tx_id: TxId, updates: &[ObjectUpdate]);
+    /// Recovery for `epoch` finished here (see
+    /// [`CommitAction::RecoveryFinished`]).
+    fn recovery_finished(&mut self, epoch: Epoch);
+}
+
+fn object_versions(updates: &[ObjectUpdate]) -> Vec<(ObjectId, DataTs)> {
+    updates.iter().map(|u| (u.object, u.ts)).collect()
+}
+
+impl CommitSink for Vec<CommitAction> {
+    fn send(&mut self, to: NodeId, msg: CommitMsg) {
+        self.push(CommitAction::Send { to, msg });
+    }
+    fn reliably_committed(&mut self, tx_id: TxId, updates: &[ObjectUpdate]) {
+        self.push(CommitAction::ReliablyCommitted {
+            tx_id,
+            objects: object_versions(updates),
+        });
+    }
+    fn apply_updates(&mut self, tx_id: TxId, updates: &[ObjectUpdate]) {
+        self.push(CommitAction::ApplyUpdates {
+            tx_id,
+            updates: updates.to_vec(),
+        });
+    }
+    fn validate_updates(&mut self, tx_id: TxId, updates: &[ObjectUpdate]) {
+        self.push(CommitAction::ValidateUpdates {
+            tx_id,
+            objects: object_versions(updates),
+        });
+    }
+    fn recovery_finished(&mut self, epoch: Epoch) {
+        self.push(CommitAction::RecoveryFinished { epoch });
+    }
+}
+
 /// Coordinator-side record of an in-flight reliable commit (the locally
-/// stored R-INV of §5.1).
+/// stored R-INV of §5.1). It owns the R-INV body — follower list and updates
+/// — that every (re)transmission is built from.
 #[derive(Debug, Clone)]
 struct Outstanding {
-    followers: Vec<NodeId>,
+    /// Each follower and whether it has acknowledged.
+    followers: Vec<(NodeId, bool)>,
     /// Extra nodes to include in the R-VAL broadcast: followers of the next
     /// slot that were not followers of this one (§5.2).
     extra_val_targets: Vec<NodeId>,
-    acks: HashSet<NodeId>,
     updates: Vec<ObjectUpdate>,
     prev_val: bool,
     /// True when this entry is a failure-recovery replay of another
-    /// coordinator's commit (validation then happens via ValidateUpdates
-    /// rather than ReliablyCommitted).
+    /// coordinator's commit (validation then happens via `validate_updates`
+    /// rather than `reliably_committed`).
     is_replay: bool,
+    /// Engine-clock tick at which the R-INV last went out to the followers
+    /// still unacknowledged; it is re-sent once a full retransmission
+    /// interval has passed since.
+    last_sent: u64,
 }
 
 impl Outstanding {
-    fn object_versions(&self) -> Vec<(ObjectId, DataTs)> {
-        self.updates.iter().map(|u| (u.object, u.ts)).collect()
+    fn fully_acked(&self) -> bool {
+        self.followers.iter().all(|&(_, acked)| acked)
+    }
+
+    fn rinv(&self, tx_id: TxId, epoch: Epoch, prev_val: bool) -> CommitMsg {
+        CommitMsg::RInv {
+            tx_id,
+            epoch,
+            followers: self.followers.iter().map(|&(node, _)| node).collect(),
+            prev_val,
+            updates: self.updates.clone(),
+        }
     }
 }
 
@@ -90,29 +163,64 @@ struct BufferedRInv {
     updates: Vec<ObjectUpdate>,
 }
 
+/// Everything this node tracks about one commit pipeline, in both roles: as
+/// its coordinator (own pipelines, and dead coordinators' pipelines whose
+/// stored commits it replays) and as a follower of it.
+#[derive(Debug, Default)]
+struct Pipeline {
+    /// Next `local_tx_id` (own pipelines only).
+    next_local: u64,
+    /// Coordinator side: in-flight commits (own transactions and replays).
+    ring: SlotRing<Outstanding>,
+    /// Coordinator side: the most recently completed (cleared) slot and the
+    /// targets its R-VAL went to. R-VALs are fire-once, so a lost one can
+    /// wedge a follower that buffered the next slot waiting for pipeline
+    /// order; re-broadcasting the last cleared slot's R-VAL on the
+    /// retransmission tick (while later slots are still outstanding)
+    /// unwedges it. Receivers treat duplicate R-VALs idempotently.
+    last_cleared: LastCleared,
+    /// Coordinator side: per follower, the first slot its cumulative acks
+    /// have not covered yet in this epoch — an ack only has to look at ring
+    /// entries from there on.
+    ack_floors: Vec<(NodeId, u64)>,
+    /// Follower side: which slots have been cleared.
+    cleared: ClearedTracker,
+    /// Follower side: stored R-INVs awaiting R-VAL.
+    stored: SlotRing<StoredRInv>,
+    /// Follower side: R-INVs buffered for pipeline order.
+    buffered: SlotRing<BufferedRInv>,
+}
+
+/// A pipeline's most recently completed slot, as kept for R-VAL
+/// retransmission.
+#[derive(Debug, Default)]
+struct LastCleared {
+    slot: u64,
+    /// Where the slot's R-VAL went; empty until a slot completes.
+    targets: Vec<NodeId>,
+}
+
+fn keeps(live: &[NodeId], rejoined: &[NodeId], node: NodeId) -> bool {
+    live.contains(&node) && !rejoined.contains(&node)
+}
+
 /// The per-node reliable-commit engine (coordinator and follower roles).
 #[derive(Debug)]
 pub struct CommitEngine {
     local: NodeId,
     epoch: Epoch,
     live: Vec<NodeId>,
-    /// Next `local_tx_id` per worker thread of this node.
-    next_local: HashMap<u16, u64>,
-    /// Coordinator-side in-flight commits (own transactions and replays).
-    outstanding: HashMap<TxId, Outstanding>,
-    /// Follower-side stored R-INVs awaiting R-VAL.
-    stored: HashMap<TxId, StoredRInv>,
-    /// Follower-side cleared-slot tracking per pipeline.
-    cleared: HashMap<PipelineId, ClearedTracker>,
-    /// Follower-side R-INVs buffered for pipeline order.
-    buffered: HashMap<PipelineId, BTreeMap<u64, BufferedRInv>>,
-    /// Coordinator-side: the most recently completed (cleared) slot per
-    /// pipeline and the targets its R-VAL went to. R-VALs are fire-once, so
-    /// a lost one can wedge a follower that buffered the next slot waiting
-    /// for pipeline order; re-broadcasting the last cleared slot's R-VAL on
-    /// the retransmission tick (while later slots are still outstanding)
-    /// unwedges it. Receivers treat duplicate R-VALs idempotently.
-    last_cleared: HashMap<PipelineId, (u64, Vec<NodeId>)>,
+    /// The host's clock as of [`CommitEngine::advance_clock`]; stamps sends
+    /// and ages them for retransmission.
+    now: u64,
+    /// Per-pipeline state, sorted by pipeline id (a handful of entries: one
+    /// per coordinator thread in the cluster this node has heard from).
+    pipelines: Vec<(PipelineId, Pipeline)>,
+    /// Entries across all coordinator-side rings, and how many are replays.
+    outstanding: usize,
+    replays: usize,
+    /// How many coordinator-side ring entries update each object.
+    pending_objects: IdHashMap<ObjectId, u32>,
     /// Set when a view change started a recovery that has not yet finished.
     recovering: bool,
     stats: CommitStats,
@@ -126,12 +234,11 @@ impl CommitEngine {
             local,
             epoch: Epoch::ZERO,
             live: (0..cluster_size as u16).map(NodeId).collect(),
-            next_local: HashMap::new(),
-            outstanding: HashMap::new(),
-            stored: HashMap::new(),
-            cleared: HashMap::new(),
-            buffered: HashMap::new(),
-            last_cleared: HashMap::new(),
+            now: 0,
+            pipelines: Vec::new(),
+            outstanding: 0,
+            replays: 0,
+            pending_objects: IdHashMap::default(),
             recovering: false,
             stats: CommitStats::new(),
         }
@@ -155,20 +262,26 @@ impl CommitEngine {
     /// Number of reliable commits this node coordinates that are still in
     /// flight.
     pub fn outstanding_commits(&self) -> usize {
-        self.outstanding.len()
+        self.outstanding
     }
 
     /// Number of R-INVs stored as a follower awaiting validation.
     pub fn stored_rinvs(&self) -> usize {
-        self.stored.len()
+        self.pipelines.iter().map(|(_, p)| p.stored.len()).sum()
     }
 
     /// Whether `object` appears in any commit this node is still propagating
     /// (the ownership protocol NACKs migrations of such objects, §4.1).
     pub fn object_has_pending_commit(&self, object: ObjectId) -> bool {
-        self.outstanding
-            .values()
-            .any(|o| o.updates.iter().any(|u| u.object == object))
+        self.pending_objects.contains_key(&object)
+    }
+
+    /// Tells the engine the host's current time (ticks). Messages the engine
+    /// sends from here on are stamped with it, and
+    /// [`CommitEngine::retransmit_into`] measures their age against it. A
+    /// host that never calls this gets a clock stuck at 0: nothing ever ages.
+    pub fn advance_clock(&mut self, now: u64) {
+        self.now = self.now.max(now);
     }
 
     /// Discards commit state that may be stale after this node was expelled
@@ -185,10 +298,16 @@ impl CommitEngine {
     /// peers must never be reused or reprocessed.
     pub fn reset_for_rejoin(&mut self) {
         self.stats.rejoin_resets += 1;
-        self.outstanding.clear();
-        self.stored.clear();
-        self.buffered.clear();
-        self.last_cleared.clear();
+        for (_, pipe) in &mut self.pipelines {
+            pipe.ring.clear();
+            pipe.last_cleared = LastCleared::default();
+            pipe.ack_floors.clear();
+            pipe.stored.clear();
+            pipe.buffered.clear();
+        }
+        self.outstanding = 0;
+        self.replays = 0;
+        self.pending_objects.clear();
     }
 
     /// Starts the reliable commit of a locally committed transaction executed
@@ -201,37 +320,42 @@ impl CommitEngine {
         updates: Vec<ObjectUpdate>,
         followers: Vec<NodeId>,
     ) -> (TxId, Vec<CommitAction>) {
+        let mut actions = Vec::new();
+        let tx_id = self.begin_commit_into(thread, updates, &followers, &mut actions);
+        (tx_id, actions)
+    }
+
+    /// [`CommitEngine::begin_commit`], writing the output into `sink`.
+    pub fn begin_commit_into(
+        &mut self,
+        thread: u16,
+        updates: Vec<ObjectUpdate>,
+        followers: &[NodeId],
+        sink: &mut impl CommitSink,
+    ) -> TxId {
         let pipeline = PipelineId::new(self.local, thread);
-        let local = self.next_local.entry(thread).or_insert(0);
-        let tx_id = TxId::new(pipeline, *local);
-        *local += 1;
+        let index = self.pipeline_index(pipeline);
+        let pipe = &mut self.pipelines[index].1;
+        let slot = pipe.next_local;
+        pipe.next_local += 1;
+        let tx_id = TxId::new(pipeline, slot);
         self.stats.commits_started += 1;
 
-        let followers: Vec<NodeId> = followers
-            .into_iter()
-            .filter(|f| *f != self.local && self.live.contains(f))
+        let followers: Vec<(NodeId, bool)> = followers
+            .iter()
+            .filter(|f| **f != self.local && self.live.contains(f))
+            .map(|&f| (f, false))
             .collect();
 
         // Pipelining bookkeeping: is the previous slot already validated?
-        let prev_val = match tx_id.prev() {
-            None => true,
-            Some(prev) => !self.outstanding.contains_key(&prev),
-        };
-        if !prev_val {
-            let prev = tx_id.prev().expect("non-first slot has a predecessor");
-            let extra: Vec<NodeId> = {
-                let prev_entry = self.outstanding.get(&prev).expect("prev outstanding");
-                followers
-                    .iter()
-                    .copied()
-                    .filter(|f| !prev_entry.followers.contains(f))
-                    .collect()
-            };
-            if let Some(prev_entry) = self.outstanding.get_mut(&prev) {
-                for f in extra {
-                    if !prev_entry.extra_val_targets.contains(&f) {
-                        prev_entry.extra_val_targets.push(f);
-                    }
+        let prev = slot.checked_sub(1).and_then(|p| pipe.ring.get_mut(p));
+        let prev_val = prev.is_none();
+        if let Some(prev) = prev {
+            for &(f, _) in &followers {
+                if !prev.followers.iter().any(|&(p, _)| p == f)
+                    && !prev.extra_val_targets.contains(&f)
+                {
+                    prev.extra_val_targets.push(f);
                 }
             }
         }
@@ -240,41 +364,39 @@ impl CommitEngine {
             // Replication degree 1 (or all replicas dead): the local commit
             // is immediately reliable.
             self.stats.commits_completed += 1;
-            let objects = updates.iter().map(|u| (u.object, u.ts)).collect();
-            return (
-                tx_id,
-                vec![CommitAction::ReliablyCommitted { tx_id, objects }],
-            );
+            sink.reliably_committed(tx_id, &updates);
+            return tx_id;
         }
 
         let entry = Outstanding {
-            followers: followers.clone(),
+            followers,
             extra_val_targets: Vec::new(),
-            acks: HashSet::new(),
-            updates: updates.clone(),
+            updates,
             prev_val,
             is_replay: false,
+            last_sent: self.now,
         };
-        self.outstanding.insert(tx_id, entry);
-
-        let actions = followers
-            .iter()
-            .map(|&to| CommitAction::Send {
-                to,
-                msg: CommitMsg::RInv {
-                    tx_id,
-                    epoch: self.epoch,
-                    followers: followers.clone(),
-                    prev_val,
-                    updates: updates.clone(),
-                },
-            })
-            .collect();
-        (tx_id, actions)
+        for &(to, _) in &entry.followers {
+            sink.send(to, entry.rinv(tx_id, self.epoch, prev_val));
+        }
+        self.insert_outstanding(index, slot, entry);
+        tx_id
     }
 
     /// Handles an incoming protocol message.
     pub fn handle_message(&mut self, from: NodeId, msg: CommitMsg) -> Vec<CommitAction> {
+        let mut actions = Vec::new();
+        self.handle_message_into(from, msg, &mut actions);
+        actions
+    }
+
+    /// [`CommitEngine::handle_message`], writing the output into `sink`.
+    pub fn handle_message_into(
+        &mut self,
+        from: NodeId,
+        msg: CommitMsg,
+        sink: &mut impl CommitSink,
+    ) {
         match msg {
             CommitMsg::RInv {
                 tx_id,
@@ -282,13 +404,13 @@ impl CommitEngine {
                 followers,
                 prev_val,
                 updates,
-            } => self.on_rinv(from, tx_id, epoch, followers, prev_val, updates),
+            } => self.on_rinv(from, tx_id, epoch, followers, prev_val, updates, sink),
             CommitMsg::RAck {
                 tx_id,
                 from: acker,
                 epoch,
-            } => self.on_rack(tx_id, acker, epoch),
-            CommitMsg::RVal { tx_id, epoch } => self.on_rval(tx_id, epoch),
+            } => self.on_rack(tx_id, acker, epoch, sink),
+            CommitMsg::RVal { tx_id, epoch } => self.on_rval(tx_id, epoch, sink),
         }
     }
 
@@ -308,182 +430,237 @@ impl CommitEngine {
         live: Vec<NodeId>,
         rejoined: &[NodeId],
     ) -> Vec<CommitAction> {
+        let mut actions = Vec::new();
+        self.on_view_change_into(epoch, live, rejoined, &mut actions);
+        actions
+    }
+
+    /// [`CommitEngine::on_view_change`], writing the output into `sink`.
+    pub fn on_view_change_into(
+        &mut self,
+        epoch: Epoch,
+        live: Vec<NodeId>,
+        rejoined: &[NodeId],
+        sink: &mut impl CommitSink,
+    ) {
         if epoch < self.epoch {
-            return Vec::new();
+            return;
         }
         self.epoch = epoch;
         self.live = live;
         self.recovering = true;
-        let mut actions = Vec::new();
-        let keeps = |f: &NodeId, live: &[NodeId]| live.contains(f) && !rejoined.contains(f);
 
         // 1. Coordinator side: drop dead followers and re-send our own
-        //    pending R-INVs with the new epoch.
-        let mut own: Vec<TxId> = self.outstanding.keys().copied().collect();
-        own.sort_unstable();
-        for tx_id in own {
-            let (resend, completed) = {
-                let entry = self.outstanding.get_mut(&tx_id).expect("outstanding");
-                entry.followers.retain(|f| keeps(f, &self.live));
-                entry.extra_val_targets.retain(|f| keeps(f, &self.live));
-                entry.acks.retain(|f| keeps(f, &self.live));
-                let completed = entry.followers.iter().all(|f| entry.acks.contains(f));
-                let resend: Vec<CommitAction> = entry
+        //    pending R-INVs with the new epoch (pipelines and slots in
+        //    order). Acks of an older epoch no longer count towards the
+        //    cumulative-ack floors.
+        for index in 0..self.pipelines.len() {
+            let pipeline = self.pipelines[index].0;
+            self.pipelines[index].1.ack_floors.clear();
+            let mut at = 0;
+            while let Some((slot, entry)) = self.pipelines[index].1.ring.at_mut(at) {
+                let tx_id = TxId::new(pipeline, slot);
+                entry
                     .followers
-                    .iter()
-                    .filter(|f| !entry.acks.contains(f))
-                    .map(|&to| CommitAction::Send {
-                        to,
-                        msg: CommitMsg::RInv {
-                            tx_id,
-                            epoch: self.epoch,
-                            followers: entry.followers.clone(),
-                            prev_val: entry.prev_val,
-                            updates: entry.updates.clone(),
-                        },
-                    })
-                    .collect();
-                (resend, completed)
-            };
-            self.stats.replays += 1;
-            if completed {
-                actions.extend(self.complete_outstanding(tx_id));
-            } else {
-                actions.extend(resend);
+                    .retain(|&(f, _)| keeps(&self.live, rejoined, f));
+                entry
+                    .extra_val_targets
+                    .retain(|&f| keeps(&self.live, rejoined, f));
+                self.stats.replays += 1;
+                if entry.fully_acked() {
+                    let (_, entry) = self.pipelines[index]
+                        .1
+                        .ring
+                        .remove_at(at)
+                        .expect("entry just visited");
+                    self.complete_outstanding(index, slot, entry, sink);
+                } else {
+                    for &(to, acked) in &entry.followers {
+                        if !acked {
+                            sink.send(to, entry.rinv(tx_id, self.epoch, entry.prev_val));
+                        }
+                    }
+                    entry.last_sent = self.now;
+                    at += 1;
+                }
             }
         }
 
         // 2. Follower side: replay stored R-INVs whose coordinator died (or
         //    rejoined with wiped state, which loses its outstanding set).
-        let mut dead_coordinators: Vec<TxId> = self
-            .stored
-            .keys()
-            .copied()
-            .filter(|tx| {
-                !self.live.contains(&tx.pipeline.node) || rejoined.contains(&tx.pipeline.node)
-            })
-            .collect();
-        dead_coordinators.sort_unstable();
-        for tx_id in dead_coordinators {
-            let stored = self.stored.get(&tx_id).expect("stored").clone();
-            self.stats.replays += 1;
-            let followers: Vec<NodeId> = stored
-                .followers
-                .iter()
-                .copied()
-                .filter(|f| *f != self.local && keeps(f, &self.live))
-                .collect();
-            if followers.is_empty() {
-                // We are the only surviving replica: validate immediately.
-                actions.push(CommitAction::ValidateUpdates {
-                    tx_id,
-                    objects: stored.updates.iter().map(|u| (u.object, u.ts)).collect(),
-                });
-                self.stored.remove(&tx_id);
+        for index in 0..self.pipelines.len() {
+            let pipeline = self.pipelines[index].0;
+            if self.live.contains(&pipeline.node) && !rejoined.contains(&pipeline.node) {
                 continue;
             }
-            let entry = Outstanding {
-                followers: followers.clone(),
-                extra_val_targets: Vec::new(),
-                acks: HashSet::new(),
-                updates: stored.updates.clone(),
-                prev_val: true,
-                is_replay: true,
-            };
-            self.outstanding.insert(tx_id, entry);
-            for to in followers.iter().copied() {
-                actions.push(CommitAction::Send {
-                    to,
-                    msg: CommitMsg::RInv {
-                        tx_id,
-                        epoch: self.epoch,
-                        followers: followers.clone(),
-                        prev_val: true,
-                        updates: stored.updates.clone(),
-                    },
-                });
+            let mut at = 0;
+            while let Some((slot, stored)) = self.pipelines[index].1.stored.at(at) {
+                let tx_id = TxId::new(pipeline, slot);
+                self.stats.replays += 1;
+                let followers: Vec<(NodeId, bool)> = stored
+                    .followers
+                    .iter()
+                    .filter(|&&f| f != self.local && keeps(&self.live, rejoined, f))
+                    .map(|&f| (f, false))
+                    .collect();
+                if followers.is_empty() {
+                    // We are the only surviving replica: validate immediately.
+                    sink.validate_updates(tx_id, &stored.updates);
+                    self.pipelines[index].1.stored.remove_at(at);
+                    continue;
+                }
+                let entry = Outstanding {
+                    followers,
+                    extra_val_targets: Vec::new(),
+                    updates: stored.updates.clone(),
+                    prev_val: true,
+                    is_replay: true,
+                    last_sent: self.now,
+                };
+                for &(to, _) in &entry.followers {
+                    sink.send(to, entry.rinv(tx_id, self.epoch, true));
+                }
+                self.insert_outstanding(index, slot, entry);
+                at += 1;
             }
         }
 
-        actions.extend(self.check_recovery_finished());
-        actions
+        self.check_recovery_finished(sink);
     }
 
-    /// Re-sends the R-INVs of every outstanding commit to the followers that
-    /// have not acknowledged yet.
+    /// Re-sends the R-INVs that have gone unacknowledged for `interval`
+    /// ticks or more, to the followers that have not acknowledged yet.
     ///
     /// The paper assumes a retransmitting reliable transport underneath the
     /// protocols (§3.1); this is that retransmission hook. The hosting
-    /// runtime calls it periodically. Receivers treat duplicate R-INVs
+    /// runtime calls it on every tick, after
+    /// [`CommitEngine::advance_clock`]. Receivers treat duplicate R-INVs
     /// idempotently, so the interval only affects traffic, not safety. It
     /// also covers the epoch-transition race where an R-INV carrying the new
     /// epoch reaches a follower that has not installed the view yet (the
     /// follower drops it; without retransmission the commit would hang).
-    pub fn retransmit(&mut self) -> Vec<CommitAction> {
+    ///
+    /// Each R-INV has its own timer: its entry records when it last went
+    /// out, and only an entry that old is re-sent. A call walks each ring
+    /// from the front and stops at the first entry that is not due — slots
+    /// are sent in order, so what lies behind it is younger still — which
+    /// makes a call with nothing to re-send cost one comparison per
+    /// pipeline, however much is outstanding. (After a re-send the front is
+    /// the youngest entry for a while, and entries behind it that come due
+    /// in the meantime wait for it: an R-INV is re-sent no earlier than
+    /// `interval` after its last transmission and no later than twice that.)
+    pub fn retransmit(&mut self, interval: u64) -> Vec<CommitAction> {
         let mut actions = Vec::new();
-        // Deterministic order: map iteration order must not influence the
-        // message sequence (it would perturb the simulator's RNG stream).
-        let mut tx_ids: Vec<TxId> = self.outstanding.keys().copied().collect();
-        tx_ids.sort_unstable();
-        for tx_id in tx_ids {
-            let entry = &self.outstanding[&tx_id];
-            // Recompute the prev-VAL bit: the previous slot may have
-            // completed since this R-INV was first built, and a follower
-            // that never saw that slot needs the refreshed bit to apply
-            // this one in pipeline order.
-            let prev_val = entry.prev_val
-                || tx_id
-                    .prev()
-                    .is_none_or(|p| !self.outstanding.contains_key(&p));
-            for &to in entry.followers.iter().filter(|f| !entry.acks.contains(f)) {
-                actions.push(CommitAction::Send {
-                    to,
-                    msg: CommitMsg::RInv {
-                        tx_id,
-                        epoch: self.epoch,
-                        followers: entry.followers.clone(),
-                        prev_val,
-                        updates: entry.updates.clone(),
-                    },
-                });
-            }
-        }
-        self.stats.rinvs_retransmitted += actions.len() as u64;
-        // Re-broadcast the last cleared slot's R-VAL for every pipeline that
-        // still has later slots outstanding: a follower whose R-VAL for the
-        // cleared slot was lost (and that buffered a later slot waiting for
-        // pipeline order) would otherwise never ACK, pinning the owner in
-        // PendingCommit NACKs forever.
-        let mut pipelines: Vec<PipelineId> = self.last_cleared.keys().copied().collect();
-        pipelines.sort_unstable();
-        for pipeline in pipelines {
-            let slot = self.last_cleared[&pipeline].0;
-            let waiting = self
-                .outstanding
-                .keys()
-                .any(|tx| tx.pipeline == pipeline && tx.local > slot);
-            if !waiting {
-                continue;
-            }
-            let targets = self.last_cleared[&pipeline].1.clone();
-            self.stats.rvals_retransmitted += targets.len() as u64;
-            for to in targets {
-                actions.push(CommitAction::Send {
-                    to,
-                    msg: CommitMsg::RVal {
-                        tx_id: TxId::new(pipeline, slot),
-                        epoch: self.epoch,
-                    },
-                });
-            }
-        }
+        self.retransmit_into(interval, &mut actions);
         actions
+    }
+
+    /// [`CommitEngine::retransmit`], writing the output into `sink`.
+    pub fn retransmit_into(&mut self, interval: u64, sink: &mut impl CommitSink) {
+        let due = |sent: u64| self.now.saturating_sub(sent) >= interval;
+        // Pipelines and slots in order: the message sequence must not depend
+        // on anything but the protocol state (it would perturb the
+        // simulator's RNG stream).
+        for (pipeline, pipe) in &mut self.pipelines {
+            let mut at = 0;
+            let mut prev_slot = None;
+            while let Some((slot, entry)) = pipe.ring.at_mut(at) {
+                self.stats.ring_entries_visited += 1;
+                if !due(entry.last_sent) {
+                    break;
+                }
+                // Recompute the prev-VAL bit: the previous slot may have
+                // completed since this R-INV was first built, and a follower
+                // that never saw that slot needs the refreshed bit to apply
+                // this one in pipeline order.
+                let prev_outstanding = prev_slot.is_some_and(|p| p + 1 == slot);
+                let prev_val = entry.prev_val || !prev_outstanding;
+                let tx_id = TxId::new(*pipeline, slot);
+                for &(to, acked) in &entry.followers {
+                    if !acked {
+                        self.stats.rinvs_retransmitted += 1;
+                        sink.send(to, entry.rinv(tx_id, self.epoch, prev_val));
+                    }
+                }
+                entry.last_sent = self.now;
+                prev_slot = Some(slot);
+                at += 1;
+            }
+            // Along with overdue R-INVs, re-broadcast the last cleared slot's
+            // R-VAL while later slots are still outstanding: a follower whose
+            // R-VAL for the cleared slot was lost (and that buffered a later
+            // slot waiting for pipeline order) would otherwise never ACK,
+            // pinning the owner in PendingCommit NACKs forever. An R-VAL is
+            // never acknowledged itself; what shows it may have been lost is
+            // a later slot going unacknowledged for a full interval.
+            let cleared = &pipe.last_cleared;
+            let resent_any = at > 0;
+            let waiting = pipe
+                .ring
+                .last_slot()
+                .is_some_and(|last| last > cleared.slot);
+            if resent_any && waiting {
+                self.stats.rvals_retransmitted += cleared.targets.len() as u64;
+                for &to in &cleared.targets {
+                    sink.send(
+                        to,
+                        CommitMsg::RVal {
+                            tx_id: TxId::new(*pipeline, cleared.slot),
+                            epoch: self.epoch,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Index of `pipeline`'s state, created empty on first use.
+    fn pipeline_index(&mut self, pipeline: PipelineId) -> usize {
+        match self
+            .pipelines
+            .binary_search_by_key(&pipeline, |(id, _)| *id)
+        {
+            Ok(index) => index,
+            Err(index) => {
+                self.pipelines
+                    .insert(index, (pipeline, Pipeline::default()));
+                index
+            }
+        }
+    }
+
+    /// Puts `entry` into its ring (replacing a replay of an earlier view
+    /// change, if any) and accounts for it.
+    fn insert_outstanding(&mut self, index: usize, slot: u64, entry: Outstanding) {
+        for update in &entry.updates {
+            *self.pending_objects.entry(update.object).or_insert(0) += 1;
+        }
+        self.outstanding += 1;
+        self.replays += usize::from(entry.is_replay);
+        if let Some(old) = self.pipelines[index].1.ring.insert(slot, entry) {
+            self.forget_outstanding(&old);
+        }
+    }
+
+    /// Accounts for an entry that left its ring.
+    fn forget_outstanding(&mut self, entry: &Outstanding) {
+        for update in &entry.updates {
+            if let Some(count) = self.pending_objects.get_mut(&update.object) {
+                *count -= 1;
+                if *count == 0 {
+                    self.pending_objects.remove(&update.object);
+                }
+            }
+        }
+        self.outstanding -= 1;
+        self.replays -= usize::from(entry.is_replay);
     }
 
     // ------------------------------------------------------------------
     // Follower side
     // ------------------------------------------------------------------
 
+    #[allow(clippy::too_many_arguments)]
     fn on_rinv(
         &mut self,
         from: NodeId,
@@ -492,127 +669,96 @@ impl CommitEngine {
         followers: Vec<NodeId>,
         prev_val: bool,
         updates: Vec<ObjectUpdate>,
-    ) -> Vec<CommitAction> {
+        sink: &mut impl CommitSink,
+    ) {
         if epoch != self.epoch {
-            return Vec::new();
+            return;
         }
-        // Already stored (duplicate or replay): just acknowledge (§5.1).
-        if self.stored.contains_key(&tx_id) {
-            return vec![self.rack(from, tx_id)];
-        }
-        // Already validated in the past: the cleared tracker knows; ack.
-        if self
-            .cleared
-            .get(&tx_id.pipeline)
-            .is_some_and(|t| t.is_cleared(tx_id.local))
-        {
-            return vec![self.rack(from, tx_id)];
+        let index = self.pipeline_index(tx_id.pipeline);
+        let pipe = &mut self.pipelines[index].1;
+        let slot = tx_id.local;
+        // Already stored (duplicate or replay), or already validated in the
+        // past (the cleared tracker knows): just acknowledge (§5.1).
+        if pipe.stored.contains(slot) || pipe.cleared.is_cleared(slot) {
+            sink.send(from, self.rack(tx_id));
+            return;
         }
 
-        let in_order = tx_id.local == 0
-            || prev_val
-            || self
-                .cleared
-                .get(&tx_id.pipeline)
-                .is_some_and(|t| t.is_cleared(tx_id.local - 1));
+        let in_order = slot == 0 || prev_val || pipe.cleared.is_cleared(slot - 1);
         if !in_order {
             self.stats.rinvs_buffered += 1;
-            self.buffered.entry(tx_id.pipeline).or_default().insert(
-                tx_id.local,
+            pipe.buffered.insert(
+                slot,
                 BufferedRInv {
                     from,
                     followers,
                     updates,
                 },
             );
-            return Vec::new();
+            return;
         }
 
-        let mut actions = self.apply_rinv(from, tx_id, followers, updates);
-        actions.extend(self.drain_buffered(tx_id.pipeline));
-        actions
+        self.apply_rinv(index, from, tx_id, followers, updates, sink);
+        self.drain_buffered(index, sink);
     }
 
     fn apply_rinv(
         &mut self,
+        index: usize,
         from: NodeId,
         tx_id: TxId,
         followers: Vec<NodeId>,
         updates: Vec<ObjectUpdate>,
-    ) -> Vec<CommitAction> {
+        sink: &mut impl CommitSink,
+    ) {
         self.stats.rinvs_applied += 1;
-        self.cleared
-            .entry(tx_id.pipeline)
-            .or_default()
-            .mark(tx_id.local);
-        self.stored.insert(
-            tx_id,
-            StoredRInv {
-                followers,
-                updates: updates.clone(),
-            },
-        );
-        vec![
-            CommitAction::ApplyUpdates { tx_id, updates },
-            self.rack(from, tx_id),
-        ]
+        let pipe = &mut self.pipelines[index].1;
+        pipe.cleared.mark(tx_id.local);
+        sink.apply_updates(tx_id, &updates);
+        pipe.stored
+            .insert(tx_id.local, StoredRInv { followers, updates });
+        sink.send(from, self.rack(tx_id));
     }
 
-    fn drain_buffered(&mut self, pipeline: PipelineId) -> Vec<CommitAction> {
-        let mut actions = Vec::new();
+    /// Applies every buffered R-INV of the pipeline whose predecessor has
+    /// been cleared, lowest slot first.
+    fn drain_buffered(&mut self, index: usize, sink: &mut impl CommitSink) {
         loop {
-            let next_ready = {
-                let Some(buf) = self.buffered.get(&pipeline) else {
-                    break;
-                };
-                let tracker = self.cleared.entry(pipeline).or_default();
-                buf.keys()
-                    .copied()
-                    .find(|&slot| slot == 0 || tracker.is_cleared(slot - 1))
-            };
-            let Some(slot) = next_ready else { break };
-            let item = self
+            let (pipeline, pipe) = &mut self.pipelines[index];
+            let ready = pipe
                 .buffered
-                .get_mut(&pipeline)
-                .and_then(|b| b.remove(&slot))
-                .expect("buffered item exists");
-            let tx_id = TxId::new(pipeline, slot);
-            actions.extend(self.apply_rinv(item.from, tx_id, item.followers, item.updates));
+                .iter()
+                .map(|(slot, _)| slot)
+                .find(|&slot| slot == 0 || pipe.cleared.is_cleared(slot - 1));
+            let Some(slot) = ready else { break };
+            let item = pipe.buffered.remove(slot).expect("buffered item exists");
+            let tx_id = TxId::new(*pipeline, slot);
+            self.apply_rinv(index, item.from, tx_id, item.followers, item.updates, sink);
         }
-        actions
     }
 
-    fn on_rval(&mut self, tx_id: TxId, epoch: Epoch) -> Vec<CommitAction> {
+    fn on_rval(&mut self, tx_id: TxId, epoch: Epoch, sink: &mut impl CommitSink) {
         if epoch != self.epoch {
-            return Vec::new();
+            return;
         }
         // R-VAL clears the slot even if we never saw its R-INV (partial
         // pipeline streams, §5.2).
-        self.cleared
-            .entry(tx_id.pipeline)
-            .or_default()
-            .mark(tx_id.local);
-        let mut actions = Vec::new();
-        if let Some(stored) = self.stored.remove(&tx_id) {
+        let index = self.pipeline_index(tx_id.pipeline);
+        let pipe = &mut self.pipelines[index].1;
+        pipe.cleared.mark(tx_id.local);
+        if let Some(stored) = pipe.stored.remove(tx_id.local) {
             self.stats.rvals_applied += 1;
-            actions.push(CommitAction::ValidateUpdates {
-                tx_id,
-                objects: stored.updates.iter().map(|u| (u.object, u.ts)).collect(),
-            });
+            sink.validate_updates(tx_id, &stored.updates);
         }
-        actions.extend(self.drain_buffered(tx_id.pipeline));
-        actions.extend(self.check_recovery_finished());
-        actions
+        self.drain_buffered(index, sink);
+        self.check_recovery_finished(sink);
     }
 
-    fn rack(&self, to: NodeId, tx_id: TxId) -> CommitAction {
-        CommitAction::Send {
-            to,
-            msg: CommitMsg::RAck {
-                tx_id,
-                from: self.local,
-                epoch: self.epoch,
-            },
+    fn rack(&self, tx_id: TxId) -> CommitMsg {
+        CommitMsg::RAck {
+            tx_id,
+            from: self.local,
+            epoch: self.epoch,
         }
     }
 
@@ -620,109 +766,118 @@ impl CommitEngine {
     // Coordinator side
     // ------------------------------------------------------------------
 
-    fn on_rack(&mut self, tx_id: TxId, acker: NodeId, epoch: Epoch) -> Vec<CommitAction> {
+    fn on_rack(&mut self, tx_id: TxId, acker: NodeId, epoch: Epoch, sink: &mut impl CommitSink) {
         if epoch != self.epoch {
-            return Vec::new();
+            return;
         }
+        let index = self.pipeline_index(tx_id.pipeline);
+        let pipe = &mut self.pipelines[index].1;
+        let Some(last) = pipe.ring.last_slot() else {
+            return;
+        };
         // R-ACKs are cumulative within a pipeline (§5.2): acknowledging slot
         // `n` implies every earlier slot from the same pipeline was received
-        // and processed by that follower.
-        let implied: Vec<TxId> = self
-            .outstanding
-            .keys()
-            .copied()
-            .filter(|t| t.pipeline == tx_id.pipeline && t.local <= tx_id.local)
-            .collect();
-        let mut completed = Vec::new();
-        for t in implied {
-            let entry = self.outstanding.get_mut(&t).expect("outstanding");
-            if entry.followers.contains(&acker) {
-                entry.acks.insert(acker);
+        // and processed by that follower. Everything below the follower's
+        // floor has already been marked by an earlier ack of this epoch, so
+        // only the slots from the floor up to `n` are visited.
+        let upto = tx_id.local.min(last);
+        let from = match pipe.ack_floors.iter_mut().find(|(node, _)| *node == acker) {
+            Some((_, floor)) => std::mem::replace(floor, (*floor).max(upto + 1)),
+            None => {
+                pipe.ack_floors.push((acker, upto + 1));
+                0
             }
-            if entry.followers.iter().all(|f| entry.acks.contains(f)) {
-                completed.push(t);
+        };
+        let (Ok(mut at) | Err(mut at)) = pipe.ring.index_of(from);
+        while let Some((slot, entry)) = self.pipelines[index].1.ring.at_mut(at) {
+            if slot > upto {
+                break;
+            }
+            self.stats.ring_entries_visited += 1;
+            if let Some((_, acked)) = entry.followers.iter_mut().find(|(f, _)| *f == acker) {
+                *acked = true;
+            }
+            if entry.fully_acked() {
+                let (_, entry) = self.pipelines[index]
+                    .1
+                    .ring
+                    .remove_at(at)
+                    .expect("entry just visited");
+                self.complete_outstanding(index, slot, entry, sink);
+            } else {
+                at += 1;
             }
         }
-        completed.sort();
-        let mut actions = Vec::new();
-        for t in completed {
-            actions.extend(self.complete_outstanding(t));
-        }
-        actions
     }
 
-    /// Finishes an outstanding commit: emit the local completion, broadcast
-    /// R-VALs and discard the stored R-INV.
-    fn complete_outstanding(&mut self, tx_id: TxId) -> Vec<CommitAction> {
-        let Some(entry) = self.outstanding.remove(&tx_id) else {
-            return Vec::new();
-        };
-        let mut actions = Vec::new();
+    /// Finishes an outstanding commit that has just left its ring: emit the
+    /// local completion and broadcast R-VALs.
+    fn complete_outstanding(
+        &mut self,
+        index: usize,
+        slot: u64,
+        entry: Outstanding,
+        sink: &mut impl CommitSink,
+    ) {
+        self.forget_outstanding(&entry);
+        let (pipeline, pipe) = &mut self.pipelines[index];
+        let tx_id = TxId::new(*pipeline, slot);
         if entry.is_replay {
             // Validate our own (follower) copy of the replayed commit.
-            self.stored.remove(&tx_id);
-            self.cleared
-                .entry(tx_id.pipeline)
-                .or_default()
-                .mark(tx_id.local);
-            actions.push(CommitAction::ValidateUpdates {
-                tx_id,
-                objects: entry.object_versions(),
-            });
+            pipe.stored.remove(slot);
+            pipe.cleared.mark(slot);
+            sink.validate_updates(tx_id, &entry.updates);
         } else {
             self.stats.commits_completed += 1;
-            actions.push(CommitAction::ReliablyCommitted {
-                tx_id,
-                objects: entry.object_versions(),
-            });
-        }
-        let mut targets = entry.followers.clone();
-        for extra in entry.extra_val_targets {
-            if !targets.contains(&extra) {
-                targets.push(extra);
-            }
+            sink.reliably_committed(tx_id, &entry.updates);
         }
         // Remember the cleared slot and its targets so the retransmission
         // tick can re-broadcast this R-VAL while later slots of the same
         // pipeline are still in flight (see `retransmit`).
-        let remembered = self
-            .last_cleared
-            .entry(tx_id.pipeline)
-            .or_insert((0, Vec::new()));
-        if remembered.1.is_empty() || tx_id.local >= remembered.0 {
-            *remembered = (tx_id.local, targets.clone());
+        let cleared = &mut pipe.last_cleared;
+        let remember = cleared.targets.is_empty() || slot >= cleared.slot;
+        if remember {
+            cleared.slot = slot;
+            cleared.targets.clear();
         }
-        for to in targets {
-            actions.push(CommitAction::Send {
+        let followers = entry.followers.iter().map(|&(f, _)| f);
+        let extras = entry
+            .extra_val_targets
+            .iter()
+            .copied()
+            .filter(|e| !entry.followers.iter().any(|(f, _)| f == e));
+        for to in followers.chain(extras) {
+            if remember {
+                cleared.targets.push(to);
+            }
+            sink.send(
                 to,
-                msg: CommitMsg::RVal {
+                CommitMsg::RVal {
                     tx_id,
                     epoch: self.epoch,
                 },
-            });
+            );
         }
-        actions.extend(self.check_recovery_finished());
-        actions
+        self.check_recovery_finished(sink);
     }
 
     // ------------------------------------------------------------------
     // Recovery bookkeeping
     // ------------------------------------------------------------------
 
-    fn check_recovery_finished(&mut self) -> Vec<CommitAction> {
-        if !self.recovering {
-            return Vec::new();
+    fn check_recovery_finished(&mut self, sink: &mut impl CommitSink) {
+        if !self.recovering || self.replays > 0 {
+            return;
         }
-        let pending_replays = self.outstanding.values().any(|o| o.is_replay);
         let pending_dead_stored = self
-            .stored
-            .keys()
-            .any(|tx| !self.live.contains(&tx.pipeline.node));
-        if pending_replays || pending_dead_stored {
-            return Vec::new();
+            .pipelines
+            .iter()
+            .any(|(id, pipe)| !pipe.stored.is_empty() && !self.live.contains(&id.node));
+        if pending_dead_stored {
+            return;
         }
         self.recovering = false;
-        vec![CommitAction::RecoveryFinished { epoch: self.epoch }]
+        sink.recovery_finished(self.epoch);
     }
 }
 
@@ -730,6 +885,7 @@ impl CommitEngine {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use std::collections::HashSet;
 
     fn upd(object: u64, version: u64) -> ObjectUpdate {
         ObjectUpdate::new(
@@ -1003,7 +1159,7 @@ mod tests {
 
         // The retransmission tick re-broadcasts slot 0's R-VAL (and slot 1's
         // R-INV with a refreshed prev-VAL bit); either unwedges n2.
-        let retrans = coord.retransmit();
+        let retrans = coord.retransmit(0);
         let rval_slot0 = retrans.iter().find_map(|a| match a {
             CommitAction::Send {
                 msg: msg @ CommitMsg::RVal { tx_id, .. },
@@ -1177,5 +1333,322 @@ mod tests {
         assert_eq!(c.engines[0].stats().commits_completed, 2);
         assert_eq!(c.engines[1].stats().rinvs_applied, 2);
         assert_eq!(c.engines[1].stats().rvals_applied, 2);
+    }
+
+    // ------------------------------------------------------------------
+    // The ring
+    // ------------------------------------------------------------------
+
+    fn rack(tx_id: TxId, from: u16) -> CommitMsg {
+        CommitMsg::RAck {
+            tx_id,
+            from: n(from),
+            epoch: Epoch::ZERO,
+        }
+    }
+
+    fn committed_in(actions: &[CommitAction]) -> Vec<TxId> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                CommitAction::ReliablyCommitted { tx_id, .. } => Some(*tx_id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn rvals_in(actions: &[CommitAction]) -> Vec<(NodeId, TxId)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                CommitAction::Send {
+                    to,
+                    msg: CommitMsg::RVal { tx_id, .. },
+                } => Some((*to, *tx_id)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn rinvs_in(actions: &[CommitAction]) -> Vec<(NodeId, TxId)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                CommitAction::Send {
+                    to,
+                    msg: CommitMsg::RInv { tx_id, .. },
+                } => Some((*to, *tx_id)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_later_slot_completes_before_an_earlier_one() {
+        // Slot 0 goes to n1, slot 1 to n2, slot 2 to both. n2 answers first.
+        let mut coord = CommitEngine::new(n(0), 3);
+        let (t0, _) = coord.begin_commit(0, vec![upd(1, 1)], vec![n(1)]);
+        let (t1, _) = coord.begin_commit(0, vec![upd(2, 1)], vec![n(2)]);
+        let (t2, _) = coord.begin_commit(0, vec![upd(3, 1)], vec![n(1), n(2)]);
+        let done = coord.handle_message(n(2), rack(t1, 2));
+        assert_eq!(
+            committed_in(&done),
+            vec![t1],
+            "slot 1 does not wait for slot 0"
+        );
+        // Slot 2 took n1 on as an R-VAL target of slot 1 (not its follower).
+        assert_eq!(rvals_in(&done), vec![(n(2), t1), (n(1), t1)]);
+        assert_eq!(coord.outstanding_commits(), 2);
+        assert!(coord.object_has_pending_commit(ObjectId(1)));
+        assert!(!coord.object_has_pending_commit(ObjectId(2)));
+        // The hole left in the middle does not confuse what is around it.
+        let done = coord.handle_message(n(1), rack(t2, 1));
+        assert_eq!(
+            committed_in(&done),
+            vec![t0],
+            "n1's ack of slot 2 covers slot 0"
+        );
+        let done = coord.handle_message(n(2), rack(t2, 2));
+        assert_eq!(committed_in(&done), vec![t2]);
+        assert_eq!(coord.outstanding_commits(), 0);
+        // A fourth commit sees its predecessor validated.
+        let (_, actions) = coord.begin_commit(0, vec![upd(4, 1)], vec![n(1)]);
+        assert!(matches!(
+            &actions[0],
+            CommitAction::Send {
+                msg: CommitMsg::RInv { prev_val: true, .. },
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn a_cumulative_ack_reaches_across_slots_the_acker_does_not_follow() {
+        let mut coord = CommitEngine::new(n(0), 3);
+        let (t0, _) = coord.begin_commit(0, vec![upd(1, 1)], vec![n(1)]);
+        let (t1, _) = coord.begin_commit(0, vec![upd(2, 1)], vec![n(2)]);
+        let (t2, _) = coord.begin_commit(0, vec![upd(3, 1)], vec![n(1)]);
+        // n1 follows slots 0 and 2 only; acknowledging 2 settles both and
+        // leaves slot 1 (n2's) alone.
+        let done = coord.handle_message(n(1), rack(t2, 1));
+        assert_eq!(committed_in(&done), vec![t0, t2]);
+        assert_eq!(coord.outstanding_commits(), 1);
+        // A duplicate of the same ack finds nothing left to do.
+        let visited = coord.stats().ring_entries_visited;
+        assert!(coord.handle_message(n(1), rack(t2, 1)).is_empty());
+        assert_eq!(coord.stats().ring_entries_visited, visited);
+        assert_eq!(
+            committed_in(&coord.handle_message(n(2), rack(t1, 2))),
+            vec![t1]
+        );
+    }
+
+    #[test]
+    fn an_ack_visits_only_the_slots_since_the_ackers_last_one() {
+        let mut coord = CommitEngine::new(n(0), 3);
+        let txs: Vec<TxId> = (0..100)
+            .map(|v| coord.begin_commit(0, vec![upd(v, 1)], vec![n(1), n(2)]).0)
+            .collect();
+        // n1 acknowledges every slot while n2 is silent: nothing completes,
+        // the ring stays 100 long, and still each ack looks at one entry.
+        for &tx in &txs {
+            assert!(coord.handle_message(n(1), rack(tx, 1)).is_empty());
+        }
+        assert_eq!(coord.stats().ring_entries_visited, 100);
+        // One cumulative ack from n2 then settles all of them, in order.
+        let done = coord.handle_message(n(2), rack(txs[99], 2));
+        assert_eq!(committed_in(&done), txs);
+        assert_eq!(coord.stats().ring_entries_visited, 200);
+        assert_eq!(coord.outstanding_commits(), 0);
+    }
+
+    #[test]
+    fn a_view_change_prunes_followers_in_the_middle_of_the_ring() {
+        let mut coord = CommitEngine::new(n(0), 3);
+        let (t0, _) = coord.begin_commit(0, vec![upd(1, 1)], vec![n(1), n(2)]);
+        let (t1, _) = coord.begin_commit(0, vec![upd(2, 1)], vec![n(2)]);
+        let (t2, _) = coord.begin_commit(0, vec![upd(3, 1)], vec![n(1), n(2)]);
+        // n1 acknowledged slot 0 (only); then n2 is expelled.
+        assert!(coord.handle_message(n(1), rack(t0, 1)).is_empty());
+        let actions = coord.on_view_change(Epoch(1), vec![n(0), n(1)], &[]);
+        // Slot 0 has every remaining follower's ack, slot 1 has no follower
+        // left: both complete. Slot 2 still waits for n1 and is re-sent to
+        // it alone, under the new epoch.
+        assert_eq!(committed_in(&actions), vec![t0, t1]);
+        // (Slot 1's R-VAL goes to n1 as the extra target slot 2 made of it.)
+        assert_eq!(rvals_in(&actions), vec![(n(1), t0), (n(1), t1)]);
+        assert_eq!(rinvs_in(&actions), vec![(n(1), t2)]);
+        assert!(actions.iter().any(|a| matches!(
+            a,
+            CommitAction::Send {
+                msg: CommitMsg::RInv { epoch: Epoch(1), followers, .. },
+                ..
+            } if followers == &[n(1)]
+        )));
+        assert_eq!(coord.outstanding_commits(), 1);
+        // Acks of the old epoch are void; the floor restarts with the view.
+        assert!(coord.handle_message(n(1), rack(t2, 1)).is_empty());
+        let fresh = CommitMsg::RAck {
+            tx_id: t2,
+            from: n(1),
+            epoch: Epoch(1),
+        };
+        assert_eq!(committed_in(&coord.handle_message(n(1), fresh)), vec![t2]);
+    }
+
+    #[test]
+    fn a_rejoin_reset_empties_the_rings_but_never_reuses_a_slot() {
+        let mut coord = CommitEngine::new(n(0), 2);
+        let (t0, _) = coord.begin_commit(0, vec![upd(7, 1)], vec![n(1)]);
+        let (t1, _) = coord.begin_commit(0, vec![upd(7, 2)], vec![n(1)]);
+        coord.reset_for_rejoin();
+        assert_eq!(coord.outstanding_commits(), 0);
+        assert!(!coord.object_has_pending_commit(ObjectId(7)));
+        assert_eq!(coord.stats().rejoin_resets, 1);
+        assert!(coord.retransmit(0).is_empty(), "nothing left to re-send");
+        // Late acks for the dropped commits are harmless.
+        assert!(coord.handle_message(n(1), rack(t1, 1)).is_empty());
+        let (t2, actions) = coord.begin_commit(0, vec![upd(7, 3)], vec![n(1)]);
+        assert_eq!((t0.local, t1.local, t2.local), (0, 1, 2));
+        assert!(
+            matches!(
+                &actions[0],
+                CommitAction::Send {
+                    msg: CommitMsg::RInv { prev_val: true, .. },
+                    ..
+                }
+            ),
+            "the dropped predecessor is not waited for"
+        );
+        assert_eq!(
+            committed_in(&coord.handle_message(n(1), rack(t2, 1))),
+            vec![t2]
+        );
+    }
+
+    #[test]
+    fn replays_of_a_dead_coordinator_sit_next_to_the_nodes_own_slots() {
+        // n1 follows n0's pipeline (slots 3 and 8 of a partial stream) and
+        // coordinates commits of its own; then n0 dies.
+        let mut e = CommitEngine::new(n(1), 3);
+        let dead = PipelineId::new(n(0), 0);
+        for slot in [3, 8] {
+            e.handle_message(
+                n(0),
+                CommitMsg::RInv {
+                    tx_id: TxId::new(dead, slot),
+                    epoch: Epoch::ZERO,
+                    followers: vec![n(1), n(2)],
+                    prev_val: true,
+                    updates: vec![upd(100 + slot, 1)],
+                },
+            );
+        }
+        let (own0, _) = e.begin_commit(0, vec![upd(1, 1)], vec![n(2)]);
+        let (own1, _) = e.begin_commit(0, vec![upd(2, 1)], vec![n(2)]);
+        let actions = e.on_view_change(Epoch(1), vec![n(1), n(2)], &[]);
+        assert_eq!(e.outstanding_commits(), 4, "two own commits, two replays");
+        assert!(e.object_has_pending_commit(ObjectId(103)));
+        // Own slots are re-sent first (pipelines in id order: n0's replays
+        // do not exist yet when step 1 runs), then the replays go out.
+        let replay3 = TxId::new(dead, 3);
+        let replay8 = TxId::new(dead, 8);
+        assert_eq!(
+            rinvs_in(&actions),
+            vec![(n(2), own0), (n(2), own1), (n(2), replay3), (n(2), replay8)]
+        );
+        assert!(!actions
+            .iter()
+            .any(|a| matches!(a, CommitAction::RecoveryFinished { .. })));
+        let ack = |tx_id| CommitMsg::RAck {
+            tx_id,
+            from: n(2),
+            epoch: Epoch(1),
+        };
+        // A cumulative ack on the dead pipeline settles both replays (as
+        // validations of n1's own follower copies) and finishes recovery;
+        // the own pipeline is untouched by it.
+        let done = e.handle_message(n(2), ack(replay8));
+        let validated: Vec<TxId> = done
+            .iter()
+            .filter_map(|a| match a {
+                CommitAction::ValidateUpdates { tx_id, .. } => Some(*tx_id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(validated, vec![replay3, replay8]);
+        assert!(matches!(
+            done.last(),
+            Some(CommitAction::RecoveryFinished { epoch: Epoch(1) })
+        ));
+        assert_eq!(e.stored_rinvs(), 0);
+        assert_eq!(e.outstanding_commits(), 2);
+        assert_eq!(
+            committed_in(&e.handle_message(n(2), ack(own1))),
+            vec![own0, own1]
+        );
+    }
+
+    #[test]
+    fn five_thousand_slots_pass_through_one_pipeline() {
+        // A window of up to 64 commits in flight slides over 5,000 slots, so
+        // the ring's storage wraps many times and every lookup is relative
+        // to a front that keeps moving.
+        let mut c = Cluster::new(3);
+        let mut issued = Vec::new();
+        for slot in 0..5_000u64 {
+            issued.push(c.begin(n(0), 0, vec![upd(slot % 97, slot + 1)], vec![n(1), n(2)]));
+            assert_eq!(issued.last().unwrap().local, slot);
+            if c.engines[0].outstanding_commits() == 64 {
+                c.run();
+                assert_eq!(c.engines[0].outstanding_commits(), 0);
+            }
+        }
+        c.run();
+        assert_eq!(c.committed(n(0)), issued, "every slot, in slot order");
+        assert_eq!(c.applied(n(1)), issued);
+        assert_eq!(c.validated(n(2)), issued);
+        assert_eq!(c.engines[1].stored_rinvs(), 0);
+        for object in 0..97 {
+            assert!(!c.engines[0].object_has_pending_commit(ObjectId(object)));
+        }
+        // Two acks per commit, each looking at exactly its own slot.
+        assert_eq!(c.engines[0].stats().ring_entries_visited, 10_000);
+    }
+
+    #[test]
+    fn only_an_rinv_a_full_interval_old_is_retransmitted() {
+        let mut coord = CommitEngine::new(n(0), 2);
+        coord.advance_clock(100);
+        let (t0, _) = coord.begin_commit(0, vec![upd(1, 1)], vec![n(1)]);
+        coord.advance_clock(130);
+        let (t1, _) = coord.begin_commit(0, vec![upd(2, 1)], vec![n(1)]);
+        coord.advance_clock(163);
+        assert!(coord.retransmit(64).is_empty(), "slot 0 is 63 ticks old");
+        coord.advance_clock(164);
+        assert_eq!(rinvs_in(&coord.retransmit(64)), vec![(n(1), t0)]);
+        assert_eq!(coord.stats().rinvs_retransmitted, 1);
+        // Re-sent slot 0 is now the youngest; slot 1 (due at 194) waits
+        // behind it until it is due again, and then both go.
+        coord.advance_clock(200);
+        assert!(coord.retransmit(64).is_empty());
+        coord.advance_clock(228);
+        assert_eq!(
+            rinvs_in(&coord.retransmit(64)),
+            vec![(n(1), t0), (n(1), t1)]
+        );
+        // Once slot 0 completes, the cleared slot's R-VAL rides along with
+        // the next overdue R-INV, not with a young one.
+        assert_eq!(
+            committed_in(&coord.handle_message(n(1), rack(t0, 1))),
+            vec![t0]
+        );
+        coord.advance_clock(291);
+        assert!(coord.retransmit(64).is_empty());
+        coord.advance_clock(292);
+        let resent = coord.retransmit(64);
+        assert_eq!(rinvs_in(&resent), vec![(n(1), t1)]);
+        assert_eq!(rvals_in(&resent), vec![(n(1), t0)]);
+        assert_eq!(coord.stats().rvals_retransmitted, 1);
     }
 }

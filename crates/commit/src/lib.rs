@@ -30,6 +30,6 @@ pub mod engine;
 pub mod pipeline;
 pub mod stats;
 
-pub use engine::{CommitAction, CommitEngine};
+pub use engine::{CommitAction, CommitEngine, CommitSink};
 pub use pipeline::ClearedTracker;
 pub use stats::CommitStats;

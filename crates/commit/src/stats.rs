@@ -26,6 +26,11 @@ pub struct CommitStats {
     /// Times this node discarded its commit state after being re-admitted to
     /// the view (false suspicion or restart).
     pub rejoin_resets: u64,
+    /// Coordinator-side ring entries looked at while handling R-ACKs and
+    /// scanning for retransmissions: the work those two paths do, which must
+    /// stay proportional to the commits they settle or re-send — not to
+    /// everything outstanding.
+    pub ring_entries_visited: u64,
 }
 
 impl CommitStats {
@@ -45,6 +50,7 @@ impl CommitStats {
         self.rinvs_retransmitted += other.rinvs_retransmitted;
         self.rvals_retransmitted += other.rvals_retransmitted;
         self.rejoin_resets += other.rejoin_resets;
+        self.ring_entries_visited += other.ring_entries_visited;
     }
 }
 

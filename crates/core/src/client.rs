@@ -83,6 +83,7 @@
 //! cluster.shutdown();
 //! ```
 
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -280,6 +281,96 @@ pub(crate) struct TicketReply {
     pub(crate) resolved_at: Instant,
 }
 
+/// The cell a submitted transaction's reply travels through: written once by
+/// the node thread, read once by the ticket. One allocation per transaction —
+/// a channel would bring its own queue and a second condition variable for a
+/// message that is only ever one.
+#[derive(Debug)]
+struct ReplyCell {
+    state: Mutex<ReplyState>,
+    resolved: Condvar,
+}
+
+#[derive(Debug)]
+enum ReplyState {
+    Waiting,
+    Resolved(TicketReply),
+    /// No reply is (any longer) to be had: the sending half was dropped
+    /// without one (the node loop exited, or the command never reached it),
+    /// or the ticket already took it.
+    Closed,
+}
+
+/// The node thread's half of a [`ReplyCell`].
+#[derive(Debug)]
+pub(crate) struct ReplySender(Arc<ReplyCell>);
+
+/// The ticket's half of a [`ReplyCell`].
+#[derive(Debug)]
+pub(crate) struct ReplyReceiver(Arc<ReplyCell>);
+
+/// A fresh reply cell, as its two halves.
+pub(crate) fn reply_cell() -> (ReplySender, ReplyReceiver) {
+    let cell = Arc::new(ReplyCell {
+        state: Mutex::new(ReplyState::Waiting),
+        resolved: Condvar::new(),
+    });
+    (ReplySender(Arc::clone(&cell)), ReplyReceiver(cell))
+}
+
+impl ReplySender {
+    /// Resolves the ticket.
+    pub(crate) fn send(self, reply: TicketReply) {
+        self.settle(ReplyState::Resolved(reply));
+    }
+
+    fn settle(&self, outcome: ReplyState) {
+        let mut state = self.0.state.lock().expect("no panic while held");
+        if matches!(*state, ReplyState::Waiting) {
+            *state = outcome;
+            drop(state);
+            self.0.resolved.notify_one();
+        }
+    }
+}
+
+impl Drop for ReplySender {
+    fn drop(&mut self) {
+        self.settle(ReplyState::Closed);
+    }
+}
+
+impl ReplyReceiver {
+    /// The reply if the cell has been settled: `Some(None)` when the sender
+    /// went away without one. `None` while the transaction is in flight.
+    fn try_take(&self) -> Option<Option<TicketReply>> {
+        Self::take(&mut self.0.state.lock().expect("no panic while held"))
+    }
+
+    /// Blocks until the cell is settled; `None` when the sender went away
+    /// without a reply.
+    fn wait(&self) -> Option<TicketReply> {
+        let mut state = self.0.state.lock().expect("no panic while held");
+        loop {
+            if let Some(outcome) = Self::take(&mut state) {
+                return outcome;
+            }
+            state = self.0.resolved.wait(state).expect("no panic while held");
+        }
+    }
+
+    fn take(state: &mut ReplyState) -> Option<Option<TicketReply>> {
+        match std::mem::replace(state, ReplyState::Closed) {
+            ReplyState::Waiting => {
+                *state = ReplyState::Waiting;
+                None
+            }
+            ReplyState::Resolved(reply) => Some(Some(reply)),
+            ReplyState::Closed => Some(None),
+        }
+    }
+}
+
 /// A transaction submitted with [`Session::submit_write`], resolving to its
 /// typed result.
 ///
@@ -296,8 +387,8 @@ enum TicketState<T> {
     /// The result is already known (simulated runtime, or polled), plus the
     /// instant it resolved.
     Ready(Option<Result<T, TxError>>, Instant),
-    /// The node thread will ship the encoded result over this channel.
-    Pending(crossbeam::channel::Receiver<TicketReply>),
+    /// The node thread will put the encoded result into this cell.
+    Pending(ReplyReceiver),
 }
 
 impl<T: TxPayload> TxTicket<T> {
@@ -308,8 +399,8 @@ impl<T: TxPayload> TxTicket<T> {
         }
     }
 
-    /// A ticket resolved by a future message on `rx`.
-    pub(crate) fn pending(rx: crossbeam::channel::Receiver<TicketReply>) -> Self {
+    /// A ticket resolved by a future reply on `rx`.
+    pub(crate) fn pending(rx: ReplyReceiver) -> Self {
         TxTicket {
             state: TicketState::Pending(rx),
         }
@@ -333,9 +424,9 @@ impl<T: TxPayload> TxTicket<T> {
     pub fn wait_timed(self) -> (Result<T, TxError>, Instant) {
         match self.state {
             TicketState::Ready(result, at) => (result.expect("ticket already consumed"), at),
-            TicketState::Pending(rx) => match rx.recv() {
-                Ok(reply) => (Self::decode(reply.result), reply.resolved_at),
-                Err(_) => (Err(TxError::NodeUnavailable), Instant::now()),
+            TicketState::Pending(rx) => match rx.wait() {
+                Some(reply) => (Self::decode(reply.result), reply.resolved_at),
+                None => (Err(TxError::NodeUnavailable), Instant::now()),
             },
         }
     }
@@ -352,20 +443,12 @@ impl<T: TxPayload> TxTicket<T> {
         match &mut self.state {
             TicketState::Ready(result, at) => result.take().map(|r| (r, *at)),
             TicketState::Pending(rx) => {
-                use crossbeam::channel::TryRecvError;
-                match rx.try_recv() {
-                    Ok(reply) => {
-                        let at = reply.resolved_at;
-                        self.state = TicketState::Ready(None, at);
-                        Some((Self::decode(reply.result), at))
-                    }
-                    Err(TryRecvError::Disconnected) => {
-                        let at = Instant::now();
-                        self.state = TicketState::Ready(None, at);
-                        Some((Err(TxError::NodeUnavailable), at))
-                    }
-                    Err(TryRecvError::Empty) => None,
-                }
+                let (result, at) = match rx.try_take()? {
+                    Some(reply) => (Self::decode(reply.result), reply.resolved_at),
+                    None => (Err(TxError::NodeUnavailable), Instant::now()),
+                };
+                self.state = TicketState::Ready(None, at);
+                Some((result, at))
             }
         }
     }
@@ -737,36 +820,57 @@ mod tests {
 
     #[test]
     fn pending_tickets_poll_and_wait() {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = reply_cell();
         let mut t: TxTicket<u64> = TxTicket::pending(rx);
         assert_eq!(t.try_poll(), None);
-        tx.send(reply(Ok(9u64.encode()))).unwrap();
+        tx.send(reply(Ok(9u64.encode())));
         assert_eq!(t.try_poll(), Some(Ok(9)));
+        assert_eq!(t.try_poll(), None, "spent");
 
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = reply_cell();
         let t: TxTicket<u64> = TxTicket::pending(rx);
-        tx.send(reply(Ok(11u64.encode()))).unwrap();
+        tx.send(reply(Ok(11u64.encode())));
         assert_eq!(t.wait(), Ok(11));
 
         // A dropped node thread resolves tickets to NodeUnavailable.
-        let (tx, rx) = crossbeam::channel::bounded::<TicketReply>(1);
+        let (tx, rx) = reply_cell();
+        drop(tx);
+        let mut t: TxTicket<u64> = TxTicket::pending(rx);
+        assert_eq!(t.try_poll(), Some(Err(TxError::NodeUnavailable)));
+        let (tx, rx) = reply_cell();
         drop(tx);
         let t: TxTicket<u64> = TxTicket::pending(rx);
         assert_eq!(t.wait(), Err(TxError::NodeUnavailable));
     }
 
     #[test]
+    fn a_waiting_ticket_wakes_when_another_thread_resolves_it() {
+        let (tx, rx) = reply_cell();
+        let t: TxTicket<u64> = TxTicket::pending(rx);
+        let entered = Arc::new(std::sync::Barrier::new(2));
+        let waiter = {
+            let entered = Arc::clone(&entered);
+            std::thread::spawn(move || {
+                entered.wait();
+                t.wait()
+            })
+        };
+        entered.wait();
+        tx.send(reply(Ok(3u64.encode())));
+        assert_eq!(waiter.join().expect("waiter"), Ok(3));
+    }
+
+    #[test]
     fn timed_accessors_expose_the_resolve_instant() {
         let before = Instant::now();
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = reply_cell();
         let mut t: TxTicket<u64> = TxTicket::pending(rx);
         assert!(t.try_poll_timed().is_none());
         let sent_at = Instant::now();
         tx.send(TicketReply {
             result: Ok(5u64.encode()),
             resolved_at: sent_at,
-        })
-        .unwrap();
+        });
         let (result, at) = t.try_poll_timed().unwrap();
         assert_eq!(result, Ok(5));
         assert_eq!(

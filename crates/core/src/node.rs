@@ -1,19 +1,19 @@
 //! A single Zeus server: store + protocols + transaction layer.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use zeus_commit::{CommitAction, CommitEngine};
+use zeus_commit::{CommitEngine, CommitSink};
 use zeus_locality::{AccessKind, LocalityEngine, PlacementAction};
 use zeus_membership::{MembershipEngine, MembershipEvent};
-use zeus_ownership::{OwnershipAction, OwnershipEngine, OwnershipHost};
+use zeus_ownership::{OwnershipAction, OwnershipEngine, OwnershipHost, OwnershipSink};
 use zeus_proto::messages::NackReason;
 use zeus_proto::{
-    AccessLevel, DataTs, Epoch, MembershipMsg, NodeId, ObjectId, ObjectUpdate,
-    OwnershipRequestKind, PolicyKind, PolicyStats, ReplicaSet, RequestId, TState, ViewMsg,
+    AccessLevel, CommitMsg, DataTs, Epoch, IdHashMap, IdHashSet, MembershipMsg, NodeId, ObjectId,
+    ObjectUpdate, OwnershipRequestKind, PolicyKind, PolicyStats, ReplicaSet, RequestId, TState,
+    TxId, ViewMsg,
 };
-use zeus_store::{LockManager, ObjectEntry, Store};
+use zeus_store::{ObjectEntry, Store, TxWorkspace};
 use zeus_view::{ViewEvent, ViewReplica};
 
 use crate::config::ZeusConfig;
@@ -37,6 +37,248 @@ impl OwnershipHost for HostView<'_> {
                 .store
                 .with(object, |e| e.has_pending_commits())
                 .unwrap_or(false)
+    }
+}
+
+/// The commit engine's output, applied as the engine produces it: messages
+/// go straight into the node's outbox and store effects are made in place,
+/// from the engine's own copy of the updates.
+struct CommitOut<'a> {
+    outbox: &'a mut Vec<(NodeId, Message)>,
+    store: &'a Store,
+    /// Length of the outbox when the engine reported that recovery finished.
+    /// What that report sets off (membership traffic) needs the whole node,
+    /// so the caller does it once the engine call returns — and splices the
+    /// messages it produces in at this position, where they would have gone
+    /// had they been sent on the spot.
+    recovered_at: Option<usize>,
+}
+
+impl<'a> CommitOut<'a> {
+    fn new(outbox: &'a mut Vec<(NodeId, Message)>, store: &'a Store) -> Self {
+        CommitOut {
+            outbox,
+            store,
+            recovered_at: None,
+        }
+    }
+}
+
+impl CommitSink for CommitOut<'_> {
+    fn send(&mut self, to: NodeId, msg: CommitMsg) {
+        self.outbox.push((to, Message::Commit(msg)));
+    }
+
+    fn reliably_committed(&mut self, _tx_id: TxId, updates: &[ObjectUpdate]) {
+        for update in updates {
+            self.store
+                .with_mut(update.object, |e| e.validate_at(update.ts));
+        }
+    }
+
+    fn apply_updates(&mut self, _tx_id: TxId, updates: &[ObjectUpdate]) {
+        for update in updates {
+            self.store.with_mut_or_insert(
+                update.object,
+                || ObjectEntry::new(Bytes::new(), AccessLevel::Reader, ReplicaSet::default()),
+                |e| {
+                    e.apply_follower_update(update.ts, update.data.clone());
+                },
+            );
+        }
+    }
+
+    fn validate_updates(&mut self, _tx_id: TxId, updates: &[ObjectUpdate]) {
+        for update in updates {
+            self.store.with_mut(update.object, |e| {
+                if e.ts == update.ts && e.t_state == TState::Invalid {
+                    e.t_state = TState::Valid;
+                }
+            });
+        }
+    }
+
+    fn recovery_finished(&mut self, _epoch: Epoch) {
+        self.recovered_at = Some(self.outbox.len());
+    }
+}
+
+/// What the transaction layer tracks about the ownership requests it issued.
+#[derive(Debug, Default)]
+struct RequestTable {
+    completed: IdHashSet<RequestId>,
+    failed: IdHashMap<RequestId, NackReason>,
+    retry_queue: Vec<RequestId>,
+    started_at: IdHashMap<RequestId, u64>,
+    /// In-flight acquisitions keyed by what they ask for, so batched
+    /// transactions needing the same object can share one protocol request
+    /// (only consulted when `coalesce_acquires` is on).
+    inflight_acquires: IdHashMap<(ObjectId, OwnershipRequestKind), RequestId>,
+    /// How many waiters reference each in-flight request. A request is only
+    /// really abandoned when its last waiter gives up — otherwise one parked
+    /// transaction's back-off would cancel a request its batch peers still
+    /// wait on.
+    acquire_refs: IdHashMap<RequestId, usize>,
+    /// Latency of completed requests (ticks).
+    latency: LatencyHistogram,
+}
+
+impl RequestTable {
+    /// Forgets the in-flight bookkeeping of a request that reached a
+    /// terminal state.
+    fn settle(&mut self, req_id: RequestId) {
+        self.acquire_refs.remove(&req_id);
+        self.inflight_acquires.retain(|_, &mut r| r != req_id);
+    }
+}
+
+/// The ownership engine's output, applied as the engine produces it (see
+/// [`CommitOut`]).
+struct OwnershipOut<'a> {
+    id: NodeId,
+    now: u64,
+    outbox: &'a mut Vec<(NodeId, Message)>,
+    store: &'a Store,
+    stats: &'a mut NodeStats,
+    requests: &'a mut RequestTable,
+}
+
+/// Borrows the fields of `$node` an [`OwnershipOut`] writes to, leaving the
+/// engines free to be borrowed next to it.
+macro_rules! ownership_out {
+    ($node:ident) => {
+        OwnershipOut {
+            id: $node.id,
+            now: $node.now,
+            outbox: &mut $node.outbox,
+            store: &$node.store,
+            stats: &mut $node.stats,
+            requests: &mut $node.requests,
+        }
+    };
+}
+
+impl OwnershipSink for OwnershipOut<'_> {
+    fn emit(&mut self, action: OwnershipAction) {
+        match action {
+            OwnershipAction::Send { to, msg } => self.outbox.push((to, Message::Ownership(msg))),
+            OwnershipAction::Completed {
+                req_id,
+                object,
+                o_ts,
+                kind: _,
+                new_replicas,
+                data,
+            } => {
+                self.stats.ownership_completed += 1;
+                if let Some(start) = self.requests.started_at.remove(&req_id) {
+                    self.requests
+                        .latency
+                        .record(self.now.saturating_sub(start).max(1));
+                }
+                self.requests.completed.insert(req_id);
+                self.requests.settle(req_id);
+                self.apply_acquisition(object, o_ts, new_replicas, data);
+            }
+            OwnershipAction::Failed {
+                req_id,
+                object: _,
+                reason,
+            } => {
+                self.requests.started_at.remove(&req_id);
+                self.requests.settle(req_id);
+                self.requests.failed.insert(req_id, reason);
+            }
+            OwnershipAction::RetryLater { req_id, .. } => {
+                // Dedup: a request can be NACKed retryably several times
+                // per interval (original send plus retransmissions), and
+                // duplicate entries would multiply the retry traffic.
+                if !self.requests.retry_queue.contains(&req_id) {
+                    self.requests.retry_queue.push(req_id);
+                }
+            }
+            OwnershipAction::DemoteSelf { object, level } => {
+                // The ownership we are driving away must stop being
+                // locally writable right now; the VAL installs the full
+                // placement later.
+                self.store.with_mut(object, |e| e.level = level);
+            }
+            OwnershipAction::ApplyReplicaChange {
+                object,
+                o_ts,
+                new_replicas,
+            } => self.apply_replica_change(object, o_ts, new_replicas),
+        }
+    }
+}
+
+impl OwnershipOut<'_> {
+    /// Installs the outcome of a completed acquisition in the local store.
+    ///
+    /// Shipped data installs by ts-compare only (regression refusal): a copy
+    /// that is not strictly newer than what this node already stores never
+    /// overwrites it, so a stale arbiter's ship cannot roll the object back.
+    /// The winning ownership timestamp is recorded as the owner's tenure —
+    /// subsequent local writes stamp it into their [`DataTs`].
+    fn apply_acquisition(
+        &mut self,
+        object: ObjectId,
+        o_ts: zeus_proto::OwnershipTs,
+        new_replicas: ReplicaSet,
+        data: Option<(DataTs, Bytes)>,
+    ) {
+        let level = new_replicas.level_of(self.id);
+        if !level.is_replica() {
+            // This node is not in the decided placement — it drove its own
+            // removal (a policy shrink, `RemoveReader { reader: self }`).
+            // Drop the local replica exactly as a witnessed removal would;
+            // keeping the entry at its old level would leave a ghost reader
+            // the commit protocol no longer invalidates.
+            self.store.remove(object);
+            return;
+        }
+        let updated = self
+            .store
+            .with_mut(object, |e| {
+                e.level = level;
+                e.replicas = new_replicas.clone();
+                e.o_ts = o_ts;
+                if let Some((ts, bytes)) = &data {
+                    if *ts > e.ts {
+                        e.ts = *ts;
+                        e.data = bytes.clone();
+                        e.t_state = TState::Valid;
+                    }
+                }
+            })
+            .is_some();
+        if !updated {
+            let (ts, bytes) = data.unwrap_or((DataTs::ZERO, Bytes::new()));
+            let mut entry = ObjectEntry::new(bytes, level, new_replicas);
+            entry.ts = ts;
+            entry.o_ts = o_ts;
+            self.store.insert(object, entry);
+        }
+    }
+
+    /// Applies an ownership change this node witnessed as an arbiter or old
+    /// owner (demotion to reader, reader removal, etc.).
+    fn apply_replica_change(
+        &mut self,
+        object: ObjectId,
+        o_ts: zeus_proto::OwnershipTs,
+        new_replicas: ReplicaSet,
+    ) {
+        let level = new_replicas.level_of(self.id);
+        if level == AccessLevel::NonReplica {
+            self.store.remove(object);
+        } else {
+            self.store.with_mut(object, |e| {
+                e.level = level;
+                e.replicas = new_replicas.clone();
+                e.o_ts = o_ts;
+            });
+        }
     }
 }
 
@@ -65,7 +307,6 @@ pub struct ZeusNode {
     /// Shared with the sessions of the threaded runtimes, whose read-only
     /// transactions read it from their own threads; only this node mutates.
     store: Arc<Store>,
-    locks: LockManager,
     ownership: OwnershipEngine,
     commit: CommitEngine,
     membership: MembershipEngine,
@@ -78,25 +319,17 @@ pub struct ZeusNode {
     /// directory peers (anti-entropy, heartbeat cadence).
     last_dir_push: u64,
     outbox: Vec<(NodeId, Message)>,
-    completed_reqs: HashSet<RequestId>,
-    failed_reqs: HashMap<RequestId, NackReason>,
-    retry_queue: Vec<RequestId>,
-    request_started_at: HashMap<RequestId, u64>,
-    /// In-flight acquisitions keyed by what they ask for, so batched
-    /// transactions needing the same object can share one protocol request
-    /// (only consulted when `coalesce_acquires` is on).
-    inflight_acquires: HashMap<(ObjectId, OwnershipRequestKind), RequestId>,
-    /// How many waiters reference each in-flight request. A request is only
-    /// really abandoned when its last waiter gives up — otherwise one parked
-    /// transaction's back-off would cancel a request its batch peers still
-    /// wait on.
-    acquire_refs: HashMap<RequestId, usize>,
+    requests: RequestTable,
+    /// The workspace of the last write transaction, cleared: the next one
+    /// reuses its buffers.
+    spare_workspace: TxWorkspace,
+    /// Scratch list of the followers of the commit being started.
+    followers: Vec<NodeId>,
     /// Whether `acquire` may return an already-in-flight request for the
     /// same `(object, kind)`. Enabled by the threaded runtime's batched
     /// command loop; the simulator leaves it off so chaos replay semantics
     /// are untouched.
     coalesce_acquires: bool,
-    ownership_latency: LatencyHistogram,
     stats: NodeStats,
     now: u64,
     last_retransmit: u64,
@@ -114,7 +347,7 @@ pub struct ZeusNode {
     locality: Option<LocalityEngine>,
     /// Policy-issued acquisitions still in flight, keyed by request; at most
     /// one per object, reaped by [`ZeusNode::tick`].
-    policy_reqs: HashMap<RequestId, ObjectId>,
+    policy_reqs: IdHashMap<RequestId, ObjectId>,
 }
 
 /// Cap on the congestion back-off multiplier of the retransmit interval.
@@ -152,21 +385,16 @@ impl ZeusNode {
         ZeusNode {
             id,
             store: Arc::new(Store::new(config.store_shards)),
-            locks: LockManager::new(),
             ownership: OwnershipEngine::new(id, directory, config.nodes),
             commit: CommitEngine::new(id, config.nodes),
             membership,
             view,
             last_dir_push: 0,
             outbox: Vec::new(),
-            completed_reqs: HashSet::new(),
-            failed_reqs: HashMap::new(),
-            retry_queue: Vec::new(),
-            request_started_at: HashMap::new(),
-            inflight_acquires: HashMap::new(),
-            acquire_refs: HashMap::new(),
+            requests: RequestTable::default(),
+            spare_workspace: TxWorkspace::new(),
+            followers: Vec::new(),
             coalesce_acquires: false,
-            ownership_latency: LatencyHistogram::default(),
             stats: NodeStats::default(),
             now: 0,
             last_retransmit: 0,
@@ -184,7 +412,7 @@ impl ZeusNode {
                     u64::from(id.0),
                 )),
             },
-            policy_reqs: HashMap::new(),
+            policy_reqs: IdHashMap::default(),
             config,
         }
     }
@@ -260,7 +488,7 @@ impl ZeusNode {
 
     /// Latency histogram of completed ownership requests (ticks).
     pub fn ownership_latency(&self) -> &LatencyHistogram {
-        &self.ownership_latency
+        &self.requests.latency
     }
 
     /// Number of reliable commits still in flight at this coordinator.
@@ -343,28 +571,36 @@ impl ZeusNode {
     /// Figures 10–11).
     pub fn acquire(&mut self, object: ObjectId, kind: OwnershipRequestKind) -> RequestId {
         if self.coalesce_acquires {
-            if let Some(&req) = self.inflight_acquires.get(&(object, kind)) {
+            if let Some(&req) = self.requests.inflight_acquires.get(&(object, kind)) {
                 if self.request_state(req) == RequestState::Pending {
                     // Another transaction of the current batch already asked
                     // for exactly this access: share its request instead of
                     // putting a second REQ on the wire.
-                    *self.acquire_refs.entry(req).or_insert(1) += 1;
+                    *self.requests.acquire_refs.entry(req).or_insert(1) += 1;
                     return req;
                 }
             }
         }
         self.stats.ownership_requests += 1;
+        // The engine's next request id, known up front so the bookkeeping is
+        // in place before the engine's output (which may already settle the
+        // request) is applied.
+        let req_id = self.ownership.next_request_id();
+        self.requests.started_at.insert(req_id, self.now);
+        self.requests.acquire_refs.insert(req_id, 1);
+        if self.coalesce_acquires {
+            self.requests
+                .inflight_acquires
+                .insert((object, kind), req_id);
+        }
         let host = HostView {
             store: &self.store,
             commit: &self.commit,
         };
-        let (req_id, actions) = self.ownership.request_access(object, kind, &host);
-        self.request_started_at.insert(req_id, self.now);
-        self.acquire_refs.insert(req_id, 1);
-        if self.coalesce_acquires {
-            self.inflight_acquires.insert((object, kind), req_id);
-        }
-        self.process_ownership_actions(actions);
+        let issued =
+            self.ownership
+                .request_access_into(object, kind, &host, &mut ownership_out!(self));
+        debug_assert_eq!(issued, req_id);
         req_id
     }
 
@@ -373,7 +609,7 @@ impl ZeusNode {
     pub fn set_coalesce_acquires(&mut self, on: bool) {
         self.coalesce_acquires = on;
         if !on {
-            self.inflight_acquires.clear();
+            self.requests.inflight_acquires.clear();
         }
     }
 
@@ -394,24 +630,23 @@ impl ZeusNode {
     /// retransmit forever, pinning the node in a non-quiescent state long
     /// after its transaction moved on.
     pub fn abandon_request(&mut self, req: RequestId) {
-        if let Some(refs) = self.acquire_refs.get_mut(&req) {
+        if let Some(refs) = self.requests.acquire_refs.get_mut(&req) {
             if *refs > 1 {
                 *refs -= 1;
                 return;
             }
-            self.acquire_refs.remove(&req);
         }
-        self.inflight_acquires.retain(|_, &mut r| r != req);
+        self.requests.settle(req);
         self.ownership.abandon_request(req);
-        self.retry_queue.retain(|&r| r != req);
-        self.request_started_at.remove(&req);
+        self.requests.retry_queue.retain(|&r| r != req);
+        self.requests.started_at.remove(&req);
     }
 
     /// State of a previously issued ownership request.
     pub fn request_state(&self, req: RequestId) -> RequestState {
-        if self.completed_reqs.contains(&req) {
+        if self.requests.completed.contains(&req) {
             RequestState::Completed
-        } else if let Some(reason) = self.failed_reqs.get(&req) {
+        } else if let Some(reason) = self.requests.failed.get(&req) {
             RequestState::Failed(*reason)
         } else {
             RequestState::Pending
@@ -442,13 +677,29 @@ impl ZeusNode {
                 error: TxError::Fenced,
             };
         }
-        let (result, ws, missing) = {
-            let mut ctx = TxCtx::write_tx(&self.store);
+        let workspace = std::mem::take(&mut self.spare_workspace);
+        let (result, mut ws, missing) = {
+            let mut ctx = TxCtx::write_tx(&self.store, workspace);
             let result = f(&mut ctx);
             let (ws, missing) = ctx.into_parts();
             (result, ws, missing)
         };
+        let outcome = self.finish_write(thread, result, &ws, missing);
+        ws.clear();
+        self.spare_workspace = ws;
+        outcome
+    }
 
+    /// The part of [`ZeusNode::execute_write`] after the closure ran:
+    /// acquire what is missing, or commit locally and start the reliable
+    /// commit.
+    fn finish_write<R>(
+        &mut self,
+        thread: u16,
+        result: Result<R, TxError>,
+        ws: &TxWorkspace,
+        missing: Vec<(ObjectId, OwnershipRequestKind)>,
+    ) -> WriteOutcome<R> {
         if !missing.is_empty() {
             self.stats.txs_needing_ownership += 1;
             for (object, kind) in &missing {
@@ -473,52 +724,53 @@ impl ZeusNode {
             }
         };
 
-        // Local commit (§3.2 step 2): per-thread local ownership via locks,
-        // then opacity validation of the read set.
-        let write_ids = ws.written_ids();
-        if !self.locks.try_acquire_all(thread, &write_ids) {
-            self.stats.txs_aborted += 1;
-            return WriteOutcome::Aborted {
-                error: TxError::LockConflict,
-            };
-        }
-        let reads_valid = ws.validate_reads(|id| self.store.with(id, |e| e.ts));
-        if !reads_valid {
-            self.locks.release_all(thread, &write_ids);
+        // Local commit (§3.2 step 2): opacity validation of what the
+        // transaction read. This thread is the store's only writer and
+        // nothing ran between the closure and here, so there is no other
+        // transaction to lock the write set against.
+        if !ws.validate_unwritten_reads(|object| self.store.with(object, |e| e.ts)) {
             self.stats.txs_aborted += 1;
             return WriteOutcome::Aborted {
                 error: TxError::ValidationFailed,
             };
         }
 
-        // Apply the private copies to the store and gather followers.
-        let mut updates = Vec::with_capacity(write_ids.len());
-        let mut followers: Vec<NodeId> = Vec::new();
+        // One visit per written object validates it (still at the timestamp
+        // it was opened at), applies the private copy and gathers followers.
+        let mut updates = Vec::with_capacity(ws.write_count());
+        self.followers.clear();
         for (object, data) in ws.write_set() {
-            let (ts, readers) = self
+            let opened_at = ws.read_ts(object);
+            let ts = self
                 .store
                 .with_mut(object, |e| {
-                    e.apply_local_write(data.clone());
-                    (e.ts, e.replicas.readers.clone())
+                    (Some(e.ts) == opened_at).then(|| {
+                        e.apply_local_write(data.clone());
+                        for &r in &e.replicas.readers {
+                            if r != self.id && !self.followers.contains(&r) {
+                                self.followers.push(r);
+                            }
+                        }
+                        e.ts
+                    })
                 })
-                .expect("written object exists at owner");
+                .flatten()
+                .expect("an object opened for writing is unchanged at commit: only this thread writes the store");
             updates.push(ObjectUpdate::new(object, ts, data.clone()));
-            for r in readers {
-                if r != self.id && !followers.contains(&r) {
-                    followers.push(r);
-                }
-            }
         }
-        self.locks.release_all(thread, &write_ids);
         if self.locality.is_some() {
-            for object in &write_ids {
-                self.record_access(*object, AccessKind::Write, true);
+            for (object, _) in ws.write_set() {
+                self.record_access(object, AccessKind::Write, true);
             }
         }
 
         // Reliable commit (§3.2 step 3), pipelined.
-        let (tx_id, actions) = self.commit.begin_commit(thread, updates, followers);
-        self.process_commit_actions(actions);
+        let tx_id = self.commit.begin_commit_into(
+            thread,
+            updates,
+            &self.followers,
+            &mut CommitOut::new(&mut self.outbox, &self.store),
+        );
         self.stats.write_txs_committed += 1;
         WriteOutcome::Committed { tx_id, value }
     }
@@ -601,15 +853,17 @@ impl ZeusNode {
                     store: &self.store,
                     commit: &self.commit,
                 };
-                let actions = self.ownership.handle_message(from, m, &host);
+                self.ownership
+                    .handle_message_into(from, m, &host, &mut ownership_out!(self));
                 if let Some((object, level)) = demote {
                     self.store.with_mut(object, |e| e.level = level);
                 }
-                self.process_ownership_actions(actions);
             }
             Message::Commit(m) => {
-                let actions = self.commit.handle_message(from, m);
-                self.process_commit_actions(actions);
+                let mut out = CommitOut::new(&mut self.outbox, &self.store);
+                self.commit.handle_message_into(from, m, &mut out);
+                let recovered_at = out.recovered_at;
+                self.after_commit_recovery(recovered_at);
             }
             Message::Membership(m) => {
                 if let MembershipMsg::Heartbeat { from: alive, .. } = &m {
@@ -646,8 +900,8 @@ impl ZeusNode {
                 // replicas agreeing on the membership epoch: entries blessed
                 // under another view may name replicas that view pruned.
                 if epoch == self.membership.epoch() && self.config.directory().contains(&self.id) {
-                    let actions = self.ownership.adopt_directory(&entries);
-                    self.process_ownership_actions(actions);
+                    self.ownership
+                        .adopt_directory_into(&entries, &mut ownership_out!(self));
                 }
             }
             other => {
@@ -684,6 +938,8 @@ impl ZeusNode {
     /// expiry, ownership retries).
     pub fn tick(&mut self, now: u64) {
         self.now = now.max(self.now);
+        self.commit.advance_clock(self.now);
+        self.ownership.advance_clock(self.now);
         let events = self.membership.tick(self.now);
         self.process_membership_events(events);
         let mut view_events = Vec::new();
@@ -716,11 +972,16 @@ impl ZeusNode {
             }
         }
         // Reliable-transport retransmission (§3.1) and retry back-off
-        // (§6.2): periodically re-send unacknowledged R-INVs and pending
-        // REQs, and re-issue retryably-NACKed requests. The interval is what
-        // makes the protocols live across epoch transitions (messages
-        // carrying a not-yet-installed epoch are dropped by receivers) while
-        // keeping retry traffic bounded.
+        // (§6.2). The interval is what makes the protocols live across epoch
+        // transitions (messages carrying a not-yet-installed epoch are
+        // dropped by receivers) while keeping retry traffic bounded. Every
+        // R-INV, cleared-slot R-VAL and REQ has its own timer — the engines
+        // re-send one only when *it* has gone a full interval without an
+        // answer — so the scans below run on every tick and, with nothing
+        // overdue, cost next to nothing. Work without a message of its own
+        // to time (re-issuing retryably-NACKed requests, counting the rounds
+        // a stalled arbitration has sat idle, growing the congestion
+        // stretch) happens once per interval.
         if !self.congested {
             self.congestion_stretch = 1;
         }
@@ -728,38 +989,33 @@ impl ZeusNode {
             .retransmit_override
             .unwrap_or(self.config.retransmit_ticks)
             .saturating_mul(self.congestion_stretch);
-        if self.now.saturating_sub(self.last_retransmit) >= interval {
+        let interval_elapsed = self.now.saturating_sub(self.last_retransmit) >= interval;
+        if interval_elapsed {
             self.last_retransmit = self.now;
             if self.congested {
                 self.congestion_stretch =
                     (self.congestion_stretch * 2).min(CONGESTED_RETRANSMIT_STRETCH_MAX);
             }
-            let retried = !self.retry_queue.is_empty();
-            if retried {
-                let retries = std::mem::take(&mut self.retry_queue);
-                for req in retries {
-                    let actions = self.ownership.retry_request(req);
-                    self.process_ownership_actions(actions);
-                }
+            // A re-issued REQ restarts its own timer, so the scan below
+            // does not send it a second time.
+            for req in std::mem::take(&mut self.requests.retry_queue) {
+                self.ownership
+                    .retry_request_into(req, &mut ownership_out!(self));
             }
-            let actions = self.commit.retransmit();
-            self.process_commit_actions(actions);
-            // Skip the REQ retransmission on intervals where the retry queue
-            // just re-issued REQs — sending both would double the ownership
-            // traffic for the same requests. Requests not in the retry queue
-            // simply go out on the next interval.
-            if !retried && self.ownership.pending_requests() > 0 {
-                let actions = self.ownership.retransmit();
-                self.process_ownership_actions(actions);
-            }
-            if self.ownership.inflight_arbitrations() > 0 {
-                let host = HostView {
-                    store: &self.store,
-                    commit: &self.commit,
-                };
-                let actions = self.ownership.replay_stalled(&host);
-                self.process_ownership_actions(actions);
-            }
+        }
+        self.commit
+            .retransmit_into(interval, &mut CommitOut::new(&mut self.outbox, &self.store));
+        if self.ownership.pending_requests() > 0 {
+            self.ownership
+                .retransmit_into(interval, &mut ownership_out!(self));
+        }
+        if interval_elapsed && self.ownership.inflight_arbitrations() > 0 {
+            let host = HostView {
+                store: &self.store,
+                commit: &self.commit,
+            };
+            self.ownership
+                .replay_stalled_into(&host, &mut ownership_out!(self));
         }
         self.tick_policy();
     }
@@ -792,14 +1048,14 @@ impl ZeusNode {
                 .policy_reqs
                 .iter()
                 .filter(|(req, _)| {
-                    self.completed_reqs.contains(req) || self.failed_reqs.contains_key(req)
+                    self.requests.completed.contains(req) || self.requests.failed.contains_key(req)
                 })
                 .map(|(&req, &object)| (req, object))
                 .collect();
             for (req, object) in settled {
                 self.policy_reqs.remove(&req);
-                let completed = self.completed_reqs.remove(&req);
-                self.failed_reqs.remove(&req);
+                let completed = self.requests.completed.remove(&req);
+                self.requests.failed.remove(&req);
                 if completed {
                     let level = self.level_of(object);
                     if let Some(engine) = self.locality.as_mut() {
@@ -894,11 +1150,20 @@ impl ZeusNode {
         std::mem::take(&mut self.outbox)
     }
 
+    /// Hands every message this node wants to send to `send`, in order. The
+    /// outbox keeps its buffer, which [`ZeusNode::drain_outbox`] gives away:
+    /// this is the form for a loop that flushes every iteration.
+    pub fn drain_outbox_with(&mut self, mut send: impl FnMut(NodeId, Message)) {
+        for (to, msg) in self.outbox.drain(..) {
+            send(to, msg);
+        }
+    }
+
     /// Whether the node has protocol work in flight (used by the simulator's
     /// quiescence detection).
     pub fn is_quiescent(&self) -> bool {
         self.outbox.is_empty()
-            && self.retry_queue.is_empty()
+            && self.requests.retry_queue.is_empty()
             && self.commit.outstanding_commits() == 0
             && self.ownership.pending_requests() == 0
             && !self.view.has_pending_work()
@@ -916,174 +1181,15 @@ impl ZeusNode {
         }
     }
 
-    fn process_ownership_actions(&mut self, actions: Vec<OwnershipAction>) {
-        for action in actions {
-            match action {
-                OwnershipAction::Send { to, msg } => self.send(to, msg),
-                OwnershipAction::Completed {
-                    req_id,
-                    object,
-                    o_ts,
-                    kind,
-                    new_replicas,
-                    data,
-                } => {
-                    self.stats.ownership_completed += 1;
-                    if let Some(start) = self.request_started_at.remove(&req_id) {
-                        self.ownership_latency
-                            .record(self.now.saturating_sub(start).max(1));
-                    }
-                    self.completed_reqs.insert(req_id);
-                    self.acquire_refs.remove(&req_id);
-                    self.inflight_acquires.retain(|_, &mut r| r != req_id);
-                    self.apply_acquisition(object, kind, o_ts, new_replicas, data);
-                }
-                OwnershipAction::Failed {
-                    req_id,
-                    object: _,
-                    reason,
-                } => {
-                    self.request_started_at.remove(&req_id);
-                    self.acquire_refs.remove(&req_id);
-                    self.inflight_acquires.retain(|_, &mut r| r != req_id);
-                    self.failed_reqs.insert(req_id, reason);
-                }
-                OwnershipAction::RetryLater { req_id, .. } => {
-                    // Dedup: a request can be NACKed retryably several times
-                    // per interval (original send plus retransmissions), and
-                    // duplicate entries would multiply the retry traffic.
-                    if !self.retry_queue.contains(&req_id) {
-                        self.retry_queue.push(req_id);
-                    }
-                }
-                OwnershipAction::DemoteSelf { object, level } => {
-                    // The ownership we are driving away must stop being
-                    // locally writable right now; the VAL installs the full
-                    // placement later.
-                    self.store.with_mut(object, |e| e.level = level);
-                }
-                OwnershipAction::ApplyReplicaChange {
-                    object,
-                    o_ts,
-                    new_replicas,
-                } => {
-                    self.apply_replica_change(object, o_ts, new_replicas);
-                }
-            }
-        }
-    }
-
-    /// Installs the outcome of a completed acquisition in the local store.
-    ///
-    /// Shipped data installs by ts-compare only (regression refusal): a copy
-    /// that is not strictly newer than what this node already stores never
-    /// overwrites it, so a stale arbiter's ship cannot roll the object back.
-    /// The winning ownership timestamp is recorded as the owner's tenure —
-    /// subsequent local writes stamp it into their [`DataTs`].
-    fn apply_acquisition(
-        &mut self,
-        object: ObjectId,
-        kind: OwnershipRequestKind,
-        o_ts: zeus_proto::OwnershipTs,
-        new_replicas: ReplicaSet,
-        data: Option<(DataTs, Bytes)>,
-    ) {
-        let level = new_replicas.level_of(self.id);
-        if !level.is_replica() {
-            // This node is not in the decided placement — it drove its own
-            // removal (a policy shrink, `RemoveReader { reader: self }`).
-            // Drop the local replica exactly as a witnessed removal would;
-            // keeping the entry at its old level would leave a ghost reader
-            // the commit protocol no longer invalidates.
-            self.store.remove(object);
-            return;
-        }
-        let updated = self
-            .store
-            .with_mut(object, |e| {
-                e.level = level;
-                e.replicas = new_replicas.clone();
-                e.o_ts = o_ts;
-                if let Some((ts, bytes)) = &data {
-                    if *ts > e.ts {
-                        e.ts = *ts;
-                        e.data = bytes.clone();
-                        e.t_state = TState::Valid;
-                    }
-                }
-            })
-            .is_some();
-        if !updated {
-            let (ts, bytes) = data.unwrap_or((DataTs::ZERO, Bytes::new()));
-            let mut entry = ObjectEntry::new(bytes, level, new_replicas);
-            entry.ts = ts;
-            entry.o_ts = o_ts;
-            self.store.insert(object, entry);
-        }
-        let _ = kind;
-    }
-
-    /// Applies an ownership change this node witnessed as an arbiter or old
-    /// owner (demotion to reader, reader removal, etc.).
-    fn apply_replica_change(
-        &mut self,
-        object: ObjectId,
-        o_ts: zeus_proto::OwnershipTs,
-        new_replicas: ReplicaSet,
-    ) {
-        let level = new_replicas.level_of(self.id);
-        if level == AccessLevel::NonReplica {
-            self.store.remove(object);
-        } else {
-            self.store.with_mut(object, |e| {
-                e.level = level;
-                e.replicas = new_replicas.clone();
-                e.o_ts = o_ts;
-            });
-        }
-    }
-
-    fn process_commit_actions(&mut self, actions: Vec<CommitAction>) {
-        for action in actions {
-            match action {
-                CommitAction::Send { to, msg } => self.send(to, msg),
-                CommitAction::ReliablyCommitted { tx_id: _, objects } => {
-                    for (object, ts) in objects {
-                        self.store.with_mut(object, |e| e.validate_at(ts));
-                    }
-                }
-                CommitAction::ApplyUpdates { tx_id: _, updates } => {
-                    for update in updates {
-                        self.store.with_mut_or_insert(
-                            update.object,
-                            || {
-                                ObjectEntry::new(
-                                    Bytes::new(),
-                                    AccessLevel::Reader,
-                                    ReplicaSet::default(),
-                                )
-                            },
-                            |e| {
-                                e.apply_follower_update(update.ts, update.data.clone());
-                            },
-                        );
-                    }
-                }
-                CommitAction::ValidateUpdates { tx_id: _, objects } => {
-                    for (object, ts) in objects {
-                        self.store.with_mut(object, |e| {
-                            if e.ts == ts && e.t_state == TState::Invalid {
-                                e.t_state = TState::Valid;
-                            }
-                        });
-                    }
-                }
-                CommitAction::RecoveryFinished { epoch: _ } => {
-                    let events = self.membership.local_recovery_done();
-                    self.process_membership_events(events);
-                }
-            }
-        }
+    /// Does what the commit engine's "recovery finished" report sets off —
+    /// telling the membership service — if a call into the engine made one
+    /// (see [`CommitOut::recovered_at`]).
+    fn after_commit_recovery(&mut self, recovered_at: Option<usize>) {
+        let Some(at) = recovered_at else { return };
+        let later = self.outbox.split_off(at);
+        let events = self.membership.local_recovery_done();
+        self.process_membership_events(events);
+        self.outbox.extend(later);
     }
 
     fn process_membership_events(&mut self, events: Vec<MembershipEvent>) {
@@ -1138,17 +1244,22 @@ impl ZeusNode {
                         store: &self.store,
                         commit: &self.commit,
                     };
-                    let actions = self.ownership.on_view_change(
+                    self.ownership.on_view_change_into(
                         view.epoch,
                         view.live.clone(),
                         &rejoined,
                         &host,
+                        &mut ownership_out!(self),
                     );
-                    self.process_ownership_actions(actions);
-                    let actions =
-                        self.commit
-                            .on_view_change(view.epoch, view.live.clone(), &rejoined);
-                    self.process_commit_actions(actions);
+                    let mut out = CommitOut::new(&mut self.outbox, &self.store);
+                    self.commit.on_view_change_into(
+                        view.epoch,
+                        view.live.clone(),
+                        &rejoined,
+                        &mut out,
+                    );
+                    let recovered_at = out.recovered_at;
+                    self.after_commit_recovery(recovered_at);
                     // Directory replicas may have diverged arbitrarily while
                     // the membership was in flux (partitions precede most
                     // view changes): schedule one full anti-entropy push so
@@ -1203,11 +1314,11 @@ impl ZeusNode {
         self.stats.rejoin_resets += 1;
         self.store.clear();
         self.commit.reset_for_rejoin();
-        self.retry_queue.clear();
-        self.inflight_acquires.clear();
-        self.acquire_refs.clear();
-        let actions = self.ownership.reset_for_rejoin();
-        self.process_ownership_actions(actions);
+        self.requests.retry_queue.clear();
+        self.requests.inflight_acquires.clear();
+        self.requests.acquire_refs.clear();
+        self.ownership
+            .reset_for_rejoin_into(&mut ownership_out!(self));
     }
 }
 
@@ -1462,5 +1573,65 @@ mod tests {
             .filter(|(_, m)| m.kind() == "r-inv")
             .count();
         assert_eq!(rinvs, 5);
+    }
+
+    /// Kinds of the queued messages, heartbeats aside.
+    fn drained_kinds(node: &mut ZeusNode) -> Vec<&'static str> {
+        node.drain_outbox()
+            .iter()
+            .map(|(_, m)| m.kind())
+            .filter(|kind| *kind != "hb")
+            .collect()
+    }
+
+    #[test]
+    fn a_message_is_re_sent_once_it_has_waited_an_interval_not_when_a_timer_fires() {
+        // Finding 1 of benchmark/README.md: one node-wide timer used to
+        // re-send everything unacknowledged whenever it fired, whatever the
+        // age of the message.
+        let config = ZeusConfig::with_nodes(3);
+        assert_eq!(config.retransmit_ticks, 64);
+        let mut node = ZeusNode::new(NodeId(0), config.clone());
+        for object in [ObjectId(1), ObjectId(2)] {
+            node.create_object(object, Bytes::new(), config.default_replicas(NodeId(0)));
+        }
+        // A third object lives on node 1 and is not replicated here.
+        node.create_object(
+            ObjectId(3),
+            Bytes::new(),
+            ReplicaSet::new(NodeId(1), [NodeId(2)]),
+        );
+        node.tick(100);
+        assert!(node
+            .execute_write(0, |tx| tx.write(ObjectId(1), Bytes::from_static(b"a")))
+            .is_committed());
+        assert_eq!(drained_kinds(&mut node), ["r-inv", "r-inv"]);
+
+        node.tick(150);
+        assert!(node
+            .execute_write(0, |tx| tx.write(ObjectId(2), Bytes::from_static(b"b")))
+            .is_committed());
+        let request = node.acquire(ObjectId(3), OwnershipRequestKind::AcquireOwner);
+        assert_eq!(drained_kinds(&mut node), ["r-inv", "r-inv", "o-req"]);
+
+        node.tick(163);
+        assert!(drained_kinds(&mut node).is_empty(), "the oldest is 63 old");
+        // The first commit's two R-INVs are due; the commit and the request
+        // of tick 150 are 14 ticks old and stay put.
+        node.tick(164);
+        assert_eq!(drained_kinds(&mut node), ["r-inv", "r-inv"]);
+        assert_eq!(node.commit_stats().rinvs_retransmitted, 2);
+        assert_eq!(node.ownership_stats().requests_retransmitted, 0);
+        node.tick(213);
+        assert!(drained_kinds(&mut node).is_empty());
+        node.tick(214);
+        assert_eq!(drained_kinds(&mut node), ["o-req"], "the request's turn");
+        assert_eq!(node.request_state(request), RequestState::Pending);
+        // The second commit sits behind the re-sent first one in its ring
+        // and goes out with it when that is due again (see
+        // `CommitEngine::retransmit`).
+        node.tick(228);
+        assert_eq!(drained_kinds(&mut node), ["r-inv"; 4]);
+        assert_eq!(node.commit_stats().rinvs_retransmitted, 6);
     }
 }

@@ -29,7 +29,8 @@ use zeus_proto::{NodeId, ObjectId, OwnershipRequestKind, ReplicaSet, RequestId};
 use zeus_store::Store;
 
 use crate::client::{
-    AdminError, ClusterDriver, RetryPolicy, Session, TicketReply, TxPayload, TxTicket,
+    reply_cell, AdminError, ClusterDriver, ReplySender, RetryPolicy, Session, TicketReply,
+    TxPayload, TxTicket,
 };
 use crate::config::ZeusConfig;
 use crate::message::Message;
@@ -96,11 +97,12 @@ impl Drop for InflightGuard {
     }
 }
 
-/// The reply channel of a submitted transaction plus its drain-barrier
-/// guard; sending the result (or dropping the slot) releases the guard.
+/// The sending half of a submitted transaction's reply cell plus its
+/// drain-barrier guard; sending the result (or dropping the slot) releases
+/// the guard.
 #[derive(Debug)]
 pub(crate) struct ReplySlot {
-    tx: Sender<TicketReply>,
+    tx: ReplySender,
     _guard: InflightGuard,
 }
 
@@ -109,7 +111,7 @@ impl ReplySlot {
         // Stamp the resolve instant on the node thread, so pipelined
         // tickets expose true per-op latency (resolve minus submit) rather
         // than whenever the client got around to polling.
-        let _ = self.tx.send(TicketReply {
+        self.tx.send(TicketReply {
             result,
             resolved_at: Instant::now(),
         });
@@ -378,7 +380,7 @@ impl ThreadedSession {
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
         self.inflight.increment();
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = reply_cell();
         let slot = ReplySlot {
             tx: reply,
             _guard: InflightGuard(Arc::clone(&self.inflight)),
@@ -691,9 +693,10 @@ const IDLE_WAIT: Duration = Duration::from_micros(20);
 /// resolve at commit *initiation* (the pipelined commit of §5), not at
 /// replication completion, so nothing in the client path bounds how many
 /// commits can be outstanding at once: an open-loop generator past the knee
-/// grows the outstanding set without limit, and every periodic
-/// `commit.retransmit()` scan then walks that whole set — the loop slows
-/// down further the further behind it is. Steady state at the measured knee
+/// grows the outstanding set — every entry holding its updates for
+/// retransmission — without limit, and once its front is a retransmission
+/// interval old the node re-sends into the very backlog that made it late.
+/// Steady state at the measured knee
 /// keeps outstanding in the low tens, so a four-figure mark never throttles
 /// healthy pipelining; past it the loop stops draining new commands (they
 /// queue in the channel as client-visible delay) until R-ACKs drain the
@@ -744,6 +747,7 @@ fn node_loop<T: Transport<Message>>(
     let mut scratch_buf: Vec<Command> = Vec::new();
     let mut hold_buf: Vec<Command> = Vec::new();
     let mut read_notes: Vec<ObjectId> = Vec::new();
+    let mut send_buf: Vec<(NodeId, Message, usize)> = Vec::new();
     // Decaying high-water mark of recent batch occupancy, driving the
     // adaptive drain cap (see DRAIN_CAP_MIN/MAX).
     let mut drain_hwm: usize = 0;
@@ -796,9 +800,9 @@ fn node_loop<T: Transport<Message>>(
         //    Admission is gated on the replication pipeline's depth: a
         //    ticket resolves when its commit *starts* (pipelining, §5), so
         //    an open-loop client can push commands faster than R-ACKs
-        //    return forever. Unchecked, the outstanding-commit set grows
-        //    without bound and every retransmit scan grows with it — the
-        //    node digs itself a hole at exactly the moment it is behind.
+        //    return forever. Unchecked, the outstanding-commit set (and
+        //    the memory and retransmissions behind it) grows without bound
+        //    at exactly the moment the node is behind.
         //    Past the high-water mark, new commands wait in the channel
         //    (clients see it as queueing delay) until replication catches
         //    up; protocol traffic keeps draining meanwhile.
@@ -902,7 +906,11 @@ fn node_loop<T: Transport<Message>>(
                                 }
                                 node.tick(reads.now());
                                 reads.publish_lease(node.read_lease_deadline());
-                                flush_outbox(&mut node, &transport, batched);
+                                flush_outbox(
+                                    &mut node,
+                                    &transport,
+                                    batched.then_some(&mut send_buf),
+                                );
                             }
                             ReadOutcome::Aborted { error } => {
                                 result = Err(error);
@@ -1069,7 +1077,7 @@ fn node_loop<T: Transport<Message>>(
         //    signals: the RTO estimate becomes the protocol retry
         //    interval, and a backlogged link counts as congestion exactly
         //    like a backlogged inbox.
-        flush_outbox(&mut node, &transport, batched);
+        flush_outbox(&mut node, &transport, batched.then_some(&mut send_buf));
         let now = reads.now();
         transport.maintain(now);
         if let Some(rto) = transport.rto_micros() {
@@ -1107,27 +1115,28 @@ fn node_loop<T: Transport<Message>>(
 }
 
 /// Ships everything in the node's outbox: one batched, destination-grouped
-/// flush when cross-session batching is on, per-message sends otherwise
-/// (the `--no-batch` control path).
-fn flush_outbox<T: Transport<Message>>(node: &mut ZeusNode, transport: &T, batched: bool) {
-    let out = node.drain_outbox();
-    if out.is_empty() {
-        return;
-    }
-    if batched {
-        transport.send_batch(
-            out.into_iter()
-                .map(|(to, msg)| {
-                    let bytes = msg.payload_bytes();
-                    (to, msg, bytes)
-                })
-                .collect(),
-        );
-    } else {
-        for (to, msg) in out {
+/// flush when cross-session batching is on (through `batch`, the loop's
+/// reused buffer), per-message sends otherwise (the `--no-batch` control
+/// path).
+fn flush_outbox<T: Transport<Message>>(
+    node: &mut ZeusNode,
+    transport: &T,
+    batch: Option<&mut Vec<(NodeId, Message, usize)>>,
+) {
+    match batch {
+        Some(batch) => {
+            node.drain_outbox_with(|to, msg| {
+                let bytes = msg.payload_bytes();
+                batch.push((to, msg, bytes));
+            });
+            if !batch.is_empty() {
+                transport.send_batch(batch);
+            }
+        }
+        None => node.drain_outbox_with(|to, msg| {
             let bytes = msg.payload_bytes();
             transport.send(to, msg, bytes);
-        }
+        }),
     }
 }
 
@@ -1780,8 +1789,9 @@ mod tests {
                         })?;
                         Ok(())
                     });
-                    if r.is_ok() {
-                        committed += 1;
+                    match r {
+                        Ok(()) => committed += 1,
+                        Err(error) => eprintln!("client {c}, object {i}: {error:?}"),
                     }
                 }
                 committed

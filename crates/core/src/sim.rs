@@ -468,15 +468,14 @@ impl SimInner {
     fn ship_outboxes(&mut self) {
         for i in 0..self.nodes.len() {
             let id = NodeId(i as u16);
-            if self.crashed.contains(&id) {
-                self.nodes[i].drain_outbox();
-                continue;
-            }
-            for (to, msg) in self.nodes[i].drain_outbox() {
-                let bytes = msg.payload_bytes();
-                self.net
-                    .send(Envelope::with_payload_bytes(id, to, msg, bytes));
-            }
+            let crashed = self.crashed.contains(&id);
+            let net = &mut self.net;
+            self.nodes[i].drain_outbox_with(|to, msg| {
+                if !crashed {
+                    let bytes = msg.payload_bytes();
+                    net.send(Envelope::with_payload_bytes(id, to, msg, bytes));
+                }
+            });
         }
     }
 
@@ -1281,5 +1280,59 @@ mod tests {
             );
         }
         c.check_invariants().unwrap();
+    }
+
+    /// Finding 3 of `benchmark/README.md`: settling N unsettled local writes
+    /// used to walk the whole outstanding set on every R-ACK and every
+    /// retransmission scan (16,000 took 13x as long as 4,000). The commit
+    /// engine counts the ring entries those two paths look at; four times
+    /// the commits may cost four times the looks, not sixteen.
+    #[test]
+    fn settling_unsettled_commits_costs_ring_work_linear_in_their_number() {
+        fn ring_entries_visited(unsettled: u64) -> u64 {
+            const OBJECTS: u64 = 1_000;
+            let c = SimCluster::with_network(ZeusConfig::with_nodes(5), NetConfig::reliable(10));
+            for object in 0..OBJECTS {
+                let owner = NodeId((object % 5) as u16);
+                c.create_object(ObjectId(object), Bytes::from_static(&[0u8; 16]), owner);
+            }
+            let sessions: Vec<SimSession> = (0..5).map(|n| c.handle(NodeId(n))).collect();
+            // Local writes commit without touching the network, so nothing
+            // settles until the quiesce below.
+            for i in 0..unsettled {
+                let object = ObjectId(i % OBJECTS);
+                sessions[(i % OBJECTS % 5) as usize]
+                    .write_txn(move |tx| {
+                        tx.update(object, |old| {
+                            let mut new = old.to_vec();
+                            new[0] = new[0].wrapping_add(1);
+                            new
+                        })
+                    })
+                    .expect("local write");
+            }
+            let outstanding: usize = (0..5)
+                .map(|n| c.node(NodeId(n)).outstanding_commits())
+                .sum();
+            assert_eq!(outstanding as u64, unsettled, "nothing settled yet");
+            c.quiesce();
+            (0..5)
+                .map(|n| {
+                    let node = c.node(NodeId(n));
+                    assert_eq!(node.outstanding_commits(), 0);
+                    assert_eq!(node.commit_stats().rinvs_retransmitted, 0);
+                    node.commit_stats().ring_entries_visited
+                })
+                .sum()
+        }
+
+        let small = ring_entries_visited(4_000);
+        let large = ring_entries_visited(16_000);
+        // Two followers acknowledge every commit.
+        assert!(small >= 2 * 4_000, "acks look at their own slot: {small}");
+        assert!(
+            large <= 4 * small + small / 4,
+            "4x the commits cost {large} ring visits, {small} before"
+        );
     }
 }

@@ -231,12 +231,14 @@ pub struct TxCtx<'a> {
 }
 
 impl<'a> TxCtx<'a> {
-    /// Creates a context for a write transaction.
-    pub(crate) fn write_tx(store: &'a Store) -> Self {
+    /// Creates a context for a write transaction that records its sets in
+    /// `ws` (empty; the node hands in the one it recycles).
+    pub(crate) fn write_tx(store: &'a Store, ws: TxWorkspace) -> Self {
+        debug_assert!(ws.read_count() == 0 && ws.write_count() == 0);
         TxCtx {
             store,
             read_only: false,
-            ws: TxWorkspace::new(),
+            ws,
             missing: Vec::new(),
         }
     }
@@ -289,6 +291,11 @@ impl<'a> TxCtx<'a> {
         if self.read_only {
             return Err(TxError::WriteInReadOnly);
         }
+        // Already opened for writing: write access was checked then.
+        if self.ws.written(object).is_some() {
+            self.ws.record_write(object, data.into());
+            return Ok(());
+        }
         match self
             .store
             .with(object, |e| e.level.can_write().then_some(e.ts))
@@ -298,12 +305,16 @@ impl<'a> TxCtx<'a> {
                 self.ws.record_write(object, data.into());
                 Ok(())
             }
-            _ => {
-                let kind = OwnershipRequestKind::AcquireOwner;
-                self.missing.push((object, kind));
-                Err(TxError::NeedsOwnership { object, kind })
-            }
+            _ => Err(self.needs_owner(object)),
         }
+    }
+
+    /// Notes that `object` must be acquired as owner before the transaction
+    /// can run, and returns the error saying so.
+    fn needs_owner(&mut self, object: ObjectId) -> TxError {
+        let kind = OwnershipRequestKind::AcquireOwner;
+        self.missing.push((object, kind));
+        TxError::NeedsOwnership { object, kind }
     }
 
     /// Reads `object`, applies `f` to its value and writes the result back —
@@ -313,16 +324,28 @@ impl<'a> TxCtx<'a> {
         object: ObjectId,
         f: impl FnOnce(&[u8]) -> Vec<u8>,
     ) -> Result<(), TxError> {
-        // A write will be needed: make sure we have (or request) write access
-        // before reading, so a single ownership round-trip suffices.
-        if !self.read_only && self.store.with(object, |e| e.level.can_write()) != Some(true) {
-            let kind = OwnershipRequestKind::AcquireOwner;
-            self.missing.push((object, kind));
-            return Err(TxError::NeedsOwnership { object, kind });
+        if self.read_only {
+            let current = self.read(object)?;
+            return self.write(object, f(&current));
         }
-        let current = self.read(object)?;
-        let new = f(&current);
-        self.write(object, new)
+        if let Some(private) = self.ws.written(object) {
+            let new = f(private);
+            self.ws.record_write(object, new);
+            return Ok(());
+        }
+        // One visit opens the object for writing: the access check (a write
+        // will be needed, so owner level is asked for up front and a single
+        // ownership round-trip suffices), the value and its timestamp.
+        match self.store.with(object, |e| {
+            e.level.can_write().then(|| (e.data.clone(), e.ts))
+        }) {
+            Some(Some((current, ts))) => {
+                self.ws.record_read(object, ts);
+                self.ws.record_write(object, f(&current));
+                Ok(())
+            }
+            _ => Err(self.needs_owner(object)),
+        }
     }
 
     /// Marks the transaction as aborted by the application.
@@ -376,7 +399,7 @@ mod tests {
     #[test]
     fn write_tx_reads_and_writes_owned_object() {
         let store = store_with(AccessLevel::Owner);
-        let mut ctx = TxCtx::write_tx(&store);
+        let mut ctx = TxCtx::write_tx(&store, TxWorkspace::new());
         assert_eq!(ctx.read(ObjectId(1)).unwrap(), Bytes::from_static(b"v1"));
         ctx.write(ObjectId(1), Bytes::from_static(b"v2")).unwrap();
         assert_eq!(ctx.read(ObjectId(1)).unwrap(), Bytes::from_static(b"v2"));
@@ -388,7 +411,7 @@ mod tests {
     #[test]
     fn write_to_reader_object_requests_ownership() {
         let store = store_with(AccessLevel::Reader);
-        let mut ctx = TxCtx::write_tx(&store);
+        let mut ctx = TxCtx::write_tx(&store, TxWorkspace::new());
         let err = ctx.write(ObjectId(1), Bytes::new()).unwrap_err();
         assert!(matches!(err, TxError::NeedsOwnership { .. }));
         let (_, missing) = ctx.into_parts();
@@ -399,7 +422,7 @@ mod tests {
     #[test]
     fn read_of_unknown_object_requests_reader_level() {
         let store = Store::new(4);
-        let mut ctx = TxCtx::write_tx(&store);
+        let mut ctx = TxCtx::write_tx(&store, TxWorkspace::new());
         assert!(ctx.read(ObjectId(9)).is_err());
         let (_, missing) = ctx.into_parts();
         assert_eq!(missing[0].1, OwnershipRequestKind::AcquireReader);
@@ -408,7 +431,7 @@ mod tests {
     #[test]
     fn missing_levels_deduplicate_to_strongest() {
         let store = Store::new(4);
-        let mut ctx = TxCtx::write_tx(&store);
+        let mut ctx = TxCtx::write_tx(&store, TxWorkspace::new());
         let _ = ctx.read(ObjectId(5));
         let _ = ctx.write(ObjectId(5), Bytes::new());
         let (_, missing) = ctx.into_parts();
@@ -449,7 +472,7 @@ mod tests {
     #[test]
     fn update_helper_does_read_modify_write() {
         let store = store_with(AccessLevel::Owner);
-        let mut ctx = TxCtx::write_tx(&store);
+        let mut ctx = TxCtx::write_tx(&store, TxWorkspace::new());
         ctx.update(ObjectId(1), |old| {
             let mut v = old.to_vec();
             v.push(b'!');

@@ -6,11 +6,11 @@
 //! protocols, so no retransmission layer is needed here.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use zeus_proto::NodeId;
 
 use crate::envelope::Envelope;
@@ -29,6 +29,12 @@ use crate::stats::NetStats;
 pub struct LinkFaults {
     /// Directed `(from, to)` pairs whose traffic is dropped.
     cut: RwLock<HashSet<(NodeId, NodeId)>>,
+    /// Whether `cut` holds anything. Every send asks [`LinkFaults::is_cut`],
+    /// and almost always nothing is cut: this flag answers that without the
+    /// lock and the hash. Written under `cut`'s write lock with `Release`
+    /// and read with `Acquire`, so a sender that sees `true` also finds the
+    /// pair that set it.
+    any_cut: AtomicBool,
 }
 
 impl LinkFaults {
@@ -37,6 +43,7 @@ impl LinkFaults {
         let mut cut = self.cut.write();
         cut.insert((a, b));
         cut.insert((b, a));
+        self.any_cut.store(true, Ordering::Release);
     }
 
     /// Heals both directions between `a` and `b`.
@@ -44,21 +51,28 @@ impl LinkFaults {
         let mut cut = self.cut.write();
         cut.remove(&(a, b));
         cut.remove(&(b, a));
+        self.any_cut.store(!cut.is_empty(), Ordering::Release);
     }
 
     /// Heals every injected cut.
     pub fn heal_all(&self) {
-        self.cut.write().clear();
+        let mut cut = self.cut.write();
+        cut.clear();
+        self.any_cut.store(false, Ordering::Release);
     }
 
     /// Whether traffic `from → to` is currently cut.
     pub fn is_cut(&self, from: NodeId, to: NodeId) -> bool {
-        self.cut.read().contains(&(from, to))
+        self.any_cut.load(Ordering::Acquire) && self.cut.read().contains(&(from, to))
     }
 }
 
-/// Shared atomic traffic counters for the threaded transport.
+/// Atomic traffic counters of one sender (a [`ThreadedNet`] mailbox, or a
+/// UDP transport and its reader thread). Aligned to a cache line of its own:
+/// each node loop bumps its counters on every flush, and counters of
+/// different nodes sharing a line would bounce it between their cores.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct SharedCounters {
     messages: AtomicU64,
     bytes: AtomicU64,
@@ -81,18 +95,28 @@ impl SharedCounters {
             .fetch_max(queue_depth as u64, Ordering::Relaxed);
     }
 
-    /// Adds delivered bytes without touching message counts (batched sends
-    /// count messages per envelope but bytes per bucket).
-    pub(crate) fn record_bytes(&self, bytes: usize) {
+    /// Records `count` messages of `bytes` wire bytes in total, delivered by
+    /// one batched send that left the receiver's inbox `queue_depth` deep.
+    pub(crate) fn record_batch(&self, count: usize, bytes: usize, queue_depth: usize) {
+        self.messages.fetch_add(count as u64, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.queue_hwm
+            .fetch_max(queue_depth as u64, Ordering::Relaxed);
     }
 
     /// Records a send that never reached an inbox (unknown peer, or the
     /// destination's node thread exited and closed its channel).
     pub(crate) fn record_failed(&self, bytes: usize) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
+        self.record_failed_batch(1, bytes);
+    }
+
+    /// Records `count` messages of `bytes` wire bytes in total that never
+    /// reached an inbox.
+    pub(crate) fn record_failed_batch(&self, count: usize, bytes: usize) {
+        self.messages.fetch_add(count as u64, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.dropped_messages.fetch_add(1, Ordering::Relaxed);
+        self.dropped_messages
+            .fetch_add(count as u64, Ordering::Relaxed);
         self.dropped_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
@@ -119,23 +143,45 @@ pub struct NodeMailbox<M> {
     pub id: NodeId,
     inbox: Receiver<Envelope<M>>,
     peers: Vec<Sender<Envelope<M>>>,
+    /// This node's traffic counters (shared by the mailbox's clones).
     counters: Arc<SharedCounters>,
     faults: Arc<LinkFaults>,
+    /// Per-peer buffers [`NodeMailbox::send_batch`] sorts a flush into, with
+    /// each buffer's wire bytes; emptied by every flush, kept for the next.
+    buckets: Mutex<Vec<(Vec<Envelope<M>>, usize)>>,
 }
 
 impl<M> Clone for NodeMailbox<M> {
     fn clone(&self) -> Self {
-        NodeMailbox {
-            id: self.id,
-            inbox: self.inbox.clone(),
-            peers: self.peers.clone(),
-            counters: Arc::clone(&self.counters),
-            faults: Arc::clone(&self.faults),
-        }
+        NodeMailbox::new(
+            self.id,
+            self.inbox.clone(),
+            self.peers.clone(),
+            Arc::clone(&self.counters),
+            Arc::clone(&self.faults),
+        )
     }
 }
 
 impl<M> NodeMailbox<M> {
+    fn new(
+        id: NodeId,
+        inbox: Receiver<Envelope<M>>,
+        peers: Vec<Sender<Envelope<M>>>,
+        counters: Arc<SharedCounters>,
+        faults: Arc<LinkFaults>,
+    ) -> Self {
+        let buckets = Mutex::new(peers.iter().map(|_| (Vec::new(), 0)).collect());
+        NodeMailbox {
+            id,
+            inbox,
+            peers,
+            counters,
+            faults,
+            buckets,
+        }
+    }
+
     /// Sends `msg` of approximate `payload_bytes` size to `to`.
     ///
     /// Returns `false` if the destination's inbox has been closed (its node
@@ -175,54 +221,37 @@ impl<M> NodeMailbox<M> {
 
     /// Sends a whole outbox flush, grouping messages by destination so each
     /// destination's channel is locked once per batch instead of once per
-    /// message. `msgs` carries `(to, msg, payload_bytes)` triples in send
+    /// message. `msgs` yields `(to, msg, payload_bytes)` triples in send
     /// order; per-destination FIFO order is preserved. Counter and
     /// link-fault semantics match per-message [`NodeMailbox::send`]: cut or
     /// undeliverable messages are recorded as dropped, and the queue-depth
     /// high-water mark observes the depth after each destination's batch.
-    pub fn send_batch(&self, msgs: Vec<(NodeId, M, usize)>) {
-        if msgs.is_empty() {
-            return;
-        }
-        // Group by destination while preserving order. Destinations per
-        // batch are few (cluster peers), so a linear bucket scan beats a
-        // hash map here.
-        let mut buckets: Vec<(NodeId, Vec<Envelope<M>>, usize)> = Vec::new();
+    pub fn send_batch(&self, msgs: impl IntoIterator<Item = (NodeId, M, usize)>) {
+        let mut buckets = self.buckets.lock();
         for (to, msg, payload_bytes) in msgs {
             let env = Envelope::with_payload_bytes(self.id, to, msg, payload_bytes);
             let wire_bytes = env.wire_bytes;
-            if self.faults.is_cut(self.id, to) || self.peers.get(to.index()).is_none() {
-                self.counters.record_failed(wire_bytes);
-                continue;
-            }
-            match buckets.iter_mut().find(|(dest, _, _)| *dest == to) {
-                Some((_, bucket, bytes)) => {
+            match buckets.get_mut(to.index()) {
+                Some((bucket, bytes)) if !self.faults.is_cut(self.id, to) => {
                     bucket.push(env);
                     *bytes += wire_bytes;
                 }
-                None => buckets.push((to, vec![env], wire_bytes)),
+                _ => self.counters.record_failed(wire_bytes),
             }
         }
-        for (to, bucket, bytes) in buckets {
+        for (tx, (bucket, bytes)) in self.peers.iter().zip(buckets.iter_mut()) {
+            if bucket.is_empty() {
+                continue;
+            }
             let count = bucket.len();
-            let tx = &self.peers[to.index()];
             match tx.send_batch(bucket) {
-                Ok(depth) => {
-                    for _ in 0..count {
-                        self.counters.record(0, depth);
-                    }
-                    // Bytes are recorded once per bucket; the per-message
-                    // calls above only bump message counts and the hwm.
-                    self.counters.record_bytes(bytes);
-                }
+                Ok(depth) => self.counters.record_batch(count, *bytes, depth),
                 Err(_) => {
-                    self.counters.record_failed(bytes);
-                    // One failed flush counts each undelivered message.
-                    for _ in 1..count {
-                        self.counters.record_failed(0);
-                    }
+                    self.counters.record_failed_batch(count, *bytes);
+                    bucket.clear();
                 }
             }
+            *bytes = 0;
         }
     }
 
@@ -257,14 +286,12 @@ impl<M> NodeMailbox<M> {
 #[derive(Debug)]
 pub struct ThreadedNet<M> {
     mailboxes: Vec<NodeMailbox<M>>,
-    counters: Arc<SharedCounters>,
     faults: Arc<LinkFaults>,
 }
 
 impl<M> ThreadedNet<M> {
     /// Creates a fully connected transport for `n` nodes with ids `0..n`.
     pub fn new(n: usize) -> Self {
-        let counters = Arc::new(SharedCounters::default());
         let faults = Arc::new(LinkFaults::default());
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -276,19 +303,19 @@ impl<M> ThreadedNet<M> {
         let mailboxes = receivers
             .into_iter()
             .enumerate()
-            .map(|(i, inbox)| NodeMailbox {
-                id: NodeId(i as u16),
-                inbox,
-                peers: senders.clone(),
-                counters: Arc::clone(&counters),
-                faults: Arc::clone(&faults),
+            .map(|(i, inbox)| {
+                // Counters per mailbox: a node loop's sends touch only its
+                // own cache line; `stats` adds them up.
+                NodeMailbox::new(
+                    NodeId(i as u16),
+                    inbox,
+                    senders.clone(),
+                    Arc::default(),
+                    Arc::clone(&faults),
+                )
             })
             .collect();
-        ThreadedNet {
-            mailboxes,
-            counters,
-            faults,
-        }
+        ThreadedNet { mailboxes, faults }
     }
 
     /// The shared link-fault table: cuts injected here take effect for every
@@ -313,9 +340,13 @@ impl<M> ThreadedNet<M> {
         self.mailboxes[id.index()].clone()
     }
 
-    /// Snapshot of the traffic counters.
+    /// Snapshot of the traffic counters, summed over the nodes.
     pub fn stats(&self) -> NetStats {
-        self.counters.snapshot()
+        let mut total = NetStats::new();
+        for mailbox in &self.mailboxes {
+            total.merge(&mailbox.counters.snapshot());
+        }
+        total
     }
 }
 
@@ -446,5 +477,44 @@ mod tests {
             a.send(NodeId(1), i, 4);
         }
         assert_eq!(b.pending(), 5);
+    }
+
+    #[test]
+    fn link_cuts_are_tracked_per_direction_and_healing_clears_them() {
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        let faults = LinkFaults::default();
+        assert!(!faults.is_cut(a, b));
+        faults.partition(a, b);
+        faults.partition(a, c);
+        assert!(faults.is_cut(a, b) && faults.is_cut(b, a) && faults.is_cut(c, a));
+        assert!(!faults.is_cut(b, c), "only what was cut");
+        faults.heal_partition(a, b);
+        assert!(!faults.is_cut(a, b) && faults.is_cut(a, c));
+        faults.heal_partition(a, c);
+        assert!(!faults.is_cut(a, c), "the last cut healed");
+        faults.partition(b, c);
+        faults.heal_all();
+        assert!(!faults.is_cut(b, c));
+        faults.partition(b, c);
+        assert!(faults.is_cut(c, b), "cutting works again after a heal");
+    }
+
+    #[test]
+    fn stats_add_up_every_nodes_counters() {
+        let net: ThreadedNet<u32> = ThreadedNet::new(3);
+        let (a, b) = (net.mailbox(NodeId(0)), net.mailbox(NodeId(1)));
+        a.send(NodeId(1), 1, 10);
+        a.send_batch(vec![(NodeId(1), 2, 10), (NodeId(2), 3, 10)]);
+        b.send(NodeId(0), 4, 10);
+        b.clone().send(NodeId(9), 5, 10); // a clone counts with its origin
+        let stats = net.stats();
+        assert_eq!(stats.messages_sent, 5);
+        assert_eq!(stats.messages_delivered, 4);
+        assert_eq!(stats.messages_dropped, 1);
+        assert_eq!(
+            stats.bytes_sent,
+            5 * (10 + crate::envelope::HEADER_BYTES) as u64
+        );
+        assert_eq!(stats.queue_depth_hwm, 2, "node 1's inbox held two");
     }
 }

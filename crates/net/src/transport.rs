@@ -32,8 +32,9 @@ pub trait Transport<M>: Send + 'static {
     fn send(&self, to: NodeId, msg: M, payload_bytes: usize) -> bool;
 
     /// Sends a whole outbox flush of `(to, msg, payload_bytes)` triples,
-    /// preserving per-destination FIFO order.
-    fn send_batch(&self, msgs: Vec<(NodeId, M, usize)>);
+    /// preserving per-destination FIFO order. `msgs` is left empty with its
+    /// capacity: the node loop flushes from one buffer it keeps.
+    fn send_batch(&self, msgs: &mut Vec<(NodeId, M, usize)>);
 
     /// Moves up to `max` delivered envelopes into `buf`, returning how many
     /// were appended.
@@ -75,8 +76,8 @@ impl<M: Send + 'static> Transport<M> for NodeMailbox<M> {
         NodeMailbox::send(self, to, msg, payload_bytes)
     }
 
-    fn send_batch(&self, msgs: Vec<(NodeId, M, usize)>) {
-        NodeMailbox::send_batch(self, msgs)
+    fn send_batch(&self, msgs: &mut Vec<(NodeId, M, usize)>) {
+        NodeMailbox::send_batch(self, msgs.drain(..))
     }
 
     fn drain_into(&self, buf: &mut Vec<Envelope<M>>, max: usize) -> usize {
@@ -200,11 +201,10 @@ impl<M: Send + 'static> Transport<M> for ProbedMailbox<M> {
         self.inner.send(to, LinkMsg::App(msg), payload_bytes)
     }
 
-    fn send_batch(&self, msgs: Vec<(NodeId, M, usize)>) {
+    fn send_batch(&self, msgs: &mut Vec<(NodeId, M, usize)>) {
         self.inner.send_batch(
-            msgs.into_iter()
-                .map(|(to, msg, bytes)| (to, LinkMsg::App(msg), bytes))
-                .collect(),
+            msgs.drain(..)
+                .map(|(to, msg, bytes)| (to, LinkMsg::App(msg), bytes)),
         )
     }
 

@@ -436,10 +436,10 @@ impl<M: Wire + Clone + Send + 'static> Transport<M> for UdpTransport<M> {
         true
     }
 
-    fn send_batch(&self, msgs: Vec<(NodeId, M, usize)>) {
+    fn send_batch(&self, msgs: &mut Vec<(NodeId, M, usize)>) {
         let now = self.shared.now_us();
         let mut endpoint = self.shared.endpoint.lock();
-        for (to, msg, payload_bytes) in msgs {
+        for (to, msg, payload_bytes) in msgs.drain(..) {
             if to == self.shared.local {
                 let env = Envelope::with_payload_bytes(to, to, msg, payload_bytes);
                 let _ = self.shared.delivered_tx.send(env);

@@ -83,7 +83,7 @@ pub enum OwnershipAction {
     },
     /// A request issued by this node was rejected for a transient reason
     /// (owner has commits in flight, or the cluster is recovering). The host
-    /// should call [`OwnershipEngine::retry_request`] after a back-off.
+    /// should call [`OwnershipEngine::retry_request_into`] after a back-off.
     RetryLater {
         /// The request to retry.
         req_id: RequestId,
@@ -117,6 +117,23 @@ pub enum OwnershipAction {
         /// New replica placement.
         new_replicas: ReplicaSet,
     },
+}
+
+/// Where the engine writes its output: one call per [`OwnershipAction`], in
+/// protocol order, made as the engine produces it — so a host can put a
+/// message straight into its outbox and apply a store effect in place
+/// instead of receiving a fresh vector per message and walking it again.
+/// `Vec<OwnershipAction>` implements the trait by pushing; that is what the
+/// `Vec`-returning entry points hand back.
+pub trait OwnershipSink {
+    /// Takes the next output of the engine.
+    fn emit(&mut self, action: OwnershipAction);
+}
+
+impl OwnershipSink for Vec<OwnershipAction> {
+    fn emit(&mut self, action: OwnershipAction) {
+        self.push(action);
+    }
 }
 
 /// Ownership metadata stored by arbiters (directory nodes and owners).
@@ -171,6 +188,9 @@ struct PendingRequest {
     /// (learned from ACKs / the recovery RESP; `None` until one arrives).
     /// Gates the fail-instead-of-fabricate check at completion.
     first_touch: Option<bool>,
+    /// Engine-clock tick at which the REQ last went out; it is re-sent once
+    /// a full retransmission interval has passed since.
+    last_sent: u64,
 }
 
 /// The per-node ownership protocol engine (requester, driver and arbiter
@@ -182,6 +202,8 @@ pub struct OwnershipEngine {
     epoch: Epoch,
     enabled: bool,
     live: Vec<NodeId>,
+    /// The host's clock as of [`OwnershipEngine::advance_clock`].
+    now: u64,
     next_seq: u64,
     meta: HashMap<ObjectId, MetaEntry>,
     inflight: HashMap<ObjectId, InflightArb>,
@@ -215,6 +237,7 @@ impl OwnershipEngine {
             epoch: Epoch::ZERO,
             enabled: true,
             live: (0..cluster_size as u16).map(NodeId).collect(),
+            now: 0,
             next_seq: 0,
             meta: HashMap::new(),
             inflight: HashMap::new(),
@@ -296,6 +319,13 @@ impl OwnershipEngine {
         self.inflight.len()
     }
 
+    /// Tells the engine the host's current time (ticks): REQs sent from here
+    /// on are stamped with it, and [`OwnershipEngine::retransmit_into`]
+    /// measures their age against it.
+    pub fn advance_clock(&mut self, now: u64) {
+        self.now = self.now.max(now);
+    }
+
     /// Pauses / resumes acceptance of new requests (driven by the membership
     /// recovery barrier, §5.1).
     pub fn set_enabled(&mut self, enabled: bool) {
@@ -321,6 +351,13 @@ impl OwnershipEngine {
     /// ghost re-drives of decided requests, and a stale (low) entry is no
     /// worse than the empty map a genuinely fresh node starts with.
     pub fn reset_for_rejoin(&mut self) -> Vec<OwnershipAction> {
+        let mut actions = Vec::new();
+        self.reset_for_rejoin_into(&mut actions);
+        actions
+    }
+
+    /// [`OwnershipEngine::reset_for_rejoin`], writing the output into `out`.
+    pub fn reset_for_rejoin_into(&mut self, out: &mut impl OwnershipSink) {
         self.stats.rejoin_resets += 1;
         self.meta.clear();
         self.dirty.clear();
@@ -331,17 +368,14 @@ impl OwnershipEngine {
             .map(|(req_id, p)| (req_id, p.object))
             .collect();
         pending.sort_unstable_by_key(|(req_id, _)| *req_id);
-        pending
-            .into_iter()
-            .map(|(req_id, object)| {
-                self.stats.requests_failed += 1;
-                OwnershipAction::Failed {
-                    req_id,
-                    object,
-                    reason: NackReason::Recovering,
-                }
-            })
-            .collect()
+        for (req_id, object) in pending {
+            self.stats.requests_failed += 1;
+            out.emit(OwnershipAction::Failed {
+                req_id,
+                object,
+                reason: NackReason::Recovering,
+            });
+        }
     }
 
     /// Registers ownership metadata for an object this node arbitrates
@@ -363,6 +397,11 @@ impl OwnershipEngine {
         self.meta.get(&object).map(|m| &m.replicas)
     }
 
+    /// The id the next [`OwnershipEngine::request_access`] will hand out.
+    pub fn next_request_id(&self) -> RequestId {
+        RequestId::new(self.local, self.next_seq)
+    }
+
     /// Issues an ownership request for `object` (§4.1). Returns the request
     /// id the host should wait on, plus the protocol actions to apply.
     pub fn request_access(
@@ -371,7 +410,20 @@ impl OwnershipEngine {
         kind: OwnershipRequestKind,
         host: &impl OwnershipHost,
     ) -> (RequestId, Vec<OwnershipAction>) {
-        let req_id = RequestId::new(self.local, self.next_seq);
+        let mut actions = Vec::new();
+        let req_id = self.request_access_into(object, kind, host, &mut actions);
+        (req_id, actions)
+    }
+
+    /// [`OwnershipEngine::request_access`], writing the output into `out`.
+    pub fn request_access_into(
+        &mut self,
+        object: ObjectId,
+        kind: OwnershipRequestKind,
+        host: &impl OwnershipHost,
+        out: &mut impl OwnershipSink,
+    ) -> RequestId {
+        let req_id = self.next_request_id();
         self.next_seq += 1;
         self.stats.requests_issued += 1;
         // Whether we actually store a copy — the placement is not a proxy
@@ -402,14 +454,12 @@ impl OwnershipEngine {
                     self.local
                 } else {
                     self.stats.requests_failed += 1;
-                    return (
+                    out.emit(OwnershipAction::Failed {
                         req_id,
-                        vec![OwnershipAction::Failed {
-                            req_id,
-                            object,
-                            reason: NackReason::Recovering,
-                        }],
-                    );
+                        object,
+                        reason: NackReason::Recovering,
+                    });
+                    return req_id;
                 }
             } else {
                 live_dirs[(object.0 as usize ^ req_id.seq as usize) % live_dirs.len()]
@@ -429,6 +479,7 @@ impl OwnershipEngine {
                 new_replicas: None,
                 data: None,
                 first_touch: None,
+                last_sent: self.now,
             },
         );
 
@@ -439,18 +490,20 @@ impl OwnershipEngine {
             epoch: self.epoch,
             has_replica,
         };
-        (req_id, vec![OwnershipAction::Send { to: driver, msg }])
+        out.emit(OwnershipAction::Send { to: driver, msg });
+        req_id
     }
 
     /// Re-issues a previously NACKed (retryable) request, keeping its id.
-    pub fn retry_request(&mut self, req_id: RequestId) -> Vec<OwnershipAction> {
+    pub fn retry_request_into(&mut self, req_id: RequestId, out: &mut impl OwnershipSink) {
         let Some(pending) = self.pending.get_mut(&req_id) else {
-            return Vec::new();
+            return;
         };
         self.stats.requests_retried += 1;
         pending.acks.clear();
         pending.arbiters = None;
         pending.o_ts = None;
+        pending.last_sent = self.now;
         // Re-pick the driver if the previous one died.
         if !self.live.contains(&pending.driver) {
             if let Some(&d) = self.directory.iter().find(|d| self.live.contains(d)) {
@@ -462,11 +515,12 @@ impl OwnershipEngine {
                 let object = pending.object;
                 self.pending.remove(&req_id);
                 self.stats.requests_failed += 1;
-                return vec![OwnershipAction::Failed {
+                out.emit(OwnershipAction::Failed {
                     req_id,
                     object,
                     reason: NackReason::Recovering,
-                }];
+                });
+                return;
             }
         }
         let msg = OwnershipMsg::Req {
@@ -476,10 +530,10 @@ impl OwnershipEngine {
             epoch: self.epoch,
             has_replica: pending.has_replica,
         };
-        vec![OwnershipAction::Send {
+        out.emit(OwnershipAction::Send {
             to: pending.driver,
             msg,
-        }]
+        });
     }
 
     /// Abandons a pending request (e.g. the transaction was aborted by the
@@ -488,17 +542,22 @@ impl OwnershipEngine {
         self.pending.remove(&req_id);
     }
 
-    /// Re-sends the REQ of every pending request (reliable-transport
+    /// Re-sends the REQ of every pending request that has gone unanswered for
+    /// `interval` ticks or more since it last went out (reliable-transport
     /// retransmission, §3.1), re-picking the driver when the previous one
-    /// died. Unlike [`OwnershipEngine::retry_request`] this keeps any ACKs
+    /// died. Unlike [`OwnershipEngine::retry_request_into`] this keeps any ACKs
     /// already collected: the driver's redrive path is idempotent, so a
     /// duplicate REQ only refreshes in-flight state, and a REQ or ACK lost
     /// to an epoch transition gets re-issued with the current epoch.
-    pub fn retransmit(&mut self) -> Vec<OwnershipAction> {
-        let mut actions = Vec::new();
+    pub fn retransmit_into(&mut self, interval: u64, out: &mut impl OwnershipSink) {
         // Deterministic order: map iteration order must not influence the
         // message sequence (it would perturb the simulator's RNG stream).
-        let mut req_ids: Vec<RequestId> = self.pending.keys().copied().collect();
+        let mut req_ids: Vec<RequestId> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| self.now.saturating_sub(p.last_sent) >= interval)
+            .map(|(&req_id, _)| req_id)
+            .collect();
         req_ids.sort_unstable();
         for req_id in req_ids {
             let pending = self.pending.get_mut(&req_id).expect("pending exists");
@@ -507,7 +566,7 @@ impl OwnershipEngine {
                 let Some(&d) = self.directory.iter().find(|d| self.live.contains(d)) else {
                     self.pending.remove(&req_id);
                     self.stats.requests_failed += 1;
-                    actions.push(OwnershipAction::Failed {
+                    out.emit(OwnershipAction::Failed {
                         req_id,
                         object,
                         reason: NackReason::Recovering,
@@ -520,7 +579,8 @@ impl OwnershipEngine {
                 pending.arbiters = None;
             }
             self.stats.requests_retransmitted += 1;
-            actions.push(OwnershipAction::Send {
+            pending.last_sent = self.now;
+            out.emit(OwnershipAction::Send {
                 to: pending.driver,
                 msg: OwnershipMsg::Req {
                     req_id,
@@ -531,7 +591,6 @@ impl OwnershipEngine {
                 },
             });
         }
-        actions
     }
 
     /// Replays arbitrations that have sat without progress for two
@@ -544,7 +603,7 @@ impl OwnershipEngine {
     /// then loses arbitration against the ghost. Replaying drives the stuck
     /// arbitration to a decision; every step is idempotent, so replaying an
     /// arbitration that is actually still progressing is harmless.
-    pub fn replay_stalled(&mut self, host: &impl OwnershipHost) -> Vec<OwnershipAction> {
+    pub fn replay_stalled_into(&mut self, host: &impl OwnershipHost, out: &mut impl OwnershipSink) {
         let mut stalled: Vec<ObjectId> = self
             .inflight
             .iter_mut()
@@ -554,10 +613,9 @@ impl OwnershipEngine {
             })
             .collect();
         stalled.sort_unstable();
-        let mut actions = Vec::new();
         for object in stalled {
             self.stats.arb_replays += 1;
-            let (arbiters, replay_msgs) = {
+            let arbiters = {
                 let inf = self.inflight.get_mut(&object).expect("inflight exists");
                 inf.collecting_acks = true;
                 inf.acks.clear();
@@ -569,11 +627,8 @@ impl OwnershipEngine {
                     .copied()
                     .filter(|n| self.live.contains(n))
                     .collect();
-                let msgs: Vec<OwnershipAction> = live_arbiters
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != self.local)
-                    .map(|to| OwnershipAction::Send {
+                for to in live_arbiters.iter().copied().filter(|&n| n != self.local) {
+                    out.emit(OwnershipAction::Send {
                         to,
                         msg: OwnershipMsg::Inv {
                             req_id: inf.req_id,
@@ -586,16 +641,14 @@ impl OwnershipEngine {
                             ack_to_driver: true,
                             requester_has_replica: inf.requester_has_replica,
                         },
-                    })
-                    .collect();
-                (live_arbiters, msgs)
+                    });
+                }
+                live_arbiters
             };
-            actions.extend(replay_msgs);
             if arbiters.iter().all(|&n| n == self.local) {
-                actions.extend(self.finish_recovery_drive(object, host));
+                self.finish_recovery_drive(object, host, out);
             }
         }
-        actions
     }
 
     /// Handles an incoming protocol message.
@@ -605,6 +658,19 @@ impl OwnershipEngine {
         msg: OwnershipMsg,
         host: &impl OwnershipHost,
     ) -> Vec<OwnershipAction> {
+        let mut actions = Vec::new();
+        self.handle_message_into(from, msg, host, &mut actions);
+        actions
+    }
+
+    /// [`OwnershipEngine::handle_message`], writing the output into `out`.
+    pub fn handle_message_into(
+        &mut self,
+        from: NodeId,
+        msg: OwnershipMsg,
+        host: &impl OwnershipHost,
+        out: &mut impl OwnershipSink,
+    ) {
         match msg {
             OwnershipMsg::Req {
                 req_id,
@@ -612,7 +678,7 @@ impl OwnershipEngine {
                 kind,
                 epoch,
                 has_replica,
-            } => self.on_req(req_id, object, kind, epoch, has_replica, host),
+            } => self.on_req(req_id, object, kind, epoch, has_replica, host, out),
             OwnershipMsg::Inv {
                 req_id,
                 object,
@@ -635,6 +701,7 @@ impl OwnershipEngine {
                 ack_to_driver,
                 requester_has_replica,
                 host,
+                out,
             ),
             OwnershipMsg::Ack {
                 req_id,
@@ -657,20 +724,21 @@ impl OwnershipEngine {
                 new_replicas,
                 first_touch,
                 host,
+                out,
             ),
             OwnershipMsg::Val {
                 req_id: _,
                 object,
                 o_ts,
                 epoch,
-            } => self.on_val(object, o_ts, epoch),
+            } => self.on_val(object, o_ts, epoch, out),
             OwnershipMsg::Nack {
                 req_id,
                 object,
                 reason,
                 epoch: _,
                 from: _,
-            } => self.on_nack(req_id, object, reason),
+            } => self.on_nack(req_id, object, reason, out),
             OwnershipMsg::Resp {
                 req_id,
                 object,
@@ -688,6 +756,7 @@ impl OwnershipEngine {
                 new_replicas,
                 first_touch,
                 host,
+                out,
             ),
         }
     }
@@ -708,17 +777,30 @@ impl OwnershipEngine {
         rejoined: &[NodeId],
         host: &impl OwnershipHost,
     ) -> Vec<OwnershipAction> {
+        let mut actions = Vec::new();
+        self.on_view_change_into(epoch, live, rejoined, host, &mut actions);
+        actions
+    }
+
+    /// [`OwnershipEngine::on_view_change`], writing the output into `out`.
+    pub fn on_view_change_into(
+        &mut self,
+        epoch: Epoch,
+        live: Vec<NodeId>,
+        rejoined: &[NodeId],
+        host: &impl OwnershipHost,
+        out: &mut impl OwnershipSink,
+    ) {
         if epoch <= self.epoch && !self.live.is_empty() {
             // Allow re-installation of the same epoch idempotently.
             if epoch < self.epoch {
-                return Vec::new();
+                return;
             }
         }
         self.epoch = epoch;
         self.live = live;
         self.enabled = false;
 
-        let mut actions = Vec::new();
         for meta in self.meta.values_mut() {
             let had_replicas = !meta.replicas.is_empty();
             meta.replicas.retain_live(&self.live);
@@ -755,7 +837,7 @@ impl OwnershipEngine {
         objects.sort_unstable();
         for object in objects {
             self.stats.arb_replays += 1;
-            let (arbiters, replay_msgs) = {
+            let arbiters = {
                 let inf = self.inflight.get_mut(&object).expect("inflight exists");
                 inf.collecting_acks = true;
                 inf.acks.clear();
@@ -766,11 +848,8 @@ impl OwnershipEngine {
                     .copied()
                     .filter(|n| self.live.contains(n))
                     .collect();
-                let msgs: Vec<OwnershipAction> = live_arbiters
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != self.local)
-                    .map(|to| OwnershipAction::Send {
+                for to in live_arbiters.iter().copied().filter(|&n| n != self.local) {
+                    out.emit(OwnershipAction::Send {
                         to,
                         msg: OwnershipMsg::Inv {
                             req_id: inf.req_id,
@@ -783,18 +862,16 @@ impl OwnershipEngine {
                             ack_to_driver: true,
                             requester_has_replica: inf.requester_has_replica,
                         },
-                    })
-                    .collect();
-                (live_arbiters, msgs)
+                    });
+                }
+                live_arbiters
             };
-            actions.extend(replay_msgs);
             // If this node is the only live arbiter, the replay completes
             // immediately.
             if arbiters.iter().all(|&n| n == self.local) {
-                actions.extend(self.finish_recovery_drive(object, host));
+                self.finish_recovery_drive(object, host, out);
             }
         }
-        actions
     }
 
     /// Snapshot of this node's placement table, sorted by object id — the
@@ -865,6 +942,16 @@ impl OwnershipEngine {
         entries: &[(ObjectId, OwnershipTs, ReplicaSet)],
     ) -> Vec<OwnershipAction> {
         let mut actions = Vec::new();
+        self.adopt_directory_into(entries, &mut actions);
+        actions
+    }
+
+    /// [`OwnershipEngine::adopt_directory`], writing the output into `out`.
+    pub fn adopt_directory_into(
+        &mut self,
+        entries: &[(ObjectId, OwnershipTs, ReplicaSet)],
+        out: &mut impl OwnershipSink,
+    ) {
         for (object, o_ts, replicas) in entries {
             if let Some(meta) = self.meta.get(object) {
                 if meta.o_ts >= *o_ts {
@@ -884,20 +971,19 @@ impl OwnershipEngine {
                     lost: false,
                 },
             );
-            actions.push(OwnershipAction::ApplyReplicaChange {
+            out.emit(OwnershipAction::ApplyReplicaChange {
                 object: *object,
                 o_ts: *o_ts,
                 new_replicas: replicas.clone(),
             });
         }
-        actions
     }
 
     // ------------------------------------------------------------------
     // Driver side
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_lines)]
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn on_req(
         &mut self,
         req_id: RequestId,
@@ -906,19 +992,21 @@ impl OwnershipEngine {
         epoch: Epoch,
         requester_has_replica: bool,
         host: &impl OwnershipHost,
-    ) -> Vec<OwnershipAction> {
+        out: &mut impl OwnershipSink,
+    ) {
         let requester = req_id.requester;
-        let nack = |reason| {
-            vec![OwnershipAction::Send {
+        let (epoch_now, local) = (self.epoch, self.local);
+        let mut nack = |reason| {
+            out.emit(OwnershipAction::Send {
                 to: requester,
                 msg: OwnershipMsg::Nack {
                     req_id,
                     object,
                     reason,
-                    epoch: self.epoch,
-                    from: self.local,
+                    epoch: epoch_now,
+                    from: local,
                 },
-            }]
+            });
         };
 
         if epoch != self.epoch {
@@ -934,7 +1022,7 @@ impl OwnershipEngine {
         // Idempotent retry of the request we are already driving.
         if let Some(inf) = self.inflight.get(&object) {
             if inf.req_id == req_id {
-                return self.redrive(object, host);
+                return self.redrive(object, host, out);
             }
             return nack(NackReason::LostArbitration);
         }
@@ -948,9 +1036,9 @@ impl OwnershipEngine {
         // would install an empty version-0 object.
         if self.is_decided(req_id, object) {
             let Some(meta) = self.meta.get(&object) else {
-                return Vec::new();
+                return;
             };
-            return vec![OwnershipAction::Send {
+            return out.emit(OwnershipAction::Send {
                 to: requester,
                 msg: OwnershipMsg::Resp {
                     req_id,
@@ -966,7 +1054,7 @@ impl OwnershipEngine {
                     // original completion was lost.
                     first_touch: meta.replicas.replicas().all(|n| n == requester),
                 },
-            }];
+            });
         }
 
         // First-touch creation: an AcquireOwner request for an object the
@@ -1048,7 +1136,6 @@ impl OwnershipEngine {
             },
         );
 
-        let mut actions = Vec::new();
         // If this driver is also the current owner and the request moves
         // ownership elsewhere, it must invalidate its own write access *at
         // drive time* — it will never receive the INV that demotes a remote
@@ -1057,13 +1144,13 @@ impl OwnershipEngine {
         if old_replicas.owner == Some(self.local)
             && own_level_after != zeus_proto::AccessLevel::Owner
         {
-            actions.push(OwnershipAction::DemoteSelf {
+            out.emit(OwnershipAction::DemoteSelf {
                 object,
                 level: own_level_after,
             });
         }
         for &arb in arbiters.iter().filter(|&&n| n != self.local) {
-            actions.push(OwnershipAction::Send {
+            out.emit(OwnershipAction::Send {
                 to: arb,
                 msg: OwnershipMsg::Inv {
                     req_id,
@@ -1087,7 +1174,7 @@ impl OwnershipEngine {
             &old_replicas,
             host,
         );
-        actions.push(OwnershipAction::Send {
+        out.emit(OwnershipAction::Send {
             to: requester,
             msg: OwnershipMsg::Ack {
                 req_id,
@@ -1101,22 +1188,26 @@ impl OwnershipEngine {
                 first_touch: old_replicas.is_empty(),
             },
         });
-        actions
     }
 
     /// Re-sends the INVs and driver ACK of the arbitration this node drives
     /// for `object` (idempotent retry path).
-    fn redrive(&mut self, object: ObjectId, host: &impl OwnershipHost) -> Vec<OwnershipAction> {
+    fn redrive(
+        &mut self,
+        object: ObjectId,
+        host: &impl OwnershipHost,
+        out: &mut impl OwnershipSink,
+    ) {
         if let Some(inf) = self.inflight.get_mut(&object) {
             inf.stale_rounds = 0;
         }
         let Some(inf) = self.inflight.get(&object).cloned() else {
-            return Vec::new();
+            return;
         };
         // If this driver is also the owner and still has commits in flight,
         // keep rejecting the retry.
         if inf.old_replicas.owner == Some(self.local) && host.has_pending_commits(object) {
-            return vec![OwnershipAction::Send {
+            return out.emit(OwnershipAction::Send {
                 to: inf.requester,
                 msg: OwnershipMsg::Nack {
                     req_id: inf.req_id,
@@ -1125,15 +1216,14 @@ impl OwnershipEngine {
                     epoch: self.epoch,
                     from: self.local,
                 },
-            }];
+            });
         }
-        let mut actions = Vec::new();
         for &arb in inf
             .arbiters
             .iter()
             .filter(|&&n| n != self.local && self.live.contains(&n))
         {
-            actions.push(OwnershipAction::Send {
+            out.emit(OwnershipAction::Send {
                 to: arb,
                 msg: OwnershipMsg::Inv {
                     req_id: inf.req_id,
@@ -1156,7 +1246,7 @@ impl OwnershipEngine {
             &inf.old_replicas,
             host,
         );
-        actions.push(OwnershipAction::Send {
+        out.emit(OwnershipAction::Send {
             to: inf.requester,
             msg: OwnershipMsg::Ack {
                 req_id: inf.req_id,
@@ -1170,7 +1260,6 @@ impl OwnershipEngine {
                 first_touch: inf.old_replicas.is_empty(),
             },
         });
-        actions
     }
 
     // ------------------------------------------------------------------
@@ -1191,9 +1280,10 @@ impl OwnershipEngine {
         ack_to_driver: bool,
         requester_has_replica: bool,
         host: &impl OwnershipHost,
-    ) -> Vec<OwnershipAction> {
+        out: &mut impl OwnershipSink,
+    ) {
         if epoch != self.epoch {
-            return Vec::new();
+            return;
         }
         let requester = req_id.requester;
         let ack_target = if ack_to_driver { from } else { requester };
@@ -1214,7 +1304,7 @@ impl OwnershipEngine {
             && o_ts > meta.o_ts
             && host.has_pending_commits(object)
         {
-            return vec![OwnershipAction::Send {
+            return out.emit(OwnershipAction::Send {
                 to: requester,
                 msg: OwnershipMsg::Nack {
                     req_id,
@@ -1223,7 +1313,7 @@ impl OwnershipEngine {
                     epoch: self.epoch,
                     from: self.local,
                 },
-            }];
+            });
         }
 
         // A drive made from *empty* metadata against an established placement
@@ -1234,7 +1324,7 @@ impl OwnershipEngine {
         // requester an empty version-0 object and drop every real replica.
         // Reject it regardless of timestamps and tell the driver to abort.
         if o_ts > meta.o_ts && old_replicas.is_empty() && !meta.replicas.is_empty() {
-            let mut actions = vec![OwnershipAction::Send {
+            out.emit(OwnershipAction::Send {
                 to: requester,
                 msg: OwnershipMsg::Nack {
                     req_id,
@@ -1243,9 +1333,9 @@ impl OwnershipEngine {
                     epoch: self.epoch,
                     from: self.local,
                 },
-            }];
+            });
             if from != requester {
-                actions.push(OwnershipAction::Send {
+                out.emit(OwnershipAction::Send {
                     to: from,
                     msg: OwnershipMsg::Nack {
                         req_id,
@@ -1256,7 +1346,7 @@ impl OwnershipEngine {
                     },
                 });
             }
-            return actions;
+            return;
         }
 
         if o_ts < meta.o_ts {
@@ -1267,7 +1357,7 @@ impl OwnershipEngine {
             // object its peers already track — would otherwise keep an
             // in-flight arbitration that can never complete and replay it
             // forever.
-            let mut actions = vec![OwnershipAction::Send {
+            out.emit(OwnershipAction::Send {
                 to: requester,
                 msg: OwnershipMsg::Nack {
                     req_id,
@@ -1276,9 +1366,9 @@ impl OwnershipEngine {
                     epoch: self.epoch,
                     from: self.local,
                 },
-            }];
+            });
             if from != requester {
-                actions.push(OwnershipAction::Send {
+                out.emit(OwnershipAction::Send {
                     to: from,
                     msg: OwnershipMsg::Nack {
                         req_id,
@@ -1289,17 +1379,16 @@ impl OwnershipEngine {
                     },
                 });
             }
-            return actions;
+            return;
         }
 
-        let mut actions = Vec::new();
         if o_ts > meta.o_ts {
             self.stats.invalidations_processed += 1;
             // If this node was driving a different, lower-timestamped request
             // for the object, that request has lost: notify its requester.
             if let Some(prev) = self.inflight.get(&object) {
                 if prev.req_id != req_id && prev.o_ts.node == self.local {
-                    actions.push(OwnershipAction::Send {
+                    out.emit(OwnershipAction::Send {
                         to: prev.requester,
                         msg: OwnershipMsg::Nack {
                             req_id: prev.req_id,
@@ -1362,7 +1451,7 @@ impl OwnershipEngine {
             &old_replicas,
             host,
         );
-        actions.push(OwnershipAction::Send {
+        out.emit(OwnershipAction::Send {
             to: ack_target,
             msg: OwnershipMsg::Ack {
                 req_id,
@@ -1380,7 +1469,6 @@ impl OwnershipEngine {
                 first_touch: old_replicas.is_empty(),
             },
         });
-        actions
     }
 
     fn on_val(
@@ -1388,18 +1476,19 @@ impl OwnershipEngine {
         object: ObjectId,
         o_ts: OwnershipTs,
         epoch: Epoch,
-    ) -> Vec<OwnershipAction> {
+        out: &mut impl OwnershipSink,
+    ) {
         if epoch != self.epoch {
-            return Vec::new();
+            return;
         }
         let Some(inf) = self.inflight.get(&object) else {
-            return Vec::new();
+            return;
         };
         if inf.o_ts != o_ts {
-            return Vec::new();
+            return;
         }
         self.stats.validations_applied += 1;
-        self.apply_arbitration(object)
+        self.apply_arbitration(object, out);
     }
 
     fn on_nack(
@@ -1407,7 +1496,8 @@ impl OwnershipEngine {
         req_id: RequestId,
         object: ObjectId,
         reason: NackReason,
-    ) -> Vec<OwnershipAction> {
+        out: &mut impl OwnershipSink,
+    ) {
         // Arbiter side: a peer refuted the arbitration we hold in flight for
         // this request (a drive from stale or wiped metadata lost against an
         // established placement). Abort it — drop the in-flight entry and
@@ -1433,15 +1523,15 @@ impl OwnershipEngine {
             }
         }
         if !self.pending.contains_key(&req_id) {
-            return Vec::new();
+            return;
         }
         match reason {
             NackReason::PendingCommit | NackReason::Recovering | NackReason::StaleEpoch => {
-                vec![OwnershipAction::RetryLater {
+                out.emit(OwnershipAction::RetryLater {
                     req_id,
                     object,
                     reason,
-                }]
+                });
             }
             NackReason::LostArbitration
             | NackReason::NotDirectory
@@ -1449,11 +1539,11 @@ impl OwnershipEngine {
             | NackReason::DataLoss => {
                 self.pending.remove(&req_id);
                 self.stats.requests_failed += 1;
-                vec![OwnershipAction::Failed {
+                out.emit(OwnershipAction::Failed {
                     req_id,
                     object,
                     reason,
-                }]
+                });
             }
         }
     }
@@ -1475,24 +1565,25 @@ impl OwnershipEngine {
         new_replicas: ReplicaSet,
         first_touch: bool,
         host: &impl OwnershipHost,
-    ) -> Vec<OwnershipAction> {
+        out: &mut impl OwnershipSink,
+    ) {
         if epoch != self.epoch {
-            return Vec::new();
+            return;
         }
 
         // Recovery drivers collect ACKs for arbitrations they replay.
         if req_id.requester != self.local {
-            return self.on_recovery_ack(req_id, object, o_ts, data, acker, host);
+            return self.on_recovery_ack(req_id, object, o_ts, data, acker, host, out);
         }
 
         let Some(pending) = self.pending.get_mut(&req_id) else {
-            return Vec::new();
+            return;
         };
         // A newer arbitration (higher o_ts) supersedes a half-collected one
         // (can happen when a PendingCommit retry restarts arbitration).
         match pending.o_ts {
             Some(existing) if existing == o_ts => {}
-            Some(existing) if existing > o_ts => return Vec::new(),
+            Some(existing) if existing > o_ts => return,
             _ => {
                 pending.o_ts = Some(o_ts);
                 pending.acks.clear();
@@ -1520,9 +1611,9 @@ impl OwnershipEngine {
             })
             .unwrap_or(false);
         if !complete {
-            return Vec::new();
+            return;
         }
-        self.complete_request(req_id, host)
+        self.complete_request(req_id, host, out);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1536,13 +1627,14 @@ impl OwnershipEngine {
         new_replicas: ReplicaSet,
         first_touch: bool,
         host: &impl OwnershipHost,
-    ) -> Vec<OwnershipAction> {
+        out: &mut impl OwnershipSink,
+    ) {
         if epoch != self.epoch {
-            return Vec::new();
+            return;
         }
         let default_arbiters = self.arbiter_set(&ReplicaSet::default(), req_id.requester);
         let Some(pending) = self.pending.get_mut(&req_id) else {
-            return Vec::new();
+            return;
         };
         debug_assert_eq!(pending.object, object);
         pending.o_ts = Some(o_ts);
@@ -1558,7 +1650,7 @@ impl OwnershipEngine {
         if pending.arbiters.is_none() {
             pending.arbiters = Some(default_arbiters);
         }
-        self.complete_request(req_id, host)
+        self.complete_request(req_id, host, out);
     }
 
     /// Applies a decided request at the requester and validates arbiters.
@@ -1578,9 +1670,10 @@ impl OwnershipEngine {
         &mut self,
         req_id: RequestId,
         host: &impl OwnershipHost,
-    ) -> Vec<OwnershipAction> {
+        out: &mut impl OwnershipSink,
+    ) {
         let Some(pending) = self.pending.remove(&req_id) else {
-            return Vec::new();
+            return;
         };
         let object = pending.object;
         self.mark_decided(req_id, object);
@@ -1673,13 +1766,13 @@ impl OwnershipEngine {
                 data: pending.data.clone(),
             }
         };
-        let mut actions = vec![outcome];
+        out.emit(outcome);
         let arbiters = pending.arbiters.unwrap_or_default();
         for arb in arbiters
             .into_iter()
             .filter(|a| *a != self.local && self.live.contains(a))
         {
-            actions.push(OwnershipAction::Send {
+            out.emit(OwnershipAction::Send {
                 to: arb,
                 msg: OwnershipMsg::Val {
                     req_id,
@@ -1689,13 +1782,13 @@ impl OwnershipEngine {
                 },
             });
         }
-        actions
     }
 
     // ------------------------------------------------------------------
     // Recovery (arb-replay) driver side
     // ------------------------------------------------------------------
 
+    #[allow(clippy::too_many_arguments)]
     fn on_recovery_ack(
         &mut self,
         req_id: RequestId,
@@ -1704,12 +1797,13 @@ impl OwnershipEngine {
         data: Option<(DataTs, Bytes)>,
         acker: NodeId,
         host: &impl OwnershipHost,
-    ) -> Vec<OwnershipAction> {
+        out: &mut impl OwnershipSink,
+    ) {
         let Some(inf) = self.inflight.get_mut(&object) else {
-            return Vec::new();
+            return;
         };
         if !inf.collecting_acks || inf.req_id != req_id || inf.o_ts != o_ts {
-            return Vec::new();
+            return;
         }
         if let Some((ts, _)) = &data {
             if inf.data.as_ref().is_none_or(|(t, _)| t < ts) {
@@ -1724,9 +1818,9 @@ impl OwnershipEngine {
             .filter(|a| self.live.contains(a))
             .all(|a| inf.acks.contains(a));
         if !done {
-            return Vec::new();
+            return;
         }
-        self.finish_recovery_drive(object, host)
+        self.finish_recovery_drive(object, host, out);
     }
 
     /// Completes an arb-replay: hand the result to the requester if it is
@@ -1735,11 +1829,11 @@ impl OwnershipEngine {
         &mut self,
         object: ObjectId,
         host: &impl OwnershipHost,
-    ) -> Vec<OwnershipAction> {
+        out: &mut impl OwnershipSink,
+    ) {
         let Some(inf) = self.inflight.get(&object).cloned() else {
-            return Vec::new();
+            return;
         };
-        let mut actions = Vec::new();
         if self.live.contains(&inf.requester) && inf.requester != self.local {
             // Hand the decided arbitration to the surviving requester. The
             // requester may have already completed the request before the
@@ -1751,7 +1845,7 @@ impl OwnershipEngine {
                 (Some(a), Some(b)) => Some(if a.0 >= b.0 { a } else { b }),
                 (a, b) => a.or(b),
             };
-            actions.push(OwnershipAction::Send {
+            out.emit(OwnershipAction::Send {
                 to: inf.requester,
                 msg: OwnershipMsg::Resp {
                     req_id: inf.req_id,
@@ -1775,7 +1869,7 @@ impl OwnershipEngine {
             .iter()
             .filter(|&&a| a != self.local && self.live.contains(&a))
         {
-            actions.push(OwnershipAction::Send {
+            out.emit(OwnershipAction::Send {
                 to: arb,
                 msg: OwnershipMsg::Val {
                     req_id: inf.req_id,
@@ -1785,8 +1879,7 @@ impl OwnershipEngine {
                 },
             });
         }
-        actions.extend(self.apply_arbitration(object));
-        actions
+        self.apply_arbitration(object, out);
     }
 
     // ------------------------------------------------------------------
@@ -1795,9 +1888,9 @@ impl OwnershipEngine {
 
     /// Applies the in-flight arbitration of `object` to the local metadata
     /// and tells the host to adjust access levels.
-    fn apply_arbitration(&mut self, object: ObjectId) -> Vec<OwnershipAction> {
+    fn apply_arbitration(&mut self, object: ObjectId, out: &mut impl OwnershipSink) {
         let Some(inf) = self.inflight.remove(&object) else {
-            return Vec::new();
+            return;
         };
         self.mark_decided(inf.req_id, object);
         let mut new_replicas = inf.new_replicas;
@@ -1816,11 +1909,11 @@ impl OwnershipEngine {
         } else {
             self.meta.remove(&object);
         }
-        vec![OwnershipAction::ApplyReplicaChange {
+        out.emit(OwnershipAction::ApplyReplicaChange {
             object,
             o_ts: inf.o_ts,
             new_replicas,
-        }]
+        });
     }
 
     /// The arbiter set of a request: the directory replicas plus the current
@@ -2327,7 +2420,8 @@ mod tests {
 
         // Once the commit drains, the retry succeeds with the same req id.
         c.hosts[0].pending.clear();
-        let actions = c.engines[1].retry_request(req);
+        let mut actions = Vec::new();
+        c.engines[1].retry_request_into(req, &mut actions);
         c.apply(NodeId(1), actions);
         c.run();
         assert_eq!(c.completed(NodeId(1)).len(), 1);

@@ -33,5 +33,5 @@
 pub mod engine;
 pub mod stats;
 
-pub use engine::{OwnershipAction, OwnershipEngine, OwnershipHost};
+pub use engine::{OwnershipAction, OwnershipEngine, OwnershipHost, OwnershipSink};
 pub use stats::OwnershipStats;

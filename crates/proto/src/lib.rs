@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod messages;
 pub mod policy;
@@ -48,6 +49,7 @@ pub mod state;
 pub mod wire;
 
 pub use error::ProtoError;
+pub use hash::{IdBuildHasher, IdHashMap, IdHashSet};
 pub use ids::{DataTs, Epoch, NodeId, ObjectId, OwnershipTs, PipelineId, RequestId, TxId};
 pub use messages::{
     CommitMsg, DirEntry, MembershipMsg, ObjectUpdate, OwnershipMsg, OwnershipRequestKind, ViewMsg,

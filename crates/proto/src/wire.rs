@@ -28,12 +28,12 @@ pub trait Wire: Sized {
     /// Decodes a value from the front of `input`, advancing it.
     fn decode(input: &mut &[u8]) -> Result<Self, ProtoError>;
 
-    /// Number of bytes [`Wire::encode`] would append.
-    fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
-    }
+    /// Number of bytes [`Wire::encode`] would append. Computed from the
+    /// value's shape, never by encoding it: the runtimes ask for the size of
+    /// every message they send (bandwidth accounting), so an implementation
+    /// that encodes into a scratch buffer would put an allocation on every
+    /// send. The round-trip property test pins it to the encoder.
+    fn encoded_len(&self) -> usize;
 }
 
 /// Encodes a value into a fresh buffer.
@@ -153,6 +153,9 @@ impl<T: Wire> Wire for Option<T> {
             tag => Err(ProtoError::InvalidTag { ty: "Option", tag }),
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::encoded_len)
+    }
 }
 
 impl<T: Wire> Wire for Vec<T> {
@@ -175,6 +178,9 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::decode(input)?);
         }
         Ok(out)
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
     }
 }
 
@@ -206,6 +212,9 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
         Ok((A::decode(input)?, B::decode(input)?))
     }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
 }
 
 impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
@@ -216,6 +225,9 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
     fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
         Ok((A::decode(input)?, B::decode(input)?, C::decode(input)?))
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len()
     }
 }
 
@@ -330,6 +342,9 @@ impl Wire for ReplicaSet {
             readers: Vec::<NodeId>::decode(input)?,
         })
     }
+    fn encoded_len(&self) -> usize {
+        self.owner.encoded_len() + self.readers.encoded_len()
+    }
 }
 
 impl Wire for OwnershipRequestKind {
@@ -354,6 +369,12 @@ impl Wire for OwnershipRequestKind {
                 ty: "OwnershipRequestKind",
                 tag,
             }),
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        match self {
+            OwnershipRequestKind::AcquireOwner | OwnershipRequestKind::AcquireReader => 1,
+            OwnershipRequestKind::RemoveReader { reader } => 1 + reader.encoded_len(),
         }
     }
 }
@@ -403,6 +424,9 @@ impl Wire for ObjectUpdate {
             ts: DataTs::decode(input)?,
             data: Bytes::decode(input)?,
         })
+    }
+    fn encoded_len(&self) -> usize {
+        self.object.encoded_len() + self.ts.encoded_len() + self.data.encoded_len()
     }
 }
 
@@ -573,6 +597,107 @@ impl Wire for OwnershipMsg {
             }),
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            OwnershipMsg::Req {
+                req_id,
+                object,
+                kind,
+                epoch,
+                has_replica,
+            } => {
+                req_id.encoded_len()
+                    + object.encoded_len()
+                    + kind.encoded_len()
+                    + epoch.encoded_len()
+                    + has_replica.encoded_len()
+            }
+            OwnershipMsg::Inv {
+                req_id,
+                object,
+                o_ts,
+                kind,
+                new_replicas,
+                old_replicas,
+                epoch,
+                ack_to_driver,
+                requester_has_replica,
+            } => {
+                req_id.encoded_len()
+                    + object.encoded_len()
+                    + o_ts.encoded_len()
+                    + kind.encoded_len()
+                    + new_replicas.encoded_len()
+                    + old_replicas.encoded_len()
+                    + epoch.encoded_len()
+                    + ack_to_driver.encoded_len()
+                    + requester_has_replica.encoded_len()
+            }
+            OwnershipMsg::Ack {
+                req_id,
+                object,
+                o_ts,
+                epoch,
+                data,
+                from,
+                arbiters,
+                new_replicas,
+                first_touch,
+            } => {
+                req_id.encoded_len()
+                    + object.encoded_len()
+                    + o_ts.encoded_len()
+                    + epoch.encoded_len()
+                    + data.encoded_len()
+                    + from.encoded_len()
+                    + arbiters.encoded_len()
+                    + new_replicas.encoded_len()
+                    + first_touch.encoded_len()
+            }
+            OwnershipMsg::Val {
+                req_id,
+                object,
+                o_ts,
+                epoch,
+            } => {
+                req_id.encoded_len()
+                    + object.encoded_len()
+                    + o_ts.encoded_len()
+                    + epoch.encoded_len()
+            }
+            OwnershipMsg::Nack {
+                req_id,
+                object,
+                reason,
+                epoch,
+                from,
+            } => {
+                req_id.encoded_len()
+                    + object.encoded_len()
+                    + reason.encoded_len()
+                    + epoch.encoded_len()
+                    + from.encoded_len()
+            }
+            OwnershipMsg::Resp {
+                req_id,
+                object,
+                o_ts,
+                epoch,
+                data,
+                new_replicas,
+                first_touch,
+            } => {
+                req_id.encoded_len()
+                    + object.encoded_len()
+                    + o_ts.encoded_len()
+                    + epoch.encoded_len()
+                    + data.encoded_len()
+                    + new_replicas.encoded_len()
+                    + first_touch.encoded_len()
+            }
+        }
+    }
 }
 
 impl Wire for CommitMsg {
@@ -628,6 +753,28 @@ impl Wire for CommitMsg {
                 ty: "CommitMsg",
                 tag,
             }),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            CommitMsg::RInv {
+                tx_id,
+                epoch,
+                followers,
+                prev_val,
+                updates,
+            } => {
+                tx_id.encoded_len()
+                    + epoch.encoded_len()
+                    + followers.encoded_len()
+                    + prev_val.encoded_len()
+                    + updates.encoded_len()
+            }
+            CommitMsg::RAck { tx_id, from, epoch } => {
+                tx_id.encoded_len() + from.encoded_len() + epoch.encoded_len()
+            }
+            CommitMsg::RVal { tx_id, epoch } => tx_id.encoded_len() + epoch.encoded_len(),
         }
     }
 }
@@ -686,6 +833,21 @@ impl Wire for MembershipMsg {
                 ty: "MembershipMsg",
                 tag,
             }),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            MembershipMsg::Heartbeat { from, epoch } => from.encoded_len() + epoch.encoded_len(),
+            MembershipMsg::ViewChange {
+                epoch,
+                live,
+                admitted,
+            } => epoch.encoded_len() + live.encoded_len() + admitted.encoded_len(),
+            MembershipMsg::RecoveryDone { from, epoch, seen } => {
+                from.encoded_len() + epoch.encoded_len() + seen.encoded_len()
+            }
+            MembershipMsg::ViewPull { from } => from.encoded_len(),
         }
     }
 }
@@ -766,6 +928,36 @@ impl Wire for ViewMsg {
                 entries: Vec::<(ObjectId, OwnershipTs, ReplicaSet)>::decode(input)?,
             }),
             tag => Err(ProtoError::InvalidTag { ty: "ViewMsg", tag }),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            ViewMsg::Propose {
+                epoch,
+                base,
+                live,
+                admitted,
+                from,
+            } => {
+                epoch.encoded_len()
+                    + base.encoded_len()
+                    + live.encoded_len()
+                    + admitted.encoded_len()
+                    + from.encoded_len()
+            }
+            ViewMsg::Grant { epoch, from } => epoch.encoded_len() + from.encoded_len(),
+            ViewMsg::Reject {
+                epoch,
+                committed,
+                from,
+            } => epoch.encoded_len() + committed.encoded_len() + from.encoded_len(),
+            ViewMsg::DirPull { from } => from.encoded_len(),
+            ViewMsg::DirPush {
+                from,
+                epoch,
+                entries,
+            } => from.encoded_len() + epoch.encoded_len() + entries.encoded_len(),
         }
     }
 }

@@ -153,16 +153,19 @@ pub mod channel {
             Ok(depth)
         }
 
-        /// Sends every message of `msgs` under a single lock acquisition and
-        /// returns the queue depth right after the last push. (Shim-only
+        /// Moves every message out of `msgs` into the channel under a single
+        /// lock acquisition and returns the queue depth right after the last
+        /// push; `msgs` is left empty with its capacity, so a caller that
+        /// flushes batch after batch reuses one buffer. (Shim-only
         /// extension, like [`Sender::send_counting`]: the node event loops
         /// flush a whole outbox batch to the same destination, and paying a
         /// lock round-trip plus condvar notify per message dominates the hot
         /// send path.) Only supported on unbounded channels — a bounded
         /// channel would need partial-blocking semantics no caller wants.
         ///
-        /// Returns `Err` with the messages if every receiver has dropped.
-        pub fn send_batch(&self, msgs: Vec<T>) -> Result<usize, SendError<Vec<T>>> {
+        /// Returns `Err`, leaving `msgs` as it was, if every receiver has
+        /// dropped.
+        pub fn send_batch(&self, msgs: &mut Vec<T>) -> Result<usize, SendError<()>> {
             assert!(
                 self.shared.cap.is_none(),
                 "send_batch requires an unbounded channel"
@@ -172,9 +175,9 @@ pub mod channel {
             }
             let mut state = self.shared.state.lock().unwrap();
             if state.receivers == 0 {
-                return Err(SendError(msgs));
+                return Err(SendError(()));
             }
-            state.queue.extend(msgs);
+            state.queue.extend(msgs.drain(..));
             let depth = state.queue.len();
             drop(state);
             self.shared.not_empty.notify_all();
@@ -427,20 +430,23 @@ pub mod channel {
         fn send_batch_pushes_everything_in_order() {
             let (tx, rx) = unbounded();
             tx.send(0u32).unwrap();
-            assert_eq!(tx.send_batch(vec![1, 2, 3]).unwrap(), 4);
+            let mut batch = vec![1, 2, 3];
+            assert_eq!(tx.send_batch(&mut batch).unwrap(), 4);
+            assert!(batch.is_empty() && batch.capacity() >= 3, "drained, kept");
             let mut buf = Vec::new();
             rx.drain_into(&mut buf, 10);
             assert_eq!(buf, vec![0, 1, 2, 3]);
             // Empty batches are free and report the current depth.
-            assert_eq!(tx.send_batch(Vec::new()).unwrap(), 0);
+            assert_eq!(tx.send_batch(&mut batch).unwrap(), 0);
         }
 
         #[test]
         fn send_batch_fails_when_receivers_gone() {
             let (tx, rx) = unbounded::<u32>();
             drop(rx);
-            let err = tx.send_batch(vec![1, 2]).unwrap_err();
-            assert_eq!(err.0, vec![1, 2]);
+            let mut batch = vec![1, 2];
+            assert!(tx.send_batch(&mut batch).is_err());
+            assert_eq!(batch, vec![1, 2], "nothing was taken");
         }
 
         #[test]

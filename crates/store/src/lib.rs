@@ -11,20 +11,20 @@
 //!
 //! The store is sharded and internally synchronised: the node's loop thread
 //! mutates it while application threads read it concurrently (see
-//! [`Store`]). The per-thread *local* ownership of the paper's
-//! multi-threaded local commit is modelled by [`locks::LockManager`], and
-//! per-transaction private copies (opacity, §6.2) by
-//! [`workspace::TxWorkspace`].
+//! [`Store`]). Per-transaction private copies (opacity, §6.2) live in
+//! [`workspace::TxWorkspace`]. There is no lock manager: the paper's
+//! multi-threaded local commit (§7) arbitrates an object between the worker
+//! threads of one node, and a node here has exactly one thread that writes —
+//! its event loop — so a write transaction holds every object it touches
+//! simply by running.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod entry;
-pub mod locks;
 pub mod store;
 pub mod workspace;
 
 pub use entry::ObjectEntry;
-pub use locks::LockManager;
 pub use store::{Store, StoreStats};
 pub use workspace::TxWorkspace;

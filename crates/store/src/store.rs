@@ -1,12 +1,9 @@
 //! Sharded, internally synchronised object store.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-
 use bytes::Bytes;
 use parking_lot::RwLock;
-use zeus_proto::{AccessLevel, ObjectId, ReplicaSet};
+use zeus_proto::hash::spread;
+use zeus_proto::{AccessLevel, IdHashMap, ObjectId, ReplicaSet};
 
 use crate::entry::ObjectEntry;
 
@@ -35,10 +32,16 @@ pub struct StoreStats {
 /// *across* entries is the reader's job (optimistic read, then re-validate
 /// every timestamp). Sharding keeps a reader and the loop from meeting on
 /// one lock unless they touch the same shard.
+///
+/// An access costs one multiplicative hash of the id
+/// ([`zeus_proto::hash`]): its high bits pick the shard, and the shard's map
+/// indexes by its low bits, so the two choices are independent.
 #[derive(Debug)]
 pub struct Store {
-    shards: Vec<RwLock<HashMap<ObjectId, ObjectEntry>>>,
+    shards: Vec<RwLock<Shard>>,
 }
+
+type Shard = IdHashMap<ObjectId, ObjectEntry>;
 
 impl Default for Store {
     fn default() -> Self {
@@ -51,14 +54,14 @@ impl Store {
     pub fn new(shards: usize) -> Self {
         let shards = shards.max(1);
         Store {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| RwLock::default()).collect(),
         }
     }
 
-    fn shard(&self, id: ObjectId) -> &RwLock<HashMap<ObjectId, ObjectEntry>> {
-        let mut hasher = DefaultHasher::new();
-        id.hash(&mut hasher);
-        let idx = (hasher.finish() as usize) % self.shards.len();
+    fn shard(&self, id: ObjectId) -> &RwLock<Shard> {
+        // The same value the shard's map hashes `id` to; the map takes its
+        // bucket from the low bits, the shard comes from the high half.
+        let idx = (spread(id.0) >> 32) as usize % self.shards.len();
         &self.shards[idx]
     }
 

@@ -8,19 +8,22 @@
 //! this is the opacity guarantee of §6.2: even transactions that abort never
 //! observe inconsistent state.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use zeus_proto::{DataTs, ObjectId};
 
 /// Read and write sets of one in-flight transaction.
+///
+/// Both sets are vectors in first-touch order, searched linearly: a
+/// transaction touches a handful of objects, for which a scan beats hashing,
+/// and a cleared workspace keeps its capacity, so a node that recycles one
+/// workspace across transactions allocates for neither set.
 #[derive(Debug, Default, Clone)]
 pub struct TxWorkspace {
     /// Commit timestamp of each object at the time the transaction first
     /// read it.
-    reads: HashMap<ObjectId, DataTs>,
+    reads: Vec<(ObjectId, DataTs)>,
     /// Private copies of objects the transaction has written.
-    writes: HashMap<ObjectId, Bytes>,
+    writes: Vec<(ObjectId, Bytes)>,
 }
 
 impl TxWorkspace {
@@ -34,39 +37,46 @@ impl TxWorkspace {
     /// inside the same transaction are served from the private copy or the
     /// same snapshot.
     pub fn record_read(&mut self, object: ObjectId, ts: DataTs) {
-        self.reads.entry(object).or_insert(ts);
+        if self.read_ts(object).is_none() {
+            self.reads.push((object, ts));
+        }
     }
 
     /// Records a write of `data` to `object` (creating/replacing the private
     /// copy).
     pub fn record_write(&mut self, object: ObjectId, data: impl Into<Bytes>) {
-        self.writes.insert(object, data.into());
+        let data = data.into();
+        match self.writes.iter_mut().find(|(id, _)| *id == object) {
+            Some((_, private)) => *private = data,
+            None => self.writes.push((object, data)),
+        }
     }
 
     /// Returns the private copy of `object`, if the transaction wrote it.
     pub fn written(&self, object: ObjectId) -> Option<&Bytes> {
-        self.writes.get(&object)
+        self.writes
+            .iter()
+            .find(|(id, _)| *id == object)
+            .map(|(_, data)| data)
     }
 
     /// Returns the commit timestamp at which `object` was first read, if
     /// recorded.
     pub fn read_ts(&self, object: ObjectId) -> Option<DataTs> {
-        self.reads.get(&object).copied()
+        self.reads
+            .iter()
+            .find(|(id, _)| *id == object)
+            .map(|&(_, ts)| ts)
     }
 
-    /// Objects in the read set.
+    /// Objects in the read set, in first-read order.
     pub fn read_set(&self) -> impl Iterator<Item = (ObjectId, DataTs)> + '_ {
-        self.reads.iter().map(|(&k, &v)| (k, v))
+        self.reads.iter().copied()
     }
 
-    /// Objects in the write set.
+    /// Objects in the write set, in first-write order.
     pub fn write_set(&self) -> impl Iterator<Item = (ObjectId, &Bytes)> + '_ {
-        self.writes.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Ids of all written objects.
-    pub fn written_ids(&self) -> Vec<ObjectId> {
-        self.writes.keys().copied().collect()
+        self.writes.iter().map(|(id, data)| (*id, data))
     }
 
     /// Number of objects written.
@@ -85,15 +95,21 @@ impl TxWorkspace {
         self.writes.is_empty()
     }
 
-    /// Verifies the read set against current commit timestamps supplied by
-    /// `current`: returns `true` iff every object read still has the
-    /// timestamp observed. Objects that were subsequently written by this
-    /// same transaction are still validated against their *read* timestamp,
-    /// preserving opacity.
-    pub fn validate_reads(&self, mut current: impl FnMut(ObjectId) -> Option<DataTs>) -> bool {
+    /// Verifies the objects the transaction read *but did not write* against
+    /// the current commit timestamps supplied by `current`: returns `true`
+    /// iff each still has the timestamp observed. An object the transaction
+    /// also wrote is checked against its read timestamp
+    /// ([`TxWorkspace::read_ts`]) by whoever applies the write, in the same
+    /// visit to the object — so opacity holds for it as well, without a
+    /// second lookup.
+    pub fn validate_unwritten_reads(
+        &self,
+        mut current: impl FnMut(ObjectId) -> Option<DataTs>,
+    ) -> bool {
         self.reads
             .iter()
-            .all(|(&id, &ver)| current(id) == Some(ver))
+            .filter(|(id, _)| self.written(*id).is_none())
+            .all(|&(id, ts)| current(id) == Some(ts))
     }
 
     /// Clears both sets, allowing the workspace to be reused (abort/retry).
@@ -130,28 +146,36 @@ mod tests {
         assert_eq!(ws.written(ObjectId(2)), Some(&Bytes::from_static(b"b")));
         assert_eq!(ws.write_count(), 1);
         assert!(!ws.is_read_only());
-        assert_eq!(ws.written_ids(), vec![ObjectId(2)]);
+        let written: Vec<ObjectId> = ws.write_set().map(|(id, _)| id).collect();
+        assert_eq!(written, vec![ObjectId(2)]);
     }
 
     #[test]
-    fn validate_reads_detects_version_changes() {
+    fn validation_detects_version_changes_of_objects_only_read() {
         let mut ws = TxWorkspace::new();
         ws.record_read(ObjectId(1), ts(3));
         ws.record_read(ObjectId(2), ts(7));
-        assert!(ws.validate_reads(|id| match id {
+        assert!(ws.validate_unwritten_reads(|id| match id {
             ObjectId(1) => Some(ts(3)),
             ObjectId(2) => Some(ts(7)),
             _ => None,
         }));
-        assert!(!ws.validate_reads(|id| match id {
+        assert!(!ws.validate_unwritten_reads(|id| match id {
             ObjectId(1) => Some(ts(4)),
             ObjectId(2) => Some(ts(7)),
             _ => None,
         }));
         assert!(
-            !ws.validate_reads(|_| None),
+            !ws.validate_unwritten_reads(|_| None),
             "missing object fails validation"
         );
+        // A written object is left to the visit that applies its write.
+        ws.record_write(ObjectId(1), Bytes::new());
+        assert!(ws.validate_unwritten_reads(|id| match id {
+            ObjectId(1) => panic!("object 1 is written: not looked up here"),
+            ObjectId(2) => Some(ts(7)),
+            _ => None,
+        }));
     }
 
     #[test]
