@@ -1,5 +1,5 @@
-//! Saturation sweep binary: open-loop latency under offered load, batched
-//! node loop vs the `--no-batch` control (see `scenarios::saturation`).
+//! Saturation sweep binary: open-loop latency under offered load, threaded
+//! runtime and simulator (see `scenarios::saturation`).
 
 fn main() {
     std::process::exit(zeus_bench::cli::run_single("saturation"));

@@ -185,7 +185,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
         },
         ScenarioSpec {
             name: "saturation",
-            about: "Open-loop latency under load: batched vs no-batch node loop (measured)",
+            about: "Open-loop latency under load: threaded runtime and simulator (measured)",
             run: scenarios::saturation::run,
         },
         ScenarioSpec {

@@ -30,7 +30,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use zeus_core::{ClusterDriver, LatencyHistogram, NodeId, SimCluster, TxError, ZeusConfig};
+use zeus_core::{
+    ClusterDriver, LatencyHistogram, NodeId, Session, SimCluster, TxError, ZeusConfig,
+};
 use zeus_proto::{ObjectId, PolicyKind, PolicyStats};
 use zeus_workloads::Zipf;
 
@@ -117,10 +119,11 @@ pub(crate) fn run_arm(shape: Shape, policy: PolicyKind, seed: u64) -> ArmOutcome
                     handovers += 1;
                 }
                 cluster
-                    .execute_write(HOME, |tx| tx.write(obj, b"phase-shift'".as_slice()))
+                    .handle(HOME)
+                    .write_txn(move |tx| tx.write(obj, b"phase-shift'".as_slice()))
                     .expect("home write commits");
             } else {
-                match cluster.execute_read(accessor, |tx| tx.read(obj)) {
+                match cluster.handle(accessor).read_txn(move |tx| tx.read(obj)) {
                     Ok(_) => {}
                     Err(TxError::NotReplicated { .. }) => {
                         serve_miss(&mut cluster, accessor, obj, policy, &mut handovers);
@@ -166,7 +169,7 @@ fn serve_miss(
     if policy == PolicyKind::Predictive {
         for _ in 0..MISS_PATIENCE {
             cluster.advance_ticks(POLICY_INTERVAL_TICKS);
-            match cluster.execute_read(accessor, |tx| tx.read(obj)) {
+            match cluster.handle(accessor).read_txn(move |tx| tx.read(obj)) {
                 Ok(_) => return,
                 Err(TxError::NotReplicated { .. }) => continue,
                 Err(e) => panic!("miss retry failed: {e:?}"),
@@ -176,7 +179,8 @@ fn serve_miss(
     *handovers += 1;
     cluster.migrate(obj, accessor).expect("migration succeeds");
     cluster
-        .execute_read(accessor, |tx| tx.read(obj))
+        .handle(accessor)
+        .read_txn(move |tx| tx.read(obj))
         .expect("read after migration");
 }
 

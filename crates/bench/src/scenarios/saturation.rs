@@ -1,19 +1,16 @@
-//! Saturation: latency under offered load, batched vs `--no-batch`.
+//! Saturation: latency under offered load.
 //!
-//! The node loop serves every session of a node from one command channel, so
-//! its per-iteration overhead (inbox scan, parked-transaction scan,
-//! membership tick, outbox flush) is paid per *batch* when cross-session
-//! batching is on ([`zeus_core::ZeusConfig::batch_commands`]) and per
-//! *command* when it is off. This scenario makes that difference visible as
-//! the classic latency-under-load curve: an open-loop generator
-//! ([`crate::openloop`]) sweeps the offered rate and reports
-//! `(offered_rate, achieved_rate, p50/p99/p999)` per point, on the threaded
-//! runtime with batching on, with batching off (the control arm), and on
-//! the simulator. The *knee* — the highest offered rate a configuration
-//! still sustains — must sit to the right for the batched arm: the suite
-//! test below asserts the separation at an overload rate, and the
-//! refreshed `BENCH_baseline.json` gates the (deliberately sub-knee, see
-//! [`rate_ladder`]) smoke points in CI.
+//! The node loop serves every session of a node from one command channel
+//! and executes each drained batch as one unit, so its per-iteration
+//! overhead (inbox scan, parked-command poll, membership tick, outbox
+//! flush) is paid per *batch*, and the batch grows with the load. This
+//! scenario shows the result as the classic latency-under-load curve: an
+//! open-loop generator ([`crate::openloop`]) sweeps the offered rate and
+//! reports `(offered_rate, achieved_rate, p50/p99/p999)` per point, on the
+//! threaded runtime and on the simulator. The *knee* is the highest offered
+//! rate a configuration still sustains; the refreshed `BENCH_baseline.json`
+//! gates the (deliberately sub-knee, see [`rate_ladder`]) smoke points in
+//! CI.
 
 use std::time::Duration;
 
@@ -30,13 +27,10 @@ pub const NODES: usize = 3;
 /// A configuration arm of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arm {
-    /// Threaded runtime, cross-session batching on (the default).
-    ThreadedBatched,
-    /// Threaded runtime, `batch_commands = false`: one command per node-loop
-    /// iteration, per-message sends — the `--no-batch` control.
-    ThreadedNoBatch,
-    /// Deterministic simulator (synchronous sessions; batching flags do not
-    /// apply, the arm anchors the protocol-level cost).
+    /// Threaded runtime.
+    Threaded,
+    /// Deterministic simulator (synchronous sessions, batches of one; the
+    /// arm anchors the protocol-level cost).
     Sim,
 }
 
@@ -45,15 +39,7 @@ impl Arm {
     pub fn runtime(self) -> &'static str {
         match self {
             Arm::Sim => "sim",
-            _ => "threaded",
-        }
-    }
-
-    /// `batch` config value of this arm's results.
-    pub fn batch(self) -> &'static str {
-        match self {
-            Arm::ThreadedNoBatch => "off",
-            _ => "on",
+            Arm::Threaded => "threaded",
         }
     }
 }
@@ -65,9 +51,7 @@ impl Arm {
 /// bistable on small shared runners (the same offered rate lands at either
 /// ~full throughput or a congestion-collapsed fraction of it depending on
 /// scheduler luck), which no regression tolerance can absorb. The full
-/// ladder sweeps past the knee; the batched-vs-control separation at
-/// overload is asserted by the suite test below, which tolerates the
-/// bistability via best-of-N.
+/// ladder sweeps past the knee.
 pub fn rate_ladder(smoke: bool) -> Vec<f64> {
     if smoke {
         vec![2_000.0, 8_000.0, 16_000.0]
@@ -89,8 +73,8 @@ pub fn sessions_per_node(smoke: bool) -> usize {
 /// arrival, so a point offered far past the node's capacity drains its
 /// backlog at the *collapsed* rate after the window closes — the point's
 /// wall time is `arrivals / collapsed_rate`, not the window. Capping
-/// arrivals bounds that tail (e.g. the `--no-batch` control at deep
-/// overload) to seconds instead of minutes on a small runner.
+/// arrivals bounds that tail to seconds instead of minutes on a small
+/// runner.
 const MAX_ARRIVALS_PER_POINT: f64 = 3_200.0;
 
 /// Open-loop options for one point of the sweep.
@@ -117,11 +101,10 @@ fn point_opts(ctx: &RunCtx, offered_total: f64) -> OpenLoopOpts {
 
 /// Runs one point of one arm on a fresh cluster (isolation: no backlog or
 /// ownership state leaks between points), returning the run plus the node
-/// batching counters, so the tentpole's effect is observable in the table.
+/// batching counters, so the batch sizes the loop chose show in the table.
 pub fn run_point(ctx: &RunCtx, arm: Arm, offered_total: f64) -> (OpenLoopRun, u64, u64) {
     let opts = point_opts(ctx, offered_total);
-    let mut config = ZeusConfig::with_nodes(NODES);
-    config.batch_commands = arm != Arm::ThreadedNoBatch;
+    let config = ZeusConfig::with_nodes(NODES);
     match arm {
         Arm::Sim => {
             let cluster = SimCluster::new(config);
@@ -129,7 +112,7 @@ pub fn run_point(ctx: &RunCtx, arm: Arm, offered_total: f64) -> (OpenLoopRun, u6
             let stats = cluster.aggregate_stats();
             (run, stats.batched_commands, stats.batch_occupancy_hwm)
         }
-        Arm::ThreadedBatched | Arm::ThreadedNoBatch => {
+        Arm::Threaded => {
             let cluster = ThreadedCluster::start(config);
             let run = run_open_loop(&cluster, ctx.seed, &opts);
             let stats = cluster.aggregate_stats();
@@ -149,9 +132,9 @@ pub fn knee(points: &[(f64, f64)]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Runs the scenario: the full ladder on all three arms.
+/// Runs the scenario: the full ladder on both arms.
 pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
-    let arms = [Arm::ThreadedBatched, Arm::ThreadedNoBatch, Arm::Sim];
+    let arms = [Arm::Threaded, Arm::Sim];
     let ladder = rate_ladder(ctx.smoke);
     let mut rows = Vec::new();
     let mut results = Vec::new();
@@ -163,7 +146,6 @@ pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
             points.push((offered, run.achieved_rate));
             rows.push(vec![
                 arm.runtime().to_string(),
-                arm.batch().to_string(),
                 format!("{offered:.0}"),
                 format!("{:.0}", run.achieved_rate),
                 run.latency_us.percentile(50.0).to_string(),
@@ -174,7 +156,6 @@ pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
             ]);
             let mut result = ScenarioResult::new("saturation")
                 .with_config("runtime", arm.runtime())
-                .with_config("batch", arm.batch())
                 .with_config("offered_rate", format!("{offered:.0}"))
                 .with_config("sessions_per_node", sessions_per_node(ctx.smoke))
                 .with_config("nodes", NODES);
@@ -186,7 +167,7 @@ pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
     }
     let knee_summary = knees
         .iter()
-        .map(|(arm, k)| format!("{}/{}: {k:.0} ops/s", arm.runtime(), arm.batch()))
+        .map(|(arm, k)| format!("{}: {k:.0} ops/s", arm.runtime()))
         .collect::<Vec<_>>()
         .join(", ");
     ScenarioOutcome {
@@ -197,7 +178,6 @@ pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
             ),
             header: vec![
                 "runtime",
-                "batch",
                 "offered [ops/s]",
                 "achieved [ops/s]",
                 "p50 [us]",
@@ -216,61 +196,6 @@ pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
 mod tests {
     use super::*;
 
-    /// One sustained-overload run of one threaded arm: 96k ops/s offered
-    /// for 120 ms (~11.5k arrivals — deliberately *not* capped by
-    /// `MAX_ARRIVALS_PER_POINT`, because the control's congestion collapse
-    /// needs a sustained backlog to develop; a short burst is absorbed by
-    /// queueing and hides the per-command loop overhead entirely).
-    fn sustained_overload(batch: bool) -> f64 {
-        // Debug builds have a fraction of the release capacity, so the
-        // backlog that tips the control forms in a fraction of the window —
-        // and a collapsed run drains at the collapsed rate, so the shorter
-        // window keeps the debug test's wall time bounded.
-        let window = if cfg!(debug_assertions) {
-            Duration::from_millis(30)
-        } else {
-            Duration::from_millis(120)
-        };
-        let opts = OpenLoopOpts {
-            sessions_per_node: 2,
-            rate_per_session: 96_000.0 / (2 * NODES) as f64,
-            window,
-            objects_per_session: 128,
-            first_object: 0,
-        };
-        let mut config = ZeusConfig::with_nodes(NODES);
-        config.batch_commands = batch;
-        let cluster = ThreadedCluster::start(config);
-        let run = run_open_loop(&cluster, 42, &opts);
-        cluster.shutdown();
-        run.achieved_rate
-    }
-
-    #[test]
-    fn batching_sustains_more_load_than_the_no_batch_control() {
-        // The tentpole's acceptance bar: under sustained overload the
-        // batched node loop must sustain measurably more committed
-        // throughput than the one-command-per-iteration control. The gap is
-        // structural: the control pays the full loop iteration — inbox
-        // scan, parked scan, tick, per-message flush — per command, so its
-        // backlog snowballs into congestion collapse (~two orders of
-        // magnitude below the batched arm's rate at this offered load)
-        // while the batched loop keeps serving. The batched arm takes the
-        // best of two runs because scheduler interference on a shared
-        // runner only ever slows a run down; the control run is left at one
-        // trial — it is the slow side of the assert either way, and a
-        // collapsed run drains its backlog at the collapsed rate, so extra
-        // trials are expensive.
-        let batched = f64::max(sustained_overload(true), sustained_overload(true));
-        let control = sustained_overload(false);
-        assert!(batched > 0.0 && control > 0.0, "arms must commit");
-        assert!(
-            batched > control,
-            "cross-session batching is cosmetic: batched sustains {batched:.0} ops/s, \
-             no-batch control {control:.0} ops/s"
-        );
-    }
-
     #[test]
     fn no_session_starves_under_cross_session_batching() {
         // Batching reorders writes ahead of reads within one drained batch
@@ -280,7 +205,7 @@ mod tests {
             smoke: true,
             seed: 42,
         };
-        let (run, _, _) = run_point(&ctx, Arm::ThreadedBatched, 64_000.0);
+        let (run, _, _) = run_point(&ctx, Arm::Threaded, 64_000.0);
         assert!(run.committed > 0);
         for (s, &committed) in run.per_session_committed.iter().enumerate() {
             assert!(

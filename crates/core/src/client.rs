@@ -83,6 +83,7 @@
 //! cluster.shutdown();
 //! ```
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -98,11 +99,10 @@ use crate::txn::{TxCtx, TxError};
 
 /// A transaction result that can cross the node command channel.
 ///
-/// The threaded runtime executes transaction closures on the node thread and
-/// ships the result back over an object-safe channel, so results are encoded
-/// to bytes in flight and decoded on arrival; the simulated runtime returns
-/// them directly. Implementations must round-trip: `decode(encode(x)) ==
-/// Some(x)`.
+/// A node executes transaction closures behind an object-safe command and
+/// hands the result back through the ticket's reply cell, so results are
+/// encoded to bytes in flight and decoded on arrival. Implementations must
+/// round-trip: `decode(encode(x)) == Some(x)`.
 pub trait TxPayload: Sized + Send + 'static {
     /// Serialises the value.
     fn encode(&self) -> Vec<u8>;
@@ -214,9 +214,13 @@ impl<A: TxPayload, B: TxPayload> TxPayload for (A, B) {
 /// Retryability is classified by [`TxError::is_retryable`]; the policy
 /// supplies the budget and the exponential back-off the paper's §6.2
 /// deadlock-avoidance scheme requires (contending coordinators must stop
-/// ping-ponging ownership). The default mirrors the runtimes' historical
-/// behavior: the cluster's `max_ownership_retries` budget with a 100 µs
-/// back-off base capped at 6.4 ms.
+/// ping-ponging ownership). Every runtime applies it the same way: the first
+/// ownership grant of a transaction is free, every failed or stolen-back
+/// acquisition round and every transient abort costs one attempt, and a
+/// charged transaction sits out the back-off of that attempt (in ticks: 1 µs
+/// of wall clock, or of simulated time). The default is the cluster's
+/// `max_ownership_retries` budget with a 100 µs back-off base capped at
+/// 6.4 ms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum transaction attempts (including the first) before the
@@ -271,14 +275,13 @@ impl RetryPolicy {
 // ---------------------------------------------------------------------------
 
 /// The encoded result of a submitted transaction plus the instant the node
-/// resolved it, shipped over the ticket's reply channel. The timestamp is
-/// recorded on the node thread, so per-ticket latency (resolve minus
-/// submit) reflects when the transaction actually finished — not whenever
-/// the client got around to polling or draining.
+/// resolved it. The timestamp is taken where the transaction resolves, so
+/// per-ticket latency (resolve minus submit) reflects when it actually
+/// finished — not whenever the client got around to polling or draining.
 #[derive(Debug)]
-pub(crate) struct TicketReply {
-    pub(crate) result: Result<Vec<u8>, TxError>,
-    pub(crate) resolved_at: Instant,
+struct TicketReply {
+    result: Result<Vec<u8>, TxError>,
+    resolved_at: Instant,
 }
 
 /// The cell a submitted transaction's reply travels through: written once by
@@ -301,40 +304,54 @@ enum ReplyState {
     Closed,
 }
 
-/// The node thread's half of a [`ReplyCell`].
+/// The node's half of a [`ReplyCell`] — what it resolves a submitted command
+/// through — plus, for a session with a [`Session::drain`] barrier to keep,
+/// the guard that sending the result (or dropping the slot) releases.
 #[derive(Debug)]
-pub(crate) struct ReplySender(Arc<ReplyCell>);
+pub(crate) struct ReplySlot {
+    cell: Arc<ReplyCell>,
+    _guard: Option<InflightGuard>,
+}
 
 /// The ticket's half of a [`ReplyCell`].
 #[derive(Debug)]
 pub(crate) struct ReplyReceiver(Arc<ReplyCell>);
 
-/// A fresh reply cell, as its two halves.
-pub(crate) fn reply_cell() -> (ReplySender, ReplyReceiver) {
-    let cell = Arc::new(ReplyCell {
-        state: Mutex::new(ReplyState::Waiting),
-        resolved: Condvar::new(),
-    });
-    (ReplySender(Arc::clone(&cell)), ReplyReceiver(cell))
-}
+impl ReplySlot {
+    /// A fresh reply cell, as its two halves.
+    pub(crate) fn new(guard: Option<InflightGuard>) -> (Self, ReplyReceiver) {
+        let cell = Arc::new(ReplyCell {
+            state: Mutex::new(ReplyState::Waiting),
+            resolved: Condvar::new(),
+        });
+        let slot = ReplySlot {
+            cell: Arc::clone(&cell),
+            _guard: guard,
+        };
+        (slot, ReplyReceiver(cell))
+    }
 
-impl ReplySender {
-    /// Resolves the ticket.
-    pub(crate) fn send(self, reply: TicketReply) {
-        self.settle(ReplyState::Resolved(reply));
+    /// Resolves the ticket. The resolve instant is stamped here, where the
+    /// transaction finished, so pipelined tickets expose true per-op latency.
+    pub(crate) fn send(self, result: Result<Vec<u8>, TxError>) {
+        self.settle(ReplyState::Resolved(TicketReply {
+            result,
+            resolved_at: Instant::now(),
+        }));
+        // `_guard` drops here: the submission has resolved.
     }
 
     fn settle(&self, outcome: ReplyState) {
-        let mut state = self.0.state.lock().expect("no panic while held");
+        let mut state = self.cell.state.lock().expect("no panic while held");
         if matches!(*state, ReplyState::Waiting) {
             *state = outcome;
             drop(state);
-            self.0.resolved.notify_one();
+            self.cell.resolved.notify_one();
         }
     }
 }
 
-impl Drop for ReplySender {
+impl Drop for ReplySlot {
     fn drop(&mut self) {
         self.settle(ReplyState::Closed);
     }
@@ -367,6 +384,58 @@ impl ReplyReceiver {
             }
             ReplyState::Resolved(reply) => Some(Some(reply)),
             ReplyState::Closed => Some(None),
+        }
+    }
+}
+
+/// Counts a session's submissions that have not resolved yet. `drain` blocks
+/// on zero (the condvar), and `read_txn` asks [`Inflight::is_idle`] on every
+/// call, so the count itself is an atomic: the read gate costs one load, not
+/// a mutex round-trip.
+#[derive(Debug, Default)]
+pub(crate) struct Inflight {
+    count: AtomicUsize,
+    /// Guards nothing but the sleep/wake handshake of `wait_zero`.
+    zero: Mutex<()>,
+    done: Condvar,
+}
+
+impl Inflight {
+    /// Counts one more submission in flight until the returned guard drops.
+    pub(crate) fn guard(self: &Arc<Self>) -> InflightGuard {
+        self.count.fetch_add(1, Ordering::AcqRel);
+        InflightGuard(Arc::clone(self))
+    }
+
+    /// Whether every submission so far has resolved. Acquire, pairing with
+    /// the release half of the guard's decrement: a caller that sees zero
+    /// also sees everything the node thread did before resolving the last
+    /// submission.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.count.load(Ordering::Acquire) == 0
+    }
+
+    pub(crate) fn wait_zero(&self) {
+        let mut guard = self.zero.lock().expect("no panic while held");
+        while !self.is_idle() {
+            guard = self.done.wait(guard).expect("no panic while held");
+        }
+    }
+}
+
+/// Decrements the session's in-flight count when dropped — which happens
+/// exactly when the command's reply slot is consumed or discarded, on every
+/// path (reply sent, node loop exited, command never delivered).
+#[derive(Debug)]
+pub(crate) struct InflightGuard(Arc<Inflight>);
+
+impl Drop for InflightGuard {
+    fn drop(&mut self) {
+        if self.0.count.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Taking the lock orders this wake-up after a waiter's check of
+            // the count: it is either not yet checking or already asleep.
+            drop(self.0.zero.lock());
+            self.0.done.notify_all();
         }
     }
 }
@@ -811,33 +880,26 @@ mod tests {
         assert_eq!(t.wait(), Err(TxError::Fenced));
     }
 
-    fn reply(result: Result<Vec<u8>, TxError>) -> TicketReply {
-        TicketReply {
-            result,
-            resolved_at: Instant::now(),
-        }
-    }
-
     #[test]
     fn pending_tickets_poll_and_wait() {
-        let (tx, rx) = reply_cell();
+        let (tx, rx) = ReplySlot::new(None);
         let mut t: TxTicket<u64> = TxTicket::pending(rx);
         assert_eq!(t.try_poll(), None);
-        tx.send(reply(Ok(9u64.encode())));
+        tx.send(Ok(9u64.encode()));
         assert_eq!(t.try_poll(), Some(Ok(9)));
         assert_eq!(t.try_poll(), None, "spent");
 
-        let (tx, rx) = reply_cell();
+        let (tx, rx) = ReplySlot::new(None);
         let t: TxTicket<u64> = TxTicket::pending(rx);
-        tx.send(reply(Ok(11u64.encode())));
+        tx.send(Ok(11u64.encode()));
         assert_eq!(t.wait(), Ok(11));
 
         // A dropped node thread resolves tickets to NodeUnavailable.
-        let (tx, rx) = reply_cell();
+        let (tx, rx) = ReplySlot::new(None);
         drop(tx);
         let mut t: TxTicket<u64> = TxTicket::pending(rx);
         assert_eq!(t.try_poll(), Some(Err(TxError::NodeUnavailable)));
-        let (tx, rx) = reply_cell();
+        let (tx, rx) = ReplySlot::new(None);
         drop(tx);
         let t: TxTicket<u64> = TxTicket::pending(rx);
         assert_eq!(t.wait(), Err(TxError::NodeUnavailable));
@@ -845,7 +907,7 @@ mod tests {
 
     #[test]
     fn a_waiting_ticket_wakes_when_another_thread_resolves_it() {
-        let (tx, rx) = reply_cell();
+        let (tx, rx) = ReplySlot::new(None);
         let t: TxTicket<u64> = TxTicket::pending(rx);
         let entered = Arc::new(std::sync::Barrier::new(2));
         let waiter = {
@@ -856,28 +918,25 @@ mod tests {
             })
         };
         entered.wait();
-        tx.send(reply(Ok(3u64.encode())));
+        tx.send(Ok(3u64.encode()));
         assert_eq!(waiter.join().expect("waiter"), Ok(3));
     }
 
     #[test]
     fn timed_accessors_expose_the_resolve_instant() {
         let before = Instant::now();
-        let (tx, rx) = reply_cell();
+        let (tx, rx) = ReplySlot::new(None);
         let mut t: TxTicket<u64> = TxTicket::pending(rx);
         assert!(t.try_poll_timed().is_none());
-        let sent_at = Instant::now();
-        tx.send(TicketReply {
-            result: Ok(5u64.encode()),
-            resolved_at: sent_at,
-        });
+        tx.send(Ok(5u64.encode()));
+        let sent_by = Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
         let (result, at) = t.try_poll_timed().unwrap();
         assert_eq!(result, Ok(5));
-        assert_eq!(
-            at, sent_at,
+        assert!(
+            at >= before && at <= sent_by,
             "resolve instant is the sender's, not poll time"
         );
-        assert!(at >= before);
 
         // Ready tickets are stamped at creation, and wait_timed agrees.
         let t: TxTicket<u64> = TxTicket::ready(Ok(7));

@@ -28,21 +28,16 @@ pub struct ZeusConfig {
     pub max_ownership_retries: usize,
     /// Ticks between retransmissions of unacknowledged protocol messages
     /// (the paper's reliable transport, §3.1). Protocol handlers are
-    /// idempotent, so the interval trades recovery latency for traffic.
+    /// idempotent, so the interval trades recovery latency for traffic. This
+    /// is the simulator's interval; a runtime whose transport reports a
+    /// retransmission timeout of its own (the in-process mailbox's constant,
+    /// UDP's RTT estimate) uses that instead.
     pub retransmit_ticks: u64,
     /// Whether a heartbeat from a falsely-suspected (lease-expelled) node
     /// re-admits it through a view change. Always true in production
     /// configurations; the chaos harness flips it to false to re-create the
     /// pre-fix expulsion wedge and prove the explorer catches it.
     pub readmit_suspects: bool,
-    /// Whether the threaded node loop executes its drained command batch as
-    /// one unit (writes back-to-back into the commit pipeline, coalesced
-    /// ownership acquisitions, one outbox flush per batch). Disabled, the
-    /// loop processes one command per iteration with per-message sends —
-    /// the `--no-batch` control of the saturation benchmarks. The simulator
-    /// executes sessions synchronously, so it always behaves like batches
-    /// of one regardless of this flag.
-    pub batch_commands: bool,
     /// Placement policy run by each node's locality engine. `Reactive` (the
     /// default) is the null policy — placements only ever move on the
     /// critical path of an access, byte-identical to the pre-engine
@@ -79,7 +74,6 @@ impl Default for ZeusConfig {
             max_ownership_retries: 256,
             retransmit_ticks: 64,
             readmit_suspects: true,
-            batch_commands: true,
             policy: PolicyKind::Reactive,
             // ~10 ms between planning rounds: long enough to smooth over
             // scheduling noise, short enough to track a migrating hotspot.

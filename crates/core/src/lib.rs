@@ -23,7 +23,9 @@
 //!   ([`Session::write_txn`]/[`Session::read_txn`] over a
 //!   [`client::TxPayload`] result), explicit [`client::RetryPolicy`] retry
 //!   classification, and pipelined non-blocking submission
-//!   ([`Session::submit_write`] → [`client::TxTicket`]).
+//!   ([`Session::submit_write`] → [`client::TxTicket`]). Behind it, one
+//!   transaction driver (`driver.rs`) parks, retries, backs off and fences
+//!   commands the same way on every runtime below.
 //! * [`sim::SimCluster`] — a deterministic multi-node harness over the
 //!   simulated network, used by tests, fault injection and the bounded
 //!   model-checking harness.
@@ -44,6 +46,7 @@ pub mod balancer;
 pub mod client;
 pub mod cluster_config;
 pub mod config;
+mod driver;
 pub mod message;
 pub mod node;
 pub mod procs;

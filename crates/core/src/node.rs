@@ -104,20 +104,22 @@ impl CommitSink for CommitOut<'_> {
 }
 
 /// What the transaction layer tracks about the ownership requests it issued.
+/// Every map but the histogram holds a request only until its last waiter
+/// [released](ZeusNode::release_request) it.
 #[derive(Debug, Default)]
 struct RequestTable {
     completed: IdHashSet<RequestId>,
-    failed: IdHashMap<RequestId, NackReason>,
+    /// Terminally failed requests, with the object they were for.
+    failed: IdHashMap<RequestId, (ObjectId, NackReason)>,
     retry_queue: Vec<RequestId>,
     started_at: IdHashMap<RequestId, u64>,
-    /// In-flight acquisitions keyed by what they ask for, so batched
-    /// transactions needing the same object can share one protocol request
-    /// (only consulted when `coalesce_acquires` is on).
+    /// In-flight acquisitions keyed by what they ask for, so transactions
+    /// needing the same object share one protocol request.
     inflight_acquires: IdHashMap<(ObjectId, OwnershipRequestKind), RequestId>,
-    /// How many waiters reference each in-flight request. A request is only
-    /// really abandoned when its last waiter gives up — otherwise one parked
-    /// transaction's back-off would cancel a request its batch peers still
-    /// wait on.
+    /// How many waiters reference each request. A request is only really
+    /// abandoned, and its outcome only forgotten, when its last waiter is
+    /// done with it — otherwise one parked transaction's back-off would
+    /// cancel a request its batch peers still wait on.
     acquire_refs: IdHashMap<RequestId, usize>,
     /// Latency of completed requests (ticks).
     latency: LatencyHistogram,
@@ -127,7 +129,7 @@ impl RequestTable {
     /// Forgets the in-flight bookkeeping of a request that reached a
     /// terminal state.
     fn settle(&mut self, req_id: RequestId) {
-        self.acquire_refs.remove(&req_id);
+        self.started_at.remove(&req_id);
         self.inflight_acquires.retain(|_, &mut r| r != req_id);
     }
 }
@@ -171,10 +173,10 @@ impl OwnershipSink for OwnershipOut<'_> {
                 data,
             } => {
                 self.stats.ownership_completed += 1;
-                if let Some(start) = self.requests.started_at.remove(&req_id) {
+                if let Some(start) = self.requests.started_at.get(&req_id) {
                     self.requests
                         .latency
-                        .record(self.now.saturating_sub(start).max(1));
+                        .record(self.now.saturating_sub(*start).max(1));
                 }
                 self.requests.completed.insert(req_id);
                 self.requests.settle(req_id);
@@ -182,12 +184,11 @@ impl OwnershipSink for OwnershipOut<'_> {
             }
             OwnershipAction::Failed {
                 req_id,
-                object: _,
+                object,
                 reason,
             } => {
-                self.requests.started_at.remove(&req_id);
                 self.requests.settle(req_id);
-                self.requests.failed.insert(req_id, reason);
+                self.requests.failed.insert(req_id, (object, reason));
             }
             OwnershipAction::RetryLater { req_id, .. } => {
                 // Dedup: a request can be NACKed retryably several times
@@ -325,12 +326,9 @@ pub struct ZeusNode {
     spare_workspace: TxWorkspace,
     /// Scratch list of the followers of the commit being started.
     followers: Vec<NodeId>,
-    /// Whether `acquire` may return an already-in-flight request for the
-    /// same `(object, kind)`. Enabled by the threaded runtime's batched
-    /// command loop; the simulator leaves it off so chaos replay semantics
-    /// are untouched.
-    coalesce_acquires: bool,
     stats: NodeStats,
+    /// Messages handled so far (see [`ZeusNode::messages_handled`]).
+    handled: u64,
     now: u64,
     last_retransmit: u64,
     /// Inbox-backlog signal from the runtime (see [`ZeusNode::set_congested`]).
@@ -394,8 +392,8 @@ impl ZeusNode {
             requests: RequestTable::default(),
             spare_workspace: TxWorkspace::new(),
             followers: Vec::new(),
-            coalesce_acquires: false,
             stats: NodeStats::default(),
+            handled: 0,
             now: 0,
             last_retransmit: 0,
             congested: false,
@@ -568,18 +566,15 @@ impl ZeusNode {
 
     /// Explicitly requests an access level for `object` (used by the
     /// transaction layer and directly by the migration experiments of
-    /// Figures 10–11).
+    /// Figures 10–11). The caller is one waiter of the returned request and
+    /// says so with [`ZeusNode::release_request`] when it is done with it.
     pub fn acquire(&mut self, object: ObjectId, kind: OwnershipRequestKind) -> RequestId {
-        if self.coalesce_acquires {
-            if let Some(&req) = self.requests.inflight_acquires.get(&(object, kind)) {
-                if self.request_state(req) == RequestState::Pending {
-                    // Another transaction of the current batch already asked
-                    // for exactly this access: share its request instead of
-                    // putting a second REQ on the wire.
-                    *self.requests.acquire_refs.entry(req).or_insert(1) += 1;
-                    return req;
-                }
-            }
+        if let Some(&req) = self.requests.inflight_acquires.get(&(object, kind)) {
+            // Someone already asked for exactly this access and still
+            // waits: share the request instead of putting a second REQ on
+            // the wire.
+            *self.requests.acquire_refs.entry(req).or_insert(1) += 1;
+            return req;
         }
         self.stats.ownership_requests += 1;
         // The engine's next request id, known up front so the bookkeeping is
@@ -588,11 +583,9 @@ impl ZeusNode {
         let req_id = self.ownership.next_request_id();
         self.requests.started_at.insert(req_id, self.now);
         self.requests.acquire_refs.insert(req_id, 1);
-        if self.coalesce_acquires {
-            self.requests
-                .inflight_acquires
-                .insert((object, kind), req_id);
-        }
+        self.requests
+            .inflight_acquires
+            .insert((object, kind), req_id);
         let host = HostView {
             store: &self.store,
             commit: &self.commit,
@@ -602,15 +595,6 @@ impl ZeusNode {
                 .request_access_into(object, kind, &host, &mut ownership_out!(self));
         debug_assert_eq!(issued, req_id);
         req_id
-    }
-
-    /// Enables (or disables) sharing of in-flight ownership requests across
-    /// the transactions of one command batch. See [`ZeusNode::acquire`].
-    pub fn set_coalesce_acquires(&mut self, on: bool) {
-        self.coalesce_acquires = on;
-        if !on {
-            self.requests.inflight_acquires.clear();
-        }
     }
 
     /// Records that the hosting runtime executed a batch of `n` drained
@@ -624,33 +608,54 @@ impl ZeusNode {
         self.stats.batch_occupancy_hwm = self.stats.batch_occupancy_hwm.max(n);
     }
 
-    /// Abandons a pending ownership request the caller gave up waiting for
-    /// (back-off, §6.2). Without this, a request that keeps being NACKed
-    /// retryably — e.g. while a peer's recovery drags on — would retry and
+    /// Tells the node that one waiter of `req` is done with it: it has read
+    /// the outcome, or it gives up waiting (back-off §6.2, fencing). When
+    /// the last waiter has, the outcome is forgotten, and a request still
+    /// pending is abandoned — one that keeps being NACKed retryably, e.g.
+    /// while a peer's recovery drags on, would otherwise retry and
     /// retransmit forever, pinning the node in a non-quiescent state long
     /// after its transaction moved on.
-    pub fn abandon_request(&mut self, req: RequestId) {
+    pub fn release_request(&mut self, req: RequestId) {
         if let Some(refs) = self.requests.acquire_refs.get_mut(&req) {
             if *refs > 1 {
                 *refs -= 1;
                 return;
             }
         }
-        self.requests.settle(req);
-        self.ownership.abandon_request(req);
-        self.requests.retry_queue.retain(|&r| r != req);
-        self.requests.started_at.remove(&req);
+        self.requests.acquire_refs.remove(&req);
+        if !self.requests.completed.remove(&req) && self.requests.failed.remove(&req).is_none() {
+            self.requests.settle(req);
+            self.ownership.abandon_request(req);
+            self.requests.retry_queue.retain(|&r| r != req);
+        }
     }
 
-    /// State of a previously issued ownership request.
+    /// State of a previously issued ownership request, for as long as a
+    /// waiter has not [released](ZeusNode::release_request) it.
     pub fn request_state(&self, req: RequestId) -> RequestState {
         if self.requests.completed.contains(&req) {
             RequestState::Completed
-        } else if let Some(reason) = self.requests.failed.get(&req) {
+        } else if let Some((_, reason)) = self.requests.failed.get(&req) {
             RequestState::Failed(*reason)
         } else {
             RequestState::Pending
         }
+    }
+
+    /// The object a terminally failed request was for.
+    pub(crate) fn failed_object(&self, req: RequestId) -> Option<ObjectId> {
+        self.requests.failed.get(&req).map(|(object, _)| *object)
+    }
+
+    /// Entries the request bookkeeping holds, over all its maps: zero once
+    /// every request has been released by all of its waiters.
+    pub fn tracked_requests(&self) -> usize {
+        let table = &self.requests;
+        table.completed.len()
+            + table.failed.len()
+            + table.started_at.len()
+            + table.acquire_refs.len()
+            + table.inflight_acquires.len()
     }
 
     // ------------------------------------------------------------------
@@ -823,6 +828,7 @@ impl ZeusNode {
 
     /// Handles a message from another node (or a self-send).
     pub fn handle_message(&mut self, from: NodeId, msg: Message) {
+        self.handled += 1;
         match msg {
             Message::Ownership(m) => {
                 // If we are the current owner and this invalidation will
@@ -910,6 +916,13 @@ impl ZeusNode {
                 self.process_view_events(events);
             }
         }
+    }
+
+    /// How many messages this node has handled: what a transaction that
+    /// lost to an in-flight commit watches to know when trying again can
+    /// come out differently.
+    pub(crate) fn messages_handled(&self) -> u64 {
+        self.handled
     }
 
     /// Reports whether the runtime's inbox had a backlog this iteration.
@@ -1039,23 +1052,21 @@ impl ZeusNode {
         if self.locality.is_none() {
             return;
         }
-        // Reap policy requests that reached a terminal state. They have no
-        // transaction waiting on them, so their terminal records are dropped
-        // here (the sets must not grow with policy traffic); completions
-        // feed the new placement back into the tracker.
+        // Reap policy requests that reached a terminal state: the policy is
+        // the waiter that issued them, and releases them here (the request
+        // table must not grow with policy traffic); completions feed the new
+        // placement back into the tracker.
         if !self.policy_reqs.is_empty() {
             let settled: Vec<(RequestId, ObjectId)> = self
                 .policy_reqs
                 .iter()
-                .filter(|(req, _)| {
-                    self.requests.completed.contains(req) || self.requests.failed.contains_key(req)
-                })
+                .filter(|(&req, _)| self.request_state(req) != RequestState::Pending)
                 .map(|(&req, &object)| (req, object))
                 .collect();
             for (req, object) in settled {
                 self.policy_reqs.remove(&req);
-                let completed = self.requests.completed.remove(&req);
-                self.requests.failed.remove(&req);
+                let completed = self.request_state(req) == RequestState::Completed;
+                self.release_request(req);
                 if completed {
                     let level = self.level_of(object);
                     if let Some(engine) = self.locality.as_mut() {
@@ -1315,8 +1326,8 @@ impl ZeusNode {
         self.store.clear();
         self.commit.reset_for_rejoin();
         self.requests.retry_queue.clear();
-        self.requests.inflight_acquires.clear();
-        self.requests.acquire_refs.clear();
+        // The engine fails every pending request below; their waiters read
+        // that outcome and release them as usual.
         self.ownership
             .reset_for_rejoin_into(&mut ownership_out!(self));
     }

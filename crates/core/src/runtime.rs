@@ -17,107 +17,26 @@
 //! and queues only when that single optimistic attempt does not commit.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use zeus_net::{Envelope, LinkMsg, ProbedMailbox, RttConfig, ThreadedNet, Transport};
-use zeus_proto::{NodeId, ObjectId, OwnershipRequestKind, ReplicaSet, RequestId};
+use zeus_net::{Envelope, ThreadedNet, Transport};
+use zeus_proto::{NodeId, ObjectId, OwnershipRequestKind, ReplicaSet};
 use zeus_store::Store;
 
 use crate::client::{
-    reply_cell, AdminError, ClusterDriver, ReplySender, RetryPolicy, Session, TicketReply,
-    TxPayload, TxTicket,
+    AdminError, ClusterDriver, Inflight, ReplySlot, RetryPolicy, Session, TxPayload, TxTicket,
 };
 use crate::config::ZeusConfig;
+use crate::driver::{erase, TxCommand, TxDriver, Work};
 use crate::message::Message;
-use crate::node::{RequestState, ZeusNode};
+use crate::node::ZeusNode;
 use crate::stats::{LatencyHistogram, NodeStats};
-use crate::txn::{execute_read_only, ReadOutcome, TxCtx, TxError, WriteOutcome};
-
-/// A transaction closure executed on the node thread. The result payload is
-/// an opaque byte vector so the command channel stays object-safe; the
-/// session layer encodes/decodes the typed [`TxPayload`] result.
-type TxFn = Box<dyn FnMut(&mut TxCtx<'_>) -> Result<Vec<u8>, TxError> + Send>;
-
-// ---------------------------------------------------------------------------
-// In-flight accounting (the Session::drain barrier)
-// ---------------------------------------------------------------------------
-
-/// Counts submissions that have not resolved yet. `drain` blocks on zero
-/// (the condvar), and `read_txn` asks [`Inflight::is_idle`] on every call, so
-/// the count itself is an atomic: the read gate costs one load, not a mutex
-/// round-trip.
-#[derive(Debug, Default)]
-struct Inflight {
-    count: AtomicUsize,
-    /// Guards nothing but the sleep/wake handshake of `wait_zero`.
-    zero: Mutex<()>,
-    done: Condvar,
-}
-
-impl Inflight {
-    fn increment(&self) {
-        self.count.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Whether every submission so far has resolved. Acquire, pairing with
-    /// the release half of the guard's decrement: a caller that sees zero
-    /// also sees everything the node thread did before resolving the last
-    /// submission.
-    fn is_idle(&self) -> bool {
-        self.count.load(Ordering::Acquire) == 0
-    }
-
-    fn wait_zero(&self) {
-        let mut guard = self.zero.lock().expect("no panic while held");
-        while !self.is_idle() {
-            guard = self.done.wait(guard).expect("no panic while held");
-        }
-    }
-}
-
-/// Decrements the session's in-flight count when dropped — which happens
-/// exactly when the command's reply slot is consumed or discarded, on every
-/// path (reply sent, node loop exited, command never delivered).
-#[derive(Debug)]
-struct InflightGuard(Arc<Inflight>);
-
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        if self.0.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Taking the lock orders this wake-up after a waiter's check of
-            // the count: it is either not yet checking or already asleep.
-            drop(self.0.zero.lock());
-            self.0.done.notify_all();
-        }
-    }
-}
-
-/// The sending half of a submitted transaction's reply cell plus its
-/// drain-barrier guard; sending the result (or dropping the slot) releases
-/// the guard.
-#[derive(Debug)]
-pub(crate) struct ReplySlot {
-    tx: ReplySender,
-    _guard: InflightGuard,
-}
-
-impl ReplySlot {
-    fn send(self, result: Result<Vec<u8>, TxError>) {
-        // Stamp the resolve instant on the node thread, so pipelined
-        // tickets expose true per-op latency (resolve minus submit) rather
-        // than whenever the client got around to polling.
-        self.tx.send(TicketReply {
-            result,
-            resolved_at: Instant::now(),
-        });
-        // `_guard` drops here: the submission has resolved.
-    }
-}
+use crate::txn::{execute_read_only, TxCtx, TxError};
 
 // ---------------------------------------------------------------------------
 // Caller-thread reads
@@ -274,21 +193,8 @@ where
 // ---------------------------------------------------------------------------
 
 pub(crate) enum Command {
-    Write {
-        tx: TxFn,
-        policy: RetryPolicy,
-        reply: ReplySlot,
-    },
-    Read {
-        tx: TxFn,
-        policy: RetryPolicy,
-        reply: ReplySlot,
-    },
-    Acquire {
-        object: ObjectId,
-        kind: OwnershipRequestKind,
-        reply: Sender<Result<(), TxError>>,
-    },
+    /// A transaction or an acquisition: the [`TxDriver`]'s business.
+    Tx(TxCommand),
     CreateObject {
         object: ObjectId,
         data: Bytes,
@@ -308,22 +214,6 @@ pub(crate) enum Command {
         node: NodeId,
     },
     Shutdown,
-}
-
-struct Parked {
-    tx: TxFn,
-    requests: Vec<RequestId>,
-    policy: RetryPolicy,
-    reply: ReplySlot,
-    attempts: usize,
-    /// Exponential back-off deadline: do not re-execute before this instant
-    /// (the paper's deadlock/contention avoidance, §6.2).
-    not_before: Instant,
-}
-
-struct AcquireWait {
-    request: RequestId,
-    reply: Sender<Result<(), TxError>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -355,40 +245,17 @@ impl ThreadedSession {
         }
     }
 
-    /// Boxes a typed closure into the byte-payload form the command channel
-    /// carries.
-    fn erase<T, F>(mut f: F) -> TxFn
-    where
-        T: TxPayload,
-        F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
-    {
-        Box::new(move |ctx| f(ctx).map(|v| v.encode()))
-    }
-
-    /// Enqueues a transaction command built by `make` from the erased
-    /// closure and a reply slot wired to the session's drain barrier,
-    /// returning the ticket that resolves with the result. A failed send
-    /// drops the command — releasing the guard and the reply sender, so the
-    /// ticket resolves to [`TxError::NodeUnavailable`].
-    fn submit<T, F>(
-        &self,
-        f: F,
-        make: impl FnOnce(TxFn, RetryPolicy, ReplySlot) -> Command,
-    ) -> TxTicket<T>
-    where
-        T: TxPayload,
-        F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
-    {
-        self.inflight.increment();
-        let (reply, rx) = reply_cell();
-        let slot = ReplySlot {
-            tx: reply,
-            _guard: InflightGuard(Arc::clone(&self.inflight)),
-        };
-        let _ = self
-            .link
-            .commands
-            .send(make(Self::erase(f), self.policy.clone(), slot));
+    /// Enqueues `work` with the session's policy and a reply slot wired to
+    /// its drain barrier, returning the ticket that resolves with the
+    /// result. A failed send drops the command — releasing the guard and the
+    /// reply sender, so the ticket resolves to [`TxError::NodeUnavailable`].
+    fn submit<T: TxPayload>(&self, work: Work) -> TxTicket<T> {
+        let (reply, rx) = ReplySlot::new(Some(self.inflight.guard()));
+        let _ = self.link.commands.send(Command::Tx(TxCommand {
+            work,
+            policy: self.policy.clone(),
+            reply,
+        }));
         TxTicket::pending(rx)
     }
 }
@@ -428,8 +295,7 @@ impl Session for ThreadedSession {
                 return Ok(value);
             }
         }
-        self.submit(f, |tx, policy, reply| Command::Read { tx, policy, reply })
-            .wait()
+        self.submit(Work::Read(erase(f))).wait()
     }
 
     fn submit_write<T, F>(&self, f: F) -> TxTicket<T>
@@ -437,7 +303,7 @@ impl Session for ThreadedSession {
         T: TxPayload,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
-        self.submit(f, |tx, policy, reply| Command::Write { tx, policy, reply })
+        self.submit(Work::Write(erase(f)))
     }
 
     fn drain(&self) -> Result<(), TxError> {
@@ -446,16 +312,7 @@ impl Session for ThreadedSession {
     }
 
     fn acquire(&self, object: ObjectId, kind: OwnershipRequestKind) -> Result<(), TxError> {
-        let (reply, rx) = bounded(1);
-        self.link
-            .commands
-            .send(Command::Acquire {
-                object,
-                kind,
-                reply,
-            })
-            .map_err(|_| TxError::NodeUnavailable)?;
-        rx.recv().unwrap_or(Err(TxError::NodeUnavailable))
+        self.submit(Work::Acquire { object, kind }).wait()
     }
 
     fn stats(&self) -> Result<(NodeStats, LatencyHistogram), TxError> {
@@ -477,44 +334,21 @@ pub struct ThreadedCluster {
     config: ZeusConfig,
     links: Vec<NodeLink>,
     threads: Vec<JoinHandle<()>>,
-    net: ThreadedNet<LinkMsg<Message>>,
+    net: ThreadedNet<Message>,
 }
 
 impl ThreadedCluster {
-    /// Starts a cluster with the given configuration.
-    ///
-    /// One tick is one microsecond on this runtime, and the in-process
-    /// transport is lossless (only injected partitions drop), so the
-    /// simulator-tuned default retransmission interval (64 ticks, sized for
-    /// 2–4-tick RTTs) would re-send every protocol message of an ordinary
-    /// ~100 µs ownership acquisition several times — with a window of
-    /// pipelined acquisitions in flight that snowballs into a retransmit
-    /// storm that slows the very requests it is retrying. When the config
-    /// carries the default interval, each node therefore runs a
-    /// [`ProbedMailbox`]: per-peer RTT probes measure real inbox queueing
-    /// delay and the resulting RTO (floored at the 1 ms the old hard-coded
-    /// constant imposed, see [`RttConfig::inprocess_default`]) continuously
-    /// overrides the protocol retry interval. An explicitly configured
-    /// non-default interval is kept fixed, probes off. (Setting the field
-    /// to exactly the default value is indistinguishable from leaving it
-    /// unset — pick 63 or 65 to experiment near the sim default.)
+    /// Starts a cluster with the given configuration. One tick is one
+    /// microsecond on this runtime, and the mailbox transport sets the
+    /// protocol retransmission interval (see `zeus_net::NodeMailbox`'s
+    /// [`Transport::rto_micros`]): `retransmit_ticks` is the simulator's.
     pub fn start(config: ZeusConfig) -> Self {
-        let adaptive = config.retransmit_ticks == ZeusConfig::default().retransmit_ticks;
-        let net: ThreadedNet<LinkMsg<Message>> = ThreadedNet::new(config.nodes);
+        let net: ThreadedNet<Message> = ThreadedNet::new(config.nodes);
         let mut links = Vec::new();
         let mut threads = Vec::new();
         for i in 0..config.nodes as u16 {
             let id = NodeId(i);
-            let transport = if adaptive {
-                ProbedMailbox::adaptive(
-                    net.mailbox(id),
-                    config.nodes,
-                    RttConfig::inprocess_default(),
-                )
-            } else {
-                ProbedMailbox::passthrough(net.mailbox(id))
-            };
-            let (link, thread) = start_node(ZeusNode::new(id, config.clone()), transport);
+            let (link, thread) = start_node(ZeusNode::new(id, config.clone()), net.mailbox(id));
             links.push(link);
             threads.push(thread);
         }
@@ -705,20 +539,21 @@ const IDLE_WAIT: Duration = Duration::from_micros(20);
 /// stranded by dead peers.
 const COMMIT_BACKPRESSURE_HWM: usize = 2_048;
 
-/// Bounds of the adaptive command-drain cap (batched mode). The cap tracks
-/// 2x the recent batch-occupancy high-water mark: a lightly loaded node
-/// drains small batches (each batch delays its first command until the
-/// single outbox flush of step 6, so over-draining costs latency), a
-/// saturated one widens toward the max so channel lock round-trips and
-/// flushes amortize over more commands. The floor keeps headroom to
-/// *discover* rising load — occupancy can only grow past the HWM if the
-/// drain allows more than the HWM.
+/// Bounds of the adaptive command-drain cap. The cap tracks 2x the recent
+/// batch-occupancy high-water mark: a lightly loaded node drains small
+/// batches (each batch delays its first command until the single outbox
+/// flush of step 4, so over-draining costs latency), a saturated one widens
+/// toward the max so channel lock round-trips and flushes amortize over more
+/// commands. The floor keeps headroom to *discover* rising load — occupancy
+/// can only grow past the HWM if the drain allows more than the HWM.
 const DRAIN_CAP_MIN: usize = 16;
 const DRAIN_CAP_MAX: usize = 256;
 
 /// The per-node event loop, generic over how bytes move ([`Transport`]):
 /// in-process channels for [`ThreadedCluster`], UDP sockets for the
-/// process-per-node deployments.
+/// process-per-node deployments. What is about threads and sockets lives
+/// here; what a transaction waits for, what a wait costs and how it ends is
+/// the [`TxDriver`]'s, which the simulator runs as well.
 fn node_loop<T: Transport<Message>>(
     mut node: ZeusNode,
     transport: T,
@@ -726,21 +561,12 @@ fn node_loop<T: Transport<Message>>(
     reads: &ReadPort,
 ) {
     let _close = CloseOnExit(reads);
-    // Cross-session batching (`ZeusConfig::batch_commands`): execute the
-    // drained command batch as one unit — writes back to back into the
-    // commit pipeline, same-object ownership acquisitions shared, one
-    // outbox flush per iteration. Disabled, the loop serves one command per
-    // iteration with per-message sends: the `--no-batch` control the
-    // saturation benchmarks compare against.
-    let batched = node.config().batch_commands;
-    node.set_coalesce_acquires(batched);
-    let mut parked: Vec<Parked> = Vec::new();
-    let mut acquiring: Vec<AcquireWait> = Vec::new();
+    let mut driver = TxDriver::default();
     // Batch buffers: the shim's channels are Mutex-backed, so popping a
     // burst one `try_recv` at a time pays one lock round-trip per message.
     // Draining into these local buffers pays one per *batch* instead.
     // `inbox_buf` may carry messages across loop iterations (the
-    // parked-transaction early exit below), preserving arrival order.
+    // granted-transaction early exit below), preserving arrival order.
     let mut inbox_buf: VecDeque<Envelope<Message>> = VecDeque::new();
     let mut drain_buf: Vec<Envelope<Message>> = Vec::new();
     let mut cmd_buf: Vec<Command> = Vec::new();
@@ -753,6 +579,7 @@ fn node_loop<T: Transport<Message>>(
     let mut drain_hwm: usize = 0;
     loop {
         let mut did_work = false;
+        let now = reads.now();
 
         // 1. Network traffic: drain the mailbox into the local batch, then
         //    process from the batch. A full drain means the mailbox likely
@@ -774,10 +601,7 @@ fn node_loop<T: Transport<Message>>(
             // executes (ownership ping-pong under heavy contention). The
             // unprocessed rest of the batch stays in `inbox_buf` for the
             // next iteration.
-            if parked
-                .iter()
-                .any(|p| matches!(requests_state(&node, &p.requests), Some(Ok(()))))
-            {
+            if driver.grant_landed(&node, now) {
                 break;
             }
         }
@@ -786,17 +610,15 @@ fn node_loop<T: Transport<Message>>(
         //    one unit. Pipelined and multi-session submissions land here
         //    together — one lock round-trip per burst (`drain_into`), then
         //    writes are grouped to the front so the commit pipeline fills
-        //    back to back and same-object acquisitions coalesce before the
-        //    single outbox flush of step 6. Reordering writes ahead of
-        //    reads/acquires preserves per-session order: those commands
-        //    block their session, so no session can have a write queued
-        //    *behind* its own read/acquire within one batch. `CreateObject`
-        //    stays in the front group too — it is fire-and-forget, and a
-        //    write hoisted past it would put its ownership REQ on the wire
-        //    before the object's placement is installed, racing the
-        //    directory's own creation.
-        //    The control path serves strictly one command per iteration,
-        //    counting anything the idle wait below already picked up.
+        //    back to back and same-object acquisitions share one request
+        //    before the single outbox flush of step 4. Reordering writes
+        //    ahead of reads/acquires preserves per-session order: those
+        //    commands block their session, so no session can have a write
+        //    queued *behind* its own read/acquire within one batch.
+        //    `CreateObject` stays in the front group too — it is
+        //    fire-and-forget, and a write hoisted past it would put its
+        //    ownership REQ on the wire before the object's placement is
+        //    installed, racing the directory's own creation.
         //    Admission is gated on the replication pipeline's depth: a
         //    ticket resolves when its commit *starts* (pipelining, §5), so
         //    an open-loop client can push commands faster than R-ACKs
@@ -808,10 +630,8 @@ fn node_loop<T: Transport<Message>>(
         //    up; protocol traffic keeps draining meanwhile.
         let want = if node.outstanding_commits() >= COMMIT_BACKPRESSURE_HWM {
             0
-        } else if batched {
-            (drain_hwm * 2).clamp(DRAIN_CAP_MIN, DRAIN_CAP_MAX)
         } else {
-            1usize.saturating_sub(cmd_buf.len())
+            (drain_hwm * 2).clamp(DRAIN_CAP_MIN, DRAIN_CAP_MAX)
         };
         commands.drain_into(&mut cmd_buf, want);
         if !cmd_buf.is_empty() {
@@ -821,13 +641,18 @@ fn node_loop<T: Transport<Message>>(
         // stops inflating the cap once the load drops.
         drain_hwm = drain_hwm.max(cmd_buf.len());
         drain_hwm -= (1 + drain_hwm / 32).min(drain_hwm);
-        if batched && cmd_buf.len() > 1 {
+        if cmd_buf.len() > 1 {
             std::mem::swap(&mut cmd_buf, &mut scratch_buf);
             for command in scratch_buf.drain(..) {
-                if matches!(
+                let front = matches!(
                     command,
-                    Command::Write { .. } | Command::CreateObject { .. }
-                ) {
+                    Command::CreateObject { .. }
+                        | Command::Tx(TxCommand {
+                            work: Work::Write(_),
+                            ..
+                        })
+                );
+                if front {
                     cmd_buf.push(command);
                 } else {
                     hold_buf.push(command);
@@ -837,97 +662,9 @@ fn node_loop<T: Transport<Message>>(
         }
         for command in cmd_buf.drain(..) {
             match command {
-                Command::Write {
-                    mut tx,
-                    policy,
-                    reply,
-                } => {
+                Command::Tx(command) => {
                     did_work = true;
-                    match attempt_write(&mut node, tx.as_mut(), &policy) {
-                        AttemptResult::Done(result) => reply.send(result),
-                        AttemptResult::Park(requests) => parked.push(Parked {
-                            tx,
-                            requests,
-                            policy,
-                            reply,
-                            attempts: 0,
-                            not_before: Instant::now(),
-                        }),
-                    }
-                }
-                Command::Read {
-                    mut tx,
-                    policy,
-                    reply,
-                } => {
-                    did_work = true;
-                    // Read-only transactions abort on in-flight reliable
-                    // commits (§5.3); retry locally after letting the commit
-                    // traffic drain, within the session's retry budget. A
-                    // spent multi-attempt budget reports RetriesExhausted; a
-                    // no-retry policy surfaces the conflict as-is.
-                    let mut result = Err(if policy.max_attempts > 1 {
-                        TxError::RetriesExhausted
-                    } else {
-                        TxError::ReadConflict
-                    });
-                    for _ in 0..policy.max_attempts.max(1) {
-                        match node.execute_read(|ctx| tx(ctx)) {
-                            ReadOutcome::Committed { value } => {
-                                result = Ok(value);
-                                break;
-                            }
-                            ReadOutcome::Aborted {
-                                error: TxError::ReadConflict,
-                            } => {
-                                // The replica is mid reliable-commit; wait
-                                // for protocol traffic (R-ACKs/R-VALs) to
-                                // arrive instead of spinning — the retry
-                                // budget must span real time, not
-                                // microseconds of busy-polling. Any messages
-                                // already batched locally are handled first
-                                // so per-link arrival order is preserved.
-                                while let Some(env) = inbox_buf.pop_front() {
-                                    node.handle_message(env.from, env.msg);
-                                }
-                                if let Some(env) =
-                                    transport.recv_timeout(Duration::from_micros(200))
-                                {
-                                    node.handle_message(env.from, env.msg);
-                                }
-                                loop {
-                                    let n = transport.drain_into(&mut drain_buf, 256);
-                                    for env in drain_buf.drain(..) {
-                                        node.handle_message(env.from, env.msg);
-                                    }
-                                    if n < 256 {
-                                        break;
-                                    }
-                                }
-                                node.tick(reads.now());
-                                reads.publish_lease(node.read_lease_deadline());
-                                flush_outbox(
-                                    &mut node,
-                                    &transport,
-                                    batched.then_some(&mut send_buf),
-                                );
-                            }
-                            ReadOutcome::Aborted { error } => {
-                                result = Err(error);
-                                break;
-                            }
-                        }
-                    }
-                    reply.send(result);
-                }
-                Command::Acquire {
-                    object,
-                    kind,
-                    reply,
-                } => {
-                    did_work = true;
-                    let request = node.acquire(object, kind);
-                    acquiring.push(AcquireWait { request, reply });
+                    driver.submit(&mut node, now, command);
                 }
                 Command::CreateObject {
                     object,
@@ -954,130 +691,19 @@ fn node_loop<T: Transport<Message>>(
             }
         }
 
-        // 3. Parked transactions whose ownership requests finished.
-        let mut still_parked = Vec::new();
-        for mut p in parked.drain(..) {
-            if Instant::now() < p.not_before {
-                still_parked.push(p);
-                continue;
-            }
-            match requests_state(&node, &p.requests) {
-                // The acquisition succeeded: re-executing the transaction is
-                // the normal continuation of its *first* attempt, not a
-                // retry — it is never charged against the policy budget
-                // (with `RetryPolicy::no_retry()` a remote write still
-                // commits once its ownership arrives).
-                Some(Ok(())) => {}
-                // A transient acquisition failure (lost arbitration, pending
-                // commit, recovery in progress) is retried within the
-                // session's policy: re-execute the transaction, which
-                // re-issues the acquisition (§6.2). Each failure costs one
-                // attempt.
-                Some(Err(error)) => {
-                    did_work = true;
-                    p.attempts += 1;
-                    if !p.policy.should_retry(&error, p.attempts) {
-                        let terminal = if error.is_retryable() {
-                            TxError::RetriesExhausted
-                        } else {
-                            error
-                        };
-                        p.reply.send(Err(terminal));
-                        continue;
-                    }
-                }
-                None => {
-                    still_parked.push(p);
-                    continue;
-                }
-            }
-            did_work = true;
-            match attempt_write(&mut node, p.tx.as_mut(), &p.policy) {
-                AttemptResult::Done(result) => p.reply.send(result),
-                AttemptResult::Park(requests) => {
-                    // The object was stolen back before the transaction ran:
-                    // a fresh acquisition round, charged as one attempt,
-                    // with exponential back-off so contending coordinators
-                    // stop ping-ponging ownership.
-                    p.attempts += 1;
-                    if p.attempts >= p.policy.max_attempts {
-                        for &req in &requests {
-                            if node.request_state(req) == RequestState::Pending {
-                                node.abandon_request(req);
-                            }
-                        }
-                        p.reply.send(Err(TxError::RetriesExhausted));
-                        continue;
-                    }
-                    let backoff = p.policy.backoff(p.attempts);
-                    still_parked.push(Parked {
-                        tx: p.tx,
-                        requests,
-                        policy: p.policy,
-                        reply: p.reply,
-                        attempts: p.attempts,
-                        not_before: Instant::now() + backoff,
-                    });
-                }
-            }
-        }
-        parked = still_parked;
+        // 3. Parked commands: granted ones run, failed rounds are charged
+        //    and backed off, a fenced node resolves everything.
+        did_work |= driver.poll(&mut node, now);
 
-        // 4. Explicit acquisitions.
-        let mut still_acquiring = Vec::new();
-        for a in acquiring.drain(..) {
-            match node.request_state(a.request) {
-                RequestState::Completed => {
-                    did_work = true;
-                    let _ = a.reply.send(Ok(()));
-                }
-                RequestState::Failed(reason) => {
-                    did_work = true;
-                    let _ = a.reply.send(Err(TxError::OwnershipFailed {
-                        object: ObjectId(0),
-                        reason,
-                    }));
-                }
-                RequestState::Pending => still_acquiring.push(a),
-            }
-        }
-        acquiring = still_acquiring;
-
-        // 5. A fenced node must not leave clients wedged: its outstanding
-        //    ownership requests cannot decide while it is cut off from every
-        //    peer (and the cluster may already have expelled it and moved
-        //    on), so every parked transaction and pending acquisition
-        //    resolves to Fenced now — pipelined submissions across a
-        //    partition all land, none hang. The requests themselves are
-        //    abandoned so they stop retransmitting into the partition.
-        if node.is_fenced() && !(parked.is_empty() && acquiring.is_empty()) {
-            did_work = true;
-            for p in parked.drain(..) {
-                for &req in &p.requests {
-                    if node.request_state(req) == RequestState::Pending {
-                        node.abandon_request(req);
-                    }
-                }
-                p.reply.send(Err(TxError::Fenced));
-            }
-            for a in acquiring.drain(..) {
-                if node.request_state(a.request) == RequestState::Pending {
-                    node.abandon_request(a.request);
-                }
-                let _ = a.reply.send(Err(TxError::Fenced));
-            }
-        }
-
-        // 6. Ship outgoing traffic and advance the clock. In batched mode
-        //    this is the batch's single flush: everything the whole command
-        //    batch produced (R-INVs of every commit, coalesced REQs) goes
-        //    out grouped by destination, one channel lock per peer. The
-        //    transport then runs its own periodic work (RTT probes,
-        //    link-layer retransmission) and feeds back its two adaptive
-        //    signals: the RTO estimate becomes the protocol retry
-        //    interval, and a backlogged link counts as congestion exactly
-        //    like a backlogged inbox.
-        flush_outbox(&mut node, &transport, batched.then_some(&mut send_buf));
+        // 4. Ship outgoing traffic and advance the clock. This is the
+        //    batch's single flush: everything the whole command batch
+        //    produced (R-INVs of every commit, shared REQs) goes out grouped
+        //    by destination, one channel lock per peer. The transport then
+        //    runs its own periodic work (link-layer retransmission) and
+        //    feeds back its two signals: its retransmission timeout becomes
+        //    the protocol retry interval, and a backlogged link counts as
+        //    congestion exactly like a backlogged inbox.
+        flush_outbox(&mut node, &transport, &mut send_buf);
         let now = reads.now();
         transport.maintain(now);
         if let Some(rto) = transport.rto_micros() {
@@ -1100,10 +726,7 @@ fn node_loop<T: Transport<Message>>(
             // to a full 20 us sleep, which dominated closed-loop
             // transaction latency. Traffic on the *other* channel waits at
             // most IDLE_WAIT, exactly the bound the old sleep imposed.
-            if parked.is_empty()
-                && acquiring.is_empty()
-                && node.outstanding_commits() < COMMIT_BACKPRESSURE_HWM
-            {
+            if !driver.has_waiters() && node.outstanding_commits() < COMMIT_BACKPRESSURE_HWM {
                 if let Ok(command) = commands.recv_timeout(IDLE_WAIT) {
                     cmd_buf.push(command);
                 }
@@ -1114,100 +737,26 @@ fn node_loop<T: Transport<Message>>(
     }
 }
 
-/// Ships everything in the node's outbox: one batched, destination-grouped
-/// flush when cross-session batching is on (through `batch`, the loop's
-/// reused buffer), per-message sends otherwise (the `--no-batch` control
-/// path).
+/// Ships everything in the node's outbox as one destination-grouped flush
+/// through `batch`, the loop's reused buffer.
 fn flush_outbox<T: Transport<Message>>(
     node: &mut ZeusNode,
     transport: &T,
-    batch: Option<&mut Vec<(NodeId, Message, usize)>>,
+    batch: &mut Vec<(NodeId, Message, usize)>,
 ) {
-    match batch {
-        Some(batch) => {
-            node.drain_outbox_with(|to, msg| {
-                let bytes = msg.payload_bytes();
-                batch.push((to, msg, bytes));
-            });
-            if !batch.is_empty() {
-                transport.send_batch(batch);
-            }
-        }
-        None => node.drain_outbox_with(|to, msg| {
-            let bytes = msg.payload_bytes();
-            transport.send(to, msg, bytes);
-        }),
-    }
-}
-
-/// Result of one synchronous write attempt on the node thread.
-enum AttemptResult {
-    /// The transaction finished (committed or terminally aborted).
-    Done(Result<Vec<u8>, TxError>),
-    /// Ownership is being acquired for these requests; park the closure.
-    Park(Vec<RequestId>),
-}
-
-/// Executes a write transaction, retrying transient local aborts (lock or
-/// validation conflicts between worker threads) in place within the
-/// session's retry budget.
-fn attempt_write(
-    node: &mut ZeusNode,
-    tx: &mut (dyn FnMut(&mut TxCtx<'_>) -> Result<Vec<u8>, TxError> + Send),
-    policy: &RetryPolicy,
-) -> AttemptResult {
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        match node.execute_write(0, |ctx| tx(ctx)) {
-            WriteOutcome::Committed { value, .. } => return AttemptResult::Done(Ok(value)),
-            WriteOutcome::OwnershipPending { requests } => return AttemptResult::Park(requests),
-            WriteOutcome::Aborted { error } => {
-                // Only purely local conflicts are retried in place; protocol
-                // failures go back through the parked path so the back-off
-                // applies.
-                let local_transient = matches!(
-                    error,
-                    TxError::LockConflict | TxError::ValidationFailed | TxError::ReadConflict
-                );
-                if local_transient && policy.should_retry(&error, attempts) {
-                    continue;
-                }
-                // A spent multi-attempt budget reports RetriesExhausted; a
-                // no-retry policy surfaces the first abort as-is.
-                if local_transient && policy.max_attempts > 1 && attempts >= policy.max_attempts {
-                    return AttemptResult::Done(Err(TxError::RetriesExhausted));
-                }
-                return AttemptResult::Done(Err(error));
-            }
-        }
-    }
-}
-
-fn requests_state(node: &ZeusNode, requests: &[RequestId]) -> Option<Result<(), TxError>> {
-    let mut all_done = true;
-    for &req in requests {
-        match node.request_state(req) {
-            RequestState::Completed => {}
-            RequestState::Pending => all_done = false,
-            RequestState::Failed(reason) => {
-                return Some(Err(TxError::OwnershipFailed {
-                    object: ObjectId(0),
-                    reason,
-                }))
-            }
-        }
-    }
-    if all_done {
-        Some(Ok(()))
-    } else {
-        None
+    node.drain_outbox_with(|to, msg| {
+        let bytes = msg.payload_bytes();
+        batch.push((to, msg, bytes));
+    });
+    if !batch.is_empty() {
+        transport.send_batch(batch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
     /// `[u64 write counter][i64 balance]`, the shape the read-path tests

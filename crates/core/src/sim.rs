@@ -13,6 +13,11 @@
 //! surface the invariant tests use. The simulator stays single-threaded and
 //! deterministic — the lock only decouples session lifetimes from the
 //! cluster borrow, it is never contended in a deterministic run.
+//!
+//! Every node has the same `TxDriver` a node thread runs, clocked by
+//! simulated time: a session call submits its command to it and steps the
+//! cluster until the reply arrives, so what the chaos oracles watch is the
+//! production park / retry / back-off / fence logic.
 
 use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
@@ -21,15 +26,17 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use bytes::Bytes;
 use zeus_net::sim::{NetConfig, SimNetwork};
 use zeus_net::Envelope;
-use zeus_proto::messages::NackReason;
-use zeus_proto::{AccessLevel, DataTs, NodeId, ObjectId, OwnershipRequestKind, RequestId, TState};
+use zeus_proto::{AccessLevel, DataTs, NodeId, ObjectId, OwnershipRequestKind, TState};
 
-use crate::client::{AdminError, ClusterDriver, RetryPolicy, Session, TxPayload, TxTicket};
+use crate::client::{
+    AdminError, ClusterDriver, ReplySlot, RetryPolicy, Session, TxPayload, TxTicket,
+};
 use crate::config::ZeusConfig;
+use crate::driver::{erase, TxCommand, TxDriver, Work};
 use crate::message::Message;
-use crate::node::{RequestState, ZeusNode};
+use crate::node::ZeusNode;
 use crate::stats::{LatencyHistogram, NodeStats};
-use crate::txn::{ReadOutcome, TxCtx, TxError, WriteOutcome};
+use crate::txn::{TxCtx, TxError};
 
 /// A deterministic, single-threaded Zeus cluster over the simulated network.
 #[derive(Debug)]
@@ -45,6 +52,8 @@ pub struct SimCluster {
 struct SimInner {
     config: ZeusConfig,
     nodes: Vec<ZeusNode>,
+    /// Each node's transaction driver, polled whenever its node ticks.
+    drivers: Vec<TxDriver>,
     net: SimNetwork<Message>,
     crashed: HashSet<NodeId>,
 }
@@ -98,6 +107,7 @@ impl SimCluster {
             inner: Arc::new(Mutex::new(SimInner {
                 config: config.clone(),
                 nodes,
+                drivers: (0..config.nodes).map(|_| TxDriver::default()).collect(),
                 net: SimNetwork::new(net),
                 crashed: HashSet::new(),
             })),
@@ -221,31 +231,6 @@ impl SimCluster {
         self.lock().settle(max_steps)
     }
 
-    /// Runs a write transaction on `node`, transparently acquiring ownership
-    /// (and retrying aborts) until it commits or the retry budget is
-    /// exhausted — the synchronous façade an application thread sees.
-    /// Sessions ([`SimCluster::handle`]) are the same path with an explicit
-    /// [`RetryPolicy`].
-    pub fn execute_write<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnMut(&mut TxCtx<'_>) -> Result<R, TxError>,
-    ) -> Result<R, TxError> {
-        let attempts = self.config.max_ownership_retries;
-        self.lock().execute_write(node, attempts, f)
-    }
-
-    /// Runs a read-only transaction on `node`, retrying transient conflicts
-    /// (in-flight reliable commits) a bounded number of times.
-    pub fn execute_read<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnMut(&mut TxCtx<'_>) -> Result<R, TxError>,
-    ) -> Result<R, TxError> {
-        let attempts = self.config.max_ownership_retries;
-        self.lock().execute_read(node, attempts, f)
-    }
-
     // ------------------------------------------------------------------
     // Link-level fault primitives (the coarser faults — isolate, crash,
     // expel — live on [`crate::client::Admin`])
@@ -304,9 +289,10 @@ impl ClusterDriver for SimCluster {
     }
 
     fn migrate(&self, object: ObjectId, to: NodeId) -> Result<u64, TxError> {
-        let attempts = self.config.max_ownership_retries;
-        self.lock()
-            .acquire(to, object, OwnershipRequestKind::AcquireOwner, attempts)
+        let start = self.now();
+        self.handle(to)
+            .acquire(object, OwnershipRequestKind::AcquireOwner)?;
+        Ok(self.now().saturating_sub(start).max(1))
     }
 
     fn aggregate_stats(&self) -> NodeStats {
@@ -359,15 +345,31 @@ impl ClusterDriver for SimCluster {
 
 /// Client session to one node of a [`SimCluster`] (see [`Session`]).
 ///
-/// Transactions execute synchronously — the session drives the simulated
-/// network under the hood, so a `write_txn` observes exactly the semantics
-/// the cluster's own `execute_write` façade provides, and
-/// [`Session::submit_write`] returns an already-resolved ticket.
+/// Calls are synchronous: the session submits its command to the node's
+/// transaction driver and steps the simulated cluster until the reply is
+/// there, so [`Session::submit_write`] returns an already-resolved ticket.
 #[derive(Debug, Clone)]
 pub struct SimSession {
     node: NodeId,
     inner: Arc<Mutex<SimInner>>,
     policy: RetryPolicy,
+}
+
+impl SimSession {
+    /// Submits `work` under the session's policy and drives the cluster to
+    /// its reply.
+    fn run<T: TxPayload>(&self, work: Work) -> Result<T, TxError> {
+        let (reply, rx) = ReplySlot::new(None);
+        let command = TxCommand {
+            work,
+            policy: self.policy.clone(),
+            reply,
+        };
+        self.inner
+            .lock()
+            .unwrap()
+            .run_command(self.node, command, TxTicket::pending(rx))
+    }
 }
 
 impl Session for SimSession {
@@ -389,10 +391,7 @@ impl Session for SimSession {
         T: TxPayload,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
-        self.inner
-            .lock()
-            .unwrap()
-            .execute_write(self.node, self.policy.max_attempts, f)
+        self.run(Work::Write(erase(f)))
     }
 
     fn read_txn<T, F>(&self, f: F) -> Result<T, TxError>
@@ -400,10 +399,7 @@ impl Session for SimSession {
         T: TxPayload,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
-        self.inner
-            .lock()
-            .unwrap()
-            .execute_read(self.node, self.policy.max_attempts, f)
+        self.run(Work::Read(erase(f)))
     }
 
     fn submit_write<T, F>(&self, f: F) -> TxTicket<T>
@@ -420,11 +416,7 @@ impl Session for SimSession {
     }
 
     fn acquire(&self, object: ObjectId, kind: OwnershipRequestKind) -> Result<(), TxError> {
-        self.inner
-            .lock()
-            .unwrap()
-            .acquire(self.node, object, kind, self.policy.max_attempts)
-            .map(|_| ())
+        self.run(Work::Acquire { object, kind })
     }
 
     fn stats(&self) -> Result<(NodeStats, LatencyHistogram), TxError> {
@@ -433,6 +425,17 @@ impl Session for SimSession {
         Ok((node.stats(), node.ownership_latency().clone()))
     }
 }
+
+/// How far a waiting session moves the clock of an idle network at a time.
+/// The nodes' timers fire when a tick finds them due, so this is how late a
+/// retried NACK or a re-sent REQ can be — a node thread ticks every loop
+/// iteration, about this often.
+const IDLE_WAIT_TICKS: u64 = 10;
+
+/// Cluster steps a session call may take before its command is cancelled:
+/// ten default lease periods of idle waiting — far beyond anything but a
+/// wedge.
+const SESSION_STEP_BUDGET: usize = 200_000;
 
 impl SimInner {
     fn live_nodes(&self) -> Vec<NodeId> {
@@ -490,12 +493,14 @@ impl SimInner {
         }
     }
 
-    /// Ticks every live node's clock.
+    /// Ticks every live node's clock, then lets its driver act on what the
+    /// node has learnt since the last tick.
     fn tick_nodes(&mut self, now: u64) {
         for i in 0..self.nodes.len() {
             let id = NodeId(i as u16);
             if !self.crashed.contains(&id) {
                 self.nodes[i].tick(now);
+                self.drivers[i].poll(&mut self.nodes[i], now);
             }
         }
     }
@@ -529,13 +534,13 @@ impl SimInner {
         self.ship_outboxes();
     }
 
-    /// Whether every live node is quiescent and nothing is in flight.
+    /// Whether every live node is quiescent, no command is parked and
+    /// nothing is in flight.
     fn is_cluster_quiescent(&self) -> bool {
-        let outbox_work: bool = self
-            .live_nodes()
-            .iter()
-            .any(|n| !self.nodes[n.index()].is_quiescent());
-        self.net.in_flight_len() == 0 && !outbox_work
+        let node_work = self.live_nodes().iter().any(|n| {
+            !self.nodes[n.index()].is_quiescent() || self.drivers[n.index()].has_waiters()
+        });
+        self.net.in_flight_len() == 0 && !node_work
     }
 
     /// One settling iteration: deliver a batch, and if the network drained
@@ -574,197 +579,48 @@ impl SimInner {
         self.is_cluster_quiescent()
     }
 
-    fn execute_write<R>(
+    /// Submits `command` to `node`'s driver and steps the cluster until its
+    /// `ticket` resolves. A command that finishes on submission — a local
+    /// write, a replica read — moves neither the network nor the clock.
+    fn run_command<T: TxPayload>(
         &mut self,
         node: NodeId,
-        max_attempts: usize,
-        mut f: impl FnMut(&mut TxCtx<'_>) -> Result<R, TxError>,
-    ) -> Result<R, TxError> {
-        // `attempts` counts *retries*: transient aborts, failed acquisition
-        // rounds, and repeated acquisition rounds after the object was
-        // stolen back. Re-executing after the transaction's first
-        // successful ownership grant is the normal continuation of the same
-        // attempt and is never charged — with a budget of 1 a remote write
-        // still commits once its ownership arrives. The loop stays bounded:
-        // every iteration either returns or charges, except the one free
-        // first-grant continuation.
-        let mut attempts = 0;
-        let mut granted_rounds = 0usize;
-        // Sessions execute synchronously under the cluster mutex, so every
-        // command is a batch of one — the counters keep the same meaning as
-        // on the threaded runtime without touching message flow (chaos
-        // determinism is preserved).
-        self.nodes[node.index()].note_command_batch(1);
-        loop {
-            let outcome = self.nodes[node.index()].execute_write(0, &mut f);
-            match outcome {
-                WriteOutcome::Committed { value, .. } => return Ok(value),
-                WriteOutcome::Aborted { error } => match error {
-                    TxError::LockConflict | TxError::ValidationFailed | TxError::ReadConflict => {
-                        attempts += 1;
-                        if attempts >= max_attempts {
-                            // A spent multi-attempt budget reports
-                            // RetriesExhausted; a no-retry budget surfaces
-                            // the first abort as-is (same contract as the
-                            // threaded runtime's attempt_write).
-                            return Err(if max_attempts > 1 {
-                                TxError::RetriesExhausted
-                            } else {
-                                error
-                            });
-                        }
-                        // Let in-flight protocol work drain, then retry. This
-                        // must not assert quiescence: after a fault the
-                        // cluster may legitimately still be recovering.
-                        self.settle(10_000);
-                    }
-                    other => return Err(other),
-                },
-                WriteOutcome::OwnershipPending { requests } => {
-                    match self.wait_for_requests(node, &requests) {
-                        Ok(()) => {
-                            granted_rounds += 1;
-                            if granted_rounds > 1 {
-                                // The object was stolen back after an
-                                // earlier grant: a fresh round, charged.
-                                attempts += 1;
-                                if attempts >= max_attempts {
-                                    return Err(TxError::RetriesExhausted);
-                                }
-                            }
-                        }
-                        // Losing an arbitration (or racing a recovery) is a
-                        // transient condition: abort the acquisition and
-                        // retry the whole transaction, as the paper's
-                        // back-off scheme does (§6.2). Each failed round
-                        // costs one attempt.
-                        Err(TxError::OwnershipFailed {
-                            reason:
-                                NackReason::LostArbitration
-                                | NackReason::PendingCommit
-                                | NackReason::Recovering,
-                            ..
-                        }) => {
-                            attempts += 1;
-                            if attempts >= max_attempts {
-                                return Err(TxError::RetriesExhausted);
-                            }
-                            self.settle(10_000);
-                        }
-                        Err(other) => return Err(other),
-                    }
-                }
-            }
+        command: TxCommand,
+        mut ticket: TxTicket<T>,
+    ) -> Result<T, TxError> {
+        if self.crashed.contains(&node) {
+            return Err(TxError::NodeUnavailable);
         }
-    }
-
-    fn execute_read<R>(
-        &mut self,
-        node: NodeId,
-        max_attempts: usize,
-        mut f: impl FnMut(&mut TxCtx<'_>) -> Result<R, TxError>,
-    ) -> Result<R, TxError> {
-        self.nodes[node.index()].note_command_batch(1);
-        for _ in 0..max_attempts.max(1) {
-            match self.nodes[node.index()].execute_read(&mut f) {
-                ReadOutcome::Committed { value } => return Ok(value),
-                ReadOutcome::Aborted {
-                    error: TxError::ReadConflict,
-                } => {
-                    self.settle(10_000);
-                }
-                ReadOutcome::Aborted { error } => return Err(error),
+        let i = node.index();
+        // Sessions run one at a time under the cluster mutex, so every
+        // command is a batch of one.
+        self.nodes[i].note_command_batch(1);
+        self.drivers[i].submit(&mut self.nodes[i], self.net.now(), command);
+        for _ in 0..SESSION_STEP_BUDGET {
+            if let Some(result) = ticket.try_poll() {
+                return result;
             }
+            // Ship before judging the network idle: what the last step made
+            // the nodes say is traffic too.
+            self.ship_outboxes();
+            if self.net.in_flight_len() > 0 {
+                self.step();
+                continue;
+            }
+            // Nothing moves until a timer fires: the command's back-off if
+            // it sits one out, else the nodes' periodic work (a re-sent
+            // REQ, a retried NACK, a lapsing lease).
+            let now = self.net.now();
+            let wait = match self.drivers[i].next_deadline(now) {
+                Some(deadline) => (deadline - now).min(IDLE_WAIT_TICKS),
+                None => IDLE_WAIT_TICKS,
+            };
+            self.advance_ticks(wait);
         }
-        // Same contract as the threaded read path: a spent multi-attempt
-        // budget reports RetriesExhausted, a no-retry budget surfaces the
-        // conflict as-is.
-        Err(if max_attempts > 1 {
-            TxError::RetriesExhausted
-        } else {
-            TxError::ReadConflict
-        })
-    }
-
-    /// Drives an explicit acquisition of `object` at `node` to completion,
-    /// retrying transient rejections like the write path does (§6.2).
-    /// Returns the ownership latency in ticks.
-    fn acquire(
-        &mut self,
-        node: NodeId,
-        object: ObjectId,
-        kind: OwnershipRequestKind,
-        max_attempts: usize,
-    ) -> Result<u64, TxError> {
-        let start = self.net.now();
-        for _ in 0..max_attempts {
-            if kind == OwnershipRequestKind::AcquireOwner && self.nodes[node.index()].owns(object) {
-                return Ok(self.net.now().saturating_sub(start).max(1));
-            }
-            let req = self.nodes[node.index()].acquire(object, kind);
-            match self.wait_for_requests(node, &[req]) {
-                Ok(()) => return Ok(self.net.now().saturating_sub(start).max(1)),
-                Err(TxError::OwnershipFailed {
-                    reason:
-                        NackReason::LostArbitration | NackReason::PendingCommit | NackReason::Recovering,
-                    ..
-                }) => {
-                    self.settle(10_000);
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(TxError::RetriesExhausted)
-    }
-
-    fn wait_for_requests(&mut self, node: NodeId, requests: &[RequestId]) -> Result<(), TxError> {
-        for _ in 0..200_000usize {
-            let mut all_done = true;
-            for &req in requests {
-                match self.nodes[node.index()].request_state(req) {
-                    RequestState::Completed => {}
-                    RequestState::Pending => {
-                        all_done = false;
-                    }
-                    RequestState::Failed(NackReason::DataLoss) => {
-                        self.abandon_requests(node, requests);
-                        return Err(TxError::DataLoss);
-                    }
-                    RequestState::Failed(reason) => {
-                        self.abandon_requests(node, requests);
-                        return Err(TxError::OwnershipFailed {
-                            object: ObjectId(0),
-                            reason,
-                        });
-                    }
-                }
-            }
-            if all_done {
-                return Ok(());
-            }
-            self.step();
-            // If the network drained but requests are still pending (e.g.
-            // waiting on a retry back-off), force time forward.
-            if self.net.in_flight_len() == 0 {
-                self.net.advance_by(10);
-            }
-        }
-        self.abandon_requests(node, requests);
-        Err(TxError::OwnershipFailed {
-            object: ObjectId(0),
-            reason: NackReason::Recovering,
-        })
-    }
-
-    /// Abandons whatever is still pending of `requests` — the transaction
-    /// gave up on them (back-off, §6.2) and will issue fresh ones on retry;
-    /// leaving them behind would retry and retransmit forever.
-    fn abandon_requests(&mut self, node: NodeId, requests: &[RequestId]) {
-        for &req in requests {
-            if self.nodes[node.index()].request_state(req) == RequestState::Pending {
-                self.nodes[node.index()].abandon_request(req);
-            }
-        }
+        // A liveness failure of the protocol, not an outcome of it: give the
+        // command up so nothing of it lingers in the node.
+        self.drivers[i].fail_all(&mut self.nodes[i], &TxError::RetriesExhausted);
+        ticket.wait()
     }
 
     // ------------------------------------------------------------------
@@ -925,7 +781,8 @@ mod tests {
         let mut c = cluster(3);
         let object = ObjectId(1);
         c.create_object(object, Bytes::from_static(b"0"), NodeId(0));
-        c.execute_write(NodeId(0), |tx| tx.write(object, Bytes::from_static(b"1")))
+        c.handle(NodeId(0))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"1")))
             .unwrap();
         c.run_until_quiescent(10_000);
         // Every replica converged to the new value and is Valid.
@@ -943,14 +800,16 @@ mod tests {
         let object = ObjectId(7);
         c.create_object(object, Bytes::from_static(b"x"), NodeId(0));
         assert!(!c.node(NodeId(2)).owns(object));
-        c.execute_write(NodeId(2), |tx| tx.write(object, Bytes::from_static(b"y")))
+        c.handle(NodeId(2))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"y")))
             .unwrap();
         c.run_until_quiescent(10_000);
         assert!(c.node(NodeId(2)).owns(object), "ownership moved to node 2");
         assert!(!c.node(NodeId(0)).owns(object), "old owner demoted");
         // Subsequent writes on node 2 are purely local (no new requests).
         let before = c.node(NodeId(2)).ownership_stats().requests_issued;
-        c.execute_write(NodeId(2), |tx| tx.write(object, Bytes::from_static(b"z")))
+        c.handle(NodeId(2))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"z")))
             .unwrap();
         assert_eq!(
             c.node(NodeId(2)).ownership_stats().requests_issued,
@@ -983,17 +842,23 @@ mod tests {
         let mut c = cluster(3);
         let object = ObjectId(3);
         c.create_object(object, Bytes::from_static(b"init"), NodeId(0));
-        c.execute_write(NodeId(0), |tx| tx.write(object, Bytes::from_static(b"v1")))
+        c.handle(NodeId(0))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"v1")))
             .unwrap();
         c.run_until_quiescent(10_000);
         for reader in [NodeId(0), NodeId(1), NodeId(2)] {
-            let value = c.execute_read(reader, |tx| tx.read(object)).unwrap();
+            let value = c
+                .handle(reader)
+                .read_txn(move |tx| tx.read(object))
+                .unwrap();
             assert_eq!(value, Bytes::from_static(b"v1"), "replica {reader}");
         }
         // No network traffic is needed for the reads themselves: the message
         // count does not change while executing them.
         let before = c.net_stats().messages_sent;
-        c.execute_read(NodeId(1), |tx| tx.read(object)).unwrap();
+        c.handle(NodeId(1))
+            .read_txn(move |tx| tx.read(object))
+            .unwrap();
         assert_eq!(c.net_stats().messages_sent, before);
     }
 
@@ -1005,18 +870,19 @@ mod tests {
         c.create_object(a, Bytes::from_static(b"1"), NodeId(0));
         c.create_object(b, Bytes::from_static(b"2"), NodeId(1));
         // A transaction on node 2 touching both objects must migrate both.
-        c.execute_write(NodeId(2), |tx| {
-            let va = tx.read(a)?;
-            let vb = tx.read(b)?;
-            tx.write(a, [va.as_ref(), vb.as_ref()].concat())?;
-            tx.write(b, Bytes::from_static(b"done"))?;
-            Ok(())
-        })
-        .unwrap();
+        c.handle(NodeId(2))
+            .write_txn(move |tx| {
+                let va = tx.read(a)?;
+                let vb = tx.read(b)?;
+                tx.write(a, [va.as_ref(), vb.as_ref()].concat())?;
+                tx.write(b, Bytes::from_static(b"done"))?;
+                Ok(())
+            })
+            .unwrap();
         c.run_until_quiescent(10_000);
         assert!(c.node(NodeId(2)).owns(a));
         assert!(c.node(NodeId(2)).owns(b));
-        let merged = c.execute_read(NodeId(2), |tx| tx.read(a)).unwrap();
+        let merged = c.handle(NodeId(2)).read_txn(move |tx| tx.read(a)).unwrap();
         assert_eq!(merged, Bytes::from_static(b"12"));
         c.check_invariants().unwrap();
     }
@@ -1026,7 +892,8 @@ mod tests {
         let mut c = cluster(3);
         let object = ObjectId(50);
         c.create_object(object, Bytes::from_static(b"important"), NodeId(0));
-        c.execute_write(NodeId(0), |tx| tx.write(object, Bytes::from_static(b"v1")))
+        c.handle(NodeId(0))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"v1")))
             .unwrap();
         c.run_until_quiescent(10_000);
 
@@ -1034,12 +901,13 @@ mod tests {
         c.run_until_quiescent(50_000);
 
         // The data survives on the readers and a new owner can take over.
-        c.execute_write(NodeId(1), |tx| {
-            let old = tx.read(object)?;
-            assert_eq!(old, Bytes::from_static(b"v1"), "no committed data lost");
-            tx.write(object, Bytes::from_static(b"v2"))
-        })
-        .unwrap();
+        c.handle(NodeId(1))
+            .write_txn(move |tx| {
+                let old = tx.read(object)?;
+                assert_eq!(old, Bytes::from_static(b"v1"), "no committed data lost");
+                tx.write(object, Bytes::from_static(b"v2"))
+            })
+            .unwrap();
         c.run_until_quiescent(50_000);
         assert!(c.node(NodeId(1)).owns(object));
         c.check_invariants().unwrap();
@@ -1067,7 +935,8 @@ mod tests {
         let mut c = chaos_cluster(3, 2_000);
         let object = ObjectId(9);
         c.create_object(object, Bytes::from_static(b"x"), NodeId(2));
-        c.execute_write(NodeId(2), |tx| tx.write(object, Bytes::from_static(b"a")))
+        c.handle(NodeId(2))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"a")))
             .unwrap();
         c.run_until_quiescent(50_000);
 
@@ -1076,9 +945,11 @@ mod tests {
         // expulsion threshold of lease + grace) the node must refuse to
         // serve.
         c.advance_ticks(2_500);
-        let write = c.execute_write(NodeId(2), |tx| tx.write(object, Bytes::from_static(b"b")));
+        let write = c
+            .handle(NodeId(2))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"b")));
         assert_eq!(write.unwrap_err(), TxError::Fenced);
-        let read = c.execute_read(NodeId(2), |tx| tx.read(object));
+        let read = c.handle(NodeId(2)).read_txn(move |tx| tx.read(object));
         assert_eq!(read.unwrap_err(), TxError::Fenced);
         assert!(c.node(NodeId(2)).stats().txs_fenced >= 2);
 
@@ -1086,7 +957,8 @@ mod tests {
         // without any view change.
         c.admin().heal(NodeId(2)).unwrap();
         c.advance_ticks(1_200);
-        c.execute_write(NodeId(2), |tx| tx.write(object, Bytes::from_static(b"c")))
+        c.handle(NodeId(2))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"c")))
             .unwrap();
         c.run_until_quiescent(50_000);
         assert_eq!(c.node(NodeId(0)).epoch(), zeus_proto::Epoch::ZERO);
@@ -1098,7 +970,8 @@ mod tests {
         let mut c = chaos_cluster(3, 2_000);
         let object = ObjectId(4);
         c.create_object(object, Bytes::from_static(b"v0"), NodeId(0));
-        c.execute_write(NodeId(0), |tx| tx.write(object, Bytes::from_static(b"v1")))
+        c.handle(NodeId(0))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"v1")))
             .unwrap();
         c.run_until_quiescent(50_000);
 
@@ -1113,7 +986,8 @@ mod tests {
         let expelled_epoch = c.node(NodeId(0)).epoch();
         assert!(expelled_epoch > zeus_proto::Epoch::ZERO);
         // The cluster keeps committing without it.
-        c.execute_write(NodeId(0), |tx| tx.write(object, Bytes::from_static(b"v2")))
+        c.handle(NodeId(0))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"v2")))
             .unwrap();
         c.settle(100_000);
 
@@ -1130,12 +1004,13 @@ mod tests {
             "re-admitted node must have discarded its stale state"
         );
         // It serves again — through the ownership protocol, not stale state.
-        c.execute_write(NodeId(2), |tx| {
-            let v = tx.read(object)?;
-            assert_eq!(v, Bytes::from_static(b"v2"), "no stale value");
-            tx.write(object, Bytes::from_static(b"v3"))
-        })
-        .unwrap();
+        c.handle(NodeId(2))
+            .write_txn(move |tx| {
+                let v = tx.read(object)?;
+                assert_eq!(v, Bytes::from_static(b"v2"), "no stale value");
+                tx.write(object, Bytes::from_static(b"v3"))
+            })
+            .unwrap();
         c.run_until_quiescent(100_000);
         c.check_invariants().unwrap();
     }
@@ -1145,22 +1020,28 @@ mod tests {
         let mut c = chaos_cluster(3, 2_000);
         let object = ObjectId(11);
         c.create_object(object, Bytes::from_static(b"v0"), NodeId(0));
-        c.execute_write(NodeId(0), |tx| tx.write(object, Bytes::from_static(b"v1")))
+        c.handle(NodeId(0))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"v1")))
             .unwrap();
         c.run_until_quiescent(50_000);
         assert_eq!(
-            c.execute_read(NodeId(2), |tx| tx.read(object)).unwrap(),
+            c.handle(NodeId(2))
+                .read_txn(move |tx| tx.read(object))
+                .unwrap(),
             Bytes::from_static(b"v1")
         );
 
         // While node 2 is out, the value moves on.
         c.admin().isolate(NodeId(2)).unwrap();
         c.advance_ticks(6_000);
-        c.execute_write(NodeId(0), |tx| tx.write(object, Bytes::from_static(b"v2")))
+        c.handle(NodeId(0))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"v2")))
             .unwrap();
         c.settle(100_000);
         assert_eq!(
-            c.execute_read(NodeId(1), |tx| tx.read(object)).unwrap(),
+            c.handle(NodeId(1))
+                .read_txn(move |tx| tx.read(object))
+                .unwrap(),
             Bytes::from_static(b"v2")
         );
 
@@ -1169,7 +1050,7 @@ mod tests {
         c.settle(100_000);
         // The re-admitted node dropped its v1 replica: a read either fails
         // (no replica) or, never, returns the stale value.
-        match c.execute_read(NodeId(2), |tx| tx.read(object)) {
+        match c.handle(NodeId(2)).read_txn(move |tx| tx.read(object)) {
             Ok(v) => assert_eq!(v, Bytes::from_static(b"v2"), "stale read"),
             Err(TxError::NotReplicated { .. } | TxError::RetriesExhausted) => {}
             Err(other) => panic!("unexpected read error: {other:?}"),
@@ -1198,13 +1079,16 @@ mod tests {
         );
         assert_eq!(c.node(NodeId(0)).epoch(), removal_epoch);
         // The removed node hears nothing back and fences itself.
-        let write = c.execute_write(NodeId(2), |tx| tx.write(object, Bytes::from_static(b"z")));
+        let write = c
+            .handle(NodeId(2))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"z")));
         assert_eq!(write.unwrap_err(), TxError::Fenced);
         // An explicit scale-out lifts the ban and re-admits it cleanly.
         c.admin().readmit(NodeId(2)).unwrap();
         c.advance_ticks(4_000);
         assert!(c.node(NodeId(0)).cluster_view().is_live(NodeId(2)));
-        c.execute_write(NodeId(2), |tx| tx.write(object, Bytes::from_static(b"y")))
+        c.handle(NodeId(2))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"y")))
             .unwrap();
         c.run_until_quiescent(100_000);
         c.check_invariants().unwrap();
@@ -1215,13 +1099,15 @@ mod tests {
         let mut c = chaos_cluster(3, 2_000);
         let object = ObjectId(30);
         c.create_object(object, Bytes::from_static(b"v0"), NodeId(1));
-        c.execute_write(NodeId(1), |tx| tx.write(object, Bytes::from_static(b"v1")))
+        c.handle(NodeId(1))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"v1")))
             .unwrap();
         c.run_until_quiescent(50_000);
 
         c.admin().crash(NodeId(2)).unwrap();
         c.run_until_quiescent(100_000);
-        c.execute_write(NodeId(1), |tx| tx.write(object, Bytes::from_static(b"v2")))
+        c.handle(NodeId(1))
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(b"v2")))
             .unwrap();
         c.run_until_quiescent(100_000);
 
@@ -1236,12 +1122,13 @@ mod tests {
         assert!(c.node(NodeId(0)).cluster_view().is_live(NodeId(2)));
         assert!(c.node(NodeId(2)).stats().rejoin_resets >= 1);
         // The restarted node re-acquires instead of serving its frozen v1.
-        c.execute_write(NodeId(2), |tx| {
-            let v = tx.read(object)?;
-            assert_eq!(v, Bytes::from_static(b"v2"));
-            tx.write(object, Bytes::from_static(b"v3"))
-        })
-        .unwrap();
+        c.handle(NodeId(2))
+            .write_txn(move |tx| {
+                let v = tx.read(object)?;
+                assert_eq!(v, Bytes::from_static(b"v2"));
+                tx.write(object, Bytes::from_static(b"v3"))
+            })
+            .unwrap();
         c.run_until_quiescent(100_000);
         c.check_invariants().unwrap();
     }
@@ -1267,7 +1154,8 @@ mod tests {
             // Alternate coordinators so ownership keeps migrating while
             // earlier reliable commits are still in flight.
             let coordinator = NodeId((i % 3) as u16);
-            c.execute_write(coordinator, |tx| tx.write(object, vec![i]))
+            c.handle(coordinator)
+                .write_txn(move |tx| tx.write(object, vec![i]))
                 .unwrap();
         }
         c.run_until_quiescent(100_000);
@@ -1280,6 +1168,67 @@ mod tests {
             );
         }
         c.check_invariants().unwrap();
+    }
+
+    /// Entries in every node's request table, plus what the ownership
+    /// engines still hold pending (a non-quiescent node).
+    fn requests_tracked(c: &SimCluster) -> usize {
+        (0..c.len() as u16)
+            .map(|n| {
+                let node = c.node(NodeId(n));
+                assert!(node.is_quiescent(), "node {n} still has protocol work");
+                node.tracked_requests()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn request_bookkeeping_is_empty_once_every_waiter_is_done() {
+        let mut c = cluster(3);
+        // 10,000 session handovers: every write needs the object moved.
+        let moving = ObjectId(1);
+        c.create_object(moving, Bytes::from_static(b"0"), NodeId(0));
+        let sessions: Vec<SimSession> = (0..3).map(|n| c.handle(NodeId(n))).collect();
+        for i in 0..10_000usize {
+            sessions[(i + 1) % 3]
+                .write_txn(move |tx| tx.write(moving, Bytes::from_static(b"m")))
+                .expect("handover");
+        }
+        c.run_until_quiescent(10_000);
+        let issued: u64 = (0..3)
+            .map(|n| c.node(NodeId(n)).stats().ownership_requests)
+            .sum();
+        assert!(issued >= 10_000, "every write moved the object: {issued}");
+        assert_eq!(requests_tracked(&c), 0);
+
+        // A two-object write that loses one of its two arbitrations: node 1
+        // asks for `a` directly, one step ahead, and wins it.
+        let (a, b) = (ObjectId(10), ObjectId(11));
+        c.create_object(a, Bytes::from_static(b"a"), NodeId(0));
+        c.create_object(b, Bytes::from_static(b"b"), NodeId(0));
+        let direct = c
+            .node_mut(NodeId(1))
+            .acquire(a, OwnershipRequestKind::AcquireOwner);
+        c.step();
+        sessions[2]
+            .write_txn(move |tx| {
+                tx.write(a, Bytes::from_static(b"2"))?;
+                tx.write(b, Bytes::from_static(b"2"))
+            })
+            .expect("commits on a retry");
+        c.run_until_quiescent(10_000);
+        let lost = c.node(NodeId(2)).ownership_stats().requests_failed;
+        assert!(lost >= 1, "the session's request for `a` lost");
+        // What a session waited on is gone, failed round and abandoned
+        // sibling included; what was asked for directly stays until asked.
+        assert_eq!(c.node(NodeId(0)).tracked_requests(), 0);
+        assert_eq!(c.node(NodeId(2)).tracked_requests(), 0);
+        assert_eq!(
+            c.node(NodeId(1)).request_state(direct),
+            crate::node::RequestState::Completed
+        );
+        c.node_mut(NodeId(1)).release_request(direct);
+        assert_eq!(requests_tracked(&c), 0);
     }
 
     /// Finding 3 of `benchmark/README.md`: settling N unsettled local writes

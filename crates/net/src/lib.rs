@@ -26,9 +26,8 @@
 //!
 //! * [`threaded::ThreadedNet`] — a crossbeam-channel transport with one
 //!   mailbox per node for single-process deployments. Channels are lossless
-//!   and FIFO, so it skips the reliable layer entirely;
-//!   [`transport::ProbedMailbox`] adds ping/pong probes whose samples turn
-//!   inbox queueing delay into an adaptive protocol-retry interval.
+//!   and FIFO, so it skips the reliable layer entirely and reports one fixed
+//!   retransmission timeout ([`transport::MAILBOX_RTO_MICROS`]).
 //! * [`udp`] — one socket plus reader thread per node, framing envelopes
 //!   onto datagrams and driving [`reliable::ReliableEndpoint`] with real
 //!   wall-clock time: actual loss, actual reordering, actual processes
@@ -54,5 +53,5 @@ pub use rtt::{RtoPolicy, RttConfig, RttEstimator};
 pub use sim::{FaultPlan, LinkOverride, NetConfig, SimNetwork};
 pub use stats::NetStats;
 pub use threaded::{LinkFaults, NodeMailbox, SharedCounters, ThreadedNet};
-pub use transport::{LinkMsg, ProbedMailbox, Transport};
+pub use transport::Transport;
 pub use udp::{LossyConfig, UdpConfig, UdpTransport};

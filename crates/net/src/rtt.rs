@@ -2,8 +2,7 @@
 //!
 //! The sans-io [`crate::reliable`] endpoint retransmits unacknowledged
 //! messages after a timeout. A fixed timeout is either too aggressive (it
-//! re-sends payloads the peer already has, amplifying congestion — the
-//! failure mode behind the old hard-coded 1 ms threaded floor) or too slow
+//! re-sends payloads the peer already has, amplifying congestion) or too slow
 //! (loss recovery stalls for the whole fixed interval on fast links). This
 //! module provides the adaptive alternative: the classic TCP estimator
 //! (RFC 6298) — exponentially weighted means of the round-trip time and its
@@ -34,18 +33,6 @@ impl RttConfig {
             initial_rto: 2_000,
             min_rto: 1_000,
             max_rto: 256_000,
-        }
-    }
-
-    /// Defaults for the in-process channel transport. Channel "RTTs" are
-    /// tens of microseconds, so the floor (1 ms, the value the old
-    /// `THREADED_RETRANSMIT_TICKS` constant hard-coded for every link)
-    /// dominates until real queueing delay pushes the estimate above it.
-    pub fn inprocess_default() -> Self {
-        RttConfig {
-            initial_rto: 1_000,
-            min_rto: 1_000,
-            max_rto: 64_000,
         }
     }
 }

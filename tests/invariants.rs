@@ -3,7 +3,7 @@
 //! simulator so every counterexample would be reproducible from its seed.
 
 use proptest::prelude::*;
-use zeus_core::{ClusterDriver, NodeId, ObjectId, SimCluster, ZeusConfig};
+use zeus_core::{ClusterDriver, NodeId, ObjectId, Session, SimCluster, ZeusConfig};
 use zeus_net::sim::NetConfig;
 
 /// A randomised schedule of writes, migrations and crashes.
@@ -58,7 +58,7 @@ proptest! {
             match step {
                 Step::Write { node, object, value } => {
                     cluster
-                        .execute_write(NodeId(node), move |tx| tx.write(ObjectId(object), vec![value]))
+                        .handle(NodeId(node)).write_txn(move |tx| tx.write(ObjectId(object), vec![value]))
                         .unwrap();
                     // Wait for the pipelined reliable commit to finish before
                     // the next step: the linearization point exposed to other
@@ -73,7 +73,7 @@ proptest! {
                 }
                 Step::ReadCheck { node, object } => {
                     let value = cluster
-                        .execute_read(NodeId(node), move |tx| tx.read(ObjectId(object)))
+                        .handle(NodeId(node)).read_txn(move |tx| tx.read(ObjectId(object)))
                         .unwrap();
                     prop_assert_eq!(value.as_ref(), &[expected[&object]][..]);
                 }
@@ -86,8 +86,8 @@ proptest! {
         // Every replica converged to the last committed value.
         for (object, value) in expected {
             let got = cluster
-                .execute_read(NodeId(0), move |tx| tx.read(ObjectId(object)))
-                .or_else(|_| cluster.execute_read(NodeId(1), move |tx| tx.read(ObjectId(object))))
+                .handle(NodeId(0)).read_txn(move |tx| tx.read(ObjectId(object)))
+                .or_else(|_| cluster.handle(NodeId(1)).read_txn(move |tx| tx.read(ObjectId(object))))
                 .unwrap();
             prop_assert_eq!(got.as_ref(), &[value][..]);
         }
@@ -113,7 +113,7 @@ proptest! {
             // crashes is allowed to be lost (its client never saw an ack from
             // a surviving coordinator).
             let coordinator = NodeId((crash_node + 1 + (i as u16 % 2)) % 3);
-            if cluster.execute_write(coordinator, move |tx| tx.write(object, vec![i])).is_ok() {
+            if cluster.handle(coordinator).write_txn(move |tx| tx.write(object, vec![i])).is_ok() {
                 last_committed = i;
             }
             if i as usize == crash_after {
@@ -127,7 +127,7 @@ proptest! {
         let survivors: Vec<NodeId> = cluster.live_nodes();
         let mut readable = 0;
         for &node in &survivors {
-            if let Ok(v) = cluster.execute_read(node, move |tx| tx.read(object)) {
+            if let Ok(v) = cluster.handle(node).read_txn(move |tx| tx.read(object)) {
                 prop_assert_eq!(v.as_ref(), &[last_committed][..]);
                 readable += 1;
             }
