@@ -265,6 +265,18 @@ impl CommitEngine {
         self.outstanding
     }
 
+    /// When the R-INV that [`CommitEngine::retransmit`] looks at first — the
+    /// front of a pipeline's ring — last went out, earliest over the
+    /// pipelines: nothing is re-sent before an interval has passed since
+    /// then. `None` with nothing outstanding.
+    pub fn oldest_unanswered_send(&self) -> Option<u64> {
+        self.pipelines
+            .iter()
+            .filter_map(|(_, pipe)| pipe.ring.at(0))
+            .map(|(_, entry)| entry.last_sent)
+            .min()
+    }
+
     /// Number of R-INVs stored as a follower awaiting validation.
     pub fn stored_rinvs(&self) -> usize {
         self.pipelines.iter().map(|(_, p)| p.stored.len()).sum()

@@ -287,7 +287,9 @@ struct TicketReply {
 /// The cell a submitted transaction's reply travels through: written once by
 /// the node thread, read once by the ticket. One allocation per transaction —
 /// a channel would bring its own queue and a second condition variable for a
-/// message that is only ever one.
+/// message that is only ever one. The condition variable is signalled only
+/// for a ticket that is blocked on it: a polled ticket costs its resolver the
+/// lock and nothing else.
 #[derive(Debug)]
 struct ReplyCell {
     state: Mutex<ReplyState>,
@@ -297,6 +299,8 @@ struct ReplyCell {
 #[derive(Debug)]
 enum ReplyState {
     Waiting,
+    /// Waiting, and the ticket's thread is blocked in [`ReplyReceiver::wait`].
+    Parked,
     Resolved(TicketReply),
     /// No reply is (any longer) to be had: the sending half was dropped
     /// without one (the node loop exited, or the command never reached it),
@@ -343,9 +347,14 @@ impl ReplySlot {
 
     fn settle(&self, outcome: ReplyState) {
         let mut state = self.cell.state.lock().expect("no panic while held");
-        if matches!(*state, ReplyState::Waiting) {
-            *state = outcome;
-            drop(state);
+        let parked = match *state {
+            ReplyState::Waiting => false,
+            ReplyState::Parked => true,
+            ReplyState::Resolved(_) | ReplyState::Closed => return,
+        };
+        *state = outcome;
+        drop(state);
+        if parked {
             self.cell.resolved.notify_one();
         }
     }
@@ -372,14 +381,15 @@ impl ReplyReceiver {
             if let Some(outcome) = Self::take(&mut state) {
                 return outcome;
             }
+            *state = ReplyState::Parked;
             state = self.0.resolved.wait(state).expect("no panic while held");
         }
     }
 
     fn take(state: &mut ReplyState) -> Option<Option<TicketReply>> {
         match std::mem::replace(state, ReplyState::Closed) {
-            ReplyState::Waiting => {
-                *state = ReplyState::Waiting;
+            in_flight @ (ReplyState::Waiting | ReplyState::Parked) => {
+                *state = in_flight;
                 None
             }
             ReplyState::Resolved(reply) => Some(Some(reply)),
@@ -395,8 +405,9 @@ impl ReplyReceiver {
 #[derive(Debug, Default)]
 pub(crate) struct Inflight {
     count: AtomicUsize,
-    /// Guards nothing but the sleep/wake handshake of `wait_zero`.
-    zero: Mutex<()>,
+    /// How many threads sleep in `wait_zero`: the sleep/wake handshake, and
+    /// what tells the last guard whether anyone is there to wake.
+    sleepers: Mutex<usize>,
     done: Condvar,
 }
 
@@ -416,9 +427,11 @@ impl Inflight {
     }
 
     pub(crate) fn wait_zero(&self) {
-        let mut guard = self.zero.lock().expect("no panic while held");
+        let mut sleepers = self.sleepers.lock().expect("no panic while held");
         while !self.is_idle() {
-            guard = self.done.wait(guard).expect("no panic while held");
+            *sleepers += 1;
+            sleepers = self.done.wait(sleepers).expect("no panic while held");
+            *sleepers -= 1;
         }
     }
 }
@@ -432,10 +445,17 @@ pub(crate) struct InflightGuard(Arc<Inflight>);
 impl Drop for InflightGuard {
     fn drop(&mut self) {
         if self.0.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Taking the lock orders this wake-up after a waiter's check of
-            // the count: it is either not yet checking or already asleep.
-            drop(self.0.zero.lock());
-            self.0.done.notify_all();
+            // Taking the lock orders this after a waiter's check of the
+            // count: it is either not yet checking, and will find zero, or
+            // already asleep and counted.
+            let asleep = self
+                .0
+                .sleepers
+                .lock()
+                .map_or(true, |sleepers| *sleepers > 0);
+            if asleep {
+                self.0.done.notify_all();
+            }
         }
     }
 }
@@ -905,21 +925,64 @@ mod tests {
         assert_eq!(t.wait(), Err(TxError::NodeUnavailable));
     }
 
+    /// Spins until `parked()` holds: the other thread has got as far as
+    /// blocking, which is the interleaving the callers are about.
+    fn until(parked: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !parked() {
+            assert!(Instant::now() < deadline, "the other thread never blocked");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn a_waiting_ticket_wakes_when_another_thread_resolves_it() {
+    fn a_ticket_blocked_in_wait_returns_when_its_slot_is_sent_or_dropped() {
+        for (send, expected) in [(true, Ok(3)), (false, Err(TxError::NodeUnavailable))] {
+            let (tx, rx) = ReplySlot::new(None);
+            let t: TxTicket<u64> = TxTicket::pending(rx);
+            let waiter = std::thread::spawn(move || t.wait());
+            until(|| matches!(*tx.cell.state.lock().unwrap(), ReplyState::Parked));
+            if send {
+                tx.send(Ok(3u64.encode()));
+            } else {
+                drop(tx);
+            }
+            assert_eq!(waiter.join().expect("waiter"), expected);
+        }
+    }
+
+    #[test]
+    fn a_polled_ticket_sees_the_reply_without_ever_parking() {
         let (tx, rx) = ReplySlot::new(None);
-        let t: TxTicket<u64> = TxTicket::pending(rx);
-        let entered = Arc::new(std::sync::Barrier::new(2));
-        let waiter = {
-            let entered = Arc::clone(&entered);
-            std::thread::spawn(move || {
-                entered.wait();
-                t.wait()
-            })
+        let cell = Arc::clone(&tx.cell);
+        let mut t: TxTicket<u64> = TxTicket::pending(rx);
+        assert_eq!(t.try_poll(), None);
+        // Still plain `Waiting`: resolving it will have nobody to signal.
+        assert!(matches!(*cell.state.lock().unwrap(), ReplyState::Waiting));
+        tx.send(Ok(4u64.encode()));
+        assert!(matches!(
+            *cell.state.lock().unwrap(),
+            ReplyState::Resolved(_)
+        ));
+        assert_eq!(t.try_poll(), Some(Ok(4)));
+    }
+
+    #[test]
+    fn drain_returns_when_the_last_guard_drops_on_another_thread() {
+        let inflight = Arc::new(Inflight::default());
+        inflight.wait_zero(); // nothing in flight: no wait
+        let (first, last) = (inflight.guard(), inflight.guard());
+        let drainer = {
+            let inflight = Arc::clone(&inflight);
+            std::thread::spawn(move || inflight.wait_zero())
         };
-        entered.wait();
-        tx.send(Ok(3u64.encode()));
-        assert_eq!(waiter.join().expect("waiter"), Ok(3));
+        until(|| *inflight.sleepers.lock().unwrap() == 1);
+        drop(first);
+        assert!(!drainer.is_finished(), "one submission is still in flight");
+        drop(last);
+        drainer.join().expect("drainer");
+        assert!(inflight.is_idle());
+        assert_eq!(*inflight.sleepers.lock().unwrap(), 0);
     }
 
     #[test]

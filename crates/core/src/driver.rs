@@ -355,7 +355,10 @@ mod tests {
         /// Objects `1..=3`, object `i` owned by node `i - 1`, replicated
         /// everywhere.
         fn new() -> Self {
-            let config = ZeusConfig::with_nodes(3);
+            Self::with_config(ZeusConfig::with_nodes(3))
+        }
+
+        fn with_config(config: ZeusConfig) -> Self {
             let mut nodes: Vec<ZeusNode> = (0..3)
                 .map(|n| ZeusNode::new(NodeId(n), config.clone()))
                 .collect();
@@ -594,6 +597,112 @@ mod tests {
         assert_eq!(ticket.try_poll(), Some(Err(TxError::RetriesExhausted)));
         t.nodes[0].release_request(back);
         assert_eq!(t.nodes[2].tracked_requests(), 0);
+    }
+
+    /// Ticks `node` at `now`, then at every tick before the timer it names,
+    /// and requires each of those to send nothing and count nothing.
+    /// Returns the timer.
+    fn quiet_until_next_timer(node: &mut ZeusNode, now: u64) -> u64 {
+        let counters = |node: &ZeusNode| {
+            let re_sent = (
+                node.commit_stats().rinvs_retransmitted,
+                node.ownership_stats().requests_retransmitted,
+            );
+            format!("{:?} {re_sent:?}", node.stats())
+        };
+        node.tick(now);
+        node.drain_outbox();
+        let next = node.next_timer(now);
+        assert!(next > now, "a timer at or before `now` would spin the loop");
+        let before = counters(node);
+        for t in now + 1..next {
+            node.tick(t);
+            let sent = node.drain_outbox();
+            assert!(
+                sent.is_empty(),
+                "next_timer({now}) = {next}, yet tick({t}) sent {sent:?}"
+            );
+        }
+        assert_eq!(counters(node), before, "counted something before {next}");
+        next
+    }
+
+    #[test]
+    fn next_timer_is_never_late() {
+        let lease = ZeusConfig::default().lease_ticks;
+        let retransmit = ZeusConfig::default().retransmit_ticks;
+
+        // Idle: nothing before the heartbeat cadence.
+        let mut t = Trio::new();
+        let next = quiet_until_next_timer(&mut t.nodes[0], t.now);
+        assert!(next <= t.now + lease / 4, "heartbeats bound every sleep");
+
+        // A commit outstanding: quiet until its R-INVs have waited a whole
+        // interval, and re-sent right then.
+        let mut t = Trio::new();
+        t.nodes[0].tick(t.now);
+        assert!(t.nodes[0]
+            .execute_write(0, |tx| tx.write(ObjectId(1), Bytes::from_static(b"1")))
+            .is_committed());
+        let next = quiet_until_next_timer(&mut t.nodes[0], t.now);
+        assert_eq!(next, t.now + retransmit);
+        t.nodes[0].tick(next);
+        assert_eq!(t.nodes[0].commit_stats().rinvs_retransmitted, 2);
+
+        // A request pending, its REQ lost.
+        let mut t = Trio::new();
+        t.nodes[2].tick(t.now);
+        t.nodes[2].drain_outbox();
+        let _ticket = t.write(2, 1, &RetryPolicy::default());
+        let request = t.take_request(2);
+        let next = quiet_until_next_timer(&mut t.nodes[2], t.now);
+        t.nodes[2].tick(next);
+        assert_eq!(t.take_request(2), request, "re-sent when its timer said");
+
+        // The same request NACKed retryably: it waits in the retry queue.
+        t.nack(2, request, NackReason::PendingCommit);
+        let next = quiet_until_next_timer(&mut t.nodes[2], next);
+        t.nodes[2].tick(next);
+        assert_eq!(t.take_request(2), request, "re-issued when its timer said");
+
+        // A suspected peer: node 1 keeps its lease at node 0 alive, node 2
+        // never speaks, so node 0 proposes its expulsion and retries that.
+        let mut t = Trio::new();
+        t.now = 2 * lease + lease / 2;
+        t.nodes[1].tick(t.now);
+        t.nodes[0].advance_clock(t.now);
+        for (to, msg) in t.nodes[1].drain_outbox() {
+            if to == NodeId(0) {
+                t.nodes[0].handle_message(NodeId(1), msg);
+            }
+        }
+        t.nodes[0].tick(t.now);
+        assert!(!t.nodes[0].is_fenced(), "it still hears node 1");
+        let proposals = t.nodes[0].drain_outbox();
+        assert!(
+            proposals
+                .iter()
+                .any(|(_, msg)| matches!(msg, Message::View(_))),
+            "node 0 suspects node 2: {proposals:?}"
+        );
+        let next = quiet_until_next_timer(&mut t.nodes[0], t.now);
+        quiet_until_next_timer(&mut t.nodes[0], next);
+
+        // The policy engine on, with a read for it to think about.
+        let predictive = ZeusConfig::with_nodes(3).with_policy(zeus_proto::PolicyKind::Predictive);
+        let interval = predictive.policy_interval_ticks;
+        let mut t = Trio::with_config(predictive);
+        t.nodes[1].tick(t.now);
+        assert!(matches!(
+            t.nodes[1].execute_read(|tx| tx.read(ObjectId(1))),
+            ReadOutcome::Committed { .. }
+        ));
+        let next = quiet_until_next_timer(&mut t.nodes[1], t.now);
+        assert!(
+            next <= t.now + interval,
+            "the next planning round is a timer"
+        );
+        quiet_until_next_timer(&mut t.nodes[1], next);
     }
 
     #[test]

@@ -947,12 +947,76 @@ impl ZeusNode {
         self.retransmit_override = Some(ticks.max(1));
     }
 
-    /// Advances the node's clock and drives periodic work (heartbeats, lease
-    /// expiry, ownership retries).
-    pub fn tick(&mut self, now: u64) {
+    /// Advances the node's clock without driving any periodic work: what the
+    /// node handles from here on is stamped `now`. A runtime whose loop
+    /// sleeps calls this when it wakes, before it handles what woke it.
+    pub fn advance_clock(&mut self, now: u64) {
         self.now = now.max(self.now);
         self.commit.advance_clock(self.now);
         self.ownership.advance_clock(self.now);
+    }
+
+    /// Ticks between directory anti-entropy pushes: the heartbeat cadence.
+    fn dir_push_cadence(&self) -> u64 {
+        (self.config.lease_ticks / 4).max(1)
+    }
+
+    /// The retransmission interval [`ZeusNode::tick`] applies: the
+    /// transport's estimate (or the configured fixed one), stretched while
+    /// the runtime reports a backlog.
+    fn retransmit_interval(&self) -> u64 {
+        let stretch = if self.congested {
+            self.congestion_stretch
+        } else {
+            1
+        };
+        self.retransmit_override
+            .unwrap_or(self.config.retransmit_ticks)
+            .saturating_mul(stretch)
+    }
+
+    /// The earliest tick after `now` at which [`ZeusNode::tick`] has
+    /// something to do that only the passage of time brings about, given
+    /// that `tick(now)` has run and nothing is handled or executed in
+    /// between: the next heartbeat, lease expiry or fencing deadline, the
+    /// next directory push, a view-service retry, the next policy round,
+    /// and — only while a commit, a request or an arbitration is
+    /// outstanding — the next retransmission. A runtime may sleep until
+    /// then. **May be early, never late**: `tick(t)` for any `t` before it
+    /// sends nothing and changes no counter.
+    pub fn next_timer(&self, now: u64) -> u64 {
+        let mut next = self.membership.next_timer(now);
+        next = next.min(self.last_dir_push.saturating_add(self.dir_push_cadence()));
+        if let Some(at) = self.view.next_timer(now) {
+            next = next.min(at);
+        }
+        // A fenced or recovering node defers planning until a message lifts
+        // that (see `tick_policy`), not until a tick.
+        if let Some(engine) = &self.locality {
+            if !self.is_fenced() && self.ownership_enabled() {
+                next = next.min(engine.next_interval());
+            }
+        }
+        let interval = self.retransmit_interval();
+        let oldest_send = self
+            .commit
+            .oldest_unanswered_send()
+            .into_iter()
+            .chain(self.ownership.oldest_unanswered_send())
+            .min();
+        if let Some(sent) = oldest_send {
+            next = next.min(sent.saturating_add(interval));
+        }
+        if !self.requests.retry_queue.is_empty() || self.ownership.inflight_arbitrations() > 0 {
+            next = next.min(self.last_retransmit.saturating_add(interval));
+        }
+        next
+    }
+
+    /// Advances the node's clock and drives periodic work (heartbeats, lease
+    /// expiry, ownership retries).
+    pub fn tick(&mut self, now: u64) {
+        self.advance_clock(now);
         let events = self.membership.tick(self.now);
         self.process_membership_events(events);
         let mut view_events = Vec::new();
@@ -963,8 +1027,7 @@ impl ZeusNode {
         // adopt strictly newer entries, so directory replicas that diverged
         // under partitions or replayed arbitration reconverge on the highest
         // ownership timestamp without waiting for the next arbitration.
-        let dir_cadence = (self.config.lease_ticks / 4).max(1);
-        if self.now.saturating_sub(self.last_dir_push) >= dir_cadence {
+        if self.now.saturating_sub(self.last_dir_push) >= self.dir_push_cadence() {
             self.last_dir_push = self.now;
             // Delta digest: only entries whose placement settled since the
             // last pushes, so the steady-state sync costs O(churn) rather
@@ -998,10 +1061,7 @@ impl ZeusNode {
         if !self.congested {
             self.congestion_stretch = 1;
         }
-        let interval = self
-            .retransmit_override
-            .unwrap_or(self.config.retransmit_ticks)
-            .saturating_mul(self.congestion_stretch);
+        let interval = self.retransmit_interval();
         let interval_elapsed = self.now.saturating_sub(self.last_retransmit) >= interval;
         if interval_elapsed {
             self.last_retransmit = self.now;

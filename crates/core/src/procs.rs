@@ -206,7 +206,7 @@ pub fn run_node(opts: NodeOpts) -> Result<(u64, u64), String> {
     // placement, so the cluster-wide directory agrees without coordination.
     for i in 0..opts.accounts {
         let owner = NodeId((i % nodes as u64) as u16);
-        let _ = link.commands.send(Command::CreateObject {
+        let _ = link.send(Command::CreateObject {
             object: ObjectId(i),
             data: vec![0u8; 8].into(),
             replicas: config.default_replicas(owner),
@@ -261,7 +261,7 @@ pub fn run_node(opts: NodeOpts) -> Result<(u64, u64), String> {
         }
     }
 
-    let _ = link.commands.send(Command::Shutdown);
+    let _ = link.send(Command::Shutdown);
     let _ = node_thread.join();
     Ok((committed, aborted))
 }

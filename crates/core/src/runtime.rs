@@ -23,8 +23,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use zeus_net::{Envelope, ThreadedNet, Transport};
+use crossbeam::channel::{bounded, unbounded, Receiver, SendError, Sender};
+use zeus_net::{Doorbell, Envelope, ThreadedNet, Transport};
 use zeus_proto::{NodeId, ObjectId, OwnershipRequestKind, ReplicaSet};
 use zeus_store::Store;
 
@@ -69,15 +69,26 @@ pub(crate) struct ReadPort {
     lease_deadline: AtomicU64,
     /// Set when the loop exits; nothing maintains the store after that.
     closed: AtomicBool,
+    counters: ReadCounters,
+    /// Read sets of committed caller-thread reads, until the loop hands
+    /// them to its locality engine; `None` under the reactive policy,
+    /// which tracks nothing.
+    read_notes: Option<Mutex<Vec<ObjectId>>>,
+}
+
+/// What every caller-thread read *writes*, on cache lines of its own: the
+/// rest of [`ReadPort`] is what every such read *loads*, and two sessions
+/// reading in parallel would otherwise take those lines from each other with
+/// each commit they count. (128 bytes: the adjacent-line prefetcher pairs
+/// 64-byte lines.)
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct ReadCounters {
     /// Read-only transactions committed on caller threads.
     committed: AtomicU64,
     /// Caller-thread attempts that hit a [`TxError::ReadConflict`]. The
     /// queued retry is a new attempt, counted by the node as usual.
     conflicts: AtomicU64,
-    /// Read sets of committed caller-thread reads, until the loop hands
-    /// them to its locality engine; `None` under the reactive policy,
-    /// which tracks nothing.
-    read_notes: Option<Mutex<Vec<ObjectId>>>,
 }
 
 impl ReadPort {
@@ -88,8 +99,7 @@ impl ReadPort {
             started: Instant::now(),
             lease_deadline: AtomicU64::new(node.read_lease_deadline()),
             closed: AtomicBool::new(false),
-            committed: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
+            counters: ReadCounters::default(),
             read_notes: node.tracks_locality().then(Mutex::default),
         }
     }
@@ -114,7 +124,7 @@ impl ReadPort {
             Ok(value) => value,
             Err(error) => {
                 if matches!(error, TxError::ReadConflict) {
-                    self.conflicts.fetch_add(1, Ordering::Relaxed);
+                    self.counters.conflicts.fetch_add(1, Ordering::Relaxed);
                 }
                 return None;
             }
@@ -124,7 +134,7 @@ impl ReadPort {
         if self.now() >= self.lease_deadline.load(Ordering::Acquire) {
             return None;
         }
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        self.counters.committed.fetch_add(1, Ordering::Relaxed);
         if let Some(notes) = &self.read_notes {
             let mut notes = notes.lock().expect("no panic while held");
             if notes.len() < READ_NOTES_CAP {
@@ -136,8 +146,8 @@ impl ReadPort {
 
     /// Loop side: publishes the node's current fencing deadline. It moves
     /// only when a heartbeat or a view change does, and the loop is its only
-    /// writer, so the cache line the readers' counters share is written
-    /// just then, not on every loop iteration.
+    /// writer, so the cache line every reader loads is written just then,
+    /// not on every loop iteration.
     fn publish_lease(&self, deadline: u64) {
         if self.lease_deadline.load(Ordering::Relaxed) != deadline {
             self.lease_deadline.store(deadline, Ordering::Release);
@@ -152,10 +162,15 @@ impl ReadPort {
         }
     }
 
+    /// Read-only transactions committed on caller threads so far.
+    fn committed(&self) -> u64 {
+        self.counters.committed.load(Ordering::Relaxed)
+    }
+
     /// Adds the caller-thread reads to the node's own counters.
     fn add_to(&self, stats: &mut NodeStats) {
-        stats.read_txs_committed += self.committed.load(Ordering::Relaxed);
-        stats.txs_aborted += self.conflicts.load(Ordering::Relaxed);
+        stats.read_txs_committed += self.committed();
+        stats.txs_aborted += self.counters.conflicts.load(Ordering::Relaxed);
     }
 }
 
@@ -169,11 +184,24 @@ impl Drop for CloseOnExit<'_> {
 }
 
 /// A running node as its cluster and its sessions hold it: the command
-/// queue into the loop and the port for caller-thread reads.
+/// queue into the loop, the loop's doorbell, and the port for caller-thread
+/// reads.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeLink {
-    pub(crate) commands: Sender<Command>,
+    commands: Sender<Command>,
+    doorbell: Doorbell,
     reads: Arc<ReadPort>,
+}
+
+impl NodeLink {
+    /// Queues `command` for the loop, then rings its doorbell (in that
+    /// order: see [`Doorbell`]). `Err` hands the command back when the loop
+    /// has exited.
+    pub(crate) fn send(&self, command: Command) -> Result<(), SendError<Command>> {
+        self.commands.send(command)?;
+        self.doorbell.ring();
+        Ok(())
+    }
 }
 
 /// Starts `node`'s event loop on a thread of its own.
@@ -182,10 +210,16 @@ where
     T: Transport<Message> + Send + 'static,
 {
     let (commands, inbox) = unbounded();
+    let doorbell = transport.doorbell().clone();
     let reads = Arc::new(ReadPort::new(&node));
     let port = Arc::clone(&reads);
     let thread = std::thread::spawn(move || node_loop(node, transport, inbox, &port));
-    (NodeLink { commands, reads }, thread)
+    let link = NodeLink {
+        commands,
+        doorbell,
+        reads,
+    };
+    (link, thread)
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +285,7 @@ impl ThreadedSession {
     /// reply sender, so the ticket resolves to [`TxError::NodeUnavailable`].
     fn submit<T: TxPayload>(&self, work: Work) -> TxTicket<T> {
         let (reply, rx) = ReplySlot::new(Some(self.inflight.guard()));
-        let _ = self.link.commands.send(Command::Tx(TxCommand {
+        let _ = self.link.send(Command::Tx(TxCommand {
             work,
             policy: self.policy.clone(),
             reply,
@@ -318,7 +352,6 @@ impl Session for ThreadedSession {
     fn stats(&self) -> Result<(NodeStats, LatencyHistogram), TxError> {
         let (reply, rx) = bounded(1);
         self.link
-            .commands
             .send(Command::Stats { reply })
             .map_err(|_| TxError::NodeUnavailable)?;
         rx.recv().map_err(|_| TxError::NodeUnavailable)
@@ -379,7 +412,7 @@ impl ThreadedCluster {
         let data = data.into();
         let replicas = self.config.default_replicas(owner);
         for link in &self.links {
-            let _ = link.commands.send(Command::CreateObject {
+            let _ = link.send(Command::CreateObject {
                 object,
                 data: data.clone(),
                 replicas: replicas.clone(),
@@ -400,7 +433,7 @@ impl ThreadedCluster {
     fn send_admin(&self, make: impl Fn() -> Command, target: NodeId) {
         for vr in self.config.view_replica_set() {
             if vr != target {
-                let _ = self.links[vr.index()].commands.send(make());
+                let _ = self.links[vr.index()].send(make());
             }
         }
     }
@@ -423,7 +456,7 @@ impl ThreadedCluster {
 
     fn shutdown_inner(&mut self) {
         for link in &self.links {
-            let _ = link.commands.send(Command::Shutdown);
+            let _ = link.send(Command::Shutdown);
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -516,13 +549,6 @@ impl ClusterDriver for ThreadedCluster {
 // Node event loop
 // ---------------------------------------------------------------------------
 
-/// How long an idle node loop blocks waiting for the next event before
-/// re-checking periodic work. Bounds the latency of network traffic that
-/// arrives while the loop waits on the other channel (same bound the old
-/// unconditional 20 us idle sleep imposed), while commands/messages on the
-/// waited-on channel wake the loop immediately instead of after a sleep.
-const IDLE_WAIT: Duration = Duration::from_micros(20);
-
 /// Command-admission high-water mark on the replication pipeline. Tickets
 /// resolve at commit *initiation* (the pipelined commit of §5), not at
 /// replication completion, so nothing in the client path bounds how many
@@ -554,6 +580,13 @@ const DRAIN_CAP_MAX: usize = 256;
 /// process-per-node deployments. What is about threads and sockets lives
 /// here; what a transaction waits for, what a wait costs and how it ends is
 /// the [`TxDriver`]'s, which the simulator runs as well.
+///
+/// The loop runs while there is work and sleeps in exactly one place, the
+/// end of an iteration that found none: parked on the transport's
+/// [`Doorbell`] — which every command and every delivered message rings —
+/// until the earliest thing that is due by the clock alone, a parked
+/// command's back-off ([`TxDriver::next_deadline`]) or one of the node's
+/// timers ([`ZeusNode::next_timer`]).
 fn node_loop<T: Transport<Message>>(
     mut node: ZeusNode,
     transport: T,
@@ -561,6 +594,9 @@ fn node_loop<T: Transport<Message>>(
     reads: &ReadPort,
 ) {
     let _close = CloseOnExit(reads);
+    // Before the first drain: whatever was queued and rung earlier is found
+    // by that drain, whatever comes later finds the loop attached.
+    transport.doorbell().attach();
     let mut driver = TxDriver::default();
     // Batch buffers: the shim's channels are Mutex-backed, so popping a
     // burst one `try_recv` at a time pays one lock round-trip per message.
@@ -579,7 +615,12 @@ fn node_loop<T: Transport<Message>>(
     let mut drain_hwm: usize = 0;
     loop {
         let mut did_work = false;
+        // The node's clock follows the loop's before anything is handled:
+        // what a loop that just woke stamps — a renewed lease, a commit's
+        // send time, a request's start — carries the time it woke, not the
+        // time it went to sleep.
         let now = reads.now();
+        node.advance_clock(now);
 
         // 1. Network traffic: drain the mailbox into the local batch, then
         //    process from the batch. A full drain means the mailbox likely
@@ -694,16 +735,13 @@ fn node_loop<T: Transport<Message>>(
         // 3. Parked commands: granted ones run, failed rounds are charged
         //    and backed off, a fenced node resolves everything.
         did_work |= driver.poll(&mut node, now);
+        let polled_at = now;
 
-        // 4. Ship outgoing traffic and advance the clock. This is the
-        //    batch's single flush: everything the whole command batch
-        //    produced (R-INVs of every commit, shared REQs) goes out grouped
-        //    by destination, one channel lock per peer. The transport then
-        //    runs its own periodic work (link-layer retransmission) and
-        //    feeds back its two signals: its retransmission timeout becomes
-        //    the protocol retry interval, and a backlogged link counts as
+        // 4. Advance the clock and ship outgoing traffic. The transport runs
+        //    its own periodic work (link-layer retransmission) and feeds
+        //    back its two signals: its retransmission timeout becomes the
+        //    protocol retry interval, and a backlogged link counts as
         //    congestion exactly like a backlogged inbox.
-        flush_outbox(&mut node, &transport, &mut send_buf);
         let now = reads.now();
         transport.maintain(now);
         if let Some(rto) = transport.rto_micros() {
@@ -717,21 +755,27 @@ fn node_loop<T: Transport<Message>>(
         node.note_local_reads(read_notes.drain(..));
         node.tick(now);
         reads.publish_lease(node.read_lease_deadline());
+        // The iteration's single flush: everything the command batch
+        // produced (R-INVs of every commit, shared REQs) and everything the
+        // tick did (heartbeats, re-sends) goes out grouped by destination,
+        // one channel lock per peer — and before the loop may go to sleep.
+        flush_outbox(&mut node, &transport, &mut send_buf);
 
         if !did_work {
-            // Nothing to do right now: block on the channel the next event
-            // is expected on instead of sleeping a fixed interval. A new
-            // client command (the common idle case) wakes the loop
-            // immediately — previously every idle->busy transition ate up
-            // to a full 20 us sleep, which dominated closed-loop
-            // transaction latency. Traffic on the *other* channel waits at
-            // most IDLE_WAIT, exactly the bound the old sleep imposed.
-            if !driver.has_waiters() && node.outstanding_commits() < COMMIT_BACKPRESSURE_HWM {
-                if let Ok(command) = commands.recv_timeout(IDLE_WAIT) {
-                    cmd_buf.push(command);
-                }
-            } else if let Some(env) = transport.recv_timeout(IDLE_WAIT) {
-                inbox_buf.push_back(env);
+            // Nothing to do: sleep until the clock makes something due or
+            // the doorbell rings. Producers push and then ring, so looking
+            // at both queues here, after this iteration's last drain, and
+            // parking only then cannot miss an item (see `Doorbell`).
+            // Queued commands are not input while admission is paused (step
+            // 2): the R-ACKs that resume it are messages, and ring.
+            let admitting = node.outstanding_commits() < COMMIT_BACKPRESSURE_HWM;
+            if transport.pending() == 0 && (commands.is_empty() || !admitting) {
+                // Back-offs count from the poll's clock: one that lapsed
+                // since then is due now, not filtered out as past.
+                let next_backoff = driver.next_deadline(polled_at).unwrap_or(u64::MAX);
+                let due = node.next_timer(now).min(next_backoff);
+                let sleep = Duration::from_micros(due.saturating_sub(reads.now()));
+                transport.doorbell().park_timeout(sleep);
             }
         }
     }
@@ -859,14 +903,14 @@ mod tests {
         const N: u64 = 100;
         let node_before = session.stats().unwrap().0;
         let cluster_before = cluster.aggregate_stats();
-        let on_caller_before = session.link.reads.committed.load(Ordering::Relaxed);
+        let on_caller_before = session.link.reads.committed();
         for _ in 0..N {
             assert_eq!(session.read_txn(read).unwrap(), b"v");
         }
         // All N on a quiet replica, short of a host stall that lapses the
         // lease; the counters below must add up either way, which they only
         // do if the reads that never reached the loop are counted too.
-        let on_caller = session.link.reads.committed.load(Ordering::Relaxed) - on_caller_before;
+        let on_caller = session.link.reads.committed() - on_caller_before;
         assert!(on_caller > 0, "an idle session reads on its own thread");
         let node_after = session.stats().unwrap().0;
         assert_eq!(
@@ -1013,10 +1057,7 @@ mod tests {
                                 pairs_read += 1;
                             }
                         }
-                        (
-                            pairs_read,
-                            session.link.reads.committed.load(Ordering::Relaxed),
-                        )
+                        (pairs_read, session.link.reads.committed())
                     })
                 })
                 .collect();
@@ -1146,6 +1187,49 @@ mod tests {
         });
         assert_eq!(ticket.wait(), Err(TxError::NodeUnavailable));
         session.drain().unwrap();
+    }
+
+    #[test]
+    fn commands_queued_behind_shutdown_still_resolve() {
+        // A burst of writes right behind a `Shutdown`: some share its batch
+        // (and commit, hoisted ahead of it, or are dropped with the batch),
+        // some land in the queue while the loop runs that last batch, some
+        // find the queue closed. Every one of them must end its ticket; the
+        // middle group used to sit in a queue nobody would ever drain.
+        let object = ObjectId(1);
+        for _ in 0..20 {
+            let config = ZeusConfig::with_nodes(1);
+            let net: ThreadedNet<Message> = ThreadedNet::new(1);
+            let mut node = ZeusNode::new(NodeId(0), config.clone());
+            node.create_object(
+                object,
+                Bytes::from_static(b"v"),
+                config.default_replicas(NodeId(0)),
+            );
+            let (link, thread) = start_node(node, net.mailbox(NodeId(0)));
+            let session = ThreadedSession::new(NodeId(0), link.clone(), RetryPolicy::no_retry());
+
+            assert!(link.send(Command::Shutdown).is_ok(), "the loop is running");
+            let tickets: Vec<TxTicket<()>> = (0..64)
+                .map(|_| session.submit_write(move |tx| tx.write(object, Bytes::from_static(b"w"))))
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(1);
+            for mut ticket in tickets {
+                let result = loop {
+                    if let Some(result) = ticket.try_poll() {
+                        break result;
+                    }
+                    assert!(Instant::now() < deadline, "a ticket hangs");
+                    std::thread::yield_now();
+                };
+                assert!(
+                    matches!(result, Ok(()) | Err(TxError::NodeUnavailable)),
+                    "{result:?}"
+                );
+            }
+            session.drain().unwrap();
+            thread.join().expect("node loop");
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl UdpCluster {
         let data = data.into();
         let replicas = self.config.default_replicas(owner);
         for link in &self.links {
-            let _ = link.commands.send(Command::CreateObject {
+            let _ = link.send(Command::CreateObject {
                 object,
                 data: data.clone(),
                 replicas: replicas.clone(),
@@ -130,7 +130,7 @@ impl UdpCluster {
 
     fn shutdown_inner(&mut self) {
         for link in &self.links {
-            let _ = link.commands.send(Command::Shutdown);
+            let _ = link.send(Command::Shutdown);
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -189,9 +189,7 @@ impl ClusterDriver for UdpCluster {
     fn admin_expel(&self, node: NodeId) -> Result<(), AdminError> {
         for vr in self.config.view_replica_set() {
             if vr != node {
-                let _ = self.links[vr.index()]
-                    .commands
-                    .send(Command::AdminExpel { node });
+                let _ = self.links[vr.index()].send(Command::AdminExpel { node });
             }
         }
         Ok(())
@@ -200,9 +198,7 @@ impl ClusterDriver for UdpCluster {
     fn admin_readmit(&self, node: NodeId) -> Result<(), AdminError> {
         for vr in self.config.view_replica_set() {
             if vr != node {
-                let _ = self.links[vr.index()]
-                    .commands
-                    .send(Command::AdminReadmit { node });
+                let _ = self.links[vr.index()].send(Command::AdminReadmit { node });
             }
         }
         Ok(())

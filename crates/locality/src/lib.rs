@@ -167,6 +167,12 @@ impl LocalityEngine {
         taken
     }
 
+    /// The tick from which [`LocalityEngine::tick`] plans again; before it,
+    /// a call returns nothing and changes nothing.
+    pub fn next_interval(&self) -> u64 {
+        self.last_interval.saturating_add(self.interval_ticks)
+    }
+
     /// Counters of what the engine has done so far.
     pub fn stats(&self) -> &PolicyStats {
         &self.stats

@@ -264,6 +264,27 @@ impl MembershipEngine {
         events
     }
 
+    /// The earliest tick after `now` at which [`MembershipEngine::tick`] does
+    /// something it did not do at `now`: the next heartbeat, the tick from
+    /// which this node counts as isolated, or a live peer's lease running
+    /// out past the grace period. Deadlines at or before `now` have had
+    /// their effect; heartbeats never stop, so there is always a next one.
+    pub fn next_timer(&self, now: u64) -> u64 {
+        let heartbeat = self
+            .last_heartbeat_at
+            .map_or(now, |at| at.saturating_add(self.heartbeat_interval));
+        let suspicions = self
+            .view
+            .live
+            .iter()
+            .filter(|&&peer| peer != self.local)
+            .map(|&peer| self.leases.expires_at(peer).saturating_add(self.grace));
+        suspicions
+            .chain([self.isolation_deadline()])
+            .filter(|&at| at > now)
+            .fold(heartbeat, u64::min)
+    }
+
     /// Admission epochs parallel to `view.live`.
     fn admitted_for(&self, view: &View) -> Vec<Epoch> {
         view.live

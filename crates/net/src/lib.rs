@@ -32,12 +32,16 @@
 //!   onto datagrams and driving [`reliable::ReliableEndpoint`] with real
 //!   wall-clock time: actual loss, actual reordering, actual processes
 //!   (the `zeus-node` binary and the multiprocess CI job run on this).
+//! * [`doorbell::Doorbell`] — the one thing a node loop sleeps on: every
+//!   transport rings its node's doorbell after delivering into the inbox,
+//!   and the runtime rings it after queueing a command.
 //! * [`stats::NetStats`] — message and byte accounting used by the
 //!   bandwidth-related claims of the evaluation.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod doorbell;
 pub mod envelope;
 pub mod reliable;
 pub mod rtt;
@@ -47,6 +51,7 @@ pub mod threaded;
 pub mod transport;
 pub mod udp;
 
+pub use doorbell::Doorbell;
 pub use envelope::Envelope;
 pub use reliable::{ReliableEndpoint, ReliableMsg};
 pub use rtt::{RtoPolicy, RttConfig, RttEstimator};

@@ -13,6 +13,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 use zeus_proto::NodeId;
 
+use crate::doorbell::Doorbell;
 use crate::envelope::Envelope;
 use crate::stats::NetStats;
 
@@ -136,13 +137,15 @@ impl SharedCounters {
 }
 
 /// A node's connection to the threaded network: its inbox plus senders to
-/// every peer. Cloneable so multiple worker threads of one node can send.
+/// every peer, each paired with that peer's [`Doorbell`], rung after every
+/// push into its inbox. Cloneable so multiple worker threads of one node can
+/// send.
 #[derive(Debug)]
 pub struct NodeMailbox<M> {
     /// This node's id.
     pub id: NodeId,
     inbox: Receiver<Envelope<M>>,
-    peers: Vec<Sender<Envelope<M>>>,
+    peers: Vec<(Sender<Envelope<M>>, Doorbell)>,
     /// This node's traffic counters (shared by the mailbox's clones).
     counters: Arc<SharedCounters>,
     faults: Arc<LinkFaults>,
@@ -167,7 +170,7 @@ impl<M> NodeMailbox<M> {
     fn new(
         id: NodeId,
         inbox: Receiver<Envelope<M>>,
-        peers: Vec<Sender<Envelope<M>>>,
+        peers: Vec<(Sender<Envelope<M>>, Doorbell)>,
         counters: Arc<SharedCounters>,
         faults: Arc<LinkFaults>,
     ) -> Self {
@@ -196,13 +199,14 @@ impl<M> NodeMailbox<M> {
             return false;
         }
         match self.peers.get(to.index()) {
-            Some(tx) => {
+            Some((tx, bell)) => {
                 // `send_counting` reports the depth right after the push
                 // under the send's own lock, so the high-water mark counts
                 // this message even if the receiver drains it instantly —
                 // without a second lock acquisition per send.
                 match tx.send_counting(env) {
                     Ok(depth) => {
+                        bell.ring();
                         self.counters.record(wire_bytes, depth);
                         true
                     }
@@ -239,13 +243,16 @@ impl<M> NodeMailbox<M> {
                 _ => self.counters.record_failed(wire_bytes),
             }
         }
-        for (tx, (bucket, bytes)) in self.peers.iter().zip(buckets.iter_mut()) {
+        for ((tx, bell), (bucket, bytes)) in self.peers.iter().zip(buckets.iter_mut()) {
             if bucket.is_empty() {
                 continue;
             }
             let count = bucket.len();
             match tx.send_batch(bucket) {
-                Ok(depth) => self.counters.record_batch(count, *bytes, depth),
+                Ok(depth) => {
+                    bell.ring();
+                    self.counters.record_batch(count, *bytes, depth);
+                }
                 Err(_) => {
                     self.counters.record_failed_batch(count, *bytes);
                     bucket.clear();
@@ -280,6 +287,12 @@ impl<M> NodeMailbox<M> {
     pub fn pending(&self) -> usize {
         self.inbox.len()
     }
+
+    /// This node's doorbell: every mailbox of the network rings it after
+    /// pushing into this one's inbox.
+    pub fn doorbell(&self) -> &Doorbell {
+        &self.peers[self.id.index()].1
+    }
 }
 
 /// The threaded cluster transport: constructs one mailbox per node.
@@ -297,7 +310,7 @@ impl<M> ThreadedNet<M> {
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
             let (tx, rx) = unbounded();
-            senders.push(tx);
+            senders.push((tx, Doorbell::new()));
             receivers.push(rx);
         }
         let mailboxes = receivers

@@ -4,15 +4,17 @@
 //! process per Zeus node, see `zeus-core`) and whatever moves its bytes:
 //! the in-process channel mailbox ([`crate::threaded`]) or real UDP sockets
 //! ([`crate::udp`]). The node loop only ever sends envelopes, drains
-//! deliveries, and calls [`Transport::maintain`] once per iteration; the
-//! transport supplies back the two signals the protocol layer consumes —
-//! its retransmission timeout ([`Transport::rto_micros`]) and a congestion
-//! flag ([`Transport::congested`]).
+//! deliveries, sleeps on the transport's [`Doorbell`] when it has nothing to
+//! do, and calls [`Transport::maintain`] once per iteration; the transport
+//! supplies back the two signals the protocol layer consumes — its
+//! retransmission timeout ([`Transport::rto_micros`]) and a congestion flag
+//! ([`Transport::congested`]).
 
 use std::time::Duration;
 
 use zeus_proto::NodeId;
 
+use crate::doorbell::Doorbell;
 use crate::envelope::Envelope;
 use crate::threaded::NodeMailbox;
 
@@ -35,8 +37,16 @@ pub trait Transport<M>: Send + 'static {
     /// were appended.
     fn drain_into(&self, buf: &mut Vec<Envelope<M>>, max: usize) -> usize;
 
-    /// Blocking receive with a timeout; `None` on timeout or shutdown.
+    /// Blocking receive with a timeout; `None` on timeout or shutdown. For
+    /// callers with nothing else to wait for (tests, probes): a node loop
+    /// sleeps on [`Transport::doorbell`] instead.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>>;
+
+    /// This node's doorbell, which the transport rings after every delivery
+    /// into the inbox [`Transport::drain_into`] empties. The loop that owns
+    /// the transport attaches to it, hands clones to whoever else gives it
+    /// work, and parks on it when [`Transport::pending`] is zero.
+    fn doorbell(&self) -> &Doorbell;
 
     /// Delivered messages waiting to be drained.
     fn pending(&self) -> usize;
@@ -93,6 +103,10 @@ impl<M: Send + 'static> Transport<M> for NodeMailbox<M> {
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
         NodeMailbox::recv_timeout(self, timeout)
+    }
+
+    fn doorbell(&self) -> &Doorbell {
+        NodeMailbox::doorbell(self)
     }
 
     fn pending(&self) -> usize {

@@ -42,6 +42,7 @@ use parking_lot::Mutex;
 use zeus_proto::wire::Wire;
 use zeus_proto::{NodeId, ProtoError};
 
+use crate::doorbell::Doorbell;
 use crate::envelope::Envelope;
 use crate::reliable::{ReliableEndpoint, ReliableMsg};
 use crate::rtt::{RtoPolicy, RttConfig};
@@ -188,6 +189,10 @@ struct Shared<M> {
     /// Last boot token seen per peer; a change resets the peer's links.
     peer_boots: Mutex<HashMap<NodeId, u32>>,
     delivered_tx: Sender<Envelope<M>>,
+    /// The owning node loop's doorbell: the reader thread rings it after
+    /// pushing into `delivered_tx`. (What the loop sends to itself it also
+    /// finds itself, on its look at the queue before it parks.)
+    doorbell: Doorbell,
     counters: Arc<SharedCounters>,
     faults: Arc<LinkFaults>,
     loss: Option<Mutex<Lossy>>,
@@ -257,6 +262,7 @@ impl<M: Wire + Clone> Shared<M> {
             let _ = self
                 .delivered_tx
                 .send(Envelope::with_payload_bytes(peer, self.local, payload, 0));
+            self.doorbell.ring();
         }
         let out = endpoint.take_outgoing();
         drop(endpoint);
@@ -341,6 +347,7 @@ impl<M: Wire + Clone + Send + 'static> UdpTransport<M> {
             )),
             peer_boots: Mutex::new(HashMap::new()),
             delivered_tx,
+            doorbell: Doorbell::new(),
             counters,
             faults,
             loss: config.loss.map(|l| Mutex::new(Lossy::new(l))),
@@ -464,6 +471,10 @@ impl<M: Wire + Clone + Send + 'static> Transport<M> for UdpTransport<M> {
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
         self.delivered_rx.recv_timeout(timeout).ok()
+    }
+
+    fn doorbell(&self) -> &Doorbell {
+        &self.shared.doorbell
     }
 
     fn pending(&self) -> usize {

@@ -314,6 +314,14 @@ impl OwnershipEngine {
         self.pending.len()
     }
 
+    /// When the pending request that has waited longest for an answer last
+    /// had its REQ sent: [`OwnershipEngine::retransmit_into`] re-sends
+    /// nothing before an interval has passed since then. `None` with no
+    /// request pending.
+    pub fn oldest_unanswered_send(&self) -> Option<u64> {
+        self.pending.values().map(|p| p.last_sent).min()
+    }
+
     /// Number of in-flight arbitrations observed by this node.
     pub fn inflight_arbitrations(&self) -> usize {
         self.inflight.len()

@@ -5,6 +5,11 @@
 //! `bounded` channels with cloneable senders *and* receivers, built on a
 //! `Mutex<VecDeque>` plus condition variables. Throughput is adequate for the
 //! simulator and tests; the real crate's lock-free internals are not needed.
+//!
+//! A condition variable is notified only while a thread is blocked on it:
+//! the channel counts its blocked receivers and senders under the queue's
+//! lock, so a send to a receiver that polls — every node loop, every polled
+//! ticket — costs the lock and nothing else.
 
 #![forbid(unsafe_code)]
 
@@ -12,23 +17,72 @@
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `not_empty` right now.
+        blocked_receivers: usize,
+        /// Senders blocked on `not_full` right now.
+        blocked_senders: usize,
     }
 
     struct Shared<T> {
         state: Mutex<State<T>>,
         /// Capacity bound; `None` means unbounded.
         cap: Option<usize>,
-        /// Signalled when an item is pushed or all senders drop.
+        /// Signalled when an item is pushed or all senders drop, if a
+        /// receiver is blocked.
         not_empty: Condvar,
-        /// Signalled when an item is popped or all receivers drop.
+        /// Signalled when an item is popped or all receivers drop, if a
+        /// sender is blocked.
         not_full: Condvar,
+    }
+
+    impl<T> Shared<T> {
+        /// Releases `state`, then wakes one receiver (`all`: every receiver)
+        /// if any is blocked. The count is read under the lock a receiver
+        /// holds from its look at the queue until it blocks, so a receiver
+        /// this misses has yet to look.
+        fn wake_receivers(&self, state: MutexGuard<'_, State<T>>, all: bool) {
+            let blocked = state.blocked_receivers;
+            drop(state);
+            wake(&self.not_empty, blocked, all);
+        }
+
+        /// [`Shared::wake_receivers`] for the senders of a bounded channel.
+        fn wake_senders(&self, state: MutexGuard<'_, State<T>>, all: bool) {
+            let blocked = state.blocked_senders;
+            drop(state);
+            wake(&self.not_full, blocked, all);
+        }
+
+        /// Blocks a receiver until `not_empty` is signalled or `timeout`
+        /// has passed.
+        fn block_receiver<'a>(
+            &self,
+            mut state: MutexGuard<'a, State<T>>,
+            timeout: Option<Duration>,
+        ) -> MutexGuard<'a, State<T>> {
+            state.blocked_receivers += 1;
+            let mut state = match timeout {
+                None => self.not_empty.wait(state).unwrap(),
+                Some(timeout) => self.not_empty.wait_timeout(state, timeout).unwrap().0,
+            };
+            state.blocked_receivers -= 1;
+            state
+        }
+    }
+
+    fn wake(condvar: &Condvar, blocked: usize, all: bool) {
+        match (blocked, all) {
+            (0, _) => {}
+            (_, false) => condvar.notify_one(),
+            (_, true) => condvar.notify_all(),
+        }
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -108,6 +162,8 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                blocked_receivers: 0,
+                blocked_senders: 0,
             }),
             cap,
             not_empty: Condvar::new(),
@@ -141,15 +197,16 @@ pub mod channel {
                 }
                 match self.shared.cap {
                     Some(cap) if state.queue.len() >= cap => {
+                        state.blocked_senders += 1;
                         state = self.shared.not_full.wait(state).unwrap();
+                        state.blocked_senders -= 1;
                     }
                     _ => break,
                 }
             }
             state.queue.push_back(msg);
             let depth = state.queue.len();
-            drop(state);
-            self.shared.not_empty.notify_one();
+            self.shared.wake_receivers(state, false);
             Ok(depth)
         }
 
@@ -179,8 +236,7 @@ pub mod channel {
             }
             state.queue.extend(msgs.drain(..));
             let depth = state.queue.len();
-            drop(state);
-            self.shared.not_empty.notify_all();
+            self.shared.wake_receivers(state, true);
             Ok(depth)
         }
 
@@ -209,8 +265,7 @@ pub mod channel {
             let mut state = self.shared.state.lock().unwrap();
             state.senders -= 1;
             if state.senders == 0 {
-                drop(state);
-                self.shared.not_empty.notify_all();
+                self.shared.wake_receivers(state, true);
             }
         }
     }
@@ -221,8 +276,7 @@ pub mod channel {
             let mut state = self.shared.state.lock().unwrap();
             match state.queue.pop_front() {
                 Some(msg) => {
-                    drop(state);
-                    self.shared.not_full.notify_one();
+                    self.shared.wake_senders(state, false);
                     Ok(msg)
                 }
                 None if state.senders == 0 => Err(TryRecvError::Disconnected),
@@ -235,14 +289,13 @@ pub mod channel {
             let mut state = self.shared.state.lock().unwrap();
             loop {
                 if let Some(msg) = state.queue.pop_front() {
-                    drop(state);
-                    self.shared.not_full.notify_one();
+                    self.shared.wake_senders(state, false);
                     return Ok(msg);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
-                state = self.shared.not_empty.wait(state).unwrap();
+                state = self.shared.block_receiver(state, None);
             }
         }
 
@@ -252,8 +305,7 @@ pub mod channel {
             let mut state = self.shared.state.lock().unwrap();
             loop {
                 if let Some(msg) = state.queue.pop_front() {
-                    drop(state);
-                    self.shared.not_full.notify_one();
+                    self.shared.wake_senders(state, false);
                     return Ok(msg);
                 }
                 if state.senders == 0 {
@@ -263,12 +315,7 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _res) = self
-                    .shared
-                    .not_empty
-                    .wait_timeout(state, deadline - now)
-                    .unwrap();
-                state = guard;
+                state = self.shared.block_receiver(state, Some(deadline - now));
             }
         }
 
@@ -298,9 +345,8 @@ pub mod channel {
             let mut state = self.shared.state.lock().unwrap();
             let n = max.min(state.queue.len());
             buf.extend(state.queue.drain(..n));
-            drop(state);
             if n > 0 {
-                self.shared.not_full.notify_all();
+                self.shared.wake_senders(state, true);
             }
             n
         }
@@ -325,8 +371,13 @@ pub mod channel {
             let mut state = self.shared.state.lock().unwrap();
             state.receivers -= 1;
             if state.receivers == 0 {
-                drop(state);
-                self.shared.not_full.notify_all();
+                // Nobody can receive what is queued, and a message may own
+                // something its sender waits on (a reply slot): discard it
+                // now, as the real crate does, not when the last sender goes
+                // — and outside the lock, since dropping runs foreign code.
+                let orphaned = std::mem::take(&mut state.queue);
+                self.shared.wake_senders(state, true);
+                drop(orphaned);
             }
         }
     }
@@ -447,6 +498,39 @@ pub mod channel {
             let mut batch = vec![1, 2];
             assert!(tx.send_batch(&mut batch).is_err());
             assert_eq!(batch, vec![1, 2], "nothing was taken");
+        }
+
+        #[test]
+        fn dropping_the_last_receiver_discards_what_is_queued() {
+            // What a queued message owns (here: the other handle of an
+            // `Arc`) must go with the receiver, not linger for as long as
+            // some sender does.
+            let witness = Arc::new(());
+            let (tx, rx) = unbounded();
+            let spare = rx.clone();
+            tx.send(Arc::clone(&witness)).unwrap();
+            tx.send(Arc::clone(&witness)).unwrap();
+            drop(rx);
+            assert_eq!(Arc::strong_count(&witness), 3, "a receiver is left");
+            drop(spare);
+            assert_eq!(Arc::strong_count(&witness), 1, "queued items dropped");
+            assert_eq!(tx.len(), 0);
+            assert!(tx.send(Arc::clone(&witness)).is_err(), "and sends fail");
+            assert!(tx.send_batch(&mut vec![Arc::clone(&witness)]).is_err());
+        }
+
+        #[test]
+        fn a_receiver_that_blocks_is_woken_by_send_batch_and_by_disconnection() {
+            let (tx, rx) = unbounded();
+            let receiver = thread::spawn(move || {
+                let first: Result<u32, _> = rx.recv();
+                (first, rx.recv())
+            });
+            // Whether these land before or after the receiver blocks, it
+            // must come back with both outcomes.
+            tx.send_batch(&mut vec![7]).unwrap();
+            drop(tx);
+            assert_eq!(receiver.join().unwrap(), (Ok(7), Err(RecvError)));
         }
 
         #[test]

@@ -198,6 +198,45 @@ impl ViewReplica {
                 || !self.pending_admit.is_empty())
     }
 
+    /// The earliest tick after `now` at which [`ViewReplica::tick`] does
+    /// something by the clock alone, `None` with no agreement work
+    /// outstanding: a live proposal is re-sent or expires; intents waiting
+    /// to be proposed wait for the rank back-off, the initial deferral or a
+    /// grant to another proposer to run out — the earliest of those still
+    /// ahead, which may be early (the others then still hold the proposal
+    /// back) but is never late.
+    pub fn next_timer(&self, now: u64) -> Option<u64> {
+        if !self.has_pending_work() {
+            return None;
+        }
+        if let Some(p) = &self.proposal {
+            return Some(p.expires_at.min(p.last_sent + self.retry_interval));
+        }
+        let gates = [
+            Some(self.next_propose_at),
+            self.intent_since
+                .map(|since| since.saturating_add(self.initial_deferral())),
+            self.granted
+                .map(|(_, _, at)| at.saturating_add(self.grant_ttl)),
+        ];
+        // With every gate behind `now` the proposal is due: `tick` has not
+        // run since the intent was registered.
+        let ahead = gates.into_iter().flatten().filter(|&at| at > now).min();
+        Some(ahead.unwrap_or(now + 1))
+    }
+
+    /// How long a fresh intent waits before this replica proposes it: one
+    /// retry interval per live, unsuspected lower-ranked replica (see
+    /// [`ViewReplica::tick`]).
+    fn initial_deferral(&self) -> u64 {
+        self.set
+            .iter()
+            .take_while(|&&n| n != self.local)
+            .filter(|&&n| self.committed_live.contains(&n) && !self.pending_expel.contains(&n))
+            .count() as u64
+            * self.retry_interval
+    }
+
     /// Registers the intent to expel `node` from the view (lease expiry or
     /// admin removal). Idempotent; cleared when a committed view satisfies
     /// it. No-op on non-members.
@@ -330,14 +369,7 @@ impl ViewReplica {
         // is suspected and not counted) the next rank takes over an interval
         // later.
         let since = *self.intent_since.get_or_insert(now);
-        let defer = self
-            .set
-            .iter()
-            .take_while(|&&n| n != self.local)
-            .filter(|&&n| self.committed_live.contains(&n) && !self.pending_expel.contains(&n))
-            .count() as u64
-            * self.retry_interval;
-        if now < since.saturating_add(defer) {
+        if now < since.saturating_add(self.initial_deferral()) {
             return;
         }
         // A live grant to another proposer blocks our own (the sticky-grant
