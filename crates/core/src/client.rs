@@ -285,7 +285,8 @@ struct TicketReply {
 }
 
 /// The cell a submitted transaction's reply travels through: written once by
-/// the node thread, read once by the ticket. One allocation per transaction —
+/// whichever thread ran the node when the transaction resolved, read once by
+/// the ticket. One allocation per transaction —
 /// a channel would bring its own queue and a second condition variable for a
 /// message that is only ever one. The condition variable is signalled only
 /// for a ticket that is blocked on it: a polled ticket costs its resolver the
@@ -595,10 +596,16 @@ pub trait Session: Clone + Send + 'static {
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static;
 
     /// Submits a write transaction without waiting for it: the returned
-    /// [`TxTicket`] resolves when it commits or terminally aborts. On the
-    /// threaded runtime a single client thread can keep N submissions in
-    /// flight (they batch into the node's command path); on the simulated
-    /// runtime submission executes synchronously and the ticket is born
+    /// [`TxTicket`] resolves when it commits or terminally aborts, and **may
+    /// already be resolved when this returns**. On the threaded runtimes the
+    /// transaction runs on the calling thread when the node is free — a
+    /// write on objects the node owns has then committed locally and its
+    /// replication is under way — and is queued for the node's loop
+    /// otherwise, so a single client thread can keep N submissions in
+    /// flight; on the simulated runtime submission always executes
+    /// synchronously. Either way `f` may run more than once (retries) and on
+    /// either thread, as its `FnMut + Send` bound says, and the ticket's
+    /// resolve instant ([`TxTicket::wait_timed`]) is taken where it
     /// resolved.
     fn submit_write<T, F>(&self, f: F) -> TxTicket<T>
     where
@@ -884,11 +891,14 @@ mod tests {
     #[test]
     fn retry_policy_classifies_with_budget() {
         let p = RetryPolicy::with_budget(3);
-        assert!(p.should_retry(&TxError::LockConflict, 1));
-        assert!(p.should_retry(&TxError::LockConflict, 2));
-        assert!(!p.should_retry(&TxError::LockConflict, 3), "budget spent");
+        assert!(p.should_retry(&TxError::ValidationFailed, 1));
+        assert!(p.should_retry(&TxError::ValidationFailed, 2));
+        assert!(
+            !p.should_retry(&TxError::ValidationFailed, 3),
+            "budget spent"
+        );
         assert!(!p.should_retry(&TxError::Fenced, 1), "not retryable");
-        assert!(!RetryPolicy::no_retry().should_retry(&TxError::LockConflict, 1));
+        assert!(!RetryPolicy::no_retry().should_retry(&TxError::ValidationFailed, 1));
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! The driver owns no clock and no transport. Its caller hands it the node
 //! and the node's tick count (1 tick = 1 µs on the wall-clock runtimes,
 //! simulated time in the simulator) and ships whatever the node's outbox
-//! holds afterwards.
+//! holds afterwards. On the wall-clock runtimes that caller is whoever holds
+//! the node's lock: a command is [submitted](TxDriver::submit) by the
+//! session's own thread when it finds the node free and by the node's loop
+//! otherwise, and what parks here is [polled](TxDriver::poll) by the loop.
 
 use zeus_proto::messages::NackReason;
 use zeus_proto::{ObjectId, OwnershipRequestKind, RequestId};
@@ -603,6 +606,13 @@ mod tests {
     /// and requires each of those to send nothing and count nothing.
     /// Returns the timer.
     fn quiet_until_next_timer(node: &mut ZeusNode, now: u64) -> u64 {
+        node.tick(now);
+        node.drain_outbox();
+        quiet_before_next_timer(node, now)
+    }
+
+    /// [`quiet_until_next_timer`] for a node that was not ticked at `now`.
+    fn quiet_before_next_timer(node: &mut ZeusNode, now: u64) -> u64 {
         let counters = |node: &ZeusNode| {
             let re_sent = (
                 node.commit_stats().rinvs_retransmitted,
@@ -610,8 +620,6 @@ mod tests {
             );
             format!("{:?} {re_sent:?}", node.stats())
         };
-        node.tick(now);
-        node.drain_outbox();
         let next = node.next_timer(now);
         assert!(next > now, "a timer at or before `now` would spin the loop");
         let before = counters(node);
@@ -646,6 +654,27 @@ mod tests {
             .is_committed());
         let next = quiet_until_next_timer(&mut t.nodes[0], t.now);
         assert_eq!(next, t.now + retransmit);
+        t.nodes[0].tick(next);
+        assert_eq!(t.nodes[0].commit_stats().rinvs_retransmitted, 2);
+
+        // Work that arrives from outside the loop: the runtime ticked the
+        // node and went to sleep until the heartbeat; half-way there a
+        // caller moves the clock and commits, and nothing ticks. The timer
+        // the node names then is the commit's, earlier than what the
+        // runtime sleeps until — which is why the caller has to tell it.
+        let mut t = Trio::new();
+        t.nodes[0].tick(t.now);
+        t.nodes[0].drain_outbox();
+        let asleep_until = t.nodes[0].next_timer(t.now);
+        let arrived = t.now + (asleep_until - t.now) / 2;
+        t.nodes[0].advance_clock(arrived);
+        assert!(t.nodes[0]
+            .execute_write(0, |tx| tx.write(ObjectId(1), Bytes::from_static(b"1")))
+            .is_committed());
+        t.nodes[0].drain_outbox();
+        let next = quiet_before_next_timer(&mut t.nodes[0], arrived);
+        assert_eq!(next, arrived + retransmit);
+        assert!(next < asleep_until);
         t.nodes[0].tick(next);
         assert_eq!(t.nodes[0].commit_stats().rinvs_retransmitted, 2);
 

@@ -662,7 +662,11 @@ impl ZeusNode {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Executes a write transaction on worker thread `thread`.
+    /// Executes a write transaction whose reliable commit goes down commit
+    /// pipeline `pipeline` of this node (§5.2: commits of one pipeline are
+    /// applied by the followers in the order they were started). Every
+    /// runtime uses pipeline 0: whoever runs the node — its loop, or a
+    /// caller holding the node's lock — is its only writer.
     ///
     /// The closure runs immediately. If it opened objects this node does not
     /// hold at the required level, ownership requests are issued and
@@ -673,7 +677,7 @@ impl ZeusNode {
     /// replication, §5.2).
     pub fn execute_write<R>(
         &mut self,
-        thread: u16,
+        pipeline: u16,
         f: impl FnOnce(&mut TxCtx<'_>) -> Result<R, TxError>,
     ) -> WriteOutcome<R> {
         if self.is_fenced() {
@@ -689,7 +693,7 @@ impl ZeusNode {
             let (ws, missing) = ctx.into_parts();
             (result, ws, missing)
         };
-        let outcome = self.finish_write(thread, result, &ws, missing);
+        let outcome = self.finish_write(pipeline, result, &ws, missing);
         ws.clear();
         self.spare_workspace = ws;
         outcome
@@ -700,7 +704,7 @@ impl ZeusNode {
     /// commit.
     fn finish_write<R>(
         &mut self,
-        thread: u16,
+        pipeline: u16,
         result: Result<R, TxError>,
         ws: &TxWorkspace,
         missing: Vec<(ObjectId, OwnershipRequestKind)>,
@@ -730,9 +734,11 @@ impl ZeusNode {
         };
 
         // Local commit (§3.2 step 2): opacity validation of what the
-        // transaction read. This thread is the store's only writer and
-        // nothing ran between the closure and here, so there is no other
-        // transaction to lock the write set against.
+        // transaction read. Whoever is in here holds the node exclusively
+        // (`&mut self`: the loop, or a caller under the node's lock), which
+        // makes it the store's only writer, and nothing ran between the
+        // closure and here: there is no other transaction to lock the write
+        // set against.
         if !ws.validate_unwritten_reads(|object| self.store.with(object, |e| e.ts)) {
             self.stats.txs_aborted += 1;
             return WriteOutcome::Aborted {
@@ -760,7 +766,7 @@ impl ZeusNode {
                     })
                 })
                 .flatten()
-                .expect("an object opened for writing is unchanged at commit: only this thread writes the store");
+                .expect("an object opened for writing is unchanged at commit: only the node's holder writes the store");
             updates.push(ObjectUpdate::new(object, ts, data.clone()));
         }
         if self.locality.is_some() {
@@ -771,7 +777,7 @@ impl ZeusNode {
 
         // Reliable commit (§3.2 step 3), pipelined.
         let tx_id = self.commit.begin_commit_into(
-            thread,
+            pipeline,
             updates,
             &self.followers,
             &mut CommitOut::new(&mut self.outbox, &self.store),
@@ -975,6 +981,20 @@ impl ZeusNode {
             .saturating_mul(stretch)
     }
 
+    /// Whether replication keeps up with the commits being started: nothing
+    /// waits for an R-ACK, or the oldest R-INV that does was (re-)sent less
+    /// than half a retransmission interval ago. A commit started while this
+    /// holds is answered, on the evidence of the ones before it, well before
+    /// its own retransmission timer runs out; past it, starting more only
+    /// lengthens the queue the late acknowledgements are already in. What a
+    /// runtime lets run ahead of its loop is bounded by this age
+    /// (see `NodeCell::admits_inline` in [`crate::runtime`]).
+    pub(crate) fn replication_keeps_up(&self) -> bool {
+        self.commit
+            .oldest_unanswered_send()
+            .is_none_or(|sent| self.now.saturating_sub(sent) < self.retransmit_interval() / 2)
+    }
+
     /// The earliest tick after `now` at which [`ZeusNode::tick`] has
     /// something to do that only the passage of time brings about, given
     /// that `tick(now)` has run and nothing is handled or executed in
@@ -983,7 +1003,13 @@ impl ZeusNode {
     /// and — only while a commit, a request or an arbitration is
     /// outstanding — the next retransmission. A runtime may sleep until
     /// then. **May be early, never late**: `tick(t)` for any `t` before it
-    /// sends nothing and changes no counter.
+    /// sends nothing and changes no counter. That also holds for a node
+    /// that has executed transactions since its last tick, with its clock
+    /// [advanced](ZeusNode::advance_clock) to `now` first — a caller running
+    /// the node between two iterations of its loop: what such work leaves
+    /// behind (a commit's or a request's retransmission) is timed from the
+    /// clock it ran at, so the caller can tell whether the sleeping runtime
+    /// has to be woken earlier than it planned.
     pub fn next_timer(&self, now: u64) -> u64 {
         let mut next = self.membership.next_timer(now);
         next = next.min(self.last_dir_push.saturating_add(self.dir_push_cadence()));

@@ -4,7 +4,9 @@
 //! [`run_node`] is everything a `zeus-node` process does: bind a
 //! [`UdpTransport`], run the shared [`crate::runtime`] node loop on it,
 //! create the workload's objects, and execute a seeded transfer workload
-//! through the same session API the in-process runtimes use. The process
+//! through the same session API the in-process runtimes use (so the
+//! process's main thread runs its transfers itself whenever the loop thread
+//! is not holding the node). The process
 //! speaks a tiny line protocol on stdio so a parent can orchestrate it:
 //!
 //! * it prints `READY` once the socket is bound and objects are created,

@@ -132,7 +132,7 @@ pub struct NodeStats {
     pub write_txs_committed: u64,
     /// Read-only transactions committed.
     pub read_txs_committed: u64,
-    /// Transactions aborted (validation failure, lock conflict or user abort).
+    /// Transactions aborted (validation failure, read conflict or user abort).
     pub txs_aborted: u64,
     /// Transactions that had to wait for at least one ownership acquisition.
     pub txs_needing_ownership: u64,
@@ -154,6 +154,10 @@ pub struct NodeStats {
     pub batched_commands: u64,
     /// Largest command batch the node loop executed as one unit.
     pub batch_occupancy_hwm: u64,
+    /// Commands that ran on the thread that submitted them, because it found
+    /// the node free (threaded, UDP and process runtimes; 0 in the
+    /// simulator, whose sessions always run the node themselves).
+    pub inline_commands: u64,
 }
 
 impl NodeStats {
@@ -169,6 +173,7 @@ impl NodeStats {
         self.txs_fenced += other.txs_fenced;
         self.rejoin_resets += other.rejoin_resets;
         self.batched_commands += other.batched_commands;
+        self.inline_commands += other.inline_commands;
         // The high-water mark is a maximum, not a volume: the cluster-wide
         // value is the deepest batch any node executed.
         self.batch_occupancy_hwm = self.batch_occupancy_hwm.max(other.batch_occupancy_hwm);

@@ -36,9 +36,6 @@ pub enum TxError {
     /// Opacity validation failed at local commit (a concurrent local
     /// transaction or incoming migration changed a read object).
     ValidationFailed,
-    /// Another worker thread of the same node holds the local lock of an
-    /// object in the write set (§7 multi-threaded local commit).
-    LockConflict,
     /// A read-only transaction attempted a write.
     WriteInReadOnly,
     /// The application aborted the transaction.
@@ -79,8 +76,8 @@ impl TxError {
     /// fresh execution — the classification a
     /// [`crate::client::RetryPolicy`] applies.
     ///
-    /// Retryable: transient local conflicts ([`TxError::LockConflict`],
-    /// [`TxError::ValidationFailed`], [`TxError::ReadConflict`]) and
+    /// Retryable: transient local conflicts ([`TxError::ValidationFailed`],
+    /// [`TxError::ReadConflict`]) and
     /// transient ownership-protocol rejections (lost arbitration, pending
     /// commit, in-progress recovery — the paper's §6.2 back-off cases).
     /// Everything else is terminal for the issuing session: application
@@ -89,7 +86,7 @@ impl TxError {
     pub fn is_retryable(&self) -> bool {
         use zeus_proto::messages::NackReason;
         match self {
-            TxError::LockConflict | TxError::ValidationFailed | TxError::ReadConflict => true,
+            TxError::ValidationFailed | TxError::ReadConflict => true,
             TxError::OwnershipFailed { reason, .. } => matches!(
                 reason,
                 NackReason::LostArbitration | NackReason::PendingCommit | NackReason::Recovering

@@ -2,7 +2,9 @@
 //! loopback UDP sockets.
 //!
 //! Structurally this is [`crate::ThreadedCluster`] with the transport
-//! swapped: every node runs the same [`crate::runtime`] event loop, but its
+//! swapped: every node runs the same [`crate::runtime`] event loop — and a
+//! session's thread runs its own transaction when it finds the node free,
+//! sending the commit's datagrams itself — but its
 //! messages cross a [`zeus_net::UdpTransport`] — framed datagrams, the
 //! sequence-numbered reliable layer, per-peer RTT estimation — instead of
 //! lossless in-process channels. It exists for two reasons:

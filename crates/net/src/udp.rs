@@ -189,9 +189,10 @@ struct Shared<M> {
     /// Last boot token seen per peer; a change resets the peer's links.
     peer_boots: Mutex<HashMap<NodeId, u32>>,
     delivered_tx: Sender<Envelope<M>>,
-    /// The owning node loop's doorbell: the reader thread rings it after
-    /// pushing into `delivered_tx`. (What the loop sends to itself it also
-    /// finds itself, on its look at the queue before it parks.)
+    /// The owning node loop's doorbell, rung after every push into
+    /// `delivered_tx`: by the reader thread, and by whoever sends the node a
+    /// message of its own — which need not be the loop (a session's thread
+    /// may be running the node while the loop sleeps).
     doorbell: Doorbell,
     counters: Arc<SharedCounters>,
     faults: Arc<LinkFaults>,
@@ -202,6 +203,15 @@ struct Shared<M> {
 impl<M: Wire + Clone> Shared<M> {
     fn now_us(&self) -> u64 {
         self.started.elapsed().as_micros() as u64
+    }
+
+    /// A self-send never touches the wire (mirroring the in-process
+    /// mailbox): straight into the delivery queue, no sequence number
+    /// consumed. `false` when the queue is closed.
+    fn deliver_to_self(&self, env: Envelope<M>) -> bool {
+        let delivered = self.delivered_tx.send(env).is_ok();
+        self.doorbell.ring();
+        delivered
     }
 
     /// Puts the endpoint's pending wire messages on the socket.
@@ -420,11 +430,8 @@ impl<M> Drop for UdpTransport<M> {
 impl<M: Wire + Clone + Send + 'static> Transport<M> for UdpTransport<M> {
     fn send(&self, to: NodeId, msg: M, payload_bytes: usize) -> bool {
         if to == self.shared.local {
-            // Self-sends never touch the wire (mirroring the in-process
-            // mailbox): straight into the delivery queue, no sequence
-            // numbers consumed.
             let env = Envelope::with_payload_bytes(to, to, msg, payload_bytes);
-            return self.shared.delivered_tx.send(env).is_ok();
+            return self.shared.deliver_to_self(env);
         }
         if self.shared.faults.is_cut(self.shared.local, to) {
             self.shared.counters.record_failed(payload_bytes);
@@ -449,7 +456,7 @@ impl<M: Wire + Clone + Send + 'static> Transport<M> for UdpTransport<M> {
         for (to, msg, payload_bytes) in msgs.drain(..) {
             if to == self.shared.local {
                 let env = Envelope::with_payload_bytes(to, to, msg, payload_bytes);
-                let _ = self.shared.delivered_tx.send(env);
+                self.shared.deliver_to_self(env);
                 continue;
             }
             if self.shared.faults.is_cut(self.shared.local, to)

@@ -23,14 +23,15 @@ pub struct StoreStats {
 /// The per-node object store.
 ///
 /// Objects are partitioned across a fixed number of shards, each protected by
-/// its own `RwLock`. The threading this serves: one thread — the node's event
-/// loop — makes every mutation, and any number of application (session)
+/// its own `RwLock`. The threading this serves: one thread at a time — the
+/// node's event loop, or an application thread running the node under its
+/// lock — makes every mutation, and any number of application (session)
 /// threads read concurrently, executing read-only transactions against an
 /// `Arc<Store>` the node shares with them (§5.3, §7). Every method locks one
 /// shard for one entry access, so a reader sees each entry's fields
 /// (`data`, `ts`, `t_state`, `level`) as one write left them; consistency
 /// *across* entries is the reader's job (optimistic read, then re-validate
-/// every timestamp). Sharding keeps a reader and the loop from meeting on
+/// every timestamp). Sharding keeps a reader and the writer from meeting on
 /// one lock unless they touch the same shard.
 ///
 /// An access costs one multiplicative hash of the id
