@@ -133,9 +133,8 @@ impl ZeusConfig {
     /// The default replica set for a fresh object whose owner is `owner`:
     /// the owner plus the next `replication_degree - 1` nodes in ring order.
     pub fn default_replicas(&self, owner: NodeId) -> zeus_proto::ReplicaSet {
-        let readers = (1..self.replication_degree as u16)
-            .map(|i| NodeId((owner.0 + i) % self.nodes as u16))
-            .collect::<Vec<_>>();
+        let readers =
+            (1..self.replication_degree as u16).map(|i| NodeId((owner.0 + i) % self.nodes as u16));
         zeus_proto::ReplicaSet::new(owner, readers)
     }
 }
@@ -185,7 +184,7 @@ mod tests {
         let c = ZeusConfig::with_nodes(3);
         let rs = c.default_replicas(NodeId(2));
         assert_eq!(rs.owner, Some(NodeId(2)));
-        assert_eq!(rs.readers, vec![NodeId(0), NodeId(1)]);
+        assert_eq!(rs.readers.as_slice(), [NodeId(0), NodeId(1)]);
         assert_eq!(rs.replication_degree(), 3);
     }
 }

@@ -323,7 +323,7 @@ fn requests_outcome(node: &ZeusNode, requests: &[RequestId]) -> Option<Result<()
             RequestState::Failed(reason) => {
                 return Some(Err(TxError::OwnershipFailed {
                     object: node
-                        .failed_object(request)
+                        .request_object(request)
                         .expect("a failed request has its object on record"),
                     reason,
                 }))

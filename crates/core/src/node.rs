@@ -1,5 +1,6 @@
 //! A single Zeus server: store + protocols + transaction layer.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -9,7 +10,7 @@ use zeus_membership::{MembershipEngine, MembershipEvent};
 use zeus_ownership::{OwnershipAction, OwnershipEngine, OwnershipHost, OwnershipSink};
 use zeus_proto::messages::NackReason;
 use zeus_proto::{
-    AccessLevel, CommitMsg, DataTs, Epoch, IdHashMap, IdHashSet, MembershipMsg, NodeId, ObjectId,
+    AccessLevel, CommitMsg, DataTs, Epoch, IdHashMap, MembershipMsg, NodeId, ObjectId,
     ObjectUpdate, OwnershipRequestKind, PolicyKind, PolicyStats, ReplicaSet, RequestId, TState,
     TxId, ViewMsg,
 };
@@ -103,34 +104,46 @@ impl CommitSink for CommitOut<'_> {
     }
 }
 
-/// What the transaction layer tracks about the ownership requests it issued.
-/// Every map but the histogram holds a request only until its last waiter
+/// One ownership request the transaction layer issued and still has a
+/// waiter for.
+#[derive(Debug)]
+struct Request {
+    /// What it asks for.
+    object: ObjectId,
+    kind: OwnershipRequestKind,
+    /// The tick it was issued at.
+    started_at: u64,
+    /// How many waiters reference it. A request is only really abandoned,
+    /// and its outcome only forgotten, when its last waiter is done with it
+    /// — otherwise one parked transaction's back-off would cancel a request
+    /// its batch peers still wait on.
+    waiters: usize,
+    state: RequestState,
+}
+
+/// What the transaction layer tracks about the ownership requests it issued:
+/// one entry per request, from [`ZeusNode::acquire`] until its last waiter
 /// [released](ZeusNode::release_request) it.
 #[derive(Debug, Default)]
 struct RequestTable {
-    completed: IdHashSet<RequestId>,
-    /// Terminally failed requests, with the object they were for.
-    failed: IdHashMap<RequestId, (ObjectId, NackReason)>,
-    retry_queue: Vec<RequestId>,
-    started_at: IdHashMap<RequestId, u64>,
-    /// In-flight acquisitions keyed by what they ask for, so transactions
-    /// needing the same object share one protocol request.
+    by_id: IdHashMap<RequestId, Request>,
+    /// The pending ones keyed by what they ask for, so transactions needing
+    /// the same object share one protocol request.
     inflight_acquires: IdHashMap<(ObjectId, OwnershipRequestKind), RequestId>,
-    /// How many waiters reference each request. A request is only really
-    /// abandoned, and its outcome only forgotten, when its last waiter is
-    /// done with it — otherwise one parked transaction's back-off would
-    /// cancel a request its batch peers still wait on.
-    acquire_refs: IdHashMap<RequestId, usize>,
+    retry_queue: Vec<RequestId>,
     /// Latency of completed requests (ticks).
     latency: LatencyHistogram,
 }
 
 impl RequestTable {
-    /// Forgets the in-flight bookkeeping of a request that reached a
-    /// terminal state.
-    fn settle(&mut self, req_id: RequestId) {
-        self.started_at.remove(&req_id);
-        self.inflight_acquires.retain(|_, &mut r| r != req_id);
+    /// Records the terminal `state` of a request and stops sharing it.
+    /// Returns the tick it was issued at.
+    fn settle(&mut self, req_id: RequestId, state: RequestState) -> Option<u64> {
+        let request = self.by_id.get_mut(&req_id)?;
+        request.state = state;
+        self.inflight_acquires
+            .remove(&(request.object, request.kind));
+        Some(request.started_at)
     }
 }
 
@@ -173,22 +186,15 @@ impl OwnershipSink for OwnershipOut<'_> {
                 data,
             } => {
                 self.stats.ownership_completed += 1;
-                if let Some(start) = self.requests.started_at.get(&req_id) {
+                if let Some(start) = self.requests.settle(req_id, RequestState::Completed) {
                     self.requests
                         .latency
-                        .record(self.now.saturating_sub(*start).max(1));
+                        .record(self.now.saturating_sub(start).max(1));
                 }
-                self.requests.completed.insert(req_id);
-                self.requests.settle(req_id);
                 self.apply_acquisition(object, o_ts, new_replicas, data);
             }
-            OwnershipAction::Failed {
-                req_id,
-                object,
-                reason,
-            } => {
-                self.requests.settle(req_id);
-                self.requests.failed.insert(req_id, (object, reason));
+            OwnershipAction::Failed { req_id, reason, .. } => {
+                self.requests.settle(req_id, RequestState::Failed(reason));
             }
             OwnershipAction::RetryLater { req_id, .. } => {
                 // Dedup: a request can be NACKed retryably several times
@@ -573,7 +579,9 @@ impl ZeusNode {
             // Someone already asked for exactly this access and still
             // waits: share the request instead of putting a second REQ on
             // the wire.
-            *self.requests.acquire_refs.entry(req).or_insert(1) += 1;
+            if let Some(request) = self.requests.by_id.get_mut(&req) {
+                request.waiters += 1;
+            }
             return req;
         }
         self.stats.ownership_requests += 1;
@@ -581,8 +589,16 @@ impl ZeusNode {
         // in place before the engine's output (which may already settle the
         // request) is applied.
         let req_id = self.ownership.next_request_id();
-        self.requests.started_at.insert(req_id, self.now);
-        self.requests.acquire_refs.insert(req_id, 1);
+        self.requests.by_id.insert(
+            req_id,
+            Request {
+                object,
+                kind,
+                started_at: self.now,
+                waiters: 1,
+                state: RequestState::Pending,
+            },
+        );
         self.requests
             .inflight_acquires
             .insert((object, kind), req_id);
@@ -616,15 +632,18 @@ impl ZeusNode {
     /// retransmit forever, pinning the node in a non-quiescent state long
     /// after its transaction moved on.
     pub fn release_request(&mut self, req: RequestId) {
-        if let Some(refs) = self.requests.acquire_refs.get_mut(&req) {
-            if *refs > 1 {
-                *refs -= 1;
-                return;
-            }
+        let Entry::Occupied(mut held) = self.requests.by_id.entry(req) else {
+            return;
+        };
+        if held.get().waiters > 1 {
+            held.get_mut().waiters -= 1;
+            return;
         }
-        self.requests.acquire_refs.remove(&req);
-        if !self.requests.completed.remove(&req) && self.requests.failed.remove(&req).is_none() {
-            self.requests.settle(req);
+        let request = held.remove();
+        if request.state == RequestState::Pending {
+            self.requests
+                .inflight_acquires
+                .remove(&(request.object, request.kind));
             self.ownership.abandon_request(req);
             self.requests.retry_queue.retain(|&r| r != req);
         }
@@ -633,29 +652,21 @@ impl ZeusNode {
     /// State of a previously issued ownership request, for as long as a
     /// waiter has not [released](ZeusNode::release_request) it.
     pub fn request_state(&self, req: RequestId) -> RequestState {
-        if self.requests.completed.contains(&req) {
-            RequestState::Completed
-        } else if let Some((_, reason)) = self.requests.failed.get(&req) {
-            RequestState::Failed(*reason)
-        } else {
-            RequestState::Pending
-        }
+        self.requests
+            .by_id
+            .get(&req)
+            .map_or(RequestState::Pending, |request| request.state)
     }
 
-    /// The object a terminally failed request was for.
-    pub(crate) fn failed_object(&self, req: RequestId) -> Option<ObjectId> {
-        self.requests.failed.get(&req).map(|(object, _)| *object)
+    /// The object a request some waiter still holds was for.
+    pub(crate) fn request_object(&self, req: RequestId) -> Option<ObjectId> {
+        self.requests.by_id.get(&req).map(|r| r.object)
     }
 
-    /// Entries the request bookkeeping holds, over all its maps: zero once
+    /// Entries the request bookkeeping holds, over both its maps: zero once
     /// every request has been released by all of its waiters.
     pub fn tracked_requests(&self) -> usize {
-        let table = &self.requests;
-        table.completed.len()
-            + table.failed.len()
-            + table.started_at.len()
-            + table.acquire_refs.len()
-            + table.inflight_acquires.len()
+        self.requests.by_id.len() + self.requests.inflight_acquires.len()
     }
 
     // ------------------------------------------------------------------
@@ -757,7 +768,7 @@ impl ZeusNode {
                 .with_mut(object, |e| {
                     (Some(e.ts) == opened_at).then(|| {
                         e.apply_local_write(data.clone());
-                        for &r in &e.replicas.readers {
+                        for r in &e.replicas.readers {
                             if r != self.id && !self.followers.contains(&r) {
                                 self.followers.push(r);
                             }
@@ -1343,7 +1354,7 @@ impl ZeusNode {
                     };
                     self.ownership.on_view_change_into(
                         view.epoch,
-                        view.live.clone(),
+                        &view.live,
                         &rejoined,
                         &host,
                         &mut ownership_out!(self),

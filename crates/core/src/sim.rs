@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use bytes::Bytes;
 use zeus_net::sim::{NetConfig, SimNetwork};
 use zeus_net::Envelope;
-use zeus_proto::{AccessLevel, DataTs, NodeId, ObjectId, OwnershipRequestKind, TState};
+use zeus_proto::{AccessLevel, DataTs, NodeId, NodeSet, ObjectId, OwnershipRequestKind, TState};
 
 use crate::client::{
     AdminError, ClusterDriver, ReplySlot, RetryPolicy, Session, TxPayload, TxTicket,
@@ -55,7 +55,7 @@ struct SimInner {
     /// Each node's transaction driver, polled whenever its node ticks.
     drivers: Vec<TxDriver>,
     net: SimNetwork<Message>,
-    crashed: HashSet<NodeId>,
+    crashed: NodeSet,
 }
 
 /// Shared read access to one node of a [`SimCluster`] (assertions in tests).
@@ -109,7 +109,7 @@ impl SimCluster {
                 nodes,
                 drivers: (0..config.nodes).map(|_| TxDriver::default()).collect(),
                 net: SimNetwork::new(net),
-                crashed: HashSet::new(),
+                crashed: NodeSet::new(),
             })),
             config,
         }
@@ -438,11 +438,15 @@ const IDLE_WAIT_TICKS: u64 = 10;
 const SESSION_STEP_BUDGET: usize = 200_000;
 
 impl SimInner {
-    fn live_nodes(&self) -> Vec<NodeId> {
+    /// The nodes that have not crashed, ascending.
+    fn live(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u16)
             .map(NodeId)
-            .filter(|n| !self.crashed.contains(n))
-            .collect()
+            .filter(|&n| !self.crashed.contains(n))
+    }
+
+    fn live_nodes(&self) -> Vec<NodeId> {
+        self.live().collect()
     }
 
     fn create_object(&mut self, object: ObjectId, data: Bytes, owner: NodeId) {
@@ -458,10 +462,10 @@ impl SimInner {
 
     fn step(&mut self) -> usize {
         self.ship_outboxes();
-        // Deliver.
-        let batch = self.net.step();
-        let delivered = batch.len();
-        self.deliver(batch);
+        let delivered = match self.net.next_delivery_time() {
+            Some(t) => self.deliver_due(t),
+            None => 0,
+        };
         self.tick_nodes(self.net.now());
         delivered
     }
@@ -471,7 +475,7 @@ impl SimInner {
     fn ship_outboxes(&mut self) {
         for i in 0..self.nodes.len() {
             let id = NodeId(i as u16);
-            let crashed = self.crashed.contains(&id);
+            let crashed = self.crashed.contains(id);
             let net = &mut self.net;
             self.nodes[i].drain_outbox_with(|to, msg| {
                 if !crashed {
@@ -482,23 +486,31 @@ impl SimInner {
         }
     }
 
-    /// Hands a delivered batch to the receiving nodes (crashed receivers
-    /// drop their messages).
-    fn deliver(&mut self, batch: Vec<Envelope<Message>>) {
-        for env in batch {
-            if self.crashed.contains(&env.to) {
-                continue;
+    /// Advances the network to `t` and hands every message that falls due to
+    /// its receiving node (crashed receivers drop theirs). Returns how many
+    /// the network delivered.
+    fn deliver_due(&mut self, t: u64) -> usize {
+        let SimInner {
+            net,
+            nodes,
+            crashed,
+            ..
+        } = self;
+        let mut delivered = 0;
+        net.deliver_due(t, |env| {
+            delivered += 1;
+            if !crashed.contains(env.to) {
+                nodes[env.to.index()].handle_message(env.from, env.msg);
             }
-            self.nodes[env.to.index()].handle_message(env.from, env.msg);
-        }
+        });
+        delivered
     }
 
     /// Ticks every live node's clock, then lets its driver act on what the
     /// node has learnt since the last tick.
     fn tick_nodes(&mut self, now: u64) {
         for i in 0..self.nodes.len() {
-            let id = NodeId(i as u16);
-            if !self.crashed.contains(&id) {
+            if !self.crashed.contains(NodeId(i as u16)) {
                 self.nodes[i].tick(now);
                 self.drivers[i].poll(&mut self.nodes[i], now);
             }
@@ -518,15 +530,13 @@ impl SimInner {
                 self.ship_outboxes();
                 match self.net.next_delivery_time() {
                     Some(t) if t <= next => {
-                        let batch = self.net.advance_to(t);
-                        self.deliver(batch);
+                        self.deliver_due(t);
                         self.tick_nodes(self.net.now());
                     }
                     _ => break,
                 }
             }
-            let batch = self.net.advance_to(next);
-            self.deliver(batch);
+            self.deliver_due(next);
             self.tick_nodes(next);
         }
         // Ship whatever the final ticks produced so it is in flight for the
@@ -537,10 +547,10 @@ impl SimInner {
     /// Whether every live node is quiescent, no command is parked and
     /// nothing is in flight.
     fn is_cluster_quiescent(&self) -> bool {
-        let node_work = self.live_nodes().iter().any(|n| {
-            !self.nodes[n.index()].is_quiescent() || self.drivers[n.index()].has_waiters()
-        });
-        self.net.in_flight_len() == 0 && !node_work
+        self.net.in_flight_len() == 0
+            && self.live().all(|n| {
+                self.nodes[n.index()].is_quiescent() && !self.drivers[n.index()].has_waiters()
+            })
     }
 
     /// One settling iteration: deliver a batch, and if the network drained
@@ -588,7 +598,7 @@ impl SimInner {
         command: TxCommand,
         mut ticket: TxTicket<T>,
     ) -> Result<T, TxError> {
-        if self.crashed.contains(&node) {
+        if self.crashed.contains(node) {
             return Err(TxError::NodeUnavailable);
         }
         let i = node.index();
@@ -640,7 +650,7 @@ impl SimInner {
     /// is proposed to the view service. Returns `false` if the node was not
     /// crashed.
     fn restart_node(&mut self, node: NodeId) -> bool {
-        if !self.crashed.remove(&node) {
+        if !self.crashed.remove(node) {
             return false;
         }
         self.net.faults_mut().revive(node);
@@ -672,7 +682,7 @@ impl SimInner {
     /// wedge this — any live majority suffices.
     fn admin_remove(&mut self, node: NodeId) {
         for vr in self.config.view_replica_set() {
-            if vr != node && !self.crashed.contains(&vr) {
+            if vr != node && !self.crashed.contains(vr) {
                 self.nodes[vr.index()].admin_remove_node(node);
             }
         }
@@ -682,7 +692,7 @@ impl SimInner {
     /// [`SimInner::admin_remove`]).
     fn admin_restore(&mut self, node: NodeId) {
         for vr in self.config.view_replica_set() {
-            if vr != node && !self.crashed.contains(&vr) {
+            if vr != node && !self.crashed.contains(vr) {
                 self.nodes[vr.index()].admin_add_node(node);
             }
         }
@@ -690,7 +700,7 @@ impl SimInner {
 
     fn aggregate_stats(&self) -> NodeStats {
         let mut total = NodeStats::default();
-        for id in self.live_nodes() {
+        for id in self.live() {
             total.merge(&self.nodes[id.index()].stats());
         }
         total

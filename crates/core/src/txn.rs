@@ -363,16 +363,21 @@ impl<'a> TxCtx<'a> {
     /// Consumes the context, returning the workspace and the missing access
     /// levels (deduplicated, strongest level wins).
     pub(crate) fn into_parts(self) -> (TxWorkspace, Vec<(ObjectId, OwnershipRequestKind)>) {
-        let mut missing: Vec<(ObjectId, OwnershipRequestKind)> = Vec::new();
-        for (object, kind) in self.missing {
-            if let Some(existing) = missing.iter_mut().find(|(o, _)| *o == object) {
-                if kind == OwnershipRequestKind::AcquireOwner {
-                    existing.1 = OwnershipRequestKind::AcquireOwner;
+        // In place: the deduplicated prefix grows behind the cursor.
+        let mut missing = self.missing;
+        let mut kept = 0;
+        for i in 0..missing.len() {
+            let (object, kind) = missing[i];
+            match missing[..kept].iter_mut().find(|(o, _)| *o == object) {
+                Some(existing) if kind == OwnershipRequestKind::AcquireOwner => existing.1 = kind,
+                Some(_) => {}
+                None => {
+                    missing[kept] = (object, kind);
+                    kept += 1;
                 }
-            } else {
-                missing.push((object, kind));
             }
         }
+        missing.truncate(kept);
         (self.ws, missing)
     }
 }

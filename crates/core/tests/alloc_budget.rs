@@ -1,4 +1,4 @@
-//! The allocation budget of the replicated-write path.
+//! The allocation budgets of the replicated-write path and of a handover.
 //!
 //! Three `ZeusNode`s driven by hand — node 0 executes windows of 16 writes,
 //! the test shuttles `drain_outbox` between the nodes until nothing is left
@@ -6,8 +6,15 @@
 //! a counting global allocator. One replicated write, everything included
 //! (the transaction closure's own copy of the value, the commit on the
 //! coordinator, both followers, the outboxes), must stay within budget, and
-//! asking a message for its size must not allocate at all. The per-stage
-//! split is printed so a regression can be attributed:
+//! asking a message for its size must not allocate at all.
+//!
+//! Then the same trio moves objects: a reader writes an object another node
+//! owns, the ownership protocol runs (REQ, two INVs, three ACKs, two VALs —
+//! the shape of `core.node_trio_handover_cpu_ns`), and the write runs again
+//! and replicates. The protocol and the first write after the grant each
+//! have a budget; cloning a placement and a tick with nothing due must not
+//! allocate at all. The per-stage splits are printed so a regression can be
+//! attributed:
 //!
 //! ```text
 //! cargo test --release -p zeus-core --test alloc_budget -- --nocapture
@@ -20,6 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
+use zeus_core::node::RequestState;
 use zeus_core::{Message, NodeId, ObjectId, WriteOutcome, ZeusConfig, ZeusNode};
 use zeus_proto::messages::NackReason;
 use zeus_proto::{
@@ -162,6 +170,103 @@ fn run(nodes: &mut [ZeusNode], cursor: &mut u64, windows: u64, objects_per_tx: u
     stages
 }
 
+/// Allocations per stage of a reader→owner move and the write it was for.
+#[derive(Debug, Default, Clone, Copy)]
+struct MoveStages {
+    /// The write that finds the object owned elsewhere and issues the REQ.
+    issue: u64,
+    /// Handling the REQ, the INVs, the ACKs and the VALs.
+    handling: [u64; 4],
+    /// The write run again once ownership arrived, and its replication.
+    first_write: u64,
+    /// The same write once more, the same way: what a write of the new
+    /// owner costs when it is the only one of its window.
+    next_write: u64,
+}
+
+impl MoveStages {
+    fn protocol(&self) -> u64 {
+        self.issue + self.handling.iter().sum::<u64>()
+    }
+}
+
+/// Delivers every queued message and whatever those set off, charging each
+/// `handle_message` to the stage of the ownership message handled, or to
+/// `write` for the messages of a commit.
+fn pump(nodes: &mut [ZeusNode], handling: &mut [u64; 4], write: &mut u64) {
+    loop {
+        let mut moved = false;
+        for sender in 0..nodes.len() {
+            for (to, msg) in nodes[sender].drain_outbox() {
+                moved = true;
+                let stage = match msg.kind() {
+                    "o-req" => &mut handling[0],
+                    "o-inv" => &mut handling[1],
+                    "o-ack" => &mut handling[2],
+                    "o-val" => &mut handling[3],
+                    "r-inv" | "r-ack" | "r-val" => &mut *write,
+                    other => panic!("an uncontended move sends no {other}"),
+                };
+                let before = allocations();
+                nodes[to.index()].handle_message(NodeId(sender as u16), msg);
+                *stage += allocations() - before;
+            }
+        }
+        if !moved {
+            return;
+        }
+    }
+}
+
+/// One write of `object` at `node`, replicated to quiescence; returns the
+/// allocations of all of it.
+fn lone_write(nodes: &mut [ZeusNode], node: usize, object: ObjectId) -> u64 {
+    let before = allocations();
+    let outcome = nodes[node].execute_write(0, |tx| tx.update(object, bump));
+    let mut allocated = allocations() - before;
+    assert!(matches!(outcome, WriteOutcome::Committed { .. }));
+    pump(nodes, &mut [0; 4], &mut allocated);
+    assert_eq!(nodes[node].outstanding_commits(), 0, "the write settled");
+    allocated
+}
+
+/// `moves` times: the next object is written at the node after its owner —
+/// a reader of it — which takes the object over and then commits.
+fn run_moves(
+    nodes: &mut [ZeusNode],
+    owner: &mut [u16],
+    cursor: &mut u64,
+    moves: u64,
+) -> MoveStages {
+    let mut stages = MoveStages::default();
+    for _ in 0..moves {
+        *cursor = (*cursor + 1) % OBJECTS;
+        let object = ObjectId(*cursor);
+        let requester = (owner[*cursor as usize] + 1) % NODES;
+        owner[*cursor as usize] = requester;
+        let node = requester as usize;
+
+        let before = allocations();
+        let outcome = nodes[node].execute_write(0, |tx| tx.update(object, bump));
+        stages.issue += allocations() - before;
+        let WriteOutcome::OwnershipPending { requests } = outcome else {
+            panic!("{object:?} is owned elsewhere");
+        };
+        let mut commit = 0;
+        pump(nodes, &mut stages.handling, &mut commit);
+        assert_eq!(commit, 0, "nothing commits before the grant");
+        for request in requests {
+            assert_eq!(nodes[node].request_state(request), RequestState::Completed);
+            nodes[node].release_request(request);
+        }
+        assert_eq!(nodes[node].tracked_requests(), 0);
+
+        stages.first_write += lone_write(nodes, node, object);
+        stages.next_write += lone_write(nodes, node, object);
+    }
+    stages
+}
+
 /// One message of every kind the nodes exchange, with realistic contents.
 fn one_of_each_kind() -> Vec<Message> {
     let req_id = RequestId::new(NodeId(1), 9);
@@ -200,7 +305,7 @@ fn one_of_each_kind() -> Vec<Message> {
             epoch,
             data: data.clone(),
             from: NodeId(2),
-            arbiters: vec![NodeId(0), NodeId(1), NodeId(2)],
+            arbiters: (0..3).map(NodeId).collect(),
             new_replicas: replicas.clone(),
             first_touch: false,
         }
@@ -304,8 +409,9 @@ fn per_tx(allocations: u64, windows: u64) -> u64 {
 }
 
 #[test]
-fn a_replicated_write_stays_within_its_allocation_budget() {
+fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     const MEASURED_WINDOWS: u64 = 64;
+    const MEASURED_MOVES: u64 = 1_024;
     let mut nodes = cluster();
     let mut cursor = 0u64;
 
@@ -330,6 +436,29 @@ fn a_replicated_write_stays_within_its_allocation_budget() {
     let sizing = allocations() - before;
     assert!(sized > 0);
 
+    // Moves, on the same nodes: every object goes to the node after its
+    // owner. The warm-up sizes the ownership tables and the outboxes.
+    let mut owner: Vec<u16> = (0..OBJECTS).map(|o| (o % NODES as u64) as u16).collect();
+    run_moves(&mut nodes, &mut owner, &mut cursor, 256);
+    let moved = run_moves(&mut nodes, &mut owner, &mut cursor, MEASURED_MOVES);
+
+    let placement = ReplicaSet::new(NodeId(0), (1..8).map(NodeId));
+    assert_eq!(placement.replication_degree(), 8);
+    let before = allocations();
+    let copy = std::hint::black_box(&placement).clone();
+    let cloning = allocations() - before;
+    assert_eq!(copy, placement);
+
+    // A tick with nothing due: the first one sends what time 1 brings
+    // (heartbeats), the second finds every timer in the future.
+    nodes[0].tick(1);
+    nodes[0].drain_outbox();
+    assert!(nodes[0].next_timer(1) > 2);
+    let before = allocations();
+    nodes[0].tick(2);
+    let idle_tick = allocations() - before;
+    assert!(nodes[0].drain_outbox().is_empty(), "nothing was due");
+
     // Printed after measuring: capturing output allocates.
     for (label, stages) in [("one-object", one), ("two-object", two)] {
         let n = (MEASURED_WINDOWS * WINDOW) as f64;
@@ -343,6 +472,19 @@ fn a_replicated_write_stays_within_its_allocation_budget() {
         );
     }
     println!("payload_bytes over one message of each kind: {sizing} allocations");
+    let n = MEASURED_MOVES as f64;
+    let [req, inv, ack, val] = moved.handling.map(|stage| stage as f64 / n);
+    println!(
+        "reader→owner move: {:.2} allocations = issue {:.2} + REQ {req:.2} + INVs {inv:.2} + ACKs {ack:.2} + VALs {val:.2}",
+        moved.protocol() as f64 / n,
+        moved.issue as f64 / n,
+    );
+    println!(
+        "first write after the grant: {:.2} allocations; the next one, alone in its window: {:.2}",
+        moved.first_write as f64 / n,
+        moved.next_write as f64 / n,
+    );
+    println!("cloning an 8-node placement: {cloning} allocations; an idle tick: {idle_tick}");
 
     assert!(
         per_tx(one.total(), MEASURED_WINDOWS) <= 16,
@@ -353,4 +495,15 @@ fn a_replicated_write_stays_within_its_allocation_budget() {
         "a two-object replicated write may allocate 20 times, did {two:?} over {MEASURED_WINDOWS} windows"
     );
     assert_eq!(sizing, 0, "a message's size is computed, not encoded");
+    assert!(
+        moved.protocol().div_ceil(MEASURED_MOVES) <= 8,
+        "the ownership protocol may allocate 8 times per move, did {moved:?} over {MEASURED_MOVES} moves"
+    );
+    assert!(
+        moved.first_write.div_ceil(MEASURED_MOVES) <= 16
+            && moved.first_write <= moved.next_write + MEASURED_MOVES / 4,
+        "the first write after a grant may allocate as often as any other, did {moved:?} over {MEASURED_MOVES} moves"
+    );
+    assert_eq!(cloning, 0, "a placement of up to 8 nodes lives inline");
+    assert_eq!(idle_tick, 0, "a tick with nothing due only looks at timers");
 }

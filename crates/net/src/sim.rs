@@ -266,6 +266,8 @@ impl<M> Ord for InFlight<M> {
 /// any draw happens. Consequently a config with no overrides behaves
 /// byte-identically to one predating these fields, and replaying the same
 /// seed with the same fault injections yields the same delivery schedule.
+/// A message is moved into flight, and cloned only for the second copy of a
+/// duplicate: neither draws anything.
 #[derive(Debug)]
 pub struct SimNetwork<M> {
     config: NetConfig,
@@ -348,18 +350,16 @@ impl<M> SimNetwork<M> {
             self.stats.record_drop();
             return;
         }
-        let copies = if self.config.duplicate_probability > 0.0
+        let duplicated = self.config.duplicate_probability > 0.0
             && self
                 .rng
-                .gen_bool(self.config.duplicate_probability.min(1.0))
-        {
+                .gen_bool(self.config.duplicate_probability.min(1.0));
+        if duplicated {
             self.stats.record_duplicate();
-            2
-        } else {
-            1
-        };
+        }
         let extra = self.faults.extra_delay(envelope.from, envelope.to);
-        for _ in 0..copies {
+        let duplicate = duplicated.then(|| envelope.clone());
+        for envelope in std::iter::once(envelope).chain(duplicate) {
             let delay = if max_delay > min_delay {
                 self.rng.gen_range(min_delay..=max_delay)
             } else {
@@ -368,7 +368,7 @@ impl<M> SimNetwork<M> {
             let item = InFlight {
                 deliver_at: self.now + delay.max(1) + extra,
                 seq: self.next_seq,
-                envelope: envelope.clone(),
+                envelope,
             };
             self.next_seq += 1;
             self.in_flight.push(Reverse(item));
@@ -395,10 +395,17 @@ impl<M> SimNetwork<M> {
     /// Advances time to `t` (if later than now) and returns all messages due
     /// at or before `t`, in delivery order.
     pub fn advance_to(&mut self, t: u64) -> Vec<Envelope<M>> {
+        let mut delivered = Vec::new();
+        self.deliver_due(t, |envelope| delivered.push(envelope));
+        delivered
+    }
+
+    /// [`SimNetwork::advance_to`], handing each message to `deliver` as it
+    /// falls due instead of collecting the batch.
+    pub fn deliver_due(&mut self, t: u64, mut deliver: impl FnMut(Envelope<M>)) {
         if t > self.now {
             self.now = t;
         }
-        let mut delivered = Vec::new();
         while let Some(Reverse(head)) = self.in_flight.peek() {
             if head.deliver_at > self.now {
                 break;
@@ -409,9 +416,8 @@ impl<M> SimNetwork<M> {
                 continue;
             }
             self.stats.record_delivery(item.envelope.wire_bytes);
-            delivered.push(item.envelope);
+            deliver(item.envelope);
         }
-        delivered
     }
 
     /// Advances time by `dt` ticks and returns everything due.

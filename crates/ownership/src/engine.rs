@@ -1,12 +1,12 @@
 //! The sans-io ownership state machine.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
 
 use bytes::Bytes;
 use zeus_proto::messages::NackReason;
 use zeus_proto::{
-    DataTs, Epoch, NodeId, OState, ObjectId, OwnershipMsg, OwnershipRequestKind, OwnershipTs,
-    ReplicaSet, RequestId,
+    DataTs, Epoch, IdHashMap, NodeId, NodeSet, OState, ObjectId, OwnershipMsg,
+    OwnershipRequestKind, OwnershipTs, ReplicaSet, RequestId,
 };
 
 use crate::stats::OwnershipStats;
@@ -123,8 +123,9 @@ pub enum OwnershipAction {
 /// protocol order, made as the engine produces it — so a host can put a
 /// message straight into its outbox and apply a store effect in place
 /// instead of receiving a fresh vector per message and walking it again.
-/// `Vec<OwnershipAction>` implements the trait by pushing; that is what the
-/// `Vec`-returning entry points hand back.
+/// `Vec<OwnershipAction>` implements the trait by pushing; that is what
+/// [`OwnershipEngine::request_access`] and [`OwnershipEngine::handle_message`]
+/// hand back.
 pub trait OwnershipSink {
     /// Takes the next output of the engine.
     fn emit(&mut self, action: OwnershipAction);
@@ -151,8 +152,20 @@ struct MetaEntry {
     lost: bool,
 }
 
+impl MetaEntry {
+    /// A settled placement.
+    fn valid(o_ts: OwnershipTs, replicas: ReplicaSet) -> Self {
+        MetaEntry {
+            o_ts,
+            replicas,
+            o_state: OState::Valid,
+            lost: false,
+        }
+    }
+}
+
 /// An in-flight arbitration observed by this node as an arbiter.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct InflightArb {
     req_id: RequestId,
     requester: NodeId,
@@ -161,26 +174,43 @@ struct InflightArb {
     o_ts: OwnershipTs,
     new_replicas: ReplicaSet,
     old_replicas: ReplicaSet,
-    arbiters: Vec<NodeId>,
+    arbiters: NodeSet,
     /// When this node drives ACK collection (original driver keeps false —
     /// ACKs go to the requester; a recovery driver sets true).
     collecting_acks: bool,
-    acks: HashSet<NodeId>,
+    acks: NodeSet,
     data: Option<(DataTs, Bytes)>,
     /// Retransmit rounds this arbitration has sat without progress; the
     /// staleness replay (`replay_stalled`) fires once it reaches 2.
     stale_rounds: u32,
 }
 
+impl InflightArb {
+    /// The INV of this arbitration.
+    fn inv(&self, object: ObjectId, epoch: Epoch, ack_to_driver: bool) -> OwnershipMsg {
+        OwnershipMsg::Inv {
+            req_id: self.req_id,
+            object,
+            o_ts: self.o_ts,
+            kind: self.kind,
+            new_replicas: self.new_replicas.clone(),
+            old_replicas: self.old_replicas.clone(),
+            epoch,
+            ack_to_driver,
+            requester_has_replica: self.requester_has_replica,
+        }
+    }
+}
+
 /// A request issued by this node, waiting for ACKs / RESP.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PendingRequest {
     object: ObjectId,
     kind: OwnershipRequestKind,
     has_replica: bool,
     driver: NodeId,
-    acks: HashSet<NodeId>,
-    arbiters: Option<Vec<NodeId>>,
+    acks: NodeSet,
+    arbiters: Option<NodeSet>,
     o_ts: Option<OwnershipTs>,
     new_replicas: Option<ReplicaSet>,
     data: Option<(DataTs, Bytes)>,
@@ -193,33 +223,66 @@ struct PendingRequest {
     last_sent: u64,
 }
 
+impl PendingRequest {
+    /// The REQ of this request.
+    fn req(&self, req_id: RequestId, epoch: Epoch) -> OwnershipMsg {
+        OwnershipMsg::Req {
+            req_id,
+            object: self.object,
+            kind: self.kind,
+            epoch,
+            has_replica: self.has_replica,
+        }
+    }
+}
+
+/// Keeps the copy of the object value with the highest [`DataTs`].
+fn keep_newest(held: &mut Option<(DataTs, Bytes)>, shipped: Option<(DataTs, Bytes)>) {
+    if let Some((ts, _)) = &shipped {
+        if held.as_ref().is_none_or(|(t, _)| t < ts) {
+            *held = shipped;
+        }
+    }
+}
+
 /// The per-node ownership protocol engine (requester, driver and arbiter
 /// roles combined).
+///
+/// Its tables are keyed by identifiers the protocol itself hands out and
+/// hashed with [`zeus_proto::hash::IdHasher`]; every node set it holds or
+/// puts in a message is an inline [`NodeSet`]. One uncontended handover
+/// therefore allocates nothing in the engine beyond the occasional growth of
+/// a table.
 #[derive(Debug)]
 pub struct OwnershipEngine {
     local: NodeId,
-    directory: Vec<NodeId>,
+    directory: NodeSet,
     epoch: Epoch,
     enabled: bool,
-    live: Vec<NodeId>,
+    live: NodeSet,
     /// The host's clock as of [`OwnershipEngine::advance_clock`].
     now: u64,
     next_seq: u64,
-    meta: HashMap<ObjectId, MetaEntry>,
-    inflight: HashMap<ObjectId, InflightArb>,
-    pending: HashMap<RequestId, PendingRequest>,
+    meta: IdHashMap<ObjectId, MetaEntry>,
+    inflight: IdHashMap<ObjectId, InflightArb>,
+    pending: IdHashMap<RequestId, PendingRequest>,
+    /// The smallest `last_sent` over `pending`. REQs are stamped with a
+    /// clock that never runs backwards, so stamping one never lowers it; it
+    /// is recomputed only when the request that held it leaves or is
+    /// re-stamped.
+    oldest_send: Option<u64>,
     /// Highest request seq per (requester, object) whose arbitration this
     /// node has seen decided. Deduplicates late/duplicate REQs: re-driving
     /// an already-decided request would start a ghost arbitration nobody
     /// completes (the requester is gone), wedging the object. Bounded by
     /// (nodes x objects this node arbitrates).
-    completed_seqs: HashMap<(NodeId, ObjectId), u64>,
+    completed_seqs: IdHashMap<(NodeId, ObjectId), u64>,
     /// Placement entries whose settled state changed recently, with the
     /// number of delta pushes each still gets. Backs the anti-entropy
     /// [`OwnershipEngine::drain_dirty_digest`]: pushing only changed entries
     /// keeps the periodic directory sync O(churn) instead of O(objects),
     /// and repeating each entry a few times rides out dropped pushes.
-    dirty: BTreeMap<ObjectId, u8>,
+    dirty: IdHashMap<ObjectId, u8>,
     stats: OwnershipStats,
 }
 
@@ -233,17 +296,18 @@ impl OwnershipEngine {
         );
         OwnershipEngine {
             local,
-            directory,
+            directory: directory.into(),
             epoch: Epoch::ZERO,
             enabled: true,
             live: (0..cluster_size as u16).map(NodeId).collect(),
             now: 0,
             next_seq: 0,
-            meta: HashMap::new(),
-            inflight: HashMap::new(),
-            pending: HashMap::new(),
-            completed_seqs: HashMap::new(),
-            dirty: BTreeMap::new(),
+            meta: IdHashMap::default(),
+            inflight: IdHashMap::default(),
+            pending: IdHashMap::default(),
+            oldest_send: None,
+            completed_seqs: IdHashMap::default(),
+            dirty: IdHashMap::default(),
             stats: OwnershipStats::new(),
         }
     }
@@ -262,9 +326,8 @@ impl OwnershipEngine {
     /// when peers may have diverged arbitrarily (the one remaining full
     /// push; steady-state pushes carry only the delta).
     pub fn mark_all_dirty(&mut self) {
-        let objects: Vec<ObjectId> = self.meta.keys().copied().collect();
-        for object in objects {
-            self.mark_dirty(object);
+        for &object in self.meta.keys() {
+            self.dirty.insert(object, Self::DIRTY_PUSHES);
         }
     }
 
@@ -291,12 +354,12 @@ impl OwnershipEngine {
 
     /// The directory replica set.
     pub fn directory(&self) -> &[NodeId] {
-        &self.directory
+        self.directory.as_slice()
     }
 
     /// Whether this node is a directory replica.
     pub fn is_directory_node(&self) -> bool {
-        self.directory.contains(&self.local)
+        self.directory.contains(self.local)
     }
 
     /// Protocol counters.
@@ -317,9 +380,23 @@ impl OwnershipEngine {
     /// When the pending request that has waited longest for an answer last
     /// had its REQ sent: [`OwnershipEngine::retransmit_into`] re-sends
     /// nothing before an interval has passed since then. `None` with no
-    /// request pending.
+    /// request pending. Constant time: hosts ask before every sleep.
     pub fn oldest_unanswered_send(&self) -> Option<u64> {
-        self.pending.values().map(|p| p.last_sent).min()
+        self.oldest_send
+    }
+
+    /// A request stamped `last_sent` left `pending` or was stamped afresh.
+    fn stamp_left(&mut self, last_sent: u64) {
+        if self.oldest_send == Some(last_sent) {
+            self.oldest_send = self.pending.values().map(|p| p.last_sent).min();
+        }
+    }
+
+    /// Removes a pending request.
+    fn take_pending(&mut self, req_id: RequestId) -> Option<PendingRequest> {
+        let pending = self.pending.remove(&req_id)?;
+        self.stamp_left(pending.last_sent);
+        Some(pending)
     }
 
     /// Number of in-flight arbitrations observed by this node.
@@ -358,18 +435,12 @@ impl OwnershipEngine {
     /// epoch. `completed_seqs` is deliberately kept: it only suppresses
     /// ghost re-drives of decided requests, and a stale (low) entry is no
     /// worse than the empty map a genuinely fresh node starts with.
-    pub fn reset_for_rejoin(&mut self) -> Vec<OwnershipAction> {
-        let mut actions = Vec::new();
-        self.reset_for_rejoin_into(&mut actions);
-        actions
-    }
-
-    /// [`OwnershipEngine::reset_for_rejoin`], writing the output into `out`.
     pub fn reset_for_rejoin_into(&mut self, out: &mut impl OwnershipSink) {
         self.stats.rejoin_resets += 1;
         self.meta.clear();
         self.dirty.clear();
         self.inflight.clear();
+        self.oldest_send = None;
         let mut pending: Vec<(RequestId, ObjectId)> = self
             .pending
             .drain()
@@ -377,25 +448,33 @@ impl OwnershipEngine {
             .collect();
         pending.sort_unstable_by_key(|(req_id, _)| *req_id);
         for (req_id, object) in pending {
-            self.stats.requests_failed += 1;
-            out.emit(OwnershipAction::Failed {
-                req_id,
-                object,
-                reason: NackReason::Recovering,
-            });
+            self.fail(req_id, object, NackReason::Recovering, out);
         }
+    }
+
+    /// Reports the terminal failure of a request this node issued.
+    fn fail(
+        &mut self,
+        req_id: RequestId,
+        object: ObjectId,
+        reason: NackReason,
+        out: &mut impl OwnershipSink,
+    ) {
+        self.stats.requests_failed += 1;
+        out.emit(OwnershipAction::Failed {
+            req_id,
+            object,
+            reason,
+        });
     }
 
     /// Registers ownership metadata for an object this node arbitrates
     /// (directory replica, or initial owner). Called at object creation.
     pub fn register_object(&mut self, object: ObjectId, replicas: ReplicaSet) {
         if self.is_directory_node() || replicas.owner == Some(self.local) {
-            self.meta.entry(object).or_insert(MetaEntry {
-                o_ts: OwnershipTs::default(),
-                replicas,
-                o_state: OState::Valid,
-                lost: false,
-            });
+            self.meta
+                .entry(object)
+                .or_insert(MetaEntry::valid(OwnershipTs::default(), replicas));
         }
     }
 
@@ -444,61 +523,48 @@ impl OwnershipEngine {
         // (genuine first touch) or was wiped after a re-admission; routing
         // to a peer replica lets an informed driver arbitrate (and our own
         // copy heals from its INV/VAL traffic). Otherwise spread requests
-        // across the live directory replicas.
-        let driver = if self.is_directory_node() && self.meta.contains_key(&object) {
+        // across the live directory replicas other than this node.
+        let is_directory = self.is_directory_node();
+        let driver = if is_directory && self.meta.contains_key(&object) {
             self.local
         } else {
-            let live_dirs: Vec<NodeId> = self
-                .directory
-                .iter()
-                .copied()
-                .filter(|&d| {
-                    self.live.contains(&d) && (d != self.local || !self.is_directory_node())
-                })
-                .collect();
-            if live_dirs.is_empty() {
-                if self.is_directory_node() {
-                    // Sole surviving directory replica: drive it ourselves.
-                    self.local
-                } else {
-                    self.stats.requests_failed += 1;
-                    out.emit(OwnershipAction::Failed {
-                        req_id,
-                        object,
-                        reason: NackReason::Recovering,
-                    });
+            let peers = || {
+                self.directory
+                    .iter()
+                    .filter(|&d| d != self.local && self.live.contains(d))
+            };
+            match peers().count() {
+                // Sole surviving directory replica: drive it ourselves.
+                0 if is_directory => self.local,
+                0 => {
+                    self.fail(req_id, object, NackReason::Recovering, out);
                     return req_id;
                 }
-            } else {
-                live_dirs[(object.0 as usize ^ req_id.seq as usize) % live_dirs.len()]
+                n => peers()
+                    .nth((object.0 as usize ^ req_id.seq as usize) % n)
+                    .expect("nth of n"),
             }
         };
 
-        self.pending.insert(
-            req_id,
-            PendingRequest {
-                object,
-                kind,
-                has_replica,
-                driver,
-                acks: HashSet::new(),
-                arbiters: None,
-                o_ts: None,
-                new_replicas: None,
-                data: None,
-                first_touch: None,
-                last_sent: self.now,
-            },
-        );
-
-        let msg = OwnershipMsg::Req {
-            req_id,
+        let pending = PendingRequest {
             object,
             kind,
-            epoch: self.epoch,
             has_replica,
+            driver,
+            acks: NodeSet::new(),
+            arbiters: None,
+            o_ts: None,
+            new_replicas: None,
+            data: None,
+            first_touch: None,
+            last_sent: self.now,
         };
-        out.emit(OwnershipAction::Send { to: driver, msg });
+        out.emit(OwnershipAction::Send {
+            to: driver,
+            msg: pending.req(req_id, self.epoch),
+        });
+        self.pending.insert(req_id, pending);
+        self.oldest_send.get_or_insert(self.now);
         req_id
     }
 
@@ -511,43 +577,45 @@ impl OwnershipEngine {
         pending.acks.clear();
         pending.arbiters = None;
         pending.o_ts = None;
-        pending.last_sent = self.now;
-        // Re-pick the driver if the previous one died.
-        if !self.live.contains(&pending.driver) {
-            if let Some(&d) = self.directory.iter().find(|d| self.live.contains(d)) {
-                pending.driver = d;
-            } else {
-                // Terminal failure: drop the pending entry so the periodic
-                // retransmission cannot resurrect (or re-fail) a request the
-                // caller has already observed as failed.
-                let object = pending.object;
-                self.pending.remove(&req_id);
-                self.stats.requests_failed += 1;
-                out.emit(OwnershipAction::Failed {
-                    req_id,
-                    object,
-                    reason: NackReason::Recovering,
-                });
-                return;
-            }
-        }
-        let msg = OwnershipMsg::Req {
-            req_id,
-            object: pending.object,
-            kind: pending.kind,
-            epoch: self.epoch,
-            has_replica: pending.has_replica,
+        self.resend(req_id, out);
+    }
+
+    /// Sends `req_id`'s REQ (again) and restarts its timer, re-picking the
+    /// driver — and forgetting what the old one's arbitration collected —
+    /// if it died. With no live directory replica left the request fails:
+    /// dropping the pending entry keeps the periodic retransmission from
+    /// resurrecting (or re-failing) a request the caller has already
+    /// observed as failed. Returns whether the REQ went out.
+    fn resend(&mut self, req_id: RequestId, out: &mut impl OwnershipSink) -> bool {
+        let Some(pending) = self.pending.get_mut(&req_id) else {
+            return false;
         };
+        if !self.live.contains(pending.driver) {
+            // The first live directory replica takes over.
+            let Some(driver) = self.directory.iter().find(|&d| self.live.contains(d)) else {
+                let object = pending.object;
+                self.take_pending(req_id);
+                self.fail(req_id, object, NackReason::Recovering, out);
+                return false;
+            };
+            pending.driver = driver;
+            pending.acks.clear();
+            pending.o_ts = None;
+            pending.arbiters = None;
+        }
         out.emit(OwnershipAction::Send {
             to: pending.driver,
-            msg,
+            msg: pending.req(req_id, self.epoch),
         });
+        let previous = std::mem::replace(&mut pending.last_sent, self.now);
+        self.stamp_left(previous);
+        true
     }
 
     /// Abandons a pending request (e.g. the transaction was aborted by the
     /// back-off deadlock avoidance, §6.2).
     pub fn abandon_request(&mut self, req_id: RequestId) {
-        self.pending.remove(&req_id);
+        self.take_pending(req_id);
     }
 
     /// Re-sends the REQ of every pending request that has gone unanswered for
@@ -558,6 +626,12 @@ impl OwnershipEngine {
     /// duplicate REQ only refreshes in-flight state, and a REQ or ACK lost
     /// to an epoch transition gets re-issued with the current epoch.
     pub fn retransmit_into(&mut self, interval: u64, out: &mut impl OwnershipSink) {
+        if self
+            .oldest_send
+            .is_none_or(|sent| self.now.saturating_sub(sent) < interval)
+        {
+            return;
+        }
         // Deterministic order: map iteration order must not influence the
         // message sequence (it would perturb the simulator's RNG stream).
         let mut req_ids: Vec<RequestId> = self
@@ -568,36 +642,9 @@ impl OwnershipEngine {
             .collect();
         req_ids.sort_unstable();
         for req_id in req_ids {
-            let pending = self.pending.get_mut(&req_id).expect("pending exists");
-            let object = pending.object;
-            if !self.live.contains(&pending.driver) {
-                let Some(&d) = self.directory.iter().find(|d| self.live.contains(d)) else {
-                    self.pending.remove(&req_id);
-                    self.stats.requests_failed += 1;
-                    out.emit(OwnershipAction::Failed {
-                        req_id,
-                        object,
-                        reason: NackReason::Recovering,
-                    });
-                    continue;
-                };
-                pending.driver = d;
-                pending.acks.clear();
-                pending.o_ts = None;
-                pending.arbiters = None;
+            if self.resend(req_id, out) {
+                self.stats.requests_retransmitted += 1;
             }
-            self.stats.requests_retransmitted += 1;
-            pending.last_sent = self.now;
-            out.emit(OwnershipAction::Send {
-                to: pending.driver,
-                msg: OwnershipMsg::Req {
-                    req_id,
-                    object: pending.object,
-                    kind: pending.kind,
-                    epoch: self.epoch,
-                    has_replica: pending.has_replica,
-                },
-            });
         }
     }
 
@@ -622,40 +669,41 @@ impl OwnershipEngine {
             .collect();
         stalled.sort_unstable();
         for object in stalled {
-            self.stats.arb_replays += 1;
-            let arbiters = {
-                let inf = self.inflight.get_mut(&object).expect("inflight exists");
-                inf.collecting_acks = true;
-                inf.acks.clear();
-                inf.acks.insert(self.local);
+            if let Some(inf) = self.inflight.get_mut(&object) {
                 inf.stale_rounds = 0;
-                let live_arbiters: Vec<NodeId> = inf
-                    .arbiters
-                    .iter()
-                    .copied()
-                    .filter(|n| self.live.contains(n))
-                    .collect();
-                for to in live_arbiters.iter().copied().filter(|&n| n != self.local) {
-                    out.emit(OwnershipAction::Send {
-                        to,
-                        msg: OwnershipMsg::Inv {
-                            req_id: inf.req_id,
-                            object,
-                            o_ts: inf.o_ts,
-                            kind: inf.kind,
-                            new_replicas: inf.new_replicas.clone(),
-                            old_replicas: inf.old_replicas.clone(),
-                            epoch: self.epoch,
-                            ack_to_driver: true,
-                            requester_has_replica: inf.requester_has_replica,
-                        },
-                    });
-                }
-                live_arbiters
-            };
-            if arbiters.iter().all(|&n| n == self.local) {
-                self.finish_recovery_drive(object, host, out);
             }
+            self.replay(object, host, out);
+        }
+    }
+
+    /// Arb-replays the in-flight arbitration of `object` with this node as
+    /// the recovery driver: re-invalidates the live arbiters, which ACK back
+    /// here, and decides at once if this node is the only one left.
+    fn replay(
+        &mut self,
+        object: ObjectId,
+        host: &impl OwnershipHost,
+        out: &mut impl OwnershipSink,
+    ) {
+        let Some(inf) = self.inflight.get_mut(&object) else {
+            return;
+        };
+        self.stats.arb_replays += 1;
+        inf.collecting_acks = true;
+        inf.acks.clear();
+        inf.acks.insert(self.local);
+        let mut alone = true;
+        for to in inf.arbiters.iter().filter(|&n| self.live.contains(n)) {
+            if to != self.local {
+                alone = false;
+                out.emit(OwnershipAction::Send {
+                    to,
+                    msg: inf.inv(object, self.epoch, true),
+                });
+            }
+        }
+        if alone {
+            self.finish_recovery_drive(object, host, out);
         }
     }
 
@@ -778,40 +826,25 @@ impl OwnershipEngine {
     /// followers that missed intermediate views (a node jumping several
     /// epochs learns the rejoins from the view that reaches it), keeping
     /// directory replicas in agreement.
-    pub fn on_view_change(
-        &mut self,
-        epoch: Epoch,
-        live: Vec<NodeId>,
-        rejoined: &[NodeId],
-        host: &impl OwnershipHost,
-    ) -> Vec<OwnershipAction> {
-        let mut actions = Vec::new();
-        self.on_view_change_into(epoch, live, rejoined, host, &mut actions);
-        actions
-    }
-
-    /// [`OwnershipEngine::on_view_change`], writing the output into `out`.
     pub fn on_view_change_into(
         &mut self,
         epoch: Epoch,
-        live: Vec<NodeId>,
+        live: &[NodeId],
         rejoined: &[NodeId],
         host: &impl OwnershipHost,
         out: &mut impl OwnershipSink,
     ) {
-        if epoch <= self.epoch && !self.live.is_empty() {
-            // Allow re-installation of the same epoch idempotently.
-            if epoch < self.epoch {
-                return;
-            }
+        // Re-installing the current epoch is idempotent; an older one is stale.
+        if epoch < self.epoch && !self.live.is_empty() {
+            return;
         }
         self.epoch = epoch;
-        self.live = live;
+        self.live = live.iter().copied().collect();
         self.enabled = false;
 
         for meta in self.meta.values_mut() {
             let had_replicas = !meta.replicas.is_empty();
-            meta.replicas.retain_live(&self.live);
+            meta.replicas.retain_live(live);
             for &r in rejoined {
                 meta.replicas.remove_node(r);
             }
@@ -844,41 +877,7 @@ impl OwnershipEngine {
         let mut objects: Vec<ObjectId> = self.inflight.keys().copied().collect();
         objects.sort_unstable();
         for object in objects {
-            self.stats.arb_replays += 1;
-            let arbiters = {
-                let inf = self.inflight.get_mut(&object).expect("inflight exists");
-                inf.collecting_acks = true;
-                inf.acks.clear();
-                inf.acks.insert(self.local);
-                let live_arbiters: Vec<NodeId> = inf
-                    .arbiters
-                    .iter()
-                    .copied()
-                    .filter(|n| self.live.contains(n))
-                    .collect();
-                for to in live_arbiters.iter().copied().filter(|&n| n != self.local) {
-                    out.emit(OwnershipAction::Send {
-                        to,
-                        msg: OwnershipMsg::Inv {
-                            req_id: inf.req_id,
-                            object,
-                            o_ts: inf.o_ts,
-                            kind: inf.kind,
-                            new_replicas: inf.new_replicas.clone(),
-                            old_replicas: inf.old_replicas.clone(),
-                            epoch: self.epoch,
-                            ack_to_driver: true,
-                            requester_has_replica: inf.requester_has_replica,
-                        },
-                    });
-                }
-                live_arbiters
-            };
-            // If this node is the only live arbiter, the replay completes
-            // immediately.
-            if arbiters.iter().all(|&n| n == self.local) {
-                self.finish_recovery_drive(object, host, out);
-            }
+            self.replay(object, host, out);
         }
     }
 
@@ -913,23 +912,17 @@ impl OwnershipEngine {
     /// [`OwnershipEngine::directory_digest`]) and settling re-marks them.
     pub fn drain_dirty_digest(&mut self) -> Vec<(ObjectId, OwnershipTs, ReplicaSet)> {
         let mut entries = Vec::new();
-        let mut done = Vec::new();
-        for (&object, pushes) in self.dirty.iter_mut() {
-            match self.meta.get(&object) {
-                Some(m) if m.o_state == OState::Valid => {
-                    entries.push((object, m.o_ts, m.replicas.clone()));
-                    *pushes -= 1;
-                    if *pushes == 0 {
-                        done.push(object);
-                    }
-                }
-                Some(_) => {}
-                None => done.push(object),
+        let meta = &self.meta;
+        self.dirty.retain(|object, pushes| match meta.get(object) {
+            Some(m) if m.o_state == OState::Valid => {
+                entries.push((*object, m.o_ts, m.replicas.clone()));
+                *pushes -= 1;
+                *pushes > 0
             }
-        }
-        for object in done {
-            self.dirty.remove(&object);
-        }
+            Some(_) => true,
+            None => false,
+        });
+        entries.sort_unstable_by_key(|&(object, _, _)| object);
         entries
     }
 
@@ -945,40 +938,20 @@ impl OwnershipEngine {
     /// an arbitration it has started. Adopted entries are surfaced as
     /// [`OwnershipAction::ApplyReplicaChange`] so the host store updates
     /// its access levels.
-    pub fn adopt_directory(
-        &mut self,
-        entries: &[(ObjectId, OwnershipTs, ReplicaSet)],
-    ) -> Vec<OwnershipAction> {
-        let mut actions = Vec::new();
-        self.adopt_directory_into(entries, &mut actions);
-        actions
-    }
-
-    /// [`OwnershipEngine::adopt_directory`], writing the output into `out`.
     pub fn adopt_directory_into(
         &mut self,
         entries: &[(ObjectId, OwnershipTs, ReplicaSet)],
         out: &mut impl OwnershipSink,
     ) {
         for (object, o_ts, replicas) in entries {
-            if let Some(meta) = self.meta.get(object) {
-                if meta.o_ts >= *o_ts {
-                    continue;
-                }
-            }
-            if self.inflight.contains_key(object) {
+            if self.meta.get(object).is_some_and(|m| m.o_ts >= *o_ts)
+                || self.inflight.contains_key(object)
+            {
                 continue;
             }
             self.stats.dir_entries_adopted += 1;
-            self.meta.insert(
-                *object,
-                MetaEntry {
-                    o_ts: *o_ts,
-                    replicas: replicas.clone(),
-                    o_state: OState::Valid,
-                    lost: false,
-                },
-            );
+            self.meta
+                .insert(*object, MetaEntry::valid(*o_ts, replicas.clone()));
             out.emit(OwnershipAction::ApplyReplicaChange {
                 object: *object,
                 o_ts: *o_ts,
@@ -990,6 +963,17 @@ impl OwnershipEngine {
     // ------------------------------------------------------------------
     // Driver side
     // ------------------------------------------------------------------
+
+    /// The NACK this node sends for `req_id`.
+    fn nack_msg(&self, req_id: RequestId, object: ObjectId, reason: NackReason) -> OwnershipMsg {
+        OwnershipMsg::Nack {
+            req_id,
+            object,
+            reason,
+            epoch: self.epoch,
+            from: self.local,
+        }
+    }
 
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn on_req(
@@ -1067,20 +1051,13 @@ impl OwnershipEngine {
 
         // First-touch creation: an AcquireOwner request for an object the
         // directory has never seen creates its metadata with no prior owner.
-        if let std::collections::hash_map::Entry::Vacant(vacant) = self.meta.entry(object) {
-            if kind == OwnershipRequestKind::AcquireOwner {
-                vacant.insert(MetaEntry {
-                    o_ts: OwnershipTs::default(),
-                    replicas: ReplicaSet::default(),
-                    o_state: OState::Valid,
-                    lost: false,
-                });
-            } else {
-                return nack(NackReason::UnknownObject);
-            }
-        }
-
-        let meta = self.meta.get(&object).expect("meta exists");
+        let meta = match self.meta.entry(object) {
+            Entry::Occupied(held) => held.into_mut(),
+            Entry::Vacant(vacant) if kind == OwnershipRequestKind::AcquireOwner => vacant.insert(
+                MetaEntry::valid(OwnershipTs::default(), ReplicaSet::default()),
+            ),
+            Entry::Vacant(_) => return nack(NackReason::UnknownObject),
+        };
         // A placement a view change pruned to empty is not a first touch:
         // the committed history died with its last replica. Fail the
         // acquisition instead of fabricating an empty version 0 over it.
@@ -1095,18 +1072,20 @@ impl OwnershipEngine {
         if meta.replicas.owner == Some(self.local) && host.has_pending_commits(object) {
             return nack(NackReason::PendingCommit);
         }
+        let new_replicas = Self::apply_kind(&meta.replicas, kind, requester);
         // The last replica of an object may never remove itself: deciding
         // an empty placement discards the only surviving copy, and the
         // next acquisition would first-touch the object back to an empty
         // version 0 — silent data loss reachable by merely shrinking a
         // cold object. NACK instead; the requester keeps its copy.
-        if matches!(kind, OwnershipRequestKind::RemoveReader { .. })
-            && Self::apply_kind(&meta.replicas, kind, requester).is_empty()
-        {
+        if matches!(kind, OwnershipRequestKind::RemoveReader { .. }) && new_replicas.is_empty() {
             return nack(NackReason::DataLoss);
         }
 
         self.stats.requests_driven += 1;
+        let o_ts = meta.o_ts.bump(self.local);
+        meta.o_ts = o_ts;
+        meta.o_state = OState::Drive;
         let old_replicas = meta.replicas.clone();
         // Trust `has_replica` only when the committed placement actually
         // lists the requester: in-placement replicas are kept current by
@@ -1118,31 +1097,8 @@ impl OwnershipEngine {
         // ship is always safe (the requester installs by ts-compare).
         let requester_has_replica =
             requester_has_replica && old_replicas.level_of(requester).is_replica();
-        let o_ts = meta.o_ts.bump(self.local);
-        let new_replicas = Self::apply_kind(&old_replicas, kind, requester);
-        let arbiters = self.arbiter_set(&old_replicas, requester);
-
-        let meta = self.meta.get_mut(&object).expect("meta exists");
-        meta.o_ts = o_ts;
-        meta.o_state = OState::Drive;
-
-        self.inflight.insert(
-            object,
-            InflightArb {
-                req_id,
-                requester,
-                requester_has_replica,
-                kind,
-                o_ts,
-                new_replicas: new_replicas.clone(),
-                old_replicas: old_replicas.clone(),
-                arbiters: arbiters.clone(),
-                collecting_acks: false,
-                acks: HashSet::new(),
-                data: None,
-                stale_rounds: 0,
-            },
-        );
+        let mut arbiters = Self::arbiters_of(&self.directory, &old_replicas, requester);
+        arbiters.retain(|n| self.live.contains(n));
 
         // If this driver is also the current owner and the request moves
         // ownership elsewhere, it must invalidate its own write access *at
@@ -1157,45 +1113,75 @@ impl OwnershipEngine {
                 level: own_level_after,
             });
         }
-        for &arb in arbiters.iter().filter(|&&n| n != self.local) {
-            out.emit(OwnershipAction::Send {
-                to: arb,
-                msg: OwnershipMsg::Inv {
-                    req_id,
-                    object,
-                    o_ts,
-                    kind,
-                    new_replicas: new_replicas.clone(),
-                    old_replicas: old_replicas.clone(),
-                    epoch: self.epoch,
-                    ack_to_driver: false,
-                    requester_has_replica,
-                },
-            });
-        }
-        // The driver is itself an arbiter: it ACKs the requester directly.
-        let data = self.data_for_requester(
-            object,
-            kind,
+        let inf = InflightArb {
+            req_id,
             requester,
             requester_has_replica,
-            &old_replicas,
-            host,
-        );
+            kind,
+            o_ts,
+            new_replicas,
+            old_replicas,
+            arbiters,
+            collecting_acks: false,
+            acks: NodeSet::new(),
+            data: None,
+            stale_rounds: 0,
+        };
+        self.drive(&inf, object, false, host, out);
+        self.inflight.insert(object, inf);
+    }
+
+    /// Sends the INVs of the arbitration `inf` this node drives — to every
+    /// arbiter, or on a re-drive to the live ones — and, the driver being an
+    /// arbiter itself, its ACK straight to the requester.
+    fn drive(
+        &self,
+        inf: &InflightArb,
+        object: ObjectId,
+        live_only: bool,
+        host: &impl OwnershipHost,
+        out: &mut impl OwnershipSink,
+    ) {
+        for to in inf.arbiters.iter() {
+            if to != self.local && (!live_only || self.live.contains(to)) {
+                out.emit(OwnershipAction::Send {
+                    to,
+                    msg: inf.inv(object, self.epoch, false),
+                });
+            }
+        }
         out.emit(OwnershipAction::Send {
-            to: requester,
-            msg: OwnershipMsg::Ack {
-                req_id,
-                object,
-                o_ts,
-                epoch: self.epoch,
-                data,
-                from: self.local,
-                arbiters,
-                new_replicas,
-                first_touch: old_replicas.is_empty(),
-            },
+            to: inf.requester,
+            msg: self.ack(inf, object, inf.arbiters.clone(), host),
         });
+    }
+
+    /// This node's ACK of the arbitration `inf`, naming `arbiters`.
+    fn ack(
+        &self,
+        inf: &InflightArb,
+        object: ObjectId,
+        arbiters: NodeSet,
+        host: &impl OwnershipHost,
+    ) -> OwnershipMsg {
+        OwnershipMsg::Ack {
+            req_id: inf.req_id,
+            object,
+            o_ts: inf.o_ts,
+            epoch: self.epoch,
+            data: self.data_for_requester(
+                object,
+                inf.kind,
+                inf.requester,
+                inf.requester_has_replica,
+                &inf.old_replicas,
+                host,
+            ),
+            from: self.local,
+            arbiters,
+            new_replicas: inf.new_replicas.clone(),
+            first_touch: inf.old_replicas.is_empty(),
+        }
     }
 
     /// Re-sends the INVs and driver ACK of the arbitration this node drives
@@ -1206,68 +1192,20 @@ impl OwnershipEngine {
         host: &impl OwnershipHost,
         out: &mut impl OwnershipSink,
     ) {
-        if let Some(inf) = self.inflight.get_mut(&object) {
-            inf.stale_rounds = 0;
-        }
-        let Some(inf) = self.inflight.get(&object).cloned() else {
+        let Some(inf) = self.inflight.get_mut(&object) else {
             return;
         };
+        inf.stale_rounds = 0;
+        let inf = &self.inflight[&object];
         // If this driver is also the owner and still has commits in flight,
         // keep rejecting the retry.
         if inf.old_replicas.owner == Some(self.local) && host.has_pending_commits(object) {
             return out.emit(OwnershipAction::Send {
                 to: inf.requester,
-                msg: OwnershipMsg::Nack {
-                    req_id: inf.req_id,
-                    object,
-                    reason: NackReason::PendingCommit,
-                    epoch: self.epoch,
-                    from: self.local,
-                },
+                msg: self.nack_msg(inf.req_id, object, NackReason::PendingCommit),
             });
         }
-        for &arb in inf
-            .arbiters
-            .iter()
-            .filter(|&&n| n != self.local && self.live.contains(&n))
-        {
-            out.emit(OwnershipAction::Send {
-                to: arb,
-                msg: OwnershipMsg::Inv {
-                    req_id: inf.req_id,
-                    object,
-                    o_ts: inf.o_ts,
-                    kind: inf.kind,
-                    new_replicas: inf.new_replicas.clone(),
-                    old_replicas: inf.old_replicas.clone(),
-                    epoch: self.epoch,
-                    ack_to_driver: false,
-                    requester_has_replica: inf.requester_has_replica,
-                },
-            });
-        }
-        let data = self.data_for_requester(
-            object,
-            inf.kind,
-            inf.requester,
-            inf.requester_has_replica,
-            &inf.old_replicas,
-            host,
-        );
-        out.emit(OwnershipAction::Send {
-            to: inf.requester,
-            msg: OwnershipMsg::Ack {
-                req_id: inf.req_id,
-                object,
-                o_ts: inf.o_ts,
-                epoch: self.epoch,
-                data,
-                from: self.local,
-                arbiters: inf.arbiters.clone(),
-                new_replicas: inf.new_replicas.clone(),
-                first_touch: inf.old_replicas.is_empty(),
-            },
-        });
+        self.drive(inf, object, true, host, out);
     }
 
     // ------------------------------------------------------------------
@@ -1299,12 +1237,10 @@ impl OwnershipEngine {
         // Ensure we have metadata to arbitrate with; a node that is an
         // arbiter only because it is the current owner may have never seen
         // this object via the directory.
-        let meta = self.meta.entry(object).or_insert_with(|| MetaEntry {
-            o_ts: OwnershipTs::default(),
-            replicas: old_replicas.clone(),
-            o_state: OState::Valid,
-            lost: false,
-        });
+        let meta = self
+            .meta
+            .entry(object)
+            .or_insert_with(|| MetaEntry::valid(OwnershipTs::default(), old_replicas.clone()));
 
         // The current owner rejects migrations of objects with commits still
         // in flight (§4.1).
@@ -1314,13 +1250,7 @@ impl OwnershipEngine {
         {
             return out.emit(OwnershipAction::Send {
                 to: requester,
-                msg: OwnershipMsg::Nack {
-                    req_id,
-                    object,
-                    reason: NackReason::PendingCommit,
-                    epoch: self.epoch,
-                    from: self.local,
-                },
+                msg: self.nack_msg(req_id, object, NackReason::PendingCommit),
             });
         }
 
@@ -1331,151 +1261,76 @@ impl OwnershipEngine {
         // explicit placement check is needed — accepting it would hand the
         // requester an empty version-0 object and drop every real replica.
         // Reject it regardless of timestamps and tell the driver to abort.
-        if o_ts > meta.o_ts && old_replicas.is_empty() && !meta.replicas.is_empty() {
+        //
+        // A stale / losing request (lower timestamp) is told to give up the
+        // same way — its requester and also its *driver* (when it is not the
+        // requester itself): a driver arbitrating from stale or wiped
+        // metadata would otherwise keep an in-flight arbitration that can
+        // never complete and replay it forever.
+        let ghost = o_ts > meta.o_ts && old_replicas.is_empty() && !meta.replicas.is_empty();
+        if ghost || o_ts < meta.o_ts {
+            let nack = self.nack_msg(req_id, object, NackReason::LostArbitration);
             out.emit(OwnershipAction::Send {
                 to: requester,
-                msg: OwnershipMsg::Nack {
-                    req_id,
-                    object,
-                    reason: NackReason::LostArbitration,
-                    epoch: self.epoch,
-                    from: self.local,
-                },
+                msg: nack.clone(),
             });
             if from != requester {
                 out.emit(OwnershipAction::Send {
                     to: from,
-                    msg: OwnershipMsg::Nack {
-                        req_id,
-                        object,
-                        reason: NackReason::LostArbitration,
-                        epoch: self.epoch,
-                        from: self.local,
-                    },
+                    msg: nack,
                 });
             }
             return;
         }
 
-        if o_ts < meta.o_ts {
-            // A stale / losing request: tell its requester to give up. Also
-            // tell the *driver* (when it is not the requester itself): a
-            // driver arbitrating from stale or wiped metadata — e.g. a
-            // re-admitted directory replica that first-touch-created an
-            // object its peers already track — would otherwise keep an
-            // in-flight arbitration that can never complete and replay it
-            // forever.
-            out.emit(OwnershipAction::Send {
-                to: requester,
-                msg: OwnershipMsg::Nack {
-                    req_id,
-                    object,
-                    reason: NackReason::LostArbitration,
-                    epoch: self.epoch,
-                    from: self.local,
-                },
-            });
-            if from != requester {
-                out.emit(OwnershipAction::Send {
-                    to: from,
-                    msg: OwnershipMsg::Nack {
-                        req_id,
-                        object,
-                        reason: NackReason::LostArbitration,
-                        epoch: self.epoch,
-                        from: self.local,
-                    },
-                });
-            }
-            return;
-        }
-
+        let inf = InflightArb {
+            req_id,
+            requester,
+            requester_has_replica,
+            kind,
+            o_ts,
+            new_replicas,
+            arbiters: Self::arbiters_of(&self.directory, &old_replicas, requester),
+            old_replicas,
+            collecting_acks: false,
+            acks: NodeSet::new(),
+            data: None,
+            stale_rounds: 0,
+        };
         if o_ts > meta.o_ts {
             self.stats.invalidations_processed += 1;
+            meta.o_ts = o_ts;
+            meta.o_state = OState::Invalid;
             // If this node was driving a different, lower-timestamped request
             // for the object, that request has lost: notify its requester.
             if let Some(prev) = self.inflight.get(&object) {
                 if prev.req_id != req_id && prev.o_ts.node == self.local {
                     out.emit(OwnershipAction::Send {
                         to: prev.requester,
-                        msg: OwnershipMsg::Nack {
-                            req_id: prev.req_id,
-                            object,
-                            reason: NackReason::LostArbitration,
-                            epoch: self.epoch,
-                            from: self.local,
-                        },
+                        msg: self.nack_msg(prev.req_id, object, NackReason::LostArbitration),
                     });
                 }
             }
-            meta.o_ts = o_ts;
-            meta.o_state = OState::Invalid;
-            let arbiters = {
-                let mut set = self.directory.clone();
-                match old_replicas.owner {
-                    Some(o) if o != requester => {
-                        if !set.contains(&o) {
-                            set.push(o);
-                        }
-                    }
-                    // Ownerless object, or the requester is the placement
-                    // owner without data: the surviving readers arbitrate
-                    // (and ship the value).
-                    _ => {
-                        for &reader in &old_replicas.readers {
-                            if !set.contains(&reader) {
-                                set.push(reader);
-                            }
-                        }
-                    }
-                }
-                set
-            };
-            self.inflight.insert(
-                object,
-                InflightArb {
-                    req_id,
-                    requester,
-                    requester_has_replica,
-                    kind,
-                    o_ts,
-                    new_replicas: new_replicas.clone(),
-                    old_replicas: old_replicas.clone(),
-                    arbiters,
-                    collecting_acks: false,
-                    acks: HashSet::new(),
-                    data: None,
-                    stale_rounds: 0,
-                },
-            );
+            let ack = self.ack(&inf, object, inf.arbiters.clone(), host);
+            self.inflight.insert(object, inf);
+            return out.emit(OwnershipAction::Send {
+                to: ack_target,
+                msg: ack,
+            });
         }
-        // o_ts == meta.o_ts (replay / duplicate): simply ACK again (§4.1).
-
-        let data = self.data_for_requester(
-            object,
-            kind,
-            requester,
-            requester_has_replica,
-            &old_replicas,
-            host,
-        );
+        // o_ts == meta.o_ts (replay / duplicate): simply ACK again (§4.1),
+        // naming the arbiters of the arbitration held in flight, if any.
+        let arbiters = match self.inflight.get(&object) {
+            Some(held) => held.arbiters.clone(),
+            None => {
+                let mut set = inf.arbiters.clone();
+                set.retain(|n| self.live.contains(n));
+                set
+            }
+        };
         out.emit(OwnershipAction::Send {
             to: ack_target,
-            msg: OwnershipMsg::Ack {
-                req_id,
-                object,
-                o_ts,
-                epoch: self.epoch,
-                data,
-                from: self.local,
-                arbiters: self
-                    .inflight
-                    .get(&object)
-                    .map(|i| i.arbiters.clone())
-                    .unwrap_or_else(|| self.arbiter_set(&old_replicas, requester)),
-                new_replicas,
-                first_touch: old_replicas.is_empty(),
-            },
+            msg: self.ack(&inf, object, arbiters, host),
         });
     }
 
@@ -1486,13 +1341,12 @@ impl OwnershipEngine {
         epoch: Epoch,
         out: &mut impl OwnershipSink,
     ) {
-        if epoch != self.epoch {
-            return;
-        }
-        let Some(inf) = self.inflight.get(&object) else {
-            return;
-        };
-        if inf.o_ts != o_ts {
+        if epoch != self.epoch
+            || self
+                .inflight
+                .get(&object)
+                .is_none_or(|inf| inf.o_ts != o_ts)
+        {
             return;
         }
         self.stats.validations_applied += 1;
@@ -1516,19 +1370,17 @@ impl OwnershipEngine {
         // the refuted arbitration, not just the driver that bumped the
         // timestamp: wiped arbiters accept a ghost's INV (their metadata is
         // empty too) and would otherwise keep replaying it to each other.
-        if reason == NackReason::LostArbitration {
-            let ghost = self
+        if reason == NackReason::LostArbitration
+            && self
                 .inflight
                 .get(&object)
-                .filter(|inf| inf.req_id == req_id)
-                .map(|inf| inf.o_ts);
-            if let Some(o_ts) = ghost {
-                self.inflight.remove(&object);
-                if self.meta.get(&object).is_some_and(|m| m.o_ts == o_ts) {
-                    self.meta.remove(&object);
-                }
-                self.stats.ghost_arbitrations_aborted += 1;
+                .is_some_and(|inf| inf.req_id == req_id)
+        {
+            let ghost = self.inflight.remove(&object).expect("checked above");
+            if self.meta.get(&object).is_some_and(|m| m.o_ts == ghost.o_ts) {
+                self.meta.remove(&object);
             }
+            self.stats.ghost_arbitrations_aborted += 1;
         }
         if !self.pending.contains_key(&req_id) {
             return;
@@ -1545,13 +1397,8 @@ impl OwnershipEngine {
             | NackReason::NotDirectory
             | NackReason::UnknownObject
             | NackReason::DataLoss => {
-                self.pending.remove(&req_id);
-                self.stats.requests_failed += 1;
-                out.emit(OwnershipAction::Failed {
-                    req_id,
-                    object,
-                    reason,
-                });
+                self.take_pending(req_id);
+                self.fail(req_id, object, reason, out);
             }
         }
     }
@@ -1569,7 +1416,7 @@ impl OwnershipEngine {
         epoch: Epoch,
         data: Option<(DataTs, Bytes)>,
         acker: NodeId,
-        arbiters: Vec<NodeId>,
+        arbiters: NodeSet,
         new_replicas: ReplicaSet,
         first_touch: bool,
         host: &impl OwnershipHost,
@@ -1597,31 +1444,20 @@ impl OwnershipEngine {
                 pending.acks.clear();
             }
         }
-        pending.arbiters = Some(arbiters);
         pending.new_replicas = Some(new_replicas);
         pending.first_touch = Some(first_touch);
         // Several arbiters may ship data (readers of an ownerless object);
         // keep the max-by-DataTs copy.
-        if let Some((ts, _)) = &data {
-            if pending.data.as_ref().is_none_or(|(t, _)| t < ts) {
-                pending.data = data;
-            }
-        }
+        keep_newest(&mut pending.data, data);
         pending.acks.insert(acker);
 
-        let complete = pending
-            .arbiters
-            .as_ref()
-            .map(|arbs| {
-                arbs.iter()
-                    .filter(|a| self.live.contains(a))
-                    .all(|a| pending.acks.contains(a))
-            })
-            .unwrap_or(false);
-        if !complete {
-            return;
+        let complete = arbiters
+            .iter()
+            .all(|a| !self.live.contains(a) || pending.acks.contains(a));
+        pending.arbiters = Some(arbiters);
+        if complete {
+            self.complete_request(req_id, host, out);
         }
-        self.complete_request(req_id, host, out);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1640,7 +1476,6 @@ impl OwnershipEngine {
         if epoch != self.epoch {
             return;
         }
-        let default_arbiters = self.arbiter_set(&ReplicaSet::default(), req_id.requester);
         let Some(pending) = self.pending.get_mut(&req_id) else {
             return;
         };
@@ -1649,14 +1484,12 @@ impl OwnershipEngine {
         pending.new_replicas = Some(new_replicas);
         // Keep the max-by-DataTs copy: a RESP may race ACKs that already
         // shipped a newer value.
-        if let Some((ts, _)) = &data {
-            if pending.data.as_ref().is_none_or(|(t, _)| t < ts) {
-                pending.data = data;
-            }
-        }
+        keep_newest(&mut pending.data, data);
         pending.first_touch = Some(first_touch);
         if pending.arbiters.is_none() {
-            pending.arbiters = Some(default_arbiters);
+            let mut arbiters = self.directory.clone();
+            arbiters.retain(|n| self.live.contains(n));
+            pending.arbiters = Some(arbiters);
         }
         self.complete_request(req_id, host, out);
     }
@@ -1680,11 +1513,15 @@ impl OwnershipEngine {
         host: &impl OwnershipHost,
         out: &mut impl OwnershipSink,
     ) {
-        let Some(pending) = self.pending.remove(&req_id) else {
+        let Some(pending) = self.take_pending(req_id) else {
             return;
         };
         let object = pending.object;
         self.mark_decided(req_id, object);
+        let o_ts = pending.o_ts.expect("completed request has o_ts");
+        let mut new_replicas = pending
+            .new_replicas
+            .expect("completed request has replica set");
         // Re-sample the local store *now* rather than trusting the
         // `has_replica` declared at request time: a replica-change applied
         // while the acquisition was in flight can have removed the local
@@ -1715,80 +1552,61 @@ impl OwnershipEngine {
         // — handing a reader an empty value under a data-less owner would
         // not unwedge anything.
         if data_loss && matches!(pending.kind, OwnershipRequestKind::AcquireOwner) {
-            let decided = pending
-                .new_replicas
-                .as_ref()
-                .expect("completed request has replica set");
-            let others: Vec<NodeId> = decided.replicas().filter(|n| *n != self.local).collect();
-            let provably_empty = match others.as_slice() {
-                [holder] => pending.acks.contains(holder),
-                _ => false,
-            };
-            if provably_empty {
-                data_loss = false;
-                self.stats.empty_placement_resets += 1;
+            let mut others = new_replicas.replicas().filter(|n| *n != self.local);
+            if let (Some(holder), None) = (others.next(), others.next()) {
+                if pending.acks.contains(holder) {
+                    data_loss = false;
+                    self.stats.empty_placement_resets += 1;
+                }
             }
         }
-        let o_ts = pending.o_ts.expect("completed request has o_ts");
-        let mut new_replicas = pending
-            .new_replicas
-            .clone()
-            .expect("completed request has replica set");
-        new_replicas.retain_live(&self.live);
+        new_replicas.retain_live(self.live.as_slice());
 
         // The requester applies the request before any arbiter (§4.1): it
         // now stores authoritative ownership metadata if it became the owner
         // or is a directory replica.
-        if new_replicas.owner == Some(self.local) || self.is_directory_node() {
-            self.meta.insert(
-                object,
-                MetaEntry {
-                    o_ts,
-                    replicas: new_replicas.clone(),
-                    o_state: OState::Valid,
-                    lost: false,
-                },
-            );
-            self.mark_dirty(object);
-        } else {
-            self.meta.remove(&object);
-        }
+        self.settle(object, o_ts, &new_replicas);
         self.inflight.remove(&object);
 
-        let outcome = if data_loss {
-            self.stats.requests_failed += 1;
+        if data_loss {
             self.stats.data_loss_aborts += 1;
-            OwnershipAction::Failed {
-                req_id,
-                object,
-                reason: NackReason::DataLoss,
-            }
+            self.fail(req_id, object, NackReason::DataLoss, out);
         } else {
             self.stats.requests_completed += 1;
-            OwnershipAction::Completed {
+            out.emit(OwnershipAction::Completed {
                 req_id,
                 object,
                 kind: pending.kind,
                 o_ts,
-                new_replicas: new_replicas.clone(),
-                data: pending.data.clone(),
-            }
-        };
-        out.emit(outcome);
-        let arbiters = pending.arbiters.unwrap_or_default();
-        for arb in arbiters
-            .into_iter()
-            .filter(|a| *a != self.local && self.live.contains(a))
-        {
-            out.emit(OwnershipAction::Send {
-                to: arb,
-                msg: OwnershipMsg::Val {
-                    req_id,
-                    object,
-                    o_ts,
-                    epoch: self.epoch,
-                },
+                new_replicas,
+                data: pending.data,
             });
+        }
+        let arbiters = pending.arbiters.unwrap_or_default();
+        self.validate(&arbiters, req_id, object, o_ts, out);
+    }
+
+    /// Sends the VAL of a decided arbitration to its other live arbiters.
+    fn validate(
+        &self,
+        arbiters: &NodeSet,
+        req_id: RequestId,
+        object: ObjectId,
+        o_ts: OwnershipTs,
+        out: &mut impl OwnershipSink,
+    ) {
+        for to in arbiters.iter() {
+            if to != self.local && self.live.contains(to) {
+                out.emit(OwnershipAction::Send {
+                    to,
+                    msg: OwnershipMsg::Val {
+                        req_id,
+                        object,
+                        o_ts,
+                        epoch: self.epoch,
+                    },
+                });
+            }
         }
     }
 
@@ -1813,22 +1631,16 @@ impl OwnershipEngine {
         if !inf.collecting_acks || inf.req_id != req_id || inf.o_ts != o_ts {
             return;
         }
-        if let Some((ts, _)) = &data {
-            if inf.data.as_ref().is_none_or(|(t, _)| t < ts) {
-                inf.data = data;
-            }
-        }
+        keep_newest(&mut inf.data, data);
         inf.acks.insert(acker);
         inf.stale_rounds = 0;
         let done = inf
             .arbiters
             .iter()
-            .filter(|a| self.live.contains(a))
-            .all(|a| inf.acks.contains(a));
-        if !done {
-            return;
+            .all(|a| !self.live.contains(a) || inf.acks.contains(a));
+        if done {
+            self.finish_recovery_drive(object, host, out);
         }
-        self.finish_recovery_drive(object, host, out);
     }
 
     /// Completes an arb-replay: hand the result to the requester if it is
@@ -1839,17 +1651,17 @@ impl OwnershipEngine {
         host: &impl OwnershipHost,
         out: &mut impl OwnershipSink,
     ) {
-        let Some(inf) = self.inflight.get(&object).cloned() else {
+        let Some(mut inf) = self.inflight.remove(&object) else {
             return;
         };
-        if self.live.contains(&inf.requester) && inf.requester != self.local {
+        if self.live.contains(inf.requester) && inf.requester != self.local {
             // Hand the decided arbitration to the surviving requester. The
             // requester may have already completed the request before the
             // view change (its VALs were dropped as stale), in which case it
             // ignores this RESP — so the driver must NOT rely on the
             // requester to validate: it applies and validates below either
             // way. Both paths are idempotent at every receiver.
-            let data = match (inf.data.clone(), host.object_value(object)) {
+            let data = match (inf.data.take(), host.object_value(object)) {
                 (Some(a), Some(b)) => Some(if a.0 >= b.0 { a } else { b }),
                 (a, b) => a.or(b),
             };
@@ -1872,22 +1684,8 @@ impl OwnershipEngine {
         // The replay showed every live arbiter holds the winning timestamp:
         // the arbitration is decided. Apply locally and unblock the other
         // live arbiters directly so no stuck `o_state` survives recovery.
-        for &arb in inf
-            .arbiters
-            .iter()
-            .filter(|&&a| a != self.local && self.live.contains(&a))
-        {
-            out.emit(OwnershipAction::Send {
-                to: arb,
-                msg: OwnershipMsg::Val {
-                    req_id: inf.req_id,
-                    object,
-                    o_ts: inf.o_ts,
-                    epoch: self.epoch,
-                },
-            });
-        }
-        self.apply_arbitration(object, out);
+        self.validate(&inf.arbiters, inf.req_id, object, inf.o_ts, out);
+        self.apply_decided(inf, object, out);
     }
 
     // ------------------------------------------------------------------
@@ -1897,31 +1695,35 @@ impl OwnershipEngine {
     /// Applies the in-flight arbitration of `object` to the local metadata
     /// and tells the host to adjust access levels.
     fn apply_arbitration(&mut self, object: ObjectId, out: &mut impl OwnershipSink) {
-        let Some(inf) = self.inflight.remove(&object) else {
-            return;
-        };
+        if let Some(inf) = self.inflight.remove(&object) {
+            self.apply_decided(inf, object, out);
+        }
+    }
+
+    /// [`OwnershipEngine::apply_arbitration`] of an arbitration already
+    /// taken out of the in-flight table.
+    fn apply_decided(&mut self, inf: InflightArb, object: ObjectId, out: &mut impl OwnershipSink) {
         self.mark_decided(inf.req_id, object);
         let mut new_replicas = inf.new_replicas;
-        new_replicas.retain_live(&self.live);
-        if self.is_directory_node() || new_replicas.owner == Some(self.local) {
-            self.meta.insert(
-                object,
-                MetaEntry {
-                    o_ts: inf.o_ts,
-                    replicas: new_replicas.clone(),
-                    o_state: OState::Valid,
-                    lost: false,
-                },
-            );
-            self.mark_dirty(object);
-        } else {
-            self.meta.remove(&object);
-        }
+        new_replicas.retain_live(self.live.as_slice());
+        self.settle(object, inf.o_ts, &new_replicas);
         out.emit(OwnershipAction::ApplyReplicaChange {
             object,
             o_ts: inf.o_ts,
             new_replicas,
         });
+    }
+
+    /// Records the decided placement of `object` if this node arbitrates it
+    /// from here on (directory replica or new owner), forgets it otherwise.
+    fn settle(&mut self, object: ObjectId, o_ts: OwnershipTs, replicas: &ReplicaSet) {
+        if self.is_directory_node() || replicas.owner == Some(self.local) {
+            self.meta
+                .insert(object, MetaEntry::valid(o_ts, replicas.clone()));
+            self.mark_dirty(object);
+        } else {
+            self.meta.remove(&object);
+        }
     }
 
     /// The arbiter set of a request: the directory replicas plus the current
@@ -1931,24 +1733,15 @@ impl OwnershipEngine {
     /// arbitrate instead: they hold the only copies of the data and ship it
     /// to the requester in their ACKs. Without them such an acquisition
     /// would install an empty version-0 object next to live replicas
-    /// holding the real history.
-    fn arbiter_set(&self, replicas: &ReplicaSet, requester: NodeId) -> Vec<NodeId> {
-        let mut set = self.directory.clone();
+    /// holding the real history. A driver keeps the live ones.
+    fn arbiters_of(directory: &NodeSet, replicas: &ReplicaSet, requester: NodeId) -> NodeSet {
+        let mut set = directory.clone();
         match replicas.owner {
             Some(owner) if owner != requester => {
-                if !set.contains(&owner) {
-                    set.push(owner);
-                }
+                set.insert(owner);
             }
-            _ => {
-                for &reader in &replicas.readers {
-                    if !set.contains(&reader) {
-                        set.push(reader);
-                    }
-                }
-            }
+            _ => set.extend(&replicas.readers),
         }
-        set.retain(|n| self.live.contains(n));
         set
     }
 
@@ -1958,9 +1751,8 @@ impl OwnershipEngine {
         match kind {
             OwnershipRequestKind::AcquireOwner => new.promote_owner(requester),
             OwnershipRequestKind::AcquireReader => {
-                if new.owner != Some(requester) && !new.readers.contains(&requester) {
-                    new.readers.push(requester);
-                    new.readers.sort_unstable();
+                if new.owner != Some(requester) {
+                    new.readers.insert(requester);
                 }
             }
             OwnershipRequestKind::RemoveReader { reader } => new.remove_reader(reader),
@@ -1990,8 +1782,8 @@ impl OwnershipEngine {
         }
         let ships = match old_replicas.owner {
             Some(owner) if owner == self.local => true,
-            Some(owner) if owner == requester => old_replicas.readers.contains(&self.local),
-            None => old_replicas.readers.contains(&self.local),
+            Some(owner) if owner == requester => old_replicas.readers.contains(self.local),
+            None => old_replicas.readers.contains(self.local),
             _ => false,
         };
         if !ships {
@@ -2004,7 +1796,7 @@ impl OwnershipEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, HashSet, VecDeque};
 
     /// Test host backed by a simple map.
     #[derive(Default)]
@@ -2115,8 +1907,14 @@ mod tests {
             let epoch = self.engines[live[0].index()].epoch().next();
             for node in live.clone() {
                 let host = &self.hosts[node.index()];
-                let actions =
-                    self.engines[node.index()].on_view_change(epoch, live.clone(), &[], host);
+                let mut actions = Vec::new();
+                self.engines[node.index()].on_view_change_into(
+                    epoch,
+                    &live,
+                    &[],
+                    host,
+                    &mut actions,
+                );
                 self.apply(node, actions);
                 self.engines[node.index()].set_enabled(true);
             }
@@ -2149,7 +1947,7 @@ mod tests {
             } => {
                 assert_eq!(*req_id, req);
                 assert_eq!(new_replicas.owner, Some(NodeId(1)));
-                assert!(new_replicas.readers.contains(&NodeId(0)));
+                assert!(new_replicas.readers.contains(NodeId(0)));
                 assert!(data.is_none(), "reader already has the data");
             }
             _ => unreachable!(),
@@ -2240,7 +2038,8 @@ mod tests {
             req
         };
         assert_eq!(c.engines[2].pending_requests(), 1);
-        let actions = c.engines[2].reset_for_rejoin();
+        let mut actions = Vec::new();
+        c.engines[2].reset_for_rejoin_into(&mut actions);
         assert_eq!(c.engines[2].pending_requests(), 0);
         assert!(c.engines[2].replicas_of(obj()).is_none(), "meta wiped");
         assert!(matches!(
@@ -2252,6 +2051,191 @@ mod tests {
             }] if *req_id == req
         ));
         assert_eq!(c.engines[2].stats().rejoin_resets, 1);
+    }
+
+    /// Expels directory node 2 and re-admits it wiped, as the membership
+    /// layer does: the node resets, every node installs the view that names
+    /// it rejoined, and recovery completes.
+    fn expel_and_readmit_node_2(c: &mut Cluster) {
+        c.engines[2].reset_for_rejoin_into(&mut Vec::new());
+        let live: Vec<NodeId> = (0..c.engines.len() as u16).map(NodeId).collect();
+        let epoch = c.engines[0].epoch().next();
+        for node in live.clone() {
+            let mut actions = Vec::new();
+            c.engines[node.index()].on_view_change_into(
+                epoch,
+                &live,
+                &[NodeId(2)],
+                &c.hosts[node.index()],
+                &mut actions,
+            );
+            c.apply(node, actions);
+            c.engines[node.index()].set_enabled(true);
+        }
+        c.run();
+    }
+
+    #[test]
+    fn a_request_decided_before_a_rejoin_is_not_re_driven_after_it() {
+        // `completed_seqs` deliberately survives `reset_for_rejoin`: without
+        // it the wiped node would first-touch the object on a late duplicate
+        // of a REQ it already saw decided, and drive a ghost arbitration.
+        let mut c = Cluster::new(4, 3);
+        c.register(
+            obj(),
+            ReplicaSet::new(NodeId(0), [NodeId(1), NodeId(2)]),
+            b"v",
+        );
+        let decided = c.request(NodeId(3), obj(), OwnershipRequestKind::AcquireOwner);
+        c.run();
+        assert_eq!(c.completed(NodeId(3)).len(), 1);
+        c.hosts[3]
+            .values
+            .insert(obj(), (DataTs::ZERO, Bytes::from_static(b"v")));
+
+        expel_and_readmit_node_2(&mut c);
+        assert!(c.engines[2].replicas_of(obj()).is_none(), "wiped");
+
+        let duplicate = OwnershipMsg::Req {
+            req_id: decided,
+            object: obj(),
+            kind: OwnershipRequestKind::AcquireOwner,
+            epoch: c.engines[2].epoch(),
+            has_replica: false,
+        };
+        let actions = c.engines[2].handle_message(NodeId(3), duplicate, &c.hosts[2]);
+        assert!(actions.is_empty(), "no INV, no answer: {actions:?}");
+        assert_eq!(c.engines[2].inflight_arbitrations(), 0);
+
+        // A later request of the same requester is not mistaken for it: the
+        // wiped node drives it like any other (from empty metadata, which
+        // makes it a first touch here; its peers refute that downstream).
+        let fresh = RequestId::new(NodeId(3), decided.seq + 1);
+        let request = OwnershipMsg::Req {
+            req_id: fresh,
+            object: obj(),
+            kind: OwnershipRequestKind::AcquireOwner,
+            epoch: c.engines[2].epoch(),
+            has_replica: true,
+        };
+        let actions = c.engines[2].handle_message(NodeId(3), request, &c.hosts[2]);
+        assert_eq!(c.engines[2].inflight_arbitrations(), 1);
+        let invs = actions
+            .iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    OwnershipAction::Send {
+                        msg: OwnershipMsg::Inv { req_id, .. },
+                        ..
+                    } if *req_id == fresh
+                )
+            })
+            .count();
+        assert_eq!(invs, 2, "one INV per other directory replica");
+    }
+
+    #[test]
+    fn a_new_request_after_a_rejoin_completes_once_the_directory_is_relearnt() {
+        let mut c = Cluster::new(4, 3);
+        c.register(
+            obj(),
+            ReplicaSet::new(NodeId(0), [NodeId(1), NodeId(2)]),
+            b"v",
+        );
+        c.request(NodeId(3), obj(), OwnershipRequestKind::AcquireOwner);
+        c.run();
+        c.hosts[3]
+            .values
+            .insert(obj(), (DataTs::ZERO, Bytes::from_static(b"v")));
+        expel_and_readmit_node_2(&mut c);
+        // What the DirPull / DirPush exchange of the node layer does.
+        let digest = c.engines[0].directory_digest();
+        c.engines[2].adopt_directory_into(&digest, &mut Vec::new());
+
+        // Node 0 takes the object back, with the re-admitted node driving.
+        let (request, actions) =
+            c.engines[0].request_access(obj(), OwnershipRequestKind::AcquireOwner, &c.hosts[0]);
+        for action in actions {
+            let OwnershipAction::Send { msg, .. } = action else {
+                panic!("a REQ, found {action:?}");
+            };
+            let driven = c.engines[2].handle_message(NodeId(0), msg, &c.hosts[2]);
+            c.apply(NodeId(2), driven);
+        }
+        c.run();
+        assert_eq!(c.engines[2].stats().requests_driven, 1);
+        assert!(c
+            .completed(NodeId(0))
+            .iter()
+            .any(|a| matches!(a, OwnershipAction::Completed { req_id, .. } if *req_id == request)));
+        for d in 0..3usize {
+            assert_eq!(c.engines[d].inflight_arbitrations(), 0);
+            assert_eq!(
+                c.engines[d].replicas_of(obj()).unwrap().owner,
+                Some(NodeId(0))
+            );
+        }
+    }
+
+    #[test]
+    fn oldest_unanswered_send_is_the_minimum_over_the_pending_requests() {
+        fn check(c: &Cluster, what: &str) -> Option<u64> {
+            let engine = &c.engines[3];
+            let brute_force = engine.pending.values().map(|p| p.last_sent).min();
+            assert_eq!(engine.oldest_unanswered_send(), brute_force, "after {what}");
+            brute_force
+        }
+        let mut c = Cluster::new(4, 3);
+        for object in 1..=4u64 {
+            c.register(ObjectId(object), initial_replicas(), b"v");
+        }
+        let issue = |c: &mut Cluster, now: u64, object: u64| {
+            c.engines[3].advance_clock(now);
+            c.request(
+                NodeId(3),
+                ObjectId(object),
+                OwnershipRequestKind::AcquireOwner,
+            )
+        };
+        assert_eq!(check(&c, "nothing"), None);
+        let first = issue(&mut c, 10, 1);
+        let second = issue(&mut c, 20, 2);
+        issue(&mut c, 30, 3);
+        assert_eq!(check(&c, "three issues"), Some(10));
+
+        // Re-send: only the first is 15 ticks old, and moves to the back.
+        let mut actions = Vec::new();
+        c.engines[3].retransmit_into(15, &mut actions);
+        assert_eq!(actions.len(), 1);
+        assert_eq!(check(&c, "a re-send of the oldest"), Some(20));
+        // Nothing is due: the scan is skipped and nothing changes.
+        c.engines[3].retransmit_into(15, &mut actions);
+        assert_eq!(actions.len(), 1);
+
+        // Retry: the second is stamped afresh; the third is now the oldest,
+        // tied with the re-sent first.
+        c.engines[3].advance_clock(40);
+        c.engines[3].retry_request_into(second, &mut actions);
+        assert_eq!(check(&c, "a retry"), Some(30));
+        c.engines[3].abandon_request(first);
+        assert_eq!(check(&c, "abandoning one of two tied"), Some(30));
+        issue(&mut c, 50, 4);
+        assert_eq!(check(&c, "an issue behind older ones"), Some(30));
+
+        // Completion: the requests go through one at a time.
+        while let Some((to, from, msg)) = c.network.pop_front() {
+            let actions = c.engines[to.index()].handle_message(from, msg, &c.hosts[to.index()]);
+            c.apply(to, actions);
+            check(&c, "a delivery");
+        }
+        assert_eq!(c.completed(NodeId(3)).len(), 3);
+        assert_eq!(check(&c, "every completion"), None);
+
+        // A rejoin fails whatever is pending and forgets its stamp.
+        issue(&mut c, 60, 1);
+        c.engines[3].reset_for_rejoin_into(&mut Vec::new());
+        assert_eq!(check(&c, "a rejoin reset"), None);
     }
 
     #[test]
@@ -2266,7 +2250,7 @@ mod tests {
         // node 2 as its driver triggers a first-touch ghost drive whose
         // timestamp could even *win* the o_ts comparison — the arbiters'
         // placement check must reject it and tell the driver to abort.
-        c.engines[2].reset_for_rejoin();
+        c.engines[2].reset_for_rejoin_into(&mut Vec::new());
         let ghost_req = RequestId::new(NodeId(3), 77);
         let actions = {
             let host = &c.hosts[2];
@@ -2313,7 +2297,7 @@ mod tests {
         // Node 2 rejoins with wiped metadata, then wants the object. It must
         // not self-drive from vacant metadata; routing to an informed peer
         // completes the acquisition normally.
-        c.engines[2].reset_for_rejoin();
+        c.engines[2].reset_for_rejoin_into(&mut Vec::new());
         let req = c.request(NodeId(2), obj(), OwnershipRequestKind::AcquireOwner);
         c.run();
         let done = c
@@ -2343,7 +2327,7 @@ mod tests {
             })
             .expect("old owner applies the change");
         assert_eq!(change.owner, Some(NodeId(1)));
-        assert!(change.readers.contains(&NodeId(0)));
+        assert!(change.readers.contains(NodeId(0)));
     }
 
     #[test]
@@ -2359,7 +2343,7 @@ mod tests {
                 new_replicas, data, ..
             } => {
                 assert_eq!(new_replicas.owner, Some(NodeId(0)));
-                assert!(new_replicas.readers.contains(&NodeId(3)));
+                assert!(new_replicas.readers.contains(NodeId(3)));
                 assert!(data.is_some(), "new reader needs the value");
             }
             _ => unreachable!(),
@@ -2379,7 +2363,7 @@ mod tests {
         assert_eq!(c.completed(NodeId(0)).len(), 1);
         let rs = c.engines[2].replicas_of(obj()).unwrap();
         assert_eq!(rs.owner, Some(NodeId(0)));
-        assert!(!rs.readers.contains(&NodeId(1)));
+        assert!(!rs.readers.contains(NodeId(1)));
     }
 
     #[test]
@@ -2456,7 +2440,8 @@ mod tests {
         for i in 0..3 {
             let host = &c.hosts[i];
             let live: Vec<NodeId> = (0..3).map(NodeId).collect();
-            let actions = c.engines[i].on_view_change(Epoch(1), live, &[], host);
+            let mut actions = Vec::new();
+            c.engines[i].on_view_change_into(Epoch(1), &live, &[], host, &mut actions);
             c.apply(NodeId(i as u16), actions);
             c.engines[i].set_enabled(true);
         }
@@ -2505,7 +2490,7 @@ mod tests {
             OwnershipAction::Completed { new_replicas, .. } => {
                 assert_eq!(new_replicas.owner, Some(NodeId(3)));
                 assert!(
-                    !new_replicas.readers.contains(&NodeId(0)),
+                    !new_replicas.readers.contains(NodeId(0)),
                     "dead node pruned from replicas"
                 );
             }
@@ -2583,7 +2568,8 @@ mod tests {
 
         // A wiped directory replica adopts the full digest.
         let mut fresh = OwnershipEngine::new(NodeId(2), vec![NodeId(0), NodeId(1), NodeId(2)], 3);
-        let actions = fresh.adopt_directory(&digest);
+        let mut actions = Vec::new();
+        fresh.adopt_directory_into(&digest, &mut actions);
         assert_eq!(actions.len(), 2, "both placements adopted");
         assert_eq!(fresh.directory_digest(), digest);
         assert_eq!(fresh.stats().dir_entries_adopted, 2);
@@ -2600,14 +2586,21 @@ mod tests {
         let after = c.engines[0].directory_digest();
         assert_ne!(before, after);
         // Pushing the stale snapshot back changes nothing.
-        let actions = c.engines[0].adopt_directory(&before);
+        let mut actions = Vec::new();
+        c.engines[0].adopt_directory_into(&before, &mut actions);
         assert!(actions.is_empty(), "older o_ts must not be adopted");
         assert_eq!(c.engines[0].directory_digest(), after);
         // Pushing the newer snapshot into a replica holding the stale one
         // reconciles it (newest o_ts wins) — the anti-entropy direction.
         let mut stale = OwnershipEngine::new(NodeId(2), vec![NodeId(0), NodeId(1), NodeId(2)], 3);
-        stale.adopt_directory(&before);
-        let actions = stale.adopt_directory(&after);
+        stale.adopt_directory_into(&before, &mut actions);
+        assert_eq!(
+            actions.len(),
+            1,
+            "the fresh replica adopts the stale snapshot"
+        );
+        actions.clear();
+        stale.adopt_directory_into(&after, &mut actions);
         assert_eq!(actions.len(), 1, "newer placement wins: {actions:?}");
         assert_eq!(stale.directory_digest(), after);
     }

@@ -9,7 +9,8 @@
 //! The types mirror the paper's terminology (EuroSys '21, §4–§5):
 //!
 //! * `o_state`, `o_ts`, `o_replicas` — ownership metadata ([`state::OState`],
-//!   [`ids::OwnershipTs`], [`state::ReplicaSet`]),
+//!   [`ids::OwnershipTs`], [`state::ReplicaSet`], whose node sets are the
+//!   inline [`nodeset::NodeSet`]),
 //! * `t_state`, `t_version`, `t_data` — per-replica transactional object
 //!   state ([`state::TState`]),
 //! * `tx_id = <local_tx_id, node_id>` — pipeline-ordered transaction ids
@@ -44,6 +45,7 @@ pub mod error;
 pub mod hash;
 pub mod ids;
 pub mod messages;
+pub mod nodeset;
 pub mod policy;
 pub mod state;
 pub mod wire;
@@ -54,5 +56,6 @@ pub use ids::{DataTs, Epoch, NodeId, ObjectId, OwnershipTs, PipelineId, RequestI
 pub use messages::{
     CommitMsg, DirEntry, MembershipMsg, ObjectUpdate, OwnershipMsg, OwnershipRequestKind, ViewMsg,
 };
+pub use nodeset::NodeSet;
 pub use policy::{PolicyKind, PolicyStats};
 pub use state::{AccessLevel, OState, ReplicaSet, TState};

@@ -4,6 +4,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{DataTs, Epoch, NodeId, ObjectId, OwnershipTs, RequestId, TxId};
+use crate::nodeset::NodeSet;
 use crate::state::ReplicaSet;
 
 /// What an ownership request asks for (§4, §6.2).
@@ -126,7 +127,7 @@ pub enum OwnershipMsg {
         from: NodeId,
         /// The full arbiter set of this request (directory nodes plus the
         /// current owner), so the requester knows how many ACKs to expect.
-        arbiters: Vec<NodeId>,
+        arbiters: NodeSet,
         /// The replica set as it will look once the request is applied.
         new_replicas: ReplicaSet,
         /// Whether this arbitration first-touch-created the object (the

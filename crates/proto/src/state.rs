@@ -5,6 +5,7 @@ use core::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::NodeId;
+use crate::nodeset::NodeSet;
 
 /// Per-node access level to an object (paper Table 1).
 ///
@@ -117,27 +118,27 @@ impl fmt::Display for TState {
 /// (`o_replicas`, §4).
 ///
 /// The owner is kept separate from the readers; together they form the
-/// replica set whose size is the replication degree.
+/// replica set whose size is the replication degree. A placement of up to
+/// [`crate::nodeset::INLINE_NODES`] readers lives in the value: building,
+/// cloning, comparing and dropping one never allocates.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct ReplicaSet {
     /// Current owner of the object, if any. `None` only transiently (e.g.
     /// after the owner failed and before a new owner acquired the object).
     pub owner: Option<NodeId>,
-    /// Reader replicas (excluding the owner), in no particular order.
-    pub readers: Vec<NodeId>,
+    /// Reader replicas (excluding the owner), ascending.
+    pub readers: NodeSet,
 }
 
 impl ReplicaSet {
     /// Creates a replica set with the given owner and readers.
     pub fn new(owner: NodeId, readers: impl IntoIterator<Item = NodeId>) -> Self {
-        let mut rs = ReplicaSet {
+        let mut readers: NodeSet = readers.into_iter().collect();
+        readers.remove(owner);
+        ReplicaSet {
             owner: Some(owner),
-            readers: readers.into_iter().collect(),
-        };
-        rs.readers.retain(|&r| Some(r) != rs.owner);
-        rs.readers.sort_unstable();
-        rs.readers.dedup();
-        rs
+            readers,
+        }
     }
 
     /// Total number of replicas (owner + readers).
@@ -158,14 +159,14 @@ impl ReplicaSet {
         if self.owner == Some(node) {
             self.owner = None;
         }
-        self.readers.retain(|&r| r != node);
+        self.readers.remove(node);
     }
 
     /// Access level of `node` according to this replica set.
     pub fn level_of(&self, node: NodeId) -> AccessLevel {
         if self.owner == Some(node) {
             AccessLevel::Owner
-        } else if self.readers.contains(&node) {
+        } else if self.readers.contains(node) {
             AccessLevel::Reader
         } else {
             AccessLevel::NonReplica
@@ -174,7 +175,7 @@ impl ReplicaSet {
 
     /// All replica nodes (owner first, then readers).
     pub fn replicas(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.owner.into_iter().chain(self.readers.iter().copied())
+        self.owner.into_iter().chain(self.readers.iter())
     }
 
     /// Returns `true` if `node` stores a replica of the object.
@@ -189,20 +190,16 @@ impl ReplicaSet {
         if self.owner == Some(new_owner) {
             return;
         }
-        if let Some(old) = self.owner.take() {
-            if !self.readers.contains(&old) {
-                self.readers.push(old);
-                self.readers.sort_unstable();
-            }
+        if let Some(old) = self.owner.replace(new_owner) {
+            self.readers.insert(old);
         }
-        self.readers.retain(|&r| r != new_owner);
-        self.owner = Some(new_owner);
+        self.readers.remove(new_owner);
     }
 
     /// Removes a reader (used by the out-of-critical-path reader-discard
     /// sharding request, §6.2). Removing the owner is not allowed here.
     pub fn remove_reader(&mut self, reader: NodeId) {
-        self.readers.retain(|&r| r != reader);
+        self.readers.remove(reader);
     }
 
     /// Removes every node not contained in `live`, as done by directory nodes
@@ -213,7 +210,7 @@ impl ReplicaSet {
                 self.owner = None;
             }
         }
-        self.readers.retain(|r| live.contains(r));
+        self.readers.retain(|r| live.contains(&r));
     }
 }
 
@@ -263,7 +260,7 @@ mod tests {
     fn replica_set_new_dedups_and_excludes_owner() {
         let rs = ReplicaSet::new(n(1), [n(2), n(2), n(1), n(3)]);
         assert_eq!(rs.owner, Some(n(1)));
-        assert_eq!(rs.readers, vec![n(2), n(3)]);
+        assert_eq!(rs.readers.as_slice(), [n(2), n(3)]);
         assert_eq!(rs.replication_degree(), 3);
     }
 
@@ -282,9 +279,9 @@ mod tests {
         let mut rs = ReplicaSet::new(n(1), [n(2)]);
         rs.promote_owner(n(3));
         assert_eq!(rs.owner, Some(n(3)));
-        assert!(rs.readers.contains(&n(1)));
-        assert!(rs.readers.contains(&n(2)));
-        assert!(!rs.readers.contains(&n(3)));
+        assert!(rs.readers.contains(n(1)));
+        assert!(rs.readers.contains(n(2)));
+        assert!(!rs.readers.contains(n(3)));
         assert_eq!(rs.replication_degree(), 3);
     }
 
@@ -293,7 +290,7 @@ mod tests {
         let mut rs = ReplicaSet::new(n(1), [n(2), n(3)]);
         rs.promote_owner(n(2));
         assert_eq!(rs.owner, Some(n(2)));
-        assert_eq!(rs.readers, vec![n(1), n(3)]);
+        assert_eq!(rs.readers.as_slice(), [n(1), n(3)]);
         assert_eq!(rs.replication_degree(), 3);
     }
 
@@ -310,16 +307,16 @@ mod tests {
         let mut rs = ReplicaSet::new(n(1), [n(2), n(3)]);
         rs.retain_live(&[n(2), n(3)]);
         assert_eq!(rs.owner, None);
-        assert_eq!(rs.readers, vec![n(2), n(3)]);
+        assert_eq!(rs.readers.as_slice(), [n(2), n(3)]);
         rs.retain_live(&[n(3)]);
-        assert_eq!(rs.readers, vec![n(3)]);
+        assert_eq!(rs.readers.as_slice(), [n(3)]);
     }
 
     #[test]
     fn remove_reader_only_touches_readers() {
         let mut rs = ReplicaSet::new(n(1), [n(2), n(3)]);
         rs.remove_reader(n(2));
-        assert_eq!(rs.readers, vec![n(3)]);
+        assert_eq!(rs.readers.as_slice(), [n(3)]);
         rs.remove_reader(n(1));
         assert_eq!(rs.owner, Some(n(1)));
     }

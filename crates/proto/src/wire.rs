@@ -14,6 +14,7 @@ use crate::ids::{DataTs, Epoch, NodeId, ObjectId, OwnershipTs, PipelineId, Reque
 use crate::messages::{
     CommitMsg, MembershipMsg, NackReason, ObjectUpdate, OwnershipMsg, OwnershipRequestKind, ViewMsg,
 };
+use crate::nodeset::{NodeSet, INLINE_NODES};
 use crate::state::ReplicaSet;
 
 /// Maximum length accepted for any length-prefixed field (16 MiB). Purely a
@@ -65,6 +66,19 @@ fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], ProtoError> {
     let (head, tail) = input.split_at(n);
     *input = tail;
     Ok(head)
+}
+
+/// Reads the `u32` count in front of a length-prefixed field, bounded by
+/// [`MAX_FIELD_LEN`].
+fn decode_len(input: &mut &[u8]) -> Result<usize, ProtoError> {
+    let len = u32::decode(input)? as usize;
+    if len > MAX_FIELD_LEN {
+        return Err(ProtoError::LengthTooLarge {
+            len,
+            max: MAX_FIELD_LEN,
+        });
+    }
+    Ok(len)
 }
 
 impl Wire for u8 {
@@ -166,13 +180,7 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        let len = u32::decode(input)? as usize;
-        if len > MAX_FIELD_LEN {
-            return Err(ProtoError::LengthTooLarge {
-                len,
-                max: MAX_FIELD_LEN,
-            });
-        }
+        let len = decode_len(input)?;
         let mut out = Vec::with_capacity(len.min(1024));
         for _ in 0..len {
             out.push(T::decode(input)?);
@@ -190,13 +198,7 @@ impl Wire for Bytes {
         buf.extend_from_slice(self);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        let len = u32::decode(input)? as usize;
-        if len > MAX_FIELD_LEN {
-            return Err(ProtoError::LengthTooLarge {
-                len,
-                max: MAX_FIELD_LEN,
-            });
-        }
+        let len = decode_len(input)?;
         Ok(Bytes::copy_from_slice(take(input, len)?))
     }
     fn encoded_len(&self) -> usize {
@@ -331,6 +333,38 @@ impl Wire for DataTs {
     }
 }
 
+/// Encodes as the `Vec<NodeId>` of its members in ascending order: a `u32`
+/// count, then each id. Decoding accepts any order (and repeats) and
+/// normalises.
+impl Wire for NodeSet {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).encode(buf);
+        for node in self {
+            node.encode(buf);
+        }
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
+        let len = decode_len(input)?;
+        if len <= INLINE_NODES {
+            let mut set = NodeSet::new();
+            for _ in 0..len {
+                set.insert(NodeId::decode(input)?);
+            }
+            return Ok(set);
+        }
+        // A long list is sorted once, not inserted id by id: decoding stays
+        // `O(n log n)` whatever order a peer sent it in.
+        let mut nodes = Vec::with_capacity(len.min(1024));
+        for _ in 0..len {
+            nodes.push(NodeId::decode(input)?);
+        }
+        Ok(nodes.into())
+    }
+    fn encoded_len(&self) -> usize {
+        4 + 2 * self.len()
+    }
+}
+
 impl Wire for ReplicaSet {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.owner.encode(buf);
@@ -339,7 +373,7 @@ impl Wire for ReplicaSet {
     fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
         Ok(ReplicaSet {
             owner: Option::<NodeId>::decode(input)?,
-            readers: Vec::<NodeId>::decode(input)?,
+            readers: NodeSet::decode(input)?,
         })
     }
     fn encoded_len(&self) -> usize {
@@ -565,7 +599,7 @@ impl Wire for OwnershipMsg {
                 epoch: Epoch::decode(input)?,
                 data: Option::<(DataTs, Bytes)>::decode(input)?,
                 from: NodeId::decode(input)?,
-                arbiters: Vec::<NodeId>::decode(input)?,
+                arbiters: NodeSet::decode(input)?,
                 new_replicas: ReplicaSet::decode(input)?,
                 first_touch: bool::decode(input)?,
             }),
@@ -1032,7 +1066,7 @@ mod tests {
             epoch: Epoch(1),
             data: Some((DataTs::new(3, o_ts), Bytes::from(vec![9u8; 400]))),
             from: NodeId(5),
-            arbiters: vec![NodeId(0), NodeId(1), NodeId(5)],
+            arbiters: [NodeId(0), NodeId(1), NodeId(5)].into_iter().collect(),
             new_replicas: ReplicaSet::new(NodeId(1), [NodeId(5)]),
             first_touch: false,
         });

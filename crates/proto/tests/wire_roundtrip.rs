@@ -2,13 +2,18 @@
 //! enum: the size a message reports is the size its encoding has
 //! (`encoded_len` is computed from the message's shape, and the runtimes
 //! account traffic with it), and decoding an encoding gives the message back.
+//! Next to them, the bytes of the messages that carry node sets, pinned as
+//! captured from the commit that still encoded `Vec<NodeId>`, and the
+//! node-set type itself against a `BTreeSet` model.
+
+use std::collections::BTreeSet;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use zeus_proto::messages::NackReason;
 use zeus_proto::wire::{decode_from_slice, encode_to_vec, Wire};
 use zeus_proto::{
-    CommitMsg, DataTs, Epoch, MembershipMsg, NodeId, ObjectId, ObjectUpdate, OwnershipMsg,
+    CommitMsg, DataTs, Epoch, MembershipMsg, NodeId, NodeSet, ObjectId, ObjectUpdate, OwnershipMsg,
     OwnershipRequestKind, OwnershipTs, PipelineId, ReplicaSet, RequestId, TxId, ViewMsg,
 };
 
@@ -80,7 +85,7 @@ impl Fields {
     fn replicas(&mut self) -> ReplicaSet {
         ReplicaSet {
             owner: self.flag().then(|| self.node()),
-            readers: self.nodes(),
+            readers: self.nodes().into_iter().collect(),
         }
     }
 
@@ -146,7 +151,7 @@ impl Fields {
                 epoch: self.epoch(),
                 data: self.data(),
                 from: self.node(),
-                arbiters: self.nodes(),
+                arbiters: self.nodes().into_iter().collect(),
                 new_replicas: self.replicas(),
                 first_touch: self.flag(),
             },
@@ -279,6 +284,146 @@ proptest! {
         prop_assert_eq!(view.len(), 5);
         for msg in &view {
             check(msg)?;
+        }
+    }
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+/// `value` must encode to exactly `hex`, report that length, and decode back.
+fn assert_golden<T: Wire + PartialEq + std::fmt::Debug>(value: &T, hex: &str) {
+    let golden = unhex(hex);
+    assert_eq!(encode_to_vec(value), golden, "encoding of {value:?}");
+    assert_eq!(value.encoded_len(), golden.len(), "length of {value:?}");
+    assert_eq!(&decode_from_slice::<T>(&golden).expect("decodes"), value);
+}
+
+/// The fixtures were printed by the parent of the commit that introduced
+/// `NodeSet`, from the same values built with `Vec<NodeId>` fields: a node
+/// set must stay on the wire what the vector was.
+#[test]
+fn node_sets_encode_byte_for_byte_what_the_vectors_did() {
+    let req_id = RequestId::new(NodeId(1), 9);
+    let object = ObjectId(1_234);
+    let o_ts = OwnershipTs::new(8, NodeId(2));
+    let epoch = Epoch(3);
+    let replicas = ReplicaSet::new(NodeId(1), [NodeId(0), NodeId(2)]);
+    let old = ReplicaSet::new(NodeId(4), [NodeId(1), NodeId(2)]);
+    let data = Some((DataTs::new(3, o_ts), Bytes::from(vec![7u8; 5])));
+
+    assert_golden(&replicas, "0101000200000000000200");
+    // Nine readers: past the inline capacity, and ownerless.
+    let mut spilled = ReplicaSet::new(NodeId(0), (1..=9).map(NodeId));
+    spilled.remove_node(NodeId(0));
+    assert_golden(&spilled, "0009000000010002000300040005000600070008000900");
+    assert_golden(
+        &OwnershipMsg::Inv {
+            req_id,
+            object,
+            o_ts,
+            kind: OwnershipRequestKind::AcquireOwner,
+            new_replicas: replicas.clone(),
+            old_replicas: old.clone(),
+            epoch,
+            ack_to_driver: false,
+            requester_has_replica: true,
+        },
+        "0101000900000000000000d204000000000000080000000000000002000001010002000000000002000104\
+         00020000000100020003000000000000000001",
+    );
+    assert_golden(
+        &OwnershipMsg::Ack {
+            req_id,
+            object,
+            o_ts,
+            epoch,
+            data: data.clone(),
+            from: NodeId(4),
+            arbiters: [0, 1, 2, 4].into_iter().map(NodeId).collect(),
+            new_replicas: replicas.clone(),
+            first_touch: false,
+        },
+        "0201000900000000000000d2040000000000000800000000000000020003000000000000000103000000000\
+         00000080000000000000002000500000007070707070400040000000000010002000400010100020000000000\
+         020000",
+    );
+    assert_golden(
+        &OwnershipMsg::Resp {
+            req_id,
+            object,
+            o_ts,
+            epoch,
+            data,
+            new_replicas: replicas.clone(),
+            first_touch: true,
+        },
+        "0501000900000000000000d2040000000000000800000000000000020003000000000000000103000000000\
+         0000008000000000000000200050000000707070707010100020000000000020001",
+    );
+    assert_golden(
+        &ViewMsg::DirPush {
+            from: NodeId(0),
+            epoch,
+            entries: vec![
+                (object, o_ts, replicas),
+                (ObjectId(9), OwnershipTs::new(2, NodeId(0)), old),
+            ],
+        },
+        "040000030000000000000002000000d20400000000000008000000000000000200010100020000000000020\
+         00900000000000000020000000000000000000104000200000001000200",
+    );
+}
+
+#[test]
+fn a_node_list_in_any_order_decodes_to_the_same_set() {
+    let sorted = encode_to_vec(&vec![NodeId(1), NodeId(4), NodeId(7)]);
+    let shuffled = encode_to_vec(&vec![NodeId(7), NodeId(1), NodeId(4), NodeId(1)]);
+    let set: NodeSet = decode_from_slice(&shuffled).expect("decodes");
+    assert_eq!(set, decode_from_slice(&sorted).expect("decodes"));
+    assert_eq!(encode_to_vec(&set), sorted);
+    // The same for a list that spills.
+    let long: Vec<NodeId> = (0..40u16).rev().map(NodeId).collect();
+    let set: NodeSet = decode_from_slice(&encode_to_vec(&long)).expect("decodes");
+    assert_eq!(set.len(), 40);
+    assert!(set.as_slice().windows(2).all(|pair| pair[0] < pair[1]));
+}
+
+proptest! {
+    /// Insert / remove / retain against a `BTreeSet`: membership, length,
+    /// iteration order, equality with a set built another way, and the wire
+    /// form — over sequences long enough to spill past the inline capacity
+    /// and shrink back below it.
+    #[test]
+    fn node_set_behaves_like_a_btree_set(
+        ops in proptest::collection::vec((0u8..4, 0u16..24), 0..64),
+    ) {
+        let mut set = NodeSet::new();
+        let mut model: BTreeSet<NodeId> = BTreeSet::new();
+        for (op, id) in ops {
+            let node = NodeId(id);
+            match op {
+                0 | 1 => prop_assert_eq!(set.insert(node), model.insert(node)),
+                2 => prop_assert_eq!(set.remove(node), model.remove(&node)),
+                _ => {
+                    set.retain(|n| n.0 % 3 != id % 3);
+                    model.retain(|n| n.0 % 3 != id % 3);
+                }
+            }
+            prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(set.is_empty(), model.is_empty());
+            prop_assert_eq!(set.contains(node), model.contains(&node));
+            prop_assert!(set.iter().eq(model.iter().copied()), "{set:?} vs {model:?}");
+            // A set with the same members is equal however it was built.
+            let rebuilt: NodeSet = model.iter().rev().copied().collect();
+            prop_assert!(set == rebuilt, "{set:?} != {rebuilt:?}");
+            let listed: Vec<NodeId> = model.iter().copied().collect();
+            prop_assert_eq!(encode_to_vec(&set), encode_to_vec(&listed));
+            check(&set)?;
         }
     }
 }
