@@ -1,5 +1,4 @@
-//! Command-line front end shared by the unified `bench` driver and the
-//! per-figure binaries.
+//! Command-line front end of the `bench` driver.
 //!
 //! ```text
 //! bench [--smoke|--quick] [--tag TAG] [--seed N] [--scenario NAME]...
@@ -23,8 +22,7 @@ pub struct Args {
     /// Tiny populations / short windows.
     pub smoke: bool,
     /// Report tag (`BENCH_<tag>.json`); `None` when `--tag` was not passed
-    /// (the driver defaults to `local`, per-figure binaries to their
-    /// scenario name).
+    /// (the driver defaults to `local`).
     pub tag: Option<String>,
     /// Base workload seed.
     pub seed: u64,
@@ -132,30 +130,6 @@ pub fn run_driver() -> i32 {
     if let Some((baseline, new)) = &args.diff {
         return run_diff(baseline, new, args.fail_on_regress);
     }
-    run_scenarios(&args)
-}
-
-/// Entry point of a per-figure binary: same flags, one fixed scenario, and
-/// the report tag defaults to the scenario name.
-pub fn run_single(name: &str) -> i32 {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = match Args::parse(&argv) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
-    };
-    if !args.scenarios.is_empty() && args.scenarios != [name] {
-        eprintln!(
-            "this binary always runs '{name}'; use the unified `bench` driver to select scenarios"
-        );
-        return 2;
-    }
-    if args.tag.is_none() {
-        args.tag = Some(name.to_string());
-    }
-    args.scenarios = vec![name.to_string()];
     run_scenarios(&args)
 }
 

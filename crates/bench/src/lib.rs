@@ -6,14 +6,14 @@
 //! * [`openloop`] — open-loop load generation: deterministic Poisson
 //!   arrival schedules, pipelined submission, latency-under-load sweeps.
 //! * [`scenario`] + [`scenarios`] — the registry of named scenarios (one per
-//!   figure/table) the driver and the per-figure binaries share.
+//!   figure/table) the driver runs.
 //! * [`report`] + [`json`] — the machine-readable `BENCH_<tag>.json` result
 //!   schema and the hand-rolled JSON layer behind it.
 //! * [`cli`] — the command-line front end (`--smoke`, `--tag`, `--scenario`,
 //!   `--diff`).
 //!
-//! The `bench` binary runs the whole registry; each figure also keeps a
-//! dedicated binary under `src/bin/` that runs just its scenario.
+//! The `bench` binary runs the whole registry, or with `--scenario NAME`
+//! just one figure's scenario.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

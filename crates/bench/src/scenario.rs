@@ -2,11 +2,10 @@
 //! uniformly-invocable scenario.
 //!
 //! A scenario takes a [`RunCtx`] (smoke vs full windows, the workload seed)
-//! and returns a [`ScenarioOutcome`]: the human-readable tables the original
-//! per-figure binaries printed plus one or more [`ScenarioResult`]s in the
-//! common JSON schema. The unified `bench` driver runs any subset of the
-//! registry and writes the results to `BENCH_<tag>.json`; the per-figure
-//! binaries are thin wrappers over the same registry.
+//! and returns a [`ScenarioOutcome`]: the human-readable tables of its
+//! figure plus one or more [`ScenarioResult`]s in the common JSON schema. The
+//! `bench` driver runs any subset of the registry and writes the results to
+//! `BENCH_<tag>.json`.
 
 use std::time::Duration;
 
@@ -74,7 +73,7 @@ pub struct TableData {
 }
 
 impl TableData {
-    /// Prints the table in the same format the per-figure binaries used.
+    /// Prints the table in the harness's common format.
     pub fn print(&self) {
         crate::harness::print_table(&self.title, &self.header, &self.rows);
     }

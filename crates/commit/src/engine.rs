@@ -265,8 +265,8 @@ impl CommitEngine {
         self.outstanding
     }
 
-    /// When the R-INV that [`CommitEngine::retransmit`] looks at first — the
-    /// front of a pipeline's ring — last went out, earliest over the
+    /// When the R-INV that [`CommitEngine::retransmit_into`] looks at first
+    /// — the front of a pipeline's ring — last went out, earliest over the
     /// pipelines: nothing is re-sent before an interval has passed since
     /// then. `None` with nothing outstanding.
     pub fn oldest_unanswered_send(&self) -> Option<u64> {
@@ -436,18 +436,6 @@ impl CommitEngine {
     /// followers exactly like a dead coordinator's — the rejoined node
     /// dropped its outstanding set, so nobody else would ever validate
     /// them.
-    pub fn on_view_change(
-        &mut self,
-        epoch: Epoch,
-        live: Vec<NodeId>,
-        rejoined: &[NodeId],
-    ) -> Vec<CommitAction> {
-        let mut actions = Vec::new();
-        self.on_view_change_into(epoch, live, rejoined, &mut actions);
-        actions
-    }
-
-    /// [`CommitEngine::on_view_change`], writing the output into `sink`.
     pub fn on_view_change_into(
         &mut self,
         epoch: Epoch,
@@ -561,13 +549,6 @@ impl CommitEngine {
     /// the youngest entry for a while, and entries behind it that come due
     /// in the meantime wait for it: an R-INV is re-sent no earlier than
     /// `interval` after its last transmission and no later than twice that.)
-    pub fn retransmit(&mut self, interval: u64) -> Vec<CommitAction> {
-        let mut actions = Vec::new();
-        self.retransmit_into(interval, &mut actions);
-        actions
-    }
-
-    /// [`CommitEngine::retransmit`], writing the output into `sink`.
     pub fn retransmit_into(&mut self, interval: u64, sink: &mut impl CommitSink) {
         let due = |sent: u64| self.now.saturating_sub(sent) >= interval;
         // Pipelines and slots in order: the message sequence must not depend
@@ -845,7 +826,7 @@ impl CommitEngine {
         }
         // Remember the cleared slot and its targets so the retransmission
         // tick can re-broadcast this R-VAL while later slots of the same
-        // pipeline are still in flight (see `retransmit`).
+        // pipeline are still in flight (see `retransmit_into`).
         let cleared = &mut pipe.last_cleared;
         let remember = cleared.targets.is_empty() || slot >= cleared.slot;
         if remember {
@@ -909,6 +890,24 @@ mod tests {
 
     fn n(i: u16) -> NodeId {
         NodeId(i)
+    }
+
+    /// What a view change without rejoiners makes `engine` put out.
+    fn on_view_change(
+        engine: &mut CommitEngine,
+        epoch: Epoch,
+        live: Vec<NodeId>,
+    ) -> Vec<CommitAction> {
+        let mut actions = Vec::new();
+        engine.on_view_change_into(epoch, live, &[], &mut actions);
+        actions
+    }
+
+    /// What `engine` re-sends of what has waited `interval` ticks.
+    fn retransmit(engine: &mut CommitEngine, interval: u64) -> Vec<CommitAction> {
+        let mut actions = Vec::new();
+        engine.retransmit_into(interval, &mut actions);
+        actions
     }
 
     /// Routes messages between engines until quiescence, returning all
@@ -1003,7 +1002,7 @@ mod tests {
                 .collect();
             let epoch = self.engines[live[0].index()].epoch().next();
             for node in live.clone() {
-                let actions = self.engines[node.index()].on_view_change(epoch, live.clone(), &[]);
+                let actions = on_view_change(&mut self.engines[node.index()], epoch, live.clone());
                 self.apply(node, actions);
             }
         }
@@ -1171,7 +1170,7 @@ mod tests {
 
         // The retransmission tick re-broadcasts slot 0's R-VAL (and slot 1's
         // R-INV with a refreshed prev-VAL bit); either unwedges n2.
-        let retrans = coord.retransmit(0);
+        let retrans = retransmit(&mut coord, 0);
         let rval_slot0 = retrans.iter().find_map(|a| match a {
             CommitAction::Send {
                 msg: msg @ CommitMsg::RVal { tx_id, .. },
@@ -1241,7 +1240,7 @@ mod tests {
     #[test]
     fn stale_epoch_messages_are_ignored() {
         let mut e = CommitEngine::new(n(1), 2);
-        e.on_view_change(Epoch(3), vec![n(0), n(1)], &[]);
+        on_view_change(&mut e, Epoch(3), vec![n(0), n(1)]);
         let actions = e.handle_message(
             n(0),
             CommitMsg::RInv {
@@ -1482,7 +1481,7 @@ mod tests {
         let (t2, _) = coord.begin_commit(0, vec![upd(3, 1)], vec![n(1), n(2)]);
         // n1 acknowledged slot 0 (only); then n2 is expelled.
         assert!(coord.handle_message(n(1), rack(t0, 1)).is_empty());
-        let actions = coord.on_view_change(Epoch(1), vec![n(0), n(1)], &[]);
+        let actions = on_view_change(&mut coord, Epoch(1), vec![n(0), n(1)]);
         // Slot 0 has every remaining follower's ack, slot 1 has no follower
         // left: both complete. Slot 2 still waits for n1 and is re-sent to
         // it alone, under the new epoch.
@@ -1517,7 +1516,10 @@ mod tests {
         assert_eq!(coord.outstanding_commits(), 0);
         assert!(!coord.object_has_pending_commit(ObjectId(7)));
         assert_eq!(coord.stats().rejoin_resets, 1);
-        assert!(coord.retransmit(0).is_empty(), "nothing left to re-send");
+        assert!(
+            retransmit(&mut coord, 0).is_empty(),
+            "nothing left to re-send"
+        );
         // Late acks for the dropped commits are harmless.
         assert!(coord.handle_message(n(1), rack(t1, 1)).is_empty());
         let (t2, actions) = coord.begin_commit(0, vec![upd(7, 3)], vec![n(1)]);
@@ -1558,7 +1560,7 @@ mod tests {
         }
         let (own0, _) = e.begin_commit(0, vec![upd(1, 1)], vec![n(2)]);
         let (own1, _) = e.begin_commit(0, vec![upd(2, 1)], vec![n(2)]);
-        let actions = e.on_view_change(Epoch(1), vec![n(1), n(2)], &[]);
+        let actions = on_view_change(&mut e, Epoch(1), vec![n(1), n(2)]);
         assert_eq!(e.outstanding_commits(), 4, "two own commits, two replays");
         assert!(e.object_has_pending_commit(ObjectId(103)));
         // Own slots are re-sent first (pipelines in id order: n0's replays
@@ -1636,17 +1638,20 @@ mod tests {
         coord.advance_clock(130);
         let (t1, _) = coord.begin_commit(0, vec![upd(2, 1)], vec![n(1)]);
         coord.advance_clock(163);
-        assert!(coord.retransmit(64).is_empty(), "slot 0 is 63 ticks old");
+        assert!(
+            retransmit(&mut coord, 64).is_empty(),
+            "slot 0 is 63 ticks old"
+        );
         coord.advance_clock(164);
-        assert_eq!(rinvs_in(&coord.retransmit(64)), vec![(n(1), t0)]);
+        assert_eq!(rinvs_in(&retransmit(&mut coord, 64)), vec![(n(1), t0)]);
         assert_eq!(coord.stats().rinvs_retransmitted, 1);
         // Re-sent slot 0 is now the youngest; slot 1 (due at 194) waits
         // behind it until it is due again, and then both go.
         coord.advance_clock(200);
-        assert!(coord.retransmit(64).is_empty());
+        assert!(retransmit(&mut coord, 64).is_empty());
         coord.advance_clock(228);
         assert_eq!(
-            rinvs_in(&coord.retransmit(64)),
+            rinvs_in(&retransmit(&mut coord, 64)),
             vec![(n(1), t0), (n(1), t1)]
         );
         // Once slot 0 completes, the cleared slot's R-VAL rides along with
@@ -1656,9 +1661,9 @@ mod tests {
             vec![t0]
         );
         coord.advance_clock(291);
-        assert!(coord.retransmit(64).is_empty());
+        assert!(retransmit(&mut coord, 64).is_empty());
         coord.advance_clock(292);
-        let resent = coord.retransmit(64);
+        let resent = retransmit(&mut coord, 64);
         assert_eq!(rinvs_in(&resent), vec![(n(1), t1)]);
         assert_eq!(rvals_in(&resent), vec![(n(1), t0)]);
         assert_eq!(coord.stats().rvals_retransmitted, 1);

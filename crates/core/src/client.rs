@@ -1,4 +1,4 @@
-//! Session-first client API: one driver surface over both runtimes.
+//! Session-first client API: one driver surface over every runtime.
 //!
 //! Zeus's pitch (§7 of the paper) is that transactions run as *local* code —
 //! so the client surface must not throttle that locality behind one blocking
@@ -7,9 +7,9 @@
 //! against, exactly once:
 //!
 //! * [`ClusterDriver`] — a running cluster, simulated
-//!   ([`crate::SimCluster`]) or threaded ([`crate::ThreadedCluster`]):
-//!   object loading, per-node sessions, stats, and the link-fault hooks the
-//!   fault scenarios need.
+//!   ([`crate::SimCluster`]) or threaded ([`crate::ThreadedCluster`],
+//!   [`crate::UdpCluster`]): object loading, per-node sessions, stats, and
+//!   the link-fault hooks the fault scenarios need.
 //! * [`Session`] — a client's connection to one node: typed
 //!   [`write_txn`](Session::write_txn)/[`read_txn`](Session::read_txn)
 //!   closures generic over a [`TxPayload`] result, explicit ownership
@@ -754,9 +754,11 @@ impl<D: ClusterDriver + ?Sized> Admin<'_, D> {
 /// A running Zeus cluster, driven uniformly across runtimes.
 ///
 /// Implemented by [`crate::SimCluster`] (deterministic, single-threaded) and
-/// [`crate::ThreadedCluster`] (one OS thread per node): benches, examples,
-/// chaos scenarios and integration tests write their driver loops once
-/// against this trait and run them on either.
+/// by [`crate::runtime::Cluster`], the one shell around one OS thread per
+/// node, on both of its transports — in-process mailboxes
+/// ([`crate::ThreadedCluster`]) and loopback UDP ([`crate::UdpCluster`]):
+/// benches, examples, chaos scenarios and integration tests write their
+/// driver loops once against this trait and run them on any of the three.
 pub trait ClusterDriver {
     /// The session type this driver hands out.
     type Session: Session;

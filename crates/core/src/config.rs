@@ -19,20 +19,11 @@ pub struct ZeusConfig {
     /// Default replication degree of objects (owner + readers). The paper's
     /// evaluation uses 3-way replication (§8).
     pub replication_degree: usize,
-    /// Number of store shards per node.
-    pub store_shards: usize,
     /// Lease duration (in ticks) for the membership failure detector.
     pub lease_ticks: u64,
     /// Maximum times a transaction retries ownership acquisition before
     /// aborting with back-off (§6.2 deadlock avoidance).
     pub max_ownership_retries: usize,
-    /// Ticks between retransmissions of unacknowledged protocol messages
-    /// (the paper's reliable transport, §3.1). Protocol handlers are
-    /// idempotent, so the interval trades recovery latency for traffic. This
-    /// is the simulator's interval; a runtime whose transport reports a
-    /// retransmission timeout of its own (the in-process mailbox's constant,
-    /// UDP's RTT estimate) uses that instead.
-    pub retransmit_ticks: u64,
     /// Whether a heartbeat from a falsely-suspected (lease-expelled) node
     /// re-admits it through a view change. Always true in production
     /// configurations; the chaos harness flips it to false to re-create the
@@ -61,7 +52,6 @@ impl Default for ZeusConfig {
             directory_replicas: 3,
             view_replicas: 3,
             replication_degree: 3,
-            store_shards: 64,
             // 1 tick = 1 us in the threaded runtime. The failure detector
             // must tolerate OS scheduling hiccups on loaded machines: with a
             // 10 ms lease a busy node loop missed the window and got falsely
@@ -72,7 +62,6 @@ impl Default for ZeusConfig {
             // scheduler noise.
             lease_ticks: 200_000,
             max_ownership_retries: 256,
-            retransmit_ticks: 64,
             readmit_suspects: true,
             policy: PolicyKind::Reactive,
             // ~10 ms between planning rounds: long enough to smooth over

@@ -638,7 +638,7 @@ mod tests {
     #[test]
     fn next_timer_is_never_late() {
         let lease = ZeusConfig::default().lease_ticks;
-        let retransmit = ZeusConfig::default().retransmit_ticks;
+        let retransmit = crate::node::RETRANSMIT_TICKS;
 
         // Idle: nothing before the heartbeat cadence.
         let mut t = Trio::new();

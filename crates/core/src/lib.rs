@@ -19,7 +19,7 @@
 //!   (read/write/abort inside closures, as in the paper's
 //!   `tr_open_read`/`tr_open_write`, §7).
 //! * [`client`] — the session-first client API: one [`ClusterDriver`]
-//!   surface over both runtimes, typed transactions
+//!   surface over every runtime, typed transactions
 //!   ([`Session::write_txn`]/[`Session::read_txn`] over a
 //!   [`client::TxPayload`] result), explicit [`client::RetryPolicy`] retry
 //!   classification, and pipelined non-blocking submission
@@ -29,11 +29,15 @@
 //! * [`sim::SimCluster`] — a deterministic multi-node harness over the
 //!   simulated network, used by tests, fault injection and the bounded
 //!   model-checking harness.
-//! * [`runtime::ThreadedCluster`] — one OS thread per node, used by the
-//!   throughput experiments (Figures 7–15).
-//! * [`udp_cluster::UdpCluster`] — the same node loops over real loopback
-//!   UDP sockets, and [`procs`] — the process-per-node deployment behind
-//!   the `zeus-node` / `zeus-procs` binaries and the multiprocess CI job.
+//! * [`runtime::Cluster`] — one OS thread per node: the node loop, the
+//!   session that runs a transaction on its caller's thread when the node
+//!   is free, and the one cluster shell for every transport.
+//!   [`ThreadedCluster`] starts it on in-process mailboxes (the throughput
+//!   experiments, Figures 7–15).
+//! * [`udp_cluster`] — the shell's other constructor, [`UdpCluster`]: the
+//!   same node loops over real loopback UDP sockets; and [`procs`] — the
+//!   process-per-node deployment behind the `zeus-node` / `zeus-procs`
+//!   binaries and the multiprocess CI job.
 //! * [`balancer::LoadBalancer`] — the application-level load balancer that
 //!   steers requests with the same key to the same node (§3.1).
 //! * [`stats`] — latency histograms and per-node statistics backing the

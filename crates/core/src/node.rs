@@ -341,10 +341,10 @@ pub struct ZeusNode {
     congested: bool,
     /// Current congestion back-off multiplier, 1..=`CONGESTED_RETRANSMIT_STRETCH_MAX`.
     congestion_stretch: u64,
-    /// Transport-estimated retransmission interval (see
-    /// [`ZeusNode::set_retransmit_interval`]); `None` keeps the configured
-    /// fixed `retransmit_ticks`.
-    retransmit_override: Option<u64>,
+    /// The base retransmission interval: [`RETRANSMIT_TICKS`] until the
+    /// runtime's transport estimates its own (see
+    /// [`ZeusNode::set_retransmit_interval`]).
+    retransmit_ticks: u64,
     /// The adaptive locality engine (ROADMAP item 3). `None` under the
     /// default `Reactive` policy — no tracking, no planning, byte-identical
     /// to the pre-engine behavior.
@@ -353,6 +353,15 @@ pub struct ZeusNode {
     /// one per object, reaped by [`ZeusNode::tick`].
     policy_reqs: IdHashMap<RequestId, ObjectId>,
 }
+
+/// Ticks between retransmissions of unacknowledged protocol messages (the
+/// paper's reliable transport, §3.1) until the runtime says otherwise.
+/// Protocol handlers are idempotent, so the interval trades recovery latency
+/// for traffic. The simulator never says otherwise, and steps its clock by
+/// this much; a runtime whose transport reports a retransmission timeout of
+/// its own (the in-process mailbox's constant, UDP's RTT estimate) feeds it
+/// to [`ZeusNode::set_retransmit_interval`] instead.
+pub const RETRANSMIT_TICKS: u64 = 64;
 
 /// Cap on the congestion back-off multiplier of the retransmit interval.
 /// The in-process transports never lose messages, so when the inbox is
@@ -388,7 +397,7 @@ impl ZeusNode {
         );
         ZeusNode {
             id,
-            store: Arc::new(Store::new(config.store_shards)),
+            store: Arc::new(Store::default()),
             ownership: OwnershipEngine::new(id, directory, config.nodes),
             commit: CommitEngine::new(id, config.nodes),
             membership,
@@ -404,7 +413,7 @@ impl ZeusNode {
             last_retransmit: 0,
             congested: false,
             congestion_stretch: 1,
-            retransmit_override: None,
+            retransmit_ticks: RETRANSMIT_TICKS,
             locality: match config.policy {
                 PolicyKind::Reactive => None,
                 kind => Some(LocalityEngine::new(
@@ -958,10 +967,10 @@ impl ZeusNode {
     /// protocol-level retry horizon tracks what message round trips
     /// actually cost instead of a fixed constant. The congestion stretch of
     /// [`ZeusNode::set_congested`] still multiplies on top. Never calling
-    /// this keeps the configured fixed `retransmit_ticks` — the simulator's
+    /// this keeps the fixed [`RETRANSMIT_TICKS`] — the simulator's
     /// deterministic policy.
     pub fn set_retransmit_interval(&mut self, ticks: u64) {
-        self.retransmit_override = Some(ticks.max(1));
+        self.retransmit_ticks = ticks.max(1);
     }
 
     /// Advances the node's clock without driving any periodic work: what the
@@ -979,17 +988,15 @@ impl ZeusNode {
     }
 
     /// The retransmission interval [`ZeusNode::tick`] applies: the
-    /// transport's estimate (or the configured fixed one), stretched while
-    /// the runtime reports a backlog.
+    /// transport's estimate (or the fixed [`RETRANSMIT_TICKS`]), stretched
+    /// while the runtime reports a backlog.
     fn retransmit_interval(&self) -> u64 {
         let stretch = if self.congested {
             self.congestion_stretch
         } else {
             1
         };
-        self.retransmit_override
-            .unwrap_or(self.config.retransmit_ticks)
-            .saturating_mul(stretch)
+        self.retransmit_ticks.saturating_mul(stretch)
     }
 
     /// Whether replication keeps up with the commits being started: nothing
@@ -1698,7 +1705,7 @@ mod tests {
         // re-send everything unacknowledged whenever it fired, whatever the
         // age of the message.
         let config = ZeusConfig::with_nodes(3);
-        assert_eq!(config.retransmit_ticks, 64);
+        assert_eq!(RETRANSMIT_TICKS, 64);
         let mut node = ZeusNode::new(NodeId(0), config.clone());
         for object in [ObjectId(1), ObjectId(2)] {
             node.create_object(object, Bytes::new(), config.default_replicas(NodeId(0)));

@@ -1,10 +1,12 @@
-//! Threaded runtime: one OS thread per Zeus node.
+//! Threaded runtime: one OS thread per Zeus node, whatever the transport.
 //!
 //! This is the runtime the throughput experiments use. Each node runs an
 //! event loop on its own thread (network messages, client commands, parked
 //! transactions waiting for ownership); application threads interact with a
 //! node through a cloneable [`ThreadedSession`] obtained from
-//! [`ThreadedCluster::handle`]. A session's blocking
+//! [`Cluster::handle`] — [`Cluster`] being the one shell around the loops,
+//! which [`ThreadedCluster`] starts on in-process mailboxes and
+//! [`crate::UdpCluster`] on loopback UDP sockets. A session's blocking
 //! [`write_txn`](Session::write_txn) stalls only while ownership is being
 //! acquired — exactly the blocking model of the paper (§3.2): transactions
 //! pipeline, ownership requests stall — and its non-blocking
@@ -26,6 +28,7 @@
 //! does not commit.
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -34,6 +37,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, SendError, Sender};
+use zeus_net::threaded::{LinkFaults, SharedCounters};
 use zeus_net::{Envelope, ThreadedNet, Transport};
 use zeus_proto::{NodeId, ObjectId, OwnershipRequestKind, ReplicaSet};
 use zeus_store::Store;
@@ -496,7 +500,8 @@ pub(crate) enum Command {
 // Session
 // ---------------------------------------------------------------------------
 
-/// Client session to one node of a [`ThreadedCluster`] (see [`Session`]).
+/// Client session to one node of a [`Cluster`], on either transport (see
+/// [`Session`]).
 ///
 /// Cloneable and sendable; clones share the [`Session::drain`] barrier.
 /// Every command path reports a closed node loop as
@@ -510,8 +515,8 @@ pub struct ThreadedSession {
 }
 
 impl ThreadedSession {
-    /// Session on `node`, reached through `link` (shared by the threaded
-    /// and UDP cluster runtimes).
+    /// Session on `node`, reached through `link` (the cluster shell's, or a
+    /// `zeus-node` process's own).
     pub(crate) fn new(node: NodeId, link: NodeLink, policy: RetryPolicy) -> Self {
         ThreadedSession {
             node,
@@ -604,40 +609,71 @@ impl Session for ThreadedSession {
 // Cluster
 // ---------------------------------------------------------------------------
 
-/// A Zeus cluster where every node runs on its own OS thread.
-pub struct ThreadedCluster {
+/// A Zeus cluster in one process: every node runs the same event loop on an
+/// OS thread of its own, whatever carries the messages between them. `T`
+/// names the transport and selects nothing but the constructor:
+/// [`ThreadedCluster::start`] connects the nodes by in-process mailboxes,
+/// [`crate::UdpCluster::start`] by loopback UDP sockets. Everything else —
+/// sessions, object creation, statistics, admin proposals, fault injection,
+/// shutdown — is this one shell's.
+pub struct Cluster<T> {
     config: ZeusConfig,
     links: Vec<NodeLink>,
     threads: Vec<JoinHandle<()>>,
-    net: ThreadedNet<Message>,
+    /// The transports' traffic counters: one per mailbox, or the one the
+    /// UDP transports share.
+    counters: Vec<Arc<SharedCounters>>,
+    /// The link-fault table every transport consults on every send.
+    faults: Arc<LinkFaults>,
+    transport: PhantomData<T>,
 }
 
-impl ThreadedCluster {
+/// Transport marker of [`ThreadedCluster`]: lossless in-process mailboxes
+/// ([`ThreadedNet`]).
+#[derive(Debug)]
+pub struct InProcess;
+
+/// A Zeus cluster whose nodes exchange messages through in-process
+/// mailboxes: the runtime of the throughput experiments.
+pub type ThreadedCluster = Cluster<InProcess>;
+
+impl Cluster<InProcess> {
     /// Starts a cluster with the given configuration. One tick is one
     /// microsecond on this runtime, and the mailbox transport sets the
     /// protocol retransmission interval (see `zeus_net::NodeMailbox`'s
-    /// [`Transport::rto_micros`]): `retransmit_ticks` is the simulator's.
+    /// [`Transport::rto_micros`]).
     pub fn start(config: ZeusConfig) -> Self {
         let net: ThreadedNet<Message> = ThreadedNet::new(config.nodes);
-        let mut links = Vec::new();
-        let mut threads = Vec::new();
-        for i in 0..config.nodes as u16 {
-            let id = NodeId(i);
-            let (link, thread) = start_node(ZeusNode::new(id, config.clone()), net.mailbox(id));
-            links.push(link);
-            threads.push(thread);
-        }
-        ThreadedCluster {
+        let mailboxes = config.all_nodes().into_iter().map(|id| net.mailbox(id));
+        Cluster::launch(config, net.counters(), Arc::clone(net.faults()), mailboxes)
+    }
+}
+
+impl<T> Cluster<T> {
+    /// Starts node `i` of `config`'s deployment on the `i`-th of
+    /// `transports`, which count their traffic in `counters` and consult
+    /// `faults`: what a transport's constructor ends with.
+    pub(crate) fn launch<Tr: Transport<Message> + Sync>(
+        config: ZeusConfig,
+        counters: Vec<Arc<SharedCounters>>,
+        faults: Arc<LinkFaults>,
+        transports: impl IntoIterator<Item = Tr>,
+    ) -> Self {
+        let (links, threads) = transports
+            .into_iter()
+            .enumerate()
+            .map(|(i, transport)| {
+                start_node(ZeusNode::new(NodeId(i as u16), config.clone()), transport)
+            })
+            .unzip();
+        Cluster {
             config,
             links,
             threads,
-            net,
+            counters,
+            faults,
+            transport: PhantomData,
         }
-    }
-
-    /// The deployment configuration.
-    pub fn config(&self) -> &ZeusConfig {
-        &self.config
     }
 
     /// A client session on node `id` (see also [`ClusterDriver::handle`]).
@@ -665,7 +701,11 @@ impl ThreadedCluster {
     /// Transport-level traffic counters (messages, bytes, inbox high-water
     /// mark) accumulated since the cluster started.
     pub fn net_stats(&self) -> zeus_net::NetStats {
-        self.net.stats()
+        let mut total = zeus_net::NetStats::new();
+        for counters in &self.counters {
+            total.merge(&counters.snapshot());
+        }
+        total
     }
 
     /// Routes an admin membership proposal to every view replica except the
@@ -680,41 +720,40 @@ impl ThreadedCluster {
         }
     }
 
+    /// Every node but `node`: the far ends of its links.
+    fn peers_of(&self, node: NodeId) -> impl Iterator<Item = NodeId> {
+        let nodes = self.config.all_nodes().into_iter();
+        nodes.filter(move |peer| *peer != node)
+    }
+
     /// Aggregated statistics over all reachable nodes.
     pub fn aggregate_stats(&self) -> NodeStats {
         let mut total = NodeStats::default();
-        for i in 0..self.config.nodes as u16 {
-            if let Ok((stats, _)) = self.handle(NodeId(i)).stats() {
+        for id in self.config.all_nodes() {
+            if let Ok((stats, _)) = self.handle(id).stats() {
                 total.merge(&stats);
             }
         }
         total
     }
 
-    /// Stops all node threads and waits for them to exit.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
+    /// Stops all node threads and waits for them to exit (a UDP node's
+    /// socket reader goes with its loop): what dropping the cluster does.
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_inner(&mut self) {
+impl<T> Drop for Cluster<T> {
+    fn drop(&mut self) {
         for link in &self.links {
             let _ = link.send(Command::Shutdown);
         }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
 
-impl Drop for ThreadedCluster {
-    fn drop(&mut self) {
-        if !self.threads.is_empty() {
-            self.shutdown_inner();
-        }
-    }
-}
-
-impl ClusterDriver for ThreadedCluster {
+impl<T> ClusterDriver for Cluster<T> {
     type Session = ThreadedSession;
 
     fn nodes(&self) -> usize {
@@ -722,25 +761,25 @@ impl ClusterDriver for ThreadedCluster {
     }
 
     fn handle(&self, id: NodeId) -> ThreadedSession {
-        ThreadedCluster::handle(self, id)
+        Cluster::handle(self, id)
     }
 
     fn create_object(&self, object: ObjectId, data: Bytes, owner: NodeId) {
-        ThreadedCluster::create_object(self, object, data, owner);
+        Cluster::create_object(self, object, data, owner);
     }
 
     fn migrate(&self, object: ObjectId, to: NodeId) -> Result<u64, TxError> {
         let start = Instant::now();
-        ThreadedCluster::handle(self, to).acquire(object, OwnershipRequestKind::AcquireOwner)?;
+        Cluster::handle(self, to).acquire(object, OwnershipRequestKind::AcquireOwner)?;
         Ok((start.elapsed().as_micros() as u64).max(1))
     }
 
     fn aggregate_stats(&self) -> NodeStats {
-        ThreadedCluster::aggregate_stats(self)
+        Cluster::aggregate_stats(self)
     }
 
     fn net_stats(&self) -> zeus_net::NetStats {
-        ThreadedCluster::net_stats(self)
+        Cluster::net_stats(self)
     }
 
     fn quiesce(&self) {
@@ -763,27 +802,21 @@ impl ClusterDriver for ThreadedCluster {
         // node keeps running — it stops hearing heartbeats, fences itself
         // after a lease of silence ([`TxError::Fenced`]), and the view
         // service eventually expels it.
-        for i in 0..self.config.nodes as u16 {
-            let peer = NodeId(i);
-            if peer != node {
-                self.net.faults().partition(node, peer);
-            }
+        for peer in self.peers_of(node) {
+            self.faults.partition(node, peer);
         }
     }
 
     fn fault_heal(&self, node: NodeId) {
         // Heals every link of `node`; its next heartbeat re-admits it via a
         // view change (or renews its leases if it was never expelled).
-        for i in 0..self.config.nodes as u16 {
-            let peer = NodeId(i);
-            if peer != node {
-                self.net.faults().heal_partition(node, peer);
-            }
+        for peer in self.peers_of(node) {
+            self.faults.heal_partition(node, peer);
         }
     }
 
     fn fault_heal_all(&self) {
-        self.net.faults().heal_all();
+        self.faults.heal_all();
     }
 }
 
@@ -818,10 +851,11 @@ const DRAIN_CAP_MIN: usize = 16;
 const DRAIN_CAP_MAX: usize = 256;
 
 /// The per-node event loop, generic over how bytes move ([`Transport`]):
-/// in-process channels for [`ThreadedCluster`], UDP sockets for the
-/// process-per-node deployments. What is about threads and sockets lives
-/// here; what a transaction waits for, what a wait costs and how it ends is
-/// the [`TxDriver`]'s, which the simulator runs as well.
+/// in-process channels for [`ThreadedCluster`], UDP sockets for
+/// [`crate::UdpCluster`] and the process-per-node deployments. What is about
+/// threads and sockets lives here; what a transaction waits for, what a wait
+/// costs and how it ends is the [`TxDriver`]'s, which the simulator runs as
+/// well.
 ///
 /// The loop holds the node's lock for an iteration and runs while there is
 /// work. It sleeps in exactly one place, the end of an iteration that found
@@ -1029,6 +1063,9 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
     use zeus_net::threaded::NodeMailbox;
+    use zeus_net::LossyConfig;
+
+    use crate::UdpCluster;
 
     /// `[u64 write counter][i64 balance]`, the shape the read-path tests
     /// check invariants on.
@@ -1318,9 +1355,13 @@ mod tests {
         // Two followers that never answer, and no loop that would re-send:
         // the first commit's R-INVs just grow older.
         let object = ObjectId(1);
-        let mut config = ZeusConfig::with_nodes(3);
-        config.retransmit_ticks = 100_000; // no loop, so no transport RTO: 100 ms
-        let (link, _transport, inbox) = node_without_a_loop(config, object);
+        let (link, _transport, inbox) = node_without_a_loop(ZeusConfig::with_nodes(3), object);
+        // No loop, so nobody feeds the node its transport's RTO: 100 ms.
+        link.cell
+            .lock()
+            .unwrap()
+            .node
+            .set_retransmit_interval(100_000);
         let session = session_on(&link);
 
         let sent = link.reads.now();
@@ -2036,6 +2077,87 @@ mod tests {
         }
         let total: usize = clients.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(total, 90, "every write must eventually commit");
+        cluster.shutdown();
+    }
+
+    /// The full stack over real sockets: objects everywhere, cross-node
+    /// writes forcing ownership transfers over UDP, reads observing them.
+    #[test]
+    fn transactions_commit_over_loopback_udp() {
+        let cluster = UdpCluster::start(ZeusConfig::with_nodes(3)).expect("bind loopback");
+        for i in 0..9u64 {
+            cluster.create_object(ObjectId(i), vec![0u8; 8], NodeId((i % 3) as u16));
+        }
+        let mut committed = 0;
+        for i in 0..30u64 {
+            let session = cluster.handle(NodeId((i % 3) as u16));
+            let obj = ObjectId(i % 9);
+            if session
+                .write_txn(move |tx| {
+                    tx.update(obj, |old| {
+                        let mut v = old.to_vec();
+                        v[0] = v[0].wrapping_add(1);
+                        v
+                    })?;
+                    Ok(())
+                })
+                .is_ok()
+            {
+                committed += 1;
+            }
+        }
+        assert_eq!(committed, 30, "loopback UDP must not lose transactions");
+        let stats = cluster.net_stats();
+        assert!(stats.messages_sent > 0, "traffic crossed the sockets");
+        cluster.shutdown();
+    }
+
+    /// Same workload with 10% deterministic frame loss on every node: the
+    /// reliable layer must mask it completely.
+    #[test]
+    fn transactions_survive_frame_loss() {
+        let loss = LossyConfig {
+            drop_probability: 0.10,
+            seed: 42,
+        };
+        let cluster = UdpCluster::start_with_loss(ZeusConfig::with_nodes(3), Some(loss))
+            .expect("bind loopback");
+        for i in 0..6u64 {
+            cluster.create_object(ObjectId(i), vec![0u8; 8], NodeId((i % 3) as u16));
+        }
+        let mut committed = 0;
+        for i in 0..12u64 {
+            let session = cluster.handle(NodeId((i % 3) as u16));
+            let obj = ObjectId(i % 6);
+            if session
+                .write_txn(move |tx| {
+                    tx.update(obj, |old| old.to_vec())?;
+                    Ok(())
+                })
+                .is_ok()
+            {
+                committed += 1;
+            }
+        }
+        assert_eq!(committed, 12, "loss must be invisible above the link layer");
+        cluster.shutdown();
+    }
+
+    /// A session on node 1 writing an object homed on node 0: a real
+    /// ownership acquisition over UDP (including messages the driver
+    /// routes to itself, which must loop back locally).
+    #[test]
+    fn cross_node_ownership_over_udp() {
+        let cluster = UdpCluster::start(ZeusConfig::with_nodes(3)).expect("bind loopback");
+        for i in 0..3u64 {
+            cluster.create_object(ObjectId(i), vec![0u8; 8], NodeId((i % 3) as u16));
+        }
+        let session = cluster.handle(NodeId(1));
+        let r = session.write_txn(move |tx| {
+            tx.update(ObjectId(0), |old| old.to_vec())?;
+            Ok(())
+        });
+        assert!(r.is_ok(), "cross-node write failed: {r:?}");
         cluster.shutdown();
     }
 }

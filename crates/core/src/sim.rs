@@ -34,7 +34,7 @@ use crate::client::{
 use crate::config::ZeusConfig;
 use crate::driver::{erase, TxCommand, TxDriver, Work};
 use crate::message::Message;
-use crate::node::ZeusNode;
+use crate::node::{ZeusNode, RETRANSMIT_TICKS};
 use crate::stats::{LatencyHistogram, NodeStats};
 use crate::txn::{TxCtx, TxError};
 
@@ -523,9 +523,8 @@ impl SimInner {
         // (heartbeats, retransmissions) only runs when nodes tick, so a
         // single jump to `target` would collapse several heartbeat rounds
         // into one and distort lease timing.
-        let chunk = self.config.retransmit_ticks.max(1);
         while self.net.now() < target {
-            let next = (self.net.now() + chunk).min(target);
+            let next = (self.net.now() + RETRANSMIT_TICKS).min(target);
             loop {
                 self.ship_outboxes();
                 match self.net.next_delivery_time() {
@@ -560,8 +559,7 @@ impl SimInner {
     fn settle_step(&mut self) {
         self.step();
         if self.net.in_flight_len() == 0 && !self.is_cluster_quiescent() {
-            let dt = self.config.retransmit_ticks.max(1);
-            self.advance_ticks(dt);
+            self.advance_ticks(RETRANSMIT_TICKS);
         }
     }
 

@@ -1,8 +1,10 @@
-//! The simulator and the node threads run one transaction driver, so a
-//! client sees the same `Result` from both: one table of scenarios through
-//! [`ClusterDriver`] on [`SimCluster`] and on [`ThreadedCluster`]. Scenarios
-//! that need a crash or an exact interleaving run on the simulator alone —
-//! which suffices, because what they exercise is the same code.
+//! The simulator and the node threads run one transaction driver, and the
+//! node threads one cluster shell whatever carries their messages, so a
+//! client sees the same `Result` from all three: one table of scenarios
+//! through [`ClusterDriver`] on [`SimCluster`], on [`ThreadedCluster`] and on
+//! [`UdpCluster`]. Scenarios that need a crash or an exact interleaving run
+//! on the simulator alone — which suffices, because what they exercise is the
+//! same code — and one that overloads a node leaves the UDP runtime out.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -10,13 +12,13 @@ use std::time::Duration;
 use bytes::Bytes;
 use zeus_core::{
     ClusterDriver, NodeId, ObjectId, RetryPolicy, Session, SimCluster, ThreadedCluster, TxError,
-    ZeusConfig,
+    UdpCluster, ZeusConfig,
 };
 use zeus_proto::messages::NackReason;
 use zeus_proto::OwnershipRequestKind::{AcquireOwner, AcquireReader};
 
 /// Lease of the fencing scenario, in ticks (1 tick = 1 µs of wall clock on
-/// the threaded runtime, of simulated time on the simulator).
+/// the threaded runtimes, of simulated time on the simulator).
 const LEASE: u64 = 40_000;
 
 /// A cluster a scenario can start, let time pass on, and stop.
@@ -48,6 +50,18 @@ impl Runtime for ThreadedCluster {
     }
 }
 
+impl Runtime for UdpCluster {
+    fn start(config: ZeusConfig) -> Self {
+        UdpCluster::start(config).expect("bind loopback")
+    }
+    fn pass(&mut self, ticks: u64) {
+        std::thread::sleep(Duration::from_micros(ticks));
+    }
+    fn stop(self) {
+        self.shutdown();
+    }
+}
+
 fn write(session: &impl Session, object: ObjectId) -> Result<(), TxError> {
     session.write_txn(move |tx| tx.write(object, Bytes::from_static(b"w")))
 }
@@ -59,6 +73,17 @@ fn on_both<T: PartialEq + std::fmt::Debug>(
 ) -> T {
     let (sim, threaded) = (sim(), threaded());
     assert_eq!(sim, threaded, "simulator vs threaded runtime");
+    sim
+}
+
+/// [`on_both`], and the UDP runtime as the third column.
+fn on_all<T: PartialEq + std::fmt::Debug>(
+    sim: impl FnOnce() -> T,
+    threaded: impl FnOnce() -> T,
+    udp: impl FnOnce() -> T,
+) -> T {
+    let sim = on_both(sim, threaded);
+    assert_eq!(sim, udp(), "simulator vs UDP runtime");
     sim
 }
 
@@ -78,9 +103,10 @@ fn remote_write_without_a_budget<R: Runtime>() -> Result<(), TxError> {
 
 #[test]
 fn a_remote_write_commits_under_a_no_retry_policy() {
-    let result = on_both(
+    let result = on_all(
         remote_write_without_a_budget::<SimCluster>,
         remote_write_without_a_budget::<ThreadedCluster>,
+        remote_write_without_a_budget::<UdpCluster>,
     );
     assert_eq!(result, Ok(()));
 }
@@ -113,6 +139,12 @@ fn acquire_against_a_writer<R: Runtime>() -> (Result<(), TxError>, Result<(), Tx
 
 #[test]
 fn acquiring_an_object_another_node_is_writing_succeeds_within_the_budget() {
+    // No UDP column: there this scenario fails for a reason that is not the
+    // driver's (benchmark/README.md finding 5, ROADMAP direction 3). A writer
+    // that never waits keeps the object under a pending commit, so the owner
+    // NACKs the taker for as long as it writes, and keeps thousands of
+    // messages queued in front of its peers' lease heartbeats, so that
+    // healthy nodes fence themselves: `Err(Fenced)` in four runs of five.
     let results = on_both(
         acquire_against_a_writer::<SimCluster>,
         acquire_against_a_writer::<ThreadedCluster>,
@@ -152,7 +184,11 @@ fn isolation<R: Runtime>() -> (Result<(), TxError>, Result<(), TxError>, bool) {
 
 #[test]
 fn an_isolated_node_resolves_its_clients_to_fenced_and_serves_again_after_heal() {
-    let results = on_both(isolation::<SimCluster>, isolation::<ThreadedCluster>);
+    let results = on_all(
+        isolation::<SimCluster>,
+        isolation::<ThreadedCluster>,
+        isolation::<UdpCluster>,
+    );
     assert_eq!(results, (Err(TxError::Fenced), Err(TxError::Fenced), true));
 }
 
@@ -169,9 +205,10 @@ fn acquire_of_an_unknown_object<R: Runtime>() -> Result<(), TxError> {
 
 #[test]
 fn an_ownership_failure_names_the_object_it_was_for() {
-    let result = on_both(
+    let result = on_all(
         acquire_of_an_unknown_object::<SimCluster>,
         acquire_of_an_unknown_object::<ThreadedCluster>,
+        acquire_of_an_unknown_object::<UdpCluster>,
     );
     let error = TxError::OwnershipFailed {
         object: ObjectId(777),

@@ -353,6 +353,15 @@ impl<M> ThreadedNet<M> {
         self.mailboxes[id.index()].clone()
     }
 
+    /// Every node's traffic counters, in node order: what
+    /// [`ThreadedNet::stats`] sums, for a holder that outlives the net.
+    pub fn counters(&self) -> Vec<Arc<SharedCounters>> {
+        self.mailboxes
+            .iter()
+            .map(|mailbox| Arc::clone(&mailbox.counters))
+            .collect()
+    }
+
     /// Snapshot of the traffic counters, summed over the nodes.
     pub fn stats(&self) -> NetStats {
         let mut total = NetStats::new();

@@ -328,7 +328,7 @@ impl<M: Wire + Clone + Send + 'static> UdpTransport<M> {
     /// sibling transports (the in-process [`UdpCluster`] case, where
     /// fault injection and traffic accounting span the whole cluster).
     ///
-    /// [`UdpCluster`]: ../../zeus_core/runtime/struct.UdpCluster.html
+    /// [`UdpCluster`]: ../../zeus_core/udp_cluster/type.UdpCluster.html
     pub fn from_socket(
         socket: UdpSocket,
         config: UdpConfig,

@@ -34,6 +34,14 @@ pub struct StoreStats {
 /// every timestamp). Sharding keeps a reader and the writer from meeting on
 /// one lock unless they touch the same shard.
 ///
+/// Why the shards stay although a node has one writer at a time: the readers
+/// are not that writer. A session's caller-thread read (`ReadPort::try_read`
+/// in `zeus-core`) takes a shard's read lock while whoever holds the node
+/// lock takes write locks to apply commits and R-INVs, and a single lock
+/// would put every replica read of the node behind every one of its writes.
+/// The shard count is [`Store::default`]'s 64 in every deployment: a node
+/// has no setting for it.
+///
 /// An access costs one multiplicative hash of the id
 /// ([`zeus_proto::hash`]): its high bits pick the shard, and the shard's map
 /// indexes by its low bits, so the two choices are independent.
