@@ -6,18 +6,20 @@
 //! at once waits — for ownership to arrive, for a back-off to lapse (§6.2),
 //! for an in-flight reliable commit to settle (§5.3). [`TxDriver`] is that
 //! waiting room and the one place that decides what a wait costs and how it
-//! ends. Every runtime runs it: the node threads of the threaded, UDP and
-//! process deployments ([`crate::runtime`]) and the deterministic simulator
-//! ([`crate::sim`]), whose chaos oracles therefore watch the code that
-//! serves real traffic.
+//! ends. Every runtime runs it, and calls it from the same place: the
+//! node's cell (`NodeCell` in [`crate::runtime`]), whose iteration the node
+//! threads of the threaded, UDP and process deployments and the
+//! deterministic simulator ([`crate::sim`]) all run — so the chaos oracles
+//! watch the code, and the schedule, that serve real traffic.
 //!
 //! The driver owns no clock and no transport. Its caller hands it the node
 //! and the node's tick count (1 tick = 1 µs on the wall-clock runtimes,
 //! simulated time in the simulator) and ships whatever the node's outbox
-//! holds afterwards. On the wall-clock runtimes that caller is whoever holds
-//! the node's lock: a command is [submitted](TxDriver::submit) by the
-//! session's own thread when it finds the node free and by the node's loop
-//! otherwise, and what parks here is [polled](TxDriver::poll) by the loop.
+//! holds afterwards. A command is [submitted](TxDriver::submit) by
+//! `NodeCell::run` — on the session's own thread when it finds the node
+//! free, in the loop's iteration otherwise, and always by a simulator
+//! session — and what parks here is [polled](TxDriver::poll) by the
+//! iteration (`NodeCell::step`).
 
 use zeus_proto::messages::NackReason;
 use zeus_proto::{ObjectId, OwnershipRequestKind, RequestId};

@@ -215,36 +215,83 @@ impl ReadPort {
 /// about: no per-object lock, no second writer of the store, no commit
 /// pipeline shared between threads.
 ///
+/// [`NodeCell::step`] is the node's iteration on every runtime — the loop's
+/// and the simulator's, which holds one cell per node — and
+/// [`NodeCell::run`] what a caller with commands does. Neither does I/O:
+/// what they send stays in the outbox for their caller to ship.
+///
 /// A transaction closure that panics does so under the lock, on whichever
 /// thread ran it, and poisons it. A poisoned node is a dead node: the loop
 /// exits the next time it wants the lock, nobody runs anything on it again,
 /// and every ticket resolves to [`TxError::NodeUnavailable`].
 #[derive(Debug)]
-struct NodeCell {
-    node: ZeusNode,
-    driver: TxDriver,
-    /// Reused by every [`flush_outbox`].
+pub(crate) struct NodeCell {
+    pub(crate) node: ZeusNode,
+    pub(crate) driver: TxDriver,
+    /// Reused by every [`NodeCell::flush`].
     send_buf: Vec<(NodeId, Message, usize)>,
     /// The clock reading the loop sleeps until, 0 while it is awake (an
     /// awake loop looks at the timers itself before it parks). A caller
     /// whose work leaves something due earlier rings the doorbell.
     parked_until: u64,
     /// Commands that ran on the thread that submitted them.
-    inline_commands: u64,
+    pub(crate) inline_commands: u64,
 }
 
 impl NodeCell {
-    /// Runs `commands` in order, then ships everything the node's outbox
-    /// holds as one flush: the loop's command step for a drained batch, and
+    pub(crate) fn new(node: ZeusNode) -> Self {
+        NodeCell {
+            node,
+            driver: TxDriver::default(),
+            send_buf: Vec::new(),
+            parked_until: 0,
+            inline_commands: 0,
+        }
+    }
+
+    /// One iteration of the node. The clock moves to `now`, so what the
+    /// iteration stamps carries the time it began; `inbox` is handled in
+    /// arrival order until a message lands a parked command's grant
+    /// ([`TxDriver::grant_landed`]) — the rest waits for the next step, so a
+    /// competitor's request behind the grant cannot take the objects back
+    /// before the command has run; parked commands are polled; `before_tick`
+    /// (the caller's own business, told whether `inbox` still holds
+    /// messages) names the clock to tick at; the node ticks; the commands
+    /// `after_tick` hands over [run](NodeCell::run). What the step sent stays
+    /// in the outbox. `Continue` says whether it found work to do, `Break`
+    /// is a [`Command::Shutdown`].
+    pub(crate) fn step<C: IntoIterator<Item = Command>>(
+        &mut self,
+        now: u64,
+        inbox: &mut VecDeque<Envelope<Message>>,
+        before_tick: impl FnOnce(&mut ZeusNode, bool) -> u64,
+        after_tick: impl FnOnce(&mut Self) -> C,
+    ) -> ControlFlow<(), bool> {
+        self.node.advance_clock(now);
+        let mut worked = false;
+        while let Some(env) = inbox.pop_front() {
+            self.node.handle_message(env.from, env.msg);
+            worked = true;
+            if self.driver.grant_landed(&self.node, now) {
+                break;
+            }
+        }
+        worked |= self.driver.poll(&mut self.node, now);
+        let now = before_tick(&mut self.node, !inbox.is_empty());
+        self.node.tick(now);
+        let commands = after_tick(self).into_iter().inspect(|_| worked = true);
+        self.run(now, commands)?;
+        ControlFlow::Continue(worked)
+    }
+
+    /// Runs `commands` in order: the last part of a [`NodeCell::step`], and
     /// what a caller does with the one command it has when it finds the node
-    /// free. `Break` means a [`Command::Shutdown`] was among them: the node
-    /// is closed, the commands behind it are dropped and nothing is flushed.
-    fn run<T: Transport<Message> + ?Sized>(
+    /// free. `Break` means a [`Command::Shutdown`] was among them: the
+    /// commands behind it are dropped, and the caller closes the node.
+    pub(crate) fn run(
         &mut self,
         now: u64,
         commands: impl IntoIterator<Item = Command>,
-        transport: &T,
-        reads: &ReadPort,
     ) -> ControlFlow<()> {
         for command in commands {
             match command {
@@ -255,23 +302,35 @@ impl NodeCell {
                     replicas,
                 } => self.node.create_object(object, data, replicas),
                 Command::Stats { reply } => {
-                    let mut stats = self.node.stats();
-                    stats.inline_commands = self.inline_commands;
-                    reads.add_to(&mut stats);
-                    let _ = reply.send((stats, self.node.ownership_latency().clone()));
+                    let _ = reply.send(self.stats());
                 }
                 Command::AdminExpel { node } => self.node.admin_remove_node(node),
                 Command::AdminReadmit { node } => self.node.admin_add_node(node),
-                Command::Shutdown => {
-                    // Under the lock, so that a caller who finds the node
-                    // open also finds a loop that will finish what it parks.
-                    reads.close();
-                    return ControlFlow::Break(());
-                }
+                Command::Shutdown => return ControlFlow::Break(()),
             }
         }
-        flush_outbox(&mut self.node, transport, &mut self.send_buf);
         ControlFlow::Continue(())
+    }
+
+    /// The node's counters and ownership latencies, as [`Session::stats`]
+    /// reports them (a [`ThreadedSession`] adds its caller-thread reads).
+    pub(crate) fn stats(&self) -> (NodeStats, LatencyHistogram) {
+        let mut stats = self.node.stats();
+        stats.inline_commands = self.inline_commands;
+        (stats, self.node.ownership_latency().clone())
+    }
+
+    /// Ships everything in the node's outbox through `transport` as one
+    /// destination-grouped flush.
+    fn flush<T: Transport<Message> + ?Sized>(&mut self, transport: &T) {
+        let batch = &mut self.send_buf;
+        self.node.drain_outbox_with(|to, msg| {
+            let bytes = msg.payload_bytes();
+            batch.push((to, msg, bytes));
+        });
+        if !batch.is_empty() {
+            transport.send_batch(batch);
+        }
     }
 
     /// Whether the replication pipeline has room for the commits of new
@@ -360,13 +419,7 @@ impl NodeLink {
         let (commands, inbox) = unbounded();
         let link = NodeLink {
             reads: Arc::new(ReadPort::new(&node)),
-            cell: Arc::new(Mutex::new(NodeCell {
-                node,
-                driver: TxDriver::default(),
-                send_buf: Vec::new(),
-                parked_until: 0,
-                inline_commands: 0,
-            })),
+            cell: Arc::new(Mutex::new(NodeCell::new(node))),
             commands,
             transport: Arc::clone(transport) as Arc<dyn Transport<Message> + Sync>,
         };
@@ -431,7 +484,8 @@ impl NodeLink {
             return Err(command);
         }
         cell.inline_commands += 1;
-        let _ = cell.run(now, [Command::Tx(command)], &*self.transport, &self.reads);
+        let _ = cell.run(now, [Command::Tx(command)]);
+        cell.flush(&*self.transport);
         // The loop sleeps until what was due when it went to sleep. If this
         // command left something due earlier — the first commit after an
         // idle spell has a retransmission timer, a charged command a
@@ -601,7 +655,9 @@ impl Session for ThreadedSession {
         self.link
             .send(Command::Stats { reply })
             .map_err(|_| TxError::NodeUnavailable)?;
-        rx.recv().map_err(|_| TxError::NodeUnavailable)
+        let (mut stats, latency) = rx.recv().map_err(|_| TxError::NodeUnavailable)?;
+        self.link.reads.add_to(&mut stats);
+        Ok((stats, latency))
     }
 }
 
@@ -842,8 +898,8 @@ const COMMIT_BACKPRESSURE_HWM: usize = 2_048;
 
 /// Bounds of the adaptive command-drain cap. The cap tracks 2x the recent
 /// batch-occupancy high-water mark: a lightly loaded node drains small
-/// batches (each batch delays its first command until the single outbox
-/// flush of step 4, so over-draining costs latency), a saturated one widens
+/// batches (each batch delays its first command until the iteration's single
+/// outbox flush, so over-draining costs latency), a saturated one widens
 /// toward the max so channel lock round-trips and flushes amortize over more
 /// commands. The floor keeps headroom to *discover* rising load — occupancy
 /// can only grow past the HWM if the drain allows more than the HWM.
@@ -852,10 +908,9 @@ const DRAIN_CAP_MAX: usize = 256;
 
 /// The per-node event loop, generic over how bytes move ([`Transport`]):
 /// in-process channels for [`ThreadedCluster`], UDP sockets for
-/// [`crate::UdpCluster`] and the process-per-node deployments. What is about
-/// threads and sockets lives here; what a transaction waits for, what a wait
-/// costs and how it ends is the [`TxDriver`]'s, which the simulator runs as
-/// well.
+/// [`crate::UdpCluster`] and the process-per-node deployments. An iteration
+/// is a [`NodeCell::step`], which the simulator runs as well; what is about
+/// threads, sockets and wall clocks lives here, around it.
 ///
 /// The loop holds the node's lock for an iteration and runs while there is
 /// work. It sleeps in exactly one place, the end of an iteration that found
@@ -878,13 +933,11 @@ fn node_loop<T: Transport<Message>>(
     // Batch buffers: the shim's channels are Mutex-backed, so popping a
     // burst one `try_recv` at a time pays one lock round-trip per message.
     // Draining into these local buffers pays one per *batch* instead.
-    // `inbox_buf` may carry messages across loop iterations (the
-    // granted-transaction early exit below), preserving arrival order.
-    let mut inbox_buf: VecDeque<Envelope<Message>> = VecDeque::new();
+    // `inbox` may carry messages across loop iterations (the step's
+    // grant-landed break), preserving arrival order.
+    let mut inbox: VecDeque<Envelope<Message>> = VecDeque::new();
     let mut drain_buf: Vec<Envelope<Message>> = Vec::new();
     let mut cmd_buf: Vec<Command> = Vec::new();
-    let mut scratch_buf: Vec<Command> = Vec::new();
-    let mut hold_buf: Vec<Command> = Vec::new();
     let mut read_notes: Vec<ObjectId> = Vec::new();
     // Decaying high-water mark of recent batch occupancy, driving the
     // adaptive drain cap (see DRAIN_CAP_MIN/MAX).
@@ -895,140 +948,99 @@ fn node_loop<T: Transport<Message>>(
         let Ok(mut guard) = cell.lock() else { return };
         let cell = &mut *guard;
         cell.parked_until = 0;
-        let mut did_work = false;
-        // The node's clock follows the loop's before anything is handled:
-        // what a loop that just woke stamps — a renewed lease, a commit's
-        // send time, a request's start — carries the time it woke, not the
-        // time it went to sleep.
         let now = reads.now();
-        cell.node.advance_clock(now);
-
-        // 1. Network traffic: drain the mailbox into the local batch, then
-        //    process from the batch. A full drain means the mailbox likely
-        //    holds more — the node is running behind its inbox, and
-        //    retransmissions must back off before they amplify the backlog
-        //    (see `ZeusNode::set_congested`).
-        let mut inbox_backlog = !inbox_buf.is_empty();
-        if inbox_buf.is_empty() {
+        // A full drain of the mailbox means it likely holds more — the node
+        // is running behind its inbox, and retransmissions must back off
+        // before they amplify the backlog (see `ZeusNode::set_congested`).
+        let mut inbox_backlog = !inbox.is_empty();
+        if inbox.is_empty() {
             inbox_backlog = transport.drain_into(&mut drain_buf, 256) == 256;
-            inbox_buf.extend(drain_buf.drain(..));
-        }
-        while let Some(env) = inbox_buf.pop_front() {
-            cell.node.handle_message(env.from, env.msg);
-            did_work = true;
-            // If an ownership acquisition just completed for a parked
-            // transaction, run it before processing more messages —
-            // otherwise a competing node's request in the same batch
-            // could steal the object back before the transaction ever
-            // executes (ownership ping-pong under heavy contention). The
-            // unprocessed rest of the batch stays in `inbox_buf` for the
-            // next iteration.
-            if cell.driver.grant_landed(&cell.node, now) {
-                break;
-            }
+            inbox.extend(drain_buf.drain(..));
         }
 
-        // 2. Parked commands: granted ones run, failed rounds are charged
-        //    and backed off, a fenced node resolves everything.
-        did_work |= cell.driver.poll(&mut cell.node, now);
-        let polled_at = now;
-
-        // 3. Advance the clock. The transport runs its own periodic work
-        //    (link-layer retransmission) and feeds back its two signals:
-        //    its retransmission timeout becomes the protocol retry interval,
-        //    and a backlogged link counts as congestion exactly like a
-        //    backlogged inbox.
-        let now = reads.now();
-        transport.maintain(now);
-        if let Some(rto) = transport.rto_micros() {
-            cell.node.set_retransmit_interval(rto);
-        }
-        cell.node
-            .set_congested(inbox_backlog || !inbox_buf.is_empty() || transport.congested());
-        // What the caller-thread reads since the last iteration touched
-        // reaches the locality engine before it plans; then the lease they
-        // run under is renewed from the membership state the messages left.
-        reads.take_read_notes(&mut read_notes);
-        cell.node.note_local_reads(read_notes.drain(..));
-        cell.node.tick(now);
-        reads.publish_lease(cell.node.read_lease_deadline());
-
-        // 4. Queued commands: batch-drain, then execute the whole batch as
-        //    one unit. Pipelined and multi-session submissions that found
-        //    the node busy land here together — one lock round-trip per
-        //    burst (`drain_into`), then writes are grouped to the front so
-        //    the commit pipeline fills back to back and same-object
-        //    acquisitions share one request before the single outbox flush.
-        //    Reordering writes ahead of reads/acquires preserves per-session
-        //    order: those commands block their session, so no session can
-        //    have a write queued *behind* its own read/acquire within one
-        //    batch. `CreateObject` stays in the front group too — it is
-        //    fire-and-forget, and a write hoisted past it would put its
-        //    ownership REQ on the wire before the object's placement is
-        //    installed, racing the directory's own creation.
-        //    Admission is gated on the replication pipeline's depth: a
-        //    ticket resolves when its commit *starts* (pipelining, §5), so
-        //    an open-loop client can push commands faster than R-ACKs
-        //    return forever. Unchecked, the outstanding-commit set (and the
-        //    memory and retransmissions behind it) grows without bound at
-        //    exactly the moment the node is behind. Past the high-water
-        //    mark, new commands wait in the channel (clients see it as
-        //    queueing delay) until replication catches up; protocol traffic
-        //    keeps draining meanwhile.
-        let want = if cell.admits() {
-            (drain_hwm * 2).clamp(DRAIN_CAP_MIN, DRAIN_CAP_MAX)
-        } else {
-            0
-        };
-        commands.drain_into(&mut cmd_buf, want);
-        if !cmd_buf.is_empty() {
-            did_work = true;
-            cell.node.note_command_batch(cmd_buf.len());
-        }
-        // Raise the HWM to this batch, then decay it a step so a past burst
-        // stops inflating the cap once the load drops.
-        drain_hwm = drain_hwm.max(cmd_buf.len());
-        drain_hwm -= (1 + drain_hwm / 32).min(drain_hwm);
-        if cmd_buf.len() > 1 {
-            std::mem::swap(&mut cmd_buf, &mut scratch_buf);
-            for command in scratch_buf.drain(..) {
-                let front = matches!(
-                    command,
-                    Command::CreateObject { .. }
-                        | Command::Tx(TxCommand {
-                            work: Work::Write(_),
-                            ..
-                        })
-                );
-                if front {
-                    cmd_buf.push(command);
-                } else {
-                    hold_buf.push(command);
+        let mut tick_at = now;
+        let ControlFlow::Continue(did_work) = cell.step(
+            now,
+            &mut inbox,
+            // The clock is read again. The transport runs its own periodic
+            // work (link-layer retransmission) and feeds back its two
+            // signals: its RTO becomes the protocol retry interval, and a
+            // backlogged link counts as congestion like a backlogged inbox.
+            // What caller-thread reads touched reaches the locality engine
+            // before it plans.
+            |node, inbox_left| {
+                tick_at = reads.now();
+                transport.maintain(tick_at);
+                if let Some(rto) = transport.rto_micros() {
+                    node.set_retransmit_interval(rto);
                 }
-            }
-            cmd_buf.append(&mut hold_buf);
-        }
-        // The batch, then the iteration's single flush: everything the
-        // batch produced (R-INVs of every commit, shared REQs), what the
-        // messages set off and what the tick did (heartbeats, re-sends)
-        // goes out grouped by destination, one channel lock per peer — and
-        // before the loop may go to sleep.
-        if cell
-            .run(now, cmd_buf.drain(..), transport, reads)
-            .is_break()
-        {
+                node.set_congested(inbox_backlog || inbox_left || transport.congested());
+                reads.take_read_notes(&mut read_notes);
+                node.note_local_reads(read_notes.drain(..));
+                tick_at
+            },
+            |cell| {
+                // The lease caller-thread reads run under, renewed from the
+                // membership state the messages and the tick left.
+                reads.publish_lease(cell.node.read_lease_deadline());
+                // Queued commands, drained as one batch while admission
+                // (`COMMIT_BACKPRESSURE_HWM`) is open — one lock round-trip
+                // per burst — with writes grouped to the front so the commit
+                // pipeline fills back to back and same-object acquisitions
+                // share one request. That keeps per-session order: reads and
+                // acquires block their session, so no session has a write
+                // queued *behind* its own read/acquire within one batch.
+                // `CreateObject` stays in front too: a write hoisted past it
+                // would put its REQ on the wire before the object's placement
+                // is installed, racing the directory's own creation.
+                let want = if cell.admits() {
+                    (drain_hwm * 2).clamp(DRAIN_CAP_MIN, DRAIN_CAP_MAX)
+                } else {
+                    0
+                };
+                commands.drain_into(&mut cmd_buf, want);
+                if !cmd_buf.is_empty() {
+                    cell.node.note_command_batch(cmd_buf.len());
+                }
+                // Raise the HWM to this batch, then decay it a step so a
+                // past burst stops inflating the cap once the load drops.
+                drain_hwm = drain_hwm.max(cmd_buf.len());
+                drain_hwm -= (1 + drain_hwm / 32).min(drain_hwm);
+                // A stable sort: each group keeps its order.
+                cmd_buf.sort_by_key(|command| {
+                    !matches!(
+                        command,
+                        Command::CreateObject { .. }
+                            | Command::Tx(TxCommand {
+                                work: Work::Write(_),
+                                ..
+                            })
+                    )
+                });
+                cmd_buf.drain(..)
+            },
+        ) else {
+            // Under the lock, so that a caller who finds the node open also
+            // finds a loop that will finish what it parks.
+            reads.close();
             return;
-        }
+        };
+        // The iteration's single flush: everything the batch produced
+        // (R-INVs of every commit, shared REQs), what the messages set off
+        // and what the tick did (heartbeats, re-sends) goes out grouped by
+        // destination, one channel lock per peer — and before the loop may
+        // go to sleep.
+        cell.flush(transport);
 
         if !did_work {
             // Nothing to do: sleep until the clock makes something due or
             // the doorbell rings. Producers push and then ring, so looking
             // at both queues here, after this iteration's last drain, and
             // parking only then cannot miss an item (see `Doorbell`).
-            // Queued commands are not input while admission is paused (step
-            // 4): the R-ACKs that resume it are messages, and ring.
+            // Queued commands are not input while admission is paused: the
+            // R-ACKs that resume it are messages, and ring.
             if transport.pending() == 0 && (commands.is_empty() || !cell.admits()) {
-                let due = cell.next_due(now, polled_at);
+                let due = cell.next_due(tick_at, now);
                 // Published before the lock goes: a caller that gets it from
                 // here on and leaves an earlier timer behind rings, and a
                 // ring that comes before the park turns it into a no-op.
@@ -1038,22 +1050,6 @@ fn node_loop<T: Transport<Message>>(
                 transport.doorbell().park_timeout(sleep);
             }
         }
-    }
-}
-
-/// Ships everything in the node's outbox as one destination-grouped flush
-/// through `batch`, the node's reused buffer.
-fn flush_outbox<T: Transport<Message> + ?Sized>(
-    node: &mut ZeusNode,
-    transport: &T,
-    batch: &mut Vec<(NodeId, Message, usize)>,
-) {
-    node.drain_outbox_with(|to, msg| {
-        let bytes = msg.payload_bytes();
-        batch.push((to, msg, bytes));
-    });
-    if !batch.is_empty() {
-        transport.send_batch(batch);
     }
 }
 
@@ -1410,7 +1406,11 @@ mod tests {
             .clone()
             .with_retry(patient)
             .submit_write(|_| Err(TxError::ValidationFailed));
-        until(|| link.cell.lock().unwrap().parked_until != 0);
+        // Asleep with the first write settled: no R-ACK is left to wake it.
+        until(|| {
+            let cell = link.cell.lock().unwrap();
+            cell.parked_until != 0 && cell.node.outstanding_commits() == 0
+        });
         assert_eq!(parked.try_poll(), None);
 
         let boom = |_: &mut TxCtx<'_>| -> Result<(), TxError> { panic!("boom") };

@@ -14,12 +14,13 @@
 //! deterministic — the lock only decouples session lifetimes from the
 //! cluster borrow, it is never contended in a deterministic run.
 //!
-//! Every node has the same `TxDriver` a node thread runs, clocked by
-//! simulated time: a session call submits its command to it and steps the
-//! cluster until the reply arrives, so what the chaos oracles watch is the
-//! production park / retry / back-off / fence logic.
+//! Every node is the cell a node thread holds (`NodeCell`), stepped through
+//! the node loop's own iteration on simulated time; a session call runs its
+//! command on the cell as a caller that finds its node free does, then steps
+//! the cluster until the reply arrives. What the chaos oracles watch is the
+//! production schedule and park / retry / back-off / fence logic.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -32,9 +33,10 @@ use crate::client::{
     AdminError, ClusterDriver, ReplySlot, RetryPolicy, Session, TxPayload, TxTicket,
 };
 use crate::config::ZeusConfig;
-use crate::driver::{erase, TxCommand, TxDriver, Work};
+use crate::driver::{erase, TxCommand, Work};
 use crate::message::Message;
 use crate::node::{ZeusNode, RETRANSMIT_TICKS};
+use crate::runtime::{Command, NodeCell};
 use crate::stats::{LatencyHistogram, NodeStats};
 use crate::txn::{TxCtx, TxError};
 
@@ -51,9 +53,11 @@ pub struct SimCluster {
 #[derive(Debug)]
 struct SimInner {
     config: ZeusConfig,
-    nodes: Vec<ZeusNode>,
-    /// Each node's transaction driver, polled whenever its node ticks.
-    drivers: Vec<TxDriver>,
+    /// Each node with its transaction driver, as a node thread holds them.
+    cells: Vec<NodeCell>,
+    /// Each node's delivered messages not yet handled: empty, but for a node
+    /// whose last step broke off at a landed grant. Reused.
+    inboxes: Vec<VecDeque<Envelope<Message>>>,
     net: SimNetwork<Message>,
     crashed: NodeSet,
 }
@@ -67,7 +71,7 @@ pub struct NodeRef<'a> {
 impl Deref for NodeRef<'_> {
     type Target = ZeusNode;
     fn deref(&self) -> &ZeusNode {
-        &self.guard.nodes[self.index]
+        &self.guard.cells[self.index].node
     }
 }
 
@@ -81,13 +85,13 @@ pub struct NodeRefMut<'a> {
 impl Deref for NodeRefMut<'_> {
     type Target = ZeusNode;
     fn deref(&self) -> &ZeusNode {
-        &self.guard.nodes[self.index]
+        &self.guard.cells[self.index].node
     }
 }
 
 impl DerefMut for NodeRefMut<'_> {
     fn deref_mut(&mut self) -> &mut ZeusNode {
-        &mut self.guard.nodes[self.index]
+        &mut self.guard.cells[self.index].node
     }
 }
 
@@ -100,14 +104,14 @@ impl SimCluster {
     /// Creates a cluster with an explicit network configuration (latency,
     /// loss, duplication, seed).
     pub fn with_network(config: ZeusConfig, net: NetConfig) -> Self {
-        let nodes = (0..config.nodes as u16)
-            .map(|i| ZeusNode::new(NodeId(i), config.clone()))
+        let cells = (0..config.nodes as u16)
+            .map(|i| NodeCell::new(ZeusNode::new(NodeId(i), config.clone())))
             .collect();
         SimCluster {
             inner: Arc::new(Mutex::new(SimInner {
                 config: config.clone(),
-                nodes,
-                drivers: (0..config.nodes).map(|_| TxDriver::default()).collect(),
+                cells,
+                inboxes: (0..config.nodes).map(|_| VecDeque::new()).collect(),
                 net: SimNetwork::new(net),
                 crashed: NodeSet::new(),
             })),
@@ -191,7 +195,7 @@ impl SimCluster {
 
     /// Nodes currently considered live by the harness.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        self.lock().live_nodes()
+        self.lock().live().collect()
     }
 
     /// Creates `object` on every node with its home placement: `owner` plus
@@ -201,14 +205,16 @@ impl SimCluster {
     }
 
     /// Delivers one batch of in-flight messages (advancing simulated time)
-    /// and lets every live node tick. Returns how many messages were
-    /// delivered.
+    /// and steps every live node through one iteration of the node loop —
+    /// or, while nodes hold messages their last iteration broke off at,
+    /// steps just those, on those, at the same time. Returns how many
+    /// messages the network delivered.
     pub fn step(&mut self) -> usize {
         self.lock().step()
     }
 
     /// Advances simulated time by `dt` ticks, delivering everything that
-    /// falls due along the way and ticking the live nodes so periodic work
+    /// falls due along the way and stepping the live nodes so periodic work
     /// (heartbeats, lease expiry, retransmission) runs. Unlike
     /// [`SimCluster::settle`] this drives the clock even when nothing is in
     /// flight — it is how the chaos harness opens lease-expiry windows.
@@ -345,9 +351,10 @@ impl ClusterDriver for SimCluster {
 
 /// Client session to one node of a [`SimCluster`] (see [`Session`]).
 ///
-/// Calls are synchronous: the session submits its command to the node's
-/// transaction driver and steps the simulated cluster until the reply is
-/// there, so [`Session::submit_write`] returns an already-resolved ticket.
+/// Calls are synchronous: the session runs its command on the node, as a
+/// thread-per-node caller that finds its node free does, and steps the
+/// simulated cluster until the reply is there, so
+/// [`Session::submit_write`] returns an already-resolved ticket.
 #[derive(Debug, Clone)]
 pub struct SimSession {
     node: NodeId,
@@ -420,16 +427,16 @@ impl Session for SimSession {
     }
 
     fn stats(&self) -> Result<(NodeStats, LatencyHistogram), TxError> {
-        let inner = self.inner.lock().unwrap();
-        let node = &inner.nodes[self.node.index()];
-        Ok((node.stats(), node.ownership_latency().clone()))
+        Ok(self.inner.lock().unwrap().cells[self.node.index()].stats())
     }
 }
 
 /// How far a waiting session moves the clock of an idle network at a time.
-/// The nodes' timers fire when a tick finds them due, so this is how late a
-/// retried NACK or a re-sent REQ can be — a node thread ticks every loop
-/// iteration, about this often.
+/// Timers fire when a step finds them due, so this is how late a retried
+/// NACK or a re-sent REQ can be. It is a fixed cadence, not a sleep until
+/// `ZeusNode::next_timer` as on a node thread: a tick re-phases the
+/// retransmission timer on every interval that elapses with nothing due, so
+/// every schedule depends on when the ticks fall.
 const IDLE_WAIT_TICKS: u64 = 10;
 
 /// Cluster steps a session call may take before its command is cancelled:
@@ -440,19 +447,16 @@ const SESSION_STEP_BUDGET: usize = 200_000;
 impl SimInner {
     /// The nodes that have not crashed, ascending.
     fn live(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u16)
+        (0..self.cells.len() as u16)
             .map(NodeId)
             .filter(|&n| !self.crashed.contains(n))
     }
 
-    fn live_nodes(&self) -> Vec<NodeId> {
-        self.live().collect()
-    }
-
     fn create_object(&mut self, object: ObjectId, data: Bytes, owner: NodeId) {
         let replicas = self.config.default_replicas(owner);
-        for node in &mut self.nodes {
-            node.create_object(object, data.clone(), replicas.clone());
+        for cell in &mut self.cells {
+            cell.node
+                .create_object(object, data.clone(), replicas.clone());
         }
     }
 
@@ -462,22 +466,26 @@ impl SimInner {
 
     fn step(&mut self) -> usize {
         self.ship_outboxes();
+        // A node whose last step broke off at a landed grant steps again on
+        // the rest of its inbox, at the same time, before anything new is
+        // delivered — and only it, as only its loop would run again.
+        let held = !self.inboxes_empty();
         let delivered = match self.net.next_delivery_time() {
-            Some(t) => self.deliver_due(t),
-            None => 0,
+            Some(t) if !held => self.deliver_due(t),
+            _ => 0,
         };
-        self.tick_nodes(self.net.now());
+        self.step_nodes(self.net.now(), held);
         delivered
     }
 
     /// Moves every live node's queued messages into the network; a crashed
     /// node's queued messages are lost.
     fn ship_outboxes(&mut self) {
-        for i in 0..self.nodes.len() {
+        for (i, cell) in self.cells.iter_mut().enumerate() {
             let id = NodeId(i as u16);
             let crashed = self.crashed.contains(id);
             let net = &mut self.net;
-            self.nodes[i].drain_outbox_with(|to, msg| {
+            cell.node.drain_outbox_with(|to, msg| {
                 if !crashed {
                     let bytes = msg.payload_bytes();
                     net.send(Envelope::with_payload_bytes(id, to, msg, bytes));
@@ -486,33 +494,34 @@ impl SimInner {
         }
     }
 
-    /// Advances the network to `t` and hands every message that falls due to
-    /// its receiving node (crashed receivers drop theirs). Returns how many
-    /// the network delivered.
+    /// Advances the network to `t` and puts every message that falls due
+    /// into its receiving node's inbox (crashed receivers drop theirs).
+    /// Returns how many the network delivered.
     fn deliver_due(&mut self, t: u64) -> usize {
-        let SimInner {
-            net,
-            nodes,
-            crashed,
-            ..
-        } = self;
+        let (net, inboxes, crashed) = (&mut self.net, &mut self.inboxes, &self.crashed);
         let mut delivered = 0;
         net.deliver_due(t, |env| {
             delivered += 1;
             if !crashed.contains(env.to) {
-                nodes[env.to.index()].handle_message(env.from, env.msg);
+                inboxes[env.to.index()].push_back(env);
             }
         });
         delivered
     }
 
-    /// Ticks every live node's clock, then lets its driver act on what the
-    /// node has learnt since the last tick.
-    fn tick_nodes(&mut self, now: u64) {
-        for i in 0..self.nodes.len() {
-            if !self.crashed.contains(NodeId(i as u16)) {
-                self.nodes[i].tick(now);
-                self.drivers[i].poll(&mut self.nodes[i], now);
+    /// Whether every node has handled everything delivered to it.
+    fn inboxes_empty(&self) -> bool {
+        self.inboxes.iter().all(VecDeque::is_empty)
+    }
+
+    /// Steps every live node — or, if `held`, those holding messages —
+    /// through one iteration of the node loop ([`NodeCell::step`]) at `now`,
+    /// the one clock of the simulation. Commands never wait for it: a
+    /// session runs its own.
+    fn step_nodes(&mut self, now: u64, held: bool) {
+        for (i, (cell, inbox)) in self.cells.iter_mut().zip(&mut self.inboxes).enumerate() {
+            if !(self.crashed.contains(NodeId(i as u16)) || held && inbox.is_empty()) {
+                let _ = cell.step(now, inbox, |_, _| now, |_| None);
             }
         }
     }
@@ -527,28 +536,32 @@ impl SimInner {
             let next = (self.net.now() + RETRANSMIT_TICKS).min(target);
             loop {
                 self.ship_outboxes();
-                match self.net.next_delivery_time() {
-                    Some(t) if t <= next => {
-                        self.deliver_due(t);
-                        self.tick_nodes(self.net.now());
-                    }
-                    _ => break,
+                let due = self.net.next_delivery_time().is_some_and(|t| t <= next);
+                if !due && self.inboxes_empty() {
+                    break;
                 }
+                self.step();
             }
             self.deliver_due(next);
-            self.tick_nodes(next);
+            self.step_nodes(next, false);
         }
-        // Ship whatever the final ticks produced so it is in flight for the
+        // Ship whatever the final steps produced so it is in flight for the
         // caller's next step/settle.
         self.ship_outboxes();
     }
 
+    /// Whether a message is in flight or delivered and not yet handled.
+    fn in_transit(&self) -> bool {
+        self.net.in_flight_len() > 0 || !self.inboxes_empty()
+    }
+
     /// Whether every live node is quiescent, no command is parked and
-    /// nothing is in flight.
+    /// nothing is in transit.
     fn is_cluster_quiescent(&self) -> bool {
-        self.net.in_flight_len() == 0
+        !self.in_transit()
             && self.live().all(|n| {
-                self.nodes[n.index()].is_quiescent() && !self.drivers[n.index()].has_waiters()
+                let cell = &self.cells[n.index()];
+                cell.node.is_quiescent() && !cell.driver.has_waiters()
             })
     }
 
@@ -558,23 +571,14 @@ impl SimInner {
     /// periodic machinery can run instead of spinning on a frozen clock.
     fn settle_step(&mut self) {
         self.step();
-        if self.net.in_flight_len() == 0 && !self.is_cluster_quiescent() {
+        if !self.in_transit() && !self.is_cluster_quiescent() {
             self.advance_ticks(RETRANSMIT_TICKS);
         }
     }
 
     fn run_until_quiescent(&mut self, max_steps: usize) {
-        for _ in 0..max_steps {
-            if self.is_cluster_quiescent() {
-                return;
-            }
-            self.settle_step();
-        }
-        // One final check: quiescence may have been reached on the last step.
-        assert!(
-            self.is_cluster_quiescent(),
-            "cluster did not quiesce within {max_steps} steps"
-        );
+        let quiet = self.settle(max_steps);
+        assert!(quiet, "cluster did not quiesce within {max_steps} steps");
     }
 
     fn settle(&mut self, max_steps: usize) -> bool {
@@ -587,9 +591,10 @@ impl SimInner {
         self.is_cluster_quiescent()
     }
 
-    /// Submits `command` to `node`'s driver and steps the cluster until its
-    /// `ticket` resolves. A command that finishes on submission — a local
-    /// write, a replica read — moves neither the network nor the clock.
+    /// Runs `command` on `node` as a caller that finds the node free does
+    /// ([`NodeCell::run`]) and steps the cluster until its `ticket`
+    /// resolves. A command that finishes at once — a local write, a replica
+    /// read — moves neither the network nor the clock.
     fn run_command<T: TxPayload>(
         &mut self,
         node: NodeId,
@@ -600,10 +605,8 @@ impl SimInner {
             return Err(TxError::NodeUnavailable);
         }
         let i = node.index();
-        // Sessions run one at a time under the cluster mutex, so every
-        // command is a batch of one.
-        self.nodes[i].note_command_batch(1);
-        self.drivers[i].submit(&mut self.nodes[i], self.net.now(), command);
+        self.cells[i].inline_commands += 1;
+        let _ = self.cells[i].run(self.net.now(), [Command::Tx(command)]);
         for _ in 0..SESSION_STEP_BUDGET {
             if let Some(result) = ticket.try_poll() {
                 return result;
@@ -611,7 +614,7 @@ impl SimInner {
             // Ship before judging the network idle: what the last step made
             // the nodes say is traffic too.
             self.ship_outboxes();
-            if self.net.in_flight_len() > 0 {
+            if self.in_transit() {
                 self.step();
                 continue;
             }
@@ -619,7 +622,7 @@ impl SimInner {
             // it sits one out, else the nodes' periodic work (a re-sent
             // REQ, a retried NACK, a lapsing lease).
             let now = self.net.now();
-            let wait = match self.drivers[i].next_deadline(now) {
+            let wait = match self.cells[i].driver.next_deadline(now) {
                 Some(deadline) => (deadline - now).min(IDLE_WAIT_TICKS),
                 None => IDLE_WAIT_TICKS,
             };
@@ -627,7 +630,9 @@ impl SimInner {
         }
         // A liveness failure of the protocol, not an outcome of it: give the
         // command up so nothing of it lingers in the node.
-        self.drivers[i].fail_all(&mut self.nodes[i], &TxError::RetriesExhausted);
+        let cell = &mut self.cells[i];
+        cell.driver
+            .fail_all(&mut cell.node, &TxError::RetriesExhausted);
         ticket.wait()
     }
 
@@ -638,6 +643,8 @@ impl SimInner {
     fn fail_node(&mut self, node: NodeId) {
         self.crashed.insert(node);
         self.net.faults_mut().crash(node);
+        // What it was delivered and had not handled dies with it.
+        self.inboxes[node.index()].clear();
         // Tell the view service to reconfigure (stand-in for lease expiry,
         // which the lease-based path also covers in tests).
         self.admin_remove(node);
@@ -657,20 +664,14 @@ impl SimInner {
     }
 
     fn isolate_node(&mut self, node: NodeId) {
-        for i in 0..self.nodes.len() as u16 {
-            let peer = NodeId(i);
-            if peer != node {
-                self.net.faults_mut().partition(node, peer);
-            }
+        for peer in self.config.all_nodes().into_iter().filter(|&p| p != node) {
+            self.net.faults_mut().partition(node, peer);
         }
     }
 
     fn heal_node(&mut self, node: NodeId) {
-        for i in 0..self.nodes.len() as u16 {
-            let peer = NodeId(i);
-            if peer != node {
-                self.net.faults_mut().heal_partition(node, peer);
-            }
+        for peer in self.config.all_nodes().into_iter().filter(|&p| p != node) {
+            self.net.faults_mut().heal_partition(node, peer);
         }
     }
 
@@ -681,7 +682,7 @@ impl SimInner {
     fn admin_remove(&mut self, node: NodeId) {
         for vr in self.config.view_replica_set() {
             if vr != node && !self.crashed.contains(vr) {
-                self.nodes[vr.index()].admin_remove_node(node);
+                self.cells[vr.index()].node.admin_remove_node(node);
             }
         }
     }
@@ -691,7 +692,7 @@ impl SimInner {
     fn admin_restore(&mut self, node: NodeId) {
         for vr in self.config.view_replica_set() {
             if vr != node && !self.crashed.contains(vr) {
-                self.nodes[vr.index()].admin_add_node(node);
+                self.cells[vr.index()].node.admin_add_node(node);
             }
         }
     }
@@ -699,7 +700,7 @@ impl SimInner {
     fn aggregate_stats(&self) -> NodeStats {
         let mut total = NodeStats::default();
         for id in self.live() {
-            total.merge(&self.nodes[id.index()].stats());
+            total.merge(&self.cells[id.index()].stats().0);
         }
         total
     }
@@ -709,10 +710,10 @@ impl SimInner {
     // ------------------------------------------------------------------
 
     fn check_invariants(&self) -> Result<(), String> {
-        let live = self.live_nodes();
+        let live: Vec<NodeId> = self.live().collect();
         let mut objects: HashSet<ObjectId> = HashSet::new();
         for &id in &live {
-            objects.extend(self.nodes[id.index()].store().object_ids());
+            objects.extend(self.cells[id.index()].node.store().object_ids());
         }
         // Deterministic iteration: which violation is reported first must
         // not depend on hash order (the chaos explorer compares reports).
@@ -724,7 +725,7 @@ impl SimInner {
             let mut owner_ts = None;
             let mut valid_entries: Vec<(NodeId, DataTs, Bytes)> = Vec::new();
             for &id in &live {
-                let node = &self.nodes[id.index()];
+                let node = &self.cells[id.index()].node;
                 if let Some(entry) = node.store().get(object) {
                     max_ts = max_ts.max(entry.ts);
                     if entry.level == AccessLevel::Owner {
@@ -762,7 +763,7 @@ impl SimInner {
                 if !live.contains(&dir) {
                     continue;
                 }
-                if let Some(owner) = self.nodes[dir.index()].directory_owner(object) {
+                if let Some(owner) = self.cells[dir.index()].node.directory_owner(object) {
                     dir_owners.insert(owner);
                 }
             }
@@ -1291,5 +1292,57 @@ mod tests {
             large <= 4 * small + small / 4,
             "4x the commits cost {large} ring visits, {small} before"
         );
+    }
+
+    /// The step's grant-landed break. Node 2 parks a write on an object node
+    /// 0 owns and drives its own acquisition; the arbiters' ACKs — its grant
+    /// — and node 3's REQ for the same object, which node 2, as the driver
+    /// and by then the owner, would hand over at once, reach node 2 in one
+    /// delivery. The write has to run between the two: under a budget of one
+    /// attempt, the object taken away first would fail it.
+    #[test]
+    fn a_parked_write_runs_between_its_grant_and_a_steal_delivered_with_it() {
+        let mut c = cluster(4);
+        let object = ObjectId(2);
+        c.create_object(object, Bytes::from_static(b"0"), NodeId(0));
+        let (reply, rx) = ReplySlot::new(None);
+        let write = erase(move |tx: &mut TxCtx<'_>| tx.write(object, Bytes::from_static(b"2")));
+        let command = TxCommand {
+            work: Work::Write(write),
+            policy: RetryPolicy::no_retry(),
+            reply,
+        };
+        let mut ticket: TxTicket<()> = TxTicket::pending(rx);
+        let now = c.now();
+        let _ = c.lock().cells[2].run(now, [Command::Tx(command)]);
+        assert_eq!(ticket.try_poll(), None, "parked for ownership");
+        // Node 2's REQ reaches node 2, its INVs the arbiters, whose ACKs are
+        // then on their way — and sent before node 3's REQ.
+        c.step();
+        c.step();
+        c.node_mut(NodeId(3))
+            .acquire(object, OwnershipRequestKind::AcquireOwner);
+        c.step();
+        assert_eq!(ticket.try_poll(), Some(Ok(())), "the write ran first");
+        let steal_waits = c.lock().inboxes[2].iter().any(|env| {
+            let req = matches!(
+                env.msg,
+                Message::Ownership(zeus_proto::OwnershipMsg::Req { .. })
+            );
+            env.from == NodeId(3) && req
+        });
+        assert!(
+            steal_waits,
+            "the REQ came with the grant and waits behind it"
+        );
+
+        c.run_until_quiescent(10_000);
+        assert!(
+            c.node(NodeId(3)).owns(object),
+            "the steal went through after it"
+        );
+        let value = c.handle(NodeId(1)).read_txn(move |tx| tx.read(object));
+        assert_eq!(value, Ok(Bytes::from_static(b"2")));
+        c.check_invariants().unwrap();
     }
 }

@@ -149,14 +149,15 @@ pub struct NodeStats {
     pub rejoin_resets: u64,
     /// Commands that shared their drained batch with at least one other
     /// command (cross-session batching). A batch of `n >= 2` adds `n`; the
-    /// simulator's synchronous sessions always run batches of one, so this
+    /// simulator's synchronous sessions never queue a command, so this
     /// stays 0 there.
     pub batched_commands: u64,
-    /// Largest command batch the node loop executed as one unit.
+    /// Largest command batch the node loop executed as one unit (0 in the
+    /// simulator, for the same reason).
     pub batch_occupancy_hwm: u64,
     /// Commands that ran on the thread that submitted them, because it found
-    /// the node free (threaded, UDP and process runtimes; 0 in the
-    /// simulator, whose sessions always run the node themselves).
+    /// the node free. In the simulator that is every session command: a
+    /// session runs its command on the node itself.
     pub inline_commands: u64,
 }
 
