@@ -12,7 +12,7 @@
 //!   the link-fault hooks the fault scenarios need.
 //! * [`Session`] — a client's connection to one node: typed
 //!   [`write_txn`](Session::write_txn)/[`read_txn`](Session::read_txn)
-//!   closures generic over a [`TxPayload`] result, explicit ownership
+//!   closures returning any `Send` value, explicit ownership
 //!   migration via [`acquire`](Session::acquire), and *pipelined*
 //!   non-blocking submission ([`submit_write`](Session::submit_write) →
 //!   [`TxTicket`]) so a single client keeps N transactions in flight.
@@ -83,6 +83,7 @@
 //! cluster.shutdown();
 //! ```
 
+use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -92,118 +93,6 @@ use zeus_proto::{NodeId, ObjectId, OwnershipRequestKind};
 
 use crate::stats::{LatencyHistogram, NodeStats};
 use crate::txn::{TxCtx, TxError};
-
-// ---------------------------------------------------------------------------
-// Typed transaction payloads
-// ---------------------------------------------------------------------------
-
-/// A transaction result that can cross the node command channel.
-///
-/// A node executes transaction closures behind an object-safe command and
-/// hands the result back through the ticket's reply cell, so results are
-/// encoded to bytes in flight and decoded on arrival. Implementations must
-/// round-trip: `decode(encode(x)) == Some(x)`.
-pub trait TxPayload: Sized + Send + 'static {
-    /// Serialises the value.
-    fn encode(&self) -> Vec<u8>;
-    /// Deserialises a value previously produced by [`TxPayload::encode`].
-    /// `None` means the bytes are not a valid encoding (a type mismatch,
-    /// which is a caller bug — the session surfaces it as a panic).
-    fn decode(bytes: &[u8]) -> Option<Self>;
-}
-
-impl TxPayload for () {
-    fn encode(&self) -> Vec<u8> {
-        Vec::new()
-    }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        bytes.is_empty().then_some(())
-    }
-}
-
-impl TxPayload for bool {
-    fn encode(&self) -> Vec<u8> {
-        vec![u8::from(*self)]
-    }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        match bytes {
-            [0] => Some(false),
-            [1] => Some(true),
-            _ => None,
-        }
-    }
-}
-
-macro_rules! int_payload {
-    ($($ty:ty),*) => {$(
-        impl TxPayload for $ty {
-            fn encode(&self) -> Vec<u8> {
-                self.to_le_bytes().to_vec()
-            }
-            fn decode(bytes: &[u8]) -> Option<Self> {
-                Some(<$ty>::from_le_bytes(bytes.try_into().ok()?))
-            }
-        }
-    )*};
-}
-
-int_payload!(u32, u64, i64, f64);
-
-impl TxPayload for usize {
-    fn encode(&self) -> Vec<u8> {
-        (*self as u64).to_le_bytes().to_vec()
-    }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        u64::decode(bytes).map(|v| v as usize)
-    }
-}
-
-impl TxPayload for Vec<u8> {
-    fn encode(&self) -> Vec<u8> {
-        self.clone()
-    }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        Some(bytes.to_vec())
-    }
-}
-
-impl TxPayload for Bytes {
-    fn encode(&self) -> Vec<u8> {
-        self.to_vec()
-    }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        Some(Bytes::from(bytes.to_vec()))
-    }
-}
-
-impl TxPayload for String {
-    fn encode(&self) -> Vec<u8> {
-        self.as_bytes().to_vec()
-    }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-}
-
-impl<A: TxPayload, B: TxPayload> TxPayload for (A, B) {
-    fn encode(&self) -> Vec<u8> {
-        let a = self.0.encode();
-        let b = self.1.encode();
-        let mut out = Vec::with_capacity(8 + a.len() + b.len());
-        out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-        out.extend_from_slice(&a);
-        out.extend_from_slice(&b);
-        out
-    }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let len = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?) as usize;
-        let rest = bytes.get(8..)?;
-        if rest.len() < len {
-            return None;
-        }
-        Some((A::decode(&rest[..len])?, B::decode(&rest[len..])?))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Retry policy
@@ -274,13 +163,18 @@ impl RetryPolicy {
 // Tickets
 // ---------------------------------------------------------------------------
 
-/// The encoded result of a submitted transaction plus the instant the node
-/// resolved it. The timestamp is taken where the transaction resolves, so
-/// per-ticket latency (resolve minus submit) reflects when it actually
-/// finished — not whenever the client got around to polling or draining.
+/// What a transaction closure returned, as it travels from the node to its
+/// ticket: the closure's own value, boxed so that commands of every result
+/// type fit one queue and one driver. Its type is the ticket's `T`.
+pub(crate) type TxValue = Box<dyn Any + Send>;
+
+/// The result of a submitted transaction plus the instant the node resolved
+/// it. The timestamp is taken where the transaction resolves, so per-ticket
+/// latency (resolve minus submit) reflects when it actually finished — not
+/// whenever the client got around to polling or draining.
 #[derive(Debug)]
 struct TicketReply {
-    result: Result<Vec<u8>, TxError>,
+    result: Result<TxValue, TxError>,
     resolved_at: Instant,
 }
 
@@ -338,7 +232,7 @@ impl ReplySlot {
 
     /// Resolves the ticket. The resolve instant is stamped here, where the
     /// transaction finished, so pipelined tickets expose true per-op latency.
-    pub(crate) fn send(self, result: Result<Vec<u8>, TxError>) {
+    pub(crate) fn send(self, result: Result<TxValue, TxError>) {
         self.settle(ReplyState::Resolved(TicketReply {
             result,
             resolved_at: Instant::now(),
@@ -468,7 +362,7 @@ impl Drop for InflightGuard {
 /// submission still executes (and still counts toward
 /// [`Session::drain`]'s barrier).
 #[derive(Debug)]
-pub struct TxTicket<T: TxPayload> {
+pub struct TxTicket<T> {
     state: TicketState<T>,
 }
 
@@ -477,11 +371,11 @@ enum TicketState<T> {
     /// The result is already known (simulated runtime, or polled), plus the
     /// instant it resolved.
     Ready(Option<Result<T, TxError>>, Instant),
-    /// The node thread will put the encoded result into this cell.
+    /// The node thread will put the result into this cell.
     Pending(ReplyReceiver),
 }
 
-impl<T: TxPayload> TxTicket<T> {
+impl<T: Send + 'static> TxTicket<T> {
     /// A ticket that is already resolved.
     pub(crate) fn ready(result: Result<T, TxError>) -> Self {
         TxTicket {
@@ -496,9 +390,11 @@ impl<T: TxPayload> TxTicket<T> {
         }
     }
 
-    fn decode(encoded: Result<Vec<u8>, TxError>) -> Result<T, TxError> {
-        encoded.map(|bytes| {
-            T::decode(&bytes).expect("TxPayload type mismatch between submit and wait")
+    fn downcast(result: Result<TxValue, TxError>) -> Result<T, TxError> {
+        result.map(|value| {
+            *value
+                .downcast::<T>()
+                .expect("a ticket is typed by the closure that filled it")
         })
     }
 
@@ -515,7 +411,7 @@ impl<T: TxPayload> TxTicket<T> {
         match self.state {
             TicketState::Ready(result, at) => (result.expect("ticket already consumed"), at),
             TicketState::Pending(rx) => match rx.wait() {
-                Some(reply) => (Self::decode(reply.result), reply.resolved_at),
+                Some(reply) => (Self::downcast(reply.result), reply.resolved_at),
                 None => (Err(TxError::NodeUnavailable), Instant::now()),
             },
         }
@@ -534,7 +430,7 @@ impl<T: TxPayload> TxTicket<T> {
             TicketState::Ready(result, at) => result.take().map(|r| (r, *at)),
             TicketState::Pending(rx) => {
                 let (result, at) = match rx.try_take()? {
-                    Some(reply) => (Self::decode(reply.result), reply.resolved_at),
+                    Some(reply) => (Self::downcast(reply.result), reply.resolved_at),
                     None => (Err(TxError::NodeUnavailable), Instant::now()),
                 };
                 self.state = TicketState::Ready(None, at);
@@ -571,7 +467,7 @@ pub trait Session: Clone + Send + 'static {
     /// the session's [`RetryPolicy`].
     fn write_txn<T, F>(&self, f: F) -> Result<T, TxError>
     where
-        T: TxPayload,
+        T: Send + 'static,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static;
 
     /// Executes a strictly serializable read-only transaction locally on
@@ -592,7 +488,7 @@ pub trait Session: Clone + Send + 'static {
     /// on either thread, as its `FnMut + Send` bound says.
     fn read_txn<T, F>(&self, f: F) -> Result<T, TxError>
     where
-        T: TxPayload,
+        T: Send + 'static,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static;
 
     /// Submits a write transaction without waiting for it: the returned
@@ -609,7 +505,7 @@ pub trait Session: Clone + Send + 'static {
     /// resolved.
     fn submit_write<T, F>(&self, f: F) -> TxTicket<T>
     where
-        T: TxPayload,
+        T: Send + 'static,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static;
 
     /// Barrier: blocks until every transaction submitted through this
@@ -621,8 +517,11 @@ pub trait Session: Clone + Send + 'static {
     /// hot-object scenarios of Figures 10–11).
     fn acquire(&self, object: ObjectId, kind: OwnershipRequestKind) -> Result<(), TxError>;
 
-    /// This node's statistics and ownership-latency histogram.
-    /// [`TxError::NodeUnavailable`] if the node is gone.
+    /// This node's statistics and ownership-latency histogram, read on the
+    /// calling thread: the call takes the node's lock and does not queue
+    /// behind the session's submissions, so a transaction still in flight
+    /// may or may not be counted yet. [`TxError::NodeUnavailable`] if the
+    /// node is gone.
     fn stats(&self) -> Result<(NodeStats, LatencyHistogram), TxError>;
 }
 
@@ -851,36 +750,6 @@ pub trait ClusterDriver {
 mod tests {
     use super::*;
 
-    fn round_trip<T: TxPayload + PartialEq + std::fmt::Debug>(value: T) {
-        assert_eq!(T::decode(&value.encode()), Some(value));
-    }
-
-    #[test]
-    fn payloads_round_trip() {
-        round_trip(());
-        round_trip(true);
-        round_trip(false);
-        round_trip(42u32);
-        round_trip(u64::MAX);
-        round_trip(-7i64);
-        round_trip(3.25f64);
-        round_trip(123usize);
-        round_trip(vec![1u8, 2, 3]);
-        round_trip(Bytes::from_static(b"abc"));
-        round_trip("héllo".to_string());
-        round_trip((9u64, "pair".to_string()));
-        round_trip(((1u32, 2u64), vec![3u8]));
-    }
-
-    #[test]
-    fn payload_decode_rejects_malformed() {
-        assert_eq!(<()>::decode(&[1]), None);
-        assert_eq!(bool::decode(&[2]), None);
-        assert_eq!(u64::decode(&[0; 7]), None);
-        assert_eq!(<(u32, u32)>::decode(&[0; 4]), None);
-        assert_eq!(String::decode(&[0xff, 0xfe]), None);
-    }
-
     #[test]
     fn retry_policy_backoff_is_exponential_and_capped() {
         let p = RetryPolicy::default();
@@ -917,13 +786,13 @@ mod tests {
         let (tx, rx) = ReplySlot::new(None);
         let mut t: TxTicket<u64> = TxTicket::pending(rx);
         assert_eq!(t.try_poll(), None);
-        tx.send(Ok(9u64.encode()));
+        tx.send(Ok(Box::new(9u64)));
         assert_eq!(t.try_poll(), Some(Ok(9)));
         assert_eq!(t.try_poll(), None, "spent");
 
         let (tx, rx) = ReplySlot::new(None);
         let t: TxTicket<u64> = TxTicket::pending(rx);
-        tx.send(Ok(11u64.encode()));
+        tx.send(Ok(Box::new(11u64)));
         assert_eq!(t.wait(), Ok(11));
 
         // A dropped node thread resolves tickets to NodeUnavailable.
@@ -955,7 +824,7 @@ mod tests {
             let waiter = std::thread::spawn(move || t.wait());
             until(|| matches!(*tx.cell.state.lock().unwrap(), ReplyState::Parked));
             if send {
-                tx.send(Ok(3u64.encode()));
+                tx.send(Ok(Box::new(3u64)));
             } else {
                 drop(tx);
             }
@@ -971,7 +840,7 @@ mod tests {
         assert_eq!(t.try_poll(), None);
         // Still plain `Waiting`: resolving it will have nobody to signal.
         assert!(matches!(*cell.state.lock().unwrap(), ReplyState::Waiting));
-        tx.send(Ok(4u64.encode()));
+        tx.send(Ok(Box::new(4u64)));
         assert!(matches!(
             *cell.state.lock().unwrap(),
             ReplyState::Resolved(_)
@@ -1003,7 +872,7 @@ mod tests {
         let (tx, rx) = ReplySlot::new(None);
         let mut t: TxTicket<u64> = TxTicket::pending(rx);
         assert!(t.try_poll_timed().is_none());
-        tx.send(Ok(5u64.encode()));
+        tx.send(Ok(Box::new(5u64)));
         let sent_by = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
         let (result, at) = t.try_poll_timed().unwrap();

@@ -24,22 +24,23 @@
 use zeus_proto::messages::NackReason;
 use zeus_proto::{ObjectId, OwnershipRequestKind, RequestId};
 
-use crate::client::{ReplySlot, RetryPolicy, TxPayload};
+use crate::client::{ReplySlot, RetryPolicy, TxValue};
 use crate::node::{RequestState, ZeusNode};
 use crate::txn::{ReadOutcome, TxCtx, TxError, WriteOutcome};
 
-/// A transaction closure as a node executes it. The result is an opaque byte
-/// vector so commands stay object-safe; the session layer encodes and
-/// decodes the typed [`TxPayload`].
-pub(crate) type TxFn = Box<dyn FnMut(&mut TxCtx<'_>) -> Result<Vec<u8>, TxError> + Send>;
+/// A transaction closure as a node executes it. Its value is boxed
+/// ([`TxValue`]) so that commands of every result type are one type; the
+/// [`TxTicket`](crate::TxTicket) that returns it knows the type and unboxes
+/// it.
+pub(crate) type TxFn = Box<dyn FnMut(&mut TxCtx<'_>) -> Result<TxValue, TxError> + Send>;
 
-/// Boxes a typed closure into the byte-payload form commands carry.
+/// Boxes a typed closure into the form commands carry.
 pub(crate) fn erase<T, F>(mut f: F) -> TxFn
 where
-    T: TxPayload,
+    T: Send + 'static,
     F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
 {
-    Box::new(move |ctx| f(ctx).map(|v| v.encode()))
+    Box::new(move |ctx| f(ctx).map(|value| Box::new(value) as TxValue))
 }
 
 /// What a session asks of its node.
@@ -217,7 +218,7 @@ impl Waiter {
         node: &mut ZeusNode,
         now: u64,
         ran: &mut bool,
-    ) -> Option<Result<Vec<u8>, TxError>> {
+    ) -> Option<Result<TxValue, TxError>> {
         let settled = self
             .conflict_at
             .is_some_and(|at| at != node.messages_handled());
@@ -238,7 +239,7 @@ impl Waiter {
     }
 
     /// Runs the command once.
-    fn run(&mut self, node: &mut ZeusNode, now: u64) -> Option<Result<Vec<u8>, TxError>> {
+    fn run(&mut self, node: &mut ZeusNode, now: u64) -> Option<Result<TxValue, TxError>> {
         self.conflict_at = None;
         let error = match &mut self.command.work {
             Work::Write(tx) => match node.execute_write(0, |ctx| tx(ctx)) {
@@ -270,7 +271,8 @@ impl Waiter {
                     self.requests = vec![node.acquire(*object, *kind)];
                     return None;
                 }
-                return Some(Ok(Vec::new()));
+                // A zero-sized box: no allocation.
+                return Some(Ok(Box::new(())));
             }
         };
         self.charge(error, node, now).err().map(Err)
@@ -384,7 +386,7 @@ mod tests {
             }
         }
 
-        fn submit<T: TxPayload>(
+        fn submit<T: Send + 'static>(
             &mut self,
             node: usize,
             work: Work,

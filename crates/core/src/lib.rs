@@ -20,8 +20,8 @@
 //!   `tr_open_read`/`tr_open_write`, §7).
 //! * [`client`] — the session-first client API: one [`ClusterDriver`]
 //!   surface over every runtime, typed transactions
-//!   ([`Session::write_txn`]/[`Session::read_txn`] over a
-//!   [`client::TxPayload`] result), explicit [`client::RetryPolicy`] retry
+//!   ([`Session::write_txn`]/[`Session::read_txn`] return whatever `Send`
+//!   value their closure does), explicit [`client::RetryPolicy`] retry
 //!   classification, and pipelined non-blocking submission
 //!   ([`Session::submit_write`] → [`client::TxTicket`]). Behind it, one
 //!   transaction driver (`driver.rs`) parks, retries, backs off and fences
@@ -61,7 +61,7 @@ pub mod txn;
 pub mod udp_cluster;
 
 pub use balancer::LoadBalancer;
-pub use client::{Admin, AdminError, ClusterDriver, RetryPolicy, Session, TxPayload, TxTicket};
+pub use client::{Admin, AdminError, ClusterDriver, RetryPolicy, Session, TxTicket};
 pub use cluster_config::{ClusterFile, NodeAddr};
 pub use config::ZeusConfig;
 pub use message::Message;

@@ -36,14 +36,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, SendError, Sender};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use zeus_net::threaded::{LinkFaults, SharedCounters};
 use zeus_net::{Envelope, ThreadedNet, Transport};
 use zeus_proto::{NodeId, ObjectId, OwnershipRequestKind, ReplicaSet};
 use zeus_store::Store;
 
 use crate::client::{
-    AdminError, ClusterDriver, Inflight, ReplySlot, RetryPolicy, Session, TxPayload, TxTicket,
+    AdminError, ClusterDriver, Inflight, ReplySlot, RetryPolicy, Session, TxTicket,
 };
 use crate::config::ZeusConfig;
 use crate::driver::{erase, TxCommand, TxDriver, Work};
@@ -301,9 +301,6 @@ impl NodeCell {
                     data,
                     replicas,
                 } => self.node.create_object(object, data, replicas),
-                Command::Stats { reply } => {
-                    let _ = reply.send(self.stats());
-                }
                 Command::AdminExpel { node } => self.node.admin_remove_node(node),
                 Command::AdminReadmit { node } => self.node.admin_add_node(node),
                 Command::Shutdown => return ControlFlow::Break(()),
@@ -534,9 +531,6 @@ pub(crate) enum Command {
         data: Bytes,
         replicas: ReplicaSet,
     },
-    Stats {
-        reply: Sender<(NodeStats, LatencyHistogram)>,
-    },
     /// Admin expulsion proposal: ban `node` locally and let the view service
     /// drive the quorum view change. Sent to every live view replica so the
     /// proposal survives any minority of replica failures.
@@ -584,7 +578,7 @@ impl ThreadedSession {
     /// its drain barrier, returning the ticket that resolves with the
     /// result. A failed send drops the command — releasing the guard and the
     /// reply sender, so the ticket resolves to [`TxError::NodeUnavailable`].
-    fn submit<T: TxPayload>(&self, work: Work) -> TxTicket<T> {
+    fn submit<T: Send + 'static>(&self, work: Work) -> TxTicket<T> {
         let (reply, rx) = ReplySlot::new(Some(self.inflight.guard()));
         let _ = self.link.send(Command::Tx(TxCommand {
             work,
@@ -611,7 +605,7 @@ impl Session for ThreadedSession {
 
     fn write_txn<T, F>(&self, f: F) -> Result<T, TxError>
     where
-        T: TxPayload,
+        T: Send + 'static,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
         self.submit_write(f).wait()
@@ -619,7 +613,7 @@ impl Session for ThreadedSession {
 
     fn read_txn<T, F>(&self, mut f: F) -> Result<T, TxError>
     where
-        T: TxPayload,
+        T: Send + 'static,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
         // With nothing of this session in flight there is no earlier
@@ -635,7 +629,7 @@ impl Session for ThreadedSession {
 
     fn submit_write<T, F>(&self, f: F) -> TxTicket<T>
     where
-        T: TxPayload,
+        T: Send + 'static,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
         self.submit(Work::Write(erase(f)))
@@ -651,11 +645,18 @@ impl Session for ThreadedSession {
     }
 
     fn stats(&self) -> Result<(NodeStats, LatencyHistogram), TxError> {
-        let (reply, rx) = bounded(1);
-        self.link
-            .send(Command::Stats { reply })
+        // A poisoned lock is a dead node (see `NodeCell`), and so is one
+        // whose loop has exited.
+        let cell = self
+            .link
+            .cell
+            .lock()
             .map_err(|_| TxError::NodeUnavailable)?;
-        let (mut stats, latency) = rx.recv().map_err(|_| TxError::NodeUnavailable)?;
+        if self.link.reads.is_closed() {
+            return Err(TxError::NodeUnavailable);
+        }
+        let (mut stats, latency) = cell.stats();
+        drop(cell);
         self.link.reads.add_to(&mut stats);
         Ok((stats, latency))
     }
@@ -896,15 +897,13 @@ impl<T> ClusterDriver for Cluster<T> {
 /// stranded by dead peers.
 const COMMIT_BACKPRESSURE_HWM: usize = 2_048;
 
-/// Bounds of the adaptive command-drain cap. The cap tracks 2x the recent
-/// batch-occupancy high-water mark: a lightly loaded node drains small
-/// batches (each batch delays its first command until the iteration's single
-/// outbox flush, so over-draining costs latency), a saturated one widens
-/// toward the max so channel lock round-trips and flushes amortize over more
-/// commands. The floor keeps headroom to *discover* rising load — occupancy
-/// can only grow past the HWM if the drain allows more than the HWM.
-const DRAIN_CAP_MIN: usize = 16;
-const DRAIN_CAP_MAX: usize = 256;
+/// Most queued commands the loop takes in one iteration while admission is
+/// open. A saturated node amortises the channel's lock and the iteration's
+/// one outbox flush over the whole batch; the bound keeps the batch from
+/// holding its first command's R-INVs back for long, and from overshooting
+/// [`COMMIT_BACKPRESSURE_HWM`] by more than its size. A lightly loaded node
+/// finds a command or two queued and takes just those.
+const DRAIN_CAP: usize = 256;
 
 /// The per-node event loop, generic over how bytes move ([`Transport`]):
 /// in-process channels for [`ThreadedCluster`], UDP sockets for
@@ -939,9 +938,6 @@ fn node_loop<T: Transport<Message>>(
     let mut drain_buf: Vec<Envelope<Message>> = Vec::new();
     let mut cmd_buf: Vec<Command> = Vec::new();
     let mut read_notes: Vec<ObjectId> = Vec::new();
-    // Decaying high-water mark of recent batch occupancy, driving the
-    // adaptive drain cap (see DRAIN_CAP_MIN/MAX).
-    let mut drain_hwm: usize = 0;
     loop {
         // Poisoned: a transaction panicked on the thread that ran it, and
         // what it left of the node is not to be trusted (see `NodeCell`).
@@ -983,29 +979,21 @@ fn node_loop<T: Transport<Message>>(
                 // The lease caller-thread reads run under, renewed from the
                 // membership state the messages and the tick left.
                 reads.publish_lease(cell.node.read_lease_deadline());
-                // Queued commands, drained as one batch while admission
-                // (`COMMIT_BACKPRESSURE_HWM`) is open — one lock round-trip
-                // per burst — with writes grouped to the front so the commit
-                // pipeline fills back to back and same-object acquisitions
-                // share one request. That keeps per-session order: reads and
+                // Queued commands, drained as one batch of up to `DRAIN_CAP`
+                // while admission (`COMMIT_BACKPRESSURE_HWM`) is open — one
+                // lock round-trip per burst — with writes grouped to the
+                // front so the commit pipeline fills back to back and
+                // same-object acquisitions share one request. That keeps per-session order: reads and
                 // acquires block their session, so no session has a write
                 // queued *behind* its own read/acquire within one batch.
                 // `CreateObject` stays in front too: a write hoisted past it
                 // would put its REQ on the wire before the object's placement
                 // is installed, racing the directory's own creation.
-                let want = if cell.admits() {
-                    (drain_hwm * 2).clamp(DRAIN_CAP_MIN, DRAIN_CAP_MAX)
-                } else {
-                    0
-                };
+                let want = if cell.admits() { DRAIN_CAP } else { 0 };
                 commands.drain_into(&mut cmd_buf, want);
                 if !cmd_buf.is_empty() {
                     cell.node.note_command_batch(cmd_buf.len());
                 }
-                // Raise the HWM to this batch, then decay it a step so a
-                // past burst stops inflating the cap once the load drops.
-                drain_hwm = drain_hwm.max(cmd_buf.len());
-                drain_hwm -= (1 + drain_hwm / 32).min(drain_hwm);
                 // A stable sort: each group keeps its order.
                 cmd_buf.sort_by_key(|command| {
                     !matches!(
@@ -1283,8 +1271,8 @@ mod tests {
         );
 
         // Only transactions run here; the rest is the loop's.
-        let (reply, _stats) = bounded(1);
-        assert!(link.send(Command::Stats { reply }).is_ok());
+        let readmit = Command::AdminReadmit { node: NodeId(0) };
+        assert!(link.send(readmit).is_ok());
         assert_eq!(inbox.len(), 1);
         inbox.try_recv().unwrap();
 
@@ -1553,7 +1541,7 @@ mod tests {
         // A caller stops at the first commit it finds waiting too long and
         // the loop at the high-water mark, which one batch can overshoot.
         assert!(
-            deepest <= COMMIT_BACKPRESSURE_HWM + DRAIN_CAP_MAX,
+            deepest <= COMMIT_BACKPRESSURE_HWM + DRAIN_CAP,
             "{deepest} commits outstanding"
         );
 

@@ -29,9 +29,7 @@ use zeus_net::sim::{NetConfig, SimNetwork};
 use zeus_net::Envelope;
 use zeus_proto::{AccessLevel, DataTs, NodeId, NodeSet, ObjectId, OwnershipRequestKind, TState};
 
-use crate::client::{
-    AdminError, ClusterDriver, ReplySlot, RetryPolicy, Session, TxPayload, TxTicket,
-};
+use crate::client::{AdminError, ClusterDriver, ReplySlot, RetryPolicy, Session, TxTicket};
 use crate::config::ZeusConfig;
 use crate::driver::{erase, TxCommand, Work};
 use crate::message::Message;
@@ -365,7 +363,7 @@ pub struct SimSession {
 impl SimSession {
     /// Submits `work` under the session's policy and drives the cluster to
     /// its reply.
-    fn run<T: TxPayload>(&self, work: Work) -> Result<T, TxError> {
+    fn run<T: Send + 'static>(&self, work: Work) -> Result<T, TxError> {
         let (reply, rx) = ReplySlot::new(None);
         let command = TxCommand {
             work,
@@ -395,7 +393,7 @@ impl Session for SimSession {
 
     fn write_txn<T, F>(&self, f: F) -> Result<T, TxError>
     where
-        T: TxPayload,
+        T: Send + 'static,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
         self.run(Work::Write(erase(f)))
@@ -403,7 +401,7 @@ impl Session for SimSession {
 
     fn read_txn<T, F>(&self, f: F) -> Result<T, TxError>
     where
-        T: TxPayload,
+        T: Send + 'static,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
         self.run(Work::Read(erase(f)))
@@ -411,7 +409,7 @@ impl Session for SimSession {
 
     fn submit_write<T, F>(&self, f: F) -> TxTicket<T>
     where
-        T: TxPayload,
+        T: Send + 'static,
         F: FnMut(&mut TxCtx<'_>) -> Result<T, TxError> + Send + 'static,
     {
         TxTicket::ready(self.write_txn(f))
@@ -595,7 +593,7 @@ impl SimInner {
     /// ([`NodeCell::run`]) and steps the cluster until its `ticket`
     /// resolves. A command that finishes at once — a local write, a replica
     /// read — moves neither the network nor the clock.
-    fn run_command<T: TxPayload>(
+    fn run_command<T: Send + 'static>(
         &mut self,
         node: NodeId,
         command: TxCommand,

@@ -13,8 +13,14 @@
 //! the shape of `core.node_trio_handover_cpu_ns`), and the write runs again
 //! and replicates. The protocol and the first write after the grant each
 //! have a budget; cloning a placement and a tick with nothing due must not
-//! allocate at all. The per-stage splits are printed so a regression can be
-//! attributed:
+//! allocate at all.
+//!
+//! Last, a session on a one-node simulator runs reads that return a
+//! `(u64, i64)` and writes that return `()`. A result reaches its ticket as
+//! the boxed value it is, so a read has a budget of 4 (encoding the pair to
+//! bytes and back cost it 6) and a write one of 3.
+//!
+//! The per-stage splits are printed so a regression can be attributed:
 //!
 //! ```text
 //! cargo test --release -p zeus-core --test alloc_budget -- --nocapture
@@ -28,7 +34,10 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use zeus_core::node::RequestState;
-use zeus_core::{Message, NodeId, ObjectId, WriteOutcome, ZeusConfig, ZeusNode};
+use zeus_core::{
+    ClusterDriver, Message, NodeId, ObjectId, Session, SimCluster, WriteOutcome, ZeusConfig,
+    ZeusNode,
+};
 use zeus_proto::messages::NackReason;
 use zeus_proto::{
     CommitMsg, DataTs, Epoch, MembershipMsg, ObjectUpdate, OwnershipMsg, OwnershipRequestKind,
@@ -408,6 +417,53 @@ fn per_tx(allocations: u64, windows: u64) -> u64 {
     allocations.div_ceil(windows * WINDOW)
 }
 
+/// Transactions of each kind [`session_round_trips`] measures.
+const SESSION_TXS: u64 = 1_024;
+
+/// The allocations of `SESSION_TXS` read transactions returning `(u64, i64)`
+/// and of as many write transactions returning `()`, made through a session
+/// on a one-node simulator: the command, the driver, the reply cell, the
+/// result on its way to the ticket and the transaction itself, with no
+/// follower to replicate to.
+fn session_round_trips() -> (u64, u64) {
+    let cluster = SimCluster::new(ZeusConfig::with_nodes(1));
+    let object = ObjectId(0);
+    cluster.create_object(object, vec![0u8; 16], NodeId(0));
+    let session = cluster.handle(NodeId(0));
+    let read = || {
+        session
+            .read_txn(move |tx| {
+                let value = tx.read(object)?;
+                let (counter, balance) = value.split_at(8);
+                Ok((
+                    u64::from_le_bytes(counter.try_into().expect("8 bytes")),
+                    i64::from_le_bytes(balance.try_into().expect("8 bytes")),
+                ))
+            })
+            .expect("a replica read")
+    };
+    let write = || {
+        session
+            .write_txn(move |tx| tx.write(object, Bytes::from_static(&[1; 16])))
+            .expect("a local write")
+    };
+    // Warm-up: the simulator's and the node's buffers reach their size.
+    for _ in 0..64 {
+        read();
+        write();
+    }
+    let before = allocations();
+    for _ in 0..SESSION_TXS {
+        std::hint::black_box(read());
+    }
+    let reads = allocations() - before;
+    let before = allocations();
+    for _ in 0..SESSION_TXS {
+        write();
+    }
+    (reads, allocations() - before)
+}
+
 #[test]
 fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     const MEASURED_WINDOWS: u64 = 64;
@@ -459,6 +515,8 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     let idle_tick = allocations() - before;
     assert!(nodes[0].drain_outbox().is_empty(), "nothing was due");
 
+    let (session_reads, session_writes) = session_round_trips();
+
     // Printed after measuring: capturing output allocates.
     for (label, stages) in [("one-object", one), ("two-object", two)] {
         let n = (MEASURED_WINDOWS * WINDOW) as f64;
@@ -485,6 +543,12 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
         moved.next_write as f64 / n,
     );
     println!("cloning an 8-node placement: {cloning} allocations; an idle tick: {idle_tick}");
+    let n = SESSION_TXS as f64;
+    println!(
+        "through a session on one simulated node: a read returning (u64, i64) {:.2} allocations, a write returning () {:.2}",
+        session_reads as f64 / n,
+        session_writes as f64 / n,
+    );
 
     assert!(
         per_tx(one.total(), MEASURED_WINDOWS) <= 16,
@@ -506,4 +570,12 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     );
     assert_eq!(cloning, 0, "a placement of up to 8 nodes lives inline");
     assert_eq!(idle_tick, 0, "a tick with nothing due only looks at timers");
+    assert!(
+        session_reads.div_ceil(SESSION_TXS) <= 4,
+        "a session's read returning (u64, i64) may allocate 4 times, did {session_reads} over {SESSION_TXS}"
+    );
+    assert!(
+        session_writes.div_ceil(SESSION_TXS) <= 3,
+        "a session's write returning () may allocate 3 times, did {session_writes} over {SESSION_TXS}"
+    );
 }

@@ -217,6 +217,78 @@ fn an_ownership_failure_names_the_object_it_was_for() {
     assert_eq!(result, Err(error));
 }
 
+/// A result type of the test's own, with nothing in it a byte codec would
+/// know how to carry: a ticket returns its closure's value as it was.
+#[derive(Debug, PartialEq)]
+struct Receipt {
+    object: ObjectId,
+    seen: Bytes,
+    note: String,
+}
+
+/// Replaces `object`'s value with `value` and returns what was there.
+fn swap(
+    session: &impl Session,
+    object: ObjectId,
+    value: &'static [u8],
+    note: &'static str,
+) -> Result<Receipt, TxError> {
+    session.write_txn(move |tx| {
+        let seen = tx.read(object)?;
+        tx.write(object, Bytes::from_static(value))?;
+        let note = note.to_string();
+        Ok(Receipt { object, seen, note })
+    })
+}
+
+/// A local write on the owner (on the threaded runtimes its caller runs it
+/// once the loads are in), a write from node 2 that parks for the object and
+/// is finished by the loop's poll, and a read: each returns a [`Receipt`].
+fn receipts<R: Runtime>() -> [Result<Receipt, TxError>; 3] {
+    let cluster = R::start(ZeusConfig::with_nodes(3));
+    let object = ObjectId(1);
+    cluster.create_object(object, Bytes::from_static(b"0"), NodeId(0));
+    // Load barrier (object creation is fire-and-forget on node threads).
+    for node in 0..3 {
+        let session = cluster.handle(NodeId(node));
+        session.read_txn(move |tx| tx.read(object)).expect("loaded");
+    }
+    let (owner, remote) = (cluster.handle(NodeId(0)), cluster.handle(NodeId(2)));
+    let local = swap(&owner, object, b"local", "on the owner");
+    let moved = swap(&remote, object, b"remote", "after the move");
+    let read = remote.read_txn(move |tx| {
+        let seen = tx.read(object)?;
+        let note = "read".to_string();
+        Ok(Receipt { object, seen, note })
+    });
+    cluster.stop();
+    [local, moved, read]
+}
+
+#[test]
+fn a_transaction_returns_its_closures_value_unchanged_on_every_runtime() {
+    let results = on_all(
+        receipts::<SimCluster>,
+        receipts::<ThreadedCluster>,
+        receipts::<UdpCluster>,
+    );
+    let receipt = |seen: &'static [u8], note: &str| {
+        Ok(Receipt {
+            object: ObjectId(1),
+            seen: Bytes::from_static(seen),
+            note: note.to_string(),
+        })
+    };
+    assert_eq!(
+        results,
+        [
+            receipt(b"0", "on the owner"),
+            receipt(b"local", "after the move"),
+            receipt(b"remote", "read"),
+        ]
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Simulator only: crashes and exact interleavings
 // ---------------------------------------------------------------------------
