@@ -15,10 +15,14 @@
 //! have a budget; cloning a placement and a tick with nothing due must not
 //! allocate at all.
 //!
-//! Last, a session on a one-node simulator runs reads that return a
+//! Then a session on a one-node simulator runs reads that return a
 //! `(u64, i64)` and writes that return `()`. A result reaches its ticket as
 //! the boxed value it is, so a read has a budget of 4 (encoding the pair to
 //! bytes and back cost it 6) and a write one of 3.
+//!
+//! Last of all, the simulated network on its own: once its in-flight queue
+//! has reached its size, sending and delivering at a fixed delay must not
+//! allocate at all — emptied delivery-time buckets are reused.
 //!
 //! The per-stage splits are printed so a regression can be attributed:
 //!
@@ -38,6 +42,7 @@ use zeus_core::{
     ClusterDriver, Message, NodeId, ObjectId, Session, SimCluster, WriteOutcome, ZeusConfig,
     ZeusNode,
 };
+use zeus_net::{Envelope, NetConfig, SimNetwork};
 use zeus_proto::messages::NackReason;
 use zeus_proto::{
     CommitMsg, DataTs, Epoch, MembershipMsg, ObjectUpdate, OwnershipMsg, OwnershipRequestKind,
@@ -464,6 +469,38 @@ fn session_round_trips() -> (u64, u64) {
     (reads, allocations() - before)
 }
 
+/// Rounds of seven sends and one delivery [`sim_network_rounds`] measures.
+const SIM_NET_ROUNDS: u64 = 100_000;
+
+/// The allocations of `SIM_NET_ROUNDS` rounds on a simulated network with a
+/// fixed 10-tick delay, each round seven sends and then the delivery of
+/// everything due, after 1,000 rounds that size the in-flight queue.
+fn sim_network_rounds() -> u64 {
+    const WARM_UP: u64 = 1_000;
+    let mut net: SimNetwork<Message> = SimNetwork::new(NetConfig::reliable(10));
+    let heartbeat: Message = MembershipMsg::Heartbeat {
+        from: NodeId(0),
+        epoch: Epoch(0),
+    }
+    .into();
+    let mut delivered = 0u64;
+    let mut before = 0;
+    for round in 0..WARM_UP + SIM_NET_ROUNDS {
+        if round == WARM_UP {
+            before = allocations();
+        }
+        for to in 0..7 {
+            let msg = heartbeat.clone();
+            net.send(Envelope::with_payload_bytes(NodeId(0), NodeId(to), msg, 16));
+        }
+        let due = net.now() + 10;
+        net.deliver_due(due, |_| delivered += 1);
+    }
+    let allocated = allocations() - before;
+    assert_eq!(delivered, 7 * (WARM_UP + SIM_NET_ROUNDS), "all delivered");
+    allocated
+}
+
 #[test]
 fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     const MEASURED_WINDOWS: u64 = 64;
@@ -516,6 +553,7 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     assert!(nodes[0].drain_outbox().is_empty(), "nothing was due");
 
     let (session_reads, session_writes) = session_round_trips();
+    let sim_network = sim_network_rounds();
 
     // Printed after measuring: capturing output allocates.
     for (label, stages) in [("one-object", one), ("two-object", two)] {
@@ -549,6 +587,9 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
         session_reads as f64 / n,
         session_writes as f64 / n,
     );
+    println!(
+        "simulated network, {SIM_NET_ROUNDS} rounds of 7 sends and a delivery: {sim_network} allocations"
+    );
 
     assert!(
         per_tx(one.total(), MEASURED_WINDOWS) <= 16,
@@ -577,5 +618,9 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     assert!(
         session_writes.div_ceil(SESSION_TXS) <= 3,
         "a session's write returning () may allocate 3 times, did {session_writes} over {SESSION_TXS}"
+    );
+    assert_eq!(
+        sim_network, 0,
+        "a warmed-up simulated network reuses its delivery buckets"
     );
 }

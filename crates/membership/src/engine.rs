@@ -239,27 +239,28 @@ impl MembershipEngine {
         // `is_isolated`) and the cluster waits the partition out. Coming
         // *out* of isolation, the lease table reflects the partition, not
         // the peers: renew everyone and give them a full lease to check in
-        // before judging them again.
+        // before judging them again. (Renewing cannot make a node isolated,
+        // so one look at `is_isolated` decides both.)
         if self.is_isolated(now) {
             self.was_isolated = true;
-        } else if self.was_isolated {
+            return events;
+        }
+        if self.was_isolated {
             self.was_isolated = false;
-            for peer in self.view.live.clone() {
+            for &peer in &self.view.live {
                 if peer != self.local {
                     self.leases.renew(peer, now);
                 }
             }
         }
-        if !self.is_isolated(now) {
-            let dead: Vec<NodeId> = self
-                .leases
-                .expired(now, self.grace)
-                .into_iter()
-                .filter(|n| self.view.is_live(*n) && *n != self.local)
-                .collect();
-            if !dead.is_empty() {
-                events.push(MembershipEvent::SuspectsExpired(dead));
-            }
+        let dead: Vec<NodeId> = self
+            .leases
+            .expired(now, self.grace)
+            .into_iter()
+            .filter(|n| self.view.is_live(*n) && *n != self.local)
+            .collect();
+        if !dead.is_empty() {
+            events.push(MembershipEvent::SuspectsExpired(dead));
         }
         events
     }
@@ -632,6 +633,36 @@ mod tests {
         assert!(!events
             .iter()
             .any(|e| matches!(e, MembershipEvent::ViewInstalled { .. })));
+    }
+
+    #[test]
+    fn the_tick_that_ends_an_isolation_renews_every_peer_and_suspects_nobody() {
+        let mut m = MembershipEngine::new(NodeId(0), 3, 100);
+        assert_eq!(suspects(&m.tick(150)), None);
+        assert!(m.is_isolated(150), "no heartbeat for a whole lease");
+        // Node 1 gets through; node 2 last renewed at 0, long past its
+        // lease and grace, but the table reflects the partition, not node 2.
+        m.on_message(
+            MembershipMsg::Heartbeat {
+                from: NodeId(1),
+                epoch: Epoch::ZERO,
+            },
+            450,
+        );
+        let events = m.tick(450);
+        assert_eq!(suspects(&events), None, "no judgement on leaving isolation");
+        assert_eq!(m.leases.expires_at(NodeId(2)), 550, "node 2 renewed");
+        assert_eq!(m.leases.expires_at(NodeId(1)), 550);
+        // Given its full lease and grace, a still silent node 2 is suspected.
+        m.on_message(
+            MembershipMsg::Heartbeat {
+                from: NodeId(1),
+                epoch: Epoch::ZERO,
+            },
+            600,
+        );
+        assert_eq!(suspects(&m.tick(649)), None);
+        assert_eq!(suspects(&m.tick(650)), Some(vec![NodeId(2)]));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Per-node lease tracking driven by heartbeats.
 
-use std::collections::HashMap;
-
 use zeus_proto::NodeId;
 
 /// Tracks, for every peer, when its lease was last renewed (by a heartbeat)
@@ -14,17 +12,23 @@ use zeus_proto::NodeId;
 #[derive(Debug, Clone)]
 pub struct LeaseTable {
     lease_ticks: u64,
-    last_renewal: HashMap<NodeId, u64>,
+    /// Last renewal per peer, indexed by [`NodeId::index`]; `None` for a
+    /// peer that is not tracked.
+    last_renewal: Vec<Option<u64>>,
 }
 
 impl LeaseTable {
     /// Creates a table with the given lease duration (in ticks) covering the
     /// given peers, all leases freshly renewed at time 0.
     pub fn new(lease_ticks: u64, peers: impl IntoIterator<Item = NodeId>) -> Self {
-        LeaseTable {
+        let mut table = LeaseTable {
             lease_ticks,
-            last_renewal: peers.into_iter().map(|p| (p, 0)).collect(),
+            last_renewal: Vec::new(),
+        };
+        for peer in peers {
+            table.insert(peer, 0);
         }
+        table
     }
 
     /// Lease duration in ticks.
@@ -34,40 +38,48 @@ impl LeaseTable {
 
     /// Renews the lease of `peer` at time `now` (heartbeat received).
     pub fn renew(&mut self, peer: NodeId, now: u64) {
-        if let Some(entry) = self.last_renewal.get_mut(&peer) {
-            *entry = (*entry).max(now);
+        if let Some(Some(last)) = self.last_renewal.get_mut(peer.index()) {
+            *last = (*last).max(now);
         }
     }
 
     /// Stops tracking `peer` (it has been declared dead in a new view).
     pub fn remove(&mut self, peer: NodeId) {
-        self.last_renewal.remove(&peer);
+        if let Some(entry) = self.last_renewal.get_mut(peer.index()) {
+            *entry = None;
+        }
     }
 
     /// Starts tracking `peer` (it joined in a new view), lease renewed `now`.
     pub fn insert(&mut self, peer: NodeId, now: u64) {
-        self.last_renewal.insert(peer, now);
+        let i = peer.index();
+        if i >= self.last_renewal.len() {
+            self.last_renewal.resize(i + 1, None);
+        }
+        self.last_renewal[i] = Some(now);
     }
 
     /// Peers whose lease has been expired for at least `grace` additional
     /// ticks at time `now`, sorted by id.
     pub fn expired(&self, now: u64, grace: u64) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .last_renewal
+        self.last_renewal
             .iter()
-            .filter(|(_, &last)| now.saturating_sub(last) >= self.lease_ticks + grace)
-            .map(|(&p, _)| p)
-            .collect();
-        out.sort_unstable();
-        out
+            .enumerate()
+            .filter(|(_, last)| {
+                last.is_some_and(|last| now.saturating_sub(last) >= self.lease_ticks + grace)
+            })
+            .map(|(i, _)| NodeId(i as u16))
+            .collect()
     }
 
     /// The first tick at which `peer`'s lease is no longer fresh; `0` for an
     /// untracked peer.
     pub fn expires_at(&self, peer: NodeId) -> u64 {
         self.last_renewal
-            .get(&peer)
-            .map_or(0, |&last| last.saturating_add(self.lease_ticks))
+            .get(peer.index())
+            .copied()
+            .flatten()
+            .map_or(0, |last| last.saturating_add(self.lease_ticks))
     }
 
     /// Whether `peer` currently holds an unexpired lease.
@@ -78,6 +90,8 @@ impl LeaseTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     #[test]
@@ -177,5 +191,66 @@ mod tests {
         t.renew(NodeId(2), 400);
         let e = t.expired(300, 0);
         assert_eq!(e, vec![NodeId(1), NodeId(3)], "sorted by id");
+    }
+
+    #[test]
+    fn answers_like_a_map_over_a_seeded_random_sequence() {
+        // Ids up to 70 — past `NodeSet`'s 8 inline entries and past the
+        // initial peers — inserted, renewed (sometimes with a stale clock),
+        // removed and queried in a seeded random order; every answer must be
+        // the one a `BTreeMap` of last renewals gives.
+        const LEASE: u64 = 100;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let initial = [NodeId(1), NodeId(3), NodeId(4)];
+        let mut table = LeaseTable::new(LEASE, initial);
+        let mut model: BTreeMap<NodeId, u64> = initial.iter().map(|&p| (p, 0)).collect();
+        let (mut now, mut fresh, mut expired) = (0u64, 0, 0);
+        for _ in 0..20_000 {
+            now += next(5);
+            let peer = NodeId(next(71) as u16);
+            let at = now.saturating_sub(next(50));
+            match next(6) {
+                0 => {
+                    table.insert(peer, at);
+                    model.insert(peer, at);
+                }
+                1 => {
+                    table.renew(peer, at);
+                    if let Some(last) = model.get_mut(&peer) {
+                        *last = (*last).max(at);
+                    }
+                }
+                2 => {
+                    table.remove(peer);
+                    model.remove(&peer);
+                }
+                3 => {
+                    let grace = next(100);
+                    let want: Vec<NodeId> = model
+                        .iter()
+                        .filter(|(_, &last)| now.saturating_sub(last) >= LEASE + grace)
+                        .map(|(&p, _)| p)
+                        .collect();
+                    expired += want.len();
+                    assert_eq!(table.expired(now, grace), want, "expired at {now}");
+                }
+                4 => {
+                    let want = model.get(&peer).map_or(0, |&last| last + LEASE);
+                    assert_eq!(table.expires_at(peer), want, "expires_at({peer})");
+                }
+                _ => {
+                    let want = model.get(&peer).is_some_and(|&last| now < last + LEASE);
+                    fresh += usize::from(want);
+                    assert_eq!(table.is_fresh(peer, now), want, "is_fresh({peer}, {now})");
+                }
+            }
+        }
+        assert!(fresh > 0 && expired > 0, "both answers were exercised");
     }
 }

@@ -1,12 +1,12 @@
 //! Deterministic discrete-time network simulator with fault injection.
 //!
-//! The simulator keeps a priority queue of in-flight messages keyed by
-//! delivery time (in abstract "ticks"; the Zeus harness interprets one tick
-//! as one microsecond). Latency, loss, duplication and reordering are drawn
-//! from a seeded RNG, so every faulty execution is reproducible.
+//! The simulator keeps in-flight messages in buckets, one per delivery time
+//! (in abstract "ticks"; the Zeus harness interprets one tick as one
+//! microsecond), each bucket in send order. Latency, loss, duplication and
+//! reordering are drawn from a seeded RNG, so every faulty execution is
+//! reproducible.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -226,30 +226,6 @@ impl FaultPlan {
     }
 }
 
-#[derive(Debug)]
-struct InFlight<M> {
-    deliver_at: u64,
-    seq: u64,
-    envelope: Envelope<M>,
-}
-
-impl<M> PartialEq for InFlight<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<M> Eq for InFlight<M> {}
-impl<M> PartialOrd for InFlight<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for InFlight<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-    }
-}
-
 /// Deterministic discrete-time network simulator.
 ///
 /// # Determinism contract
@@ -267,14 +243,18 @@ impl<M> Ord for InFlight<M> {
 /// byte-identically to one predating these fields, and replaying the same
 /// seed with the same fault injections yields the same delivery schedule.
 /// A message is moved into flight, and cloned only for the second copy of a
-/// duplicate: neither draws anything.
+/// duplicate: neither draws anything. Messages are delivered in order of
+/// delivery time and, at equal times, in the order they were sent.
 #[derive(Debug)]
 pub struct SimNetwork<M> {
     config: NetConfig,
     faults: FaultPlan,
     now: u64,
-    next_seq: u64,
-    in_flight: BinaryHeap<Reverse<InFlight<M>>>,
+    /// One bucket per delivery time, ascending; each bucket in send order.
+    in_flight: VecDeque<(u64, Vec<Envelope<M>>)>,
+    in_flight_len: usize,
+    /// Emptied buckets, kept for reuse.
+    spare: Vec<Vec<Envelope<M>>>,
     rng: StdRng,
     stats: NetStats,
 }
@@ -287,8 +267,9 @@ impl<M> SimNetwork<M> {
             config,
             faults: FaultPlan::default(),
             now: 0,
-            next_seq: 0,
-            in_flight: BinaryHeap::new(),
+            in_flight: VecDeque::new(),
+            in_flight_len: 0,
+            spare: Vec::new(),
             rng,
             stats: NetStats::new(),
         }
@@ -301,7 +282,7 @@ impl<M> SimNetwork<M> {
 
     /// Number of messages currently in flight.
     pub fn in_flight_len(&self) -> usize {
-        self.in_flight.len()
+        self.in_flight_len
     }
 
     /// Accumulated traffic statistics.
@@ -328,7 +309,7 @@ impl<M> SimNetwork<M> {
     where
         M: Clone,
     {
-        self.stats.record_send(envelope.from, envelope.wire_bytes);
+        self.stats.record_send(envelope.wire_bytes);
         if self.faults.blocks(envelope.from, envelope.to)
             || self.faults.take_burst_drop(envelope.from, envelope.to)
         {
@@ -365,19 +346,24 @@ impl<M> SimNetwork<M> {
             } else {
                 min_delay
             };
-            let item = InFlight {
-                deliver_at: self.now + delay.max(1) + extra,
-                seq: self.next_seq,
-                envelope,
-            };
-            self.next_seq += 1;
-            self.in_flight.push(Reverse(item));
+            let deliver_at = self.now + delay.max(1) + extra;
+            let i = self.in_flight.partition_point(|(at, _)| *at < deliver_at);
+            if self
+                .in_flight
+                .get(i)
+                .is_none_or(|(at, _)| *at != deliver_at)
+            {
+                let bucket = self.spare.pop().unwrap_or_default();
+                self.in_flight.insert(i, (deliver_at, bucket));
+            }
+            self.in_flight[i].1.push(envelope);
+            self.in_flight_len += 1;
         }
     }
 
     /// Delivery time of the earliest in-flight message, if any.
     pub fn next_delivery_time(&self) -> Option<u64> {
-        self.in_flight.peek().map(|Reverse(i)| i.deliver_at)
+        self.in_flight.front().map(|(at, _)| *at)
     }
 
     /// Advances time to the next delivery and returns every message due at
@@ -406,17 +392,22 @@ impl<M> SimNetwork<M> {
         if t > self.now {
             self.now = t;
         }
-        while let Some(Reverse(head)) = self.in_flight.peek() {
-            if head.deliver_at > self.now {
-                break;
+        while self
+            .in_flight
+            .front()
+            .is_some_and(|(at, _)| *at <= self.now)
+        {
+            let (_, mut bucket) = self.in_flight.pop_front().expect("a due bucket");
+            self.in_flight_len -= bucket.len();
+            for envelope in bucket.drain(..) {
+                if self.faults.blocks(envelope.from, envelope.to) {
+                    self.stats.record_drop();
+                    continue;
+                }
+                self.stats.record_delivery(envelope.wire_bytes);
+                deliver(envelope);
             }
-            let Reverse(item) = self.in_flight.pop().expect("peeked");
-            if self.faults.blocks(item.envelope.from, item.envelope.to) {
-                self.stats.record_drop();
-                continue;
-            }
-            self.stats.record_delivery(item.envelope.wire_bytes);
-            deliver(item.envelope);
+            self.spare.push(bucket);
         }
     }
 
@@ -427,9 +418,12 @@ impl<M> SimNetwork<M> {
 
     /// Drops every in-flight message (used to model a full network blip).
     pub fn drop_all_in_flight(&mut self) {
-        let n = self.in_flight.len() as u64;
-        self.stats.messages_dropped += n;
-        self.in_flight.clear();
+        self.stats.messages_dropped += self.in_flight_len as u64;
+        self.in_flight_len = 0;
+        for (_, mut bucket) in self.in_flight.drain(..) {
+            bucket.clear();
+            self.spare.push(bucket);
+        }
     }
 }
 
@@ -704,6 +698,54 @@ mod tests {
         let mut net: SimNetwork<u32> = SimNetwork::new(NetConfig::reliable(1));
         net.advance_by(100);
         assert_eq!(net.now(), 100);
+    }
+
+    #[test]
+    fn delivery_order_under_drops_duplicates_spikes_and_bursts_is_pinned() {
+        // 500 sends over three directed links of a lossy, reordering network
+        // (delays 1–10), a 25-tick latency spike on one link for 100 sends
+        // and a 5-message drop burst on another, interleaved with deliveries
+        // at uneven intervals. The exact `(msg, now)` sequence is pinned: the
+        // in-flight queue may change shape, the schedule may not.
+        let mut net = SimNetwork::new(NetConfig::lossy(99, 0.2, 0.1));
+        let mut trace: Vec<(u32, u64)> = Vec::new();
+        for i in 0..500u32 {
+            match i {
+                100 => net.faults_mut().spike(NodeId(0), NodeId(1), 25),
+                200 => {
+                    net.faults_mut().clear_spike(NodeId(0), NodeId(1));
+                    net.faults_mut().drop_burst(NodeId(1), NodeId(2), 5);
+                }
+                _ => {}
+            }
+            net.send(env((i % 3) as u16, ((i + 1) % 3) as u16, i));
+            if i % 4 == 3 {
+                let t = net.now() + 1 + u64::from(i % 5);
+                net.deliver_due(t, |e| trace.push((e.msg, t)));
+            }
+        }
+        while net.in_flight_len() > 0 {
+            for e in net.step() {
+                trace.push((e.msg, net.now()));
+            }
+        }
+        // FNV-1a over the sequence.
+        let digest = trace
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &(msg, at)| {
+                [u64::from(msg), at]
+                    .iter()
+                    .fold(h, |h, &x| (h ^ x).wrapping_mul(0x0100_0000_01b3))
+            });
+        assert_eq!(
+            (
+                trace.len(),
+                net.stats().messages_dropped,
+                net.stats().messages_duplicated
+            ),
+            (443, 99, 42)
+        );
+        assert_eq!(digest, 18_382_612_975_365_191_029);
     }
 
     #[test]

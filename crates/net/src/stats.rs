@@ -1,9 +1,5 @@
 //! Message and byte accounting.
 
-use std::collections::HashMap;
-
-use zeus_proto::NodeId;
-
 /// Counters describing the traffic a transport has carried.
 ///
 /// The evaluation uses these to back the paper's bandwidth claims (Zeus
@@ -28,8 +24,6 @@ pub struct NetStats {
     /// this is the backpressure signal the bench harness reports: a growing
     /// mark means a node loop is falling behind its peers.
     pub queue_depth_hwm: u64,
-    /// Per-sender message counts.
-    pub per_sender: HashMap<NodeId, u64>,
 }
 
 impl NetStats {
@@ -38,11 +32,10 @@ impl NetStats {
         Self::default()
     }
 
-    /// Records that `from` submitted a message of `bytes` wire bytes.
-    pub fn record_send(&mut self, from: NodeId, bytes: usize) {
+    /// Records a submitted message of `bytes` wire bytes.
+    pub fn record_send(&mut self, bytes: usize) {
         self.messages_sent += 1;
         self.bytes_sent += bytes as u64;
-        *self.per_sender.entry(from).or_insert(0) += 1;
     }
 
     /// Records a delivered message of `bytes` wire bytes.
@@ -85,9 +78,6 @@ impl NetStats {
         self.bytes_sent += other.bytes_sent;
         self.bytes_delivered += other.bytes_delivered;
         self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
-        for (node, count) in &other.per_sender {
-            *self.per_sender.entry(*node).or_insert(0) += count;
-        }
     }
 }
 
@@ -98,9 +88,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = NetStats::new();
-        s.record_send(NodeId(0), 100);
-        s.record_send(NodeId(0), 50);
-        s.record_send(NodeId(1), 10);
+        s.record_send(100);
+        s.record_send(50);
+        s.record_send(10);
         s.record_delivery(100);
         s.record_drop();
         s.record_duplicate();
@@ -109,7 +99,6 @@ mod tests {
         assert_eq!(s.messages_delivered, 1);
         assert_eq!(s.messages_dropped, 1);
         assert_eq!(s.messages_duplicated, 1);
-        assert_eq!(s.per_sender[&NodeId(0)], 2);
         assert!((s.avg_message_bytes() - 160.0 / 3.0).abs() < 1e-9);
     }
 
@@ -130,11 +119,11 @@ mod tests {
     #[test]
     fn merge_adds_counters() {
         let mut a = NetStats::new();
-        a.record_send(NodeId(0), 10);
+        a.record_send(10);
         a.record_queue_depth(2);
         let mut b = NetStats::new();
-        b.record_send(NodeId(0), 20);
-        b.record_send(NodeId(1), 5);
+        b.record_send(20);
+        b.record_send(5);
         b.record_delivery(20);
         b.record_queue_depth(7);
         a.merge(&b);
@@ -142,7 +131,5 @@ mod tests {
         assert_eq!(a.messages_sent, 3);
         assert_eq!(a.bytes_sent, 35);
         assert_eq!(a.messages_delivered, 1);
-        assert_eq!(a.per_sender[&NodeId(0)], 2);
-        assert_eq!(a.per_sender[&NodeId(1)], 1);
     }
 }
