@@ -277,6 +277,15 @@ impl CommitEngine {
             .min()
     }
 
+    /// Cleared slots this node tracks above the cleared prefixes of the
+    /// pipelines it follows ([`ClearedTracker::sparse_len`], summed).
+    pub fn sparse_cleared_slots(&self) -> usize {
+        self.pipelines
+            .iter()
+            .map(|(_, pipe)| pipe.cleared.sparse_len())
+            .sum()
+    }
+
     /// Number of R-INVs stored as a follower awaiting validation.
     pub fn stored_rinvs(&self) -> usize {
         self.pipelines.iter().map(|(_, p)| p.stored.len()).sum()

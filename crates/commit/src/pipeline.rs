@@ -1,7 +1,7 @@
 //! Per-pipeline slot bookkeeping: the slot-ordered ring both roles keep their
 //! in-flight commits in, and the follower's cleared-slot tracker.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// The in-flight entries of one pipeline, keyed by slot and kept in slot
 /// order.
@@ -128,14 +128,32 @@ impl<T> SlotRing<T> {
 ///
 /// A follower may observe only a partial stream of a pipeline (it is a
 /// follower per transaction, not per pipeline), so cleared slots are not
-/// necessarily contiguous. The tracker keeps a dense prefix plus a sparse
-/// set above it, so memory stays proportional to the number of gaps.
+/// necessarily contiguous. The tracker keeps a dense prefix plus a bitmap
+/// of the cleared slots above it: one bit per slot, in 64-slot words from
+/// the word of the lowest such slot to the word of the highest. Marking and
+/// asking cost a bit operation; the prefix moves over a run of cleared
+/// slots a word at a time, dropping the words it passes.
+///
+/// Memory is linear in the span of the cleared slots above the prefix,
+/// cleared or not, and not in the slot numbers themselves: a follower that
+/// first meets a pipeline late (a restarted or newly added node) starts its
+/// bitmap at the first slot it sees. But the prefix only moves when the
+/// follower clears the slot it stands at. A follower that never sees some
+/// slot of the pipeline — with fewer replicas than nodes, most followers —
+/// keeps its prefix below that slot for good, and the bitmap grows by a bit
+/// per slot the coordinator hands out.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClearedTracker {
     /// Every slot `< prefix` is cleared.
     prefix: u64,
-    /// Cleared slots `>= prefix` (non-contiguous).
-    sparse: BTreeSet<u64>,
+    /// The word number (`slot / 64`) of the front of `words`; never below
+    /// `prefix / 64`.
+    base: u64,
+    /// Cleared slots `>= prefix`: bit `s % 64` of word `s / 64 - base`
+    /// stands for slot `s`. When the front word is the prefix's own, its
+    /// bits below the prefix are set; otherwise the prefix sits on a word
+    /// boundary. Empty when nothing above the prefix is cleared.
+    words: VecDeque<u64>,
 }
 
 impl ClearedTracker {
@@ -149,20 +167,49 @@ impl ClearedTracker {
         if slot < self.prefix {
             return;
         }
+        let word = slot / 64;
+        if self.words.is_empty() {
+            self.base = word;
+        }
+        // Below the lowest word held: grow the bitmap down to it.
+        while word < self.base {
+            self.words.push_front(0);
+            self.base -= 1;
+        }
+        let index =
+            usize::try_from(word - self.base).expect("a cleared slot's word is addressable");
+        if index >= self.words.len() {
+            self.words.resize(index + 1, 0);
+        }
+        self.words[index] |= 1 << (slot % 64);
         if slot > self.prefix {
-            self.sparse.insert(slot);
             return;
         }
-        // The in-order case never touches the sparse set.
-        self.prefix += 1;
-        while !self.sparse.is_empty() && self.sparse.remove(&self.prefix) {
-            self.prefix += 1;
+        // The prefix's own word is the front one now. Move the prefix over
+        // the run of set bits that starts at it, one word at a time,
+        // dropping every word it leaves behind.
+        while let Some(&front) = self.words.front() {
+            let bit = self.prefix % 64;
+            let run = u64::from((!(front >> bit)).trailing_zeros());
+            self.prefix += run;
+            if bit + run < 64 {
+                break;
+            }
+            self.words.pop_front();
+            self.base += 1;
         }
     }
 
     /// Whether `slot` is cleared.
     pub fn is_cleared(&self, slot: u64) -> bool {
-        slot < self.prefix || self.sparse.contains(&slot)
+        if slot < self.prefix {
+            return true;
+        }
+        (slot / 64)
+            .checked_sub(self.base)
+            .and_then(|index| usize::try_from(index).ok())
+            .and_then(|index| self.words.get(index))
+            .is_some_and(|word| word >> (slot % 64) & 1 == 1)
     }
 
     /// The dense cleared prefix (all slots below this are cleared).
@@ -172,7 +219,10 @@ impl ClearedTracker {
 
     /// Number of cleared slots tracked sparsely above the prefix.
     pub fn sparse_len(&self) -> usize {
-        self.sparse.len()
+        let set: u32 = self.words.iter().map(|word| word.count_ones()).sum();
+        // The bits below the prefix in its own word are set, and not sparse;
+        // with any other front word the prefix is on a word boundary.
+        set as usize - (self.prefix % 64) as usize
     }
 }
 
@@ -279,5 +329,108 @@ mod tests {
         t.mark(5);
         t.mark(5);
         assert_eq!(t.sparse_len(), 1);
+    }
+
+    #[test]
+    fn the_prefix_crosses_words_and_drops_what_it_passes() {
+        let mut t = ClearedTracker::new();
+        for slot in (1..130).chain([200]) {
+            t.mark(slot);
+        }
+        assert_eq!((t.prefix(), t.sparse_len()), (0, 130));
+        assert_eq!(t.words.len(), 4, "slots 0–255");
+        t.mark(0);
+        assert_eq!((t.prefix(), t.sparse_len()), (130, 1));
+        assert_eq!(t.words.len(), 2, "slots 128–255");
+        assert!(t.is_cleared(129) && !t.is_cleared(130) && t.is_cleared(200));
+        assert!(!t.is_cleared(u64::MAX), "far past the bitmap");
+    }
+
+    #[test]
+    fn a_follower_that_first_sees_a_late_slot_holds_only_the_words_it_saw() {
+        const LATE: u64 = 1 << 40;
+        let mut t = ClearedTracker::new();
+        t.mark(LATE);
+        assert_eq!((t.prefix(), t.sparse_len(), t.words.len()), (0, 1, 1));
+        assert!(t.is_cleared(LATE) && !t.is_cleared(LATE - 1) && !t.is_cleared(LATE + 1));
+        assert!(!t.is_cleared(0) && !t.is_cleared(LATE - 64));
+        // Slots just below and above what it has seen grow the bitmap by
+        // their own words, not down to the prefix.
+        t.mark(LATE - 100);
+        t.mark(LATE + 200);
+        assert_eq!((t.sparse_len(), t.words.len()), (3, 6));
+        assert!(t.is_cleared(LATE - 100) && !t.is_cleared(LATE - 99));
+    }
+
+    /// The cleared set as a plain ordered set: a dense prefix and every
+    /// cleared slot above it.
+    #[derive(Default)]
+    struct Model {
+        prefix: u64,
+        sparse: std::collections::BTreeSet<u64>,
+    }
+
+    impl Model {
+        fn mark(&mut self, slot: u64) {
+            if slot >= self.prefix {
+                self.sparse.insert(slot);
+            }
+            while self.sparse.remove(&self.prefix) {
+                self.prefix += 1;
+            }
+        }
+
+        fn is_cleared(&self, slot: u64) -> bool {
+            slot < self.prefix || self.sparse.contains(&slot)
+        }
+    }
+
+    #[test]
+    fn answers_like_an_ordered_set_over_seeded_random_marks() {
+        for round in 0..200u64 {
+            // xorshift64, seeded per round.
+            let mut state = 0x9e37_79b9_7f4a_7c15 ^ (round + 1);
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let (mut tracker, mut model) = (ClearedTracker::new(), Model::default());
+            // The first marks land at the prefix, a few words above it, or
+            // far above it (a follower that first meets the pipeline late,
+            // whose prefix then never moves).
+            let origin = [0, 5 * 64 + round % 64, (1 << 40) + round][round as usize % 3];
+            // Marks land in a window a few words wide just above the prefix
+            // (or the origin, while the prefix is below it), now and then far
+            // above it or in the words just below it, and some repeat or
+            // fall below the prefix.
+            let width = 64 + round % 7 * 96;
+            for _ in 0..2_000 {
+                let r = next();
+                let low = model.prefix.max(origin);
+                let slot = match r % 16 {
+                    0 if model.prefix > 0 => model.prefix - 1 - (r >> 8) % model.prefix.min(64),
+                    1 => low + 64 * 9 + (r >> 8) % 1_000,
+                    2 => low.saturating_sub(r >> 8 & 511).max(model.prefix),
+                    _ => low + (r >> 8) % width,
+                };
+                tracker.mark(slot);
+                model.mark(slot);
+                assert_eq!(tracker.prefix(), model.prefix, "round {round}");
+                assert_eq!(tracker.sparse_len(), model.sparse.len(), "round {round}");
+                // The bitmap spans the slots seen above the prefix, not the
+                // slot numbers.
+                assert!(tracker.words.len() <= 40, "round {round}");
+                let probe = low.saturating_sub(600) + (r >> 32) % (width + 2_200);
+                for slot in [probe, slot, model.prefix, model.prefix + 1] {
+                    assert_eq!(
+                        tracker.is_cleared(slot),
+                        model.is_cleared(slot),
+                        "round {round}, slot {slot}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -337,6 +337,10 @@ pub struct ZeusNode {
     handled: u64,
     now: u64,
     last_retransmit: u64,
+    /// The clock reading before which [`ZeusNode::tick`] has nothing to do
+    /// but advance the clock: set by every tick that runs, lowered or reset
+    /// to 0 by what can bring work forward (see `tick`).
+    quiet_until: u64,
     /// Inbox-backlog signal from the runtime (see [`ZeusNode::set_congested`]).
     congested: bool,
     /// Current congestion back-off multiplier, 1..=`CONGESTED_RETRANSMIT_STRETCH_MAX`.
@@ -411,6 +415,7 @@ impl ZeusNode {
             handled: 0,
             now: 0,
             last_retransmit: 0,
+            quiet_until: 0,
             congested: false,
             congestion_stretch: 1,
             retransmit_ticks: RETRANSMIT_TICKS,
@@ -502,6 +507,14 @@ impl ZeusNode {
     /// Latency histogram of completed ownership requests (ticks).
     pub fn ownership_latency(&self) -> &LatencyHistogram {
         &self.requests.latency
+    }
+
+    /// Slots this node, as a follower, records as cleared above the dense
+    /// cleared prefix of each pipeline it follows. A follower that misses a
+    /// slot never moves that pipeline's prefix past it, so this grows with
+    /// the commits it follows.
+    pub fn sparse_cleared_slots(&self) -> usize {
+        self.commit.sparse_cleared_slots()
     }
 
     /// Number of reliable commits still in flight at this coordinator.
@@ -896,8 +909,17 @@ impl ZeusNode {
                 self.commit.handle_message_into(from, m, &mut out);
                 let recovered_at = out.recovered_at;
                 self.after_commit_recovery(recovered_at);
+                // The quiet spell never outlasts the commit engine's next
+                // re-send. A message that changes the front of a ring (an
+                // R-ACK completing it) can bring that forward: the entry
+                // behind may have gone out before the front's last re-send.
+                if let Some(sent) = self.commit.oldest_unanswered_send() {
+                    let due = sent.saturating_add(self.retransmit_interval());
+                    self.quiet_until = self.quiet_until.min(due);
+                }
             }
             Message::Membership(m) => {
+                self.quiet_until = 0;
                 if let MembershipMsg::Heartbeat { from: alive, .. } = &m {
                     // A heartbeat proves the node is reachable again: drop
                     // any not-yet-committed expulsion intent for it. (Its
@@ -908,7 +930,10 @@ impl ZeusNode {
                 let events = self.membership.on_message(m, self.now);
                 self.process_membership_events(events);
             }
-            Message::View(m) => self.handle_view_message(m),
+            Message::View(m) => {
+                self.quiet_until = 0;
+                self.handle_view_message(m);
+            }
         }
     }
 
@@ -955,11 +980,19 @@ impl ZeusNode {
     /// While congested, [`ZeusNode::tick`] stretches the retransmission
     /// interval (doubling per congested interval, capped at 256x) so
     /// re-sends cannot
-    /// amplify the backlog into a congestion collapse. The simulator never
-    /// sets this (its delivery is schedule-driven), so sim and chaos
-    /// semantics are untouched.
+    /// amplify the backlog into a congestion collapse; a clear inbox snaps
+    /// the stretch back to 1x. The simulator never sets this (its delivery
+    /// is schedule-driven), so sim and chaos semantics are untouched.
     pub fn set_congested(&mut self, congested: bool) {
+        if congested == self.congested {
+            return;
+        }
         self.congested = congested;
+        if !congested {
+            self.congestion_stretch = 1;
+        }
+        // The retransmission interval just changed.
+        self.quiet_until = 0;
     }
 
     /// Overrides the base retransmission interval with the transport's
@@ -970,7 +1003,11 @@ impl ZeusNode {
     /// this keeps the fixed [`RETRANSMIT_TICKS`] — the simulator's
     /// deterministic policy.
     pub fn set_retransmit_interval(&mut self, ticks: u64) {
-        self.retransmit_ticks = ticks.max(1);
+        let ticks = ticks.max(1);
+        if ticks != self.retransmit_ticks {
+            self.retransmit_ticks = ticks;
+            self.quiet_until = 0;
+        }
     }
 
     /// Advances the node's clock without driving any periodic work: what the
@@ -1019,12 +1056,19 @@ impl ZeusNode {
     /// between: the next heartbeat, lease expiry or fencing deadline, the
     /// next directory push, a view-service retry, the next policy round,
     /// and — only while a commit, a request or an arbitration is
-    /// outstanding — the next retransmission. A runtime may sleep until
-    /// then. **May be early, never late**: `tick(t)` for any `t` before it
-    /// sends nothing and changes no counter. That also holds for a node
-    /// that has executed transactions since its last tick, with its clock
-    /// [advanced](ZeusNode::advance_clock) to `now` first — a caller running
-    /// the node between two iterations of its loop: what such work leaves
+    /// outstanding — the next retransmission. Work a tick does on every
+    /// call is due at `now + 1`: renewing the peers after an isolation,
+    /// re-asserting a suspicion, the view replica's bookkeeping of its
+    /// intents and reaping the policy's requests while any is in flight. A
+    /// runtime may sleep until then. **May be early, never late**: `tick(t)`
+    /// for any `t` before it sends nothing and changes no protocol state.
+    /// (It may still move the retransmission phase, which no message shows
+    /// until the next re-send is due; [`ZeusNode::tick`] accounts for that
+    /// itself.) That also holds
+    /// for a node that has executed transactions since its last tick, with
+    /// its clock [advanced](ZeusNode::advance_clock) to `now` first — a
+    /// caller running the node between two iterations of its loop: what
+    /// such work leaves
     /// behind (a commit's or a request's retransmission) is timed from the
     /// clock it ran at, so the caller can tell whether the sleeping runtime
     /// has to be woken earlier than it planned.
@@ -1035,10 +1079,14 @@ impl ZeusNode {
             next = next.min(at);
         }
         // A fenced or recovering node defers planning until a message lifts
-        // that (see `tick_policy`), not until a tick.
+        // that (see `tick_policy`), not until a tick. The policy's own
+        // requests are reaped by the first tick that finds them settled.
         if let Some(engine) = &self.locality {
             if !self.is_fenced() && self.ownership_enabled() {
                 next = next.min(engine.next_interval());
+            }
+            if !self.policy_reqs.is_empty() {
+                next = next.min(now + 1);
             }
         }
         let interval = self.retransmit_interval();
@@ -1059,8 +1107,48 @@ impl ZeusNode {
 
     /// Advances the node's clock and drives periodic work (heartbeats, lease
     /// expiry, ownership retries).
+    ///
+    /// Most ticks find nothing due, so a tick that runs also works out the
+    /// clock reading before which the next one cannot find anything either,
+    /// and until then a tick only advances the clock (counted in
+    /// [`NodeStats::quiet_ticks`], the others in [`NodeStats::ticks`]). That
+    /// reading is the earlier of [`ZeusNode::next_timer`] and the next
+    /// retransmission boundary, `last_retransmit + interval`: a tick on a
+    /// boundary moves `last_retransmit` even when nothing is re-sent, and
+    /// every later boundary is counted from it. Work that falls due on every
+    /// tick rather than at a time is due at the next one by `next_timer`.
+    ///
+    /// What a message, a transaction or a runtime call does between two
+    /// ticks is covered as follows:
+    ///
+    /// - membership and view messages, an administrative expel or re-admit,
+    ///   the end of this node's commit recovery, and a change of the
+    ///   congestion signal or the retransmission interval reset the reading
+    ///   to 0: they move leases, intents, the recovery barrier and
+    ///   intervals;
+    /// - everything else the node leaves behind is timed one retransmission
+    ///   interval after the clock it ran at, which is at or past
+    ///   `last_retransmit`, so it falls due no earlier than the next boundary
+    ///   the reading already includes: an R-INV of a new commit, a REQ of a
+    ///   new request (sent or re-issued), a request queued for retry, an
+    ///   arbitration that may stall;
+    /// - after a commit message the reading never exceeds the commit
+    ///   engine's next re-send: an R-ACK that completes the front commit of
+    ///   a ring uncovers the next one, whose R-INV may be older than the
+    ///   front's last re-send (the ring is scanned front first).
+    ///
+    /// A skipped tick is therefore exactly a tick that would have sent
+    /// nothing and changed nothing but the clock (and
+    /// `CommitStats::ring_entries_visited`, which counts its scans), on
+    /// every runtime: the loop and the simulator both tick through
+    /// `NodeCell::step`.
     pub fn tick(&mut self, now: u64) {
         self.advance_clock(now);
+        if self.now < self.quiet_until {
+            self.stats.quiet_ticks += 1;
+            return;
+        }
+        self.stats.ticks += 1;
         let events = self.membership.tick(self.now);
         self.process_membership_events(events);
         let mut view_events = Vec::new();
@@ -1102,9 +1190,6 @@ impl ZeusNode {
         // to time (re-issuing retryably-NACKed requests, counting the rounds
         // a stalled arbitration has sat idle, growing the congestion
         // stretch) happens once per interval.
-        if !self.congested {
-            self.congestion_stretch = 1;
-        }
         let interval = self.retransmit_interval();
         let interval_elapsed = self.now.saturating_sub(self.last_retransmit) >= interval;
         if interval_elapsed {
@@ -1135,6 +1220,10 @@ impl ZeusNode {
                 .replay_stalled_into(&host, &mut ownership_out!(self));
         }
         self.tick_policy();
+        let boundary = self
+            .last_retransmit
+            .saturating_add(self.retransmit_interval());
+        self.quiet_until = self.next_timer(self.now).min(boundary);
     }
 
     /// Feeds one transactional access to the locality engine (no-op under
@@ -1247,6 +1336,7 @@ impl ZeusNode {
     /// them being alive is enough (used when a crash is injected, and by the
     /// scale-in experiment of Figure 15).
     pub fn admin_remove_node(&mut self, dead: NodeId) {
+        self.quiet_until = 0;
         if self.membership.admin_remove(dead) {
             self.view.propose_expel(dead);
         }
@@ -1255,6 +1345,7 @@ impl ZeusNode {
     /// Administratively re-admits a node (scale-out, Figure 15): lifts the
     /// local ban and, on view replicas, proposes the admission.
     pub fn admin_add_node(&mut self, node: NodeId) {
+        self.quiet_until = 0;
         if self.membership.admin_restore(node) {
             self.view.propose_admit(node);
         }
@@ -1301,6 +1392,8 @@ impl ZeusNode {
     /// (see [`CommitOut::recovered_at`]).
     fn after_commit_recovery(&mut self, recovered_at: Option<usize>) {
         let Some(at) = recovered_at else { return };
+        // The recovery barrier may lift, which lets the policy plan again.
+        self.quiet_until = 0;
         let later = self.outbox.split_off(at);
         let events = self.membership.local_recovery_done();
         self.process_membership_events(events);
@@ -1634,6 +1727,30 @@ mod tests {
     }
 
     #[test]
+    fn a_policy_request_in_flight_is_looked_at_on_every_tick() {
+        let mut config = ZeusConfig::with_nodes(3);
+        config.policy = PolicyKind::Predictive;
+        config.policy_interval_ticks = 100;
+        let mut node = ZeusNode::new(NodeId(2), config);
+        node.create_object(
+            ObjectId(7),
+            Bytes::from_static(b"v"),
+            ReplicaSet::new(NodeId(0), [NodeId(1)]),
+        );
+        node.tick(0);
+        assert!(node.next_timer(0) > 1, "nothing to reap");
+        for _ in 0..8 {
+            assert!(!node.execute_read(|tx| tx.read(ObjectId(7))).is_committed());
+        }
+        node.tick(100);
+        assert_eq!(node.policy_stats().widens, 1);
+        // The tick that finds the widen settled releases it: every one.
+        assert_eq!(node.next_timer(100), 101);
+        node.tick(101);
+        assert_eq!(node.stats().quiet_ticks, 0);
+    }
+
+    #[test]
     fn reads_noted_from_another_thread_reach_the_tracker_like_local_ones() {
         let mut config = ZeusConfig::with_nodes(3);
         config.policy = PolicyKind::Predictive;
@@ -1748,5 +1865,86 @@ mod tests {
         node.tick(228);
         assert_eq!(drained_kinds(&mut node), ["r-inv"; 4]);
         assert_eq!(node.commit_stats().rinvs_retransmitted, 6);
+    }
+
+    #[test]
+    fn a_tick_before_anything_is_due_only_advances_the_clock() {
+        let config = ZeusConfig::with_nodes(3);
+        let mut node = ZeusNode::new(NodeId(0), config.clone());
+        node.create_object(
+            ObjectId(1),
+            Bytes::new(),
+            config.default_replicas(NodeId(0)),
+        );
+        node.tick(0);
+        node.drain_outbox();
+        assert!(node
+            .execute_write(0, |tx| tx.write(ObjectId(1), Bytes::from_static(b"a")))
+            .is_committed());
+        node.drain_outbox();
+        // The R-INVs of the write are due at 64, and so is the first
+        // retransmission boundary.
+        for t in 1..64 {
+            node.tick(t);
+        }
+        assert_eq!(node.now, 63);
+        assert_eq!((node.stats().ticks, node.stats().quiet_ticks), (1, 63));
+        assert!(drained_kinds(&mut node).is_empty());
+        node.tick(64);
+        assert_eq!(drained_kinds(&mut node), ["r-inv", "r-inv"]);
+        assert_eq!(node.stats().ticks, 2);
+        // A change of the retransmission interval is looked at right away.
+        node.tick(65);
+        node.set_retransmit_interval(1);
+        node.tick(66);
+        assert_eq!(drained_kinds(&mut node), ["r-inv", "r-inv"]);
+        assert_eq!((node.stats().ticks, node.stats().quiet_ticks), (3, 64));
+    }
+
+    #[test]
+    fn an_ack_that_uncovers_an_older_r_inv_brings_its_re_send_forward() {
+        let config = ZeusConfig::with_nodes(3);
+        let mut node = ZeusNode::new(NodeId(0), config.clone());
+        node.create_object(
+            ObjectId(1),
+            Bytes::new(),
+            config.default_replicas(NodeId(0)),
+        );
+        node.tick(0);
+        for (at, value) in [(10, b"a"), (20, b"b")] {
+            node.advance_clock(at);
+            assert!(node
+                .execute_write(0, |tx| tx.write(ObjectId(1), Bytes::from_static(value)))
+                .is_committed());
+        }
+        // The boundary at 64 moves the retransmission phase; at 74 the first
+        // commit's R-INVs are re-sent, the second's (sent at 20) not yet.
+        node.tick(64);
+        node.tick(74);
+        assert_eq!(node.commit_stats().rinvs_retransmitted, 2);
+        node.drain_outbox();
+        // Both followers acknowledge the first commit: the second is now the
+        // front of the ring, due at 84, before the next boundary at 128.
+        node.advance_clock(80);
+        let first = zeus_proto::TxId::new(zeus_proto::PipelineId::new(NodeId(0), 0), 0);
+        for follower in [NodeId(1), NodeId(2)] {
+            node.handle_message(
+                follower,
+                Message::Commit(CommitMsg::RAck {
+                    tx_id: first,
+                    from: follower,
+                    epoch: Epoch::ZERO,
+                }),
+            );
+        }
+        assert_eq!(drained_kinds(&mut node), ["r-val", "r-val"]);
+        node.tick(83);
+        assert!(drained_kinds(&mut node).is_empty());
+        node.tick(84);
+        assert_eq!(node.commit_stats().rinvs_retransmitted, 4);
+        assert_eq!(
+            drained_kinds(&mut node),
+            ["r-inv", "r-inv", "r-val", "r-val"]
+        );
     }
 }

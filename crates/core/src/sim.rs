@@ -1343,4 +1343,181 @@ mod tests {
         assert_eq!(value, Ok(Bytes::from_static(b"2")));
         c.check_invariants().unwrap();
     }
+
+    /// The counters of the tick rule on a settled script of local writes and
+    /// handovers: most node steps find nothing due and skip their tick. The
+    /// same script pins how many cleared slots the followers hold above
+    /// their prefixes (ROADMAP 3e: nothing bounds them yet).
+    #[test]
+    fn most_steps_of_a_settled_script_skip_their_tick() {
+        let c = SimCluster::new(ZeusConfig::with_nodes(5));
+        const OBJECTS: u64 = 50;
+        for object in 0..OBJECTS {
+            c.create_object(ObjectId(object), vec![0u8; 8], NodeId((object % 5) as u16));
+        }
+        let sessions: Vec<SimSession> = (0..5).map(|n| c.handle(NodeId(n))).collect();
+        for i in 0..2_000u64 {
+            let object = ObjectId(i % OBJECTS);
+            // Every tenth write is a handover: the owner's neighbour takes
+            // the object.
+            let writer = ((i % OBJECTS) + u64::from(i % 10 == 9)) % 5;
+            sessions[writer as usize]
+                .write_txn(move |tx| tx.write(object, vec![i as u8; 8]))
+                .expect("a write on a healthy cluster");
+        }
+        c.quiesce();
+        let stats = c.aggregate_stats();
+        let steps = stats.ticks + stats.quiet_ticks;
+        let sparse: Vec<usize> = (0..5)
+            .map(|n| c.node(NodeId(n)).sparse_cleared_slots())
+            .collect();
+        // Measured: 3,976 of 4,135 node steps (96 %) skip their tick.
+        assert!(
+            stats.quiet_ticks * 10 >= steps * 9,
+            "{} of {steps} ticks skipped",
+            stats.quiet_ticks
+        );
+        assert_eq!(sparse, [0, 0, 0, 0, 399]);
+    }
+
+    /// FNV-1a over a sequence of numbers.
+    fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The tick-rule tripwire. One run on a lossy network through every
+    /// fault the harness has — isolate and heal, crash and restart, expel and
+    /// re-admit — with writes and handovers on several nodes in between, so
+    /// retransmissions, lease expiries, view changes and recoveries all fall
+    /// on the ticks the nodes take. What the run did is pinned: the final
+    /// clock, the network's counters and every node's epoch, commit,
+    /// ownership and node counters (all but the ones that count the ticks
+    /// themselves or the ring entries their scans look at). A node that
+    /// skips a tick that would have done something moves at least one of
+    /// them.
+    #[test]
+    fn a_lossy_run_through_every_fault_kind_is_pinned() {
+        let mut config = ZeusConfig::with_nodes(5);
+        config.lease_ticks = 2_000;
+        let mut c = SimCluster::with_network(config, NetConfig::lossy(35, 0.05, 0.05));
+        const OBJECTS: u16 = 10;
+        for o in 0..OBJECTS {
+            c.create_object(ObjectId(u64::from(o)), vec![0u8; 8], NodeId(o % 5));
+        }
+        let sessions: Vec<SimSession> = (0..5).map(|n| c.handle(NodeId(n))).collect();
+        let mut outcomes = Vec::new();
+        // Each of `nodes` writes two objects it owns and two another node
+        // owns, three times over.
+        let mut round = |c: &SimCluster, nodes: &[u16], shift: u16| {
+            for &n in nodes.iter().cycle().take(3 * nodes.len()) {
+                for object in [n, (n + shift) % 5, n + 5, (n + shift) % 5 + 5] {
+                    let object = ObjectId(u64::from(object));
+                    let result =
+                        sessions[usize::from(n)].write_txn(move |tx| tx.update(object, bump));
+                    outcomes.push(match result {
+                        Ok(()) => 0,
+                        Err(e) => fnv1a(format!("{e:?}").bytes().map(u64::from)),
+                    });
+                }
+            }
+            c.now()
+        };
+        fn bump(old: &[u8]) -> Vec<u8> {
+            let mut new = old.to_vec();
+            new[0] = new[0].wrapping_add(1);
+            new
+        }
+        round(&c, &[0, 1, 2, 3, 4], 1);
+        c.settle(100_000);
+
+        c.admin().isolate(NodeId(4)).unwrap();
+        c.advance_ticks(2_500);
+        round(&c, &[0, 1, 4], 2);
+        c.admin().heal(NodeId(4)).unwrap();
+        c.advance_ticks(1_200);
+        round(&c, &[1, 3, 4], 3);
+        c.settle(100_000);
+
+        c.admin().crash(NodeId(3)).unwrap();
+        c.settle(100_000);
+        round(&c, &[0, 2, 4], 1);
+        c.admin().restart(NodeId(3)).unwrap();
+        c.advance_ticks(4_000);
+        c.settle(100_000);
+        round(&c, &[3, 1], 4);
+
+        c.admin().expel(NodeId(4)).unwrap();
+        c.advance_ticks(4_000);
+        round(&c, &[0, 1, 2, 3], 2);
+        c.admin().readmit(NodeId(4)).unwrap();
+        c.advance_ticks(4_000);
+        c.settle(100_000);
+        round(&c, &[4, 0, 2], 3);
+        c.settle(100_000);
+
+        let net = c.net_stats();
+        let mut numbers = vec![
+            c.now(),
+            net.messages_sent,
+            net.messages_delivered,
+            net.messages_dropped,
+            net.messages_duplicated,
+            net.bytes_sent,
+            net.bytes_delivered,
+            net.queue_depth_hwm,
+        ];
+        numbers.extend(&outcomes);
+        for n in 0..5 {
+            let inner = c.lock();
+            let cell = &inner.cells[n];
+            let (s, _) = cell.stats();
+            let commit = cell.node.commit_stats();
+            let own = cell.node.ownership_stats();
+            numbers.extend([
+                cell.node.epoch().0,
+                commit.commits_started,
+                commit.commits_completed,
+                commit.rinvs_applied,
+                commit.rinvs_buffered,
+                commit.rvals_applied,
+                commit.replays,
+                commit.rinvs_retransmitted,
+                commit.rvals_retransmitted,
+                commit.rejoin_resets,
+                own.requests_issued,
+                own.requests_completed,
+                own.requests_failed,
+                own.requests_retried,
+                own.requests_driven,
+                own.invalidations_processed,
+                own.validations_applied,
+                own.arb_replays,
+                own.requests_retransmitted,
+                own.rejoin_resets,
+                own.ghost_arbitrations_aborted,
+                own.data_loss_aborts,
+                own.empty_placement_resets,
+                own.dir_entries_adopted,
+                s.write_txs_committed,
+                s.read_txs_committed,
+                s.txs_aborted,
+                s.txs_needing_ownership,
+                s.ownership_requests,
+                s.ownership_completed,
+                s.objects_owned,
+                s.txs_fenced,
+                s.rejoin_resets,
+                s.batched_commands,
+                s.batch_occupancy_hwm,
+                s.inline_commands,
+            ]);
+        }
+        assert_eq!(
+            (c.now(), net.messages_sent, net.messages_dropped),
+            (25_819, 6_992, 438)
+        );
+        assert_eq!(fnv1a(numbers), 16_575_095_235_942_212_902);
+    }
 }

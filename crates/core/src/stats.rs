@@ -159,6 +159,11 @@ pub struct NodeStats {
     /// the node free. In the simulator that is every session command: a
     /// session runs its command on the node itself.
     pub inline_commands: u64,
+    /// Ticks that ran: looked at every timer, and sent what was due.
+    pub ticks: u64,
+    /// Ticks that only advanced the clock, because the last tick that ran
+    /// found nothing due before then (see `ZeusNode::tick`).
+    pub quiet_ticks: u64,
 }
 
 impl NodeStats {
@@ -175,6 +180,8 @@ impl NodeStats {
         self.rejoin_resets += other.rejoin_resets;
         self.batched_commands += other.batched_commands;
         self.inline_commands += other.inline_commands;
+        self.ticks += other.ticks;
+        self.quiet_ticks += other.quiet_ticks;
         // The high-water mark is a maximum, not a volume: the cluster-wide
         // value is the deepest batch any node executed.
         self.batch_occupancy_hwm = self.batch_occupancy_hwm.max(other.batch_occupancy_hwm);

@@ -24,6 +24,11 @@
 //! has reached its size, sending and delivering at a fixed delay must not
 //! allocate at all — emptied delivery-time buckets are reused.
 //!
+//! And a follower that sees every third slot of a pipeline, whose cleared
+//! prefix therefore never moves: recording the slots it cleared above the
+//! prefix may only grow a bitmap, a handful of allocations over 100,000
+//! slots.
+//!
 //! The per-stage splits are printed so a regression can be attributed:
 //!
 //! ```text
@@ -501,6 +506,55 @@ fn sim_network_rounds() -> u64 {
     allocated
 }
 
+/// Slots of one pipeline [`follower_of_every_third_slot`] feeds a follower.
+const FOLLOWED_SLOTS: u64 = 100_000;
+
+/// The allocations of a follower fed every third slot of node 0's pipeline,
+/// `FOLLOWED_SLOTS` of them — each slot's R-INV, then its R-VAL — after 64
+/// that size its buffers. The messages are built outside the count. Only
+/// slot 0 ever joins the cleared prefix, so what the count sees grow is the
+/// record of the cleared slots above it.
+fn follower_of_every_third_slot() -> u64 {
+    const WARM_UP: u64 = 64;
+    let mut follower = ZeusNode::new(NodeId(1), ZeusConfig::with_nodes(3));
+    let object = ObjectId(0);
+    follower.create_object(
+        object,
+        Bytes::from_static(&[0; 16]),
+        ReplicaSet::new(NodeId(0), [NodeId(1)]),
+    );
+    let pipeline = PipelineId::new(NodeId(0), 0);
+    let mut allocated = 0;
+    for i in 0..WARM_UP + FOLLOWED_SLOTS {
+        let tx_id = TxId::new(pipeline, 3 * i);
+        let rinv: Message = CommitMsg::RInv {
+            tx_id,
+            epoch: Epoch::ZERO,
+            followers: vec![NodeId(1)],
+            prev_val: true,
+            updates: vec![ObjectUpdate::new(
+                object,
+                DataTs::new(i + 1, OwnershipTs::default()),
+                Bytes::from_static(b"v"),
+            )],
+        }
+        .into();
+        let rval: Message = CommitMsg::RVal {
+            tx_id,
+            epoch: Epoch::ZERO,
+        }
+        .into();
+        let before = allocations();
+        follower.handle_message(NodeId(0), rinv);
+        follower.handle_message(NodeId(0), rval);
+        follower.drain_outbox_with(|_, _| {});
+        if i >= WARM_UP {
+            allocated += allocations() - before;
+        }
+    }
+    allocated
+}
+
 #[test]
 fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     const MEASURED_WINDOWS: u64 = 64;
@@ -554,6 +608,7 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
 
     let (session_reads, session_writes) = session_round_trips();
     let sim_network = sim_network_rounds();
+    let follower = follower_of_every_third_slot();
 
     // Printed after measuring: capturing output allocates.
     for (label, stages) in [("one-object", one), ("two-object", two)] {
@@ -590,6 +645,9 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     println!(
         "simulated network, {SIM_NET_ROUNDS} rounds of 7 sends and a delivery: {sim_network} allocations"
     );
+    println!(
+        "a follower of every third slot, {FOLLOWED_SLOTS} R-INVs and R-VALs: {follower} allocations"
+    );
 
     assert!(
         per_tx(one.total(), MEASURED_WINDOWS) <= 16,
@@ -622,5 +680,12 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     assert_eq!(
         sim_network, 0,
         "a warmed-up simulated network reuses its delivery buckets"
+    );
+    // 300,000 slots are 4,688 words of one bit per slot: the bitmap doubles
+    // about a dozen times. A set with one entry per cleared slot allocated
+    // 16,666 times here.
+    assert!(
+        follower <= 16,
+        "a follower's cleared slots may only grow a bitmap, did {follower} allocations over {FOLLOWED_SLOTS} slots"
     );
 }

@@ -266,23 +266,36 @@ impl MembershipEngine {
     }
 
     /// The earliest tick after `now` at which [`MembershipEngine::tick`] does
-    /// something it did not do at `now`: the next heartbeat, the tick from
-    /// which this node counts as isolated, or a live peer's lease running
-    /// out past the grace period. Deadlines at or before `now` have had
-    /// their effect; heartbeats never stop, so there is always a next one.
+    /// something, given that it ran at `now` and no message came since: the
+    /// next heartbeat, the tick from which this node counts as isolated, or
+    /// a live peer's lease running out past the grace period. An isolated
+    /// node only heartbeats until a message ends the isolation. Otherwise
+    /// two things are due at the very next tick: renewing every peer, once
+    /// a node that was isolated is no longer, and a suspicion, which is
+    /// re-asserted on every tick for as long as the lease stays expired
+    /// (until a view drops the peer). Heartbeats never stop, so there is
+    /// always a next timer.
     pub fn next_timer(&self, now: u64) -> u64 {
         let heartbeat = self
             .last_heartbeat_at
             .map_or(now, |at| at.saturating_add(self.heartbeat_interval));
+        if self.is_isolated(now) {
+            return heartbeat;
+        }
+        if self.was_isolated {
+            return now + 1;
+        }
         let suspicions = self
             .view
             .live
             .iter()
             .filter(|&&peer| peer != self.local)
-            .map(|&peer| self.leases.expires_at(peer).saturating_add(self.grace));
+            .map(|&peer| {
+                let at = self.leases.expires_at(peer).saturating_add(self.grace);
+                at.max(now + 1)
+            });
         suspicions
             .chain([self.isolation_deadline()])
-            .filter(|&at| at > now)
             .fold(heartbeat, u64::min)
     }
 
@@ -663,6 +676,64 @@ mod tests {
         );
         assert_eq!(suspects(&m.tick(649)), None);
         assert_eq!(suspects(&m.tick(650)), Some(vec![NodeId(2)]));
+    }
+
+    fn heartbeat(m: &mut MembershipEngine, from: u16, now: u64) {
+        m.on_message(
+            MembershipMsg::Heartbeat {
+                from: NodeId(from),
+                epoch: Epoch::ZERO,
+            },
+            now,
+        );
+    }
+
+    #[test]
+    fn leaving_isolation_the_next_tick_is_due() {
+        let mut m = MembershipEngine::new(NodeId(0), 3, 100);
+        m.tick(150);
+        assert!(m.is_isolated(150));
+        assert_eq!(m.next_timer(150), 175, "isolated: the next heartbeat");
+        // Node 1 gets through, which ends the isolation; the next tick
+        // renews node 2 at its own clock, well before any timer.
+        heartbeat(&mut m, 1, 160);
+        assert_eq!(m.next_timer(160), 161);
+        assert_eq!(m.leases.expires_at(NodeId(2)), 100);
+        m.tick(161);
+        assert_eq!(m.leases.expires_at(NodeId(2)), 261, "renewed at 161");
+        assert_eq!(m.next_timer(161), 175, "the next heartbeat");
+    }
+
+    #[test]
+    fn a_standing_suspicion_is_due_on_every_tick() {
+        let mut m = MembershipEngine::new(NodeId(0), 3, 100);
+        // Node 2 heartbeats, node 1 stays silent past lease and grace.
+        for t in (0..=400).step_by(20) {
+            heartbeat(&mut m, 2, t);
+        }
+        assert_eq!(suspects(&m.tick(400)), Some(vec![NodeId(1)]));
+        for t in 400..425 {
+            assert_eq!(m.next_timer(t), t + 1, "re-asserted at {}", t + 1);
+            assert_eq!(suspects(&m.tick(t + 1)), Some(vec![NodeId(1)]));
+        }
+    }
+
+    #[test]
+    fn a_tick_before_the_next_timer_does_nothing() {
+        let mut m = MembershipEngine::new(NodeId(0), 3, 100);
+        let mut now = 0;
+        for _ in 0..40 {
+            heartbeat(&mut m, 1, now);
+            heartbeat(&mut m, 2, now.saturating_sub(7));
+            m.tick(now);
+            let next = m.next_timer(now);
+            for t in now + 1..next {
+                assert!(m.tick(t).is_empty(), "tick {t} before {next}");
+                assert_eq!(m.next_timer(t), next, "tick {t}");
+            }
+            now = next;
+        }
+        assert_eq!(now, 40 * 25, "a heartbeat every 25 ticks");
     }
 
     #[test]

@@ -198,24 +198,45 @@ impl ViewReplica {
                 || !self.pending_admit.is_empty())
     }
 
-    /// The earliest tick after `now` at which [`ViewReplica::tick`] does
-    /// something by the clock alone, `None` with no agreement work
-    /// outstanding: a live proposal is re-sent or expires; intents waiting
-    /// to be proposed wait for the rank back-off, the initial deferral or a
-    /// grant to another proposer to run out — the earliest of those still
-    /// ahead, which may be early (the others then still hold the proposal
-    /// back) but is never late.
+    /// The earliest tick after `now` at which [`ViewReplica::tick`] changes
+    /// anything, given that it ran at `now` and nothing was handled since;
+    /// `None` with nothing to agree on. A live proposal is re-sent or
+    /// expires. Without one, the next tick is due at once when it has
+    /// bookkeeping to do: drop intents the committed view already
+    /// satisfies, or the stamp of intents that are gone. Unstamped intents
+    /// are stamped by the first tick past the rank back-off; stamped ones
+    /// wait for the back-off, the initial deferral or a grant to another
+    /// proposer to run out — the earliest of those still ahead, which may be
+    /// early (the others then still hold the proposal back) but is never
+    /// late.
     pub fn next_timer(&self, now: u64) -> Option<u64> {
-        if !self.has_pending_work() {
+        if !self.is_member() {
             return None;
         }
         if let Some(p) = &self.proposal {
             return Some(p.expires_at.min(p.last_sent + self.retry_interval));
         }
+        let satisfied = self
+            .pending_expel
+            .iter()
+            .any(|n| !self.committed_live.contains(n))
+            || self
+                .pending_admit
+                .iter()
+                .any(|n| self.committed_live.contains(n));
+        let intents = !self.pending_expel.is_empty() || !self.pending_admit.is_empty();
+        if satisfied || (!intents && self.intent_since.is_some()) {
+            return Some(now + 1);
+        }
+        if !intents {
+            return None;
+        }
+        let Some(since) = self.intent_since else {
+            return Some(self.next_propose_at.max(now + 1));
+        };
         let gates = [
             Some(self.next_propose_at),
-            self.intent_since
-                .map(|since| since.saturating_add(self.initial_deferral())),
+            Some(since.saturating_add(self.initial_deferral())),
             self.granted
                 .map(|(_, _, at)| at.saturating_add(self.grant_ttl)),
         ];
@@ -1030,5 +1051,66 @@ mod tests {
         assert!(!a.has_pending_work(), "proposal and intent both cleared");
         a.tick(RETRY * 2, &mut events);
         assert!(events.is_empty(), "nothing left to do");
+    }
+
+    /// Besides its timers, the tick keeps the books of the intents: it
+    /// stamps fresh ones with its own clock, drops those a committed view
+    /// already satisfies, and clears the stamp once none is left.
+    /// `next_timer` names each of those ticks. A skipped clearing tick shows
+    /// later, when the next intent is proposed on the stale stamp.
+    #[test]
+    fn next_timer_names_the_ticks_that_keep_the_books_of_intents() {
+        let (mut ticked, mut skipped) = (replica(1), replica(1));
+        assert_eq!(ticked.next_timer(0), None, "nothing to agree on");
+        let mut events = Vec::new();
+        for r in [&mut ticked, &mut skipped] {
+            r.propose_expel(NodeId(2));
+            assert_eq!(r.next_timer(5), Some(6), "the next tick stamps it");
+            r.tick(10, &mut events);
+            assert_eq!(r.next_timer(10), Some(10 + RETRY), "behind node 0");
+            r.retract_expel(NodeId(2));
+        }
+        assert!(events.is_empty());
+        assert_eq!(ticked.next_timer(10), Some(11), "a stale stamp");
+        ticked.tick(11, &mut events);
+        assert_eq!(ticked.next_timer(11), None, "nothing left");
+
+        for r in [&mut ticked, &mut skipped] {
+            r.propose_expel(NodeId(2));
+        }
+        ticked.tick(150, &mut events);
+        assert!(events.is_empty(), "deferred for a retry interval from 150");
+        skipped.tick(150, &mut events);
+        assert_eq!(
+            sends(&events).len(),
+            2,
+            "proposed at once, deferred from 10"
+        );
+
+        // An intent the committed view already satisfies, next to one it
+        // does not: the next tick drops the first.
+        let mut r = replica(1);
+        r.propose_expel(NodeId(2));
+        r.tick(10, &mut events);
+        r.propose_admit(NodeId(0));
+        assert_eq!(r.next_timer(20), Some(21), "node 0 is live already");
+        r.tick(21, &mut events);
+        assert_eq!(r.next_timer(21), Some(10 + RETRY));
+
+        // A grant to another proposer does not hold back the stamp.
+        let mut r = replica(1);
+        r.on_message(
+            ViewMsg::Propose {
+                epoch: Epoch(1),
+                base: Epoch::ZERO,
+                live: vec![NodeId(0), NodeId(1)],
+                admitted: vec![Epoch::ZERO, Epoch::ZERO],
+                from: NodeId(0),
+            },
+            0,
+            &mut events,
+        );
+        r.propose_expel(NodeId(2));
+        assert_eq!(r.next_timer(5), Some(6), "granted until {TTL}");
     }
 }
