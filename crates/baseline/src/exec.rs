@@ -1,10 +1,10 @@
 //! A small executable statically-sharded store with two-phase commit.
 //!
-//! This is not meant to be fast: it exists so the integration tests can
-//! cross-check the analytic model's message counts against an actual
-//! execution of a lock-based two-phase commit over statically sharded,
-//! replicated objects, and so the examples can show the programming-model
-//! difference (remote aborts, blocking on replication) next to Zeus.
+//! This is not meant to be fast: it executes a lock-based two-phase commit
+//! over statically sharded, replicated objects so the integration tests can
+//! check it against Zeus on the same writes, and so the examples can show
+//! the programming-model difference (remote aborts, blocking on
+//! replication) next to Zeus.
 
 use std::collections::HashMap;
 

@@ -1,30 +1,19 @@
-//! Statically-sharded, distributed-commit baselines for the evaluation.
+//! A statically-sharded, distributed-commit baseline.
 //!
-//! The paper compares Zeus against published numbers for FaRM, FaSST and
-//! DrTM — RDMA systems none of which can run on this substrate. What the
-//! comparison actually exercises is *structural*: a statically-sharded store
-//! must execute remote reads and a multi-round-trip distributed commit for
-//! every transaction that spans nodes, and it must block the transaction
-//! pipeline until replication completes, whereas Zeus localises the
-//! transaction (occasionally paying an ownership migration) and pipelines
-//! its single-round-trip reliable commit.
+//! The paper compares Zeus against FaRM, FaSST and DrTM — RDMA systems none
+//! of which can run on this substrate. What the comparison exercises is
+//! *structural*: a statically-sharded store must execute remote reads and a
+//! multi-round-trip distributed commit for every transaction that spans
+//! nodes, and it must block the transaction pipeline until replication
+//! completes, whereas Zeus localises the transaction (occasionally paying an
+//! ownership migration) and pipelines its single-round-trip reliable commit.
 //!
-//! This crate reproduces those structural costs in two forms:
-//!
-//! * [`model`] — an analytic per-transaction cost model (CPU per message and
-//!   per round-trip) parameterised for FaSST-, FaRM- and DrTM-like commit
-//!   protocols and for Zeus itself. Figures 8, 9 and 13 are generated from
-//!   it, so the *shape* (who wins, where the crossover in remote-transaction
-//!   fraction falls) is reproduced without pretending to re-measure the
-//!   authors' hardware.
-//! * [`exec`] — a small executable statically-sharded store with two-phase
-//!   commit over the simulated network, used by the integration tests to
-//!   cross-check the model's message counts.
+//! [`exec`] is a small executable statically-sharded store with two-phase
+//! commit. The integration tests run it next to Zeus on the same write
+//! sequence, and the `smallbank` example prints its message counts beside
+//! Zeus's.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod exec;
-pub mod model;
-
-pub use model::{BaselineKind, BlockingStoreModel, CostModel, TxProfile};

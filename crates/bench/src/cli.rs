@@ -221,14 +221,14 @@ fn run_diff(baseline: &Path, new: &Path, fail_on_regress: Option<f64>) -> i32 {
         "scenario", "baseline ops/s", "new ops/s", "delta"
     );
     let outcome = new_report.diff(&base);
-    // Name what the gate is NOT covering: a matched pair with no comparable
-    // throughput (metric marked absent, or a legacy all-zero analysis row)
-    // is listed instead of silently vanishing from the regression gate.
+    // Name what the gate is NOT covering: a row with no partner on the other
+    // side (a renamed config key, a new or dropped sweep point) is listed
+    // instead of silently vanishing from the regression gate.
     for (label, reason) in &outcome.skipped {
         println!("{label:<52} {:>14} {:>14} {:>8}", "-", "-", reason);
     }
     let rows = outcome.rows;
-    if rows.is_empty() && outcome.skipped.is_empty() {
+    if rows.is_empty() {
         // Results pair up by scenario name + full config, and every result's
         // config carries the run's mode and seed — so comparing a smoke run
         // against a full run (or runs with different seeds) matches nothing.
@@ -350,6 +350,12 @@ mod tests {
         assert_eq!(run_diff(&base, &slow, None), 0);
         assert_eq!(run_diff(&base, &slow, Some(10.0)), 1);
         assert_eq!(run_diff(&base, &slow, Some(30.0)), 0);
+        // Nothing pairs: both rows are listed as skipped and the diff fails.
+        let mut other = BenchReport::new("other", "smoke", 1);
+        other.results.push(ScenarioResult::new("fig09_tatp"));
+        let other_path = dir.join("BENCH_other.json");
+        other.write(&other_path).unwrap();
+        assert_eq!(run_diff(&base, &other_path, None), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,18 +1,12 @@
 //! Shared measurement plumbing for the figure harnesses.
 //!
-//! Two kinds of numbers are produced, mirroring DESIGN.md:
-//!
-//! * **Measured** numbers come from running a workload against the real Zeus
-//!   implementation ([`zeus_core::ThreadedCluster`] or
-//!   [`zeus_core::SimCluster`]) on this machine, with populations scaled down
-//!   so a figure regenerates in seconds.
-//! * **Modelled** numbers come from the per-transaction cost model in
-//!   [`zeus_baseline::model`], which is how the FaRM/FaSST/DrTM comparison
-//!   lines (published-hardware numbers in the paper) are reproduced.
+//! Every number comes from running a workload against the real Zeus
+//! implementation ([`zeus_core::ThreadedCluster`] or
+//! [`zeus_core::SimCluster`]) on this machine, with populations scaled down
+//! so a figure regenerates in seconds.
 
 use std::time::{Duration, Instant};
 
-use zeus_baseline::model::{BaselineKind, CostModel, TxProfile};
 use zeus_core::balancer::PlacementPolicy;
 use zeus_core::{
     ClusterDriver, LatencyHistogram, LoadBalancer, Session, ThreadedCluster, ZeusConfig,
@@ -312,84 +306,6 @@ pub fn run_measured(nodes: usize, mut workload: impl Workload, duration: Duratio
     MeasuredRun { committed, elapsed }
 }
 
-/// Builds the Smallbank transaction mix as cost-model profiles, with the
-/// given ownership-change / remote fraction applied to write transactions.
-pub fn smallbank_mix(remote: f64, replication: usize) -> Vec<(f64, TxProfile)> {
-    vec![
-        (
-            0.15,
-            TxProfile::new(3, 0, 0, true).with_replication(replication),
-        ),
-        (
-            0.30,
-            TxProfile::new(0, 1, 64, false)
-                .with_remote(remote)
-                .with_replication(replication),
-        ),
-        (
-            0.25,
-            TxProfile::new(1, 1, 64, false)
-                .with_remote(remote)
-                .with_replication(replication),
-        ),
-        (
-            0.30,
-            TxProfile::new(0, 3, 192, false)
-                .with_remote(remote)
-                .with_replication(replication),
-        ),
-    ]
-}
-
-/// Builds the TATP transaction mix as cost-model profiles.
-pub fn tatp_mix(remote_write: f64, replication: usize) -> Vec<(f64, TxProfile)> {
-    vec![
-        (
-            0.80,
-            TxProfile::new(1, 0, 0, true).with_replication(replication),
-        ),
-        (
-            0.16,
-            TxProfile::new(0, 1, 100, false)
-                .with_remote(remote_write)
-                .with_replication(replication),
-        ),
-        (
-            0.04,
-            TxProfile::new(1, 2, 148, false)
-                .with_remote(remote_write)
-                .with_replication(replication),
-        ),
-    ]
-}
-
-/// Builds the Handovers mix (all writes, ~400 B contexts).
-pub fn handover_mix(
-    handover_fraction: f64,
-    remote_handover: f64,
-    replication: usize,
-) -> Vec<(f64, TxProfile)> {
-    vec![
-        (
-            1.0 - handover_fraction,
-            TxProfile::new(0, 2, 528, false)
-                .with_remote(0.0)
-                .with_replication(replication),
-        ),
-        (
-            handover_fraction,
-            TxProfile::new(0, 3, 656, false)
-                .with_remote(remote_handover)
-                .with_replication(replication),
-        ),
-    ]
-}
-
-/// Modelled per-node throughput for a system over a mix.
-pub fn modelled_mtps_per_node(kind: BaselineKind, mix: &[(f64, TxProfile)]) -> f64 {
-    kind.throughput_per_node(&CostModel::default(), mix) / 1.0e6
-}
-
 /// Prints a CSV header + rows helper.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("# {title}");
@@ -402,9 +318,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 
 /// The cluster sizes evaluated in the paper.
 pub const PAPER_NODE_COUNTS: [usize; 2] = [3, 6];
-
-/// Default replication degree used throughout the evaluation.
-pub const REPLICATION: usize = 3;
 
 #[cfg(test)]
 mod tests {
@@ -419,14 +332,6 @@ mod tests {
         };
         assert!((run.tps() - 2_000.0).abs() < 1.0);
         assert!(run.mtps() < 0.01);
-    }
-
-    #[test]
-    fn modelled_mixes_are_positive_and_ordered() {
-        let zeus = modelled_mtps_per_node(BaselineKind::Zeus, &smallbank_mix(0.003, 3));
-        let fasst = modelled_mtps_per_node(BaselineKind::FasstLike, &smallbank_mix(0.3, 3));
-        assert!(zeus > 0.0 && fasst > 0.0);
-        assert!(zeus > fasst);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Benchmark harnesses regenerating every table and figure of the paper's
-//! evaluation (§8), unified behind one driver.
+//! Benchmark harnesses for the figures of the paper's evaluation (§8) that
+//! this implementation can measure, unified behind one driver.
 //!
 //! * [`harness`] — measurement plumbing: instrumented warmup/measure runs on
-//!   the threaded runtime, latency histograms, cost-model mixes.
+//!   the threaded runtime, latency histograms.
 //! * [`openloop`] — open-loop load generation: deterministic Poisson
 //!   arrival schedules, pipelined submission, latency-under-load sweeps.
 //! * [`scenario`] + [`scenarios`] — the registry of named scenarios (one per
-//!   figure/table) the driver runs.
+//!   measured figure or experiment) the driver runs.
 //! * [`report`] + [`json`] — the machine-readable `BENCH_<tag>.json` result
 //!   schema and the hand-rolled JSON layer behind it.
 //! * [`cli`] — the command-line front end (`--smoke`, `--tag`, `--scenario`,

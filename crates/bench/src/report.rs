@@ -1,8 +1,8 @@
 //! Machine-readable bench results: the common scenario schema and the
 //! `BENCH_<tag>.json` report files CI consumes.
 //!
-//! Every scenario — measured on the threaded runtime, simulated, or modelled
-//! through the cost model — reduces to one or more [`ScenarioResult`]s:
+//! Every scenario — measured on the threaded runtime or on the simulator —
+//! reduces to one or more [`ScenarioResult`]s:
 //!
 //! ```json
 //! {
@@ -32,8 +32,7 @@ pub struct ScenarioResult {
     pub scenario: String,
     /// Free-form configuration key/value pairs (nodes, mode, workload knobs).
     pub config: Vec<(String, String)>,
-    /// Committed operations per second (modelled scenarios report the
-    /// modelled rate; analysis-only scenarios report 0).
+    /// Committed operations per second.
     pub throughput_ops: f64,
     /// Median latency in microseconds (0 when the scenario has no latency
     /// distribution).
@@ -48,24 +47,7 @@ pub struct ScenarioResult {
     pub aborts: u64,
     /// High-water mark of the transport inbox depth (threaded runs only).
     pub queue_depth_hwm: u64,
-    /// Metric fields this scenario does not measure (e.g. modelled rows
-    /// have no latency distribution; analysis rows have no throughput). An
-    /// absent metric's value field still serialises (as 0) for backward
-    /// compatibility, but consumers — `--diff` above all — must skip it
-    /// instead of reading the 0 as a measurement.
-    pub absent: Vec<String>,
 }
-
-/// The metric field names [`ScenarioResult::absent`] may reference.
-pub const METRIC_FIELDS: [&str; 7] = [
-    "throughput_ops",
-    "p50_us",
-    "p99_us",
-    "p999_us",
-    "handover_count",
-    "aborts",
-    "queue_depth_hwm",
-];
 
 impl ScenarioResult {
     /// A result with the given name and all metrics zeroed; scenarios fill
@@ -81,7 +63,6 @@ impl ScenarioResult {
             handover_count: 0,
             aborts: 0,
             queue_depth_hwm: 0,
-            absent: Vec::new(),
         }
     }
 
@@ -91,34 +72,22 @@ impl ScenarioResult {
         self
     }
 
-    /// Marks metric fields as not measured by this scenario (builder
-    /// style). Names must come from [`METRIC_FIELDS`];
-    /// [`BenchReport::validate`] rejects anything else.
-    pub fn with_absent(mut self, metrics: &[&str]) -> Self {
-        for m in metrics {
-            if !self.absent.iter().any(|a| a == m) {
-                self.absent.push((*m).to_string());
-            }
+    /// `scenario [k=v,...]`: how `--diff` names a result.
+    fn label(&self) -> String {
+        if self.config.is_empty() {
+            return self.scenario.clone();
         }
-        self
+        let cfg: Vec<String> = self
+            .config
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        format!("{} [{}]", self.scenario, cfg.join(","))
     }
 
-    /// Marks every latency percentile as not measured.
-    pub fn with_latency_absent(self) -> Self {
-        self.with_absent(&["p50_us", "p99_us", "p999_us"])
-    }
-
-    /// Whether `metric` is marked as not measured.
-    pub fn is_absent(&self, metric: &str) -> bool {
-        self.absent.iter().any(|a| a == metric)
-    }
-
-    /// Serialises to the common JSON schema. The `absent` key is emitted
-    /// only when non-empty, so reports from scenarios that measure
-    /// everything — chaos explorer reports included — are byte-identical to
-    /// the pre-`absent` schema.
+    /// Serialises to the common JSON schema.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj(vec![
             ("scenario", Json::str(&self.scenario)),
             (
                 "config",
@@ -136,14 +105,7 @@ impl ScenarioResult {
             ("handover_count", Json::u64(self.handover_count)),
             ("aborts", Json::u64(self.aborts)),
             ("queue_depth_hwm", Json::u64(self.queue_depth_hwm)),
-        ];
-        if !self.absent.is_empty() {
-            fields.push((
-                "absent",
-                Json::Arr(self.absent.iter().map(Json::str).collect()),
-            ));
-        }
-        Json::obj(fields)
+        ])
     }
 
     /// Deserialises from the common JSON schema, validating every required
@@ -182,24 +144,6 @@ impl ScenarioResult {
                 ))
             }
         };
-        // Optional for backward compatibility: pre-`absent` reports (and
-        // every scenario that measures all its metrics) omit the key.
-        let absent = match v.get("absent") {
-            None => Vec::new(),
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|m| {
-                    m.as_str().map(str::to_string).ok_or_else(|| {
-                        format!("scenario '{scenario}': 'absent' entries must be strings")
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => {
-                return Err(format!(
-                    "scenario '{scenario}': 'absent' must be an array of metric names"
-                ))
-            }
-        };
         Ok(ScenarioResult {
             config,
             throughput_ops: field("throughput_ops")?,
@@ -209,30 +153,21 @@ impl ScenarioResult {
             handover_count: int_field("handover_count")?,
             aborts: int_field("aborts")?,
             queue_depth_hwm: int_field("queue_depth_hwm")?,
-            absent,
             scenario,
         })
     }
 
-    /// One-line human summary for the driver's stdout; absent metrics print
-    /// as `-` instead of a zero that reads as a measurement.
+    /// One-line human summary for the driver's stdout.
     pub fn summary_line(&self) -> String {
-        let num = |name: &str, v: String| {
-            if self.is_absent(name) {
-                "-".to_string()
-            } else {
-                v
-            }
-        };
         format!(
-            "{:<28} {:>12} ops/s  p50 {:>6} us  p99 {:>6} us  p99.9 {:>7} us  handovers {:>6}  aborts {:>4}",
+            "{:<28} {:>12.0} ops/s  p50 {:>6} us  p99 {:>6} us  p99.9 {:>7} us  handovers {:>6}  aborts {:>4}",
             self.scenario,
-            num("throughput_ops", format!("{:.0}", self.throughput_ops)),
-            num("p50_us", self.p50_us.to_string()),
-            num("p99_us", self.p99_us.to_string()),
-            num("p999_us", self.p999_us.to_string()),
-            num("handover_count", self.handover_count.to_string()),
-            num("aborts", self.aborts.to_string())
+            self.throughput_ops,
+            self.p50_us,
+            self.p99_us,
+            self.p999_us,
+            self.handover_count,
+            self.aborts
         )
     }
 }
@@ -324,17 +259,9 @@ impl BenchReport {
 
     /// Checks that every scenario in `required` has at least one result and
     /// that every result is well-formed (finite, non-negative throughput;
-    /// `absent` names that are actual metric fields).
+    /// monotonic percentiles).
     pub fn validate(&self, required: &[&str]) -> Result<(), String> {
         for r in &self.results {
-            for a in &r.absent {
-                if !METRIC_FIELDS.contains(&a.as_str()) {
-                    return Err(format!(
-                        "scenario '{}' marks unknown metric '{a}' absent",
-                        r.scenario
-                    ));
-                }
-            }
             if !r.throughput_ops.is_finite() || r.throughput_ops < 0.0 {
                 return Err(format!(
                     "scenario '{}' has malformed throughput {}",
@@ -360,39 +287,23 @@ impl BenchReport {
     ///
     /// Scenarios are matched by name + config. `rows` carries `(label,
     /// baseline_ops, new_ops, delta_fraction)` for every compared pair;
-    /// `skipped` carries `(label, reason)` for pairs that have no comparable
-    /// throughput — either side marks the metric absent, or both report 0
-    /// (a legacy analysis row predating absent-marking). Skips are returned
-    /// rather than swallowed so `--diff` output shows what the regression
-    /// gate is *not* covering.
+    /// `skipped` carries `(label, reason)` for every row that found no
+    /// partner — a result of this run with "no baseline row", or a baseline
+    /// row "not in this run". A renamed config key or a new or dropped sweep
+    /// point thus shows in `--diff` output instead of silently leaving the
+    /// regression gate.
     pub fn diff(&self, baseline: &BenchReport) -> DiffOutcome {
+        let pairs = |a: &ScenarioResult, b: &ScenarioResult| {
+            a.scenario == b.scenario && a.config == b.config
+        };
         let mut outcome = DiffOutcome::default();
         for r in &self.results {
-            let Some(b) = baseline
-                .results
-                .iter()
-                .find(|b| b.scenario == r.scenario && b.config == r.config)
-            else {
-                continue;
-            };
-            let label = if r.config.is_empty() {
-                r.scenario.clone()
-            } else {
-                let cfg: Vec<String> = r.config.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                format!("{} [{}]", r.scenario, cfg.join(","))
-            };
-            if r.is_absent("throughput_ops") || b.is_absent("throughput_ops") {
+            let Some(b) = baseline.results.iter().find(|b| pairs(b, r)) else {
                 outcome
                     .skipped
-                    .push((label, "throughput marked absent".to_string()));
+                    .push((r.label(), "no baseline row".to_string()));
                 continue;
-            }
-            if b.throughput_ops == 0.0 && r.throughput_ops == 0.0 {
-                outcome
-                    .skipped
-                    .push((label, "no throughput on either side".to_string()));
-                continue;
-            }
+            };
             let delta = if b.throughput_ops > 0.0 {
                 r.throughput_ops / b.throughput_ops - 1.0
             } else {
@@ -400,7 +311,14 @@ impl BenchReport {
             };
             outcome
                 .rows
-                .push((label, b.throughput_ops, r.throughput_ops, delta));
+                .push((r.label(), b.throughput_ops, r.throughput_ops, delta));
+        }
+        for b in &baseline.results {
+            if !self.results.iter().any(|r| pairs(b, r)) {
+                outcome
+                    .skipped
+                    .push((b.label(), "not in this run".to_string()));
+            }
         }
         outcome
     }
@@ -411,7 +329,7 @@ impl BenchReport {
 pub struct DiffOutcome {
     /// `(label, baseline_ops, new_ops, delta_fraction)` per compared pair.
     pub rows: Vec<(String, f64, f64, f64)>,
-    /// `(label, reason)` per matched pair with nothing to compare.
+    /// `(label, reason)` per row with no partner on the other side.
     pub skipped: Vec<(String, String)>,
 }
 
@@ -433,7 +351,6 @@ mod tests {
             handover_count: 7,
             aborts: 2,
             queue_depth_hwm: 12,
-            absent: Vec::new(),
         }
     }
 
@@ -498,75 +415,43 @@ mod tests {
     }
 
     #[test]
-    fn absent_metrics_round_trip_and_stay_off_the_wire_when_empty() {
-        // No absent metrics: the key is omitted entirely, so pre-`absent`
-        // consumers (and byte-compared chaos reports) see the old schema.
-        let text = sample().to_json().pretty();
-        assert!(!text.contains("absent"));
-
-        let r = sample().with_latency_absent().with_absent(&["aborts"]);
-        assert_eq!(r.absent, vec!["p50_us", "p99_us", "p999_us", "aborts"]);
-        assert!(r.is_absent("p99_us") && !r.is_absent("throughput_ops"));
-        let parsed = ScenarioResult::from_json(&r.to_json()).unwrap();
-        assert_eq!(parsed, r);
-        // Marking twice does not duplicate.
-        assert_eq!(r.clone().with_absent(&["aborts"]).absent.len(), 4);
-    }
-
-    #[test]
-    fn validate_rejects_unknown_absent_names() {
-        let mut report = BenchReport::new("x", "smoke", 1);
-        report
-            .results
-            .push(sample().with_absent(&["p99_us", "warp_factor"]));
-        let err = report.validate(&[]).unwrap_err();
-        assert!(err.contains("warp_factor"), "unexpected error: {err}");
-        let mut ok = BenchReport::new("x", "smoke", 1);
-        ok.results.push(sample().with_latency_absent());
-        assert!(ok.validate(&[]).is_ok());
-    }
-
-    #[test]
-    fn diff_skips_absent_throughput_with_a_reason() {
+    fn diff_reports_a_result_with_no_baseline_row() {
         let mut base = BenchReport::new("base", "smoke", 1);
         base.results.push(sample());
-        let mut analysis = sample();
-        analysis.scenario = "locality_analysis".into();
-        analysis.throughput_ops = 0.0;
-        base.results
-            .push(analysis.clone().with_absent(&["throughput_ops"]));
-
         let mut new = BenchReport::new("new", "smoke", 1);
-        // New side marks the measured scenario's throughput absent: the
-        // pair must drop out of the gate *visibly*, not silently.
-        new.results.push(sample().with_absent(&["throughput_ops"]));
-        new.results.push(analysis.with_absent(&["throughput_ops"]));
+        new.results.push(sample());
+        // A renamed config key no longer pairs with its baseline row.
+        let mut renamed = sample();
+        renamed.config[0].0 = "node_count".into();
+        new.results.push(renamed);
         let outcome = new.diff(&base);
-        assert!(outcome.rows.is_empty());
-        assert_eq!(outcome.skipped.len(), 2);
-        assert!(outcome
-            .skipped
-            .iter()
-            .all(|(_, why)| why.contains("absent")));
+        assert_eq!(outcome.rows.len(), 1);
+        assert_eq!(
+            outcome.skipped,
+            [(
+                "fig08_smallbank [node_count=3,mode=smoke]".to_string(),
+                "no baseline row".to_string()
+            )]
+        );
     }
 
     #[test]
-    fn diff_reports_legacy_zero_zero_rows_as_skipped() {
+    fn diff_reports_a_baseline_row_not_in_this_run() {
         let mut base = BenchReport::new("base", "smoke", 1);
-        let mut zero = sample();
-        zero.throughput_ops = 0.0;
-        base.results.push(zero.clone());
+        base.results.push(sample());
+        let mut dropped = sample();
+        dropped.scenario = "fig09_tatp".into();
+        base.results.push(dropped);
         let mut new = BenchReport::new("new", "smoke", 1);
-        new.results.push(zero);
+        new.results.push(sample());
         let outcome = new.diff(&base);
-        assert!(outcome.rows.is_empty());
-        assert_eq!(outcome.skipped.len(), 1, "zero/zero must surface as a skip");
-    }
-
-    #[test]
-    fn summary_line_prints_dashes_for_absent_metrics() {
-        let line = sample().with_latency_absent().summary_line();
-        assert!(line.contains('-'));
-        assert!(!line.contains(" 40 us"), "absent p50 must not print its 0");
+        assert_eq!(outcome.rows.len(), 1);
+        assert_eq!(
+            outcome.skipped,
+            [(
+                "fig09_tatp [nodes=3,mode=smoke]".to_string(),
+                "not in this run".to_string()
+            )]
+        );
     }
 }

@@ -1,5 +1,5 @@
-//! Scenario registry: every figure/table of the evaluation as a named,
-//! uniformly-invocable scenario.
+//! Scenario registry: every measured figure of the evaluation, and the
+//! experiments beyond it, as a named, uniformly-invocable scenario.
 //!
 //! A scenario takes a [`RunCtx`] (smoke vs full windows, the workload seed)
 //! and returns a [`ScenarioOutcome`]: the human-readable tables of its
@@ -102,21 +102,16 @@ pub struct ScenarioSpec {
 
 /// Names of all scenarios a complete report must contain (the CI perf-smoke
 /// gate fails if any is missing from `BENCH_PR.json`).
-pub const REQUIRED_SCENARIOS: [&str; 14] = [
+pub const REQUIRED_SCENARIOS: [&str; 9] = [
     "fig07_handovers",
     "fig08_smallbank",
     "fig09_tatp",
     "fig10_voter_migration",
     "fig11_voter_hot",
     "fig12_ownership_latency",
-    "fig13_gateway",
-    "fig14_sctp",
-    "fig15_nginx",
-    "locality_analysis",
     "phase_shift",
     "pipeline_depth",
     "saturation",
-    "table2",
 ];
 
 /// The full scenario registry, in report order.
@@ -124,17 +119,17 @@ pub fn registry() -> Vec<ScenarioSpec> {
     vec![
         ScenarioSpec {
             name: "fig07_handovers",
-            about: "Handovers: Zeus vs all-local ideal (measured + modelled)",
+            about: "Handovers throughput on 3 and 6 nodes (measured)",
             run: scenarios::fig07::run,
         },
         ScenarioSpec {
             name: "fig08_smallbank",
-            about: "Smallbank throughput vs % remote writes (measured + modelled)",
+            about: "Smallbank throughput at Venmo-like locality (measured)",
             run: scenarios::fig08::run,
         },
         ScenarioSpec {
             name: "fig09_tatp",
-            about: "TATP throughput vs % remote writes (measured + modelled)",
+            about: "TATP throughput with all-local writes (measured)",
             run: scenarios::fig09::run,
         },
         ScenarioSpec {
@@ -151,26 +146,6 @@ pub fn registry() -> Vec<ScenarioSpec> {
             name: "fig12_ownership_latency",
             about: "Ownership latency CDFs, idle vs under load (simulated)",
             run: scenarios::fig12::run,
-        },
-        ScenarioSpec {
-            name: "fig13_gateway",
-            about: "Packet-gateway control plane datastore options (modelled)",
-            run: scenarios::fig13::run,
-        },
-        ScenarioSpec {
-            name: "fig14_sctp",
-            about: "SCTP endpoint replication overhead (modelled)",
-            run: scenarios::fig14::run,
-        },
-        ScenarioSpec {
-            name: "fig15_nginx",
-            about: "HTTP session-persistence scale-out/in (modelled)",
-            run: scenarios::fig15::run,
-        },
-        ScenarioSpec {
-            name: "locality_analysis",
-            about: "Remote-transaction fractions of the studied workloads",
-            run: scenarios::locality::run,
         },
         ScenarioSpec {
             name: "phase_shift",
@@ -191,11 +166,6 @@ pub fn registry() -> Vec<ScenarioSpec> {
             name: "udp_smoke",
             about: "Smallbank + sub-knee open-loop points over loopback UDP (report-only)",
             run: scenarios::udp_smoke::run,
-        },
-        ScenarioSpec {
-            name: "table2",
-            about: "Benchmark characteristics summary",
-            run: scenarios::table2::run,
         },
     ]
 }
@@ -224,6 +194,22 @@ mod tests {
             .filter(|n| !REQUIRED_SCENARIOS.contains(n))
             .collect();
         assert_eq!(extras, ["udp_smoke"]);
+    }
+
+    #[test]
+    fn committed_baseline_rows_name_exactly_the_required_scenarios() {
+        let baseline =
+            crate::report::BenchReport::parse(include_str!("../../../BENCH_baseline.json"))
+                .expect("BENCH_baseline.json parses");
+        for r in &baseline.results {
+            assert!(
+                REQUIRED_SCENARIOS.contains(&r.scenario.as_str()),
+                "baseline row for unregistered scenario {}",
+                r.scenario
+            );
+        }
+        // Every required scenario has a row, and every row is well-formed.
+        baseline.validate(&REQUIRED_SCENARIOS).unwrap();
     }
 
     #[test]

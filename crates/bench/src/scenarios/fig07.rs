@@ -1,17 +1,10 @@
-//! Figure 7: Handovers benchmark — Zeus vs the all-local ideal, for 2.5% and
-//! 5% handover ratios on 3 and 6 nodes.
-//!
-//! The Zeus series is *measured* on the threaded runtime with a scaled-down
-//! population; the ideal series is the same workload with every handover
-//! forced local (perfect sharding), and both are also reported through the
-//! cost model so the paper-scale shape (Zeus within 4-9% of ideal, linear
-//! scaling in nodes) is visible without the measurement noise of a laptop.
+//! Figure 7: Handovers benchmark — Zeus for 2.5% and 5% handover ratios on 3
+//! and 6 nodes, measured on the threaded runtime with a scaled-down
+//! population.
 
-use zeus_baseline::model::BaselineKind;
-use zeus_workloads::locality::MobilityModel;
 use zeus_workloads::HandoverWorkload;
 
-use crate::harness::{handover_mix, modelled_mtps_per_node, run_instrumented, REPLICATION};
+use crate::harness::run_instrumented;
 use crate::report::ScenarioResult;
 use crate::scenario::{RunCtx, ScenarioOutcome, TableData};
 use crate::scenarios::fill_percentiles;
@@ -19,27 +12,12 @@ use crate::scenarios::fill_percentiles;
 /// Runs the scenario.
 pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
     let opts = ctx.opts();
-    let mobility = MobilityModel::boston();
     let users = ctx.pop(2_000, 800);
     let stations = 100;
     let mut rows = Vec::new();
     let mut results = Vec::new();
     for &nodes in &crate::harness::PAPER_NODE_COUNTS {
         for handover_pct in [2.5f64, 5.0] {
-            let remote_handover = mobility.remote_handover_fraction(nodes);
-            // Modelled paper-scale numbers (10 worker threads/node).
-            let zeus_model = nodes as f64
-                * modelled_mtps_per_node(
-                    BaselineKind::Zeus,
-                    &handover_mix(handover_pct / 100.0, remote_handover, REPLICATION),
-                );
-            // The paper's "all-local (ideal)" is Zeus with perfect sharding
-            // (every handover local), not a replication-free system.
-            let ideal_model = nodes as f64
-                * modelled_mtps_per_node(
-                    BaselineKind::Zeus,
-                    &handover_mix(handover_pct / 100.0, 0.0, REPLICATION),
-                );
             let stats = run_instrumented(nodes, &opts, |c| {
                 HandoverWorkload::new(
                     users,
@@ -52,9 +30,6 @@ pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
             rows.push(vec![
                 nodes.to_string(),
                 format!("{handover_pct}%"),
-                format!("{:.2}", ideal_model),
-                format!("{:.2}", zeus_model),
-                format!("{:.1}%", (1.0 - zeus_model / ideal_model) * 100.0),
                 format!("{:.0}", stats.tps()),
             ]);
             let mut result = ScenarioResult::new("fig07_handovers")
@@ -70,15 +45,8 @@ pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
     }
     ScenarioOutcome {
         tables: vec![TableData {
-            title: "Figure 7: Handovers — all-local (ideal) vs Zeus (paper: Zeus within 4-9% of ideal, linear node scaling)".into(),
-            header: vec![
-                "nodes",
-                "handovers",
-                "ideal model [Mtps]",
-                "zeus model [Mtps]",
-                "gap",
-                "measured zeus [tps, scaled-down]",
-            ],
+            title: "Figure 7: Handovers, measured on a scaled-down population (paper: Zeus within 4-9% of all-local ideal, linear node scaling)".into(),
+            header: vec!["nodes", "handovers", "zeus [tps]"],
             rows,
         }],
         results,

@@ -1,69 +1,31 @@
-//! Figure 8: Smallbank throughput per node while varying the fraction of
-//! write transactions that require an ownership change, vs FaSST- and
-//! DrTM-like baselines (flat lines), with the Venmo-derived locality points.
+//! Figure 8: Smallbank throughput on 3 nodes at Venmo-like locality (0.3% of
+//! write transactions need an ownership change), measured on the threaded
+//! runtime with a scaled-down population.
 
-use zeus_baseline::model::BaselineKind;
-use zeus_workloads::locality::VenmoModel;
 use zeus_workloads::SmallbankWorkload;
 
-use crate::harness::{modelled_mtps_per_node, run_instrumented, smallbank_mix, REPLICATION};
+use crate::harness::run_instrumented;
 use crate::report::ScenarioResult;
 use crate::scenario::{RunCtx, ScenarioOutcome, TableData};
 use crate::scenarios::fill_percentiles;
 
 /// Runs the scenario.
 pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
-    let venmo = VenmoModel::public_dataset();
-    let static_remote = 0.30; // Smallbank under static sharding (multi-party txs cross shards)
-    let fasst = modelled_mtps_per_node(
-        BaselineKind::FasstLike,
-        &smallbank_mix(static_remote, REPLICATION),
-    );
-    let drtm = modelled_mtps_per_node(
-        BaselineKind::DrtmLike,
-        &smallbank_mix(static_remote, REPLICATION),
-    );
-    let mut rows = Vec::new();
-    for remote_pct in [0.0f64, 1.0, 2.0, 5.0, 10.0, 20.0] {
-        let zeus3 = modelled_mtps_per_node(
-            BaselineKind::Zeus,
-            &smallbank_mix(remote_pct / 100.0, REPLICATION),
-        );
-        let zeus6 = zeus3 * 0.97; // slightly more remote traffic share at 6 nodes
-        rows.push(vec![
-            format!("{remote_pct}%"),
-            format!("{:.2}", zeus3),
-            format!("{:.2}", zeus6),
-            format!("{:.2}", fasst),
-            format!("{:.2}", drtm),
-        ]);
-    }
-    let venmo_remote = venmo.remote_fraction(3, 500_000, 1);
-    rows.push(vec![
-        format!("venmo 3 nodes ({:.1}%)", venmo_remote * 100.0),
-        format!(
-            "{:.2}",
-            modelled_mtps_per_node(
-                BaselineKind::Zeus,
-                &smallbank_mix(venmo_remote, REPLICATION)
-            )
-        ),
-        "-".into(),
-        format!("{:.2}", fasst),
-        format!("{:.2}", drtm),
-    ]);
-
-    // The measured point (scaled-down, 3 nodes, Venmo-like locality). This
-    // is the config the CI perf-smoke gate tracks across PRs.
     let nodes = 3;
     let customers = ctx.pop(3_000, 1_000);
+    let remote_fraction = 0.003;
     let stats = run_instrumented(nodes, &ctx.opts(), |c| {
-        SmallbankWorkload::new(customers, customers / 10, 0.003, ctx.seed + c as u64)
+        SmallbankWorkload::new(
+            customers,
+            customers / 10,
+            remote_fraction,
+            ctx.seed + c as u64,
+        )
     });
     let mut result = ScenarioResult::new("fig08_smallbank")
         .with_config("nodes", nodes)
         .with_config("customers", customers)
-        .with_config("remote_fraction", 0.003);
+        .with_config("remote_fraction", remote_fraction);
     result.throughput_ops = stats.tps();
     result.handover_count = stats.handovers;
     result.aborts = stats.cluster_aborts;
@@ -72,15 +34,13 @@ pub fn run(ctx: &RunCtx) -> ScenarioOutcome {
 
     ScenarioOutcome {
         tables: vec![TableData {
-            title: "Figure 8: Smallbank [Mtps/node] vs % remote write transactions (paper: Zeus ~35% over FaSST, ~2x DrTM at Venmo locality; crossovers at ~5% / ~20%)".into(),
-            header: vec![
-                "% remote write txs",
-                "Zeus 3 nodes",
-                "Zeus 6 nodes",
-                "FaSST-like",
-                "DrTM-like",
-            ],
-            rows,
+            title: "Figure 8: Smallbank, measured on a scaled-down population (paper: Zeus ~35% over FaSST, ~2x DrTM at Venmo locality)".into(),
+            header: vec!["nodes", "% remote write txs", "zeus [tps]"],
+            rows: vec![vec![
+                nodes.to_string(),
+                format!("{:.1}%", remote_fraction * 100.0),
+                format!("{:.0}", result.throughput_ops),
+            ]],
         }],
         results: vec![result],
     }

@@ -1,10 +1,10 @@
-//! Scenario implementations, one module per figure/table of the evaluation.
+//! Scenario implementations, one module per measured figure or experiment.
 //!
 //! Each module exposes `run(&RunCtx) -> ScenarioOutcome` and is registered
 //! in [`crate::scenario::registry`]. The measured scenarios run on the
 //! threaded runtime through [`crate::harness::run_instrumented`]; the
-//! protocol-latency scenarios run on the deterministic simulator; the
-//! paper-scale comparison lines come from the cost model.
+//! protocol-latency scenarios run on the deterministic simulator. Every
+//! number a scenario reports is one it measured.
 
 pub mod fig07;
 pub mod fig08;
@@ -12,14 +12,9 @@ pub mod fig09;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig15;
-pub mod locality;
 pub mod phase_shift;
 pub mod pipeline_depth;
 pub mod saturation;
-pub mod table2;
 pub mod udp_smoke;
 
 use zeus_core::LatencyHistogram;

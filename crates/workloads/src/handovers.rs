@@ -153,10 +153,6 @@ impl Workload for HandoverWorkload {
             )
         }
     }
-
-    fn read_fraction(&self) -> f64 {
-        0.0
-    }
 }
 
 #[cfg(test)]

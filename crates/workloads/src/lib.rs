@@ -1,12 +1,8 @@
-//! Benchmark workloads and workload substrates for the Zeus evaluation.
+//! Benchmark workloads for the Zeus evaluation.
 //!
 //! The crate implements the four OLTP benchmarks of Table 2 — Handovers,
-//! Smallbank, TATP and Voter — plus the workload substrates the paper's
-//! locality analysis relies on (a Boston-style mobility model, a Venmo-like
-//! clustered transaction graph, the TPC-C remote-fraction analysis and a
-//! Zipf sampler), and simplified models of the three legacy applications
-//! ported in §8.5 (cellular packet-gateway control plane, an SCTP-like
-//! endpoint and an Nginx-style session-persistence load balancer).
+//! Smallbank, TATP and Voter — plus the Zipf sampler their skewed access
+//! patterns draw from.
 //!
 //! Workloads are expressed as streams of [`Operation`]s over [`ObjectId`]s,
 //! so the same generator drives the Zeus cluster runtimes and the
@@ -15,9 +11,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod apps;
 pub mod handovers;
-pub mod locality;
 pub mod smallbank;
 pub mod tatp;
 pub mod voter;
@@ -105,81 +99,11 @@ pub trait Workload {
 
     /// Produces the next transaction of the stream.
     fn next_operation(&mut self) -> Operation;
-
-    /// Fraction of read-only transactions in the mix (Table 2's "read txs").
-    fn read_fraction(&self) -> f64;
-}
-
-/// Table 2 summary row for a workload (regenerated by the `table2` harness).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadSummary {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Distinguishing characteristic quoted in the paper.
-    pub characteristic: &'static str,
-    /// Number of tables.
-    pub tables: usize,
-    /// Number of columns across tables.
-    pub columns: usize,
-    /// Number of transaction types.
-    pub tx_types: usize,
-    /// Fraction of read-only transactions.
-    pub read_tx_fraction: f64,
-}
-
-/// The Table 2 rows for all four benchmarks.
-pub fn table2_rows() -> Vec<WorkloadSummary> {
-    vec![
-        WorkloadSummary {
-            name: "Handovers",
-            characteristic: "large contexts",
-            tables: 5,
-            columns: 36,
-            tx_types: 4,
-            read_tx_fraction: 0.0,
-        },
-        WorkloadSummary {
-            name: "Smallbank",
-            characteristic: "write-intensive",
-            tables: 3,
-            columns: 6,
-            tx_types: 6,
-            read_tx_fraction: 0.15,
-        },
-        WorkloadSummary {
-            name: "TATP",
-            characteristic: "read-intensive",
-            tables: 4,
-            columns: 51,
-            tx_types: 7,
-            read_tx_fraction: 0.80,
-        },
-        WorkloadSummary {
-            name: "Voter",
-            characteristic: "popularity skew",
-            tables: 3,
-            columns: 9,
-            tx_types: 1,
-            read_tx_fraction: 0.0,
-        },
-    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table2_matches_paper() {
-        let rows = table2_rows();
-        assert_eq!(rows.len(), 4);
-        let tatp = rows.iter().find(|r| r.name == "TATP").unwrap();
-        assert_eq!(tatp.tx_types, 7);
-        assert!((tatp.read_tx_fraction - 0.8).abs() < 1e-9);
-        let sb = rows.iter().find(|r| r.name == "Smallbank").unwrap();
-        assert_eq!(sb.tx_types, 6);
-        assert!((sb.read_tx_fraction - 0.15).abs() < 1e-9);
-    }
 
     #[test]
     fn operation_helpers() {

@@ -163,10 +163,6 @@ impl Workload for SmallbankWorkload {
             )
         }
     }
-
-    fn read_fraction(&self) -> f64 {
-        0.15
-    }
 }
 
 #[cfg(test)]

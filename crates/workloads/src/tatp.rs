@@ -181,10 +181,6 @@ impl Workload for TatpWorkload {
             }
         }
     }
-
-    fn read_fraction(&self) -> f64 {
-        0.80
-    }
 }
 
 #[cfg(test)]

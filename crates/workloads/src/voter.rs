@@ -105,10 +105,6 @@ impl Workload for VoterWorkload {
             ],
         )
     }
-
-    fn read_fraction(&self) -> f64 {
-        0.0
-    }
 }
 
 #[cfg(test)]

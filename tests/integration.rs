@@ -1,10 +1,9 @@
 //! End-to-end integration tests spanning every crate: workloads executed on
 //! a simulated Zeus cluster through the session-first client API
-//! ([`ClusterDriver`]/[`Session`]), legacy-app models, baseline cross-checks
-//! and the bench harness plumbing.
+//! ([`ClusterDriver`]/[`Session`]), and the executable two-phase-commit
+//! baseline checked against Zeus on the same writes.
 
 use zeus_baseline::exec::StaticShardedStore;
-use zeus_baseline::model::{BaselineKind, CostModel, TxProfile};
 use zeus_core::{ClusterDriver, NodeId, ObjectId, Session, SimCluster, ZeusConfig};
 use zeus_workloads::{
     HandoverWorkload, Operation, SmallbankWorkload, TatpWorkload, VoterWorkload, Workload,
@@ -251,35 +250,4 @@ fn baseline_and_zeus_agree_on_final_state() {
         let b = baseline.get(o).unwrap();
         assert_eq!(z, b, "object {o:?} diverged");
     }
-}
-
-#[test]
-fn cost_model_and_executable_baseline_roughly_agree_on_messages() {
-    // The analytic model and the executable 2PC store should count a similar
-    // number of messages for a fully remote 2-object write transaction.
-    let mut store = StaticShardedStore::new(3, 3);
-    let a = ObjectId(1); // home node 1
-    let b = ObjectId(2); // home node 2
-    store.create(a, vec![0u8]);
-    store.create(b, vec![0u8]);
-    assert!(store.write_tx(NodeId(0), &[(a, vec![1u8].into()), (b, vec![1u8].into())]));
-    let executed = store.stats().messages as f64;
-    let modelled = BaselineKind::FasstLike.messages_per_tx(
-        &TxProfile::new(0, 2, 2, false)
-            .with_remote(1.0)
-            .with_replication(3),
-    );
-    let ratio = executed / modelled;
-    assert!(
-        (0.5..=2.0).contains(&ratio),
-        "model {modelled} vs executed {executed} diverge too much"
-    );
-    // And both should dwarf Zeus's local-commit message count.
-    let zeus = BaselineKind::Zeus.messages_per_tx(
-        &TxProfile::new(0, 2, 2, false)
-            .with_remote(0.0)
-            .with_replication(3),
-    );
-    assert!(zeus < modelled);
-    let _ = CostModel::default();
 }
