@@ -13,27 +13,6 @@ use zeus_core::{
 };
 use zeus_workloads::{Operation, Workload};
 
-/// Result of one measured run.
-#[derive(Debug, Clone)]
-pub struct MeasuredRun {
-    /// Transactions committed.
-    pub committed: u64,
-    /// Wall-clock duration of the measurement window.
-    pub elapsed: Duration,
-}
-
-impl MeasuredRun {
-    /// Throughput in transactions per second.
-    pub fn tps(&self) -> f64 {
-        self.committed as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Throughput in millions of transactions per second.
-    pub fn mtps(&self) -> f64 {
-        self.tps() / 1.0e6
-    }
-}
-
 /// Phased measurement parameters for [`run_instrumented`].
 #[derive(Debug, Clone)]
 pub struct MeasureOpts {
@@ -281,31 +260,6 @@ pub fn execute_operation<S: Session>(
     }
 }
 
-/// Runs `workload` against a fresh threaded cluster of `nodes` nodes for
-/// `duration`, using one client thread per node, and returns the measured
-/// aggregate throughput.
-pub fn run_measured(nodes: usize, mut workload: impl Workload, duration: Duration) -> MeasuredRun {
-    let cluster = ThreadedCluster::start(ZeusConfig::with_nodes(nodes));
-    let balancer = load_workload(&cluster, &workload);
-    // Pre-generate a batch of operations so generation cost stays out of the
-    // measured loop; clients replay the batch round-robin.
-    let ops: Vec<Operation> = (0..20_000).map(|_| workload.next_operation()).collect();
-    let sessions = sessions_per_node(&cluster);
-    let start = Instant::now();
-    let mut committed = 0u64;
-    let mut i = 0usize;
-    while start.elapsed() < duration {
-        let op = &ops[i % ops.len()];
-        if execute_operation(&sessions, &balancer, op) {
-            committed += 1;
-        }
-        i += 1;
-    }
-    let elapsed = start.elapsed();
-    cluster.shutdown();
-    MeasuredRun { committed, elapsed }
-}
-
 /// Prints a CSV header + rows helper.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("# {title}");
@@ -323,16 +277,6 @@ pub const PAPER_NODE_COUNTS: [usize; 2] = [3, 6];
 mod tests {
     use super::*;
     use zeus_workloads::SmallbankWorkload;
-
-    #[test]
-    fn measured_run_computes_rates() {
-        let run = MeasuredRun {
-            committed: 1_000,
-            elapsed: Duration::from_millis(500),
-        };
-        assert!((run.tps() - 2_000.0).abs() < 1.0);
-        assert!(run.mtps() < 0.01);
-    }
 
     #[test]
     fn histogram_merge_across_threads_preserves_counts_and_percentiles() {
@@ -395,15 +339,5 @@ mod tests {
         );
         assert!(stats.latency_us.percentile(50.0) <= stats.latency_us.percentile(99.9));
         assert!(stats.tps() > 0.0);
-    }
-
-    #[test]
-    fn tiny_measured_run_commits_transactions() {
-        let run = run_measured(
-            3,
-            SmallbankWorkload::new(200, 30, 0.0, 7),
-            Duration::from_millis(150),
-        );
-        assert!(run.committed > 0, "no transactions committed");
     }
 }

@@ -196,6 +196,58 @@ mod tests {
         }
     }
 
+    /// One fixture per protocol tag, printed by the hand-written codec that
+    /// preceded the field-list macros of `zeus_proto::wire`.
+    #[test]
+    fn every_tag_encodes_to_its_pinned_bytes() {
+        let tx_id = TxId::new(PipelineId::new(NodeId(1), 2), 3);
+        let fixtures: [(Message, &str); 4] = [
+            (
+                OwnershipMsg::Val {
+                    req_id: zeus_proto::RequestId::new(NodeId(4), 5),
+                    object: ObjectId(6),
+                    o_ts: zeus_proto::OwnershipTs::new(7, NodeId(8)),
+                    epoch: Epoch(9),
+                }
+                .into(),
+                "0003040005000000000000000600000000000000070000000000000008000900000000000000",
+            ),
+            (
+                CommitMsg::RAck {
+                    tx_id,
+                    from: NodeId(10),
+                    epoch: Epoch(11),
+                }
+                .into(),
+                "01010100020003000000000000000a000b00000000000000",
+            ),
+            (
+                MembershipMsg::Heartbeat {
+                    from: NodeId(12),
+                    epoch: Epoch(13),
+                }
+                .into(),
+                "02000c000d00000000000000",
+            ),
+            (
+                ViewMsg::Grant {
+                    epoch: Epoch(14),
+                    from: NodeId(15),
+                }
+                .into(),
+                "03010e000000000000000f00",
+            ),
+        ];
+        for (msg, hex) in fixtures {
+            let bytes = zeus_proto::wire::encode_to_vec(&msg);
+            let printed: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(printed, hex, "encoding of {msg:?}");
+            assert_eq!(msg.payload_bytes(), bytes.len(), "length of {msg:?}");
+            let back: Message = zeus_proto::wire::decode_from_slice(&bytes).unwrap();
+            assert_eq!(back, msg);
+        }
+    }
+
     #[test]
     fn kinds_are_distinct_per_variant() {
         let hb: Message = MembershipMsg::Heartbeat {

@@ -6,6 +6,15 @@
 //! for every message. This module provides a small, dependency-free codec:
 //! fixed-width little-endian integers, length-prefixed byte strings and
 //! 1-byte enum tags — essentially what the paper's DPDK messaging layer does.
+//!
+//! Each composite type's layout is written once, as a `wire_struct!` or
+//! `wire_enum!` invocation listing its tag and field names: the invocation
+//! list is the wire layout, and a field's position in it is its position on
+//! the wire. `encode`, `decode` and `encoded_len` are all generated from that
+//! one list, so adding a field is one edit. A field left off the list does
+//! not compile (the generated patterns and struct expressions name every
+//! field); an edit that moves a listed one is caught by the per-variant
+//! golden bytes in `tests/wire_roundtrip.rs`.
 
 use bytes::Bytes;
 
@@ -181,7 +190,9 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
         let len = decode_len(input)?;
-        let mut out = Vec::with_capacity(len.min(1024));
+        // Every element takes at least one byte: a count the input cannot
+        // hold fails below, having reserved no more than the input's length.
+        let mut out = Vec::with_capacity(len.min(input.len()));
         for _ in 0..len {
             out.push(T::decode(input)?);
         }
@@ -253,85 +264,75 @@ newtype_wire!(NodeId, u16);
 newtype_wire!(ObjectId, u64);
 newtype_wire!(Epoch, u64);
 
-impl Wire for PipelineId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.node.encode(buf);
-        self.thread.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        Ok(PipelineId {
-            node: NodeId::decode(input)?,
-            thread: u16::decode(input)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        4
-    }
+/// Implements [`Wire`] for a struct from its field list, which is its wire
+/// layout: the fields back to back in the order listed, no tag, no padding.
+///
+/// `encode` writes each field in list order and `encoded_len` sums their
+/// lengths. `decode` is the struct expression `Ty { field:
+/// Wire::decode(input)?, … }` in the same order, each field's type inferred
+/// from the struct definition. A struct expression evaluates its fields in
+/// the order they are written, not in declaration order, so each field is
+/// read from where `encode` put it.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $(self.$field.encode(buf);)+
+            }
+            fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
+                Ok($ty { $($field: Wire::decode(input)?),+ })
+            }
+            fn encoded_len(&self) -> usize {
+                0 $(+ self.$field.encoded_len())+
+            }
+        }
+    };
 }
 
-impl Wire for TxId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.pipeline.encode(buf);
-        self.local.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        Ok(TxId {
-            pipeline: PipelineId::decode(input)?,
-            local: u64::decode(input)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        12
-    }
+/// Implements [`Wire`] for an enum from its variant list, which is its wire
+/// layout: a variant is its one-byte tag, then its fields back to back in
+/// the order listed.
+///
+/// `encode` writes the tag and each field in list order, and `encoded_len`
+/// is `1` plus the fields' lengths. `decode` reads the tag and builds the
+/// variant as the struct expression `Ty::Variant { field:
+/// Wire::decode(input)?, … }` in the same order, each field's type inferred
+/// from the enum definition; a struct expression evaluates its fields in the
+/// order they are written, so each field is read from where `encode` put it.
+/// An unlisted tag is [`ProtoError::InvalidTag`] named after the type.
+macro_rules! wire_enum {
+    ($ty:ident { $($tag:literal => $variant:ident $({ $($field:ident),+ $(,)? })?),+ $(,)? }) => {
+        impl Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? => {
+                        buf.push($tag);
+                        $($($field.encode(buf);)+)?
+                    })+
+                }
+            }
+            fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
+                match u8::decode(input)? {
+                    $($tag => Ok($ty::$variant $({ $($field: Wire::decode(input)?),+ })?),)+
+                    tag => Err(ProtoError::InvalidTag { ty: stringify!($ty), tag }),
+                }
+            }
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? => 1 $($(+ $field.encoded_len())+)?,)+
+                }
+            }
+        }
+    };
 }
 
-impl Wire for RequestId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.requester.encode(buf);
-        self.seq.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        Ok(RequestId {
-            requester: NodeId::decode(input)?,
-            seq: u64::decode(input)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        10
-    }
-}
-
-impl Wire for OwnershipTs {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.version.encode(buf);
-        self.node.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        Ok(OwnershipTs {
-            version: u64::decode(input)?,
-            node: NodeId::decode(input)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        10
-    }
-}
-
-impl Wire for DataTs {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.version.encode(buf);
-        self.acquired.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        Ok(DataTs {
-            version: u64::decode(input)?,
-            acquired: OwnershipTs::decode(input)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        18
-    }
-}
+wire_struct!(PipelineId { node, thread });
+wire_struct!(TxId { pipeline, local });
+wire_struct!(RequestId { requester, seq });
+wire_struct!(OwnershipTs { version, node });
+wire_struct!(DataTs { version, acquired });
+wire_struct!(ReplicaSet { owner, readers });
+wire_struct!(ObjectUpdate { object, ts, data });
 
 /// Encodes as the `Vec<NodeId>` of its members in ascending order: a `u32`
 /// count, then each id. Decoding accepts any order (and repeats) and
@@ -354,7 +355,7 @@ impl Wire for NodeSet {
         }
         // A long list is sorted once, not inserted id by id: decoding stays
         // `O(n log n)` whatever order a peer sent it in.
-        let mut nodes = Vec::with_capacity(len.min(1024));
+        let mut nodes = Vec::with_capacity(len.min(input.len()));
         for _ in 0..len {
             nodes.push(NodeId::decode(input)?);
         }
@@ -365,636 +366,54 @@ impl Wire for NodeSet {
     }
 }
 
-impl Wire for ReplicaSet {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.owner.encode(buf);
-        self.readers.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        Ok(ReplicaSet {
-            owner: Option::<NodeId>::decode(input)?,
-            readers: NodeSet::decode(input)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.owner.encoded_len() + self.readers.encoded_len()
-    }
-}
+wire_enum!(OwnershipRequestKind {
+    0 => AcquireOwner,
+    1 => AcquireReader,
+    2 => RemoveReader { reader },
+});
 
-impl Wire for OwnershipRequestKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OwnershipRequestKind::AcquireOwner => buf.push(0),
-            OwnershipRequestKind::AcquireReader => buf.push(1),
-            OwnershipRequestKind::RemoveReader { reader } => {
-                buf.push(2);
-                reader.encode(buf);
-            }
-        }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        match u8::decode(input)? {
-            0 => Ok(OwnershipRequestKind::AcquireOwner),
-            1 => Ok(OwnershipRequestKind::AcquireReader),
-            2 => Ok(OwnershipRequestKind::RemoveReader {
-                reader: NodeId::decode(input)?,
-            }),
-            tag => Err(ProtoError::InvalidTag {
-                ty: "OwnershipRequestKind",
-                tag,
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            OwnershipRequestKind::AcquireOwner | OwnershipRequestKind::AcquireReader => 1,
-            OwnershipRequestKind::RemoveReader { reader } => 1 + reader.encoded_len(),
-        }
-    }
-}
+wire_enum!(NackReason {
+    0 => LostArbitration,
+    1 => PendingCommit,
+    2 => StaleEpoch,
+    3 => NotDirectory,
+    4 => UnknownObject,
+    5 => Recovering,
+    6 => DataLoss,
+});
 
-impl Wire for NackReason {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let tag = match self {
-            NackReason::LostArbitration => 0u8,
-            NackReason::PendingCommit => 1,
-            NackReason::StaleEpoch => 2,
-            NackReason::NotDirectory => 3,
-            NackReason::UnknownObject => 4,
-            NackReason::Recovering => 5,
-            NackReason::DataLoss => 6,
-        };
-        buf.push(tag);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        match u8::decode(input)? {
-            0 => Ok(NackReason::LostArbitration),
-            1 => Ok(NackReason::PendingCommit),
-            2 => Ok(NackReason::StaleEpoch),
-            3 => Ok(NackReason::NotDirectory),
-            4 => Ok(NackReason::UnknownObject),
-            5 => Ok(NackReason::Recovering),
-            6 => Ok(NackReason::DataLoss),
-            tag => Err(ProtoError::InvalidTag {
-                ty: "NackReason",
-                tag,
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
+wire_enum!(OwnershipMsg {
+    0 => Req { req_id, object, kind, epoch, has_replica },
+    1 => Inv {
+        req_id, object, o_ts, kind, new_replicas, old_replicas, epoch, ack_to_driver,
+        requester_has_replica,
+    },
+    2 => Ack { req_id, object, o_ts, epoch, data, from, arbiters, new_replicas, first_touch },
+    3 => Val { req_id, object, o_ts, epoch },
+    4 => Nack { req_id, object, reason, epoch, from },
+    5 => Resp { req_id, object, o_ts, epoch, data, new_replicas, first_touch },
+});
 
-impl Wire for ObjectUpdate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.object.encode(buf);
-        self.ts.encode(buf);
-        self.data.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        Ok(ObjectUpdate {
-            object: ObjectId::decode(input)?,
-            ts: DataTs::decode(input)?,
-            data: Bytes::decode(input)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.object.encoded_len() + self.ts.encoded_len() + self.data.encoded_len()
-    }
-}
+wire_enum!(CommitMsg {
+    0 => RInv { tx_id, epoch, followers, prev_val, updates },
+    1 => RAck { tx_id, from, epoch },
+    2 => RVal { tx_id, epoch },
+});
 
-impl Wire for OwnershipMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OwnershipMsg::Req {
-                req_id,
-                object,
-                kind,
-                epoch,
-                has_replica,
-            } => {
-                buf.push(0);
-                req_id.encode(buf);
-                object.encode(buf);
-                kind.encode(buf);
-                epoch.encode(buf);
-                has_replica.encode(buf);
-            }
-            OwnershipMsg::Inv {
-                req_id,
-                object,
-                o_ts,
-                kind,
-                new_replicas,
-                old_replicas,
-                epoch,
-                ack_to_driver,
-                requester_has_replica,
-            } => {
-                buf.push(1);
-                req_id.encode(buf);
-                object.encode(buf);
-                o_ts.encode(buf);
-                kind.encode(buf);
-                new_replicas.encode(buf);
-                old_replicas.encode(buf);
-                epoch.encode(buf);
-                ack_to_driver.encode(buf);
-                requester_has_replica.encode(buf);
-            }
-            OwnershipMsg::Ack {
-                req_id,
-                object,
-                o_ts,
-                epoch,
-                data,
-                from,
-                arbiters,
-                new_replicas,
-                first_touch,
-            } => {
-                buf.push(2);
-                req_id.encode(buf);
-                object.encode(buf);
-                o_ts.encode(buf);
-                epoch.encode(buf);
-                data.encode(buf);
-                from.encode(buf);
-                arbiters.encode(buf);
-                new_replicas.encode(buf);
-                first_touch.encode(buf);
-            }
-            OwnershipMsg::Val {
-                req_id,
-                object,
-                o_ts,
-                epoch,
-            } => {
-                buf.push(3);
-                req_id.encode(buf);
-                object.encode(buf);
-                o_ts.encode(buf);
-                epoch.encode(buf);
-            }
-            OwnershipMsg::Nack {
-                req_id,
-                object,
-                reason,
-                epoch,
-                from,
-            } => {
-                buf.push(4);
-                req_id.encode(buf);
-                object.encode(buf);
-                reason.encode(buf);
-                epoch.encode(buf);
-                from.encode(buf);
-            }
-            OwnershipMsg::Resp {
-                req_id,
-                object,
-                o_ts,
-                epoch,
-                data,
-                new_replicas,
-                first_touch,
-            } => {
-                buf.push(5);
-                req_id.encode(buf);
-                object.encode(buf);
-                o_ts.encode(buf);
-                epoch.encode(buf);
-                data.encode(buf);
-                new_replicas.encode(buf);
-                first_touch.encode(buf);
-            }
-        }
-    }
+wire_enum!(MembershipMsg {
+    0 => Heartbeat { from, epoch },
+    1 => ViewChange { epoch, live, admitted },
+    2 => RecoveryDone { from, epoch, seen },
+    3 => ViewPull { from },
+});
 
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        match u8::decode(input)? {
-            0 => Ok(OwnershipMsg::Req {
-                req_id: RequestId::decode(input)?,
-                object: ObjectId::decode(input)?,
-                kind: OwnershipRequestKind::decode(input)?,
-                epoch: Epoch::decode(input)?,
-                has_replica: bool::decode(input)?,
-            }),
-            1 => Ok(OwnershipMsg::Inv {
-                req_id: RequestId::decode(input)?,
-                object: ObjectId::decode(input)?,
-                o_ts: OwnershipTs::decode(input)?,
-                kind: OwnershipRequestKind::decode(input)?,
-                new_replicas: ReplicaSet::decode(input)?,
-                old_replicas: ReplicaSet::decode(input)?,
-                epoch: Epoch::decode(input)?,
-                ack_to_driver: bool::decode(input)?,
-                requester_has_replica: bool::decode(input)?,
-            }),
-            2 => Ok(OwnershipMsg::Ack {
-                req_id: RequestId::decode(input)?,
-                object: ObjectId::decode(input)?,
-                o_ts: OwnershipTs::decode(input)?,
-                epoch: Epoch::decode(input)?,
-                data: Option::<(DataTs, Bytes)>::decode(input)?,
-                from: NodeId::decode(input)?,
-                arbiters: NodeSet::decode(input)?,
-                new_replicas: ReplicaSet::decode(input)?,
-                first_touch: bool::decode(input)?,
-            }),
-            3 => Ok(OwnershipMsg::Val {
-                req_id: RequestId::decode(input)?,
-                object: ObjectId::decode(input)?,
-                o_ts: OwnershipTs::decode(input)?,
-                epoch: Epoch::decode(input)?,
-            }),
-            4 => Ok(OwnershipMsg::Nack {
-                req_id: RequestId::decode(input)?,
-                object: ObjectId::decode(input)?,
-                reason: NackReason::decode(input)?,
-                epoch: Epoch::decode(input)?,
-                from: NodeId::decode(input)?,
-            }),
-            5 => Ok(OwnershipMsg::Resp {
-                req_id: RequestId::decode(input)?,
-                object: ObjectId::decode(input)?,
-                o_ts: OwnershipTs::decode(input)?,
-                epoch: Epoch::decode(input)?,
-                data: Option::<(DataTs, Bytes)>::decode(input)?,
-                new_replicas: ReplicaSet::decode(input)?,
-                first_touch: bool::decode(input)?,
-            }),
-            tag => Err(ProtoError::InvalidTag {
-                ty: "OwnershipMsg",
-                tag,
-            }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            OwnershipMsg::Req {
-                req_id,
-                object,
-                kind,
-                epoch,
-                has_replica,
-            } => {
-                req_id.encoded_len()
-                    + object.encoded_len()
-                    + kind.encoded_len()
-                    + epoch.encoded_len()
-                    + has_replica.encoded_len()
-            }
-            OwnershipMsg::Inv {
-                req_id,
-                object,
-                o_ts,
-                kind,
-                new_replicas,
-                old_replicas,
-                epoch,
-                ack_to_driver,
-                requester_has_replica,
-            } => {
-                req_id.encoded_len()
-                    + object.encoded_len()
-                    + o_ts.encoded_len()
-                    + kind.encoded_len()
-                    + new_replicas.encoded_len()
-                    + old_replicas.encoded_len()
-                    + epoch.encoded_len()
-                    + ack_to_driver.encoded_len()
-                    + requester_has_replica.encoded_len()
-            }
-            OwnershipMsg::Ack {
-                req_id,
-                object,
-                o_ts,
-                epoch,
-                data,
-                from,
-                arbiters,
-                new_replicas,
-                first_touch,
-            } => {
-                req_id.encoded_len()
-                    + object.encoded_len()
-                    + o_ts.encoded_len()
-                    + epoch.encoded_len()
-                    + data.encoded_len()
-                    + from.encoded_len()
-                    + arbiters.encoded_len()
-                    + new_replicas.encoded_len()
-                    + first_touch.encoded_len()
-            }
-            OwnershipMsg::Val {
-                req_id,
-                object,
-                o_ts,
-                epoch,
-            } => {
-                req_id.encoded_len()
-                    + object.encoded_len()
-                    + o_ts.encoded_len()
-                    + epoch.encoded_len()
-            }
-            OwnershipMsg::Nack {
-                req_id,
-                object,
-                reason,
-                epoch,
-                from,
-            } => {
-                req_id.encoded_len()
-                    + object.encoded_len()
-                    + reason.encoded_len()
-                    + epoch.encoded_len()
-                    + from.encoded_len()
-            }
-            OwnershipMsg::Resp {
-                req_id,
-                object,
-                o_ts,
-                epoch,
-                data,
-                new_replicas,
-                first_touch,
-            } => {
-                req_id.encoded_len()
-                    + object.encoded_len()
-                    + o_ts.encoded_len()
-                    + epoch.encoded_len()
-                    + data.encoded_len()
-                    + new_replicas.encoded_len()
-                    + first_touch.encoded_len()
-            }
-        }
-    }
-}
-
-impl Wire for CommitMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            CommitMsg::RInv {
-                tx_id,
-                epoch,
-                followers,
-                prev_val,
-                updates,
-            } => {
-                buf.push(0);
-                tx_id.encode(buf);
-                epoch.encode(buf);
-                followers.encode(buf);
-                prev_val.encode(buf);
-                updates.encode(buf);
-            }
-            CommitMsg::RAck { tx_id, from, epoch } => {
-                buf.push(1);
-                tx_id.encode(buf);
-                from.encode(buf);
-                epoch.encode(buf);
-            }
-            CommitMsg::RVal { tx_id, epoch } => {
-                buf.push(2);
-                tx_id.encode(buf);
-                epoch.encode(buf);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        match u8::decode(input)? {
-            0 => Ok(CommitMsg::RInv {
-                tx_id: TxId::decode(input)?,
-                epoch: Epoch::decode(input)?,
-                followers: Vec::<NodeId>::decode(input)?,
-                prev_val: bool::decode(input)?,
-                updates: Vec::<ObjectUpdate>::decode(input)?,
-            }),
-            1 => Ok(CommitMsg::RAck {
-                tx_id: TxId::decode(input)?,
-                from: NodeId::decode(input)?,
-                epoch: Epoch::decode(input)?,
-            }),
-            2 => Ok(CommitMsg::RVal {
-                tx_id: TxId::decode(input)?,
-                epoch: Epoch::decode(input)?,
-            }),
-            tag => Err(ProtoError::InvalidTag {
-                ty: "CommitMsg",
-                tag,
-            }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CommitMsg::RInv {
-                tx_id,
-                epoch,
-                followers,
-                prev_val,
-                updates,
-            } => {
-                tx_id.encoded_len()
-                    + epoch.encoded_len()
-                    + followers.encoded_len()
-                    + prev_val.encoded_len()
-                    + updates.encoded_len()
-            }
-            CommitMsg::RAck { tx_id, from, epoch } => {
-                tx_id.encoded_len() + from.encoded_len() + epoch.encoded_len()
-            }
-            CommitMsg::RVal { tx_id, epoch } => tx_id.encoded_len() + epoch.encoded_len(),
-        }
-    }
-}
-
-impl Wire for MembershipMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            MembershipMsg::Heartbeat { from, epoch } => {
-                buf.push(0);
-                from.encode(buf);
-                epoch.encode(buf);
-            }
-            MembershipMsg::ViewChange {
-                epoch,
-                live,
-                admitted,
-            } => {
-                buf.push(1);
-                epoch.encode(buf);
-                live.encode(buf);
-                admitted.encode(buf);
-            }
-            MembershipMsg::RecoveryDone { from, epoch, seen } => {
-                buf.push(2);
-                from.encode(buf);
-                epoch.encode(buf);
-                seen.encode(buf);
-            }
-            MembershipMsg::ViewPull { from } => {
-                buf.push(3);
-                from.encode(buf);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        match u8::decode(input)? {
-            0 => Ok(MembershipMsg::Heartbeat {
-                from: NodeId::decode(input)?,
-                epoch: Epoch::decode(input)?,
-            }),
-            1 => Ok(MembershipMsg::ViewChange {
-                epoch: Epoch::decode(input)?,
-                live: Vec::<NodeId>::decode(input)?,
-                admitted: Vec::<Epoch>::decode(input)?,
-            }),
-            2 => Ok(MembershipMsg::RecoveryDone {
-                from: NodeId::decode(input)?,
-                epoch: Epoch::decode(input)?,
-                seen: Vec::<NodeId>::decode(input)?,
-            }),
-            3 => Ok(MembershipMsg::ViewPull {
-                from: NodeId::decode(input)?,
-            }),
-            tag => Err(ProtoError::InvalidTag {
-                ty: "MembershipMsg",
-                tag,
-            }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            MembershipMsg::Heartbeat { from, epoch } => from.encoded_len() + epoch.encoded_len(),
-            MembershipMsg::ViewChange {
-                epoch,
-                live,
-                admitted,
-            } => epoch.encoded_len() + live.encoded_len() + admitted.encoded_len(),
-            MembershipMsg::RecoveryDone { from, epoch, seen } => {
-                from.encoded_len() + epoch.encoded_len() + seen.encoded_len()
-            }
-            MembershipMsg::ViewPull { from } => from.encoded_len(),
-        }
-    }
-}
-
-impl Wire for ViewMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ViewMsg::Propose {
-                epoch,
-                base,
-                live,
-                admitted,
-                from,
-            } => {
-                buf.push(0);
-                epoch.encode(buf);
-                base.encode(buf);
-                live.encode(buf);
-                admitted.encode(buf);
-                from.encode(buf);
-            }
-            ViewMsg::Grant { epoch, from } => {
-                buf.push(1);
-                epoch.encode(buf);
-                from.encode(buf);
-            }
-            ViewMsg::Reject {
-                epoch,
-                committed,
-                from,
-            } => {
-                buf.push(2);
-                epoch.encode(buf);
-                committed.encode(buf);
-                from.encode(buf);
-            }
-            ViewMsg::DirPull { from } => {
-                buf.push(3);
-                from.encode(buf);
-            }
-            ViewMsg::DirPush {
-                from,
-                epoch,
-                entries,
-            } => {
-                buf.push(4);
-                from.encode(buf);
-                epoch.encode(buf);
-                entries.encode(buf);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, ProtoError> {
-        match u8::decode(input)? {
-            0 => Ok(ViewMsg::Propose {
-                epoch: Epoch::decode(input)?,
-                base: Epoch::decode(input)?,
-                live: Vec::<NodeId>::decode(input)?,
-                admitted: Vec::<Epoch>::decode(input)?,
-                from: NodeId::decode(input)?,
-            }),
-            1 => Ok(ViewMsg::Grant {
-                epoch: Epoch::decode(input)?,
-                from: NodeId::decode(input)?,
-            }),
-            2 => Ok(ViewMsg::Reject {
-                epoch: Epoch::decode(input)?,
-                committed: Epoch::decode(input)?,
-                from: NodeId::decode(input)?,
-            }),
-            3 => Ok(ViewMsg::DirPull {
-                from: NodeId::decode(input)?,
-            }),
-            4 => Ok(ViewMsg::DirPush {
-                from: NodeId::decode(input)?,
-                epoch: Epoch::decode(input)?,
-                entries: Vec::<(ObjectId, OwnershipTs, ReplicaSet)>::decode(input)?,
-            }),
-            tag => Err(ProtoError::InvalidTag { ty: "ViewMsg", tag }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ViewMsg::Propose {
-                epoch,
-                base,
-                live,
-                admitted,
-                from,
-            } => {
-                epoch.encoded_len()
-                    + base.encoded_len()
-                    + live.encoded_len()
-                    + admitted.encoded_len()
-                    + from.encoded_len()
-            }
-            ViewMsg::Grant { epoch, from } => epoch.encoded_len() + from.encoded_len(),
-            ViewMsg::Reject {
-                epoch,
-                committed,
-                from,
-            } => epoch.encoded_len() + committed.encoded_len() + from.encoded_len(),
-            ViewMsg::DirPull { from } => from.encoded_len(),
-            ViewMsg::DirPush {
-                from,
-                epoch,
-                entries,
-            } => from.encoded_len() + epoch.encoded_len() + entries.encoded_len(),
-        }
-    }
-}
+wire_enum!(ViewMsg {
+    0 => Propose { epoch, base, live, admitted, from },
+    1 => Grant { epoch, from },
+    2 => Reject { epoch, committed, from },
+    3 => DirPull { from },
+    4 => DirPush { from, epoch, entries },
+});
 
 #[cfg(test)]
 mod tests {

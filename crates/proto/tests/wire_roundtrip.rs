@@ -2,9 +2,12 @@
 //! enum: the size a message reports is the size its encoding has
 //! (`encoded_len` is computed from the message's shape, and the runtimes
 //! account traffic with it), and decoding an encoding gives the message back.
-//! Next to them, the bytes of the messages that carry node sets, pinned as
-//! captured from the commit that still encoded `Vec<NodeId>`, and the
-//! node-set type itself against a `BTreeSet` model.
+//! A round trip cannot see two fields swapped in the layout, so next to them
+//! the bytes of every variant of every message enum, of every `NackReason`
+//! and `OwnershipRequestKind` and of the composite ids are pinned; so are the
+//! bytes of the messages that carry node sets, as captured from the commit
+//! that still encoded `Vec<NodeId>`, and the node-set type itself is checked
+//! against a `BTreeSet` model.
 
 use std::collections::BTreeSet;
 
@@ -376,6 +379,217 @@ fn node_sets_encode_byte_for_byte_what_the_vectors_did() {
         },
         "040000030000000000000002000000d20400000000000008000000000000000200010100020000000000020\
          00900000000000000020000000000000000000104000200000001000200",
+    );
+}
+
+/// One fixture per message variant, per `NackReason`, per
+/// `OwnershipRequestKind` and per composite id, printed by the hand-written
+/// codec that preceded the field-list macros. Two fields of one type carry
+/// different values, so a layout that swaps them changes the bytes.
+#[test]
+fn every_variant_encodes_to_its_pinned_bytes() {
+    let tx_id = TxId::new(PipelineId::new(NodeId(1), 2), 3);
+    let req_id = RequestId::new(NodeId(4), 5);
+    let object = ObjectId(6);
+    let o_ts = OwnershipTs::new(7, NodeId(8));
+    let d_ts = DataTs::new(9, OwnershipTs::new(10, NodeId(11)));
+    let new_replicas = ReplicaSet::new(NodeId(12), [NodeId(13)]);
+    let old_replicas = ReplicaSet {
+        owner: None,
+        readers: [NodeId(14), NodeId(15)].into_iter().collect(),
+    };
+
+    assert_golden(&PipelineId::new(NodeId(1), 2), "01000200");
+    assert_golden(&tx_id, "010002000300000000000000");
+    assert_golden(&req_id, "04000500000000000000");
+    assert_golden(&o_ts, "07000000000000000800");
+    assert_golden(&d_ts, "09000000000000000a000000000000000b00");
+    assert_golden(
+        &ObjectUpdate::new(object, d_ts, vec![0xab; 3]),
+        "060000000000000009000000000000000a000000000000000b0003000000ababab",
+    );
+
+    assert_golden(&OwnershipRequestKind::AcquireOwner, "00");
+    assert_golden(&OwnershipRequestKind::AcquireReader, "01");
+    assert_golden(
+        &OwnershipRequestKind::RemoveReader { reader: NodeId(16) },
+        "021000",
+    );
+
+    assert_golden(&NackReason::LostArbitration, "00");
+    assert_golden(&NackReason::PendingCommit, "01");
+    assert_golden(&NackReason::StaleEpoch, "02");
+    assert_golden(&NackReason::NotDirectory, "03");
+    assert_golden(&NackReason::UnknownObject, "04");
+    assert_golden(&NackReason::Recovering, "05");
+    assert_golden(&NackReason::DataLoss, "06");
+
+    assert_golden(
+        &OwnershipMsg::Req {
+            req_id,
+            object,
+            kind: OwnershipRequestKind::AcquireReader,
+            epoch: Epoch(17),
+            has_replica: true,
+        },
+        "0004000500000000000000060000000000000001110000000000000001",
+    );
+    assert_golden(
+        &OwnershipMsg::Inv {
+            req_id,
+            object,
+            o_ts,
+            kind: OwnershipRequestKind::RemoveReader { reader: NodeId(18) },
+            new_replicas: new_replicas.clone(),
+            old_replicas: old_replicas.clone(),
+            epoch: Epoch(19),
+            ack_to_driver: true,
+            requester_has_replica: false,
+        },
+        "0104000500000000000000060000000000000007000000000000000800021200010c00010000000d00000200\
+         00000e000f0013000000000000000100",
+    );
+    assert_golden(
+        &OwnershipMsg::Ack {
+            req_id,
+            object,
+            o_ts,
+            epoch: Epoch(20),
+            data: None,
+            from: NodeId(21),
+            arbiters: [NodeId(22), NodeId(23)].into_iter().collect(),
+            new_replicas: new_replicas.clone(),
+            first_touch: true,
+        },
+        "0204000500000000000000060000000000000007000000000000000800140000000000000000150002000000\
+         16001700010c00010000000d0001",
+    );
+    assert_golden(
+        &OwnershipMsg::Val {
+            req_id,
+            object,
+            o_ts,
+            epoch: Epoch(24),
+        },
+        "03040005000000000000000600000000000000070000000000000008001800000000000000",
+    );
+    assert_golden(
+        &OwnershipMsg::Nack {
+            req_id,
+            object,
+            reason: NackReason::Recovering,
+            epoch: Epoch(25),
+            from: NodeId(26),
+        },
+        "040400050000000000000006000000000000000519000000000000001a00",
+    );
+    assert_golden(
+        &OwnershipMsg::Resp {
+            req_id,
+            object,
+            o_ts,
+            epoch: Epoch(27),
+            data: Some((d_ts, Bytes::from_static(b"zeus"))),
+            new_replicas: old_replicas.clone(),
+            first_touch: false,
+        },
+        "05040005000000000000000600000000000000070000000000000008001b0000000000000001090000000000\
+         00000a000000000000000b00040000007a65757300020000000e000f0000",
+    );
+
+    assert_golden(
+        &CommitMsg::RInv {
+            tx_id,
+            epoch: Epoch(28),
+            followers: vec![NodeId(29), NodeId(30)],
+            prev_val: true,
+            updates: vec![
+                ObjectUpdate::new(object, d_ts, vec![0xcd; 2]),
+                ObjectUpdate::new(ObjectId(31), DataTs::ZERO, Bytes::from_static(b"")),
+            ],
+        },
+        "000100020003000000000000001c00000000000000020000001d001e00010200000006000000000000000900\
+         0000000000000a000000000000000b0002000000cdcd1f000000000000000000000000000000000000000000\
+         0000000000000000",
+    );
+    assert_golden(
+        &CommitMsg::RAck {
+            tx_id,
+            from: NodeId(32),
+            epoch: Epoch(33),
+        },
+        "0101000200030000000000000020002100000000000000",
+    );
+    assert_golden(
+        &CommitMsg::RVal {
+            tx_id,
+            epoch: Epoch(34),
+        },
+        "020100020003000000000000002200000000000000",
+    );
+
+    assert_golden(
+        &MembershipMsg::Heartbeat {
+            from: NodeId(35),
+            epoch: Epoch(36),
+        },
+        "0023002400000000000000",
+    );
+    assert_golden(
+        &MembershipMsg::ViewChange {
+            epoch: Epoch(37),
+            live: vec![NodeId(38), NodeId(39)],
+            admitted: vec![Epoch(40), Epoch(41)],
+        },
+        "01250000000000000002000000260027000200000028000000000000002900000000000000",
+    );
+    assert_golden(&MembershipMsg::ViewPull { from: NodeId(42) }, "032a00");
+    assert_golden(
+        &MembershipMsg::RecoveryDone {
+            from: NodeId(43),
+            epoch: Epoch(44),
+            seen: vec![NodeId(45)],
+        },
+        "022b002c00000000000000010000002d00",
+    );
+
+    assert_golden(
+        &ViewMsg::Propose {
+            epoch: Epoch(46),
+            base: Epoch(47),
+            live: vec![NodeId(48)],
+            admitted: vec![Epoch(49)],
+            from: NodeId(50),
+        },
+        "002e000000000000002f000000000000000100000030000100000031000000000000003200",
+    );
+    assert_golden(
+        &ViewMsg::Grant {
+            epoch: Epoch(51),
+            from: NodeId(52),
+        },
+        "0133000000000000003400",
+    );
+    assert_golden(
+        &ViewMsg::Reject {
+            epoch: Epoch(53),
+            committed: Epoch(54),
+            from: NodeId(55),
+        },
+        "02350000000000000036000000000000003700",
+    );
+    assert_golden(&ViewMsg::DirPull { from: NodeId(56) }, "033800");
+    assert_golden(
+        &ViewMsg::DirPush {
+            from: NodeId(57),
+            epoch: Epoch(58),
+            entries: vec![
+                (object, o_ts, new_replicas),
+                (ObjectId(59), o_ts, old_replicas),
+            ],
+        },
+        "0439003a0000000000000002000000060000000000000007000000000000000800010c00010000000d003b00\
+         0000000000000700000000000000080000020000000e000f00",
     );
 }
 

@@ -79,10 +79,6 @@ impl HandoverWorkload {
 }
 
 impl Workload for HandoverWorkload {
-    fn name(&self) -> &'static str {
-        "Handovers"
-    }
-
     fn initial_objects(&self) -> Vec<InitialObject> {
         let mut out = Vec::with_capacity((self.users + self.stations) as usize);
         for s in 0..self.stations {

@@ -91,9 +91,6 @@ pub struct InitialObject {
 
 /// A benchmark workload: a population of objects plus a transaction stream.
 pub trait Workload {
-    /// Human-readable name (matches Table 2).
-    fn name(&self) -> &'static str;
-
     /// Objects to create before the run.
     fn initial_objects(&self) -> Vec<InitialObject>;
 

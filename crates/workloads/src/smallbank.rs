@@ -85,10 +85,6 @@ impl SmallbankWorkload {
 }
 
 impl Workload for SmallbankWorkload {
-    fn name(&self) -> &'static str {
-        "Smallbank"
-    }
-
     fn initial_objects(&self) -> Vec<InitialObject> {
         let mut out = Vec::with_capacity(self.customers as usize * 2);
         for c in 0..self.customers {

@@ -88,10 +88,6 @@ impl TatpWorkload {
 }
 
 impl Workload for TatpWorkload {
-    fn name(&self) -> &'static str {
-        "TATP"
-    }
-
     fn initial_objects(&self) -> Vec<InitialObject> {
         let mut out = Vec::with_capacity(self.subscribers as usize * 4);
         for s in 0..self.subscribers {

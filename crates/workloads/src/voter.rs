@@ -66,10 +66,6 @@ impl VoterWorkload {
 }
 
 impl Workload for VoterWorkload {
-    fn name(&self) -> &'static str {
-        "Voter"
-    }
-
     fn initial_objects(&self) -> Vec<InitialObject> {
         let mut out = Vec::with_capacity((self.voters + self.contestants) as usize);
         for c in 0..self.contestants {
