@@ -143,7 +143,7 @@ pub fn explore(
         let run = run_schedule(&schedule, &config.run);
         outcome.ran += 1;
         outcome.sim_ticks.push(run.stats.sim_ticks);
-        merge_stats(&mut outcome.totals, &run.stats);
+        outcome.totals.merge(&run.stats);
         let passed = run.passed();
         progress(index, &schedule.name, passed);
         if let Some(violation) = run.violation {
@@ -168,14 +168,4 @@ pub fn explore(
         index += 1;
     }
     outcome
-}
-
-fn merge_stats(into: &mut RunStats, from: &RunStats) {
-    into.committed_writes += from.committed_writes;
-    into.committed_reads += from.committed_reads;
-    into.failed_ops += from.failed_ops;
-    into.skipped_ops += from.skipped_ops;
-    into.sim_ticks += from.sim_ticks;
-    into.handovers += from.handovers;
-    into.aborts += from.aborts;
 }

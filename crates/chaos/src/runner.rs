@@ -86,24 +86,26 @@ impl Violation {
     }
 }
 
-/// Deterministic per-run statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Committed write transactions (including hot-burst rounds).
-    pub committed_writes: u64,
-    /// Committed read-only transactions.
-    pub committed_reads: u64,
-    /// Operations that failed (fenced node, exhausted retries, missing
-    /// replica, ...). Failures are recorded, not violations.
-    pub failed_ops: u64,
-    /// Operations skipped because their target node was crashed.
-    pub skipped_ops: u64,
-    /// Simulated duration of the run in ticks.
-    pub sim_ticks: u64,
-    /// Completed ownership acquisitions across live nodes.
-    pub handovers: u64,
-    /// Aborted transactions across live nodes.
-    pub aborts: u64,
+zeus_proto::counters! {
+    /// Deterministic per-run statistics.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct RunStats {
+        /// Committed write transactions (including hot-burst rounds).
+        pub committed_writes: u64,
+        /// Committed read-only transactions.
+        pub committed_reads: u64,
+        /// Operations that failed (fenced node, exhausted retries, missing
+        /// replica, ...). Failures are recorded, not violations.
+        pub failed_ops: u64,
+        /// Operations skipped because their target node was crashed.
+        pub skipped_ops: u64,
+        /// Simulated duration of the run in ticks.
+        pub sim_ticks: u64,
+        /// Completed ownership acquisitions across live nodes.
+        pub handovers: u64,
+        /// Aborted transactions across live nodes.
+        pub aborts: u64,
+    }
 }
 
 /// Result of replaying one schedule.

@@ -240,7 +240,7 @@ impl CommitEngine {
             replays: 0,
             pending_objects: IdHashMap::default(),
             recovering: false,
-            stats: CommitStats::new(),
+            stats: CommitStats::default(),
         }
     }
 

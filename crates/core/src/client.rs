@@ -151,12 +151,6 @@ impl RetryPolicy {
         let factor = 1u32 << attempt.min(16) as u32;
         (self.base_backoff * factor).min(self.max_backoff)
     }
-
-    /// Whether a transaction that has completed `attempts` attempts and
-    /// aborted with `error` should be retried.
-    pub fn should_retry(&self, error: &TxError, attempts: usize) -> bool {
-        attempts < self.max_attempts && error.is_retryable()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -757,19 +751,6 @@ mod tests {
         assert_eq!(p.backoff(1), Duration::from_micros(200));
         assert_eq!(p.backoff(6), Duration::from_micros(6_400));
         assert_eq!(p.backoff(60), Duration::from_micros(6_400), "capped");
-    }
-
-    #[test]
-    fn retry_policy_classifies_with_budget() {
-        let p = RetryPolicy::with_budget(3);
-        assert!(p.should_retry(&TxError::ValidationFailed, 1));
-        assert!(p.should_retry(&TxError::ValidationFailed, 2));
-        assert!(
-            !p.should_retry(&TxError::ValidationFailed, 3),
-            "budget spent"
-        );
-        assert!(!p.should_retry(&TxError::Fenced, 1), "not retryable");
-        assert!(!RetryPolicy::no_retry().should_retry(&TxError::ValidationFailed, 1));
     }
 
     #[test]

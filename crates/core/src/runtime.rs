@@ -758,7 +758,7 @@ impl<T> Cluster<T> {
     /// Transport-level traffic counters (messages, bytes, inbox high-water
     /// mark) accumulated since the cluster started.
     pub fn net_stats(&self) -> zeus_net::NetStats {
-        let mut total = zeus_net::NetStats::new();
+        let mut total = zeus_net::NetStats::default();
         for counters in &self.counters {
             total.merge(&counters.snapshot());
         }

@@ -125,68 +125,50 @@ impl LatencyHistogram {
     }
 }
 
-/// Aggregate per-node statistics exposed by the cluster runtimes.
-#[derive(Debug, Clone, Default)]
-pub struct NodeStats {
-    /// Write transactions committed (locally + reliably).
-    pub write_txs_committed: u64,
-    /// Read-only transactions committed.
-    pub read_txs_committed: u64,
-    /// Transactions aborted (validation failure, read conflict or user abort).
-    pub txs_aborted: u64,
-    /// Transactions that had to wait for at least one ownership acquisition.
-    pub txs_needing_ownership: u64,
-    /// Ownership requests issued.
-    pub ownership_requests: u64,
-    /// Ownership requests completed.
-    pub ownership_completed: u64,
-    /// Objects currently owned by the node.
-    pub objects_owned: u64,
-    /// Transactions refused because the node had fenced itself (isolated
-    /// from all peers or expelled from the view).
-    pub txs_fenced: u64,
-    /// Times this node discarded its replica state after re-admission.
-    pub rejoin_resets: u64,
-    /// Commands that shared their drained batch with at least one other
-    /// command (cross-session batching). A batch of `n >= 2` adds `n`; the
-    /// simulator's synchronous sessions never queue a command, so this
-    /// stays 0 there.
-    pub batched_commands: u64,
-    /// Largest command batch the node loop executed as one unit (0 in the
-    /// simulator, for the same reason).
-    pub batch_occupancy_hwm: u64,
-    /// Commands that ran on the thread that submitted them, because it found
-    /// the node free. In the simulator that is every session command: a
-    /// session runs its command on the node itself.
-    pub inline_commands: u64,
-    /// Ticks that ran: looked at every timer, and sent what was due.
-    pub ticks: u64,
-    /// Ticks that only advanced the clock, because the last tick that ran
-    /// found nothing due before then (see `ZeusNode::tick`).
-    pub quiet_ticks: u64,
+zeus_proto::counters! {
+    /// Aggregate per-node statistics exposed by the cluster runtimes.
+    #[derive(Debug, Clone, Default)]
+    pub struct NodeStats {
+        /// Write transactions committed (locally + reliably).
+        pub write_txs_committed: u64,
+        /// Read-only transactions committed.
+        pub read_txs_committed: u64,
+        /// Transactions aborted (validation failure, read conflict or user abort).
+        pub txs_aborted: u64,
+        /// Transactions that had to wait for at least one ownership acquisition.
+        pub txs_needing_ownership: u64,
+        /// Ownership requests issued.
+        pub ownership_requests: u64,
+        /// Ownership requests completed.
+        pub ownership_completed: u64,
+        /// Objects currently owned by the node.
+        pub objects_owned: u64,
+        /// Transactions refused because the node had fenced itself (isolated
+        /// from all peers or expelled from the view).
+        pub txs_fenced: u64,
+        /// Times this node discarded its replica state after re-admission.
+        pub rejoin_resets: u64,
+        /// Commands that shared their drained batch with at least one other
+        /// command (cross-session batching). A batch of `n >= 2` adds `n`; the
+        /// simulator's synchronous sessions never queue a command, so this
+        /// stays 0 there.
+        pub batched_commands: u64,
+        /// Largest command batch the node loop executed as one unit (0 in the
+        /// simulator, for the same reason).
+        pub batch_occupancy_hwm: u64 [max],
+        /// Commands that ran on the thread that submitted them, because it found
+        /// the node free. In the simulator that is every session command: a
+        /// session runs its command on the node itself.
+        pub inline_commands: u64,
+        /// Ticks that ran: looked at every timer, and sent what was due.
+        pub ticks: u64,
+        /// Ticks that only advanced the clock, because the last tick that ran
+        /// found nothing due before then (see `ZeusNode::tick`).
+        pub quiet_ticks: u64,
+    }
 }
 
 impl NodeStats {
-    /// Merges another node's statistics into this one (cluster aggregation).
-    pub fn merge(&mut self, other: &NodeStats) {
-        self.write_txs_committed += other.write_txs_committed;
-        self.read_txs_committed += other.read_txs_committed;
-        self.txs_aborted += other.txs_aborted;
-        self.txs_needing_ownership += other.txs_needing_ownership;
-        self.ownership_requests += other.ownership_requests;
-        self.ownership_completed += other.ownership_completed;
-        self.objects_owned += other.objects_owned;
-        self.txs_fenced += other.txs_fenced;
-        self.rejoin_resets += other.rejoin_resets;
-        self.batched_commands += other.batched_commands;
-        self.inline_commands += other.inline_commands;
-        self.ticks += other.ticks;
-        self.quiet_ticks += other.quiet_ticks;
-        // The high-water mark is a maximum, not a volume: the cluster-wide
-        // value is the deepest batch any node executed.
-        self.batch_occupancy_hwm = self.batch_occupancy_hwm.max(other.batch_occupancy_hwm);
-    }
-
     /// Total committed transactions (read + write).
     pub fn total_committed(&self) -> u64 {
         self.write_txs_committed + self.read_txs_committed
@@ -249,16 +231,24 @@ mod tests {
         let mut a = NodeStats {
             write_txs_committed: 10,
             read_txs_committed: 5,
+            batch_occupancy_hwm: 3,
             ..Default::default()
         };
         let b = NodeStats {
             write_txs_committed: 1,
             txs_aborted: 2,
+            batch_occupancy_hwm: 5,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.write_txs_committed, 11);
         assert_eq!(a.txs_aborted, 2);
         assert_eq!(a.total_committed(), 16);
+        assert_eq!(a.batch_occupancy_hwm, 5, "the deeper batch wins");
+        a.merge(&NodeStats {
+            batch_occupancy_hwm: 2,
+            ..Default::default()
+        });
+        assert_eq!(a.batch_occupancy_hwm, 5, "a high-water mark is not a sum");
     }
 }

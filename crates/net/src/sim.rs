@@ -271,7 +271,7 @@ impl<M> SimNetwork<M> {
             in_flight_len: 0,
             spare: Vec::new(),
             rng,
-            stats: NetStats::new(),
+            stats: NetStats::default(),
         }
     }
 

@@ -125,14 +125,18 @@ impl SharedCounters {
     /// Snapshot of the counters as [`NetStats`]: delivered = sent minus the
     /// sends that failed (closed inbox / unknown peer).
     pub fn snapshot(&self) -> NetStats {
-        let mut s = NetStats::new();
-        s.messages_sent = self.messages.load(Ordering::Relaxed);
-        s.bytes_sent = self.bytes.load(Ordering::Relaxed);
-        s.messages_dropped = self.dropped_messages.load(Ordering::Relaxed);
-        s.messages_delivered = s.messages_sent - s.messages_dropped;
-        s.bytes_delivered = s.bytes_sent - self.dropped_bytes.load(Ordering::Relaxed);
-        s.queue_depth_hwm = self.queue_hwm.load(Ordering::Relaxed);
-        s
+        let messages_sent = self.messages.load(Ordering::Relaxed);
+        let bytes_sent = self.bytes.load(Ordering::Relaxed);
+        let messages_dropped = self.dropped_messages.load(Ordering::Relaxed);
+        NetStats {
+            messages_sent,
+            messages_delivered: messages_sent - messages_dropped,
+            messages_dropped,
+            messages_duplicated: 0,
+            bytes_sent,
+            bytes_delivered: bytes_sent - self.dropped_bytes.load(Ordering::Relaxed),
+            queue_depth_hwm: self.queue_hwm.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -364,7 +368,7 @@ impl<M> ThreadedNet<M> {
 
     /// Snapshot of the traffic counters, summed over the nodes.
     pub fn stats(&self) -> NetStats {
-        let mut total = NetStats::new();
+        let mut total = NetStats::default();
         for mailbox in &self.mailboxes {
             total.merge(&mailbox.counters.snapshot());
         }

@@ -308,7 +308,7 @@ impl OwnershipEngine {
             oldest_send: None,
             completed_seqs: IdHashMap::default(),
             dirty: IdHashMap::default(),
-            stats: OwnershipStats::new(),
+            stats: OwnershipStats::default(),
         }
     }
 

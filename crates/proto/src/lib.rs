@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod counters;
 pub mod error;
 pub mod hash;
 pub mod ids;

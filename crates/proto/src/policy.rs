@@ -41,29 +41,20 @@ impl PolicyKind {
     }
 }
 
-/// Counters describing what a node's policy engine did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolicyStats {
-    /// Placement actions issued (pre-migrations, widens, shrinks).
-    pub actions_taken: u64,
-    /// Actions the policy wanted but deferred for lack of budget tokens.
-    pub actions_deferred: u64,
-    /// Pre-migrations of ownership toward this node.
-    pub premigrations: u64,
-    /// Replication widenings (this node added itself as a reader).
-    pub widens: u64,
-    /// Replication shrinks (this node removed itself as a reader).
-    pub shrinks: u64,
-}
-
-impl PolicyStats {
-    /// Merges another counter set into this one.
-    pub fn merge(&mut self, other: &PolicyStats) {
-        self.actions_taken += other.actions_taken;
-        self.actions_deferred += other.actions_deferred;
-        self.premigrations += other.premigrations;
-        self.widens += other.widens;
-        self.shrinks += other.shrinks;
+crate::counters! {
+    /// Counters describing what a node's policy engine did.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PolicyStats {
+        /// Placement actions issued (pre-migrations, widens, shrinks).
+        pub actions_taken: u64,
+        /// Actions the policy wanted but deferred for lack of budget tokens.
+        pub actions_deferred: u64,
+        /// Pre-migrations of ownership toward this node.
+        pub premigrations: u64,
+        /// Replication widenings (this node added itself as a reader).
+        pub widens: u64,
+        /// Replication shrinks (this node removed itself as a reader).
+        pub shrinks: u64,
     }
 }
 
@@ -77,27 +68,5 @@ mod tests {
         assert_eq!(PolicyKind::parse("predictive"), Ok(PolicyKind::Predictive));
         assert!(PolicyKind::parse("clairvoyant").is_err());
         assert_eq!(PolicyKind::Predictive.name(), "predictive");
-    }
-
-    #[test]
-    fn merge_adds_all_counters() {
-        let mut a = PolicyStats {
-            actions_taken: 2,
-            widens: 1,
-            ..Default::default()
-        };
-        let b = PolicyStats {
-            actions_taken: 3,
-            actions_deferred: 4,
-            premigrations: 1,
-            widens: 1,
-            shrinks: 2,
-        };
-        a.merge(&b);
-        assert_eq!(a.actions_taken, 5);
-        assert_eq!(a.actions_deferred, 4);
-        assert_eq!(a.premigrations, 1);
-        assert_eq!(a.widens, 2);
-        assert_eq!(a.shrinks, 2);
     }
 }

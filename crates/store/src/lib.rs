@@ -27,5 +27,5 @@ pub mod store;
 pub mod workspace;
 
 pub use entry::ObjectEntry;
-pub use store::{Store, StoreStats};
+pub use store::Store;
 pub use workspace::TxWorkspace;

@@ -7,19 +7,6 @@ use zeus_proto::{AccessLevel, IdHashMap, ObjectId, ReplicaSet};
 
 use crate::entry::ObjectEntry;
 
-/// Counters describing store contents and activity.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Number of objects stored (all access levels).
-    pub objects: usize,
-    /// Objects this node owns.
-    pub owned: usize,
-    /// Objects this node stores as a reader replica.
-    pub reader: usize,
-    /// Total bytes of object payloads.
-    pub payload_bytes: usize,
-}
-
 /// The per-node object store.
 ///
 /// Objects are partitioned across a fixed number of shards, each protected by
@@ -172,23 +159,6 @@ impl Store {
         }
         out
     }
-
-    /// Aggregate statistics over the whole store.
-    pub fn stats(&self) -> StoreStats {
-        let mut stats = StoreStats::default();
-        for shard in &self.shards {
-            for entry in shard.read().values() {
-                stats.objects += 1;
-                stats.payload_bytes += entry.data.len();
-                match entry.level {
-                    AccessLevel::Owner => stats.owned += 1,
-                    AccessLevel::Reader => stats.reader += 1,
-                    AccessLevel::NonReplica => {}
-                }
-            }
-        }
-        stats
-    }
 }
 
 #[cfg(test)]
@@ -252,16 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_owned_ids_reflect_levels() {
+    fn owned_ids_reflect_levels() {
         let store = Store::new(4);
         store.create(ObjectId(1), vec![0u8; 10], AccessLevel::Owner, replicas());
         store.create(ObjectId(2), vec![0u8; 20], AccessLevel::Reader, replicas());
         store.create(ObjectId(3), vec![0u8; 30], AccessLevel::Owner, replicas());
-        let stats = store.stats();
-        assert_eq!(stats.objects, 3);
-        assert_eq!(stats.owned, 2);
-        assert_eq!(stats.reader, 1);
-        assert_eq!(stats.payload_bytes, 60);
         let mut owned = store.owned_ids();
         owned.sort_unstable();
         assert_eq!(owned, vec![ObjectId(1), ObjectId(3)]);
@@ -287,6 +252,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(store.len(), 8 * 500);
-        assert!(store.stats().owned == 8 * 500);
+        assert_eq!(store.owned_ids().len(), 8 * 500);
     }
 }
