@@ -434,7 +434,10 @@ mod tests {
         fn take_request(&mut self, node: usize) -> RequestId {
             let sent = self.nodes[node].drain_outbox();
             match sent.as_slice() {
-                [(_, Message::Ownership(OwnershipMsg::Req { req_id, .. }))] => *req_id,
+                [(_, Message::Ownership(req))] => match **req {
+                    OwnershipMsg::Req { req_id, .. } => req_id,
+                    ref other => panic!("expected a REQ, found {other:?}"),
+                },
                 other => panic!("expected one REQ, found {other:?}"),
             }
         }
@@ -448,7 +451,7 @@ mod tests {
                 epoch: Epoch::ZERO,
                 from: NodeId(0),
             };
-            self.nodes[node].handle_message(NodeId(0), Message::Ownership(nack));
+            self.nodes[node].handle_message(NodeId(0), nack.into());
         }
     }
 

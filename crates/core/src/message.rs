@@ -1,13 +1,22 @@
 //! The top-level message type exchanged between Zeus nodes.
 
+use zeus_net::Envelope;
 use zeus_proto::wire::Wire;
 use zeus_proto::{CommitMsg, MembershipMsg, OwnershipMsg, ProtoError, ViewMsg};
 
 /// Union of all protocol traffic between Zeus nodes.
+///
+/// Every message is moved several times on its way — outbox, envelope,
+/// network queue, inbox — so its size is paid on every hop, by the smallest
+/// message as much as by the largest.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Ownership protocol traffic (§4).
-    Ownership(OwnershipMsg),
+    /// Ownership protocol traffic (§4), boxed: an ACK (placement, arbiter set
+    /// and value) is about twice the size of any other message, and would
+    /// set the size of every R-ACK and heartbeat. A node keeps the boxes of
+    /// the ownership messages it handles and sends its next ones in them
+    /// (see [`ZeusNode::handle_message`](crate::ZeusNode::handle_message)).
+    Ownership(Box<OwnershipMsg>),
     /// Reliable-commit protocol traffic (§5).
     Commit(CommitMsg),
     /// Membership / failure detection traffic (§3.1).
@@ -16,6 +25,11 @@ pub enum Message {
     /// sync (`zeus-view`).
     View(ViewMsg),
 }
+
+// The largest variant held inline is `CommitMsg::RInv`. A fatter one fails
+// the build here instead of quietly making every message larger.
+const _: () = assert!(size_of::<Message>() <= 80);
+const _: () = assert!(size_of::<Envelope<Message>>() <= 96);
 
 impl Message {
     /// Approximate wire size of the message payload, used for the bandwidth
@@ -32,12 +46,14 @@ impl Message {
     /// Short label used in traces and statistics.
     pub fn kind(&self) -> &'static str {
         match self {
-            Message::Ownership(OwnershipMsg::Req { .. }) => "o-req",
-            Message::Ownership(OwnershipMsg::Inv { .. }) => "o-inv",
-            Message::Ownership(OwnershipMsg::Ack { .. }) => "o-ack",
-            Message::Ownership(OwnershipMsg::Val { .. }) => "o-val",
-            Message::Ownership(OwnershipMsg::Nack { .. }) => "o-nack",
-            Message::Ownership(OwnershipMsg::Resp { .. }) => "o-resp",
+            Message::Ownership(m) => match **m {
+                OwnershipMsg::Req { .. } => "o-req",
+                OwnershipMsg::Inv { .. } => "o-inv",
+                OwnershipMsg::Ack { .. } => "o-ack",
+                OwnershipMsg::Val { .. } => "o-val",
+                OwnershipMsg::Nack { .. } => "o-nack",
+                OwnershipMsg::Resp { .. } => "o-resp",
+            },
             Message::Commit(CommitMsg::RInv { .. }) => "r-inv",
             Message::Commit(CommitMsg::RAck { .. }) => "r-ack",
             Message::Commit(CommitMsg::RVal { .. }) => "r-val",
@@ -82,7 +98,7 @@ impl Wire for Message {
     fn decode(buf: &mut &[u8]) -> Result<Self, ProtoError> {
         let tag = u8::decode(buf)?;
         Ok(match tag {
-            0 => Message::Ownership(OwnershipMsg::decode(buf)?),
+            0 => OwnershipMsg::decode(buf)?.into(),
             1 => Message::Commit(CommitMsg::decode(buf)?),
             2 => Message::Membership(MembershipMsg::decode(buf)?),
             3 => Message::View(ViewMsg::decode(buf)?),
@@ -102,7 +118,7 @@ impl Wire for Message {
 
 impl From<OwnershipMsg> for Message {
     fn from(m: OwnershipMsg) -> Self {
-        Message::Ownership(m)
+        Message::Ownership(Box::new(m))
     }
 }
 

@@ -11,8 +11,8 @@ use zeus_ownership::{OwnershipAction, OwnershipEngine, OwnershipHost, OwnershipS
 use zeus_proto::messages::NackReason;
 use zeus_proto::{
     AccessLevel, CommitMsg, DataTs, Epoch, IdHashMap, MembershipMsg, NodeId, ObjectId,
-    ObjectUpdate, OwnershipRequestKind, PolicyKind, PolicyStats, ReplicaSet, RequestId, TState,
-    TxId, ViewMsg,
+    ObjectUpdate, OwnershipMsg, OwnershipRequestKind, OwnershipTs, PolicyKind, PolicyStats,
+    ReplicaSet, RequestId, TState, TxId, ViewMsg,
 };
 use zeus_store::{ObjectEntry, Store, TxWorkspace};
 use zeus_view::{ViewEvent, ViewReplica};
@@ -153,6 +153,10 @@ struct OwnershipOut<'a> {
     id: NodeId,
     now: u64,
     outbox: &'a mut Vec<(NodeId, Message)>,
+    /// Emptied boxes of handled ownership messages; a message sent goes out
+    /// in one of them if there is one.
+    #[allow(clippy::vec_box)]
+    boxes: &'a mut Vec<Box<OwnershipMsg>>,
     store: &'a Store,
     stats: &'a mut NodeStats,
     requests: &'a mut RequestTable,
@@ -166,6 +170,7 @@ macro_rules! ownership_out {
             id: $node.id,
             now: $node.now,
             outbox: &mut $node.outbox,
+            boxes: &mut $node.spare_boxes,
             store: &$node.store,
             stats: &mut $node.stats,
             requests: &mut $node.requests,
@@ -176,7 +181,19 @@ macro_rules! ownership_out {
 impl OwnershipSink for OwnershipOut<'_> {
     fn emit(&mut self, action: OwnershipAction) {
         match action {
-            OwnershipAction::Send { to, msg } => self.outbox.push((to, Message::Ownership(msg))),
+            OwnershipAction::Send { to, msg } => {
+                let boxed = match self.boxes.pop() {
+                    Some(mut spare) => {
+                        *spare = msg;
+                        spare
+                    }
+                    None => {
+                        self.stats.ownership_boxes_allocated += 1;
+                        Box::new(msg)
+                    }
+                };
+                self.outbox.push((to, Message::Ownership(boxed)));
+            }
             OwnershipAction::Completed {
                 req_id,
                 object,
@@ -326,6 +343,11 @@ pub struct ZeusNode {
     /// directory peers (anti-entropy, heartbeat cadence).
     last_dir_push: u64,
     outbox: Vec<(NodeId, Message)>,
+    /// Boxes of handled ownership messages, emptied, for the next ones this
+    /// node sends; at most [`SPARE_OWNERSHIP_BOXES`]. The boxes are what is
+    /// kept: each goes out again as a message's own allocation.
+    #[allow(clippy::vec_box)]
+    spare_boxes: Vec<Box<OwnershipMsg>>,
     requests: RequestTable,
     /// The workspace of the last write transaction, cleared: the next one
     /// reuses its buffers.
@@ -383,6 +405,22 @@ pub const RETRANSMIT_TICKS: u64 = 64;
 /// full speed on an idle node.
 const CONGESTED_RETRANSMIT_STRETCH_MAX: u64 = 256;
 
+/// Emptied ownership-message boxes a node keeps for its next sends. A node
+/// that handles more ownership messages than it sends frees the rest, so
+/// what it holds stays bounded whatever its share of the traffic.
+pub(crate) const SPARE_OWNERSHIP_BOXES: usize = 64;
+
+/// What a kept box holds until a message is written over it: a VAL owns no
+/// heap memory, so overwriting it frees nothing.
+fn emptied_box_contents() -> OwnershipMsg {
+    OwnershipMsg::Val {
+        req_id: RequestId::default(),
+        object: ObjectId::default(),
+        o_ts: OwnershipTs::default(),
+        epoch: Epoch::ZERO,
+    }
+}
+
 impl ZeusNode {
     /// Creates node `id` of a deployment described by `config`.
     pub fn new(id: NodeId, config: ZeusConfig) -> Self {
@@ -408,6 +446,7 @@ impl ZeusNode {
             view,
             last_dir_push: 0,
             outbox: Vec::new(),
+            spare_boxes: Vec::with_capacity(SPARE_OWNERSHIP_BOXES),
             requests: RequestTable::default(),
             spare_workspace: TxWorkspace::new(),
             followers: Vec::new(),
@@ -869,7 +908,11 @@ impl ZeusNode {
     pub fn handle_message(&mut self, from: NodeId, msg: Message) {
         self.handled += 1;
         match msg {
-            Message::Ownership(m) => {
+            Message::Ownership(mut boxed) => {
+                let m = std::mem::replace(&mut *boxed, emptied_box_contents());
+                if self.spare_boxes.len() < SPARE_OWNERSHIP_BOXES {
+                    self.spare_boxes.push(boxed);
+                }
                 // If we are the current owner and this invalidation will
                 // transfer ownership away, stop treating the object as
                 // writable *now*: the value we ship in our ACK must remain
@@ -878,7 +921,7 @@ impl ZeusNode {
                 // engine NACK instead, so nothing already committed is
                 // affected.)
                 let demote = match &m {
-                    zeus_proto::OwnershipMsg::Inv {
+                    OwnershipMsg::Inv {
                         object,
                         new_replicas,
                         ..
@@ -1380,7 +1423,7 @@ impl ZeusNode {
     }
 
     fn broadcast(&mut self, msg: Message) {
-        for peer in self.membership.view().live.clone() {
+        for &peer in &self.membership.view().live {
             if peer != self.id {
                 self.outbox.push((peer, msg.clone()));
             }
@@ -1899,6 +1942,35 @@ mod tests {
         node.tick(66);
         assert_eq!(drained_kinds(&mut node), ["r-inv", "r-inv"]);
         assert_eq!((node.stats().ticks, node.stats().quiet_ticks), (3, 64));
+    }
+
+    #[test]
+    fn a_node_keeps_at_most_its_cap_of_emptied_boxes_and_sends_in_them() {
+        let config = ZeusConfig::with_nodes(3);
+        let mut node = ZeusNode::new(NodeId(0), config.clone());
+        // NACKs of requests this node never issued: handled, answered by
+        // nothing.
+        for i in 0..1_000 {
+            let nack = OwnershipMsg::Nack {
+                req_id: RequestId::new(NodeId(0), 1_000_000 + i),
+                object: ObjectId(i),
+                reason: NackReason::LostArbitration,
+                epoch: Epoch::ZERO,
+                from: NodeId(1),
+            };
+            node.handle_message(NodeId(1), nack.into());
+            assert!(node.drain_outbox().is_empty());
+        }
+        assert_eq!(node.spare_boxes.len(), SPARE_OWNERSHIP_BOXES);
+        node.create_object(
+            ObjectId(1),
+            Bytes::new(),
+            config.default_replicas(NodeId(1)),
+        );
+        node.acquire(ObjectId(1), OwnershipRequestKind::AcquireOwner);
+        assert_eq!(drained_kinds(&mut node), ["o-req"]);
+        assert_eq!(node.spare_boxes.len(), SPARE_OWNERSHIP_BOXES - 1);
+        assert_eq!(node.stats().ownership_boxes_allocated, 0);
     }
 
     #[test]

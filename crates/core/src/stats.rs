@@ -165,6 +165,9 @@ zeus_proto::counters! {
         /// Ticks that only advanced the clock, because the last tick that ran
         /// found nothing due before then (see `ZeusNode::tick`).
         pub quiet_ticks: u64,
+        /// Boxes allocated for ownership messages this node sent: a message
+        /// goes out in the box of one the node handled when it kept one.
+        pub ownership_boxes_allocated: u64,
     }
 }
 

@@ -13,7 +13,9 @@
 //! the shape of `core.node_trio_handover_cpu_ns`), and the write runs again
 //! and replicates. The protocol and the first write after the grant each
 //! have a budget; cloning a placement and a tick with nothing due must not
-//! allocate at all.
+//! allocate at all. Ownership messages travel boxed, and a node sends its
+//! next ones in the boxes of those it handled, so a move allocates no box
+//! once the nodes hold some.
 //!
 //! Then a session on a one-node simulator runs reads that return a
 //! `(u64, i64)` and writes that return `()`. A result reaches its ticket as
@@ -587,7 +589,15 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
     // owner. The warm-up sizes the ownership tables and the outboxes.
     let mut owner: Vec<u16> = (0..OBJECTS).map(|o| (o % NODES as u64) as u16).collect();
     run_moves(&mut nodes, &mut owner, &mut cursor, 256);
+    let boxes = |nodes: &[ZeusNode]| -> u64 {
+        nodes
+            .iter()
+            .map(|n| n.stats().ownership_boxes_allocated)
+            .sum()
+    };
+    let boxes_before = boxes(&nodes);
     let moved = run_moves(&mut nodes, &mut owner, &mut cursor, MEASURED_MOVES);
+    let moved_boxes = boxes(&nodes) - boxes_before;
 
     let placement = ReplicaSet::new(NodeId(0), (1..8).map(NodeId));
     assert_eq!(placement.replication_degree(), 8);
@@ -630,6 +640,7 @@ fn a_replicated_write_and_a_handover_stay_within_their_allocation_budgets() {
         moved.protocol() as f64 / n,
         moved.issue as f64 / n,
     );
+    println!("ownership-message boxes allocated over the {MEASURED_MOVES} moves: {moved_boxes}");
     println!(
         "first write after the grant: {:.2} allocations; the next one, alone in its window: {:.2}",
         moved.first_write as f64 / n,

@@ -340,25 +340,32 @@ impl<M> SimNetwork<M> {
         }
         let extra = self.faults.extra_delay(envelope.from, envelope.to);
         let duplicate = duplicated.then(|| envelope.clone());
-        for envelope in std::iter::once(envelope).chain(duplicate) {
-            let delay = if max_delay > min_delay {
-                self.rng.gen_range(min_delay..=max_delay)
-            } else {
-                min_delay
-            };
-            let deliver_at = self.now + delay.max(1) + extra;
-            let i = self.in_flight.partition_point(|(at, _)| *at < deliver_at);
-            if self
-                .in_flight
-                .get(i)
-                .is_none_or(|(at, _)| *at != deliver_at)
-            {
-                let bucket = self.spare.pop().unwrap_or_default();
-                self.in_flight.insert(i, (deliver_at, bucket));
-            }
-            self.in_flight[i].1.push(envelope);
-            self.in_flight_len += 1;
+        self.put_in_flight(envelope, min_delay, max_delay, extra);
+        if let Some(copy) = duplicate {
+            self.put_in_flight(copy, min_delay, max_delay, extra);
         }
+    }
+
+    /// Draws one copy's delay and queues it in the bucket of its delivery
+    /// time, behind what that bucket already holds.
+    fn put_in_flight(&mut self, envelope: Envelope<M>, min_delay: u64, max_delay: u64, extra: u64) {
+        let delay = if max_delay > min_delay {
+            self.rng.gen_range(min_delay..=max_delay)
+        } else {
+            min_delay
+        };
+        let deliver_at = self.now + delay.max(1) + extra;
+        let i = self.in_flight.partition_point(|(at, _)| *at < deliver_at);
+        if self
+            .in_flight
+            .get(i)
+            .is_none_or(|(at, _)| *at != deliver_at)
+        {
+            let bucket = self.spare.pop().unwrap_or_default();
+            self.in_flight.insert(i, (deliver_at, bucket));
+        }
+        self.in_flight[i].1.push(envelope);
+        self.in_flight_len += 1;
     }
 
     /// Delivery time of the earliest in-flight message, if any.
