@@ -7,10 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use zeus_core::balancer::PlacementPolicy;
-use zeus_core::{
-    ClusterDriver, LatencyHistogram, LoadBalancer, Session, ThreadedCluster, ZeusConfig,
-};
+use zeus_core::{ClusterDriver, LatencyHistogram, NodeId, Session, ThreadedCluster, ZeusConfig};
 use zeus_workloads::{Operation, Workload};
 
 /// Phased measurement parameters for [`run_instrumented`].
@@ -83,8 +80,8 @@ impl RunStats {
 /// measurement phase in which every client records per-transaction latency
 /// into its own [`LatencyHistogram`]; the histograms are merged at the end.
 ///
-/// Every operation is routed to the node the load balancer picks for its
-/// routing key (the same hash placement used to load the objects), so all
+/// Every operation is routed to node `routing_key % nodes` (the same
+/// placement used to load the objects, §3.1's load balancer), so all
 /// clients exercise the whole cluster. With equal seeds per client index
 /// the generated operation streams are deterministic, so two builds of the
 /// runtime can be compared on identical inputs.
@@ -109,7 +106,7 @@ where
     F: Fn(usize) -> W,
 {
     let nodes = cluster.nodes();
-    let balancer = load_workload(cluster, &make(0));
+    load_workload(cluster, &make(0));
     let clients = nodes * opts.clients_per_node.max(1);
     // Pre-generate every client's operation stream BEFORE starting the
     // warmup clock: generation is sequential on this thread, and charging
@@ -134,7 +131,6 @@ where
         let mut threads = Vec::new();
         for (c, ops) in op_streams.into_iter().enumerate() {
             let cluster = &*cluster;
-            let balancer = &balancer;
             threads.push(scope.spawn(move || {
                 // One session per node per client thread, built outside the
                 // measured loop.
@@ -149,7 +145,7 @@ where
                         break;
                     }
                     let op = &ops[i % ops.len()];
-                    let ok = execute_operation(&sessions, balancer, op);
+                    let ok = execute_operation(&sessions, op);
                     if t0 >= warmup_end {
                         hist.record(t0.elapsed().as_micros() as u64);
                         if ok {
@@ -199,34 +195,28 @@ where
     }
 }
 
-/// Loads a workload's objects into a cluster, spreading home keys over
-/// nodes with the load balancer, and returns the balancer.
-pub fn load_workload<C: ClusterDriver>(cluster: &C, workload: &impl Workload) -> LoadBalancer {
-    let balancer = LoadBalancer::new(cluster.nodes(), PlacementPolicy::Hash);
+/// Loads a workload's objects into a cluster, each on node `home_key %
+/// nodes`.
+pub fn load_workload<C: ClusterDriver>(cluster: &C, workload: &impl Workload) {
+    let nodes = cluster.nodes() as u64;
     for obj in workload.initial_objects() {
-        let home = balancer.route(obj.home_key);
+        let home = NodeId((obj.home_key % nodes) as u16);
         cluster.create_object(obj.id, vec![0u8; obj.size].into(), home);
     }
-    balancer
 }
 
 /// One prebuilt session per node, so the per-operation hot path pays a
 /// routing decision instead of a session construction.
 pub fn sessions_per_node<C: ClusterDriver>(cluster: &C) -> Vec<C::Session> {
     (0..cluster.nodes() as u16)
-        .map(|i| cluster.handle(zeus_proto::NodeId(i)))
+        .map(|i| cluster.handle(NodeId(i)))
         .collect()
 }
 
-/// Executes `op` through the prebuilt session of the node chosen by the
-/// balancer (see [`sessions_per_node`]), returning whether it committed.
-pub fn execute_operation<S: Session>(
-    sessions: &[S],
-    balancer: &LoadBalancer,
-    op: &Operation,
-) -> bool {
-    let node = balancer.route(op.routing_key);
-    let session = &sessions[node.index()];
+/// Executes `op` through the prebuilt session of node `routing_key % nodes`
+/// (see [`sessions_per_node`]), returning whether it committed.
+pub fn execute_operation<S: Session>(sessions: &[S], op: &Operation) -> bool {
+    let session = &sessions[(op.routing_key % sessions.len() as u64) as usize];
     if op.read_only {
         let reads = op.reads.clone();
         session

@@ -1,14 +1,261 @@
-//! Minimal JSON value, writer and parser for the bench result files.
+//! Minimal JSON value, writer and parser, and the one declaration form of a
+//! JSON schema: the bench reports and the chaos corpus are written with it.
 //!
 //! The workspace's vendored `serde` is a no-op derive shim (the build
 //! environment has no crates.io access), so the machine-readable
-//! `BENCH_<tag>.json` reports are produced and consumed through this small
-//! hand-rolled JSON layer instead. It supports the full JSON data model with
-//! two deliberate simplifications: numbers are `f64` (every value the bench
-//! schema emits fits exactly: counts stay below 2^53) and object keys keep
-//! their insertion order so reports diff cleanly.
+//! `BENCH_<tag>.json` reports and the chaos corpus are produced and
+//! consumed through this small hand-rolled JSON layer instead. It supports
+//! the full JSON data model with two deliberate simplifications: numbers are
+//! `f64` (every value the schemas emit fits exactly: counts stay below 2^53)
+//! and object keys keep their insertion order so documents diff cleanly.
+//!
+//! A schema type is declared once, with
+//! [`json_struct!`](crate::json_struct) or
+//! [`json_enum!`](crate::json_enum): its field list *is* its schema. The
+//! macro emits the type and generates
+//! `to_json` (fields in list order) and `from_json` (every field required
+//! unless the list gives it a default, type- and range-checked through
+//! [`JsonField`], errors naming the field). Rules across fields (a version
+//! gate, a probability range) are written by hand after the generated
+//! parse.
 
 use std::fmt::Write as _;
+
+/// A value with a JSON form: a field of a
+/// [`json_struct!`](crate::json_struct) or [`json_enum!`](crate::json_enum)
+/// type, or such a type itself.
+pub trait JsonField: Sized {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+    /// Reads the value back, checking its JSON type and its range; the error
+    /// says what was expected.
+    fn from_json(v: &Json) -> Result<Self, String>;
+}
+
+impl JsonField for u64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+    /// A non-negative integer up to 2^53, the range an `f64` holds exactly.
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007199254740992e15 => {
+                Ok(*n as u64)
+            }
+            _ => Err("expected an integer".into()),
+        }
+    }
+}
+
+macro_rules! narrow_json_int {
+    ($($ty:ty),+) => {$(
+        impl JsonField for $ty {
+            fn to_json(&self) -> Json {
+                u64::from(*self).to_json()
+            }
+            fn from_json(v: &Json) -> Result<Self, String> {
+                let n = u64::from_json(v)?;
+                <$ty>::try_from(n).map_err(|_| format!("{n} does not fit in {}", stringify!($ty)))
+            }
+        }
+    )+};
+}
+
+narrow_json_int!(u16, u32);
+
+impl JsonField for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Num(n) => Ok(*n),
+            _ => Err("expected a number".into()),
+        }
+    }
+}
+
+impl JsonField for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err("expected a string".into()),
+        }
+    }
+}
+
+/// An array.
+impl<T: JsonField> JsonField for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let Json::Arr(items) = v else {
+            return Err("expected an array".into());
+        };
+        let item = |(i, item)| T::from_json(item).map_err(|e| format!("item {i}: {e}"));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+/// An object of string values, its keys in order.
+impl JsonField for Vec<(String, String)> {
+    fn to_json(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let Json::Obj(fields) = v else {
+            return Err("expected an object".into());
+        };
+        let field = |(k, v): &(String, Json)| {
+            Ok((
+                k.clone(),
+                String::from_json(v).map_err(|e| format!("'{k}': {e}"))?,
+            ))
+        };
+        fields.iter().map(field).collect()
+    }
+}
+
+/// Reads field `name` of the object `v`, or `default` if it is absent and
+/// has one; the error names the field.
+pub fn field<T: JsonField>(v: &Json, name: &str, default: Option<T>) -> Result<T, String> {
+    let Json::Obj(_) = v else {
+        return Err("expected an object".into());
+    };
+    match (v.get(name), default) {
+        (Some(value), _) => T::from_json(value).map_err(|e| format!("field '{name}': {e}")),
+        (None, Some(default)) => Ok(default),
+        (None, None) => Err(format!("missing field '{name}'")),
+    }
+}
+
+/// Declares a struct from its field list and generates its JSON form, so a
+/// field is written once.
+///
+/// Each field is `pub name: Type` with its doc comments, `Type` a
+/// [`JsonField`]; the struct is emitted as written, attributes and derives
+/// included. `to_json` is an object of the fields in list order, each under
+/// its own name. `from_json` reads each field by name, type- and
+/// range-checked; a missing field is an error unless the list gives it a
+/// default, `pub name: Type = expr,`. Keys the list does not name are
+/// ignored. The struct is also a [`JsonField`], so it nests.
+#[macro_export]
+macro_rules! json_struct {
+    (@default) => {
+        None
+    };
+    (@default $default:expr) => {
+        Some($default)
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_attr:meta])* pub $field:ident: $ty:ty $(= $default:expr)?,)+
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$field_attr])* pub $field: $ty,)+
+        }
+
+        impl $name {
+            /// The value as a JSON object, its fields in declaration order.
+            pub fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj(vec![
+                    $((stringify!($field), $crate::json::JsonField::to_json(&self.$field)),)+
+                ])
+            }
+
+            /// Reads the value from a JSON object; the error names the field
+            /// that is missing or malformed.
+            pub fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                Ok($name {
+                    $($field: $crate::json::field(
+                        v,
+                        stringify!($field),
+                        $crate::json_struct!(@default $($default)?),
+                    )?,)+
+                })
+            }
+        }
+
+        impl $crate::json::JsonField for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                $name::to_json(self)
+            }
+            fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                $name::from_json(v)
+            }
+        }
+    };
+}
+
+/// Declares an enum from its variant list and generates its JSON form, so a
+/// variant is written once.
+///
+/// Each variant is `"op" => Variant { field: Type, … }` (or `"op" =>
+/// Variant` with no fields), with its doc comments; the enum is emitted as
+/// written. `to_json` is an object that leads with `"op": "<op>"`, then the
+/// variant's fields in list order. `from_json` picks the variant by `op`
+/// and reads its fields as [`json_struct!`](crate::json_struct) does; an op
+/// the list does not name is an error naming it.
+#[macro_export]
+macro_rules! json_enum {
+    (
+        $(#[$attr:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$variant_attr:meta])*
+                $op:literal => $variant:ident $({
+                    $($(#[$field_attr:meta])* $field:ident: $ty:ty,)+
+                })?,
+            )+
+        }
+    ) => {
+        $(#[$attr])*
+        $vis enum $name {
+            $($(#[$variant_attr])* $variant $({ $($(#[$field_attr])* $field: $ty,)+ })?,)+
+        }
+
+        impl $name {
+            /// The value as a JSON object: `"op"`, then the variant's fields
+            /// in declaration order.
+            pub fn to_json(&self) -> $crate::json::Json {
+                match self {
+                    $($name::$variant $({ $($field),+ })? => $crate::json::Json::obj(vec![
+                        ("op", $crate::json::Json::Str($op.into())),
+                        $($((stringify!($field), $crate::json::JsonField::to_json($field)),)+)?
+                    ]),)+
+                }
+            }
+
+            /// Reads the value from a JSON object; the error names the
+            /// unknown op, or the field that is missing or malformed.
+            pub fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                let op: String = $crate::json::field(v, "op", None)?;
+                match op.as_str() {
+                    $($op => Ok($name::$variant $({
+                        $($field: $crate::json::field(v, stringify!($field), None)?,)+
+                    })?),)+
+                    other => Err(format!("unknown op '{other}'")),
+                }
+            }
+        }
+
+        impl $crate::json::JsonField for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                $name::to_json(self)
+            }
+            fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                $name::from_json(v)
+            }
+        }
+    };
+}
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,54 +301,10 @@ impl Json {
         )
     }
 
-    /// Convenience constructor for a string value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Convenience constructor for an unsigned integer value.
-    pub fn u64(v: u64) -> Json {
-        Json::Num(v as f64)
-    }
-
     /// Looks up a field of an object; `None` for non-objects/missing keys.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a float, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007199254740992e15 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -423,11 +626,11 @@ mod tests {
     #[test]
     fn renders_compact_and_pretty() {
         let v = Json::obj(vec![
-            ("name", Json::str("fig08")),
+            ("name", Json::Str("fig08".into())),
             ("tps", Json::Num(12345.5)),
             (
                 "tags",
-                Json::Arr(vec![Json::u64(1), Json::Bool(true), Json::Null]),
+                Json::Arr(vec![Json::Num(1.0), Json::Bool(true), Json::Null]),
             ),
         ]);
         assert_eq!(
@@ -440,9 +643,9 @@ mod tests {
     #[test]
     fn parses_what_it_renders() {
         let v = Json::obj(vec![
-            ("s", Json::str("a \"quoted\" line\nwith\ttabs\\")),
+            ("s", Json::Str("a \"quoted\" line\nwith\ttabs\\".into())),
             ("n", Json::Num(-0.25)),
-            ("i", Json::u64(9_007_199_254_740_991)),
+            ("i", 9_007_199_254_740_991u64.to_json()),
             (
                 "arr",
                 Json::Arr(vec![Json::Obj(Vec::new()), Json::Arr(Vec::new())]),
@@ -455,14 +658,10 @@ mod tests {
     #[test]
     fn parses_hand_written_documents() {
         let v = Json::parse(r#" { "a" : [ 1 , 2.5e1 , "xA" ] , "b" : { "c" : false } } "#).unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[1].as_f64(),
-            Some(25.0)
-        );
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[2].as_str(),
-            Some("xA")
-        );
+        let Some(Json::Arr(a)) = v.get("a") else {
+            panic!("'a' is not an array: {v:?}")
+        };
+        assert_eq!(a[1..], [Json::Num(25.0), Json::Str("xA".into())]);
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Bool(false)));
     }
 
@@ -475,8 +674,8 @@ mod tests {
 
     #[test]
     fn integer_accessor_rejects_fractions_and_negatives() {
-        assert_eq!(Json::Num(3.0).as_u64(), Some(3));
-        assert_eq!(Json::Num(3.5).as_u64(), None);
-        assert_eq!(Json::Num(-1.0).as_u64(), None);
+        assert_eq!(u64::from_json(&Json::Num(3.0)), Ok(3));
+        assert!(u64::from_json(&Json::Num(3.5)).is_err());
+        assert!(u64::from_json(&Json::Num(-1.0)).is_err());
     }
 }

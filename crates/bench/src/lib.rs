@@ -8,7 +8,8 @@
 //! * [`scenario`] + [`scenarios`] — the registry of named scenarios (one per
 //!   measured figure or experiment) the driver runs.
 //! * [`report`] + [`json`] — the machine-readable `BENCH_<tag>.json` result
-//!   schema and the hand-rolled JSON layer behind it.
+//!   schema and the hand-rolled JSON layer behind it, whose `json_struct!` /
+//!   `json_enum!` declare the chaos corpus format too.
 //! * [`cli`] — the command-line front end (`--smoke`, `--tag`, `--scenario`,
 //!   `--diff`).
 //!

@@ -2,19 +2,9 @@
 //! `BENCH_<tag>.json` report files CI consumes.
 //!
 //! Every scenario — measured on the threaded runtime or on the simulator —
-//! reduces to one or more [`ScenarioResult`]s:
-//!
-//! ```json
-//! {
-//!   "scenario": "fig08_smallbank",
-//!   "config": {"nodes": "3", "mode": "smoke"},
-//!   "throughput_ops": 12345.6,
-//!   "p50_us": 40, "p99_us": 180, "p999_us": 900,
-//!   "handover_count": 7,
-//!   "aborts": 0,
-//!   "queue_depth_hwm": 12
-//! }
-//! ```
+//! reduces to one or more [`ScenarioResult`]s. It and [`BenchReport`] are
+//! declared with [`crate::json_struct!`]: each field list is the JSON
+//! schema, in order, and generates the writer and the reader.
 //!
 //! A [`BenchReport`] is a tagged collection of results; `bench --smoke --tag
 //! PR` writes `BENCH_PR.json` and the CI perf-smoke gate fails if any
@@ -25,28 +15,31 @@ use std::path::Path;
 
 use crate::json::Json;
 
-/// One scenario measurement in the common schema.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioResult {
-    /// Scenario name (e.g. `fig08_smallbank`).
-    pub scenario: String,
-    /// Free-form configuration key/value pairs (nodes, mode, workload knobs).
-    pub config: Vec<(String, String)>,
-    /// Committed operations per second.
-    pub throughput_ops: f64,
-    /// Median latency in microseconds (0 when the scenario has no latency
-    /// distribution).
-    pub p50_us: u64,
-    /// 99th-percentile latency in microseconds.
-    pub p99_us: u64,
-    /// 99.9th-percentile latency in microseconds.
-    pub p999_us: u64,
-    /// Ownership handovers completed during the measurement window.
-    pub handover_count: u64,
-    /// Transactions aborted during the measurement window.
-    pub aborts: u64,
-    /// High-water mark of the transport inbox depth (threaded runs only).
-    pub queue_depth_hwm: u64,
+crate::json_struct! {
+    /// One scenario measurement in the common schema.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioResult {
+        /// Scenario name (e.g. `fig08_smallbank`).
+        pub scenario: String,
+        /// Free-form configuration key/value pairs (nodes, mode, workload
+        /// knobs), an object of strings in the JSON form.
+        pub config: Vec<(String, String)>,
+        /// Committed operations per second.
+        pub throughput_ops: f64,
+        /// Median latency in microseconds (0 when the scenario has no latency
+        /// distribution).
+        pub p50_us: u64,
+        /// 99th-percentile latency in microseconds.
+        pub p99_us: u64,
+        /// 99.9th-percentile latency in microseconds.
+        pub p999_us: u64,
+        /// Ownership handovers completed during the measurement window.
+        pub handover_count: u64,
+        /// Transactions aborted during the measurement window.
+        pub aborts: u64,
+        /// High-water mark of the transport inbox depth (threaded runs only).
+        pub queue_depth_hwm: u64,
+    }
 }
 
 impl ScenarioResult {
@@ -85,78 +78,6 @@ impl ScenarioResult {
         format!("{} [{}]", self.scenario, cfg.join(","))
     }
 
-    /// Serialises to the common JSON schema.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("scenario", Json::str(&self.scenario)),
-            (
-                "config",
-                Json::Obj(
-                    self.config
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v)))
-                        .collect(),
-                ),
-            ),
-            ("throughput_ops", Json::Num(self.throughput_ops)),
-            ("p50_us", Json::u64(self.p50_us)),
-            ("p99_us", Json::u64(self.p99_us)),
-            ("p999_us", Json::u64(self.p999_us)),
-            ("handover_count", Json::u64(self.handover_count)),
-            ("aborts", Json::u64(self.aborts)),
-            ("queue_depth_hwm", Json::u64(self.queue_depth_hwm)),
-        ])
-    }
-
-    /// Deserialises from the common JSON schema, validating every required
-    /// field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let scenario = v
-            .get("scenario")
-            .and_then(Json::as_str)
-            .ok_or("missing string field 'scenario'")?
-            .to_string();
-        let field = |name: &str| -> Result<f64, String> {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .filter(|n| n.is_finite())
-                .ok_or_else(|| format!("scenario '{scenario}': missing numeric field '{name}'"))
-        };
-        let int_field = |name: &str| -> Result<u64, String> {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("scenario '{scenario}': missing integer field '{name}'"))
-        };
-        let config = match v.get("config") {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .map(|(k, v)| {
-                    v.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| {
-                            format!("scenario '{scenario}': config value for '{k}' is not a string")
-                        })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => {
-                return Err(format!(
-                    "scenario '{scenario}': missing object field 'config'"
-                ))
-            }
-        };
-        Ok(ScenarioResult {
-            config,
-            throughput_ops: field("throughput_ops")?,
-            p50_us: int_field("p50_us")?,
-            p99_us: int_field("p99_us")?,
-            p999_us: int_field("p999_us")?,
-            handover_count: int_field("handover_count")?,
-            aborts: int_field("aborts")?,
-            queue_depth_hwm: int_field("queue_depth_hwm")?,
-            scenario,
-        })
-    }
-
     /// One-line human summary for the driver's stdout.
     pub fn summary_line(&self) -> String {
         format!(
@@ -172,17 +93,19 @@ impl ScenarioResult {
     }
 }
 
-/// A tagged collection of scenario results, written to `BENCH_<tag>.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchReport {
-    /// Report tag (`PR` in CI, `local` by default).
-    pub tag: String,
-    /// Run mode (`smoke` or `full`).
-    pub mode: String,
-    /// Workload seed the run used.
-    pub seed: u64,
-    /// All scenario results, in registry order.
-    pub results: Vec<ScenarioResult>,
+crate::json_struct! {
+    /// A tagged collection of scenario results, written to `BENCH_<tag>.json`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BenchReport {
+        /// Report tag (`PR` in CI, `local` by default).
+        pub tag: String,
+        /// Run mode (`smoke` or `full`).
+        pub mode: String,
+        /// Workload seed the run used.
+        pub seed: u64,
+        /// All scenario results, in registry order.
+        pub results: Vec<ScenarioResult>,
+    }
 }
 
 impl BenchReport {
@@ -201,49 +124,22 @@ impl BenchReport {
         format!("BENCH_{}.json", self.tag)
     }
 
-    /// Serialises the report.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("tag", Json::str(&self.tag)),
-            ("mode", Json::str(&self.mode)),
-            ("seed", Json::u64(self.seed)),
-            (
-                "results",
-                Json::Arr(self.results.iter().map(ScenarioResult::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Parses a report from JSON text, validating the schema.
+    /// Parses a report from JSON text, validating the schema: every field
+    /// present and well-typed, and every throughput finite.
     pub fn parse(text: &str) -> Result<Self, String> {
         let v = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let tag = v
-            .get("tag")
-            .and_then(Json::as_str)
-            .ok_or("missing string field 'tag'")?
-            .to_string();
-        let mode = v
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or("missing string field 'mode'")?
-            .to_string();
-        let seed = v
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or("missing integer field 'seed'")?;
-        let results = v
-            .get("results")
-            .and_then(Json::as_array)
-            .ok_or("missing array field 'results'")?
+        let report = BenchReport::from_json(&v)?;
+        if let Some(r) = report
+            .results
             .iter()
-            .map(ScenarioResult::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BenchReport {
-            tag,
-            mode,
-            seed,
-            results,
-        })
+            .find(|r| !r.throughput_ops.is_finite())
+        {
+            return Err(format!(
+                "scenario '{}': field 'throughput_ops' is not finite",
+                r.scenario
+            ));
+        }
+        Ok(report)
     }
 
     /// Loads and validates a report file.

@@ -32,7 +32,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::schedule::{ChaosStep, NetParams, Schedule};
+use crate::schedule::{ChaosStep, LinkParams, NetParams, Schedule};
 
 /// Which fault mix [`generate_schedule_with`] produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -173,8 +173,13 @@ pub fn generate_schedule_with(seed: u64, index: u64, profile: Profile) -> Schedu
         if to == from {
             to = (to + 1) % nodes;
         }
-        net.links
-            .push((from, to, 4, 32, *pick(&mut rng, &[0.0, 0.02])));
+        net.links.push(LinkParams {
+            from,
+            to,
+            min_delay: 4,
+            max_delay: 32,
+            drop_probability: *pick(&mut rng, &[0.0, 0.02]),
+        });
     }
 
     let mut state = FaultState {

@@ -39,5 +39,5 @@ pub mod shrink;
 pub use explore::{explore, ExploreConfig, ExploreOutcome};
 pub use generate::{generate_schedule, generate_schedule_with, Profile};
 pub use runner::{run_schedule, RunOptions, RunOutcome, Violation};
-pub use schedule::{ChaosStep, NetParams, Schedule};
+pub use schedule::{ChaosStep, LinkParams, NetParams, Schedule};
 pub use shrink::shrink_schedule;

@@ -204,15 +204,13 @@ impl<'a> Harness<'a> {
                 .net
                 .links
                 .iter()
-                .map(
-                    |&(from, to, min_delay, max_delay, drop_probability)| LinkOverride {
-                        from: NodeId(from),
-                        to: NodeId(to),
-                        min_delay,
-                        max_delay: max_delay.max(min_delay),
-                        drop_probability,
-                    },
-                )
+                .map(|link| LinkOverride {
+                    from: NodeId(link.from),
+                    to: NodeId(link.to),
+                    min_delay: link.min_delay,
+                    max_delay: link.max_delay.max(link.min_delay),
+                    drop_probability: link.drop_probability,
+                })
                 .collect(),
         };
         Harness {

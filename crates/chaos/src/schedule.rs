@@ -19,44 +19,52 @@
 //! than silently replayed; migrate by re-validating the repro under the
 //! current engine and bumping `version` to 2.
 //!
-//! ```json
-//! {
-//!   "version": 2,
-//!   "name": "seed42-0007",
-//!   "seed": 42,
-//!   "nodes": 3,
-//!   "objects": 4,
-//!   "lease_ticks": 2000,
-//!   "net": {"min_delay": 1, "max_delay": 8, "drop_probability": 0.0,
-//!            "duplicate_probability": 0.0, "seed": 7},
-//!   "steps": [
-//!     {"op": "write", "node": 0, "object": 1},
-//!     {"op": "isolate", "node": 2},
-//!     {"op": "advance", "ticks": 6000},
-//!     {"op": "heal_node", "node": 2},
-//!     {"op": "settle", "steps": 50000}
-//!   ]
-//! }
-//! ```
+//! A corpus file is `{"version": 2, …}` followed by [`Schedule`]'s fields,
+//! each step an object led by its `"op"`. The `json_struct!` / `json_enum!`
+//! field lists below are the schema: they generate both the writer and the
+//! reader, so a field is declared once. `tests/chaos_corpus/` holds real
+//! files, and `crates/chaos/tests/json_golden.rs` pins the layout of every
+//! step.
 
-use zeus_bench::json::Json;
+use zeus_bench::json::{Json, JsonField};
+use zeus_bench::{json_enum, json_struct};
 
-/// Simulated-network parameters of a schedule (a serialisable subset of
-/// [`zeus_net::NetConfig`], plus optional per-link overrides).
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetParams {
-    /// Minimum one-way latency in ticks.
-    pub min_delay: u64,
-    /// Maximum one-way latency in ticks.
-    pub max_delay: u64,
-    /// Global drop probability.
-    pub drop_probability: f64,
-    /// Global duplication probability.
-    pub duplicate_probability: f64,
-    /// RNG seed of the simulated network.
-    pub seed: u64,
-    /// Per-link overrides as `(from, to, min_delay, max_delay, drop_p)`.
-    pub links: Vec<(u16, u16, u64, u64, f64)>,
+json_struct! {
+    /// Simulated-network parameters of a schedule (a serialisable subset of
+    /// [`zeus_net::NetConfig`], plus optional per-link overrides).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct NetParams {
+        /// Minimum one-way latency in ticks.
+        pub min_delay: u64,
+        /// Maximum one-way latency in ticks.
+        pub max_delay: u64,
+        /// Global drop probability.
+        pub drop_probability: f64,
+        /// Global duplication probability.
+        pub duplicate_probability: f64,
+        /// RNG seed of the simulated network.
+        pub seed: u64,
+        /// Per-link overrides; may be absent from a corpus file.
+        pub links: Vec<LinkParams> = Vec::new(),
+    }
+}
+
+json_struct! {
+    /// One directed link's own latency and loss (a serialisable
+    /// [`zeus_net::LinkOverride`]).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LinkParams {
+        /// Source node.
+        pub from: u16,
+        /// Destination node.
+        pub to: u16,
+        /// Minimum one-way latency in ticks.
+        pub min_delay: u64,
+        /// Maximum one-way latency in ticks.
+        pub max_delay: u64,
+        /// Drop probability of the link.
+        pub drop_probability: f64,
+    }
 }
 
 impl Default for NetParams {
@@ -72,442 +80,182 @@ impl Default for NetParams {
     }
 }
 
-/// One step of a fault schedule.
-///
-/// Workload steps (`Write`/`Read`/`Migrate`/`HotBurst`) drive transactions;
-/// fault steps mutate the fault plan; timing steps (`Advance`/`Settle`) are
-/// what turns faults into *scenarios* — e.g. `Isolate` followed by a long
-/// `Advance` opens a lease-expiry window, a short one stays benign.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChaosStep {
-    /// Run a write transaction on `node` against `object`.
-    Write {
-        /// Coordinator node.
-        node: u16,
-        /// Object id.
-        object: u64,
-    },
-    /// Run a read-only transaction on `node` against `object`.
-    Read {
-        /// Serving node.
-        node: u16,
-        /// Object id.
-        object: u64,
-    },
-    /// Explicitly migrate `object`'s ownership to `node`.
-    Migrate {
-        /// Destination node.
-        node: u16,
-        /// Object id.
-        object: u64,
-    },
-    /// Contended ownership-handover burst: `rounds` rounds of writes to the
-    /// same hot object, round-robin across `writers`.
-    HotBurst {
-        /// The hot object.
-        object: u64,
-        /// Competing coordinator nodes.
-        writers: Vec<u16>,
-        /// Rounds of the burst.
-        rounds: u32,
-    },
-    /// Crash-stop `node` (the operator also proposes its expulsion through
-    /// the view service, as `Admin::crash` does).
-    Crash {
-        /// Crashed node.
-        node: u16,
-    },
-    /// Restart a crashed node; the operator re-admits it and the rejoin
-    /// path wipes its stale state.
-    Restart {
-        /// Restarted node.
-        node: u16,
-    },
-    /// Cut every link between `node` and the rest of the cluster (the node
-    /// stays alive — lease-expiry pressure / false-suspicion fault).
-    Isolate {
-        /// Isolated node.
-        node: u16,
-    },
-    /// Cut both directions between two nodes.
-    PartitionPair {
-        /// First node.
-        a: u16,
-        /// Second node.
-        b: u16,
-    },
-    /// Heal every link of `node`.
-    HealNode {
-        /// Healed node.
-        node: u16,
-    },
-    /// Heal every injected link fault (cuts, spikes, drop bursts).
-    HealAll,
-    /// Add `extra` ticks of one-way latency on `from → to` until healed.
-    Spike {
-        /// Source node.
-        from: u16,
-        /// Destination node.
-        to: u16,
-        /// Extra latency in ticks.
-        extra: u64,
-    },
-    /// Drop the next `count` messages sent on `from → to`.
-    DropBurst {
-        /// Source node.
-        from: u16,
-        /// Destination node.
-        to: u16,
-        /// Messages to drop.
-        count: u64,
-    },
-    /// Advance simulated time by `ticks`, delivering and ticking along the
-    /// way (opens lease/retransmission windows).
-    Advance {
-        /// Ticks to advance.
-        ticks: u64,
-    },
-    /// Let the cluster settle for up to `steps` simulation steps (does not
-    /// require quiescence — the final oracle settle does).
-    Settle {
-        /// Step budget.
-        steps: u64,
-    },
+json_enum! {
+    /// One step of a fault schedule.
+    ///
+    /// Workload steps (`Write`/`Read`/`Migrate`/`HotBurst`) drive transactions;
+    /// fault steps mutate the fault plan; timing steps (`Advance`/`Settle`) are
+    /// what turns faults into *scenarios* — e.g. `Isolate` followed by a long
+    /// `Advance` opens a lease-expiry window, a short one stays benign.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ChaosStep {
+        /// Run a write transaction on `node` against `object`.
+        "write" => Write {
+            /// Coordinator node.
+            node: u16,
+            /// Object id.
+            object: u64,
+        },
+        /// Run a read-only transaction on `node` against `object`.
+        "read" => Read {
+            /// Serving node.
+            node: u16,
+            /// Object id.
+            object: u64,
+        },
+        /// Explicitly migrate `object`'s ownership to `node`.
+        "migrate" => Migrate {
+            /// Destination node.
+            node: u16,
+            /// Object id.
+            object: u64,
+        },
+        /// Contended ownership-handover burst: `rounds` rounds of writes to the
+        /// same hot object, round-robin across `writers`.
+        "hot_burst" => HotBurst {
+            /// The hot object.
+            object: u64,
+            /// Competing coordinator nodes.
+            writers: Vec<u16>,
+            /// Rounds of the burst.
+            rounds: u32,
+        },
+        /// Crash-stop `node` (the operator also proposes its expulsion through
+        /// the view service, as `Admin::crash` does).
+        "crash" => Crash {
+            /// Crashed node.
+            node: u16,
+        },
+        /// Restart a crashed node; the operator re-admits it and the rejoin
+        /// path wipes its stale state.
+        "restart" => Restart {
+            /// Restarted node.
+            node: u16,
+        },
+        /// Cut every link between `node` and the rest of the cluster (the node
+        /// stays alive — lease-expiry pressure / false-suspicion fault).
+        "isolate" => Isolate {
+            /// Isolated node.
+            node: u16,
+        },
+        /// Cut both directions between two nodes.
+        "partition_pair" => PartitionPair {
+            /// First node.
+            a: u16,
+            /// Second node.
+            b: u16,
+        },
+        /// Heal every link of `node`.
+        "heal_node" => HealNode {
+            /// Healed node.
+            node: u16,
+        },
+        /// Heal every injected link fault (cuts, spikes, drop bursts).
+        "heal_all" => HealAll,
+        /// Add `extra` ticks of one-way latency on `from → to` until healed.
+        "spike" => Spike {
+            /// Source node.
+            from: u16,
+            /// Destination node.
+            to: u16,
+            /// Extra latency in ticks.
+            extra: u64,
+        },
+        /// Drop the next `count` messages sent on `from → to`.
+        "drop_burst" => DropBurst {
+            /// Source node.
+            from: u16,
+            /// Destination node.
+            to: u16,
+            /// Messages to drop.
+            count: u64,
+        },
+        /// Advance simulated time by `ticks`, delivering and ticking along the
+        /// way (opens lease/retransmission windows).
+        "advance" => Advance {
+            /// Ticks to advance.
+            ticks: u64,
+        },
+        /// Let the cluster settle for up to `steps` simulation steps (does not
+        /// require quiescence — the final oracle settle does).
+        "settle" => Settle {
+            /// Step budget.
+            steps: u64,
+        },
+    }
 }
 
-/// A complete, replayable chaos experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Schedule {
-    /// Human-readable name (`seed<seed>-<index>` for generated schedules,
-    /// free-form for corpus repros).
-    pub name: String,
-    /// Generator seed this schedule derives from (provenance; replay does
-    /// not re-generate).
-    pub seed: u64,
-    /// Cluster size.
-    pub nodes: u16,
-    /// Number of pre-created objects (ids `0..objects`, object `o` homed on
-    /// node `o % nodes`).
-    pub objects: u64,
-    /// Membership lease duration in ticks.
-    pub lease_ticks: u64,
-    /// Simulated-network parameters.
-    pub net: NetParams,
-    /// The timed steps.
-    pub steps: Vec<ChaosStep>,
+json_struct! {
+    /// A complete, replayable chaos experiment.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Schedule {
+        /// Human-readable name (`seed<seed>-<index>` for generated schedules,
+        /// free-form for corpus repros); may be absent from a corpus file.
+        pub name: String = "unnamed".into(),
+        /// Generator seed this schedule derives from (provenance; replay does
+        /// not re-generate).
+        pub seed: u64,
+        /// Cluster size.
+        pub nodes: u16,
+        /// Number of pre-created objects (ids `0..objects`, object `o` homed on
+        /// node `o % nodes`).
+        pub objects: u64,
+        /// Membership lease duration in ticks.
+        pub lease_ticks: u64,
+        /// Simulated-network parameters.
+        pub net: NetParams,
+        /// The timed steps.
+        pub steps: Vec<ChaosStep>,
+    }
 }
 
 /// Corpus format version this build writes and accepts (see the module
 /// docs for the v1 → v2 migration note).
 pub const CORPUS_VERSION: u64 = 2;
 
-impl ChaosStep {
-    /// Serialises the step to its corpus JSON object.
-    pub fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| Json::obj(fields);
-        match self {
-            ChaosStep::Write { node, object } => obj(vec![
-                ("op", Json::str("write")),
-                ("node", Json::u64(u64::from(*node))),
-                ("object", Json::u64(*object)),
-            ]),
-            ChaosStep::Read { node, object } => obj(vec![
-                ("op", Json::str("read")),
-                ("node", Json::u64(u64::from(*node))),
-                ("object", Json::u64(*object)),
-            ]),
-            ChaosStep::Migrate { node, object } => obj(vec![
-                ("op", Json::str("migrate")),
-                ("node", Json::u64(u64::from(*node))),
-                ("object", Json::u64(*object)),
-            ]),
-            ChaosStep::HotBurst {
-                object,
-                writers,
-                rounds,
-            } => obj(vec![
-                ("op", Json::str("hot_burst")),
-                ("object", Json::u64(*object)),
-                (
-                    "writers",
-                    Json::Arr(writers.iter().map(|w| Json::u64(u64::from(*w))).collect()),
-                ),
-                ("rounds", Json::u64(u64::from(*rounds))),
-            ]),
-            ChaosStep::Crash { node } => obj(vec![
-                ("op", Json::str("crash")),
-                ("node", Json::u64(u64::from(*node))),
-            ]),
-            ChaosStep::Restart { node } => obj(vec![
-                ("op", Json::str("restart")),
-                ("node", Json::u64(u64::from(*node))),
-            ]),
-            ChaosStep::Isolate { node } => obj(vec![
-                ("op", Json::str("isolate")),
-                ("node", Json::u64(u64::from(*node))),
-            ]),
-            ChaosStep::PartitionPair { a, b } => obj(vec![
-                ("op", Json::str("partition_pair")),
-                ("a", Json::u64(u64::from(*a))),
-                ("b", Json::u64(u64::from(*b))),
-            ]),
-            ChaosStep::HealNode { node } => obj(vec![
-                ("op", Json::str("heal_node")),
-                ("node", Json::u64(u64::from(*node))),
-            ]),
-            ChaosStep::HealAll => obj(vec![("op", Json::str("heal_all"))]),
-            ChaosStep::Spike { from, to, extra } => obj(vec![
-                ("op", Json::str("spike")),
-                ("from", Json::u64(u64::from(*from))),
-                ("to", Json::u64(u64::from(*to))),
-                ("extra", Json::u64(*extra)),
-            ]),
-            ChaosStep::DropBurst { from, to, count } => obj(vec![
-                ("op", Json::str("drop_burst")),
-                ("from", Json::u64(u64::from(*from))),
-                ("to", Json::u64(u64::from(*to))),
-                ("count", Json::u64(*count)),
-            ]),
-            ChaosStep::Advance { ticks } => obj(vec![
-                ("op", Json::str("advance")),
-                ("ticks", Json::u64(*ticks)),
-            ]),
-            ChaosStep::Settle { steps } => obj(vec![
-                ("op", Json::str("settle")),
-                ("steps", Json::u64(*steps)),
-            ]),
-        }
-    }
-
-    /// Parses a step from its corpus JSON object.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("step missing string field 'op'")?;
-        let node = |field: &str| -> Result<u16, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .and_then(|n| u16::try_from(n).ok())
-                .ok_or_else(|| format!("step '{op}': missing node field '{field}'"))
-        };
-        let num = |field: &str| -> Result<u64, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("step '{op}': missing integer field '{field}'"))
-        };
-        Ok(match op {
-            "write" => ChaosStep::Write {
-                node: node("node")?,
-                object: num("object")?,
-            },
-            "read" => ChaosStep::Read {
-                node: node("node")?,
-                object: num("object")?,
-            },
-            "migrate" => ChaosStep::Migrate {
-                node: node("node")?,
-                object: num("object")?,
-            },
-            "hot_burst" => {
-                let writers = v
-                    .get("writers")
-                    .and_then(Json::as_array)
-                    .ok_or("hot_burst: missing array field 'writers'")?
-                    .iter()
-                    .map(|w| {
-                        w.as_u64()
-                            .and_then(|n| u16::try_from(n).ok())
-                            .ok_or_else(|| "hot_burst: bad writer id".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                ChaosStep::HotBurst {
-                    object: num("object")?,
-                    writers,
-                    rounds: u32::try_from(num("rounds")?)
-                        .map_err(|_| "hot_burst: rounds too large".to_string())?,
-                }
-            }
-            "crash" => ChaosStep::Crash {
-                node: node("node")?,
-            },
-            "restart" => ChaosStep::Restart {
-                node: node("node")?,
-            },
-            "isolate" => ChaosStep::Isolate {
-                node: node("node")?,
-            },
-            "partition_pair" => ChaosStep::PartitionPair {
-                a: node("a")?,
-                b: node("b")?,
-            },
-            "heal_node" => ChaosStep::HealNode {
-                node: node("node")?,
-            },
-            "heal_all" => ChaosStep::HealAll,
-            "spike" => ChaosStep::Spike {
-                from: node("from")?,
-                to: node("to")?,
-                extra: num("extra")?,
-            },
-            "drop_burst" => ChaosStep::DropBurst {
-                from: node("from")?,
-                to: node("to")?,
-                count: num("count")?,
-            },
-            "advance" => ChaosStep::Advance {
-                ticks: num("ticks")?,
-            },
-            "settle" => ChaosStep::Settle {
-                steps: num("steps")?,
-            },
-            other => return Err(format!("unknown step op '{other}'")),
-        })
-    }
-}
-
 impl Schedule {
-    /// Serialises the schedule to its corpus JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("version", Json::u64(CORPUS_VERSION)),
-            ("name", Json::str(&self.name)),
-            ("seed", Json::u64(self.seed)),
-            ("nodes", Json::u64(u64::from(self.nodes))),
-            ("objects", Json::u64(self.objects)),
-            ("lease_ticks", Json::u64(self.lease_ticks)),
-            (
-                "net",
-                Json::obj(vec![
-                    ("min_delay", Json::u64(self.net.min_delay)),
-                    ("max_delay", Json::u64(self.net.max_delay)),
-                    ("drop_probability", Json::Num(self.net.drop_probability)),
-                    (
-                        "duplicate_probability",
-                        Json::Num(self.net.duplicate_probability),
-                    ),
-                    ("seed", Json::u64(self.net.seed)),
-                    (
-                        "links",
-                        Json::Arr(
-                            self.net
-                                .links
-                                .iter()
-                                .map(|(from, to, min, max, drop)| {
-                                    Json::obj(vec![
-                                        ("from", Json::u64(u64::from(*from))),
-                                        ("to", Json::u64(u64::from(*to))),
-                                        ("min_delay", Json::u64(*min)),
-                                        ("max_delay", Json::u64(*max)),
-                                        ("drop_probability", Json::Num(*drop)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "steps",
-                Json::Arr(self.steps.iter().map(ChaosStep::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Renders the schedule as pretty-printed corpus JSON.
+    /// Renders the schedule as pretty-printed corpus JSON: the format
+    /// version, then the schedule's fields.
     pub fn to_corpus_string(&self) -> String {
-        self.to_json().pretty()
+        let Json::Obj(fields) = self.to_json() else {
+            unreachable!("a schedule renders as an object")
+        };
+        let version = ("version".to_string(), CORPUS_VERSION.to_json());
+        Json::Obj([version].into_iter().chain(fields).collect()).pretty()
     }
 
-    /// Parses a schedule from corpus JSON text.
+    /// Parses a schedule from corpus JSON text: the version gate first, then
+    /// the fields, then the rules across them.
     pub fn parse(text: &str) -> Result<Self, String> {
         let v = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let version = v
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or("missing integer field 'version'")?;
+        let version: u64 = zeus_bench::json::field(&v, "version", None)?;
         if version != CORPUS_VERSION {
             return Err(format!(
                 "unsupported corpus version {version} (this build reads {CORPUS_VERSION})"
             ));
         }
-        let num = |field: &str| -> Result<u64, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing integer field '{field}'"))
-        };
-        let net_v = v.get("net").ok_or("missing object field 'net'")?;
-        let net_num = |field: &str| -> Result<u64, String> {
-            net_v
-                .get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("net: missing integer field '{field}'"))
-        };
-        let net_prob = |field: &str| -> Result<f64, String> {
-            net_v
-                .get(field)
-                .and_then(Json::as_f64)
-                .filter(|p| (0.0..=1.0).contains(p))
-                .ok_or_else(|| format!("net: missing probability field '{field}'"))
-        };
-        let links = match net_v.get("links") {
-            None => Vec::new(),
-            Some(links) => links
-                .as_array()
-                .ok_or("net: 'links' must be an array")?
+        let mut schedule = Schedule::from_json(&v)?;
+        let net = &schedule.net;
+        let probabilities = [
+            ("net.drop_probability", net.drop_probability),
+            ("net.duplicate_probability", net.duplicate_probability),
+        ]
+        .into_iter()
+        .chain(
+            net.links
                 .iter()
-                .map(|l| {
-                    let id = |f: &str| {
-                        l.get(f)
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| format!("net link: missing field '{f}'"))
-                    };
-                    let drop = l
-                        .get("drop_probability")
-                        .and_then(Json::as_f64)
-                        .filter(|p| (0.0..=1.0).contains(p))
-                        .ok_or("net link: missing field 'drop_probability'")?;
-                    Ok((
-                        u16::try_from(id("from")?).map_err(|_| "net link: bad 'from'")?,
-                        u16::try_from(id("to")?).map_err(|_| "net link: bad 'to'")?,
-                        id("min_delay")?,
-                        id("max_delay")?,
-                        drop,
-                    ))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-        };
-        let steps = v
-            .get("steps")
-            .and_then(Json::as_array)
-            .ok_or("missing array field 'steps'")?
-            .iter()
-            .map(ChaosStep::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let nodes = u16::try_from(num("nodes")?).map_err(|_| "bad 'nodes'".to_string())?;
-        if nodes == 0 {
-            return Err("'nodes' must be positive".into());
+                .map(|l| ("net.links.drop_probability", l.drop_probability)),
+        );
+        for (name, p) in probabilities {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("field '{name}': {p} is not a probability"));
+            }
         }
-        Ok(Schedule {
-            name: v
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("unnamed")
-                .to_string(),
-            seed: num("seed")?,
-            nodes,
-            objects: num("objects")?,
-            lease_ticks: num("lease_ticks")?.max(1),
-            net: NetParams {
-                min_delay: net_num("min_delay")?,
-                max_delay: net_num("max_delay")?,
-                drop_probability: net_prob("drop_probability")?,
-                duplicate_probability: net_prob("duplicate_probability")?,
-                seed: net_num("seed")?,
-                links,
-            },
-            steps,
-        })
+        if schedule.nodes == 0 {
+            return Err("field 'nodes' must be positive".into());
+        }
+        schedule.lease_ticks = schedule.lease_ticks.max(1);
+        Ok(schedule)
     }
 }
 
@@ -524,7 +272,13 @@ mod tests {
             lease_ticks: 2_000,
             net: NetParams {
                 drop_probability: 0.01,
-                links: vec![(0, 2, 8, 24, 0.05)],
+                links: vec![LinkParams {
+                    from: 0,
+                    to: 2,
+                    min_delay: 8,
+                    max_delay: 24,
+                    drop_probability: 0.05,
+                }],
                 ..NetParams::default()
             },
             steps: vec![
@@ -572,19 +326,27 @@ mod tests {
     fn parse_rejects_bad_documents() {
         assert!(Schedule::parse("{}").is_err());
         assert!(Schedule::parse("not json").is_err());
-        let mut wrong_version = sample().to_json();
-        if let Json::Obj(fields) = &mut wrong_version {
-            for (k, v) in fields.iter_mut() {
-                if k == "version" {
-                    *v = Json::u64(99);
-                }
-            }
-        }
-        let err = Schedule::parse(&wrong_version.pretty()).unwrap_err();
+        let wrong_version = sample()
+            .to_corpus_string()
+            .replace("\"version\": 2", "\"version\": 99");
+        let err = Schedule::parse(&wrong_version).unwrap_err();
         assert!(err.contains("version"), "unexpected error: {err}");
         // Unknown ops are rejected, not ignored: a corpus file from a newer
         // build must not silently replay as a weaker schedule.
         let doc = sample().to_corpus_string().replace("hot_burst", "warp");
         assert!(Schedule::parse(&doc).is_err());
+    }
+
+    #[test]
+    fn name_and_links_may_be_absent() {
+        let doc = r#"{"version": 2, "seed": 1, "nodes": 1, "objects": 1, "lease_ticks": 0,
+            "net": {"min_delay": 1, "max_delay": 1, "drop_probability": 0,
+                    "duplicate_probability": 0, "seed": 7},
+            "steps": []}"#;
+        let parsed = Schedule::parse(doc).unwrap();
+        assert_eq!(parsed.name, "unnamed");
+        assert!(parsed.net.links.is_empty());
+        // A zero lease reads as one tick.
+        assert_eq!(parsed.lease_ticks, 1);
     }
 }

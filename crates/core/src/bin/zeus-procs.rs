@@ -18,118 +18,12 @@
 //! (which is where `cargo build` puts both). Per-node logs are written to
 //! `--log-dir`; the multiprocess CI job uploads them on failure.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use zeus_core::procs::{run_harness, HarnessOpts};
-use zeus_core::{ClusterFile, NodeId};
-
-fn parse(args: impl Iterator<Item = String>) -> Result<HarnessOpts, String> {
-    let mut opts = HarnessOpts::default();
-    let mut node_bin: Option<PathBuf> = None;
-    let mut config_path: Option<PathBuf> = None;
-    let mut nodes: Option<usize> = None;
-    let mut lease_us: Option<u64> = None;
-    let mut args = args.peekable();
-    while let Some(flag) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match flag.as_str() {
-            "--config" => config_path = Some(PathBuf::from(value("--config")?)),
-            "--nodes" => {
-                nodes = Some(
-                    value("--nodes")?
-                        .parse()
-                        .map_err(|e| format!("--nodes: {e}"))?,
-                )
-            }
-            "--ops" => opts.ops = value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--accounts" => {
-                opts.accounts = value("--accounts")?
-                    .parse()
-                    .map_err(|e| format!("--accounts: {e}"))?
-            }
-            "--lease-us" => {
-                lease_us = Some(
-                    value("--lease-us")?
-                        .parse()
-                        .map_err(|e| format!("--lease-us: {e}"))?,
-                )
-            }
-            "--view-replicas" => {
-                opts.view_replicas = Some(
-                    value("--view-replicas")?
-                        .parse()
-                        .map_err(|e| format!("--view-replicas: {e}"))?,
-                )
-            }
-            "--kill" => {
-                opts.kill = Some(NodeId(
-                    value("--kill")?
-                        .parse::<u16>()
-                        .map_err(|e| format!("--kill: {e}"))?,
-                ))
-            }
-            "--kill-after-ms" => {
-                opts.kill_after = Duration::from_millis(
-                    value("--kill-after-ms")?
-                        .parse()
-                        .map_err(|e| format!("--kill-after-ms: {e}"))?,
-                )
-            }
-            "--log-dir" => opts.log_dir = PathBuf::from(value("--log-dir")?),
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--node-bin" => node_bin = Some(PathBuf::from(value("--node-bin")?)),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if let Some(path) = config_path {
-        let file = ClusterFile::load(&path)?;
-        opts.nodes = file.addrs.len();
-        opts.addrs = Some(file.addrs);
-        lease_us = lease_us.or(file.lease_us);
-        opts.view_replicas = opts.view_replicas.or(file.view_replicas);
-        if let Some(n) = nodes {
-            if n != opts.nodes {
-                return Err(format!(
-                    "--nodes {n} conflicts with the {} [[node]] tables in {}",
-                    opts.nodes,
-                    path.display()
-                ));
-            }
-        }
-    } else if let Some(n) = nodes {
-        opts.nodes = n;
-    }
-    if let Some(us) = lease_us {
-        opts.lease_us = us;
-    }
-    opts.node_bin = match node_bin {
-        Some(p) => p,
-        None => {
-            let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-            me.parent()
-                .ok_or("current_exe has no parent directory")?
-                .join("zeus-node")
-        }
-    };
-    if let Some(victim) = opts.kill {
-        if victim.index() >= opts.nodes {
-            return Err(format!("--kill {} out of range", victim.0));
-        }
-    }
-    Ok(opts)
-}
 
 fn main() -> ExitCode {
-    let opts = match parse(std::env::args().skip(1)) {
+    let opts = match HarnessOpts::parse(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("zeus-procs: {e}");

@@ -2,14 +2,15 @@
 
 use zeus_proto::{NodeId, PolicyKind};
 
+/// Number of directory replicas holding ownership metadata: the paper uses 3
+/// regardless of deployment size (§4), clamped to the deployment size.
+pub const DIRECTORY_REPLICAS: usize = 3;
+
 /// Configuration of a Zeus deployment.
 #[derive(Debug, Clone)]
 pub struct ZeusConfig {
     /// Number of nodes in the deployment (the paper evaluates 3 and 6).
     pub nodes: usize,
-    /// Number of directory replicas holding ownership metadata (the paper
-    /// uses 3 regardless of deployment size, §4).
-    pub directory_replicas: usize,
     /// Number of replicas of the view service (`zeus-view`) agreeing on
     /// membership epochs by majority quorum — the embedded stand-in for the
     /// paper's external ZooKeeper-backed membership service. Three by
@@ -49,7 +50,6 @@ impl Default for ZeusConfig {
     fn default() -> Self {
         ZeusConfig {
             nodes: 3,
-            directory_replicas: 3,
             view_replicas: 3,
             replication_degree: 3,
             // 1 tick = 1 us in the threaded runtime. The failure detector
@@ -77,7 +77,6 @@ impl ZeusConfig {
     pub fn with_nodes(nodes: usize) -> Self {
         ZeusConfig {
             nodes,
-            directory_replicas: 3.min(nodes),
             view_replicas: 3.min(nodes),
             replication_degree: 3.min(nodes),
             ..Default::default()
@@ -98,9 +97,9 @@ impl ZeusConfig {
         self
     }
 
-    /// The directory replica set: the first `directory_replicas` nodes.
+    /// The directory replica set: the first [`DIRECTORY_REPLICAS`] nodes.
     pub fn directory(&self) -> Vec<NodeId> {
-        (0..self.directory_replicas.min(self.nodes) as u16)
+        (0..DIRECTORY_REPLICAS.min(self.nodes) as u16)
             .map(NodeId)
             .collect()
     }
@@ -136,7 +135,7 @@ mod tests {
     fn defaults_match_paper_setup() {
         let c = ZeusConfig::default();
         assert_eq!(c.nodes, 3);
-        assert_eq!(c.directory_replicas, 3);
+        assert_eq!(c.directory(), vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(c.replication_degree, 3);
         // The locality engine defaults to the null policy: existing
         // deployments and recorded chaos runs are untouched.
@@ -150,11 +149,10 @@ mod tests {
     #[test]
     fn with_nodes_clamps_directory_and_replication() {
         let c = ZeusConfig::with_nodes(2);
-        assert_eq!(c.directory_replicas, 2);
+        assert_eq!(c.directory(), vec![NodeId(0), NodeId(1)]);
         assert_eq!(c.replication_degree, 2);
         assert_eq!(c.view_replica_set(), vec![NodeId(0), NodeId(1)]);
         let c6 = ZeusConfig::with_nodes(6);
-        assert_eq!(c6.directory_replicas, 3);
         assert_eq!(c6.directory(), vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(c6.view_replica_set(), vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(c6.all_nodes().len(), 6);

@@ -38,15 +38,12 @@
 //!   same node loops over real loopback UDP sockets; and [`procs`] — the
 //!   process-per-node deployment behind the `zeus-node` / `zeus-procs`
 //!   binaries and the multiprocess CI job.
-//! * [`balancer::LoadBalancer`] — the application-level load balancer that
-//!   steers requests with the same key to the same node (§3.1).
 //! * [`stats`] — latency histograms and per-node statistics backing the
 //!   evaluation figures.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod balancer;
 pub mod client;
 pub mod cluster_config;
 pub mod config;
@@ -60,7 +57,6 @@ pub mod stats;
 pub mod txn;
 pub mod udp_cluster;
 
-pub use balancer::LoadBalancer;
 pub use client::{Admin, AdminError, ClusterDriver, RetryPolicy, Session, TxTicket};
 pub use cluster_config::{ClusterFile, NodeAddr};
 pub use config::ZeusConfig;

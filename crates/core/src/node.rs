@@ -621,12 +621,6 @@ impl ZeusNode {
         }
     }
 
-    /// Destroys an object locally (`free`). The caller is responsible for
-    /// doing this on every replica (typically from a write transaction).
-    pub fn destroy_object(&mut self, object: ObjectId) {
-        self.store.remove(object);
-    }
-
     // ------------------------------------------------------------------
     // Ownership acquisition
     // ------------------------------------------------------------------

@@ -29,6 +29,7 @@ use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
 use std::process::{Child, Command as ProcCommand, Stdio};
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -36,7 +37,7 @@ use zeus_net::{RttConfig, UdpConfig, UdpTransport};
 use zeus_proto::NodeId;
 
 use crate::client::{RetryPolicy, Session};
-use crate::cluster_config::NodeAddr;
+use crate::cluster_config::{ClusterFile, NodeAddr};
 use crate::config::ZeusConfig;
 use crate::runtime::{start_node, Command, ThreadedSession};
 use crate::txn::TxError;
@@ -74,71 +75,29 @@ impl NodeOpts {
     /// [--seed N]`. The node list and cluster tunables may come from a
     /// [`crate::cluster_config::ClusterFile`]; explicit flags override file
     /// values.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<NodeOpts, String> {
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<NodeOpts, String> {
+        let mut shared = SharedFlags::default();
         let mut id = None;
-        let mut config_path: Option<std::path::PathBuf> = None;
         let mut addrs: Vec<NodeAddr> = Vec::new();
-        let mut ops = 200u64;
-        let mut accounts = 64u64;
-        let mut lease_us: Option<u64> = None;
-        let mut view_replicas: Option<usize> = None;
-        let mut seed = 42u64;
-        let mut args = args.peekable();
         while let Some(flag) = args.next() {
-            let mut value = |flag: &str| {
-                args.next()
-                    .ok_or_else(|| format!("{flag} requires a value"))
-            };
+            if shared.take(&flag, &mut args)? {
+                continue;
+            }
             match flag.as_str() {
-                "--id" => {
-                    id = Some(
-                        value("--id")?
-                            .parse::<u16>()
-                            .map_err(|e| format!("--id: {e}"))?,
-                    )
-                }
-                "--config" => config_path = Some(PathBuf::from(value("--config")?)),
+                "--id" => id = Some(flag_value::<u16>(&flag, &mut args)?),
                 "--addrs" => {
-                    addrs = value("--addrs")?
+                    addrs = flag_value::<String>(&flag, &mut args)?
                         .split(',')
                         .map(|a| NodeAddr::parse(a).map_err(|e| format!("--addrs: {e}")))
                         .collect::<Result<_, String>>()?;
                 }
-                "--ops" => ops = value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?,
-                "--accounts" => {
-                    accounts = value("--accounts")?
-                        .parse()
-                        .map_err(|e| format!("--accounts: {e}"))?
-                }
-                "--lease-us" => {
-                    lease_us = Some(
-                        value("--lease-us")?
-                            .parse()
-                            .map_err(|e| format!("--lease-us: {e}"))?,
-                    )
-                }
-                "--view-replicas" => {
-                    view_replicas = Some(
-                        value("--view-replicas")?
-                            .parse()
-                            .map_err(|e| format!("--view-replicas: {e}"))?,
-                    )
-                }
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
                 other => return Err(format!("unknown flag {other}")),
             }
         }
-        if let Some(path) = config_path {
-            let file = crate::cluster_config::ClusterFile::load(&path)?;
+        if let Some(file) = shared.load_file()? {
             if addrs.is_empty() {
                 addrs = file.addrs;
             }
-            lease_us = lease_us.or(file.lease_us);
-            view_replicas = view_replicas.or(file.view_replicas);
         }
         let id = id.ok_or("--id is required")?;
         if addrs.is_empty() {
@@ -150,13 +109,68 @@ impl NodeOpts {
         Ok(NodeOpts {
             id: NodeId(id),
             addrs,
-            ops,
-            accounts,
-            lease_us: lease_us.unwrap_or(200_000),
-            view_replicas,
-            seed,
+            ops: shared.ops.unwrap_or(200),
+            accounts: shared.accounts.unwrap_or(64),
+            lease_us: shared.lease_us.unwrap_or(200_000),
+            view_replicas: shared.view_replicas,
+            seed: shared.seed.unwrap_or(42),
         })
     }
+}
+
+/// The flags `zeus-node` and `zeus-procs` share, each `None` until given.
+#[derive(Debug, Default)]
+struct SharedFlags {
+    config: Option<PathBuf>,
+    ops: Option<u64>,
+    accounts: Option<u64>,
+    lease_us: Option<u64>,
+    view_replicas: Option<usize>,
+    seed: Option<u64>,
+}
+
+impl SharedFlags {
+    /// Reads `flag`'s value from `args` if it is a shared flag; `false` if
+    /// it is not one.
+    fn take(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--config" => self.config = Some(flag_value(flag, args)?),
+            "--ops" => self.ops = Some(flag_value(flag, args)?),
+            "--accounts" => self.accounts = Some(flag_value(flag, args)?),
+            "--lease-us" => self.lease_us = Some(flag_value(flag, args)?),
+            "--view-replicas" => self.view_replicas = Some(flag_value(flag, args)?),
+            "--seed" => self.seed = Some(flag_value(flag, args)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Loads the `--config` file, if one was given, and fills in the
+    /// tunables its `[cluster]` section sets that no flag did.
+    fn load_file(&mut self) -> Result<Option<ClusterFile>, String> {
+        let Some(path) = &self.config else {
+            return Ok(None);
+        };
+        let file = ClusterFile::load(path)?;
+        self.lease_us = self.lease_us.or(file.lease_us);
+        self.view_replicas = self.view_replicas.or(file.view_replicas);
+        Ok(Some(file))
+    }
+}
+
+/// The value after `flag`, parsed; the error names the flag.
+fn flag_value<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = args
+        .next()
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// xorshift64 — the same tiny deterministic generator the lossy socket
@@ -351,6 +365,72 @@ impl Default for HarnessOpts {
             log_dir: PathBuf::from("procs-logs"),
             seed: 42,
         }
+    }
+}
+
+impl HarnessOpts {
+    /// Parses `[--config cluster.toml] [--nodes 3] [--ops 150]
+    /// [--accounts 48] [--lease-us 200000] [--view-replicas 3] [--kill 0]
+    /// [--kill-after-ms 300] [--log-dir procs-logs] [--seed 42]
+    /// [--node-bin path/to/zeus-node]`. A cluster file's node table fixes
+    /// the cluster size and addresses; explicit flags override its
+    /// `[cluster]` values. `--node-bin` defaults to a `zeus-node` next to
+    /// the running executable.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<HarnessOpts, String> {
+        let mut opts = HarnessOpts::default();
+        let mut shared = SharedFlags::default();
+        let mut nodes: Option<usize> = None;
+        let mut node_bin: Option<PathBuf> = None;
+        while let Some(flag) = args.next() {
+            if shared.take(&flag, &mut args)? {
+                continue;
+            }
+            match flag.as_str() {
+                "--nodes" => nodes = Some(flag_value(&flag, &mut args)?),
+                "--kill" => opts.kill = Some(NodeId(flag_value(&flag, &mut args)?)),
+                "--kill-after-ms" => {
+                    opts.kill_after = Duration::from_millis(flag_value(&flag, &mut args)?)
+                }
+                "--log-dir" => opts.log_dir = flag_value(&flag, &mut args)?,
+                "--node-bin" => node_bin = Some(flag_value(&flag, &mut args)?),
+                other => return Err(format!("unknown flag {other}")),
+            }
+        }
+        if let Some(file) = shared.load_file()? {
+            opts.nodes = file.addrs.len();
+            opts.addrs = Some(file.addrs);
+            if let (Some(n), Some(path)) = (nodes, &shared.config) {
+                if n != opts.nodes {
+                    return Err(format!(
+                        "--nodes {n} conflicts with the {} [[node]] tables in {}",
+                        opts.nodes,
+                        path.display()
+                    ));
+                }
+            }
+        } else if let Some(n) = nodes {
+            opts.nodes = n;
+        }
+        opts.ops = shared.ops.unwrap_or(opts.ops);
+        opts.accounts = shared.accounts.unwrap_or(opts.accounts);
+        opts.lease_us = shared.lease_us.unwrap_or(opts.lease_us);
+        opts.view_replicas = shared.view_replicas;
+        opts.seed = shared.seed.unwrap_or(opts.seed);
+        opts.node_bin = match node_bin {
+            Some(p) => p,
+            None => {
+                let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+                me.parent()
+                    .ok_or("current_exe has no parent directory")?
+                    .join("zeus-node")
+            }
+        };
+        if let Some(victim) = opts.kill {
+            if victim.index() >= opts.nodes {
+                return Err(format!("--kill {} out of range", victim.0));
+            }
+        }
+        Ok(opts)
     }
 }
 
@@ -628,4 +708,75 @@ fn run_harness_inner(
         }
     }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn node(flags: &str) -> Result<NodeOpts, String> {
+        let args = format!("--id 0 --addrs 127.0.0.1:7000,127.0.0.1:7001 {flags}");
+        NodeOpts::parse(args.split_whitespace().map(String::from))
+    }
+
+    fn harness(flags: &str) -> Result<HarnessOpts, String> {
+        HarnessOpts::parse(flags.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn the_shared_flags_read_the_same_in_both_parsers() {
+        let flags = "--ops 7 --accounts 9 --lease-us 1234 --view-replicas 2 --seed 5";
+        let (n, h) = (node(flags).unwrap(), harness(flags).unwrap());
+        assert_eq!(
+            (n.ops, n.accounts, n.lease_us, n.view_replicas, n.seed),
+            (7, 9, 1234, Some(2), 5)
+        );
+        assert_eq!(
+            (h.ops, h.accounts, h.lease_us, h.view_replicas, h.seed),
+            (n.ops, n.accounts, n.lease_us, n.view_replicas, n.seed)
+        );
+    }
+
+    #[test]
+    fn a_bad_value_is_the_same_error_from_both_parsers() {
+        for flags in ["--ops x", "--lease-us -1", "--view-replicas", "--seed 1.5"] {
+            let err = node(flags).unwrap_err();
+            assert_eq!(harness(flags).unwrap_err(), err, "{flags}");
+            assert!(err.starts_with(flags.split(' ').next().unwrap()), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_explicit_flag_overrides_the_cluster_file() {
+        let path =
+            std::env::temp_dir().join(format!("zeus-procs-flags-{}.toml", std::process::id()));
+        std::fs::write(
+            &path,
+            "[cluster]\nview_replicas = 1\nlease_us = 9000\n\n[[node]]\nid = 0\naddr = \"127.0.0.1:7000\"\n\n[[node]]\nid = 1\naddr = \"127.0.0.1:7001\"\n",
+        )
+        .unwrap();
+        let config = format!("--config {}", path.display());
+        let n = NodeOpts::parse(
+            format!("--id 1 {config} --lease-us 50")
+                .split_whitespace()
+                .map(String::from),
+        )
+        .unwrap();
+        let h = harness(&format!("{config} --lease-us 50")).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            (n.lease_us, n.view_replicas, n.addrs.len()),
+            (50, Some(1), 2)
+        );
+        assert_eq!((h.lease_us, h.view_replicas, h.nodes), (50, Some(1), 2));
+    }
+
+    #[test]
+    fn a_kill_out_of_range_is_refused() {
+        assert_eq!(
+            harness("--nodes 3 --kill 3").unwrap_err(),
+            "--kill 3 out of range"
+        );
+        assert_eq!(harness("--nodes 3 --kill 2").unwrap().kill, Some(NodeId(2)));
+    }
 }

@@ -417,11 +417,6 @@ impl OwnershipEngine {
         self.enabled = enabled;
     }
 
-    /// Whether the protocol currently accepts requests.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Discards every piece of state that may be stale after this node was
     /// expelled from the view and re-admitted (false suspicion, restart, or
     /// scale-in/out cycle).
