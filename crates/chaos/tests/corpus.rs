@@ -2,7 +2,7 @@
 //! the shrunk repro of a bug the explorer once caught (the file name says
 //! which). Replaying them on every `cargo test` keeps those bugs fixed.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use zeus_chaos::{run_schedule, RunOptions, Schedule};
 
@@ -10,15 +10,20 @@ fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/chaos_corpus")
 }
 
-#[test]
-fn corpus_repros_stay_fixed() {
-    let dir = corpus_dir();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("corpus dir {}: {e}", dir.display()))
+/// Every `*.json` file under `dir`, sorted by path.
+fn json_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
         .collect();
     files.sort();
+    files
+}
+
+#[test]
+fn corpus_repros_stay_fixed() {
+    let files = json_files(&corpus_dir());
     assert!(
         !files.is_empty(),
         "the chaos corpus must not be empty — it is the regression net"
@@ -55,13 +60,7 @@ fn corpus_repros_stay_fixed_with_the_predictive_policy_live() {
     // protocol the repros stress, so this pins "the policy never re-opens
     // a fixed bug" — the exact hole the shrink-last-copy repro below was
     // minted from.
-    let dir = corpus_dir();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    files.sort();
+    let files = json_files(&corpus_dir());
     let options = RunOptions {
         policy: zeus_proto::PolicyKind::Predictive,
         ..RunOptions::default()
@@ -80,6 +79,31 @@ fn corpus_repros_stay_fixed_with_the_predictive_policy_live() {
         "corpus repros regressed under the predictive policy:\n{}",
         failures.join("\n")
     );
+}
+
+#[test]
+fn pending_repros_still_fail() {
+    // `tests/chaos_pending/` holds shrunk repros of bugs not fixed yet. Each
+    // must keep the corpus format and keep violating an oracle: a change
+    // that fixes or masks one moves its file into the corpus, where it must
+    // replay green.
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/chaos_pending");
+    for path in json_files(&dir) {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let schedule = Schedule::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            schedule.to_corpus_string(),
+            text,
+            "{}: corpus rendering drifted",
+            path.display()
+        );
+        let outcome = run_schedule(&schedule, &RunOptions::default());
+        assert!(
+            outcome.violation.is_some(),
+            "{} no longer fails: move it into tests/chaos_corpus/",
+            path.display()
+        );
+    }
 }
 
 #[test]

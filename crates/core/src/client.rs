@@ -536,8 +536,6 @@ pub enum AdminError {
         /// The operation that was requested.
         op: &'static str,
     },
-    /// A migration failed in the transaction layer.
-    Migrate(TxError),
 }
 
 impl std::fmt::Display for AdminError {
@@ -548,16 +546,14 @@ impl std::fmt::Display for AdminError {
             AdminError::Unsupported { op } => {
                 write!(f, "operation `{op}` is not supported by this driver")
             }
-            AdminError::Migrate(e) => write!(f, "migration failed: {e:?}"),
         }
     }
 }
 
 impl std::error::Error for AdminError {}
 
-/// The administrative surface of a cluster: membership mutation, fault
-/// injection and placement migration, obtained from
-/// [`ClusterDriver::admin`].
+/// The administrative surface of a cluster: membership mutation and fault
+/// injection, obtained from [`ClusterDriver::admin`].
 ///
 /// Every membership-mutating operation ([`expel`](Admin::expel),
 /// [`readmit`](Admin::readmit), and the crash/restart pair) is routed
@@ -631,13 +627,6 @@ impl<D: ClusterDriver + ?Sized> Admin<'_, D> {
     pub fn heal_all(&self) {
         self.driver.fault_heal_all();
     }
-
-    /// Migrates `object` to `to` (acquire-owner), returning the observed
-    /// ownership latency in microseconds.
-    pub fn migrate(&self, object: ObjectId, to: NodeId) -> Result<u64, AdminError> {
-        self.check(to)?;
-        self.driver.migrate(object, to).map_err(AdminError::Migrate)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -684,8 +673,8 @@ pub trait ClusterDriver {
     /// this is a no-op.
     fn quiesce(&self);
 
-    /// The administrative surface: membership mutation, fault injection and
-    /// migration, all behind one typed handle (see [`Admin`]).
+    /// The administrative surface: membership mutation and fault
+    /// injection, behind one typed handle (see [`Admin`]).
     fn admin(&self) -> Admin<'_, Self>
     where
         Self: Sized,

@@ -30,19 +30,19 @@ pub struct ZeusConfig {
     /// configurations; the chaos harness flips it to false to re-create the
     /// pre-fix expulsion wedge and prove the explorer catches it.
     pub readmit_suspects: bool,
-    /// Placement policy run by each node's locality engine. `Reactive` (the
-    /// default) is the null policy — placements only ever move on the
-    /// critical path of an access, byte-identical to the pre-engine
-    /// behavior. `Predictive` tracks per-object access patterns and
-    /// pre-provisions replicas (migrate ownership toward the trending
-    /// writer, widen replication for read-hot objects, shrink cold ones)
-    /// off the critical path.
+    /// Placement policy. `Reactive` (the default) builds no locality engine:
+    /// placements only ever move on the critical path of an access, as in
+    /// the paper. `Predictive` runs one per node, which tracks per-object
+    /// access patterns and pre-provisions replicas (migrate ownership toward
+    /// the trending writer, widen replication for read-hot objects, shrink
+    /// cold ones) off the critical path.
     pub policy: PolicyKind,
     /// Ticks between locality-policy planning rounds (also the tracker's
     /// EWMA decay interval). 1 tick = 1 us in the threaded runtimes.
     pub policy_interval_ticks: u64,
-    /// Placement actions each node may issue per policy interval (token
-    /// bucket with 2x burst); surplus candidates are deferred.
+    /// Placement actions each node may issue per policy interval, with a
+    /// burst of up to twice that; surplus candidates are deferred. 0 issues
+    /// none.
     pub policy_budget: u32,
 }
 

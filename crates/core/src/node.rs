@@ -993,7 +993,7 @@ impl ZeusNode {
                 // Placement adoption is only sound between directory
                 // replicas agreeing on the membership epoch: entries blessed
                 // under another view may name replicas that view pruned.
-                if epoch == self.membership.epoch() && self.config.directory().contains(&self.id) {
+                if epoch == self.membership.epoch() && self.ownership.is_directory_node() {
                     self.ownership
                         .adopt_directory_into(&entries, &mut ownership_out!(self));
                 }
@@ -1203,8 +1203,8 @@ impl ZeusNode {
             // than O(objects). Full digests flow on demand (DirPull from a
             // rejoiner) and after a view change (mark_all_dirty below).
             let entries = self.ownership.drain_dirty_digest();
-            if self.config.directory().contains(&self.id) && !entries.is_empty() {
-                for peer in self.config.directory() {
+            if self.ownership.is_directory_node() && !entries.is_empty() {
+                for peer in &self.ownership.directory().clone() {
                     if peer != self.id && self.membership.view().live.contains(&peer) {
                         let push = ViewMsg::DirPush {
                             from: self.id,
@@ -1510,15 +1510,15 @@ impl ZeusNode {
                     // view changes): schedule one full anti-entropy push so
                     // peers reconverge without waiting for per-object
                     // arbitration traffic.
-                    if self.config.directory().contains(&self.id) {
+                    if self.ownership.is_directory_node() {
                         self.ownership.mark_all_dirty();
                     }
                     // A re-admitted directory replica starts from amnesia:
                     // pull the committed placement metadata from its peers
                     // before arbitrating, so it cannot re-grant ownership the
                     // cluster already moved elsewhere while it was out.
-                    if rejoined.contains(&self.id) && self.config.directory().contains(&self.id) {
-                        for peer in self.config.directory() {
+                    if rejoined.contains(&self.id) && self.ownership.is_directory_node() {
+                        for peer in &self.ownership.directory().clone() {
                             if peer != self.id && view.live.contains(&peer) {
                                 self.send(peer, ViewMsg::DirPull { from: self.id });
                             }
@@ -1802,7 +1802,7 @@ mod tests {
         let tracker = node.locality.as_ref().expect("predictive").tracker();
         for object in [ObjectId(1), ObjectId(2)] {
             let stats = tracker.get(object).expect("tracked");
-            assert_eq!(stats.level, zeus_locality::TrackedLevel::Reader);
+            assert_eq!(stats.level, AccessLevel::Reader);
             assert_eq!(stats.remote_streak, 0);
         }
         assert_eq!(tracker.len(), 2);

@@ -1395,15 +1395,40 @@ mod tests {
             .with_retry(patient)
             .submit_write(|_| Err(TxError::ValidationFailed));
         // Asleep with the first write settled: no R-ACK is left to wake it.
-        until(|| {
+        let asleep = || {
             let cell = link.cell.lock().unwrap();
             cell.parked_until != 0 && cell.node.outstanding_commits() == 0
-        });
+        };
+        until(asleep);
         assert_eq!(parked.try_poll(), None);
 
         let boom = |_: &mut TxCtx<'_>| -> Result<(), TxError> { panic!("boom") };
         let outcome = if inline {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.submit_write(boom)))
+            // A heartbeat can wake the loop just as the caller submits, and
+            // the loop then runs the command instead. So it panics only on
+            // the caller's thread and aborts anywhere else: an abort means
+            // the caller lost that race, and it tries again once the loop is
+            // back asleep.
+            let caller = std::thread::current().id();
+            let boom_here = move |_: &mut TxCtx<'_>| -> Result<(), TxError> {
+                if std::thread::current().id() == caller {
+                    panic!("boom")
+                }
+                Err(TxError::UserAbort)
+            };
+            let mut lost = 0;
+            loop {
+                let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    session.submit_write(boom_here)
+                }));
+                let Ok(ticket) = submitted else {
+                    break submitted;
+                };
+                assert_eq!(ticket.wait(), Err(TxError::UserAbort));
+                lost += 1;
+                assert!(lost < 100, "the caller never found the node free");
+                until(asleep);
+            }
         } else {
             // The node looks busy, so the closure goes down the queue.
             let busy = link.cell.lock().unwrap();

@@ -3,27 +3,26 @@
 //! 2403.11221).
 //!
 //! Zeus's ownership protocol is *reactive*: an object moves only when a
-//! remote access pays the full 1.5-RTT handover. This crate adds the
-//! machinery to move placements *ahead* of the accesses instead:
+//! remote access pays the full 1.5-RTT handover. This crate moves
+//! placements *ahead* of the accesses instead. A deployment that stays
+//! reactive ([`PolicyKind::Reactive`], the default) builds no engine at all.
 //!
 //! * [`AccessTracker`] — a per-object, per-node view of local access rates
 //!   (EWMA of reads and writes per decay interval, in integer fixed point)
 //!   plus a remote-access streak: how many consecutive accesses could not
 //!   be served from the local replica. Cheap enough for the hot path — a
-//!   bounded map, no allocation per access, optional sampling for
-//!   admission of new objects.
-//! * [`PlacementPolicy`] — the decision rule. [`Reactive`] is the null
-//!   policy (never emits an action, byte-identical to not running the
-//!   engine). [`Predictive`] pre-migrates ownership toward the trending
-//!   accessor, widens replication for read-hot objects this node cannot
-//!   serve locally, and shrinks replication for objects that went cold.
-//! * [`TokenBucket`] — the action budget. Policy traffic rides the same
-//!   ownership protocol as foreground commits, so each node caps how many
-//!   placement actions it issues per decay interval; what does not fit is
-//!   counted as deferred and reconsidered next interval.
+//!   bounded map, no allocation per access.
+//! * The predictive policy — the decision rule: pre-migrate ownership toward
+//!   this node when it keeps writing an object remotely, widen replication
+//!   for read-hot objects it cannot serve locally, shrink replication for
+//!   objects that went cold.
 //! * [`LocalityEngine`] — the per-node assembly the runtimes embed: feed
 //!   accesses in, tick it on (simulated or real) time, get back the
 //!   placement actions to execute through the ordinary acquisition seam.
+//!   Policy traffic rides the same ownership protocol as foreground
+//!   commits, so the engine caps how many actions it issues per decay
+//!   interval; what does not fit is counted as deferred and reconsidered
+//!   next interval.
 //!
 //! Everything here is deterministic: rates are integer fixed point, decay
 //! is tick-driven, candidate ordering is by explicit priority with a
@@ -33,19 +32,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod budget;
 mod policy;
 mod tracker;
 
-pub use budget::TokenBucket;
-pub use policy::{PlacementAction, PlacementPolicy, PolicyConfig, Predictive, Reactive};
-pub use tracker::{AccessKind, AccessTracker, ObjectStats, TrackedLevel, TrackerConfig, RATE_ONE};
+pub use policy::PlacementAction;
+pub use tracker::{AccessKind, AccessTracker, ObjectStats, RATE_ONE};
 pub use zeus_proto::{PolicyKind, PolicyStats};
 
+use policy::Predictive;
 use zeus_proto::{AccessLevel, ObjectId};
 
-/// The per-node locality engine: tracker + policy + budget, driven by the
-/// hosting runtime's clock.
+/// The per-node locality engine: tracker + predictive policy + action
+/// budget, driven by the hosting runtime's clock.
 ///
 /// The runtime feeds every transactional access through
 /// [`LocalityEngine::record`], calls [`LocalityEngine::tick`] from its
@@ -56,39 +54,34 @@ use zeus_proto::{AccessLevel, ObjectId};
 #[derive(Debug)]
 pub struct LocalityEngine {
     tracker: AccessTracker,
-    policy: PolicyChoice,
-    bucket: TokenBucket,
+    policy: Predictive,
+    /// Actions issued per interval at a sustained rate.
+    budget: u32,
+    /// Actions that may still be issued: starts full, gains `budget` per
+    /// interval, holds at most two intervals' worth.
+    tokens: u32,
     stats: PolicyStats,
     interval_ticks: u64,
     last_interval: u64,
     plan_buf: Vec<PlacementAction>,
 }
 
-/// Static dispatch over the shipped policies (the trait stays open for
-/// tests and external experiments).
-#[derive(Debug)]
-enum PolicyChoice {
-    Reactive(Reactive),
-    Predictive(Predictive),
-}
-
 impl LocalityEngine {
-    /// Builds an engine for `kind` with the given decay/tick interval and
+    /// Builds an engine with the given decay/tick interval and
     /// per-interval action budget. `seed` feeds the predictive policy's
     /// tie-breaking so equal-priority candidates are ordered the same way
-    /// on every run.
+    /// on every run. `kind` must be [`PolicyKind::Predictive`]: the
+    /// reactive policy is the absence of an engine.
     pub fn new(kind: PolicyKind, interval_ticks: u64, budget_per_interval: u32, seed: u64) -> Self {
-        let policy = match kind {
-            PolicyKind::Reactive => PolicyChoice::Reactive(Reactive),
-            PolicyKind::Predictive => {
-                PolicyChoice::Predictive(Predictive::new(PolicyConfig::default(), seed))
-            }
-        };
+        assert!(
+            kind == PolicyKind::Predictive,
+            "the reactive policy runs no locality engine"
+        );
         LocalityEngine {
-            tracker: AccessTracker::new(TrackerConfig::default()),
-            policy,
-            // Burst capacity of two intervals' worth of refill.
-            bucket: TokenBucket::new(budget_per_interval.saturating_mul(2), budget_per_interval),
+            tracker: AccessTracker::default(),
+            policy: Predictive::new(seed),
+            budget: budget_per_interval,
+            tokens: budget_per_interval.saturating_mul(2),
             stats: PolicyStats::default(),
             interval_ticks: interval_ticks.max(1),
             last_interval: 0,
@@ -140,19 +133,20 @@ impl LocalityEngine {
         self.last_interval += elapsed * self.interval_ticks;
         for _ in 0..elapsed.min(64) {
             self.tracker.on_interval();
-            self.bucket.refill();
+            self.tokens = self
+                .tokens
+                .saturating_add(self.budget)
+                .min(self.budget.saturating_mul(2));
         }
         self.plan_buf.clear();
-        match &mut self.policy {
-            PolicyChoice::Reactive(p) => p.plan(&self.tracker, &mut self.plan_buf),
-            PolicyChoice::Predictive(p) => p.plan(&self.tracker, &mut self.plan_buf),
-        }
+        self.policy.plan(&self.tracker, &mut self.plan_buf);
         let mut taken = Vec::new();
         for action in self.plan_buf.drain(..) {
             if !admit(&action) {
                 continue;
             }
-            if self.bucket.try_take() {
+            if self.tokens > 0 {
+                self.tokens -= 1;
                 self.stats.actions_taken += 1;
                 match action {
                     PlacementAction::PreMigrate(_) => self.stats.premigrations += 1,
@@ -187,21 +181,37 @@ impl LocalityEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zeus_proto::AccessLevel;
 
     fn obj(n: u64) -> ObjectId {
         ObjectId(n)
     }
 
+    /// Records eight remote writes of each of `objects` objects, then
+    /// ticks at `now`; returns how many actions were issued.
+    fn write_hot_then_tick(eng: &mut LocalityEngine, objects: u64, now: u64) -> usize {
+        for o in 0..objects {
+            for _ in 0..8 {
+                eng.record(obj(o), AccessKind::Write, AccessLevel::NonReplica, false);
+            }
+        }
+        eng.tick(now, |_| true).len()
+    }
+
+    /// The reactive policy runs no engine at all, so it can never act:
+    /// building one for it is refused.
     #[test]
     fn reactive_engine_never_acts() {
-        let mut eng = LocalityEngine::new(PolicyKind::Reactive, 10, 4, 7);
-        for t in 0..50u64 {
-            eng.record(obj(1), AccessKind::Write, AccessLevel::NonReplica, false);
-            assert!(eng.tick(t, |_| true).is_empty());
-        }
-        assert_eq!(eng.stats().actions_taken, 0);
-        assert_eq!(eng.stats().actions_deferred, 0);
+        let built =
+            std::panic::catch_unwind(|| LocalityEngine::new(PolicyKind::Reactive, 10, 4, 7));
+        let refusal = built.expect_err("a reactive engine was built");
+        let message = refusal
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| refusal.downcast_ref::<String>().cloned());
+        assert_eq!(
+            message.as_deref(),
+            Some("the reactive policy runs no locality engine")
+        );
     }
 
     #[test]
@@ -218,16 +228,34 @@ mod tests {
     #[test]
     fn budget_defers_surplus_actions() {
         let mut eng = LocalityEngine::new(PolicyKind::Predictive, 10, 2, 7);
-        for o in 0..10u64 {
-            for _ in 0..8 {
-                eng.record(obj(o), AccessKind::Write, AccessLevel::NonReplica, false);
-            }
-        }
         // Burst capacity is 2x the per-interval refill.
-        let actions = eng.tick(10, |_| true);
-        assert_eq!(actions.len(), 4);
+        assert_eq!(write_hot_then_tick(&mut eng, 10, 10), 4);
         assert_eq!(eng.stats().actions_taken, 4);
         assert_eq!(eng.stats().actions_deferred, 6);
+    }
+
+    #[test]
+    fn the_budget_refills_per_interval_and_saturates_at_twice_that() {
+        let mut eng = LocalityEngine::new(PolicyKind::Predictive, 10, 2, 7);
+        assert_eq!(write_hot_then_tick(&mut eng, 10, 10), 4, "starts full");
+        assert_eq!(
+            write_hot_then_tick(&mut eng, 10, 20),
+            2,
+            "one interval refills one budget"
+        );
+        assert_eq!(
+            write_hot_then_tick(&mut eng, 10, 70),
+            4,
+            "five intervals refill no more than twice the budget"
+        );
+    }
+
+    #[test]
+    fn a_zero_budget_issues_nothing() {
+        let mut eng = LocalityEngine::new(PolicyKind::Predictive, 10, 0, 7);
+        assert_eq!(write_hot_then_tick(&mut eng, 1, 10), 0);
+        assert_eq!(eng.stats().actions_taken, 0);
+        assert_eq!(eng.stats().actions_deferred, 1);
     }
 
     #[test]

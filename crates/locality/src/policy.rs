@@ -1,9 +1,9 @@
-//! Placement policies: the decision rule turning tracked access patterns
-//! into placement actions.
+//! The predictive placement policy: the decision rule turning tracked
+//! access patterns into placement actions.
 
-use zeus_proto::ObjectId;
+use zeus_proto::{AccessLevel, ObjectId};
 
-use crate::tracker::{AccessTracker, TrackedLevel, RATE_ONE};
+use crate::tracker::{AccessTracker, RATE_ONE};
 
 /// A placement change the policy wants, always expressed *toward the node
 /// running the policy* (each node only tracks its own accesses, so every
@@ -30,62 +30,26 @@ impl PlacementAction {
     }
 }
 
-/// A placement policy: inspects the tracker, pushes desired actions in
-/// priority order (most important first — the budget truncates the tail).
-pub trait PlacementPolicy {
-    /// The policy's CLI/report spelling.
-    fn name(&self) -> &'static str;
-    /// Plans this interval's actions.
-    fn plan(&mut self, tracker: &AccessTracker, out: &mut Vec<PlacementAction>);
-}
+// Thresholds, in `RATE_ONE` fixed point (one access per decay interval =
+// `RATE_ONE`).
 
-/// The null policy: placement changes only ever happen reactively, on the
-/// critical path of an access. Running this is byte-identical to not
-/// running a policy at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Reactive;
-
-impl PlacementPolicy for Reactive {
-    fn name(&self) -> &'static str {
-        "reactive"
-    }
-    fn plan(&mut self, _tracker: &AccessTracker, _out: &mut Vec<PlacementAction>) {}
-}
-
-/// Thresholds of the [`Predictive`] policy, in [`RATE_ONE`] fixed point
-/// (one access per decay interval = `RATE_ONE`).
-#[derive(Debug, Clone)]
-pub struct PolicyConfig {
-    /// Combined read+write rate above which an object counts as trending
-    /// toward this node.
-    pub hot_rate: u32,
-    /// Read rate above which a non-replica widens replication to itself.
-    pub read_hot_rate: u32,
-    /// Remote-access streak required before acting: one stray remote
-    /// access must not move a placement.
-    pub min_streak: u16,
-    /// Idle intervals after which a reader replica of a cold object is
-    /// shrunk away.
-    pub cold_intervals: u64,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        PolicyConfig {
-            hot_rate: RATE_ONE / 2,
-            read_hot_rate: RATE_ONE / 2,
-            min_streak: 2,
-            cold_intervals: 16,
-        }
-    }
-}
+/// Combined read+write rate above which an object counts as trending
+/// toward this node.
+const HOT_RATE: u32 = RATE_ONE / 2;
+/// Read rate above which a non-replica widens replication to itself.
+const READ_HOT_RATE: u32 = RATE_ONE / 2;
+/// Remote-access streak required before acting: one stray remote access
+/// must not move a placement.
+const MIN_STREAK: u16 = 2;
+/// Idle intervals after which a reader replica of a cold object is shrunk
+/// away.
+const COLD_INTERVALS: u64 = 16;
 
 /// The Lion-style predictive policy: pre-migrate ownership of objects this
 /// node keeps writing remotely, widen replication for objects it keeps
 /// reading remotely, shrink replicas it stopped using.
 #[derive(Debug, Clone)]
-pub struct Predictive {
-    cfg: PolicyConfig,
+pub(crate) struct Predictive {
     seed: u64,
 }
 
@@ -93,40 +57,34 @@ impl Predictive {
     /// Builds the policy; `seed` orders equal-priority candidates (the
     /// tie-break is a seeded hash, so runs with equal seeds replay the
     /// same action order and no object id is systematically favored).
-    pub fn new(cfg: PolicyConfig, seed: u64) -> Self {
-        Predictive { cfg, seed }
+    pub(crate) fn new(seed: u64) -> Self {
+        Predictive { seed }
     }
 
     fn tie_break(&self, object: ObjectId) -> u64 {
         splitmix64(self.seed ^ object.0.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
-}
 
-impl PlacementPolicy for Predictive {
-    fn name(&self) -> &'static str {
-        "predictive"
-    }
-
-    fn plan(&mut self, tracker: &AccessTracker, out: &mut Vec<PlacementAction>) {
+    /// Pushes this interval's desired actions onto `out` in priority order
+    /// (most important first: the budget truncates the tail).
+    pub(crate) fn plan(&self, tracker: &AccessTracker, out: &mut Vec<PlacementAction>) {
         // (priority class, seeded tie-break, action); lower sorts first.
         let mut candidates: Vec<(u8, u64, PlacementAction)> = Vec::new();
         for (object, s) in tracker.iter_sorted() {
-            let trending = s.total_rate() >= self.cfg.hot_rate;
-            let streaking = s.remote_streak >= self.cfg.min_streak;
+            let trending = s.total_rate() >= HOT_RATE;
+            let streaking = s.remote_streak >= MIN_STREAK;
             match s.level {
                 // This node keeps paying remote accesses for a hot object:
                 // writes (or a mixed pattern) pull ownership here; a pure
                 // read pattern only needs a reader replica.
-                TrackedLevel::NonReplica | TrackedLevel::Reader if trending && streaking => {
+                AccessLevel::NonReplica | AccessLevel::Reader if trending && streaking => {
                     if s.write_rate * 2 >= s.read_rate && s.write_rate > 0 {
                         candidates.push((
                             0,
                             self.tie_break(object),
                             PlacementAction::PreMigrate(object),
                         ));
-                    } else if s.read_rate >= self.cfg.read_hot_rate
-                        && s.level == TrackedLevel::NonReplica
-                    {
+                    } else if s.read_rate >= READ_HOT_RATE && s.level == AccessLevel::NonReplica {
                         candidates.push((
                             1,
                             self.tie_break(object),
@@ -136,10 +94,10 @@ impl PlacementPolicy for Predictive {
                 }
                 // A reader replica nobody here has touched for a while:
                 // shrink it so the commit protocol stops invalidating it.
-                TrackedLevel::Reader
+                AccessLevel::Reader
                     if s.total_rate() == 0
                         && tracker.interval().saturating_sub(s.last_access_interval)
-                            >= self.cfg.cold_intervals =>
+                            >= COLD_INTERVALS =>
                 {
                     candidates.push((2, self.tie_break(object), PlacementAction::Shrink(object)));
                 }
@@ -162,8 +120,7 @@ fn splitmix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracker::{AccessKind, TrackerConfig};
-    use zeus_proto::AccessLevel;
+    use crate::tracker::AccessKind;
 
     fn obj(n: u64) -> ObjectId {
         ObjectId(n)
@@ -175,7 +132,7 @@ mod tests {
         }
     }
 
-    fn plan(policy: &mut Predictive, t: &AccessTracker) -> Vec<PlacementAction> {
+    fn plan(policy: &Predictive, t: &AccessTracker) -> Vec<PlacementAction> {
         let mut out = Vec::new();
         policy.plan(t, &mut out);
         out
@@ -183,77 +140,77 @@ mod tests {
 
     #[test]
     fn write_hot_remote_objects_premigrate() {
-        let mut t = AccessTracker::new(TrackerConfig::default());
+        let mut t = AccessTracker::default();
         hot_remote(&mut t, obj(1), AccessKind::Write);
         t.on_interval();
-        let mut p = Predictive::new(PolicyConfig::default(), 7);
-        assert_eq!(plan(&mut p, &t), vec![PlacementAction::PreMigrate(obj(1))]);
+        let p = Predictive::new(7);
+        assert_eq!(plan(&p, &t), vec![PlacementAction::PreMigrate(obj(1))]);
     }
 
     #[test]
     fn read_hot_remote_objects_widen_instead_of_migrating() {
-        let mut t = AccessTracker::new(TrackerConfig::default());
+        let mut t = AccessTracker::default();
         hot_remote(&mut t, obj(2), AccessKind::Read);
         t.on_interval();
-        let mut p = Predictive::new(PolicyConfig::default(), 7);
-        assert_eq!(plan(&mut p, &t), vec![PlacementAction::Widen(obj(2))]);
+        let p = Predictive::new(7);
+        assert_eq!(plan(&p, &t), vec![PlacementAction::Widen(obj(2))]);
     }
 
     #[test]
     fn cold_reader_replicas_shrink_after_the_idle_window() {
-        let mut t = AccessTracker::new(TrackerConfig::default());
+        let mut t = AccessTracker::default();
         t.record(obj(3), AccessKind::Read, AccessLevel::Reader, true);
-        let cfg = PolicyConfig::default();
-        let mut p = Predictive::new(cfg.clone(), 7);
-        for _ in 0..cfg.cold_intervals + 8 {
+        let p = Predictive::new(7);
+        for _ in 0..COLD_INTERVALS + 8 {
             t.on_interval();
         }
-        assert_eq!(plan(&mut p, &t), vec![PlacementAction::Shrink(obj(3))]);
+        assert_eq!(plan(&p, &t), vec![PlacementAction::Shrink(obj(3))]);
     }
 
     #[test]
     fn single_stray_access_does_not_move_a_placement() {
-        let mut t = AccessTracker::new(TrackerConfig::default());
-        // One remote write: streak 1 < min_streak 2, and rate is modest.
+        let mut t = AccessTracker::default();
+        // One remote write: streak 1 < MIN_STREAK, and the rate is modest.
         t.record(obj(4), AccessKind::Write, AccessLevel::NonReplica, false);
         t.on_interval();
-        let mut p = Predictive::new(PolicyConfig::default(), 7);
-        assert!(plan(&mut p, &t).is_empty());
+        let p = Predictive::new(7);
+        assert!(plan(&p, &t).is_empty());
     }
 
     #[test]
     fn locally_served_hot_objects_need_no_action() {
-        let mut t = AccessTracker::new(TrackerConfig::default());
+        let mut t = AccessTracker::default();
         for _ in 0..8 {
             t.record(obj(5), AccessKind::Write, AccessLevel::Owner, true);
         }
         t.on_interval();
-        let mut p = Predictive::new(PolicyConfig::default(), 7);
-        assert!(plan(&mut p, &t).is_empty());
+        let p = Predictive::new(7);
+        assert!(plan(&p, &t).is_empty());
     }
 
     #[test]
     fn premigrations_sort_ahead_of_widens_with_seeded_tie_break() {
-        let mut t = AccessTracker::new(TrackerConfig::default());
+        let mut t = AccessTracker::default();
         hot_remote(&mut t, obj(10), AccessKind::Read);
         hot_remote(&mut t, obj(11), AccessKind::Write);
         hot_remote(&mut t, obj(12), AccessKind::Write);
         t.on_interval();
-        let mut p = Predictive::new(PolicyConfig::default(), 7);
-        let actions = plan(&mut p, &t);
+        let p = Predictive::new(7);
+        let actions = plan(&p, &t);
         assert_eq!(actions.len(), 3);
         assert!(matches!(actions[0], PlacementAction::PreMigrate(_)));
         assert!(matches!(actions[1], PlacementAction::PreMigrate(_)));
         assert_eq!(actions[2], PlacementAction::Widen(obj(10)));
         // Deterministic across runs with the same seed...
-        let mut p2 = Predictive::new(PolicyConfig::default(), 7);
-        assert_eq!(plan(&mut p2, &t), actions);
+        assert_eq!(plan(&Predictive::new(7), &t), actions);
         // ...and the premigration pair's order is seed-dependent, not a
         // fixed low-id-first bias.
         let orders: std::collections::HashSet<Vec<u64>> = (0..16u64)
             .map(|seed| {
-                let mut p = Predictive::new(PolicyConfig::default(), seed);
-                plan(&mut p, &t)[..2].iter().map(|a| a.object().0).collect()
+                plan(&Predictive::new(seed), &t)[..2]
+                    .iter()
+                    .map(|a| a.object().0)
+                    .collect()
             })
             .collect();
         assert!(orders.len() > 1, "tie-break never varied across 16 seeds");

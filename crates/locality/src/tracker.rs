@@ -26,36 +26,18 @@ pub enum AccessKind {
     Write,
 }
 
-/// Tracker sizing and decay knobs.
-#[derive(Debug, Clone)]
-pub struct TrackerConfig {
-    /// Maximum tracked objects. The map is pre-allocated at this capacity
-    /// and never grows: accesses to new objects beyond it are counted in
-    /// [`AccessTracker::sampled_out`] and dropped (existing entries keep
-    /// updating), so the hot path never allocates.
-    pub capacity: usize,
-    /// Admission sampling: a new object is admitted to the tracker only on
-    /// every `2^sample_shift`-th access (0 = admit on first access).
-    /// Accesses to already-tracked objects always count.
-    pub sample_shift: u32,
-    /// EWMA half-life control: each interval keeps `1 - 1/2^decay_shift`
-    /// of the rate and blends the new interval's count in at weight
-    /// `1/2^decay_shift`.
-    pub decay_shift: u32,
-    /// Saturation cap for the remote-access streak counter.
-    pub streak_cap: u16,
-}
+/// Maximum tracked objects. The map is pre-allocated at this capacity and
+/// never grows: accesses to new objects beyond it are counted in
+/// [`AccessTracker::dropped`] and dropped (existing entries keep updating),
+/// so the hot path never allocates.
+const CAPACITY: usize = 4096;
 
-impl Default for TrackerConfig {
-    fn default() -> Self {
-        TrackerConfig {
-            capacity: 4096,
-            sample_shift: 0,
-            decay_shift: 2,
-            streak_cap: 64,
-        }
-    }
-}
+/// EWMA half-life control: each interval keeps `1 - 1/2^DECAY_SHIFT` of the
+/// rate and blends the new interval's count in at weight `1/2^DECAY_SHIFT`.
+const DECAY_SHIFT: u32 = 2;
+
+/// Saturation cap for the remote-access streak counter.
+const STREAK_CAP: u16 = 64;
 
 /// Tracked state of one object at one node.
 #[derive(Debug, Clone, Default)]
@@ -68,33 +50,11 @@ pub struct ObjectStats {
     pub remote_streak: u16,
     /// The node's access level as of the last access (or the last
     /// placement note).
-    pub level: TrackedLevel,
+    pub level: AccessLevel,
     /// Interval index of the most recent access.
     pub last_access_interval: u64,
     reads_this_interval: u32,
     writes_this_interval: u32,
-}
-
-/// [`AccessLevel`] with a compact default for freshly-admitted entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrackedLevel {
-    /// Owner replica.
-    Owner,
-    /// Reader replica.
-    Reader,
-    /// No local replica.
-    #[default]
-    NonReplica,
-}
-
-impl From<AccessLevel> for TrackedLevel {
-    fn from(l: AccessLevel) -> TrackedLevel {
-        match l {
-            AccessLevel::Owner => TrackedLevel::Owner,
-            AccessLevel::Reader => TrackedLevel::Reader,
-            AccessLevel::NonReplica => TrackedLevel::NonReplica,
-        }
-    }
 }
 
 impl ObjectStats {
@@ -111,38 +71,33 @@ impl ObjectStats {
             && self.remote_streak == 0
             // A tracked reader entry stays alive even at rate zero: it is
             // exactly the shrink candidate the policy wants to see.
-            && self.level != TrackedLevel::Reader
+            && self.level != AccessLevel::Reader
     }
 }
 
 /// Bounded, allocation-free-per-access map of [`ObjectStats`].
 #[derive(Debug)]
 pub struct AccessTracker {
-    cfg: TrackerConfig,
     entries: HashMap<ObjectId, ObjectStats>,
     /// Completed decay intervals.
     interval: u64,
-    /// Accesses dropped by the admission cap or sampling.
-    sampled_out: u64,
-    /// Monotonic access counter driving the admission sampler.
-    access_clock: u64,
+    /// Accesses to new objects dropped by the capacity cap.
+    dropped: u64,
+}
+
+impl Default for AccessTracker {
+    fn default() -> Self {
+        AccessTracker {
+            entries: HashMap::with_capacity(CAPACITY),
+            interval: 0,
+            dropped: 0,
+        }
+    }
 }
 
 impl AccessTracker {
-    /// Creates a tracker with the given sizing.
-    pub fn new(cfg: TrackerConfig) -> Self {
-        let capacity = cfg.capacity.max(1);
-        AccessTracker {
-            cfg,
-            entries: HashMap::with_capacity(capacity),
-            interval: 0,
-            sampled_out: 0,
-            access_clock: 0,
-        }
-    }
-
-    /// Records one access. O(1), no allocation once the map reached its
-    /// configured capacity (the map is pre-allocated to it).
+    /// Records one access. O(1), no allocation: the map is pre-allocated to
+    /// `CAPACITY`.
     pub fn record(
         &mut self,
         object: ObjectId,
@@ -150,30 +105,22 @@ impl AccessTracker {
         level: AccessLevel,
         served_locally: bool,
     ) {
-        self.access_clock = self.access_clock.wrapping_add(1);
-        let interval = self.interval;
-        let cfg_cap = self.cfg.capacity.max(1);
-        let streak_cap = self.cfg.streak_cap;
-        let sample_mask = (1u64 << self.cfg.sample_shift.min(63)) - 1;
-        if !self.entries.contains_key(&object) {
-            // Admission: capacity-capped and (optionally) sampled.
-            if self.entries.len() >= cfg_cap || (self.access_clock & sample_mask) != 0 {
-                self.sampled_out += 1;
-                return;
-            }
+        if self.entries.len() >= CAPACITY && !self.entries.contains_key(&object) {
+            self.dropped += 1;
+            return;
         }
         let e = self.entries.entry(object).or_default();
         match kind {
             AccessKind::Read => e.reads_this_interval = e.reads_this_interval.saturating_add(1),
             AccessKind::Write => e.writes_this_interval = e.writes_this_interval.saturating_add(1),
         }
-        e.level = level.into();
-        e.last_access_interval = interval;
-        if served_locally {
-            e.remote_streak = 0;
+        e.level = level;
+        e.last_access_interval = self.interval;
+        e.remote_streak = if served_locally {
+            0
         } else {
-            e.remote_streak = e.remote_streak.saturating_add(1).min(streak_cap);
-        }
+            e.remote_streak.saturating_add(1).min(STREAK_CAP)
+        };
     }
 
     /// Folds a placement change in without an access: the node completed
@@ -187,7 +134,7 @@ impl AccessTracker {
             return;
         }
         if let Some(e) = self.entries.get_mut(&object) {
-            e.level = level.into();
+            e.level = level;
             e.remote_streak = 0;
         }
     }
@@ -196,14 +143,13 @@ impl AccessTracker {
     /// counts into its EWMA rates, evicts entries that decayed to nothing,
     /// and advances the interval index.
     pub fn on_interval(&mut self) {
-        let shift = self.cfg.decay_shift.clamp(1, 16);
         self.entries.retain(|_, e| {
             // Subtract at least 1 per idle interval: a pure `rate >> shift`
             // decay stalls at small rates (3 >> 2 == 0) and the entry would
             // never cool to zero or be evicted.
             let blend = |rate: u32, count: u32| {
-                rate.saturating_sub((rate >> shift).max(1))
-                    + ((count.saturating_mul(RATE_ONE)) >> shift)
+                rate.saturating_sub((rate >> DECAY_SHIFT).max(1))
+                    + ((count.saturating_mul(RATE_ONE)) >> DECAY_SHIFT)
             };
             e.read_rate = blend(e.read_rate, e.reads_this_interval);
             e.write_rate = blend(e.write_rate, e.writes_this_interval);
@@ -219,9 +165,9 @@ impl AccessTracker {
         self.interval
     }
 
-    /// Accesses dropped by the admission cap or sampling.
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out
+    /// Accesses to new objects dropped by the capacity cap.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// Stats for one object, if tracked.
@@ -256,13 +202,9 @@ mod tests {
         ObjectId(n)
     }
 
-    fn tracker() -> AccessTracker {
-        AccessTracker::new(TrackerConfig::default())
-    }
-
     #[test]
     fn ewma_rises_under_load_and_decays_when_idle() {
-        let mut t = tracker();
+        let mut t = AccessTracker::default();
         for _ in 0..4 {
             t.record(obj(1), AccessKind::Write, AccessLevel::Owner, true);
         }
@@ -286,19 +228,19 @@ mod tests {
 
     #[test]
     fn reader_entries_survive_decay_for_the_shrink_policy() {
-        let mut t = tracker();
+        let mut t = AccessTracker::default();
         t.record(obj(2), AccessKind::Read, AccessLevel::Reader, true);
         for _ in 0..80 {
             t.on_interval();
         }
         let e = t.get(obj(2)).expect("reader entry retained");
         assert_eq!(e.read_rate, 0);
-        assert_eq!(e.level, TrackedLevel::Reader);
+        assert_eq!(e.level, AccessLevel::Reader);
     }
 
     #[test]
     fn remote_streak_counts_consecutive_misses_and_resets_on_local_service() {
-        let mut t = tracker();
+        let mut t = AccessTracker::default();
         for _ in 0..3 {
             t.record(obj(3), AccessKind::Write, AccessLevel::NonReplica, false);
         }
@@ -309,48 +251,32 @@ mod tests {
 
     #[test]
     fn note_placement_clears_streak_and_forgets_dropped_replicas() {
-        let mut t = tracker();
+        let mut t = AccessTracker::default();
         t.record(obj(4), AccessKind::Read, AccessLevel::NonReplica, false);
         t.note_placement(obj(4), AccessLevel::Reader);
         let e = t.get(obj(4)).unwrap();
         assert_eq!(e.remote_streak, 0);
-        assert_eq!(e.level, TrackedLevel::Reader);
+        assert_eq!(e.level, AccessLevel::Reader);
         t.note_placement(obj(4), AccessLevel::NonReplica);
         assert!(t.get(obj(4)).is_none());
     }
 
     #[test]
     fn capacity_cap_drops_new_objects_without_allocating() {
-        let mut t = AccessTracker::new(TrackerConfig {
-            capacity: 2,
-            ..TrackerConfig::default()
-        });
-        t.record(obj(1), AccessKind::Write, AccessLevel::Owner, true);
-        t.record(obj(2), AccessKind::Write, AccessLevel::Owner, true);
-        t.record(obj(3), AccessKind::Write, AccessLevel::Owner, true);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.sampled_out(), 1);
-        // Existing entries keep counting.
-        t.record(obj(1), AccessKind::Write, AccessLevel::Owner, true);
-        assert_eq!(t.sampled_out(), 1);
-    }
-
-    #[test]
-    fn admission_sampling_admits_every_nth_new_object() {
-        let mut t = AccessTracker::new(TrackerConfig {
-            sample_shift: 2, // admit on every 4th access
-            ..TrackerConfig::default()
-        });
-        for o in 1..=8u64 {
-            t.record(obj(o), AccessKind::Read, AccessLevel::Reader, true);
+        let mut t = AccessTracker::default();
+        for o in 0..=CAPACITY as u64 {
+            t.record(obj(o), AccessKind::Write, AccessLevel::Owner, true);
         }
-        assert_eq!(t.len(), 2, "two of eight first-touches admitted");
-        assert_eq!(t.sampled_out(), 6);
+        assert_eq!(t.len(), CAPACITY);
+        assert_eq!(t.dropped(), 1);
+        // Existing entries keep counting.
+        t.record(obj(0), AccessKind::Write, AccessLevel::Owner, true);
+        assert_eq!(t.dropped(), 1);
     }
 
     #[test]
     fn iteration_order_is_sorted_by_object_id() {
-        let mut t = tracker();
+        let mut t = AccessTracker::default();
         for o in [5u64, 1, 9, 3] {
             t.record(obj(o), AccessKind::Read, AccessLevel::Reader, true);
         }

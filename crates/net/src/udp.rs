@@ -91,18 +91,6 @@ pub struct UdpConfig {
     pub loss: Option<LossyConfig>,
 }
 
-impl UdpConfig {
-    /// Config with [`RttConfig::udp_default`] timeouts and no loss.
-    pub fn new(local: NodeId, peers: Vec<SocketAddr>) -> Self {
-        UdpConfig {
-            local,
-            peers,
-            rtt: RttConfig::udp_default(),
-            loss: None,
-        }
-    }
-}
-
 /// Encodes one reliable-layer message as a datagram frame:
 /// `magic · from · boot · kind · seq/cumack · payload`.
 pub fn encode_frame<M: Wire>(from: NodeId, boot: u32, msg: &ReliableMsg<M>) -> Vec<u8> {
@@ -395,11 +383,6 @@ impl<M: Wire + Clone + Send + 'static> UdpTransport<M> {
             shutdown,
             reader: Some(reader),
         })
-    }
-
-    /// The address this transport's socket is bound to.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.shared.socket.local_addr()
     }
 
     /// The smoothed RTT estimate toward `peer`, if sampled yet.

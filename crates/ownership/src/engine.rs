@@ -353,8 +353,8 @@ impl OwnershipEngine {
     }
 
     /// The directory replica set.
-    pub fn directory(&self) -> &[NodeId] {
-        self.directory.as_slice()
+    pub fn directory(&self) -> &NodeSet {
+        &self.directory
     }
 
     /// Whether this node is a directory replica.

@@ -21,17 +21,6 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Parses the spelling used by CLI flags and config keys.
-    pub fn parse(s: &str) -> Result<PolicyKind, String> {
-        match s {
-            "reactive" => Ok(PolicyKind::Reactive),
-            "predictive" => Ok(PolicyKind::Predictive),
-            other => Err(format!(
-                "unknown policy '{other}' (expected reactive|predictive)"
-            )),
-        }
-    }
-
     /// The CLI/config spelling.
     pub fn name(self) -> &'static str {
         match self {
@@ -63,10 +52,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_both_spellings() {
-        assert_eq!(PolicyKind::parse("reactive"), Ok(PolicyKind::Reactive));
-        assert_eq!(PolicyKind::parse("predictive"), Ok(PolicyKind::Predictive));
-        assert!(PolicyKind::parse("clairvoyant").is_err());
+    fn names_both_spellings() {
+        assert_eq!(PolicyKind::Reactive.name(), "reactive");
         assert_eq!(PolicyKind::Predictive.name(), "predictive");
     }
 }

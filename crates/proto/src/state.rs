@@ -14,13 +14,14 @@ use crate::nodeset::NodeSet;
 /// * A **reader** stores the object data and may serve local read-only
 ///   transactions, but may not execute write transactions on the object.
 /// * A **non-replica** stores neither data nor metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum AccessLevel {
     /// Exclusive writer and replica of the object.
     Owner,
     /// Non-owner replica with read access.
     Reader,
     /// Node without data or access rights for the object.
+    #[default]
     NonReplica,
 }
 
@@ -63,9 +64,6 @@ pub enum OState {
     /// An ownership request has been observed (INV received) but not yet
     /// validated; metadata may not be served.
     Invalid,
-    /// The local node has issued an ownership request and is waiting for it
-    /// to complete (requester side).
-    Request,
     /// The local node is driving an ownership request (directory side).
     Drive,
 }
@@ -75,7 +73,6 @@ impl fmt::Display for OState {
         let s = match self {
             OState::Valid => "Valid",
             OState::Invalid => "Invalid",
-            OState::Request => "Request",
             OState::Drive => "Drive",
         };
         f.write_str(s)
