@@ -222,7 +222,7 @@ impl OwnershipSink for OwnershipOut<'_> {
                 }
             }
             OwnershipAction::DemoteSelf { object, level } => {
-                // The ownership we are driving away must stop being
+                // The ownership this node gives away must stop being
                 // locally writable right now; the VAL installs the full
                 // placement later.
                 self.store.with_mut(object, |e| e.level = level);
@@ -433,7 +433,6 @@ impl ZeusNode {
         let view = ViewReplica::new(
             id,
             config.view_replica_set(),
-            config.all_nodes(),
             (config.lease_ticks / 4).max(1),
             config.lease_ticks,
         );
@@ -907,39 +906,12 @@ impl ZeusNode {
                 if self.spare_boxes.len() < SPARE_OWNERSHIP_BOXES {
                     self.spare_boxes.push(boxed);
                 }
-                // If we are the current owner and this invalidation will
-                // transfer ownership away, stop treating the object as
-                // writable *now*: the value we ship in our ACK must remain
-                // the latest, so no further local write may slip in between
-                // the INV and the VAL. (Pending reliable commits make the
-                // engine NACK instead, so nothing already committed is
-                // affected.)
-                let demote = match &m {
-                    OwnershipMsg::Inv {
-                        object,
-                        new_replicas,
-                        ..
-                    } if self.owns(*object)
-                        && new_replicas.level_of(self.id) != AccessLevel::Owner
-                        && !self.commit.object_has_pending_commit(*object)
-                        && !self
-                            .store
-                            .with(*object, |e| e.has_pending_commits())
-                            .unwrap_or(false) =>
-                    {
-                        Some((*object, new_replicas.level_of(self.id)))
-                    }
-                    _ => None,
-                };
                 let host = HostView {
                     store: &self.store,
                     commit: &self.commit,
                 };
                 self.ownership
                     .handle_message_into(from, m, &host, &mut ownership_out!(self));
-                if let Some((object, level)) = demote {
-                    self.store.with_mut(object, |e| e.level = level);
-                }
             }
             Message::Commit(m) => {
                 let mut out = CommitOut::new(&mut self.outbox, &self.store);
@@ -1000,7 +972,8 @@ impl ZeusNode {
             }
             other => {
                 let mut events = Vec::new();
-                self.view.on_message(other, self.now, &mut events);
+                self.view
+                    .on_message(self.membership.view(), other, self.now, &mut events);
                 self.process_view_events(events);
             }
         }
@@ -1094,11 +1067,13 @@ impl ZeusNode {
     /// next directory push, a view-service retry, the next policy round,
     /// and — only while a commit, a request or an arbitration is
     /// outstanding — the next retransmission. Work a tick does on every
-    /// call is due at `now + 1`: renewing the peers after an isolation,
-    /// re-asserting a suspicion, the view replica's bookkeeping of its
-    /// intents and reaping the policy's requests while any is in flight. A
-    /// runtime may sleep until then. **May be early, never late**: `tick(t)`
-    /// for any `t` before it sends nothing and changes no protocol state.
+    /// call is due at `now + 1`: renewing the peers after an isolation, the
+    /// view replica's bookkeeping of its intents and reaping the policy's
+    /// requests while any is in flight. A standing suspicion is not: a tick
+    /// that runs re-reports it, but the view replica already holds it as an
+    /// intent. A runtime may sleep until then. **May be early, never
+    /// late**: `tick(t)` for any `t` before it sends nothing and changes no
+    /// protocol state.
     /// (It may still move the retransmission phase, which no message shows
     /// until the next re-send is due; [`ZeusNode::tick`] accounts for that
     /// itself.) That also holds
@@ -1112,7 +1087,7 @@ impl ZeusNode {
     pub fn next_timer(&self, now: u64) -> u64 {
         let mut next = self.membership.next_timer(now);
         next = next.min(self.last_dir_push.saturating_add(self.dir_push_cadence()));
-        if let Some(at) = self.view.next_timer(now) {
+        if let Some(at) = self.view.next_timer(self.membership.view(), now) {
             next = next.min(at);
         }
         // A fenced or recovering node defers planning until a message lifts
@@ -1189,7 +1164,8 @@ impl ZeusNode {
         let events = self.membership.tick(self.now);
         self.process_membership_events(events);
         let mut view_events = Vec::new();
-        self.view.tick(self.now, &mut view_events);
+        self.view
+            .tick(self.membership.view(), self.now, &mut view_events);
         self.process_view_events(view_events);
         // Directory anti-entropy (heartbeat cadence): push the local
         // placement digest to the other live directory replicas. Receivers
@@ -1443,9 +1419,10 @@ impl ZeusNode {
                 MembershipEvent::Broadcast(msg) => self.broadcast(Message::Membership(msg)),
                 MembershipEvent::Send { to, msg } => self.send(to, Message::Membership(msg)),
                 MembershipEvent::SuspectsExpired(dead) => {
-                    // The failure detector keeps re-asserting expired leases
-                    // every tick, so a proposal lost to a view-replica crash
-                    // or race is simply re-proposed. Inert on nodes outside
+                    // The intent outlives its proposals: one lost to a
+                    // view-replica crash or race expires and is rebuilt from
+                    // the intent, until a heartbeat retracts it or a view
+                    // drops the suspect. Inert on nodes outside
                     // the view-replica set — their local suspicion carries no
                     // vote; the view replicas run the same detector.
                     for d in dead {
@@ -1456,12 +1433,10 @@ impl ZeusNode {
                     self.view.propose_admit(node);
                 }
                 MembershipEvent::ViewInstalled { view, rejoined } => {
-                    // Keep the view replica's committed state in step with
-                    // disseminated views (followers learn commits through the
-                    // membership ViewChange broadcast, not the agreement).
-                    let admissions = self.membership.admissions();
-                    self.view
-                        .observe_committed(view.epoch, &view.live, &admissions);
+                    // Followers learn commits through the membership
+                    // ViewChange broadcast, not the agreement: the view
+                    // replica drops what the installed view settled.
+                    self.view.on_installed(&view);
                     // If *we* are among the re-admitted nodes, the cluster
                     // kept committing while we were out: every replica,
                     // ownership and commit structure we hold may be stale.
@@ -1536,14 +1511,8 @@ impl ZeusNode {
         for event in events {
             match event {
                 ViewEvent::Send { to, msg } => self.send(to, msg),
-                ViewEvent::Committed {
-                    epoch,
-                    live,
-                    admitted,
-                } => {
-                    let events = self
-                        .membership
-                        .install_committed(epoch, live, admitted, self.now);
+                ViewEvent::Committed(view) => {
+                    let events = self.membership.install_committed(view, self.now);
                     self.process_membership_events(events);
                 }
                 ViewEvent::NeedsSync { to } => {
@@ -1683,6 +1652,42 @@ mod tests {
             }
         ));
         assert_eq!(node.stats().txs_aborted, 1);
+    }
+
+    /// An owner gives up write access on an INV only when its ownership
+    /// engine accepts the INV: one from a past epoch is refused and leaves
+    /// the owner an owner.
+    #[test]
+    fn an_owner_keeps_write_access_against_an_invalidation_it_refuses() {
+        let mut node = ZeusNode::new(NodeId(0), ZeusConfig::with_nodes(3));
+        let object = ObjectId(7);
+        let placement = ReplicaSet::new(NodeId(0), [NodeId(1)]);
+        node.create_object(object, Bytes::from_static(b"v"), placement.clone());
+        node.handle_message(
+            NodeId(1),
+            Message::Membership(MembershipMsg::ViewChange {
+                epoch: Epoch(1),
+                live: vec![NodeId(0), NodeId(1), NodeId(2)],
+                admitted: vec![Epoch::ZERO; 3],
+            }),
+        );
+        let inv = |epoch| {
+            Message::Ownership(Box::new(OwnershipMsg::Inv {
+                req_id: RequestId::new(NodeId(1), 1),
+                object,
+                o_ts: OwnershipTs::new(1, NodeId(1)),
+                kind: OwnershipRequestKind::AcquireOwner,
+                new_replicas: ReplicaSet::new(NodeId(1), [NodeId(0)]),
+                old_replicas: placement.clone(),
+                epoch,
+                ack_to_driver: false,
+                requester_has_replica: true,
+            }))
+        };
+        node.handle_message(NodeId(1), inv(Epoch::ZERO));
+        assert_eq!(node.level_of(object), AccessLevel::Owner, "stale epoch");
+        node.handle_message(NodeId(1), inv(Epoch(1)));
+        assert_eq!(node.level_of(object), AccessLevel::Reader);
     }
 
     #[test]

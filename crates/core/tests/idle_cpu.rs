@@ -1,8 +1,10 @@
 //! An idle cluster must cost (next to) nothing: its node loops sleep on their
 //! doorbells until a heartbeat is due, they do not poll. That holds with one
-//! node cut off too, once the view has dropped it: a standing suspicion wakes
-//! a loop on every tick only until then. A test binary of its own, so that
-//! no other test's threads run in the measured process; its tests take turns.
+//! node cut off too, once the view has dropped it, and with a suspicion
+//! that stands because no majority of view replicas is left to commit the
+//! view that drops the suspect: once reported, a suspicion schedules no tick
+//! of its own. A test binary of its own, so that no other test's threads run
+//! in the measured process; its tests take turns.
 
 #![cfg(target_os = "linux")]
 
@@ -67,5 +69,26 @@ fn a_cluster_with_one_node_cut_off_settles_back_to_idle() {
     assert!(
         cores < 0.05,
         "cluster with a node cut off burned {cores:.3} core"
+    );
+}
+
+#[test]
+fn a_cluster_that_cannot_commit_an_expulsion_still_sleeps() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = ThreadedCluster::start(ZeusConfig::with_nodes(5));
+    // Two of the three view replicas cut off: nodes 2, 3 and 4 suspect
+    // them for good, and node 2 alone can never commit the view without
+    // them.
+    cluster.admin().isolate(NodeId(0)).expect("node 0 exists");
+    cluster.admin().isolate(NodeId(1)).expect("node 1 exists");
+    std::thread::sleep(Duration::from_millis(1_500));
+
+    let cores = cores_over_two_seconds();
+
+    println!("5-node ThreadedCluster, nodes 0 and 1 cut off: {cores:.3} core");
+    cluster.shutdown();
+    assert!(
+        cores < 0.05,
+        "cluster with a standing suspicion burned {cores:.3} core"
     );
 }

@@ -1,11 +1,10 @@
 //! Per-node membership state machine.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use zeus_proto::{Epoch, MembershipMsg, NodeId};
+use zeus_proto::{Epoch, MembershipMsg, NodeId, View};
 
 use crate::lease::LeaseTable;
-use crate::view::View;
 
 /// Outputs of the membership engine, applied by the hosting runtime.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,14 +39,26 @@ pub enum MembershipEvent {
     /// period (sorted). The engine no longer expels anyone itself: the host
     /// forwards the suspicion to its view replica (`zeus-view`), which
     /// proposes the expulsion — nothing changes until a quorum of the view
-    /// service commits it. Re-emitted every tick while the leases stay
-    /// expired, so view-service intents survive proposal races and drops.
+    /// service commits it. Every tick that runs re-emits it while the leases
+    /// stay expired, but none is scheduled for it
+    /// ([`MembershipEngine::next_timer`]): once reported, the suspicion is
+    /// the view replica's intent, which survives proposal races and drops
+    /// and which only a heartbeat or the view that drops the peer clears.
     SuspectsExpired(Vec<NodeId>),
     /// A heartbeat arrived from a non-live node that is not
     /// administratively banned: the failure detector was wrong, or the node
     /// restarted. The host forwards the re-admission request to its view
     /// replica; the node rejoins when a quorum commits the admission.
     RejoinRequested(NodeId),
+}
+
+/// The `ViewChange` message that disseminates `view`.
+fn view_change(view: &View) -> MembershipMsg {
+    MembershipMsg::ViewChange {
+        epoch: view.epoch,
+        live: view.live.clone(),
+        admitted: view.admitted.clone(),
+    }
 }
 
 /// Per-node membership state: leases, heartbeats, recovery barriers and
@@ -82,14 +93,8 @@ pub struct MembershipEngine {
     /// chaos harness disables it to re-create the pre-fix expulsion wedge
     /// and verify the explorer catches it.
     readmit_suspects: bool,
-    /// Epoch at which each live node last (re)entered the view
-    /// (`Epoch::ZERO` for initial members). Authoritatively carried by
-    /// every ViewChange: a receiver whose previous epoch predates a node's
-    /// admission missed that node's re-admission and must treat it as
-    /// having wiped state — even across dropped or reordered view changes.
-    admitted_at: HashMap<NodeId, Epoch>,
     /// Whether the last tick found this node isolated (drives the
-    /// unfencing lease renewal above the manager's expiry check).
+    /// unfencing lease renewal ahead of the expiry check).
     was_isolated: bool,
 }
 
@@ -114,7 +119,6 @@ impl MembershipEngine {
             ownership_enabled: true,
             removed_by_admin: HashSet::new(),
             readmit_suspects: true,
-            admitted_at: HashMap::new(),
             was_isolated: false,
         }
     }
@@ -130,9 +134,9 @@ impl MembershipEngine {
     /// fence itself — stop serving transactions — because the rest of the
     /// cluster may expel it and move on, making anything it serves stale
     /// (the node-side half of the paper's lease contract, §3.1). The lease
-    /// (without the manager's extra grace period) is used as the threshold,
-    /// so a node fences itself a full lease period *before* the manager can
-    /// expel it.
+    /// (without the extra grace period suspicions wait for) is used as the
+    /// threshold, so a node fences itself a full lease period *before* the
+    /// view service can expel it.
     pub fn is_isolated(&self, now: u64) -> bool {
         now >= self.isolation_deadline()
     }
@@ -154,11 +158,6 @@ impl MembershipEngine {
             .map(|&peer| self.leases.expires_at(peer))
             .max()
             .unwrap_or(u64::MAX)
-    }
-
-    /// The node this engine belongs to.
-    pub fn local(&self) -> NodeId {
-        self.local
     }
 
     /// The currently installed view.
@@ -204,7 +203,7 @@ impl MembershipEngine {
     }
 
     /// Periodic driver: renews our own liveness by broadcasting heartbeats
-    /// and, if we are the manager, checks lease expirations.
+    /// and checks lease expirations.
     pub fn tick(&mut self, now: u64) -> Vec<MembershipEvent> {
         let mut events = Vec::new();
         let due = match self.last_heartbeat_at {
@@ -269,12 +268,12 @@ impl MembershipEngine {
     /// something, given that it ran at `now` and no message came since: the
     /// next heartbeat, the tick from which this node counts as isolated, or
     /// a live peer's lease running out past the grace period. An isolated
-    /// node only heartbeats until a message ends the isolation. Otherwise
-    /// two things are due at the very next tick: renewing every peer, once
-    /// a node that was isolated is no longer, and a suspicion, which is
-    /// re-asserted on every tick for as long as the lease stays expired
-    /// (until a view drops the peer). Heartbeats never stop, so there is
-    /// always a next timer.
+    /// node only heartbeats until a message ends the isolation. Renewing
+    /// every peer, once a node that was isolated is no longer, is due at the
+    /// very next tick. A lease already past its grace counts no more: the
+    /// tick that ran at `now` reported it, and re-reporting it changes
+    /// nothing (see [`MembershipEvent::SuspectsExpired`]). Heartbeats never
+    /// stop, so there is always a next timer.
     pub fn next_timer(&self, now: u64) -> u64 {
         let heartbeat = self
             .last_heartbeat_at
@@ -290,27 +289,11 @@ impl MembershipEngine {
             .live
             .iter()
             .filter(|&&peer| peer != self.local)
-            .map(|&peer| {
-                let at = self.leases.expires_at(peer).saturating_add(self.grace);
-                at.max(now + 1)
-            });
+            .map(|&peer| self.leases.expires_at(peer).saturating_add(self.grace))
+            .filter(|&at| at > now);
         suspicions
             .chain([self.isolation_deadline()])
             .fold(heartbeat, u64::min)
-    }
-
-    /// Admission epochs parallel to `view.live`.
-    fn admitted_for(&self, view: &View) -> Vec<Epoch> {
-        view.live
-            .iter()
-            .map(|n| self.admitted_at.get(n).copied().unwrap_or(Epoch::ZERO))
-            .collect()
-    }
-
-    /// Admission epochs parallel to the current view's live set — what the
-    /// view service needs to seed its committed state after an install.
-    pub fn admissions(&self) -> Vec<Epoch> {
-        self.admitted_for(&self.view)
     }
 
     /// Handles an incoming membership message.
@@ -328,11 +311,7 @@ impl MembershipEngine {
                 if epoch < self.view.epoch && self.view.is_live(from) {
                     return vec![MembershipEvent::Send {
                         to: from,
-                        msg: MembershipMsg::ViewChange {
-                            epoch: self.view.epoch,
-                            live: self.view.live.clone(),
-                            admitted: self.admitted_for(&self.view),
-                        },
+                        msg: view_change(&self.view),
                     }];
                 }
                 // The reverse direction: the *sender* has a newer view than
@@ -370,16 +349,7 @@ impl MembershipEngine {
                 admitted,
             } => {
                 if epoch > self.view.epoch {
-                    // Pair admissions with nodes *before* View::new sorts
-                    // and dedups the live list; missing entries (malformed
-                    // or trimmed messages) default to ZERO, which at worst
-                    // skips a reset the next refresh re-asserts.
-                    let pairs: Vec<(NodeId, Epoch)> = live
-                        .iter()
-                        .copied()
-                        .zip(admitted.into_iter().chain(std::iter::repeat(Epoch::ZERO)))
-                        .collect();
-                    self.install_view(View::new(epoch, live), pairs, now)
+                    self.install_view(View::new(epoch, live, admitted), now)
                 } else {
                     Vec::new()
                 }
@@ -387,11 +357,7 @@ impl MembershipEngine {
             MembershipMsg::ViewPull { from } => {
                 vec![MembershipEvent::Send {
                     to: from,
-                    msg: MembershipMsg::ViewChange {
-                        epoch: self.view.epoch,
-                        live: self.view.live.clone(),
-                        admitted: self.admitted_for(&self.view),
-                    },
+                    msg: view_change(&self.view),
                 }]
             }
             MembershipMsg::RecoveryDone { from, epoch, seen } => {
@@ -449,66 +415,39 @@ impl MembershipEngine {
     /// the view) is how *every* node, view replica or not, learns new
     /// views. Commit echoes — epochs at or below the installed one — are
     /// ignored.
-    pub fn install_committed(
-        &mut self,
-        epoch: Epoch,
-        live: Vec<NodeId>,
-        admitted: Vec<Epoch>,
-        now: u64,
-    ) -> Vec<MembershipEvent> {
-        if epoch <= self.view.epoch {
+    pub fn install_committed(&mut self, view: View, now: u64) -> Vec<MembershipEvent> {
+        if view.epoch <= self.view.epoch {
             return Vec::new();
         }
-        let mut events = vec![MembershipEvent::Broadcast(MembershipMsg::ViewChange {
-            epoch,
-            live: live.clone(),
-            admitted: admitted.clone(),
-        })];
-        let pairs: Vec<(NodeId, Epoch)> = live.iter().copied().zip(admitted).collect();
-        events.extend(self.install_view(View::new(epoch, live), pairs, now));
+        let mut events = vec![MembershipEvent::Broadcast(view_change(&view))];
+        events.extend(self.install_view(view, now));
         events
     }
 
-    fn install_view(
-        &mut self,
-        view: View,
-        admitted: Vec<(NodeId, Epoch)>,
-        now: u64,
-    ) -> Vec<MembershipEvent> {
+    fn install_view(&mut self, view: View, now: u64) -> Vec<MembershipEvent> {
         debug_assert!(view.epoch > self.view.epoch);
         // Nodes admitted after our previous epoch re-entered with wiped
         // state somewhere between the views we saw: relative to *us* they
         // are rejoined, regardless of how many view changes we missed.
         let previous_epoch = self.view.epoch;
-        let mut rejoined: Vec<NodeId> = admitted
-            .iter()
-            .filter(|(_, at)| *at > previous_epoch)
-            .map(|(n, _)| *n)
-            .collect();
-        rejoined.sort_unstable();
-        for dead in self
-            .view
+        let rejoined: Vec<NodeId> = view
             .live
             .iter()
-            .filter(|n| !view.is_live(**n))
-            .copied()
-            .collect::<Vec<_>>()
-        {
+            .zip(&view.admitted)
+            .filter(|&(_, &at)| at > previous_epoch)
+            .map(|(&n, _)| n)
+            .collect();
+        for &dead in self.view.live.iter().filter(|&&n| !view.is_live(n)) {
             self.leases.remove(dead);
-            self.admitted_at.remove(&dead);
         }
-        // Track joiners with a fresh lease. Followers also run this for
-        // joiners the manager admitted: without a tracked lease their later
+        // Track joiners with a fresh lease. Every node runs this, whoever
+        // proposed the view: without a tracked lease the joiners' later
         // heartbeats would be ignored, breaking both isolation detection and
-        // failover of the manager role.
+        // the suspicions that feed the view service.
         for &joined in view.live.iter().filter(|&&n| !self.view.is_live(n)) {
             if joined != self.local {
                 self.leases.insert(joined, now);
             }
-        }
-        // Adopt the authoritative admission epochs.
-        for (n, at) in admitted {
-            self.admitted_at.insert(n, at);
         }
         self.view = view.clone();
         self.recovered.clear();
@@ -556,20 +495,16 @@ mod tests {
     /// live set: retained nodes keep their admission epoch, new nodes are
     /// admitted at the committed epoch — exactly what `zeus-view` proposes.
     fn commit_view(m: &mut MembershipEngine, live: &[NodeId], now: u64) -> Vec<MembershipEvent> {
-        let epoch = m.epoch().next();
-        let current: Vec<(NodeId, Epoch)> =
-            m.view().live.iter().copied().zip(m.admissions()).collect();
+        let current = m.view();
+        let epoch = current.epoch.next();
         let admitted = live
             .iter()
-            .map(|n| {
-                current
-                    .iter()
-                    .find(|(c, _)| c == n)
-                    .map(|(_, e)| *e)
-                    .unwrap_or(epoch)
+            .map(|n| match current.live.binary_search(n) {
+                Ok(i) => current.admitted[i],
+                Err(_) => epoch,
             })
             .collect();
-        m.install_committed(epoch, live.to_vec(), admitted, now)
+        m.install_committed(View::new(epoch, live.to_vec(), admitted), now)
     }
 
     #[test]
@@ -609,8 +544,8 @@ mod tests {
             m.is_live(NodeId(1)),
             "view untouched until a quorum commits"
         );
-        // The suspicion is re-asserted while the lease stays expired, so
-        // the view service's intent survives dropped proposals.
+        // A tick that runs re-asserts the suspicion while the lease stays
+        // expired.
         assert_eq!(suspects(&m.tick(430)), Some(vec![NodeId(1)]));
 
         // The view service commits the expulsion: now the view moves.
@@ -705,17 +640,26 @@ mod tests {
     }
 
     #[test]
-    fn a_standing_suspicion_is_due_on_every_tick() {
+    fn a_standing_suspicion_waits_for_the_next_heartbeat() {
         let mut m = MembershipEngine::new(NodeId(0), 3, 100);
         // Node 2 heartbeats, node 1 stays silent past lease and grace.
         for t in (0..=400).step_by(20) {
             heartbeat(&mut m, 2, t);
         }
         assert_eq!(suspects(&m.tick(400)), Some(vec![NodeId(1)]));
+        // Reported once, the suspicion schedules no tick of its own.
         for t in 400..425 {
-            assert_eq!(m.next_timer(t), t + 1, "re-asserted at {}", t + 1);
-            assert_eq!(suspects(&m.tick(t + 1)), Some(vec![NodeId(1)]));
+            assert_eq!(m.next_timer(t), 425, "the next heartbeat, not {}", t + 1);
         }
+        // A tick that runs still reports it, for as long as it stands.
+        let events = m.tick(425);
+        assert!(heartbeat_from(&events));
+        assert_eq!(suspects(&events), Some(vec![NodeId(1)]));
+        // A heartbeat renews node 1's lease and ends the suspicion.
+        heartbeat(&mut m, 1, 430);
+        heartbeat(&mut m, 2, 430);
+        assert_eq!(m.next_timer(430), 450);
+        assert_eq!(suspects(&m.tick(450)), None);
     }
 
     #[test]
@@ -759,7 +703,7 @@ mod tests {
             60,
         );
         assert!(events.is_empty());
-        assert_eq!(m.view().len(), 2);
+        assert_eq!(m.view().live.len(), 2);
     }
 
     #[test]
@@ -926,7 +870,7 @@ mod tests {
     #[test]
     fn follower_learns_it_rejoined_from_the_view_change() {
         // The expelled node itself never saw a view without it; the
-        // `rejoined` field in the manager's ViewChange is how it learns it
+        // admission epochs in the ViewChange are how it learns it
         // must reset its replica state.
         let mut m = MembershipEngine::new(NodeId(1), 3, 100);
         let events = m.on_message(
@@ -975,9 +919,9 @@ mod tests {
 
     #[test]
     fn follower_tracks_leases_of_nodes_added_by_the_manager() {
-        // A follower that later becomes the manager must have lease entries
-        // for nodes the old manager admitted, and must not instantly expel
-        // them.
+        // A node must track the leases of nodes another node's proposal
+        // admitted, or it could neither count them against its isolation
+        // nor suspect them.
         let mut m = MembershipEngine::new(NodeId(1), 2, 100);
         m.on_message(
             MembershipMsg::ViewChange {

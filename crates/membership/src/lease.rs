@@ -5,10 +5,11 @@ use zeus_proto::NodeId;
 /// Tracks, for every peer, when its lease was last renewed (by a heartbeat)
 /// and reports which peers' leases have expired.
 ///
-/// A peer whose lease expired is *suspected*; the membership engine installs
-/// a new view only after the suspicion has persisted for a full additional
-/// lease period, modelling the paper's "membership update ... performed
-/// across the deployment only after all node leases have expired" (§3.1).
+/// A peer whose lease expired is *suspected*; the membership engine reports
+/// it to the view service only after the suspicion has persisted for a full
+/// additional lease period, modelling the paper's "membership update ...
+/// performed across the deployment only after all node leases have expired"
+/// (§3.1).
 #[derive(Debug, Clone)]
 pub struct LeaseTable {
     lease_ticks: u64,
@@ -29,11 +30,6 @@ impl LeaseTable {
             table.insert(peer, 0);
         }
         table
-    }
-
-    /// Lease duration in ticks.
-    pub fn lease_ticks(&self) -> u64 {
-        self.lease_ticks
     }
 
     /// Renews the lease of `peer` at time `now` (heartbeat received).

@@ -9,7 +9,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`View`] — an epoch-stamped set of live nodes,
+//! * [`View`] — an epoch-stamped set of live nodes with their admission
+//!   epochs, defined in `zeus-proto` and re-exported here so the view
+//!   service (`zeus-view`) and this crate read one type,
 //! * [`LeaseTable`] — per-node heartbeat tracking with lease expiry,
 //! * [`MembershipEngine`] — the per-node state machine that renews leases,
 //!   suspects silent peers, installs new views once leases expire, and
@@ -21,8 +23,7 @@
 
 pub mod engine;
 pub mod lease;
-pub mod view;
 
 pub use engine::{MembershipEngine, MembershipEvent};
 pub use lease::LeaseTable;
-pub use view::View;
+pub use zeus_proto::View;

@@ -92,13 +92,14 @@ pub enum OwnershipAction {
         /// The transient reason.
         reason: NackReason,
     },
-    /// This node — the current owner, acting as the *driver* of an
-    /// arbitration that transfers its ownership away — must stop treating
-    /// the object as writable immediately. A received INV triggers the same
-    /// demotion at the host layer, but the driver never receives its own
-    /// INV: without this action it could locally commit writes between
-    /// ACKing the requester and receiving the VAL, forking the version
-    /// history against the new owner.
+    /// This node is the current owner, and an arbitration it drives or an
+    /// INV it accepts transfers its ownership away: it must stop treating
+    /// the object as writable immediately. The value it ships must remain
+    /// the latest, so no local write may slip in between the INV (or, for
+    /// the driver, which never receives its own INV, the drive) and the
+    /// VAL; otherwise it would fork the version history against the new
+    /// owner. An INV the engine refuses (stale epoch, lost arbitration,
+    /// ghost, pending commits) leaves the owner an owner.
     DemoteSelf {
         /// Object whose ownership is being transferred away.
         object: ObjectId,
@@ -242,6 +243,21 @@ fn keep_newest(held: &mut Option<(DataTs, Bytes)>, shipped: Option<(DataTs, Byte
         if held.as_ref().is_none_or(|(t, _)| t < ts) {
             *held = shipped;
         }
+    }
+}
+
+/// Demotes `local` on `object` ([`OwnershipAction::DemoteSelf`]) if it is
+/// the `owner` and `new_replicas` does not keep it owner.
+fn demote_if_moved_away(
+    local: NodeId,
+    object: ObjectId,
+    owner: Option<NodeId>,
+    new_replicas: &ReplicaSet,
+    out: &mut impl OwnershipSink,
+) {
+    let level = new_replicas.level_of(local);
+    if owner == Some(local) && level != zeus_proto::AccessLevel::Owner {
+        out.emit(OwnershipAction::DemoteSelf { object, level });
     }
 }
 
@@ -1099,15 +1115,7 @@ impl OwnershipEngine {
         // ownership elsewhere, it must invalidate its own write access *at
         // drive time* — it will never receive the INV that demotes a remote
         // owner (see [`OwnershipAction::DemoteSelf`]).
-        let own_level_after = new_replicas.level_of(self.local);
-        if old_replicas.owner == Some(self.local)
-            && own_level_after != zeus_proto::AccessLevel::Owner
-        {
-            out.emit(OwnershipAction::DemoteSelf {
-                object,
-                level: own_level_after,
-            });
-        }
+        demote_if_moved_away(self.local, object, old_replicas.owner, &new_replicas, out);
         let inf = InflightArb {
             req_id,
             requester,
@@ -1296,6 +1304,13 @@ impl OwnershipEngine {
             self.stats.invalidations_processed += 1;
             meta.o_ts = o_ts;
             meta.o_state = OState::Invalid;
+            demote_if_moved_away(
+                self.local,
+                object,
+                meta.replicas.owner,
+                &inf.new_replicas,
+                out,
+            );
             // If this node was driving a different, lower-timestamped request
             // for the object, that request has lost: notify its requester.
             if let Some(prev) = self.inflight.get(&object) {

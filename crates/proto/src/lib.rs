@@ -14,7 +14,9 @@
 //! * `t_state`, `t_version`, `t_data` — per-replica transactional object
 //!   state ([`state::TState`]),
 //! * `tx_id = <local_tx_id, node_id>` — pipeline-ordered transaction ids
-//!   ([`ids::TxId`]).
+//!   ([`ids::TxId`]),
+//! * `e_id` — the membership epoch ([`ids::Epoch`]) of a [`view::View`],
+//!   which also carries each live node's admission epoch.
 //!
 //! # Commit-timestamp ordering (`DataTs`)
 //!
@@ -49,6 +51,7 @@ pub mod messages;
 pub mod nodeset;
 pub mod policy;
 pub mod state;
+pub mod view;
 pub mod wire;
 
 pub use error::ProtoError;
@@ -60,3 +63,4 @@ pub use messages::{
 pub use nodeset::NodeSet;
 pub use policy::{PolicyKind, PolicyStats};
 pub use state::{AccessLevel, OState, ReplicaSet, TState};
+pub use view::View;

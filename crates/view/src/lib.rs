@@ -11,11 +11,12 @@
 //!
 //! # Protocol
 //!
-//! Each replica holds the latest *committed* view (epoch, live set,
-//! admission epochs) plus *intents*: nodes it wants expelled (lease expiry,
-//! admin removal) or admitted (heartbeat from a rejoiner, admin restore).
-//! When it has intents and no proposal in flight, it proposes the next
-//! epoch derived from its committed view and implicitly grants it itself.
+//! Each replica works from the latest *committed* view (epoch, live set,
+//! admission epochs) and holds *intents*: nodes it wants expelled (lease
+//! expiry, admin removal) or admitted (heartbeat from a rejoiner, admin
+//! restore). When it has intents and no proposal in flight, it proposes the
+//! next epoch derived from the committed view and implicitly grants it
+//! itself.
 //! The other replicas grant or reject under three rules:
 //!
 //! * **Sticky grant** — a replica holds at most one live grant. It grants a
@@ -44,8 +45,10 @@
 //!
 //! A committed view is *disseminated* by the host through the existing
 //! membership `ViewChange` broadcast (every node installs it, view replica
-//! or not); the host feeds installs back via [`ViewReplica::observe_committed`]
-//! so replicas that missed the agreement round catch up.
+//! or not). The replica keeps no copy of it: the host passes the view its
+//! membership engine has installed to every call that reads it, and reports
+//! each install through [`ViewReplica::on_installed`], so a replica that
+//! missed the agreement round drops what the new view settled.
 //!
 //! The same service owns the directory placement metadata: the host
 //! exchanges [`ViewMsg::DirPull`]/[`ViewMsg::DirPush`] among directory
@@ -55,9 +58,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use zeus_proto::{Epoch, NodeId, ViewMsg};
+use zeus_proto::{Epoch, NodeId, View, ViewMsg};
 
 /// Outputs of the view-replica engine, drained by the host after every
 /// [`ViewReplica::tick`] / [`ViewReplica::on_message`].
@@ -72,14 +75,7 @@ pub enum ViewEvent {
     },
     /// A proposal reached a majority: the host must disseminate this view
     /// (membership `ViewChange` broadcast) and install it locally.
-    Committed {
-        /// Epoch of the committed view.
-        epoch: Epoch,
-        /// Live nodes of the committed view (sorted).
-        live: Vec<NodeId>,
-        /// Parallel to `live`: admission epochs.
-        admitted: Vec<Epoch>,
-    },
+    Committed(View),
     /// This replica discovered (via a reject, or a proposal based on a
     /// newer epoch) that `to` has committed views it is missing: the host
     /// should pull them (membership `ViewPull`).
@@ -92,18 +88,30 @@ pub enum ViewEvent {
 /// A proposal this replica has in flight.
 #[derive(Debug, Clone)]
 struct Proposal {
-    epoch: Epoch,
+    view: View,
     base: Epoch,
-    live: Vec<NodeId>,
-    admitted: Vec<Epoch>,
     grants: BTreeSet<NodeId>,
     last_sent: u64,
     expires_at: u64,
 }
 
+impl Proposal {
+    /// The `Propose` message that carries this proposal.
+    fn message(&self, from: NodeId) -> ViewMsg {
+        ViewMsg::Propose {
+            epoch: self.view.epoch,
+            base: self.base,
+            live: self.view.live.clone(),
+            admitted: self.view.admitted.clone(),
+            from,
+        }
+    }
+}
+
 /// One replica of the view service. Every node constructs one, but only
 /// members of the (static) view-replica set participate; on non-members the
-/// engine is inert.
+/// engine is inert. The committed view is the host's: every call that reads
+/// it takes the view the host's membership engine has installed.
 #[derive(Debug)]
 pub struct ViewReplica {
     local: NodeId,
@@ -112,9 +120,6 @@ pub struct ViewReplica {
     /// voting (its votes only matter once it can reach peers again, at
     /// which point the base check forces it to resync first).
     set: Vec<NodeId>,
-    committed: Epoch,
-    committed_live: Vec<NodeId>,
-    committed_admitted: BTreeMap<NodeId, Epoch>,
     pending_expel: BTreeSet<NodeId>,
     pending_admit: BTreeSet<NodeId>,
     proposal: Option<Proposal>,
@@ -136,27 +141,13 @@ pub struct ViewReplica {
 
 impl ViewReplica {
     /// Creates a replica. `set` is the static view-replica set (sorted,
-    /// deduplicated here), `initial_live` the epoch-zero membership.
-    pub fn new(
-        local: NodeId,
-        set: Vec<NodeId>,
-        initial_live: Vec<NodeId>,
-        retry_interval: u64,
-        grant_ttl: u64,
-    ) -> Self {
-        let mut set = set;
+    /// deduplicated here).
+    pub fn new(local: NodeId, mut set: Vec<NodeId>, retry_interval: u64, grant_ttl: u64) -> Self {
         set.sort_unstable();
         set.dedup();
-        let mut live = initial_live;
-        live.sort_unstable();
-        live.dedup();
-        let committed_admitted = live.iter().map(|&n| (n, Epoch::ZERO)).collect();
         ViewReplica {
             local,
             set,
-            committed: Epoch::ZERO,
-            committed_live: live,
-            committed_admitted,
             pending_expel: BTreeSet::new(),
             pending_admit: BTreeSet::new(),
             proposal: None,
@@ -173,21 +164,6 @@ impl ViewReplica {
         self.set.binary_search(&self.local).is_ok()
     }
 
-    /// The static view-replica set.
-    pub fn set(&self) -> &[NodeId] {
-        &self.set
-    }
-
-    /// The latest committed epoch this replica knows.
-    pub fn committed_epoch(&self) -> Epoch {
-        self.committed
-    }
-
-    /// Live set of the latest committed view this replica knows.
-    pub fn committed_live(&self) -> &[NodeId] {
-        &self.committed_live
-    }
-
     /// Whether agreement work is still outstanding: a proposal in flight,
     /// or intents waiting to be proposed. Hosts fold this into their
     /// quiescence check so simulated time keeps advancing for retries.
@@ -199,31 +175,26 @@ impl ViewReplica {
     }
 
     /// The earliest tick after `now` at which [`ViewReplica::tick`] changes
-    /// anything, given that it ran at `now` and nothing was handled since;
-    /// `None` with nothing to agree on. A live proposal is re-sent or
-    /// expires. Without one, the next tick is due at once when it has
-    /// bookkeeping to do: drop intents the committed view already
-    /// satisfies, or the stamp of intents that are gone. Unstamped intents
+    /// anything, given that it ran at `now` against the committed `view` and
+    /// nothing was handled or installed since; `None` with nothing to agree
+    /// on. A live proposal is re-sent or expires. Without one, the next tick
+    /// is due at once when it has bookkeeping to do: drop intents the
+    /// committed view already satisfies, or the stamp of intents that are
+    /// gone. Unstamped intents
     /// are stamped by the first tick past the rank back-off; stamped ones
     /// wait for the back-off, the initial deferral or a grant to another
     /// proposer to run out — the earliest of those still ahead, which may be
     /// early (the others then still hold the proposal back) but is never
     /// late.
-    pub fn next_timer(&self, now: u64) -> Option<u64> {
+    pub fn next_timer(&self, view: &View, now: u64) -> Option<u64> {
         if !self.is_member() {
             return None;
         }
         if let Some(p) = &self.proposal {
             return Some(p.expires_at.min(p.last_sent + self.retry_interval));
         }
-        let satisfied = self
-            .pending_expel
-            .iter()
-            .any(|n| !self.committed_live.contains(n))
-            || self
-                .pending_admit
-                .iter()
-                .any(|n| self.committed_live.contains(n));
+        let satisfied = self.pending_expel.iter().any(|&n| !view.is_live(n))
+            || self.pending_admit.iter().any(|&n| view.is_live(n));
         let intents = !self.pending_expel.is_empty() || !self.pending_admit.is_empty();
         if satisfied || (!intents && self.intent_since.is_some()) {
             return Some(now + 1);
@@ -236,7 +207,7 @@ impl ViewReplica {
         };
         let gates = [
             Some(self.next_propose_at),
-            Some(since.saturating_add(self.initial_deferral())),
+            Some(since.saturating_add(self.initial_deferral(view))),
             self.granted
                 .map(|(_, _, at)| at.saturating_add(self.grant_ttl)),
         ];
@@ -249,11 +220,11 @@ impl ViewReplica {
     /// How long a fresh intent waits before this replica proposes it: one
     /// retry interval per live, unsuspected lower-ranked replica (see
     /// [`ViewReplica::tick`]).
-    fn initial_deferral(&self) -> u64 {
+    fn initial_deferral(&self, view: &View) -> u64 {
         self.set
             .iter()
             .take_while(|&&n| n != self.local)
-            .filter(|&&n| self.committed_live.contains(&n) && !self.pending_expel.contains(&n))
+            .filter(|&&n| view.is_live(n) && !self.pending_expel.contains(&n))
             .count() as u64
             * self.retry_interval
     }
@@ -284,28 +255,19 @@ impl ViewReplica {
         self.pending_expel.remove(&node);
     }
 
-    /// Feeds a committed view back into the replica (from a local commit's
-    /// install or a disseminated `ViewChange`). Clears satisfied intents,
-    /// superseded proposals and covered grants.
-    pub fn observe_committed(&mut self, epoch: Epoch, live: &[NodeId], admitted: &[Epoch]) {
-        if epoch <= self.committed {
-            return;
-        }
-        self.committed = epoch;
-        self.committed_live = live.to_vec();
-        self.committed_admitted = live.iter().copied().zip(admitted.iter().copied()).collect();
+    /// Reports that the host installed `view` (from a local commit or a
+    /// disseminated `ViewChange`): drops the superseded proposal, the grant
+    /// the view covers and the intents it satisfies.
+    pub fn on_installed(&mut self, view: &View) {
         // Any in-flight proposal is now based on a stale epoch; drop it and
         // rebuild from the remaining intents next tick.
         self.proposal = None;
         if let Some((granted_epoch, _, _)) = self.granted {
-            if granted_epoch <= epoch {
+            if granted_epoch <= view.epoch {
                 self.granted = None;
             }
         }
-        self.pending_expel
-            .retain(|n| self.committed_live.contains(n));
-        self.pending_admit
-            .retain(|n| !self.committed_live.contains(n));
+        self.forget_satisfied(view);
         // Any intents that survived belong to a new agreement round: re-seed
         // the initial-proposal deferral against the new view.
         self.intent_since = None;
@@ -331,8 +293,15 @@ impl ViewReplica {
         grants * 2 > self.set.len()
     }
 
-    /// Drives retries, expiries and new proposals. Call once per host tick.
-    pub fn tick(&mut self, now: u64, events: &mut Vec<ViewEvent>) {
+    /// Drops the intents the committed `view` already satisfies.
+    fn forget_satisfied(&mut self, view: &View) {
+        self.pending_expel.retain(|&n| view.is_live(n));
+        self.pending_admit.retain(|&n| !view.is_live(n));
+    }
+
+    /// Drives retries, expiries and new proposals against the committed
+    /// `view`. Call once per host tick.
+    pub fn tick(&mut self, view: &View, now: u64, events: &mut Vec<ViewEvent>) {
         if !self.is_member() {
             return;
         }
@@ -354,13 +323,7 @@ impl ViewReplica {
                     if peer != self.local && !p.grants.contains(&peer) {
                         events.push(ViewEvent::Send {
                             to: peer,
-                            msg: ViewMsg::Propose {
-                                epoch: p.epoch,
-                                base: p.base,
-                                live: p.live.clone(),
-                                admitted: p.admitted.clone(),
-                                from: self.local,
-                            },
+                            msg: p.message(self.local),
                         });
                     }
                 }
@@ -369,10 +332,7 @@ impl ViewReplica {
         }
 
         // Normalise intents against the committed view before proposing.
-        self.pending_expel
-            .retain(|n| self.committed_live.contains(n));
-        self.pending_admit
-            .retain(|n| !self.committed_live.contains(n));
+        self.forget_satisfied(view);
         if self.pending_expel.is_empty() && self.pending_admit.is_empty() {
             self.intent_since = None;
             return;
@@ -390,7 +350,7 @@ impl ViewReplica {
         // is suspected and not counted) the next rank takes over an interval
         // later.
         let since = *self.intent_since.get_or_insert(now);
-        if now < since.saturating_add(self.initial_deferral()) {
+        if now < since.saturating_add(self.initial_deferral(view)) {
             return;
         }
         // A live grant to another proposer blocks our own (the sticky-grant
@@ -401,28 +361,24 @@ impl ViewReplica {
             }
         }
 
-        let mut live: Vec<NodeId> = self
-            .committed_live
+        // Retained nodes keep their admission epoch; admitted ones enter at
+        // the proposed epoch. The intents were normalised above, so the two
+        // lists are disjoint.
+        let epoch = view.epoch.next();
+        let (mut live, mut admitted): (Vec<NodeId>, Vec<Epoch>) = view
+            .live
             .iter()
-            .copied()
-            .filter(|n| !self.pending_expel.contains(n))
-            .chain(self.pending_admit.iter().copied())
-            .collect();
-        live.sort_unstable();
-        live.dedup();
-        let epoch = self.committed.next();
-        let admitted: Vec<Epoch> = live
-            .iter()
-            .map(|n| self.committed_admitted.get(n).copied().unwrap_or(epoch))
-            .collect();
+            .zip(&view.admitted)
+            .filter(|&(n, _)| !self.pending_expel.contains(n))
+            .unzip();
+        live.extend(&self.pending_admit);
+        admitted.resize(live.len(), epoch);
         let mut grants = BTreeSet::new();
         grants.insert(self.local);
         self.granted = Some((epoch, self.local, now));
         let proposal = Proposal {
-            epoch,
-            base: self.committed,
-            live,
-            admitted,
+            view: View::new(epoch, live, admitted),
+            base: view.epoch,
             grants,
             last_sent: now,
             expires_at: now.saturating_add(self.grant_ttl),
@@ -431,13 +387,7 @@ impl ViewReplica {
             if peer != self.local {
                 events.push(ViewEvent::Send {
                     to: peer,
-                    msg: ViewMsg::Propose {
-                        epoch: proposal.epoch,
-                        base: proposal.base,
-                        live: proposal.live.clone(),
-                        admitted: proposal.admitted.clone(),
-                        from: self.local,
-                    },
+                    msg: proposal.message(self.local),
                 });
             }
         }
@@ -453,157 +403,107 @@ impl ViewReplica {
         if !ready {
             return;
         }
-        let p = self.proposal.take().expect("checked above");
-        events.push(ViewEvent::Committed {
-            epoch: p.epoch,
-            live: p.live.clone(),
-            admitted: p.admitted.clone(),
-        });
-        self.observe_committed(p.epoch, &p.live, &p.admitted);
+        let view = self.proposal.take().expect("checked above").view;
+        self.on_installed(&view);
+        events.push(ViewEvent::Committed(view));
     }
 
-    /// Handles an agreement message (`Propose`/`Grant`/`Reject`). The
-    /// directory-sync variants (`DirPull`/`DirPush`) belong to the host and
-    /// are ignored here.
-    pub fn on_message(&mut self, msg: ViewMsg, now: u64, events: &mut Vec<ViewEvent>) {
+    /// Handles an agreement message (`Propose`/`Grant`/`Reject`) against the
+    /// committed `view`. The directory-sync variants (`DirPull`/`DirPush`)
+    /// belong to the host and are ignored here.
+    pub fn on_message(&mut self, view: &View, msg: ViewMsg, now: u64, events: &mut Vec<ViewEvent>) {
         if !self.is_member() {
             return;
         }
+        let committed = view.epoch;
         match msg {
             ViewMsg::Propose {
-                epoch,
-                base,
-                live,
-                admitted,
-                from,
-            } => self.on_propose(epoch, base, live, admitted, from, now, events),
+                epoch, base, from, ..
+            } => self.on_propose(committed, epoch, base, from, now, events),
             ViewMsg::Grant { epoch, from } => self.on_grant(epoch, from, events),
             ViewMsg::Reject {
                 epoch,
-                committed,
+                committed: theirs,
                 from,
-            } => self.on_reject(epoch, committed, from, now, events),
-            ViewMsg::DirPull { .. } | ViewMsg::DirPush { .. } => {}
+            } if theirs > committed => self.on_reject(epoch, from, now, events),
+            // A competing-grant reject keeps the proposal: either a
+            // remaining replica's grant commits us, or the TTL expires both
+            // sides and the rank stagger picks a single retrier.
+            ViewMsg::Reject { .. } | ViewMsg::DirPull { .. } | ViewMsg::DirPush { .. } => {}
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Votes on a proposal for `epoch` derived from `base`, this replica's
+    /// committed epoch being `committed`. The proposed live set is not
+    /// checked: the base check is what keeps it an extension of the
+    /// committed view.
     fn on_propose(
         &mut self,
+        committed: Epoch,
         epoch: Epoch,
         base: Epoch,
-        live: Vec<NodeId>,
-        admitted: Vec<Epoch>,
         from: NodeId,
         now: u64,
         events: &mut Vec<ViewEvent>,
     ) {
-        let _ = (&live, &admitted);
-        if epoch <= self.committed {
-            // Already superseded; the reject carries our epoch so the
-            // proposer resyncs.
-            events.push(ViewEvent::Send {
-                to: from,
-                msg: ViewMsg::Reject {
-                    epoch,
-                    committed: self.committed,
-                    from: self.local,
-                },
-            });
-            return;
-        }
-        if base > self.committed {
+        if epoch > committed && base > committed {
             // The proposer has committed views we missed: catch up before
             // voting (granting against an unknown base could endorse a view
             // we cannot validate).
-            events.push(ViewEvent::NeedsSync { to: from });
-            return;
+            return events.push(ViewEvent::NeedsSync { to: from });
         }
-        if base < self.committed {
-            events.push(ViewEvent::Send {
-                to: from,
-                msg: ViewMsg::Reject {
-                    epoch,
-                    committed: self.committed,
-                    from: self.local,
-                },
-            });
-            return;
-        }
-        match self.granted_live(now) {
-            None => {
-                self.granted = Some((epoch, from, now));
-                events.push(ViewEvent::Send {
-                    to: from,
-                    msg: ViewMsg::Grant {
-                        epoch,
-                        from: self.local,
-                    },
-                });
+        // Rejected: a superseded proposal or one derived from a stale base
+        // (the reject carries our epoch so the proposer resyncs), and one
+        // competing with our live grant. A retransmit of the proposal we
+        // granted is granted again, refreshing the stamp.
+        let grant = epoch > committed
+            && base == committed
+            && self
+                .granted_live(now)
+                .is_none_or(|granted| granted == (epoch, from));
+        let msg = if grant {
+            self.granted = Some((epoch, from, now));
+            ViewMsg::Grant {
+                epoch,
+                from: self.local,
             }
-            Some((granted_epoch, proposer)) if granted_epoch == epoch && proposer == from => {
-                // Idempotent re-grant under retransmit; refresh the stamp.
-                self.granted = Some((epoch, from, now));
-                events.push(ViewEvent::Send {
-                    to: from,
-                    msg: ViewMsg::Grant {
-                        epoch,
-                        from: self.local,
-                    },
-                });
+        } else {
+            ViewMsg::Reject {
+                epoch,
+                committed,
+                from: self.local,
             }
-            Some(_) => {
-                events.push(ViewEvent::Send {
-                    to: from,
-                    msg: ViewMsg::Reject {
-                        epoch,
-                        committed: self.committed,
-                        from: self.local,
-                    },
-                });
-            }
-        }
+        };
+        events.push(ViewEvent::Send { to: from, msg });
     }
 
     fn on_grant(&mut self, epoch: Epoch, from: NodeId, events: &mut Vec<ViewEvent>) {
-        let matches = self.proposal.as_ref().is_some_and(|p| p.epoch == epoch);
-        if !matches {
+        let Some(p) = &mut self.proposal else { return };
+        if p.view.epoch != epoch {
             return;
         }
-        if let Some(p) = &mut self.proposal {
-            if self.set.binary_search(&from).is_ok() {
-                p.grants.insert(from);
-            }
+        if self.set.binary_search(&from).is_ok() {
+            p.grants.insert(from);
         }
         self.maybe_commit(events);
     }
 
-    fn on_reject(
-        &mut self,
-        epoch: Epoch,
-        committed: Epoch,
-        from: NodeId,
-        now: u64,
-        events: &mut Vec<ViewEvent>,
-    ) {
-        let matches = self.proposal.as_ref().is_some_and(|p| p.epoch == epoch);
-        if !matches {
+    /// `from` has committed views past the base of our proposal for
+    /// `epoch`: we proposed against a stale view, so drop it, sync and
+    /// re-derive.
+    fn on_reject(&mut self, epoch: Epoch, from: NodeId, now: u64, events: &mut Vec<ViewEvent>) {
+        if self.proposal.as_ref().is_none_or(|p| p.view.epoch != epoch) {
             return;
         }
-        if committed > self.committed {
-            // We proposed against a stale view: drop it, sync, re-derive.
-            self.proposal = None;
-            if let Some((granted_epoch, proposer, _)) = self.granted {
-                if granted_epoch == epoch && proposer == self.local {
-                    self.granted = None;
-                }
-            }
-            self.next_propose_at = now + self.retry_interval;
-            events.push(ViewEvent::NeedsSync { to: from });
+        self.proposal = None;
+        if self
+            .granted
+            .is_some_and(|(e, proposer, _)| e == epoch && proposer == self.local)
+        {
+            self.granted = None;
         }
-        // A competing-grant reject: keep the proposal; either a remaining
-        // replica's grant commits us, or the TTL expires both sides and the
-        // rank stagger picks a single retrier.
+        self.next_propose_at = now + self.retry_interval;
+        events.push(ViewEvent::NeedsSync { to: from });
     }
 }
 
@@ -618,9 +518,18 @@ mod tests {
         ViewReplica::new(
             NodeId(local),
             vec![NodeId(0), NodeId(1), NodeId(2)],
-            vec![NodeId(0), NodeId(1), NodeId(2)],
             RETRY,
             TTL,
+        )
+    }
+
+    /// A view of nodes `0..n` at `epoch`, every one of them an initial
+    /// member.
+    fn view(epoch: u64, n: u16) -> View {
+        View::new(
+            Epoch(epoch),
+            (0..n).map(NodeId).collect(),
+            vec![Epoch::ZERO; n as usize],
         )
     }
 
@@ -634,13 +543,9 @@ mod tests {
             .collect()
     }
 
-    fn committed(events: &[ViewEvent]) -> Option<(Epoch, Vec<NodeId>, Vec<Epoch>)> {
+    fn committed(events: &[ViewEvent]) -> Option<View> {
         events.iter().find_map(|e| match e {
-            ViewEvent::Committed {
-                epoch,
-                live,
-                admitted,
-            } => Some((*epoch, live.clone(), admitted.clone())),
+            ViewEvent::Committed(view) => Some(view.clone()),
             _ => None,
         })
     }
@@ -649,16 +554,18 @@ mod tests {
     /// expulsion commits with the survivor's admissions retained.
     #[test]
     fn single_grant_commits_an_expulsion() {
+        let v0 = view(0, 3);
         let mut a = replica(0);
         let mut events = Vec::new();
         a.propose_expel(NodeId(2));
-        a.tick(0, &mut events);
+        a.tick(&v0, 0, &mut events);
         let proposals = sends(&events);
         assert_eq!(proposals.len(), 2, "proposal goes to both peers");
         assert!(committed(&events).is_none(), "no majority yet");
         events.clear();
 
         a.on_message(
+            &v0,
             ViewMsg::Grant {
                 epoch: Epoch(1),
                 from: NodeId(1),
@@ -666,11 +573,7 @@ mod tests {
             1,
             &mut events,
         );
-        let (epoch, live, admitted) = committed(&events).expect("committed");
-        assert_eq!(epoch, Epoch(1));
-        assert_eq!(live, vec![NodeId(0), NodeId(1)]);
-        assert_eq!(admitted, vec![Epoch::ZERO, Epoch::ZERO]);
-        assert_eq!(a.committed_epoch(), Epoch(1));
+        assert_eq!(committed(&events), Some(view(1, 2)));
         assert!(!a.has_pending_work(), "intent satisfied by the commit");
     }
 
@@ -678,6 +581,7 @@ mod tests {
     /// one; the same proposal re-sent is re-granted.
     #[test]
     fn grants_are_sticky_and_idempotent() {
+        let v0 = view(0, 3);
         let mut b = replica(1);
         let mut events = Vec::new();
         let proposal = |from: u16| ViewMsg::Propose {
@@ -687,7 +591,7 @@ mod tests {
             admitted: vec![Epoch::ZERO, Epoch::ZERO],
             from: NodeId(from),
         };
-        b.on_message(proposal(0), 0, &mut events);
+        b.on_message(&v0, proposal(0), 0, &mut events);
         assert!(matches!(
             sends(&events).as_slice(),
             [(
@@ -700,7 +604,7 @@ mod tests {
         ));
         events.clear();
 
-        b.on_message(proposal(2), 1, &mut events);
+        b.on_message(&v0, proposal(2), 1, &mut events);
         assert!(
             matches!(
                 sends(&events).as_slice(),
@@ -716,7 +620,7 @@ mod tests {
         );
         events.clear();
 
-        b.on_message(proposal(0), 2, &mut events);
+        b.on_message(&v0, proposal(0), 2, &mut events);
         assert!(
             matches!(
                 sends(&events).as_slice(),
@@ -737,13 +641,11 @@ mod tests {
     #[test]
     fn stale_base_is_rejected_and_proposer_resyncs() {
         let mut b = replica(1);
-        b.observe_committed(
-            Epoch(3),
-            &[NodeId(0), NodeId(1)],
-            &[Epoch::ZERO, Epoch::ZERO],
-        );
+        let v3 = view(3, 2);
+        b.on_installed(&v3);
         let mut events = Vec::new();
         b.on_message(
+            &v3,
             ViewMsg::Propose {
                 epoch: Epoch(4),
                 base: Epoch(1),
@@ -768,17 +670,15 @@ mod tests {
 
         // The proposer side: in-flight proposal at epoch 4, reject arrives.
         let mut c = replica(2);
-        c.observe_committed(
-            Epoch(1),
-            &[NodeId(0), NodeId(1), NodeId(2)],
-            &[Epoch::ZERO; 3],
-        );
+        let v1 = view(1, 3);
+        c.on_installed(&v1);
         let mut ev = Vec::new();
         c.propose_expel(NodeId(0));
-        c.tick(0, &mut ev); // seeds the initial-proposal deferral
-        c.tick(RETRY, &mut ev); // deferral over: the proposal goes out
+        c.tick(&v1, 0, &mut ev); // seeds the initial-proposal deferral
+        c.tick(&v1, RETRY, &mut ev); // deferral over: the proposal goes out
         ev.clear();
         c.on_message(
+            &v1,
             ViewMsg::Reject {
                 epoch: Epoch(2),
                 committed: Epoch(3),
@@ -798,9 +698,11 @@ mod tests {
     /// sync instead of voting.
     #[test]
     fn acker_behind_the_base_asks_to_sync() {
+        let v0 = view(0, 3);
         let mut b = replica(1);
         let mut events = Vec::new();
         b.on_message(
+            &v0,
             ViewMsg::Propose {
                 epoch: Epoch(5),
                 base: Epoch(4),
@@ -817,6 +719,7 @@ mod tests {
     /// An expired grant no longer blocks a new proposal.
     #[test]
     fn grants_expire_after_ttl() {
+        let v0 = view(0, 3);
         let mut b = replica(1);
         let mut events = Vec::new();
         let proposal = |from: u16| ViewMsg::Propose {
@@ -826,9 +729,9 @@ mod tests {
             admitted: vec![Epoch::ZERO, Epoch::ZERO],
             from: NodeId(from),
         };
-        b.on_message(proposal(0), 0, &mut events);
+        b.on_message(&v0, proposal(0), 0, &mut events);
         events.clear();
-        b.on_message(proposal(2), TTL + 1, &mut events);
+        b.on_message(&v0, proposal(2), TTL + 1, &mut events);
         assert!(
             matches!(
                 sends(&events).as_slice(),
@@ -849,6 +752,7 @@ mod tests {
     /// retry while the higher-ranked one is still backing off.
     #[test]
     fn racing_proposals_resolve_by_ttl_and_rank() {
+        let v0 = view(0, 3);
         let mut a = replica(0);
         let mut c = replica(2);
         let mut judge = replica(1);
@@ -861,26 +765,26 @@ mod tests {
         // genuine race.
         c.propose_expel(NodeId(0));
         let mut ec = Vec::new();
-        c.tick(0, &mut ec);
+        c.tick(&v0, 0, &mut ec);
         assert!(
             sends(&ec).is_empty(),
             "deferring to the lower-ranked live replica: {ec:?}"
         );
-        c.tick(RETRY, &mut ec);
+        c.tick(&v0, RETRY, &mut ec);
         a.propose_expel(NodeId(2));
         let mut ea = Vec::new();
-        a.tick(RETRY, &mut ea);
+        a.tick(&v0, RETRY, &mut ea);
 
         // The judge sees c's proposal first and grants it; a's is rejected.
         let mut ej = Vec::new();
         for (_, msg) in sends(&ec) {
             if matches!(msg, ViewMsg::Propose { .. }) {
-                judge.on_message(msg.clone(), 1, &mut ej);
+                judge.on_message(&v0, msg.clone(), 1, &mut ej);
             }
         }
         for (_, msg) in sends(&ea) {
             if matches!(msg, ViewMsg::Propose { .. }) {
-                judge.on_message(msg.clone(), 1, &mut ej);
+                judge.on_message(&v0, msg.clone(), 1, &mut ej);
             }
         }
         // a and c each rejected the other's proposal (sticky self-grant), so
@@ -889,32 +793,28 @@ mod tests {
         for (to, msg) in sends(&ej) {
             let mut ev = Vec::new();
             match to {
-                NodeId(2) => c.on_message(msg.clone(), 2, &mut ev),
-                NodeId(0) => a.on_message(msg.clone(), 2, &mut ev),
+                NodeId(2) => c.on_message(&v0, msg.clone(), 2, &mut ev),
+                NodeId(0) => a.on_message(&v0, msg.clone(), 2, &mut ev),
                 _ => {}
             }
             if let Some(cv) = committed(&ev) {
                 committed_view = Some(cv);
             }
         }
-        let (epoch, live, _) = committed_view.expect("judge's grant commits one proposal");
-        assert_eq!(epoch, Epoch(1));
+        let v1 = committed_view.expect("judge's grant commits one proposal");
+        assert_eq!(v1.epoch, Epoch(1));
         assert_eq!(
-            live,
+            v1.live,
             vec![NodeId(1), NodeId(2)],
             "c's expulsion of node 0 won"
         );
 
-        // a eventually observes the committed view (dissemination) and its
-        // own conflicting intent—expel node 2—survives to a fresh proposal
-        // based on the new epoch.
-        a.observe_committed(
-            Epoch(1),
-            &[NodeId(1), NodeId(2)],
-            &[Epoch::ZERO, Epoch::ZERO],
-        );
+        // a's host eventually installs the committed view (dissemination)
+        // and a's own conflicting intent—expel node 2—survives to a fresh
+        // proposal based on the new epoch.
+        a.on_installed(&v1);
         let mut ev = Vec::new();
-        a.tick(TTL + 1, &mut ev);
+        a.tick(&v1, TTL + 1, &mut ev);
         let props = sends(&ev);
         assert!(
             props
@@ -929,16 +829,14 @@ mod tests {
     #[test]
     fn readmission_bumps_the_admission_epoch() {
         let mut a = replica(0);
-        a.observe_committed(
-            Epoch(1),
-            &[NodeId(0), NodeId(1)],
-            &[Epoch::ZERO, Epoch::ZERO],
-        );
+        let v1 = view(1, 2);
+        a.on_installed(&v1);
         a.propose_admit(NodeId(2));
         let mut events = Vec::new();
-        a.tick(0, &mut events);
+        a.tick(&v1, 0, &mut events);
         events.clear();
         a.on_message(
+            &v1,
             ViewMsg::Grant {
                 epoch: Epoch(2),
                 from: NodeId(1),
@@ -946,11 +844,11 @@ mod tests {
             1,
             &mut events,
         );
-        let (epoch, live, admitted) = committed(&events).expect("committed");
-        assert_eq!(epoch, Epoch(2));
-        assert_eq!(live, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        let v2 = committed(&events).expect("committed");
+        assert_eq!(v2.epoch, Epoch(2));
+        assert_eq!(v2.live, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(
-            admitted,
+            v2.admitted,
             vec![Epoch::ZERO, Epoch::ZERO, Epoch(2)],
             "rejoiner admitted at the new epoch, others keep theirs"
         );
@@ -960,21 +858,22 @@ mod tests {
     /// and expire after the TTL.
     #[test]
     fn proposals_retransmit_then_expire() {
+        let v0 = view(0, 3);
         let mut a = replica(0);
         let mut events = Vec::new();
         a.propose_expel(NodeId(2));
-        a.tick(0, &mut events);
+        a.tick(&v0, 0, &mut events);
         events.clear();
 
-        a.tick(RETRY / 2, &mut events);
+        a.tick(&v0, RETRY / 2, &mut events);
         assert!(events.is_empty(), "below the retry interval: no traffic");
-        a.tick(RETRY, &mut events);
+        a.tick(&v0, RETRY, &mut events);
         assert_eq!(sends(&events).len(), 2, "retransmit to both non-granters");
         events.clear();
 
         // At the TTL the stuck proposal expires and — rank 0 backs off by
         // zero — is immediately rebuilt from the surviving intent.
-        a.tick(TTL, &mut events);
+        a.tick(&v0, TTL, &mut events);
         assert!(a.has_pending_work(), "intent survives the expiry");
         assert!(
             sends(&events)
@@ -989,36 +888,24 @@ mod tests {
     /// immediately.
     #[test]
     fn singleton_set_commits_alone() {
-        let mut a = ViewReplica::new(
-            NodeId(0),
-            vec![NodeId(0)],
-            vec![NodeId(0), NodeId(1)],
-            RETRY,
-            TTL,
-        );
+        let mut a = ViewReplica::new(NodeId(0), vec![NodeId(0)], RETRY, TTL);
         a.propose_expel(NodeId(1));
         let mut events = Vec::new();
-        a.tick(0, &mut events);
-        let (epoch, live, _) = committed(&events).expect("self-majority");
-        assert_eq!(epoch, Epoch(1));
-        assert_eq!(live, vec![NodeId(0)]);
+        a.tick(&view(0, 2), 0, &mut events);
+        assert_eq!(committed(&events), Some(view(1, 1)), "self-majority");
     }
 
     /// Non-members neither propose nor vote.
     #[test]
     fn non_members_are_inert() {
-        let mut d = ViewReplica::new(
-            NodeId(4),
-            vec![NodeId(0), NodeId(1), NodeId(2)],
-            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(4)],
-            RETRY,
-            TTL,
-        );
+        let v0 = view(0, 5);
+        let mut d = ViewReplica::new(NodeId(4), vec![NodeId(0), NodeId(1), NodeId(2)], RETRY, TTL);
         assert!(!d.is_member());
         d.propose_expel(NodeId(0));
         let mut events = Vec::new();
-        d.tick(0, &mut events);
+        d.tick(&v0, 0, &mut events);
         d.on_message(
+            &v0,
             ViewMsg::Propose {
                 epoch: Epoch(1),
                 base: Epoch::ZERO,
@@ -1031,25 +918,24 @@ mod tests {
         );
         assert!(events.is_empty());
         assert!(!d.has_pending_work());
+        assert_eq!(d.next_timer(&v0, 0), None);
     }
 
-    /// observe_committed drops a superseded in-flight proposal and clears
+    /// An install drops a superseded in-flight proposal and clears
     /// intents the new view satisfies.
     #[test]
-    fn observe_committed_supersedes_proposal_and_intents() {
+    fn an_install_supersedes_proposal_and_intents() {
         let mut a = replica(0);
         a.propose_expel(NodeId(2));
         let mut events = Vec::new();
-        a.tick(0, &mut events);
+        a.tick(&view(0, 3), 0, &mut events);
         events.clear();
         // Someone else committed the same expulsion at epoch 1.
-        a.observe_committed(
-            Epoch(1),
-            &[NodeId(0), NodeId(1)],
-            &[Epoch::ZERO, Epoch::ZERO],
-        );
+        let v1 = view(1, 2);
+        a.on_installed(&v1);
         assert!(!a.has_pending_work(), "proposal and intent both cleared");
-        a.tick(RETRY * 2, &mut events);
+        assert_eq!(a.next_timer(&v1, 1), None);
+        a.tick(&v1, RETRY * 2, &mut events);
         assert!(events.is_empty(), "nothing left to do");
     }
 
@@ -1060,27 +946,28 @@ mod tests {
     /// later, when the next intent is proposed on the stale stamp.
     #[test]
     fn next_timer_names_the_ticks_that_keep_the_books_of_intents() {
+        let v0 = view(0, 3);
         let (mut ticked, mut skipped) = (replica(1), replica(1));
-        assert_eq!(ticked.next_timer(0), None, "nothing to agree on");
+        assert_eq!(ticked.next_timer(&v0, 0), None, "nothing to agree on");
         let mut events = Vec::new();
         for r in [&mut ticked, &mut skipped] {
             r.propose_expel(NodeId(2));
-            assert_eq!(r.next_timer(5), Some(6), "the next tick stamps it");
-            r.tick(10, &mut events);
-            assert_eq!(r.next_timer(10), Some(10 + RETRY), "behind node 0");
+            assert_eq!(r.next_timer(&v0, 5), Some(6), "the next tick stamps it");
+            r.tick(&v0, 10, &mut events);
+            assert_eq!(r.next_timer(&v0, 10), Some(10 + RETRY), "behind node 0");
             r.retract_expel(NodeId(2));
         }
         assert!(events.is_empty());
-        assert_eq!(ticked.next_timer(10), Some(11), "a stale stamp");
-        ticked.tick(11, &mut events);
-        assert_eq!(ticked.next_timer(11), None, "nothing left");
+        assert_eq!(ticked.next_timer(&v0, 10), Some(11), "a stale stamp");
+        ticked.tick(&v0, 11, &mut events);
+        assert_eq!(ticked.next_timer(&v0, 11), None, "nothing left");
 
         for r in [&mut ticked, &mut skipped] {
             r.propose_expel(NodeId(2));
         }
-        ticked.tick(150, &mut events);
+        ticked.tick(&v0, 150, &mut events);
         assert!(events.is_empty(), "deferred for a retry interval from 150");
-        skipped.tick(150, &mut events);
+        skipped.tick(&v0, 150, &mut events);
         assert_eq!(
             sends(&events).len(),
             2,
@@ -1091,15 +978,16 @@ mod tests {
         // does not: the next tick drops the first.
         let mut r = replica(1);
         r.propose_expel(NodeId(2));
-        r.tick(10, &mut events);
+        r.tick(&v0, 10, &mut events);
         r.propose_admit(NodeId(0));
-        assert_eq!(r.next_timer(20), Some(21), "node 0 is live already");
-        r.tick(21, &mut events);
-        assert_eq!(r.next_timer(21), Some(10 + RETRY));
+        assert_eq!(r.next_timer(&v0, 20), Some(21), "node 0 is live already");
+        r.tick(&v0, 21, &mut events);
+        assert_eq!(r.next_timer(&v0, 21), Some(10 + RETRY));
 
         // A grant to another proposer does not hold back the stamp.
         let mut r = replica(1);
         r.on_message(
+            &v0,
             ViewMsg::Propose {
                 epoch: Epoch(1),
                 base: Epoch::ZERO,
@@ -1111,6 +999,6 @@ mod tests {
             &mut events,
         );
         r.propose_expel(NodeId(2));
-        assert_eq!(r.next_timer(5), Some(6), "granted until {TTL}");
+        assert_eq!(r.next_timer(&v0, 5), Some(6), "granted until {TTL}");
     }
 }
