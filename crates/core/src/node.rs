@@ -7,10 +7,12 @@ use bytes::Bytes;
 use zeus_commit::{CommitEngine, CommitSink};
 use zeus_locality::{AccessKind, LocalityEngine, PlacementAction};
 use zeus_membership::{MembershipEngine, MembershipEvent};
+use zeus_net::udp::MAX_PAYLOAD;
 use zeus_ownership::{OwnershipAction, OwnershipEngine, OwnershipHost, OwnershipSink};
 use zeus_proto::messages::NackReason;
+use zeus_proto::wire::Wire;
 use zeus_proto::{
-    AccessLevel, CommitMsg, DataTs, Epoch, IdHashMap, MembershipMsg, NodeId, ObjectId,
+    AccessLevel, CommitMsg, DataTs, DirEntry, Epoch, IdHashMap, MembershipMsg, NodeId, ObjectId,
     ObjectUpdate, OwnershipMsg, OwnershipRequestKind, OwnershipTs, PolicyKind, PolicyStats,
     ReplicaSet, RequestId, TState, TxId, ViewMsg,
 };
@@ -410,6 +412,24 @@ const CONGESTED_RETRANSMIT_STRETCH_MAX: u64 = 256;
 /// what it holds stays bounded whatever its share of the traffic.
 pub(crate) const SPARE_OWNERSHIP_BOXES: usize = 64;
 
+/// Most placement entries one [`ViewMsg::DirPush`] carries: as many of the
+/// largest entry there is — a placement of eight nodes — as fit in one UDP
+/// datagram ([`MAX_PAYLOAD`]). A longer digest goes out as several pushes,
+/// which a receiver adopts one by one, entry by entry, as it would one.
+fn dir_push_chunk() -> usize {
+    let largest: DirEntry = (
+        ObjectId(u64::MAX),
+        OwnershipTs::new(u64::MAX, NodeId(u16::MAX)),
+        ReplicaSet::new(NodeId(0), (1..8).map(NodeId)),
+    );
+    let empty = Message::View(ViewMsg::DirPush {
+        from: NodeId(0),
+        epoch: Epoch::ZERO,
+        entries: Vec::new(),
+    });
+    (MAX_PAYLOAD - empty.encoded_len()) / largest.encoded_len()
+}
+
 /// What a kept box holds until a message is written over it: a VAL owns no
 /// heap memory, so overwriting it frees nothing.
 fn emptied_box_contents() -> OwnershipMsg {
@@ -668,8 +688,9 @@ impl ZeusNode {
     }
 
     /// Records that the hosting runtime executed a batch of `n` drained
-    /// commands as one unit (one inbox drain, one outbox flush). Feeds the
-    /// `batched_commands` / `batch_occupancy_hwm` counters of [`NodeStats`].
+    /// commands as one unit (one drain of the queue, one flush after it).
+    /// Feeds the `batched_commands` / `batch_occupancy_hwm` counters of
+    /// [`NodeStats`].
     pub fn note_command_batch(&mut self, n: usize) {
         let n = n as u64;
         if n >= 2 {
@@ -952,14 +973,7 @@ impl ZeusNode {
         match msg {
             ViewMsg::DirPull { from } => {
                 let entries = self.ownership.directory_digest();
-                if !entries.is_empty() {
-                    let push = ViewMsg::DirPush {
-                        from: self.id,
-                        epoch: self.membership.epoch(),
-                        entries,
-                    };
-                    self.send(from, push);
-                }
+                self.push_directory(from, &entries);
             }
             ViewMsg::DirPush { epoch, entries, .. } => {
                 // Placement adoption is only sound between directory
@@ -1182,12 +1196,7 @@ impl ZeusNode {
             if self.ownership.is_directory_node() && !entries.is_empty() {
                 for peer in &self.ownership.directory().clone() {
                     if peer != self.id && self.membership.view().live.contains(&peer) {
-                        let push = ViewMsg::DirPush {
-                            from: self.id,
-                            epoch: self.membership.epoch(),
-                            entries: entries.clone(),
-                        };
-                        self.send(peer, push);
+                        self.push_directory(peer, &entries);
                     }
                 }
             }
@@ -1392,6 +1401,19 @@ impl ZeusNode {
         self.outbox.push((to, msg.into()));
     }
 
+    /// Sends `entries` of the placement table to `to`, in directory pushes
+    /// of at most [`dir_push_chunk`] entries; nothing if there are none.
+    fn push_directory(&mut self, to: NodeId, entries: &[DirEntry]) {
+        for chunk in entries.chunks(dir_push_chunk()) {
+            let push = ViewMsg::DirPush {
+                from: self.id,
+                epoch: self.membership.epoch(),
+                entries: chunk.to_vec(),
+            };
+            self.send(to, push);
+        }
+    }
+
     fn broadcast(&mut self, msg: Message) {
         for &peer in &self.membership.view().live {
             if peer != self.id {
@@ -1544,6 +1566,69 @@ mod tests {
         let mut config = ZeusConfig::with_nodes(1);
         config.replication_degree = 1;
         ZeusNode::new(NodeId(0), config)
+    }
+
+    #[test]
+    fn a_full_directory_push_of_the_largest_entries_fits_one_datagram() {
+        use zeus_net::udp::{encode_frame, MAX_DATAGRAM};
+        use zeus_net::ReliableMsg;
+
+        let largest: DirEntry = (
+            ObjectId(u64::MAX),
+            OwnershipTs::new(u64::MAX, NodeId(u16::MAX)),
+            ReplicaSet::new(NodeId(0), (1..8).map(NodeId)),
+        );
+        let push = |entries| {
+            Message::View(ViewMsg::DirPush {
+                from: NodeId(u16::MAX),
+                epoch: Epoch(u64::MAX),
+                entries: vec![largest.clone(); entries],
+            })
+        };
+        let chunk = dir_push_chunk();
+        let frame = encode_frame(
+            NodeId(u16::MAX),
+            u32::MAX,
+            &ReliableMsg::Data {
+                seq: u64::MAX,
+                payload: push(chunk),
+            },
+        );
+        assert!(frame.len() <= MAX_DATAGRAM, "{} B", frame.len());
+        assert!(
+            push(chunk + 1).encoded_len() > MAX_PAYLOAD,
+            "as full as it gets"
+        );
+    }
+
+    #[test]
+    fn a_directory_digest_longer_than_a_push_goes_out_in_pushes_that_fit() {
+        let config = ZeusConfig::with_nodes(3);
+        let mut node = ZeusNode::new(NodeId(0), config.clone());
+        let objects = 2 * dir_push_chunk() as u64 + 5;
+        for object in 0..objects {
+            node.create_object(
+                ObjectId(object),
+                Bytes::new(),
+                config.default_replicas(NodeId(1)),
+            );
+        }
+        node.handle_message(
+            NodeId(1),
+            Message::View(ViewMsg::DirPull { from: NodeId(1) }),
+        );
+        let pushes = node.drain_outbox();
+        assert_eq!(pushes.len(), 3);
+        let mut pushed = 0;
+        for (to, msg) in pushes {
+            assert_eq!(to, NodeId(1));
+            assert!(msg.encoded_len() <= MAX_PAYLOAD);
+            let Message::View(ViewMsg::DirPush { entries, .. }) = msg else {
+                panic!("{msg:?}");
+            };
+            pushed += entries.len() as u64;
+        }
+        assert_eq!(pushed, objects, "every placement, once");
     }
 
     #[test]

@@ -21,6 +21,14 @@
 //! resolved when `submit_write` returns — and otherwise queues the command
 //! for the loop, which runs queued commands in batches (`NodeLink::send`).
 //!
+//! Whoever runs the node ships what it sent (`NodeCell::flush`): the loop
+//! twice an iteration, after the messages it handled — so their replies do
+//! not wait behind the tick and the queued commands — and at its end; a
+//! caller once, after its command. What the node addressed to itself never
+//! reaches the transport: the flush handles it there and then. A directory
+//! replica drives the arbitration of its own requests (§4.2), so that is
+//! the REQ and the driver's own ACK of every move it asks for.
+//!
 //! Read-only transactions need not even the lock when they need not:
 //! a session with nothing in flight runs [`read_txn`](Session::read_txn) on
 //! the calling thread against the node's shared store (`ReadPort` below),
@@ -228,14 +236,19 @@ impl ReadPort {
 pub(crate) struct NodeCell {
     pub(crate) node: ZeusNode,
     pub(crate) driver: TxDriver,
-    /// Reused by every [`NodeCell::flush`].
+    /// Reused by every [`NodeCell::flush`]: what goes to the transport.
     send_buf: Vec<(NodeId, Message, usize)>,
+    /// Reused by every [`NodeCell::flush`]: what the node sent itself,
+    /// handled in place instead.
+    looped: Vec<Message>,
     /// The clock reading the loop sleeps until, 0 while it is awake (an
     /// awake loop looks at the timers itself before it parks). A caller
     /// whose work leaves something due earlier rings the doorbell.
     parked_until: u64,
     /// Commands that ran on the thread that submitted them.
     pub(crate) inline_commands: u64,
+    /// Messages the node sent itself and [`NodeCell::flush`] handled.
+    looped_back: u64,
 }
 
 impl NodeCell {
@@ -244,8 +257,10 @@ impl NodeCell {
             node,
             driver: TxDriver::default(),
             send_buf: Vec::new(),
+            looped: Vec::new(),
             parked_until: 0,
             inline_commands: 0,
+            looped_back: 0,
         }
     }
 
@@ -254,16 +269,21 @@ impl NodeCell {
     /// arrival order until a message lands a parked command's grant
     /// ([`TxDriver::grant_landed`]) — the rest waits for the next step, so a
     /// competitor's request behind the grant cannot take the objects back
-    /// before the command has run; parked commands are polled; `before_tick`
-    /// (the caller's own business, told whether `inbox` still holds
-    /// messages) names the clock to tick at; the node ticks; the commands
-    /// `after_tick` hands over [run](NodeCell::run). What the step sent stays
-    /// in the outbox. `Continue` says whether it found work to do, `Break`
-    /// is a [`Command::Shutdown`].
+    /// before the command has run; parked commands are polled;
+    /// `after_inbox` does what the caller does with what that much sent (a
+    /// node loop [flushes](NodeCell::flush) it, so the replies leave before
+    /// the tick and the commands; the simulator does nothing) and says
+    /// whether that was work; `before_tick` (the caller's own business, told
+    /// whether `inbox` still holds messages) names the clock to tick at; the
+    /// node ticks; the commands `after_tick` hands over
+    /// [run](NodeCell::run). What the step sent and `after_inbox` did not
+    /// take stays in the outbox. `Continue` says whether it found work to
+    /// do, `Break` is a [`Command::Shutdown`].
     pub(crate) fn step<C: IntoIterator<Item = Command>>(
         &mut self,
         now: u64,
         inbox: &mut VecDeque<Envelope<Message>>,
+        after_inbox: impl FnOnce(&mut Self) -> bool,
         before_tick: impl FnOnce(&mut ZeusNode, bool) -> u64,
         after_tick: impl FnOnce(&mut Self) -> C,
     ) -> ControlFlow<(), bool> {
@@ -277,6 +297,7 @@ impl NodeCell {
             }
         }
         worked |= self.driver.poll(&mut self.node, now);
+        worked |= after_inbox(self);
         let now = before_tick(&mut self.node, !inbox.is_empty());
         self.node.tick(now);
         let commands = after_tick(self).into_iter().inspect(|_| worked = true);
@@ -314,20 +335,50 @@ impl NodeCell {
     pub(crate) fn stats(&self) -> (NodeStats, LatencyHistogram) {
         let mut stats = self.node.stats();
         stats.inline_commands = self.inline_commands;
+        stats.messages_looped_back = self.looped_back;
         (stats, self.node.ownership_latency().clone())
     }
 
     /// Ships everything in the node's outbox through `transport` as one
-    /// destination-grouped flush.
-    fn flush<T: Transport<Message> + ?Sized>(&mut self, transport: &T) {
-        let batch = &mut self.send_buf;
-        self.node.drain_outbox_with(|to, msg| {
-            let bytes = msg.payload_bytes();
-            batch.push((to, msg, bytes));
-        });
-        if !batch.is_empty() {
-            transport.send_batch(batch);
+    /// destination-grouped flush, at clock `now`. What the node sent itself
+    /// never reaches the transport: it is handled right here, in the order
+    /// it was sent, and a message that lands a parked command's grant has
+    /// the command run before the next one is handled (the rule of
+    /// [`NodeCell::step`]); what that sends goes the same way, until the
+    /// node sends itself nothing more. Returns whether it handled any.
+    ///
+    /// A directory replica drives the arbitration of its own requests
+    /// (§4.2), so a reader→owner move has two such messages, the REQ and the
+    /// driver's own ACK: each would otherwise wait in the node's inbox for
+    /// the next iteration.
+    fn flush<T: Transport<Message> + ?Sized>(&mut self, now: u64, transport: &T) -> bool {
+        let me = self.node.id();
+        let looped_before = self.looped_back;
+        loop {
+            let (batch, looped) = (&mut self.send_buf, &mut self.looped);
+            self.node.drain_outbox_with(|to, msg| {
+                if to == me {
+                    looped.push(msg);
+                } else {
+                    let bytes = msg.payload_bytes();
+                    batch.push((to, msg, bytes));
+                }
+            });
+            if self.looped.is_empty() {
+                break;
+            }
+            for msg in self.looped.drain(..) {
+                self.looped_back += 1;
+                self.node.handle_message(me, msg);
+                if self.driver.grant_landed(&self.node, now) {
+                    self.driver.poll(&mut self.node, now);
+                }
+            }
         }
+        if !self.send_buf.is_empty() {
+            transport.send_batch(&mut self.send_buf);
+        }
+        self.looped_back != looped_before
     }
 
     /// Whether the replication pipeline has room for the commits of new
@@ -482,11 +533,12 @@ impl NodeLink {
         }
         cell.inline_commands += 1;
         let _ = cell.run(now, [Command::Tx(command)]);
-        cell.flush(&*self.transport);
+        cell.flush(now, &*self.transport);
         // The loop sleeps until what was due when it went to sleep. If this
         // command left something due earlier — the first commit after an
         // idle spell has a retransmission timer, a charged command a
-        // back-off — the loop has to hear of it.
+        // back-off, a REQ the flush handled here an arbitration — the loop
+        // has to hear of it.
         if cell.parked_until != 0 {
             let due = cell.next_due(now, now);
             if due < cell.parked_until {
@@ -899,7 +951,7 @@ const COMMIT_BACKPRESSURE_HWM: usize = 2_048;
 
 /// Most queued commands the loop takes in one iteration while admission is
 /// open. A saturated node amortises the channel's lock and the iteration's
-/// one outbox flush over the whole batch; the bound keeps the batch from
+/// closing flush over the whole batch; the bound keeps the batch from
 /// holding its first command's R-INVs back for long, and from overshooting
 /// [`COMMIT_BACKPRESSURE_HWM`] by more than its size. A lightly loaded node
 /// finds a command or two queued and takes just those.
@@ -909,7 +961,10 @@ const DRAIN_CAP: usize = 256;
 /// in-process channels for [`ThreadedCluster`], UDP sockets for
 /// [`crate::UdpCluster`] and the process-per-node deployments. An iteration
 /// is a [`NodeCell::step`], which the simulator runs as well; what is about
-/// threads, sockets and wall clocks lives here, around it.
+/// threads, sockets and wall clocks lives here, around it. That includes the
+/// iteration's two [flushes](NodeCell::flush), one after the step has
+/// handled its messages and one at its end, and with them the messages the
+/// node sends itself, which never reach the transport.
 ///
 /// The loop holds the node's lock for an iteration and runs while there is
 /// work. It sleeps in exactly one place, the end of an iteration that found
@@ -955,9 +1010,14 @@ fn node_loop<T: Transport<Message>>(
         }
 
         let mut tick_at = now;
-        let ControlFlow::Continue(did_work) = cell.step(
+        let ControlFlow::Continue(mut did_work) = cell.step(
             now,
             &mut inbox,
+            // The first flush: the replies the messages set off (ACKs,
+            // NACKs, R-ACKs, R-VALs, the INVs of an arbitration this node
+            // drives) and the R-INVs of the parked commands they let run
+            // leave now, not behind the tick and the queued commands.
+            |cell| cell.flush(now, transport),
             // The clock is read again. The transport runs its own periodic
             // work (link-layer retransmission) and feeds back its two
             // signals: its RTO becomes the protocol retry interval, and a
@@ -1013,12 +1073,13 @@ fn node_loop<T: Transport<Message>>(
             reads.close();
             return;
         };
-        // The iteration's single flush: everything the batch produced
-        // (R-INVs of every commit, shared REQs), what the messages set off
-        // and what the tick did (heartbeats, re-sends) goes out grouped by
-        // destination, one channel lock per peer — and before the loop may
-        // go to sleep.
-        cell.flush(transport);
+        // The second flush: everything the batch produced (R-INVs of every
+        // commit, shared REQs) and what the tick did (heartbeats, re-sends)
+        // goes out grouped by destination, one channel lock per peer — and
+        // before the loop may go to sleep. What the node sent itself was
+        // handled by the flush, and may have run a parked command: another
+        // iteration looks at what that left.
+        did_work |= cell.flush(tick_at, transport);
 
         if !did_work {
             // Nothing to do: sleep until the clock makes something due or
@@ -1047,9 +1108,11 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
     use zeus_net::threaded::NodeMailbox;
-    use zeus_net::LossyConfig;
+    use zeus_net::{Doorbell, LossyConfig};
+    use zeus_ownership::OwnershipStats;
+    use zeus_proto::Epoch;
 
-    use crate::UdpCluster;
+    use crate::{SimCluster, UdpCluster};
 
     /// `[u64 write counter][i64 balance]`, the shape the read-path tests
     /// check invariants on.
@@ -2171,6 +2234,288 @@ mod tests {
             Ok(())
         });
         assert!(r.is_ok(), "cross-node write failed: {r:?}");
+        cluster.shutdown();
+    }
+
+    /// A transport that hands a loop what a test put into its inbox and
+    /// records every flush: where each message went, and what it was.
+    struct Recorder {
+        inbox: Mutex<Vec<Envelope<Message>>>,
+        flushes: Mutex<Vec<Vec<(NodeId, &'static str)>>>,
+        doorbell: Doorbell,
+    }
+
+    impl Recorder {
+        fn new(inbox: Vec<Envelope<Message>>) -> Self {
+            Recorder {
+                inbox: Mutex::new(inbox),
+                flushes: Mutex::default(),
+                doorbell: Doorbell::new(),
+            }
+        }
+
+        fn flushes(&self) -> Vec<Vec<(NodeId, &'static str)>> {
+            self.flushes.lock().unwrap().clone()
+        }
+    }
+
+    impl Transport<Message> for Recorder {
+        fn send(&self, to: NodeId, msg: Message, payload_bytes: usize) -> bool {
+            self.send_batch(&mut vec![(to, msg, payload_bytes)]);
+            true
+        }
+
+        fn send_batch(&self, msgs: &mut Vec<(NodeId, Message, usize)>) {
+            let flush = msgs.drain(..).map(|(to, msg, _)| (to, msg.kind()));
+            self.flushes.lock().unwrap().push(flush.collect());
+        }
+
+        fn drain_into(&self, buf: &mut Vec<Envelope<Message>>, max: usize) -> usize {
+            let mut inbox = self.inbox.lock().unwrap();
+            let n = inbox.len().min(max);
+            buf.extend(inbox.drain(..n));
+            n
+        }
+
+        fn recv_timeout(&self, _: Duration) -> Option<Envelope<Message>> {
+            None
+        }
+
+        fn doorbell(&self) -> &Doorbell {
+            &self.doorbell
+        }
+
+        fn pending(&self) -> usize {
+            self.inbox.lock().unwrap().len()
+        }
+
+        // Nobody ever answers: no request is re-sent while a test looks.
+        fn rto_micros(&self) -> Option<u64> {
+            Some(60_000_000)
+        }
+    }
+
+    #[test]
+    fn a_loop_ships_an_iterations_replies_before_its_commands_and_nothing_to_itself() {
+        let config = ZeusConfig::with_nodes(3);
+        let (mine, theirs, arbitrated) = (ObjectId(1), ObjectId(2), ObjectId(3));
+        let mut node = ZeusNode::new(NodeId(0), config.clone());
+        let mut driver = ZeusNode::new(NodeId(1), config.clone());
+        for (object, owner) in [(mine, 0), (theirs, 1), (arbitrated, 2)] {
+            for n in [&mut node, &mut driver] {
+                let replicas = config.default_replicas(NodeId(owner));
+                n.create_object(object, Bytes::from(account(0, 0)), replicas);
+            }
+        }
+        // Node 1 drives a move for itself: its INV is what node 0's loop
+        // finds in its inbox.
+        driver.acquire(arbitrated, OwnershipRequestKind::AcquireOwner);
+        for (to, req) in driver.drain_outbox() {
+            assert_eq!((to, req.kind()), (NodeId(1), "o-req"));
+            driver.handle_message(NodeId(1), req);
+        }
+        let inv = driver
+            .drain_outbox()
+            .into_iter()
+            .find(|(to, _)| *to == NodeId(0))
+            .map(|(_, inv)| inv)
+            .unwrap();
+        assert_eq!(inv.kind(), "o-inv");
+        let transport = Arc::new(Recorder::new(vec![Envelope::with_payload_bytes(
+            NodeId(1),
+            NodeId(0),
+            inv,
+            0,
+        )]));
+
+        // Two writes queued for the loop: one on an object node 0 owns, one
+        // on an object it reads, which it moves by driving the arbitration
+        // itself (it is a directory replica).
+        let (link, commands) = NodeLink::new(node, &transport);
+        let session = session_on(&link);
+        let busy = link.cell.lock().unwrap();
+        let local = session.submit_write(bump(mine));
+        let mut moving = session.submit_write(bump(theirs));
+        drop(busy);
+        let thread = spawn_loop(&link, Arc::clone(&transport), commands);
+        assert_eq!(local.wait(), Ok(1));
+        until(|| link.cell.lock().unwrap().looped_back == 2);
+
+        let flushes = transport.flushes();
+        let first = |kind| flushes.iter().position(|f| f.contains(&kind));
+        let ack = first((NodeId(1), "o-ack")).expect("the INV is acknowledged");
+        let rinv = first((NodeId(1), "r-inv")).expect("the local write replicates");
+        let inv = first((NodeId(2), "o-inv")).expect("the move is arbitrated");
+        assert!(ack < rinv, "{flushes:?}");
+        assert_eq!(rinv, inv, "{flushes:?}");
+        // The REQ and the driver's ACK of the move were handled in place.
+        assert!(
+            flushes.iter().flatten().all(|(to, _)| *to != NodeId(0)),
+            "{flushes:?}"
+        );
+        assert_eq!(session.stats().unwrap().0.messages_looped_back, 2);
+        assert_eq!(moving.try_poll(), None, "nobody answers the move");
+        assert!(link.send(Command::Shutdown).is_ok());
+        thread.join().expect("node loop");
+    }
+
+    #[test]
+    fn a_grant_landed_by_a_message_to_itself_runs_its_command_before_the_next_is_handled() {
+        // One node, the only directory replica: a write that creates an
+        // object on first touch parks on a request the node drives for
+        // itself, and the node's own ACK is the one that lands the grant.
+        let mut config = ZeusConfig::with_nodes(1);
+        config.replication_degree = 1;
+        let mut cell = NodeCell::new(ZeusNode::new(NodeId(0), config));
+        let store = cell.node.shared_store();
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let (a, b) = (ObjectId(1), ObjectId(2));
+        let mut tickets: Vec<TxTicket<()>> = Vec::new();
+        let commands = [(a, b), (b, a)].map(|(object, other)| {
+            let (store, runs) = (Arc::clone(&store), Arc::clone(&runs));
+            let (reply, rx) = ReplySlot::new(None);
+            tickets.push(TxTicket::pending(rx));
+            Command::Tx(TxCommand {
+                work: Work::Write(erase(move |tx: &mut TxCtx<'_>| {
+                    // What this run sees of the other object's creation.
+                    runs.lock().unwrap().push((object, store.contains(other)));
+                    tx.write(object, Bytes::from_static(b"v"))
+                })),
+                policy: RetryPolicy::no_retry(),
+                reply,
+            })
+        });
+        let _ = cell.run(0, commands);
+        assert_eq!(*runs.lock().unwrap(), [(a, false), (b, false)]);
+
+        // Both REQs, then both ACKs, in the order they were sent: `a` runs
+        // on its ACK, before `b`'s is handled, and `b` on its own.
+        let transport = Recorder::new(Vec::new());
+        assert!(cell.flush(0, &transport));
+        assert_eq!(
+            *runs.lock().unwrap(),
+            [(a, false), (b, false), (a, false), (b, true)]
+        );
+        for ticket in &mut tickets {
+            assert_eq!(ticket.try_poll(), Some(Ok(())));
+        }
+        assert_eq!(cell.stats().0.messages_looped_back, 4);
+        assert!(transport.flushes().is_empty(), "a node alone sends nothing");
+    }
+
+    /// Moves of one object in [`self_driven_moves`].
+    const MOVES: u64 = 100;
+
+    /// [`MOVES`] reader→owner moves of one object, each write on the node
+    /// after the last writer's. Every node of three is a directory replica
+    /// and a reader, so every move is arbitrated by its own requester. Each
+    /// move waits until every replica has validated the write before it:
+    /// a driver refuses to move an object with a commit in flight, and the
+    /// NACK and the REQ re-issued after it would be sent to itself too.
+    /// Returns what every node reads in the end, and the cluster's counters.
+    fn self_driven_moves(cluster: &impl ClusterDriver) -> (Vec<u64>, NodeStats) {
+        let object = ObjectId(1);
+        cluster.create_object(object, account(0, 0).into(), NodeId(0));
+        let counter_at = |node: u16| {
+            cluster
+                .handle(NodeId(node))
+                .read_txn(move |tx| Ok(parse_account(&tx.read(object)?).0))
+                .unwrap()
+        };
+        for node in 0..3 {
+            assert_eq!(counter_at(node), 0, "load barrier");
+        }
+        for i in 1..=MOVES {
+            let session = cluster.handle(NodeId((i % 3) as u16));
+            assert_eq!(session.write_txn(bump(object)), Ok(i));
+            cluster.quiesce();
+            for node in 0..3 {
+                until(|| counter_at(node) == i);
+            }
+        }
+        let values = (0..3).map(counter_at).collect();
+        (values, cluster.aggregate_stats())
+    }
+
+    /// Runs [`self_driven_moves`] on `cluster` and on a [`SimCluster`]: the
+    /// same values, and two messages handled in place per move on the
+    /// threads, none in the simulator.
+    fn loops_back_the_req_and_the_ack_of_every_move<T>(cluster: Cluster<T>) {
+        let (values, stats) = self_driven_moves(&cluster);
+        let (sim_values, sim_stats) =
+            self_driven_moves(&SimCluster::new(ZeusConfig::with_nodes(3)));
+        assert_eq!(values, sim_values);
+        assert_eq!(sim_stats.messages_looped_back, 0, "carried over links");
+        // A REQ re-sent, or an arbitration re-driven, loops back again.
+        let mut ownership = OwnershipStats::default();
+        for link in &cluster.links {
+            ownership.merge(link.cell.lock().unwrap().node.ownership_stats());
+        }
+        let looped = stats.messages_looped_back;
+        if ownership.requests_retransmitted + ownership.arb_replays == 0 {
+            assert_eq!(looped, 2 * MOVES);
+        } else {
+            assert!(looped >= 2 * MOVES, "{looped} {ownership:?}");
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn self_driven_moves_handle_their_req_and_ack_in_place_on_threads() {
+        loops_back_the_req_and_the_ack_of_every_move(ThreadedCluster::start(
+            ZeusConfig::with_nodes(3),
+        ));
+    }
+
+    #[test]
+    fn self_driven_moves_handle_their_req_and_ack_in_place_over_udp() {
+        let cluster = UdpCluster::start(ZeusConfig::with_nodes(3)).expect("bind loopback");
+        loops_back_the_req_and_the_ack_of_every_move(cluster);
+    }
+
+    /// A view change marks every placement for the next directory push,
+    /// and a re-admitted node pulls the whole table: with 3,000 objects
+    /// either push is longer than a datagram. Sent whole, it was refused at
+    /// the socket after the reliable layer had given it a sequence number,
+    /// and its receiver held everything behind that number back for good,
+    /// heartbeats included: the nodes fenced themselves, and no write
+    /// committed again.
+    #[test]
+    fn a_directory_push_longer_than_a_datagram_leaves_a_udp_cluster_serving() {
+        const OBJECTS: u64 = 3_000;
+        let cluster = UdpCluster::start(ZeusConfig::with_nodes(3)).expect("bind loopback");
+        for object in 0..OBJECTS {
+            cluster.create_object(ObjectId(object), account(0, 0), NodeId((object % 3) as u16));
+        }
+        let last = ObjectId(OBJECTS - 1);
+        for node in 0..3 {
+            let session = cluster.handle(NodeId(node));
+            assert!(session.read_txn(move |tx| Ok(tx.read(last)?.len())).is_ok());
+        }
+        let epoch_at = |node: usize| cluster.links[node].cell.lock().unwrap().node.epoch();
+        let eventually = |holds: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !holds() {
+                assert!(Instant::now() < deadline, "never got there");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        cluster.admin().expel(NodeId(2)).unwrap();
+        eventually(&|| epoch_at(0) > Epoch::ZERO && epoch_at(1) > Epoch::ZERO);
+        let expelled = epoch_at(0).max(epoch_at(1));
+        cluster.admin().readmit(NodeId(2)).unwrap();
+        eventually(&|| (0..3).all(|node| epoch_at(node) > expelled));
+        // Past the pushes the view changes set off, and a lease (200 ms)
+        // past them: what a wedged link would do, it has done by now.
+        std::thread::sleep(Duration::from_millis(500));
+
+        let committed = (0..30u64)
+            .filter(|&i| {
+                let session = cluster.handle(NodeId((i % 3) as u16));
+                session.write_txn(bump(ObjectId(i * 97 % OBJECTS))).is_ok()
+            })
+            .count();
+        assert_eq!(committed, 30);
         cluster.shutdown();
     }
 }

@@ -515,11 +515,13 @@ impl SimInner {
     /// Steps every live node — or, if `held`, those holding messages —
     /// through one iteration of the node loop ([`NodeCell::step`]) at `now`,
     /// the one clock of the simulation. Commands never wait for it: a
-    /// session runs its own.
+    /// session runs its own. Nothing is shipped in the middle of a step:
+    /// [`SimInner::ship_outboxes`] ships once per cluster step, and what a
+    /// node sends itself travels over its own faultable link.
     fn step_nodes(&mut self, now: u64, held: bool) {
         for (i, (cell, inbox)) in self.cells.iter_mut().zip(&mut self.inboxes).enumerate() {
             if !(self.crashed.contains(NodeId(i as u16)) || held && inbox.is_empty()) {
-                let _ = cell.step(now, inbox, |_, _| now, |_| None);
+                let _ = cell.step(now, inbox, |_| false, |_, _| now, |_| None);
             }
         }
     }
@@ -1426,7 +1428,9 @@ mod tests {
     /// on the ticks the nodes take. What the run did is pinned: the final
     /// clock, the network's counters and every node's epoch, commit,
     /// ownership and node counters (all but the ones that count the ticks
-    /// themselves or the ring entries their scans look at). A node that
+    /// themselves or the ring entries their scans look at, and the count of
+    /// messages a node loop handles in place, which the simulator never
+    /// does). A node that
     /// skips a tick that would have done something moves at least one of
     /// them. The counters are walked by name, so a counter added to one of
     /// these structs joins the digest unless it joins the skip list.
@@ -1497,6 +1501,7 @@ mod tests {
                     "ticks",
                     "quiet_ticks",
                     "ownership_boxes_allocated",
+                    "messages_looped_back",
                 ];
                 if !skipped.contains(&name) {
                     numbers.push(value);

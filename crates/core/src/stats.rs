@@ -168,6 +168,12 @@ zeus_proto::counters! {
         /// Boxes allocated for ownership messages this node sent: a message
         /// goes out in the box of one the node handled when it kept one.
         pub ownership_boxes_allocated: u64,
+        /// Messages this node sent itself and handled without the transport:
+        /// a node loop's flush handles them in place (the REQ and the
+        /// driver's own ACK of a move a directory replica drives for itself,
+        /// two per reader→owner move). Always 0 in the simulator, which
+        /// carries them over the node's own link.
+        pub messages_looped_back: u64,
     }
 }
 

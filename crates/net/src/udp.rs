@@ -25,9 +25,14 @@
 //! deduplicated into silence nor buffered behind sequence numbers it will
 //! never send.
 //!
-//! Datagrams larger than [`MAX_DATAGRAM`] are dropped at send time and
-//! counted as failed — the protocols keep payloads far below that, and a
-//! fragmentation layer is out of scope for a loopback/LAN reproduction.
+//! There is no fragmentation layer (out of scope for a loopback/LAN
+//! reproduction): a message whose frame would exceed [`MAX_DATAGRAM`] —
+//! one whose encoding is longer than [`MAX_PAYLOAD`] — is refused at send
+//! time and counted as failed, before the reliable layer gives it a
+//! sequence number. A sequenced frame that can never be put on the wire
+//! would leave the receiver buffering everything behind its number for
+//! good, heartbeats included. Senders of messages that grow with the data
+//! (a directory push) keep each one under [`MAX_PAYLOAD`] themselves.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -51,6 +56,14 @@ use crate::transport::Transport;
 
 /// Largest datagram the transport will put on (or accept from) a socket.
 pub const MAX_DATAGRAM: usize = 60 * 1024;
+
+/// Bytes a data frame puts in front of its payload ([`encode_frame`]):
+/// magic, sender, boot token, kind and sequence number.
+const DATA_FRAME_HEADER: usize = 2 + 2 + 4 + 1 + 8;
+
+/// Longest message encoding ([`Wire::encoded_len`]) whose data frame fits
+/// in one datagram: what [`UdpTransport`] accepts.
+pub const MAX_PAYLOAD: usize = MAX_DATAGRAM - DATA_FRAME_HEADER;
 
 /// Leading magic of every frame, so stray datagrams are rejected cheaply.
 const FRAME_MAGIC: u16 = 0x5A55; // "ZU"
@@ -420,7 +433,7 @@ impl<M: Wire + Clone + Send + 'static> Transport<M> for UdpTransport<M> {
             self.shared.counters.record_failed(payload_bytes);
             return false;
         }
-        if self.shared.peers.get(to.index()).is_none() {
+        if self.shared.peers.get(to.index()).is_none() || msg.encoded_len() > MAX_PAYLOAD {
             self.shared.counters.record_failed(payload_bytes);
             return false;
         }
@@ -444,6 +457,7 @@ impl<M: Wire + Clone + Send + 'static> Transport<M> for UdpTransport<M> {
             }
             if self.shared.faults.is_cut(self.shared.local, to)
                 || self.shared.peers.get(to.index()).is_none()
+                || msg.encoded_len() > MAX_PAYLOAD
             {
                 self.shared.counters.record_failed(payload_bytes);
                 continue;
@@ -529,6 +543,66 @@ mod tests {
         frame[8] = 9; // kind byte
         assert!(decode_frame::<u32>(&frame).is_err());
         assert!(decode_frame::<u32>(&[]).is_err());
+    }
+
+    #[test]
+    fn a_data_frame_is_its_header_and_its_payload() {
+        for payload in [Vec::new(), vec![7u8; 1_000]] {
+            let frame = encode_frame(
+                NodeId(1),
+                2,
+                &ReliableMsg::Data {
+                    seq: u64::MAX,
+                    payload: payload.clone(),
+                },
+            );
+            assert_eq!(frame.len(), DATA_FRAME_HEADER + payload.encoded_len());
+        }
+    }
+
+    /// Two transports on loopback sockets, counting into `counters`.
+    fn linked_pair(counters: &Arc<SharedCounters>) -> [UdpTransport<Vec<u8>>; 2] {
+        let sockets = [0, 1].map(|_| UdpSocket::bind("127.0.0.1:0").unwrap());
+        let peers: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+        let mut id = 0;
+        sockets.map(|socket| {
+            let config = UdpConfig {
+                local: NodeId(id),
+                peers: peers.clone(),
+                rtt: RttConfig::udp_default(),
+                loss: None,
+            };
+            id += 1;
+            UdpTransport::from_socket(socket, config, counters.clone(), Arc::default()).unwrap()
+        })
+    }
+
+    #[test]
+    fn a_message_too_large_for_a_datagram_fails_and_leaves_the_link_working() {
+        let counters = Arc::new(SharedCounters::default());
+        let [a, b] = linked_pair(&counters);
+        // The largest payload a frame holds, and one byte more (a
+        // `Vec<u8>` encodes as a 4-byte count and its bytes).
+        let fits = vec![1u8; MAX_PAYLOAD - 4];
+        let too_large = vec![2u8; MAX_PAYLOAD - 3];
+        assert!(!a.send(NodeId(1), too_large.clone(), too_large.len()));
+        let mut batch = vec![
+            (NodeId(1), too_large.clone(), too_large.len()),
+            (NodeId(1), fits.clone(), fits.len()),
+            (NodeId(1), vec![3], 1),
+        ];
+        a.send_batch(&mut batch);
+        assert_eq!(counters.snapshot().messages_dropped, 2);
+        // Had either taken a sequence number, `b` would hold everything
+        // behind it back for good.
+        let timeout = Duration::from_secs(5);
+        assert_eq!(b.recv_timeout(timeout).expect("delivered").msg, fits);
+        assert_eq!(b.recv_timeout(timeout).expect("delivered").msg, [3]);
+        let deadline = Instant::now() + timeout;
+        while a.unacked() > 0 {
+            assert!(Instant::now() < deadline, "both are acknowledged");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
