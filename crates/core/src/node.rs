@@ -412,22 +412,27 @@ const CONGESTED_RETRANSMIT_STRETCH_MAX: u64 = 256;
 /// what it holds stays bounded whatever its share of the traffic.
 pub(crate) const SPARE_OWNERSHIP_BOXES: usize = 64;
 
-/// Most placement entries one [`ViewMsg::DirPush`] carries: as many of the
-/// largest entry there is — a placement of eight nodes — as fit in one UDP
-/// datagram ([`MAX_PAYLOAD`]). A longer digest goes out as several pushes,
-/// which a receiver adopts one by one, entry by entry, as it would one.
-fn dir_push_chunk() -> usize {
-    let largest: DirEntry = (
+/// The longest entry of a [`ViewMsg::DirPush`]: the placement of an object
+/// on eight nodes.
+fn largest_dir_entry() -> DirEntry {
+    (
         ObjectId(u64::MAX),
         OwnershipTs::new(u64::MAX, NodeId(u16::MAX)),
         ReplicaSet::new(NodeId(0), (1..8).map(NodeId)),
-    );
+    )
+}
+
+/// Most placement entries one [`ViewMsg::DirPush`] carries: as many of the
+/// [largest](largest_dir_entry) as fit in one UDP datagram
+/// ([`MAX_PAYLOAD`]). A longer digest goes out as several pushes, which a
+/// receiver adopts entry by entry, as it would one.
+fn dir_push_chunk() -> usize {
     let empty = Message::View(ViewMsg::DirPush {
         from: NodeId(0),
         epoch: Epoch::ZERO,
         entries: Vec::new(),
     });
-    (MAX_PAYLOAD - empty.encoded_len()) / largest.encoded_len()
+    (MAX_PAYLOAD - empty.encoded_len()) / largest_dir_entry().encoded_len()
 }
 
 /// What a kept box holds until a message is written over it: a VAL owns no
@@ -1573,16 +1578,11 @@ mod tests {
         use zeus_net::udp::{encode_frame, MAX_DATAGRAM};
         use zeus_net::ReliableMsg;
 
-        let largest: DirEntry = (
-            ObjectId(u64::MAX),
-            OwnershipTs::new(u64::MAX, NodeId(u16::MAX)),
-            ReplicaSet::new(NodeId(0), (1..8).map(NodeId)),
-        );
         let push = |entries| {
             Message::View(ViewMsg::DirPush {
                 from: NodeId(u16::MAX),
                 epoch: Epoch(u64::MAX),
-                entries: vec![largest.clone(); entries],
+                entries: vec![largest_dir_entry(); entries],
             })
         };
         let chunk = dir_push_chunk();

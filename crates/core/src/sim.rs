@@ -1430,9 +1430,8 @@ mod tests {
     /// ownership and node counters (all but the ones that count the ticks
     /// themselves or the ring entries their scans look at, and the count of
     /// messages a node loop handles in place, which the simulator never
-    /// does). A node that
-    /// skips a tick that would have done something moves at least one of
-    /// them. The counters are walked by name, so a counter added to one of
+    /// does). A node that skips a tick that would have done something moves
+    /// at least one of them. The counters are walked by name, so a counter added to one of
     /// these structs joins the digest unless it joins the skip list.
     #[test]
     fn a_lossy_run_through_every_fault_kind_is_pinned() {

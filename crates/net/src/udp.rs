@@ -219,10 +219,6 @@ impl<M: Wire + Clone> Shared<M> {
     fn ship(&self, out: Vec<Envelope<ReliableMsg<M>>>) {
         for env in out {
             let frame = encode_frame(self.local, self.boot, &env.msg);
-            if frame.len() > MAX_DATAGRAM {
-                self.counters.record_failed(frame.len());
-                continue;
-            }
             if self.faults.is_cut(self.local, env.to) {
                 self.counters.record_failed(frame.len());
                 continue;
